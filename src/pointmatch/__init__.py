@@ -9,7 +9,7 @@ an analytic synthetic-scene oracle, so behavior is deterministic and testable
 down to the bit.
 """
 
-from .alignment import AlignmentOptions, build_pair_graph, extract_trajectory, global_align
+from .alignment import AlignmentOptions, build_pair_graph, global_align
 from .attention import TokenGrid, fit_denoiser, forward, init_params
 from .geometry import (
     ConfidenceMap,
@@ -61,7 +61,6 @@ __all__ = [
     "confidence_optimum",
     "depth_metrics",
     "dynamic_mask",
-    "extract_trajectory",
     "feedforward_recon",
     "fit_denoiser",
     "forward",

@@ -16,31 +16,39 @@ translations stay world-metric and the trajectory reads off the variables
 directly. Dynamic pixels (per-edge 3x-median mask) are excluded from the 2D
 term: their matched correspondences encode object motion, not camera motion.
 
-The solver is first-order with a Gauss-Newton diagonal preconditioner (the
-IRLS curvature w*u per residual) and a backtracking line search, so the energy
-trace is monotone. Frame 0's pose and the first edge's scale are pinned (gauge
+The solver is Levenberg-Marquardt on the IRLS-weighted residuals (Triggs et
+al., "Bundle Adjustment - A Modern Synthesis", 2000). Each pixel's global
+point couples only to its own residuals, so its 3x3 curvature block is
+eliminated by a Schur complement, frame by frame, leaving a dense system over
+poses and scales. A step is kept only if the energy drops, so the energy trace
+is monotone. Frame 0's pose and the first edge's scale are pinned (gauge
 freedom).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError, EmptyDomainError
-from .geometry import EPS_Z, Intrinsics, Pointmap, Pose
+from .geometry import EPS_Z, Intrinsics, Pointmap, Pose, project_points
 from .matching import DynamicMask, dynamic_mask
 from .metrics import umeyama
 from .pipelines import PairPrediction, Predictor
 
 _SMALL_ANGLE = 1e-7
+# Levenberg-Marquardt damping: start, floor, and the ceiling past which a
+# step that still raises the energy ends the run
+_DAMPING_START, _DAMPING_MIN, _DAMPING_MAX = 1e-3, 1e-9, 1e8
 
 
 def _skew(w):
-    return np.array(
-        [[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]]
-    )
+    """Cross-product matrices [w]x of (..., 3) vectors, shape (..., 3, 3)."""
+    out = np.zeros(w.shape[:-1] + (3, 3))
+    out[..., 0, 1], out[..., 0, 2], out[..., 1, 2] = -w[..., 2], w[..., 1], -w[..., 0]
+    out[..., 1, 0], out[..., 2, 0], out[..., 2, 1] = w[..., 2], -w[..., 1], w[..., 0]
+    return out
 
 
 def rodrigues(w: np.ndarray) -> np.ndarray:
@@ -197,9 +205,6 @@ class AlignmentVariables:
         )
 
 
-_VAR_FIELDS = ("rotvecs", "translations", "log_scales", "pointmaps")
-
-
 @dataclass
 class AlignmentOptions:
     max_iters: int = 200
@@ -209,7 +214,6 @@ class AlignmentOptions:
     use_dynamic_mask: bool = True
     huber_delta: float = 1e-6
     init: str = "pairwise"  # or "identity"
-    init_step: float = 1.0  # in units of the preconditioned (Newton-ish) step
 
 
 @dataclass
@@ -230,6 +234,7 @@ class _EdgePre:
     i: int
     j: int
     edge_index: int
+    cols: np.ndarray  # camera unknowns of the edge: pose of i (6), scale (1)
     idx_ii: np.ndarray
     pts_ii: np.ndarray
     w_ii: np.ndarray
@@ -238,11 +243,11 @@ class _EdgePre:
     w_ji: np.ndarray
     idx_2d: np.ndarray
     f_2d: np.ndarray
-    fx: float
-    fy: float
+    k: Intrinsics
 
 
 def _prepare(problem: AlignmentProblem, opts: AlignmentOptions) -> list[_EdgePre]:
+    n = len(problem.frames)
     pres = []
     for ei, e in enumerate(problem.edges):
         k = problem.intrinsics[e.i]
@@ -253,19 +258,12 @@ def _prepare(problem: AlignmentProblem, opts: AlignmentOptions) -> list[_EdgePre
         sel_2d = m.valid & (m.points[..., 2] > EPS_Z)
         if opts.use_dynamic_mask and e.mask is not None:
             sel_2d = sel_2d & ~e.mask.mask
-        pts_m = m.points[sel_2d]
-        f_2d = np.stack(
-            [
-                k.fx * pts_m[:, 0] / pts_m[:, 2] + k.cx,
-                k.fy * pts_m[:, 1] / pts_m[:, 2] + k.cy,
-            ],
-            axis=1,
-        )
         pres.append(
             _EdgePre(
                 i=e.i,
                 j=e.j,
                 edge_index=ei,
+                cols=np.r_[6 * e.i : 6 * e.i + 6, 6 * n + ei],
                 idx_ii=np.flatnonzero(sel_ii),
                 pts_ii=pred.x_ii.points.reshape(-1, 3)[sel_ii],
                 w_ii=pred.conf_ii.values.ravel()[sel_ii],
@@ -273,46 +271,34 @@ def _prepare(problem: AlignmentProblem, opts: AlignmentOptions) -> list[_EdgePre
                 pts_ji=pred.x_ji.points.reshape(-1, 3)[sel_ji],
                 w_ji=pred.conf_ji.values.ravel()[sel_ji],
                 idx_2d=np.flatnonzero(sel_2d.ravel()),
-                f_2d=f_2d,
-                fx=k.fx,
-                fy=k.fy,
+                f_2d=project_points(m.points[sel_2d], k)[0],
+                k=k,
             )
         )
     return pres
 
 
-def _energy_and_grad(
-    problem: AlignmentProblem,
-    pres: list[_EdgePre],
-    v: AlignmentVariables,
-    opts: AlignmentOptions,
-    want_grad: bool = True,
-):
-    n_frames = len(problem.frames)
+def _left_jacobian(w: np.ndarray) -> np.ndarray:
+    """J with columns c_k such that dR/dw_k = [c_k]x R."""
+    m = rodrigues_jacobian(w) @ rodrigues(w).T
+    return np.stack([m[:, 2, 1], m[:, 0, 2], m[:, 1, 0]])
+
+
+def _blocks(pres, v, opts, want_jac):
+    """Residual blocks, one per (edge, term), as
+    [energy, frame, pixels, r, u, d r/d chi, d r/d camera, camera columns].
+
+    r is (n, 3) for the 3D terms and (n, 2) for the 2D term; u are the IRLS
+    weights of the pseudo-Huber kernel, so u r is the energy's gradient in r.
+    Without want_jac a block holds its energy only. Rotations are
+    differentiated in rotation-vector coordinates through the left Jacobian:
+    d(R p)/dw = -[R p]x J.
+    """
     delta = opts.huber_delta
-    rot = [rodrigues(v.rotvecs[f]) for f in range(n_frames)]
-    jac = [rodrigues_jacobian(v.rotvecs[f]) for f in range(n_frames)] if want_grad else None
+    rot = [rodrigues(w) for w in v.rotvecs]
+    jl = [_left_jacobian(w) for w in v.rotvecs] if want_jac else None
     scales = np.exp(v.log_scales)
-    flat_maps = v.pointmaps.reshape(n_frames, -1, 3)
-
-    energy = 0.0
-    g = curv = None
-    if want_grad:
-        g = AlignmentVariables(
-            np.zeros_like(v.rotvecs),
-            np.zeros_like(v.translations),
-            np.zeros_like(v.log_scales),
-            np.zeros_like(v.pointmaps),
-        )
-        curv = AlignmentVariables(
-            np.zeros_like(v.rotvecs),
-            np.zeros_like(v.translations),
-            np.zeros_like(v.log_scales),
-            np.zeros_like(v.pointmaps),
-        )
-    g_maps = g.pointmaps.reshape(n_frames, -1, 3) if want_grad else None
-    c_maps = curv.pointmaps.reshape(n_frames, -1, 3) if want_grad else None
-
+    flat_maps = v.pointmaps.reshape(len(v.pointmaps), -1, 3)
     for pre in pres:
         r_i = rot[pre.i]
         t_i = v.translations[pre.i]
@@ -325,341 +311,142 @@ def _energy_and_grad(
                 continue
             mapped_local = pts @ r_i.T
             mapped = s * mapped_local + t_i
-            chi = flat_maps[fidx][idx]
-            r = chi - mapped
-            # overflow to inf is fine here, the divergence check owns that case
+            r = flat_maps[fidx][idx] - mapped
+            # overflow to inf is fine here: an infinite energy raises
+            # DivergenceError at the start and rejects a step later
             with np.errstate(over="ignore"):
                 root = np.sqrt((r * r).sum(axis=1) + delta * delta)
-            energy += float((w * (root - delta)).sum())
-            if want_grad:
-                wu = w / root
-                gr = wu[:, None] * r
-                g_maps[fidx][idx] += gr
-                g.translations[pre.i] -= gr.sum(axis=0)
-                g.log_scales[pre.edge_index] -= float((gr * mapped_local).sum()) * s
-                sx = s * pts
-                c_maps[fidx][idx] += wu[:, None]
-                curv.translations[pre.i] += wu.sum()
-                curv.log_scales[pre.edge_index] += float(
-                    (wu * (s * s) * (pts * pts).sum(axis=1)).sum()
-                )
-                for axis in range(3):
-                    dmap = sx @ jac[pre.i][axis].T
-                    g.rotvecs[pre.i, axis] -= float((gr * dmap).sum())
-                    curv.rotvecs[pre.i, axis] += float(
-                        (wu * (dmap * dmap).sum(axis=1)).sum()
-                    )
+            block = [float((w * (root - delta)).sum())]
+            if want_jac:
+                a = s * mapped_local
+                j_cam = np.empty((idx.size, 3, 7))
+                j_cam[..., :3] = _skew(a) @ jl[pre.i]
+                j_cam[..., 3:6] = -np.eye(3)
+                j_cam[..., 6] = -a
+                j_chi = np.broadcast_to(np.eye(3), (idx.size, 3, 3))
+                block += [fidx, idx, r, w / root, j_chi, j_cam, pre.cols]
+            yield block
         if opts.lambda_2d > 0 and pre.idx_2d.size:
             d = flat_maps[pre.j][pre.idx_2d] - t_i
             y = d @ r_i  # R_i^T d, row form
-            z = y[:, 2]
-            ok = z > EPS_Z
+            ok = y[:, 2] > EPS_Z
             if not ok.any():
                 continue
-            yv, dv = y[ok], d[ok]
-            zv = yv[:, 2]
-            k_i = problem.intrinsics[pre.i]
-            r2 = np.stack(
-                [
-                    pre.fx * yv[:, 0] / zv + k_i.cx,
-                    pre.fy * yv[:, 1] / zv + k_i.cy,
-                ],
-                axis=1,
-            )
-            r2 -= pre.f_2d[ok]
+            idx, y, d = pre.idx_2d[ok], y[ok], d[ok]
+            r2 = project_points(y, pre.k)[0] - pre.f_2d[ok]
             root2 = np.sqrt((r2 * r2).sum(axis=1) + delta * delta)
-            energy += opts.lambda_2d * float((root2 - delta).sum())
-            if want_grad:
-                wu2 = opts.lambda_2d / root2
-                gr2 = wu2[:, None] * r2
-                # rows of the projection jacobian d(pix)/dy
-                ju = np.zeros_like(yv)
-                ju[:, 0] = pre.fx / zv
-                ju[:, 2] = -pre.fx * yv[:, 0] / (zv * zv)
-                jw = np.zeros_like(yv)
-                jw[:, 1] = pre.fy / zv
-                jw[:, 2] = -pre.fy * yv[:, 1] / (zv * zv)
-                gy = gr2[:, 0:1] * ju + gr2[:, 1:2] * jw
-                g_chi = gy @ r_i.T
-                sub = np.zeros((pre.idx_2d.size, 3))
-                sub[ok] = g_chi
-                g_maps[pre.j][pre.idx_2d] += sub
-                g.translations[pre.i] -= g_chi.sum(axis=0)
-                ju_w = ju @ r_i.T
-                jw_w = jw @ r_i.T
-                c_chi = wu2[:, None] * (ju_w * ju_w + jw_w * jw_w)
-                csub = np.zeros((pre.idx_2d.size, 3))
-                csub[ok] = c_chi
-                c_maps[pre.j][pre.idx_2d] += csub
-                curv.translations[pre.i] += c_chi.sum(axis=0)
-                for axis in range(3):
-                    dy = dv @ jac[pre.i][axis]
-                    g.rotvecs[pre.i, axis] += float((gy * dy).sum())
-                    jr_u = (ju * dy).sum(axis=1)
-                    jr_w = (jw * dy).sum(axis=1)
-                    curv.rotvecs[pre.i, axis] += float(
-                        (wu2 * (jr_u * jr_u + jr_w * jr_w)).sum()
-                    )
-    return energy, g, curv
+            block = [opts.lambda_2d * float((root2 - delta).sum())]
+            if want_jac:
+                z = y[:, 2]
+                jp = np.zeros((idx.size, 2, 3))  # d(pixel)/dy
+                jp[:, 0, 0], jp[:, 1, 1] = pre.k.fx / z, pre.k.fy / z
+                jp[:, :, 2] = -jp[:, [0, 1], [0, 1]] * y[:, :2] / z[:, None]
+                j_chi = jp @ r_i.T
+                j_cam = np.concatenate([j_chi @ _skew(d) @ jl[pre.i], -j_chi], axis=2)
+                u2 = opts.lambda_2d / root2
+                block += [pre.j, idx, r2, u2, j_chi, j_cam, pre.cols[:6]]
+            yield block
 
 
-def _chi_mm_update(
-    problem: AlignmentProblem,
-    pres: list[_EdgePre],
-    v: AlignmentVariables,
-    scales: np.ndarray,
-) -> np.ndarray:
-    """One majorize-minimize step on the pointmap block.
+@dataclass
+class _NormalSystem:
+    """IRLS Gauss-Newton system, split into camera and per-pixel chi blocks.
 
-    For fixed poses and scales each pixel's 3D terms admit the IRLS update
-    chi = sum(u m) / sum(u) with u = w / sqrt(|chi - m|^2 + delta^2), which
-    cannot increase the 3D energy. The 2D term is ignored here; the caller
-    keeps the step only if the total energy went down.
+    Camera unknowns are [rotvec, translation] per frame, then one log-scale
+    per edge; the gauge columns are present here and dropped in the solve.
+    Frame f's pixels couple only to the camera columns cols[f], so its
+    coupling block b[f] is (pixels, 3, len(cols[f])).
     """
-    n_frames = len(problem.frames)
-    flat = v.pointmaps.reshape(n_frames, -1, 3)
-    num = np.zeros_like(flat)
-    den = np.zeros((n_frames, flat.shape[1], 1))
-    delta = 1e-6
-    for pre in pres:
-        r_i = rodrigues(v.rotvecs[pre.i])
-        t_i = v.translations[pre.i]
-        s = scales[pre.edge_index]
-        for idx, pts, w, fidx in (
-            (pre.idx_ii, pre.pts_ii, pre.w_ii, pre.i),
-            (pre.idx_ji, pre.pts_ji, pre.w_ji, pre.j),
-        ):
-            if idx.size == 0:
-                continue
-            m = s * (pts @ r_i.T) + t_i
-            r = flat[fidx][idx] - m
-            u = w / np.sqrt((r * r).sum(axis=1) + delta * delta)
-            num[fidx][idx] += u[:, None] * m
-            den[fidx][idx] += u[:, None]
-    out = v.pointmaps.copy().reshape(n_frames, -1, 3)
-    hit = den[..., 0] > 0
-    out[hit] = num[hit] / den[hit]
-    return out.reshape(v.pointmaps.shape)
+
+    h: np.ndarray  # camera-camera block
+    g: np.ndarray  # camera gradient
+    c: np.ndarray  # (F, pixels, 3, 3) chi-chi blocks
+    g_chi: np.ndarray  # (F, pixels, 3) chi gradient
+    cols: list[np.ndarray]
+    b: list[np.ndarray]
 
 
-def _pose_mm_update(
-    problem: AlignmentProblem,
-    pres: list[_EdgePre],
-    v: AlignmentVariables,
-    scales: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted-Kabsch update of every non-gauge pose under the IRLS majorant.
-
-    Each energy term involves exactly one pose (the edge's view1), so given
-    pointmaps and scales the pose blocks separate per frame and the majorant
-    minimizer is a weighted Procrustes fit of s*x onto the gathered chi.
-    """
-    n = len(problem.frames)
-    flat = v.pointmaps.reshape(n, -1, 3)
-    delta = 1e-6
-    src: list[list[np.ndarray]] = [[] for _ in range(n)]
-    dst: list[list[np.ndarray]] = [[] for _ in range(n)]
-    wgt: list[list[np.ndarray]] = [[] for _ in range(n)]
-    for pre in pres:
-        r_i = rodrigues(v.rotvecs[pre.i])
-        t_i = v.translations[pre.i]
-        s = scales[pre.edge_index]
-        for idx, pts, w, fidx in (
-            (pre.idx_ii, pre.pts_ii, pre.w_ii, pre.i),
-            (pre.idx_ji, pre.pts_ji, pre.w_ji, pre.j),
-        ):
-            if idx.size == 0:
-                continue
-            a = s * pts
-            b = flat[fidx][idx]
-            r = b - (a @ r_i.T + t_i)
-            u = w / np.sqrt((r * r).sum(axis=1) + delta * delta)
-            src[pre.i].append(a)
-            dst[pre.i].append(b)
-            wgt[pre.i].append(u)
-    rot_out = v.rotvecs.copy()
-    tr_out = v.translations.copy()
-    for f in range(1, n):  # frame 0 carries the gauge
-        if not src[f]:
-            continue
-        a = np.vstack(src[f])
-        b = np.vstack(dst[f])
-        u = np.concatenate(wgt[f])
-        usum = float(u.sum())
-        if usum <= 0:
-            continue
-        abar = (u[:, None] * a).sum(axis=0) / usum
-        bbar = (u[:, None] * b).sum(axis=0) / usum
-        h = (u[:, None] * (a - abar)).T @ (b - bbar)
-        uu, _, vt = np.linalg.svd(h)
-        d = np.sign(np.linalg.det(vt.T @ uu.T))
-        r_new = vt.T @ np.diag([1.0, 1.0, d]) @ uu.T
-        rot_out[f] = rotation_log(r_new)
-        tr_out[f] = bbar - r_new @ abar
-    return rot_out, tr_out
-
-
-def _scale_mm_update(
-    problem: AlignmentProblem, pres: list[_EdgePre], v: AlignmentVariables
-) -> np.ndarray:
-    """Closed-form per-edge scale update under the IRLS majorant."""
-    n = len(problem.frames)
-    flat = v.pointmaps.reshape(n, -1, 3)
-    delta = 1e-6
-    out = v.log_scales.copy()
-    scales = np.exp(v.log_scales)
-    for pre in pres:
-        if pre.edge_index == 0:
-            continue  # gauge edge stays at scale 1
-        r_i = rodrigues(v.rotvecs[pre.i])
-        t_i = v.translations[pre.i]
-        s = scales[pre.edge_index]
-        num = den = 0.0
-        for idx, pts, w, fidx in (
-            (pre.idx_ii, pre.pts_ii, pre.w_ii, pre.i),
-            (pre.idx_ji, pre.pts_ji, pre.w_ji, pre.j),
-        ):
-            if idx.size == 0:
-                continue
-            rx = pts @ r_i.T
-            b = flat[fidx][idx] - t_i
-            r = b - s * rx
-            u = w / np.sqrt((r * r).sum(axis=1) + delta * delta)
-            num += float((u * (b * rx).sum(axis=1)).sum())
-            den += float((u * (rx * rx).sum(axis=1)).sum())
-        # a non-positive fit would flip the map through the origin; keep s
-        if den > 0 and num > 0:
-            out[pre.edge_index] = float(np.log(num / den))
-    return out
-
-
-def _pose_scale_gauss_newton(
+def _energy_and_grad(
     problem: AlignmentProblem,
     pres: list[_EdgePre],
     v: AlignmentVariables,
     opts: AlignmentOptions,
-    lm_damping: float,
-) -> AlignmentVariables | None:
-    """One damped Gauss-Newton step on poses and scales with maps fixed.
+    want_grad: bool = True,
+):
+    """Energy and, with want_grad, its gradient and IRLS normal system.
 
-    Narrow-field scenes couple each edge's scale with the camera's forward
-    translation into a long flat valley; first-order steps crawl through it,
-    the GN normal system (a few dozen unknowns) crosses it directly. Uses the
-    IRLS weights of the robust kernel, so the solved system is the curvature
-    of the current majorant. Returns the stepped candidate (caller guards the
-    energy) or None if the system cannot be solved.
+    Every block adds u J^T r to the gradient and u J^T J to the system, so the
+    gradient is exact and the system is the Gauss-Newton curvature of the
+    current IRLS majorant.
     """
+    blocks = _blocks(pres, v, opts, want_grad)
+    if not want_grad:
+        return sum((blk[0] for blk in blocks), 0.0), None, None
     n = len(problem.frames)
-    n_edges = len(v.log_scales)
-    dim = 6 * (n - 1) + max(n_edges - 1, 0)
-    if dim == 0:
-        return None
-    delta = opts.huber_delta
-    flat_maps = v.pointmaps.reshape(n, -1, 3)
-    rot = [rodrigues(v.rotvecs[f]) for f in range(n)]
-    jac = [rodrigues_jacobian(v.rotvecs[f]) for f in range(n)]
-    scales = np.exp(v.log_scales)
-    h = np.zeros((dim, dim))
-    g = np.zeros(dim)
-
-    def frame_cols(f):
-        return 6 * (f - 1)
-
-    def edge_col(e):
-        return 6 * (n - 1) + (e - 1)
-
+    dim = 6 * n + len(v.log_scales)
+    pix = v.pointmaps[0].size // 3
+    cols = [[] for _ in range(n)]
     for pre in pres:
-        r_i = rot[pre.i]
-        t_i = v.translations[pre.i]
-        s = scales[pre.edge_index]
-        cols = []
-        if pre.i >= 1:
-            base = frame_cols(pre.i)
-            cols.extend(range(base, base + 6))
-        has_scale = pre.edge_index >= 1
-        if has_scale:
-            cols.append(edge_col(pre.edge_index))
-        if not cols:
-            continue
-        for idx, pts, w, fidx in (
-            (pre.idx_ii, pre.pts_ii, pre.w_ii, pre.i),
-            (pre.idx_ji, pre.pts_ji, pre.w_ji, pre.j),
-        ):
-            if idx.size == 0:
-                continue
-            mapped_local = pts @ r_i.T
-            r = flat_maps[fidx][idx] - (s * mapped_local + t_i)
-            u = w / np.sqrt((r * r).sum(axis=1) + delta * delta)
-            jcols = []
-            if pre.i >= 1:
-                sx = s * pts
-                for axis in range(3):
-                    jcols.append(-(sx @ jac[pre.i][axis].T))
-                eye = np.eye(3)
-                for axis in range(3):
-                    jcols.append(np.broadcast_to(-eye[axis], r.shape))
-            if has_scale:
-                jcols.append(-s * mapped_local)
-            jmat = np.stack(jcols, axis=2)  # (N, 3, C)
-            h_local = np.einsum("n,nac,nad->cd", u, jmat, jmat)
-            g_local = np.einsum("n,nac,na->c", u, jmat, r)
-            ix = np.asarray(cols)
-            h[np.ix_(ix, ix)] += h_local
-            g[ix] += g_local
-        if opts.lambda_2d > 0 and pre.idx_2d.size and pre.i >= 1:
-            d = flat_maps[pre.j][pre.idx_2d] - t_i
-            y = d @ r_i
-            ok = y[:, 2] > EPS_Z
-            if not ok.any():
-                continue
-            yv, dv = y[ok], d[ok]
-            zv = yv[:, 2]
-            k_i = problem.intrinsics[pre.i]
-            r2 = np.stack(
-                [
-                    pre.fx * yv[:, 0] / zv + k_i.cx,
-                    pre.fy * yv[:, 1] / zv + k_i.cy,
-                ],
-                axis=1,
-            ) - pre.f_2d[ok]
-            u2 = opts.lambda_2d / np.sqrt((r2 * r2).sum(axis=1) + delta * delta)
-            ju = np.zeros_like(yv)
-            ju[:, 0] = pre.fx / zv
-            ju[:, 2] = -pre.fx * yv[:, 0] / (zv * zv)
-            jw = np.zeros_like(yv)
-            jw[:, 1] = pre.fy / zv
-            jw[:, 2] = -pre.fy * yv[:, 1] / (zv * zv)
-            jcols2 = []
-            for axis in range(3):
-                dy = dv @ jac[pre.i][axis]
-                jcols2.append(np.stack([(ju * dy).sum(1), (jw * dy).sum(1)], axis=1))
-            for axis in range(3):
-                # dy/dt = -R^T e_axis
-                dyt = -r_i[axis]
-                jcols2.append(
-                    np.stack([ju @ dyt, jw @ dyt], axis=1)
-                )
-            jmat2 = np.stack(jcols2, axis=2)  # (M, 2, 6)
-            base = frame_cols(pre.i)
-            ix = np.arange(base, base + 6)
-            h[np.ix_(ix, ix)] += np.einsum("n,nac,nad->cd", u2, jmat2, jmat2)
-            g[ix] += np.einsum("n,nac,na->c", u2, jmat2, r2)
+        cols[pre.i].append(pre.cols)
+        cols[pre.j].append(pre.cols)
+    cols = [np.unique(np.concatenate(c)) if c else np.zeros(0, int) for c in cols]
+    system = _NormalSystem(
+        np.zeros((dim, dim)), np.zeros(dim), np.zeros((n, pix, 3, 3)), np.zeros((n, pix, 3)),
+        cols, [np.zeros((pix, 3, c.size)) for c in cols],
+    )
+    energy = 0.0
+    for e, f, idx, r, u, j_chi, j_cam, jc in blocks:
+        energy += e
+        j_flat = j_cam.reshape(-1, jc.size)
+        system.g[jc] += j_flat.T @ (u[:, None] * r).ravel()
+        system.h[np.ix_(jc, jc)] += (np.repeat(u, r.shape[1])[:, None] * j_flat).T @ j_flat
+        ut = u[:, None, None] * j_chi.transpose(0, 2, 1)  # u d r/d chi^T
+        system.g_chi[f, idx] += (ut @ r[..., None])[..., 0]
+        system.c[f, idx] += ut @ j_chi
+        local = np.searchsorted(cols[f], jc)
+        system.b[f][np.ix_(idx, np.arange(3), local)] += ut @ j_cam
+    # pixels no term reaches get an inert unit block
+    system.c[np.trace(system.c, axis1=2, axis2=3) == 0] = np.eye(3)
+    cam = system.g[: 6 * n].reshape(n, 6)
+    grad = AlignmentVariables(
+        cam[:, :3], cam[:, 3:], system.g[6 * n :], system.g_chi.reshape(v.pointmaps.shape)
+    )
+    return energy, grad, system
 
-    h[np.diag_indices_from(h)] += lm_damping * (np.diag(h) + 1e-12)
-    try:
-        step = np.linalg.solve(h, -g)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(step)):
-        return None
-    cand = v.copy()
-    for f in range(1, n):
-        base = frame_cols(f)
-        cand.rotvecs[f] += step[base : base + 3]
-        cand.translations[f] += step[base + 3 : base + 6]
-    for e in range(1, n_edges):
-        cand.log_scales[e] += step[edge_col(e)]
-    return cand
+
+def _lm_step(v: AlignmentVariables, system: _NormalSystem, damping: float) -> AlignmentVariables:
+    """One Levenberg-Marquardt step: eliminate chi, solve, back-substitute.
+
+    Damping scales every diagonal entry by (1 + damping). Raises LinAlgError
+    when the reduced system cannot be solved.
+    """
+    n = len(v.rotvecs)
+    h = system.h * (1.0 + damping * np.eye(len(system.g)))
+    rhs = system.g.copy()
+    c_inv = []
+    for f, cols in enumerate(system.cols):
+        ci = np.linalg.inv(system.c[f] * (1.0 + damping * np.eye(3)))
+        k = ci @ system.b[f]
+        h[np.ix_(cols, cols)] -= np.einsum("pac,pad->cd", system.b[f], k)
+        rhs[cols] -= np.einsum("pac,pa->c", k, system.g_chi[f])
+        c_inv.append(ci)
+    # frame 0's pose and edge 0's scale carry the gauge; unknowns no term
+    # touches (the last frame's pose) stay put
+    keep = np.flatnonzero(np.diag(system.h) > 0)
+    keep = keep[(keep >= 6) & (keep != 6 * n)]
+    step = np.zeros_like(rhs)
+    step[keep] = np.linalg.solve(h[np.ix_(keep, keep)], -rhs[keep])
+    d_chi = [
+        -np.einsum("pab,pb->pa", ci, system.g_chi[f] + system.b[f] @ step[cols])
+        for f, (ci, cols) in enumerate(zip(c_inv, system.cols))
+    ]
+    cam = step[: 6 * n].reshape(n, 6)
+    return AlignmentVariables(
+        v.rotvecs + cam[:, :3],
+        v.translations + cam[:, 3:],
+        v.log_scales + step[6 * n :],
+        v.pointmaps + np.reshape(d_chi, v.pointmaps.shape),
+    )
 
 
 def alignment_energy(
@@ -686,7 +473,7 @@ def _init_identity(problem: AlignmentProblem) -> AlignmentVariables:
     return v
 
 
-def _init_pairwise(problem: AlignmentProblem, opts: AlignmentOptions) -> AlignmentVariables:
+def _init_pairwise(problem: AlignmentProblem, pres: list[_EdgePre]) -> AlignmentVariables:
     """Spanning-tree initialization from per-edge similarity fits.
 
     Each edge's (x_jj, x_ji) correspondence gives a cam_j -> cam_i similarity
@@ -756,21 +543,16 @@ def _init_pairwise(problem: AlignmentProblem, opts: AlignmentOptions) -> Alignme
     num = np.zeros((n, h * w, 3))
     den = np.zeros((n, h * w, 1))
     scales = np.exp(v.log_scales)
-    for ei, e in enumerate(problem.edges):
-        r_i = rot[e.i]
-        t_i = v.translations[e.i]
-        s = scales[ei]
-        for pm, conf, fidx in (
-            (e.pred.x_ii, e.pred.conf_ii, e.i),
-            (e.pred.x_ji, e.pred.conf_ji, e.j),
+    for pre in pres:
+        r_i = rot[pre.i]
+        t_i = v.translations[pre.i]
+        s = scales[pre.edge_index]
+        for idx, pts, wgt, fidx in (
+            (pre.idx_ii, pre.pts_ii, pre.w_ii, pre.i),
+            (pre.idx_ji, pre.pts_ji, pre.w_ji, pre.j),
         ):
-            sel = pm.valid.ravel()
-            if not sel.any():
-                continue
-            pts = pm.points.reshape(-1, 3)[sel]
-            wgt = conf.values.ravel()[sel][:, None]
-            num[fidx][sel] += wgt * (s * (pts @ r_i.T) + t_i)
-            den[fidx][sel] += wgt
+            num[fidx][idx] += wgt[:, None] * (s * (pts @ r_i.T) + t_i)
+            den[fidx][idx] += wgt[:, None]
     for f in range(n):
         base = kappa[f] * (problem.ego_maps[f].points.reshape(-1, 3) @ rot[f].T) + cen[f]
         filled = den[f][:, 0] > 0
@@ -785,9 +567,13 @@ def global_align(
 ) -> AlignmentResult:
     """Jointly optimize poses, edge scales and global maps; monotone energy.
 
-    AdaGrad-preconditioned gradient descent with a backtracking (Armijo) line
-    search; frame 0's pose and edge 0's log-scale are held at the gauge.
-    Raises DivergenceError if the energy ever goes non-finite.
+    Each iteration linearizes the residuals under the IRLS weights of the
+    current iterate and takes one Levenberg-Marquardt step, the per-pixel chi
+    blocks eliminated by their Schur complement. A step is kept only if it
+    lowers the energy; otherwise the damping grows tenfold and the step is
+    retried, and a run no damping can improve has converged. Frame 0's pose
+    and edge 0's log-scale are held at the gauge. Raises DivergenceError if
+    the initial energy is non-finite.
     """
     opts = options or AlignmentOptions()
     n = len(problem.frames)
@@ -796,123 +582,44 @@ def global_align(
     if opts.init not in ("pairwise", "identity"):
         raise ValueError("init must be pairwise or identity")
     pres = _prepare(problem, opts)
-    v = _init_pairwise(problem, opts) if opts.init == "pairwise" else _init_identity(problem)
+    v = _init_pairwise(problem, pres) if opts.init == "pairwise" else _init_identity(problem)
 
     energy, _, _ = _energy_and_grad(problem, pres, v, opts, want_grad=False)
     if not np.isfinite(energy):
         raise DivergenceError("initial energy is non-finite", trace=[energy])
     trace = [energy]
-    lam = opts.init_step
-    lm_damping = 1e-3
+    damping = _DAMPING_START
     iters = 0
     converged = not problem.edges or energy < opts.abs_tol
     flat_tol_hits = 0
 
     while not converged and iters < opts.max_iters:
         e_before = trace[-1]
-        e_cur = e_before
-        v_begin = v.copy()
-
-        def attempt(cand):
-            nonlocal v, e_cur
-            e_new, _, _ = _energy_and_grad(problem, pres, cand, opts, want_grad=False)
-            if np.isfinite(e_new) and e_new < e_cur:
-                v = cand
-                e_cur = e_new
-
-        # block-coordinate IRLS sweeps, each kept only if the energy drops
-        cand = v.copy()
-        cand.pointmaps = _chi_mm_update(problem, pres, v, np.exp(v.log_scales))
-        attempt(cand)
-        cand = v.copy()
-        cand.rotvecs, cand.translations = _pose_mm_update(
-            problem, pres, v, np.exp(v.log_scales)
-        )
-        attempt(cand)
-        cand = v.copy()
-        cand.log_scales = _scale_mm_update(problem, pres, v)
-        attempt(cand)
-
-        # damped Gauss-Newton on the pose/scale block (maps held fixed)
-        for _ in range(4):
-            cand = _pose_scale_gauss_newton(problem, pres, v, opts, lm_damping)
-            if cand is None:
-                break
-            e_prev = e_cur
-            attempt(cand)
-            if e_cur < e_prev:
-                lm_damping = max(lm_damping * 0.3, 1e-9)
-                break
-            lm_damping = min(lm_damping * 10.0, 1e8)
-
-        # let the maps catch up with the stepped poses
-        cand = v.copy()
-        cand.pointmaps = _chi_mm_update(problem, pres, v, np.exp(v.log_scales))
-        attempt(cand)
-
-        # preconditioned gradient step with backtracking picks up the rest
-        e0, g, curv = _energy_and_grad(problem, pres, v, opts, want_grad=True)
-        g.rotvecs[0] = 0.0
-        g.translations[0] = 0.0
-        if g.log_scales.size:
-            g.log_scales[0] = 0.0
-        gnorm2 = 0.0
-        for name in _VAR_FIELDS:
-            ga = getattr(g, name)
-            gnorm2 += float((ga * ga).sum())
-        accepted = False
-        if gnorm2 > 1e-32:
-            direction = AlignmentVariables(
-                g.rotvecs / (curv.rotvecs + 1e-12),
-                g.translations / (curv.translations + 1e-12),
-                g.log_scales / (curv.log_scales + 1e-12),
-                g.pointmaps / (curv.pointmaps + 1e-12),
-            )
-            slope = 0.0
-            for name in _VAR_FIELDS:
-                slope += float((getattr(g, name) * getattr(direction, name)).sum())
-            step = lam
-            for _ in range(30):
-                cand = v.copy()
-                for name in _VAR_FIELDS:
-                    getattr(cand, name)[...] -= step * getattr(direction, name)
-                e_new, _, _ = _energy_and_grad(problem, pres, cand, opts, want_grad=False)
-                if np.isfinite(e_new) and e_new <= e0 - 1e-4 * step * slope:
-                    v = cand
-                    e_cur = e_new
-                    accepted = True
-                    break
-                step *= 0.5
-            if accepted:
-                lam = min(step * 1.3, 4.0)
-
-        # extrapolate along the iteration's net displacement; the sweeps
-        # zigzag through the scale/map valley and this jumps down it
-        if e_cur < e_before:
-            for beta in (8.0, 3.0, 1.0):
-                cand = v.copy()
-                for name in _VAR_FIELDS:
-                    getattr(cand, name)[...] += beta * (
-                        getattr(v, name) - getattr(v_begin, name)
-                    )
-                e_prev = e_cur
-                attempt(cand)
-                if e_cur < e_prev:
-                    break
-
+        _, _, system = _energy_and_grad(problem, pres, v, opts)
         iters += 1
-        if e_cur < e_before:
-            trace.append(e_cur)
-        rel = (e_before - e_cur) / max(e_before, 1e-30)
-        if rel < opts.tol or e_cur < opts.abs_tol:
+        while damping <= _DAMPING_MAX:
+            try:
+                cand = _lm_step(v, system, damping)
+            except np.linalg.LinAlgError:
+                damping *= 10.0
+                continue
+            e_new, _, _ = _energy_and_grad(problem, pres, cand, opts, want_grad=False)
+            if np.isfinite(e_new) and e_new < e_before:
+                break
+            damping *= 10.0
+        else:
+            converged = True  # no damping lowers the energy: a minimum
+            break
+        v, system = cand, None  # free the system before the next linearization
+        damping = max(damping / 10.0, _DAMPING_MIN)
+        trace.append(e_new)
+        if e_new < opts.abs_tol:
+            converged = True
+        elif (e_before - e_new) / e_before < opts.tol:
             flat_tol_hits += 1
-            if flat_tol_hits >= 3 or e_cur < opts.abs_tol or not accepted:
-                converged = True
+            converged = flat_tol_hits >= 3
         else:
             flat_tol_hits = 0
-
-    if not np.isfinite(trace[-1]):
-        raise DivergenceError("alignment energy went non-finite", trace=trace)
 
     # Cameras are read off the aligned maps: registering each ego map onto
     # its global map by a similarity gives every frame a pose, including
@@ -925,16 +632,11 @@ def global_align(
         center = v.translations[f]
         if problem.edges and int(sel.sum()) >= 3:
             try:
-                _, r_fit, t_fit = umeyama(
-                    ego.points[sel], v.pointmaps[f][sel], with_scale=True
-                )
-                r_c2w, center = r_fit, t_fit
+                _, r_c2w, center = umeyama(ego.points[sel], v.pointmaps[f][sel], with_scale=True)
             except EmptyDomainError:
                 pass
         poses.append(Pose(r_c2w.T, -r_c2w.T @ center))
-    maps = [
-        Pointmap(v.pointmaps[f], problem.ego_maps[f].valid) for f in range(n)
-    ]
+    maps = [Pointmap(v.pointmaps[f], problem.ego_maps[f].valid) for f in range(n)]
     return AlignmentResult(
         poses=poses,
         scales=np.exp(v.log_scales),
@@ -944,8 +646,3 @@ def global_align(
         iterations=iters,
         variables=v,
     )
-
-
-def extract_trajectory(result: AlignmentResult) -> list[Pose]:
-    """World-to-camera poses of the aligned sequence, frame order."""
-    return list(result.poses)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .alignment import build_pair_graph, extract_trajectory, global_align
+from .alignment import build_pair_graph, global_align
 from .config import build_config
 from .geometry import DepthMap
 from .metrics import apd, depth_metrics, trajectory_metrics
@@ -155,7 +155,7 @@ def cmd_align(args) -> int:
     problem = build_pair_graph(seq, _predictor(seq, cfg), stride=cfg.stride)
     result = global_align(problem, cfg.alignment_options())
     out = _out_dir(args)
-    io.write_trajectory(out / "trajectory.txt", extract_trajectory(result))
+    io.write_trajectory(out / "trajectory.txt", result.poses)
     io.dump_json(
         out / "report.json",
         {

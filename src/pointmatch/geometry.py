@@ -38,12 +38,6 @@ class Intrinsics:
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
 
-    def as_matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]],
-            dtype=np.float64,
-        )
-
 
 @dataclass(frozen=True)
 class Pose:
@@ -78,12 +72,6 @@ class Pose:
         """Map world points (..., 3) into the camera frame."""
         pts = np.asarray(points, dtype=np.float64)
         return pts @ self.rotation.T + self.translation
-
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
 
     @property
     def center(self) -> np.ndarray:
@@ -274,14 +262,9 @@ def project(pm: Pointmap, k: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
     Returns (pix, valid): pix is (H, W, 2) with (x, y) per cell, zero where
     invalid; valid requires the input cell valid and z > EPS_Z.
     """
-    z = pm.points[..., 2]
-    valid = pm.valid & (z > EPS_Z)
-    pix = np.zeros(pm.points.shape[:2] + (2,))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = k.fx * pm.points[..., 0] / z + k.cx
-        v = k.fy * pm.points[..., 1] / z + k.cy
-    pix[..., 0] = np.where(valid, u, 0.0)
-    pix[..., 1] = np.where(valid, v, 0.0)
+    pix, valid = project_points(pm.points, k)
+    valid &= pm.valid
+    pix[~valid] = 0.0
     return pix, valid
 
 

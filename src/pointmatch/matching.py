@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyDomainError
-from .geometry import Intrinsics, Pointmap, project
+from .geometry import Pointmap
 
 DYNAMIC_MEDIAN_FACTOR = 3.0
 
@@ -56,15 +56,6 @@ def dynamic_mask(matched: Pointmap, rigid: Pointmap) -> DynamicMask:
     threshold = DYNAMIC_MEDIAN_FACTOR * float(np.median(res[valid]))
     mask = valid & (res > threshold)
     return DynamicMask(mask=mask, threshold=threshold, residuals=res, valid=valid)
-
-
-def matching_to_pixels(matched: Pointmap, k: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
-    """Project a matching pointmap into its camera: per-pixel 2D correspondences.
-
-    Cell (x, y) holds where frame j's pixel (x, y) lands in frame i's image
-    when matched holds frame-i camera coordinates. Returns (pix, valid).
-    """
-    return project(matched, k)
 
 
 def sparsify_tracks(

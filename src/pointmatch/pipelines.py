@@ -50,7 +50,6 @@ class PairPrediction:
     x_ji_matched: Pointmap
     conf_ii: ConfidenceMap
     conf_ji: ConfidenceMap
-    conf_ji_matched: ConfidenceMap
 
 
 class Predictor(Protocol):
@@ -121,7 +120,7 @@ class OraclePredictor:
         matched = gt_pointmap_matching(seq, view1, view2)
         ego, c_e = self._perturb(ego, view1, view2, _ROLE_EGO)
         rigid, c_r = self._perturb(rigid, view1, view2, _ROLE_RIGID)
-        matched, c_m = self._perturb(matched, view1, view2, _ROLE_MATCHED)
+        matched, _ = self._perturb(matched, view1, view2, _ROLE_MATCHED)
         if self.sigma_scale > 0:
             f = float(np.exp(self._rng(view1, view2, _ROLE_JITTER).normal() * self.sigma_scale))
             ego, rigid, matched = ego.scaled(f), rigid.scaled(f), matched.scaled(f)
@@ -132,7 +131,6 @@ class OraclePredictor:
             x_ji_matched=matched,
             conf_ii=c_e,
             conf_ji=c_r,
-            conf_ji_matched=c_m,
         )
 
 
@@ -238,11 +236,11 @@ def track_3d(
     prev_end = 0
 
     for wi, start in enumerate(starts):
-        frames = list(range(start, min(start + window, length)))
-        kf = frames[0]
+        plan = plan_pairs("tracking", range(start, min(start + window, length)))
+        frames = list(plan.frames)
         maps = []
-        for t in frames:
-            pred = predictor.predict(t, kf)
+        for pair in plan.pairs:
+            pred = predictor.predict(*pair)
             maps.append(pred.x_ji_matched if mode == "matched" else pred.x_ji)
         safe_pix = np.where(alive[:, None], cur_pix, 0)
         tr_w, va_w = sparsify_tracks(maps, safe_pix)
@@ -290,9 +288,8 @@ def track_3d(
 
 def video_depth(seq: SceneSequence, predictor: Predictor) -> list[DepthMap]:
     """Per-frame depth from the ego maps of identical pairs (t, t)."""
-    return [
-        depth_channel(predictor.predict(t, t).x_ii) for t in range(seq.frame_count)
-    ]
+    plan = plan_pairs("video_depth", range(seq.frame_count))
+    return [depth_channel(predictor.predict(*pair).x_ii) for pair in plan.pairs]
 
 
 @dataclass
@@ -313,9 +310,10 @@ def feedforward_recon(
     cloud stacks all valid points.
     """
     length = seq.frame_count
-    frames = list(range(max(0, length - window), length))
-    kf = frames[-1]
-    maps = [predictor.predict(kf, t).x_ji for t in frames]
+    plan = plan_pairs("reconstruction", range(max(0, length - window), length))
+    maps = [predictor.predict(*pair).x_ji for pair in plan.pairs]
     clouds = [m.points[m.valid] for m in maps]
     points = np.concatenate(clouds, axis=0) if clouds else np.zeros((0, 3))
-    return ReconResult(points=points, maps=maps, keyframe=kf, frames=frames)
+    return ReconResult(
+        points=points, maps=maps, keyframe=plan.keyframe, frames=list(plan.frames)
+    )

@@ -8,7 +8,6 @@ from pointmatch.alignment import (
     AlignmentVariables,
     alignment_energy,
     build_pair_graph,
-    extract_trajectory,
     global_align,
     rodrigues,
     rodrigues_jacobian,
@@ -16,6 +15,7 @@ from pointmatch.alignment import (
     _energy_and_grad,
     _prepare,
 )
+from pointmatch.config import RunConfig
 from pointmatch.errors import DivergenceError
 from pointmatch.geometry import ConfidenceMap, Intrinsics, Pointmap
 from pointmatch.metrics import trajectory_metrics
@@ -224,7 +224,7 @@ def test_trajectory_extraction_matches_result():
     seq = small_scene(frames=3)
     problem = build_pair_graph(seq, OraclePredictor(seq), stride=1)
     result = global_align(problem)
-    traj = extract_trajectory(result)
+    traj = result.poses
     assert len(traj) == 3
     assert all(
         np.array_equal(a.rotation, b.rotation) for a, b in zip(traj, result.poses)
@@ -251,6 +251,16 @@ def test_jittered_scales_recovered():
     assert report.ate < 0.05
     spread = result.scales.max() / result.scales.min()
     assert spread > 1.05  # the per-edge scales really differ
+
+
+def test_jittered_cli_default_scene_converges():
+    # the CLI's default scene (24x32x6, seed 0) under --jitter 0.05, stride 5
+    cfg = RunConfig()
+    seq = generate_scene(cfg.scene_config())
+    problem = build_pair_graph(seq, OraclePredictor(seq, sigma_scale=0.05), stride=cfg.stride)
+    result = global_align(problem, cfg.alignment_options())
+    assert result.converged
+    assert trajectory_metrics(result.poses, list(seq.poses)).ate <= 1e-6
 
 
 def test_single_frame_problem_trivially_converged():
@@ -303,7 +313,6 @@ def test_divergent_energy_raises():
         x_ji_matched=ones,
         conf_ii=conf,
         conf_ji=conf,
-        conf_ji_matched=conf,
     )
     problem = AlignmentProblem(
         frames=[0, 1],
