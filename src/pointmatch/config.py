@@ -60,17 +60,7 @@ class RunConfig:
         self.scene_config()  # reuse the scene validation for its fields
 
     def scene_config(self) -> SceneConfig:
-        return SceneConfig(
-            seed=self.seed,
-            frame_count=self.frame_count,
-            height=self.height,
-            width=self.width,
-            object_count=self.object_count,
-            motion_magnitude=self.motion_magnitude,
-            camera_path=self.camera_path,
-            camera_magnitude=self.camera_magnitude,
-            track_count=self.track_count,
-        )
+        return SceneConfig(**{f.name: getattr(self, f.name) for f in fields(SceneConfig)})
 
     def alignment_options(self) -> AlignmentOptions:
         return AlignmentOptions(
@@ -91,36 +81,45 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        if not isinstance(data, dict):
-            raise ValueError("config must be a JSON object")
-        known = {f.name: f for f in fields(cls)}
-        unknown = sorted(set(data) - set(known))
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        coerced = {}
-        for name, value in data.items():
-            kind = known[name].type
-            if kind == "int":
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ValueError(f"config key {name} must be an integer")
-            elif kind == "float":
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ValueError(f"config key {name} must be a number")
-                value = float(value)
-            elif kind == "bool":
-                if not isinstance(value, bool):
-                    raise ValueError(f"config key {name} must be a boolean")
-            elif kind == "str":
-                if not isinstance(value, str):
-                    raise ValueError(f"config key {name} must be a string")
-            coerced[name] = value
-        return cls(**coerced)
+        return cls(**typed_fields(cls, data))
 
     def updated(self, overrides: dict) -> "RunConfig":
         """New config with overrides applied on top (flag precedence)."""
         merged = asdict(self)
         merged.update(overrides)
         return self.from_dict(merged)
+
+
+def typed_fields(cls, data) -> dict:
+    """Keyword arguments for dataclass cls from a JSON object, checked per field.
+
+    Unknown keys and values of the wrong JSON type raise ValueError (a boolean
+    is not an integer); integers given for float fields become floats.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("config must be a JSON object")
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    coerced = {}
+    for name, value in data.items():
+        kind = known[name].type
+        if kind == "int":
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"config key {name} must be an integer")
+        elif kind == "float":
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"config key {name} must be a number")
+            value = float(value)
+        elif kind == "bool":
+            if not isinstance(value, bool):
+                raise ValueError(f"config key {name} must be a boolean")
+        elif kind == "str":
+            if not isinstance(value, str):
+                raise ValueError(f"config key {name} must be a string")
+        coerced[name] = value
+    return coerced
 
 
 def load_config_file(path) -> dict:

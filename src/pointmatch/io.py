@@ -17,8 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .attention import MotionParams
+from .config import typed_fields
 from .geometry import Pose, invert_pose, quat_to_rotation, rotation_to_quat
-from .scenes import SceneConfig, SceneSequence, generate_scene
+from .scenes import SceneConfig, SceneSequence, TrackSet, generate_scene
 
 TENSOR_DTYPE = "f32"
 TENSOR_ORDER = "row-major"
@@ -147,22 +148,15 @@ def load_scene(dir_path) -> SceneSequence:
     """Rebuild a scene from its directory.
 
     The generator is deterministic, so the config alone regenerates the exact
-    sequence; the stored tensors and poses are cross-checked against that
-    regeneration (f32 truncation tolerance) to catch tampered or mislabeled
-    directories. Returns the full-precision regenerated sequence.
+    sequence; the stored tensors (f32 truncation tolerance), poses and tracks
+    are cross-checked against that regeneration to catch tampered or
+    mislabeled directories. Returns the full-precision regenerated sequence.
     """
     root = Path(dir_path)
     meta = load_json(root / "meta.json")
     if meta.get("format") != SCENE_FORMAT:
         raise ValueError(f"{root} is not a scene directory")
-    cfg_dict = meta.get("config")
-    if not isinstance(cfg_dict, dict):
-        raise ValueError("meta.json has no config object")
-    try:
-        cfg = SceneConfig(**cfg_dict)
-    except TypeError as exc:
-        raise ValueError(f"bad scene config: {exc}") from None
-    seq = generate_scene(cfg)
+    seq = generate_scene(SceneConfig(**typed_fields(SceneConfig, meta.get("config"))))
 
     entries = {e.get("name"): e for e in meta.get("tensors", [])}
     for f in range(seq.frame_count):
@@ -192,7 +186,31 @@ def load_scene(dir_path) -> SceneSequence:
         for e, k in zip(ks, seq.intrinsics)
     ):
         raise ValueError("intrinsics do not match the scene config")
+    _check_tracks(root / "tracks.json", seq.tracks)
     return seq
+
+
+def _check_tracks(path: Path, tracks: TrackSet) -> None:
+    """tracks.json must hold the regenerated tracks: query frames, query pixels
+    and visibility exactly, the float fields to 1e-9."""
+    if not path.is_file():
+        raise ValueError("scene directory is missing tracks.json")
+    stored = load_json(path)
+    if not isinstance(stored, dict):
+        raise ValueError("tracks.json must hold a JSON object")
+    for name in ("query_frames", "query_pixels", "visible"):
+        if stored.get(name) != getattr(tracks, name).tolist():
+            raise ValueError(f"tracks.json {name} does not match the scene config")
+    for name in ("world", "camera", "pixels"):
+        want = getattr(tracks, name)
+        try:
+            got = np.asarray(stored.get(name), dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError(f"tracks.json {name} is not a numeric array") from None
+        if got.size == want.size == 0:  # JSON [] drops the (0, T, k) shape
+            continue
+        if got.shape != want.shape or not np.allclose(got, want, rtol=0.0, atol=1e-9):
+            raise ValueError(f"tracks.json {name} does not match the scene config")
 
 
 def save_checkpoint(path, params: MotionParams) -> None:

@@ -9,9 +9,13 @@ instead of from a mesh rasterizer.
 Design notes that matter for exactness:
   - ray directions are z-normalized in the camera frame, so the ray parameter
     equals camera depth;
-  - ground-truth matching and rigid pointmaps run through one shared kernel
-    P_i(W_j + span * v). Static pixels have v = 0, so the two maps are
-    bitwise identical there and residuals are exactly zero.
+  - every ground-truth observation runs through one kernel, _observe: world
+    points -> frame-i camera points, pixels and visibility (in view and the
+    first surface along the camera ray). The matching map feeds it
+    W_j + span * v, the tracks feed it each query's W_q + span * v, so a
+    track and the matching map agree wherever they see the same point;
+  - the rigid map is P_i(W_j). Static pixels have v = 0, so W_j + span * v
+    is W_j bit for bit there and the two maps' residuals are exactly zero.
 """
 
 from __future__ import annotations
@@ -102,11 +106,15 @@ class HeightField:
             p = origins + t[:, None] * dirs
             return p[:, 2] - self.height(p[:, :2])
 
-        lo = lo.copy()
         hi = np.where(ok, hi, lo + 1.0)
         for _ in range(_BISECT_ITERS):
             mid = 0.5 * (lo + hi)
             below = g(mid) < 0
+            # a bracket that stops moving is a fixed point, so once no valid
+            # ray's bracket moves the remaining iterations would change nothing
+            moved = np.where(below, mid != lo, mid != hi)
+            if not moved[ok].any():
+                break
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         return hi, ok
@@ -209,11 +217,6 @@ class SceneSequence:
     def resolution(self) -> tuple[int, int]:
         return self.config.height, self.config.width
 
-    def velocity_of(self, surface_id: int) -> np.ndarray:
-        if surface_id < 0:
-            return np.zeros(3)
-        return self.objects[surface_id].velocity
-
 
 def _look_at(eye: np.ndarray, target: np.ndarray) -> Pose:
     fwd = target - eye
@@ -314,17 +317,17 @@ def _raycast(
     return np.where(hit, t_best, 0.0), id_best, hit
 
 
-def _frame_rays(seq: SceneSequence, frame: int, pix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """World-space (origins, dirs) for pixel coords pix (N, 2); dirs z-normalized in cam frame."""
-    k = seq.intrinsics[frame]
-    pose = seq.poses[frame]
-    d_cam = np.stack(
+def _camera_dirs(k: Intrinsics, pix: np.ndarray) -> np.ndarray:
+    """Camera-frame ray directions (N, 3) through pixel coords pix (N, 2), z-normalized."""
+    return np.stack(
         [(pix[:, 0] - k.cx) / k.fx, (pix[:, 1] - k.cy) / k.fy, np.ones(len(pix))], axis=1
     )
-    r_c2w = pose.rotation.T
-    dirs = d_cam @ r_c2w.T
-    origins = np.broadcast_to(pose.center, dirs.shape).copy()
-    return origins, dirs
+
+
+def _frame_rays(pose: Pose, d_cam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """World-space (origins, dirs) of camera-frame directions d_cam (N, 3)."""
+    dirs = d_cam @ pose.rotation
+    return np.broadcast_to(pose.center, dirs.shape), dirs
 
 
 def raycast_pixels(
@@ -336,13 +339,9 @@ def raycast_pixels(
     is camera depth, so points_cam = depth * ((x-cx)/fx, (y-cy)/fy, 1).
     """
     _check_frame(seq, frame)
-    pix = np.asarray(pix, dtype=np.float64)
-    origins, dirs = _frame_rays(seq, frame, pix)
+    d_cam = _camera_dirs(seq.intrinsics[frame], np.asarray(pix, dtype=np.float64))
+    origins, dirs = _frame_rays(seq.poses[frame], d_cam)
     t, sid, hit = _raycast(seq.objects, seq.background, origins, dirs, frame)
-    k = seq.intrinsics[frame]
-    d_cam = np.stack(
-        [(pix[:, 0] - k.cx) / k.fx, (pix[:, 1] - k.cy) / k.fy, np.ones(len(pix))], axis=1
-    )
     pts = np.where(hit[:, None], t[:, None] * d_cam, 0.0)
     return pts, sid, hit
 
@@ -370,6 +369,28 @@ def _in_bounds(pix: np.ndarray, height: int, width: int) -> np.ndarray:
     # strictly inside the image footprint
     x, y = pix[..., 0], pix[..., 1]
     return (x > -0.5) & (x < width - 0.5) & (y > -0.5) & (y < height - 0.5)
+
+
+def _observe(
+    seq: SceneSequence, frame: int, world: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """World points (..., 3) seen from a frame: (camera points, pixels, visible).
+
+    visible: in front of the camera, projecting inside the image, and the first
+    surface along the camera ray at that frame.
+    """
+    cam = seq.poses[frame].apply(world)
+    pix, in_front = project_points(cam, seq.intrinsics[frame])
+    h, w = seq.resolution
+    visible = in_front & _in_bounds(pix, h, w) & _visible_from(seq, frame, world)
+    return cam, pix, visible
+
+
+def _velocities(seq: SceneSequence, surface_ids: np.ndarray) -> np.ndarray:
+    """World velocity (..., 3) per surface id; zero for the backdrop (-1) and misses (-2)."""
+    # the zero row is last, so clamping every negative id to -1 selects it
+    table = np.array([o.velocity for o in seq.objects] + [np.zeros(3)])
+    return table[np.maximum(surface_ids, -1)]
 
 
 def _check_frame(seq: SceneSequence, frame: int):
@@ -422,39 +443,34 @@ def assemble_scene(
     xs, ys = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
     pix = np.stack([xs.ravel(), ys.ravel()], axis=1)
 
+    hit_world = np.zeros((config.frame_count, h, w, 3))
+    hit_id = np.full((config.frame_count, h, w), -2, dtype=np.int32)
+    hit_valid = np.zeros((config.frame_count, h, w), dtype=bool)
+    depths = []
+    for t, pose in enumerate(poses):
+        origins, dirs = _frame_rays(pose, _camera_dirs(intrinsics[t], pix))
+        tpar, sid, hit = _raycast(objects, background, origins, dirs, t)
+        hit = hit.reshape(h, w)
+        depths.append(DepthMap(np.where(hit, tpar.reshape(h, w), 0.0), hit))
+        world = (origins + tpar[:, None] * dirs).reshape(h, w, 3)
+        hit_world[t] = np.where(hit[..., None], world, 0.0)
+        hit_id[t] = sid.reshape(h, w)
+        hit_valid[t] = hit
+
+    # the trailing False serves the backdrop and misses, whose ids clamp to -1
+    dynamic = np.array([o.dynamic for o in objects] + [False])
     seq = SceneSequence(
         config=config,
         intrinsics=intrinsics,
         poses=poses,
-        depths=[],
-        dynamic_labels=np.zeros((config.frame_count, h, w), dtype=bool),
+        depths=depths,
+        dynamic_labels=dynamic[np.maximum(hit_id, -1)],
         objects=objects,
         background=background,
+        hit_world=hit_world,
+        hit_id=hit_id,
+        hit_valid=hit_valid,
     )
-
-    hit_world = np.zeros((config.frame_count, h, w, 3))
-    hit_id = np.full((config.frame_count, h, w), -2, dtype=np.int32)
-    hit_valid = np.zeros((config.frame_count, h, w), dtype=bool)
-    dyn = np.array([o.dynamic for o in objects], dtype=bool)
-
-    for t in range(config.frame_count):
-        origins, dirs = _frame_rays(seq, t, pix)
-        tpar, sid, hit = _raycast(objects, background, origins, dirs, t)
-        depth = np.where(hit, tpar, 0.0).reshape(h, w)
-        seq.depths.append(DepthMap(depth, hit.reshape(h, w)))
-        hit_world[t] = (origins + tpar[:, None] * dirs).reshape(h, w, 3)
-        hit_world[t][~hit.reshape(h, w)] = 0.0
-        hit_id[t] = sid.reshape(h, w)
-        hit_valid[t] = hit.reshape(h, w)
-        if len(objects):
-            on_obj = sid >= 0
-            lab = np.zeros(len(sid), dtype=bool)
-            lab[on_obj] = dyn[sid[on_obj]]
-            seq.dynamic_labels[t] = lab.reshape(h, w)
-
-    seq.hit_world = hit_world
-    seq.hit_id = hit_id
-    seq.hit_valid = hit_valid
 
     q = min(config.track_count, int(hit_valid[0].sum()))
     if q > 0:
@@ -479,55 +495,21 @@ def build_tracks(seq: SceneSequence, query_frames: np.ndarray, query_pixels: np.
     if qp.ndim != 2 or qp.shape[1] != 2 or qf.shape != (qp.shape[0],):
         raise ValueError("queries must be (Q,) frames and (Q, 2) pixels")
     h, w = seq.resolution
-    tn = seq.frame_count
-    q = qp.shape[0]
-    world = np.zeros((q, tn, 3))
-    camera = np.zeros((q, tn, 3))
-    pixels = np.zeros((q, tn, 2))
-    visible = np.zeros((q, tn), dtype=bool)
-
-    for qi in range(q):
-        f0 = int(qf[qi])
+    for f0, (x, y) in zip(qf.tolist(), qp.tolist()):
         _check_frame(seq, f0)
-        x, y = int(qp[qi, 0]), int(qp[qi, 1])
         if not (0 <= x < w and 0 <= y < h):
             raise ValueError(f"query pixel ({x}, {y}) outside {w}x{h} image")
         if not seq.hit_valid[f0, y, x]:
             raise ValueError(f"query pixel ({x}, {y}) hits no surface at frame {f0}")
-        w0 = seq.hit_world[f0, y, x]
-        vel = seq.velocity_of(int(seq.hit_id[f0, y, x]))
-        spans = np.arange(tn, dtype=np.float64) - f0
-        world[qi] = w0[None, :] + spans[:, None] * vel[None, :]
 
-    for t in range(tn):
-        cam_t = seq.poses[t].apply(world[:, t, :])
-        camera[:, t, :] = cam_t
-        pix_t, pv = project_points(cam_t, seq.intrinsics[t])
-        inb = pv & _in_bounds(pix_t, h, w)
-        vis = _visible_from(seq, t, world[:, t, :]) if q else np.zeros(0, bool)
-        visible[:, t] = inb & vis
-        pixels[:, t, :] = np.where(visible[:, t, None], pix_t, 0.0)
-
+    qx, qy = qp[:, 0], qp[:, 1]
+    spans = np.arange(seq.frame_count, dtype=np.float64)[None, :] - qf[:, None]  # (Q, T)
+    vel = _velocities(seq, seq.hit_id[qf, qy, qx])
+    world = seq.hit_world[qf, qy, qx][:, None, :] + spans[..., None] * vel[:, None, :]
+    seen = [_observe(seq, t, world[:, t, :]) for t in range(seq.frame_count)]
+    camera, pixels, visible = (np.stack(a, axis=1) for a in zip(*seen))
+    pixels = np.where(visible[..., None], pixels, 0.0)
     return TrackSet(qf.copy(), qp.copy(), world, camera, pixels, visible)
-
-
-def _matched_kernel(
-    seq: SceneSequence, i: int, j: int, zero_motion: bool
-) -> tuple[Pointmap, np.ndarray, np.ndarray]:
-    """P_i(W_j + span * v) over frame j's pixel grid; shared by both gt maps."""
-    w_j = seq.hit_world[j]
-    ids = seq.hit_id[j]
-    valid = seq.hit_valid[j].copy()
-    if zero_motion:
-        w_i = w_j
-    else:
-        vel = np.zeros_like(w_j)
-        for k, obj in enumerate(seq.objects):
-            if obj.dynamic:
-                vel[ids == k] = obj.velocity
-        w_i = w_j + float(i - j) * vel
-    cam = seq.poses[i].apply(w_i)
-    return Pointmap(cam, valid), w_i, valid
 
 
 def gt_pointmap_matching(seq: SceneSequence, i: int, j: int) -> Pointmap:
@@ -539,15 +521,9 @@ def gt_pointmap_matching(seq: SceneSequence, i: int, j: int) -> Pointmap:
     """
     _check_frame(seq, i)
     _check_frame(seq, j)
-    pm, w_i, valid = _matched_kernel(seq, i, j, zero_motion=False)
-    h, wdt = seq.resolution
-    pix, pv = project_points(pm.points, seq.intrinsics[i])
-    inb = pv & _in_bounds(pix, h, wdt)
-    vis = _visible_from(seq, i, w_i.reshape(-1, 3)).reshape(h, wdt)
-    out_valid = valid & inb & vis
-    pts = pm.points.copy()
-    pts[~out_valid] = 0.0
-    return Pointmap(pts, out_valid)
+    world = seq.hit_world[j] + float(i - j) * _velocities(seq, seq.hit_id[j])
+    cam, _, visible = _observe(seq, i, world)
+    return Pointmap(cam, seq.hit_valid[j] & visible)
 
 
 def gt_rigid_pointmap(seq: SceneSequence, i: int, j: int) -> Pointmap:
@@ -559,8 +535,7 @@ def gt_rigid_pointmap(seq: SceneSequence, i: int, j: int) -> Pointmap:
     """
     _check_frame(seq, i)
     _check_frame(seq, j)
-    pm, _, _ = _matched_kernel(seq, i, j, zero_motion=True)
-    return pm
+    return Pointmap(seq.poses[i].apply(seq.hit_world[j]), seq.hit_valid[j])
 
 
 def dynamic_pixel_fraction(seq: SceneSequence) -> float:

@@ -1,12 +1,13 @@
 import contextlib
 import io
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from pointmatch.cli import main
-from pointmatch.io import load_json
+from pointmatch.io import dump_json, load_json
 
 
 def run_cli(*argv):
@@ -139,3 +140,53 @@ def test_use_dynamic_mask_flag_roundtrip(tmp_path, scene_dir):
     ) == 0
     run = load_json(out / "run.json")
     assert run["config"]["use_dynamic_mask"] is False
+
+
+def _set_config(key, value):
+    def edit(root):
+        meta = load_json(root / "meta.json")
+        meta["config"][key] = value
+        dump_json(root / "meta.json", meta)
+    return edit
+
+
+def _drop_tracks(root):
+    (root / "tracks.json").unlink()
+
+
+def _shift_track_point(root):
+    tracks = load_json(root / "tracks.json")
+    tracks["world"][0][1][0] += 1e-6
+    dump_json(root / "tracks.json", tracks)
+
+
+@pytest.fixture(scope="module")
+def seed1_scene_dir(tmp_path_factory):
+    # seed 1, so a boolean seed (True == 1) would regenerate this very scene
+    root = tmp_path_factory.mktemp("cli1") / "scene"
+    assert run_cli("synth", "--seed", 1, "--out", root) == 0
+    return root
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set_config("height", 24.0),
+        _set_config("seed", "1"),
+        _set_config("frame_count", 6.0),
+        _set_config("seed", True),
+        _drop_tracks,
+        _shift_track_point,
+    ],
+    ids=["float-height", "string-seed", "float-frame-count", "bool-seed",
+         "missing-tracks", "tampered-tracks"],
+)
+def test_malformed_scene_dir_fails_at_load(tmp_path, seed1_scene_dir, edit):
+    root = tmp_path / "scene"
+    shutil.copytree(seed1_scene_dir, root)
+    edit(root)
+    code, out = run_cli_captured("depth", root, "--out", tmp_path / "d")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "ValueError"

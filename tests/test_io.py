@@ -85,7 +85,7 @@ def test_trajectory_rejects_malformed(tmp_path):
         read_trajectory(path)
 
 
-def small_scene(seed=0):
+def small_scene(seed=0, track_count=4):
     cfg = SceneConfig(
         seed=seed,
         frame_count=3,
@@ -94,7 +94,7 @@ def small_scene(seed=0):
         object_count=1,
         motion_magnitude=0.1,
         camera_magnitude=0.02,
-        track_count=4,
+        track_count=track_count,
     )
     return generate_scene(cfg)
 
@@ -110,6 +110,14 @@ def test_scene_roundtrip(tmp_path):
         np.testing.assert_array_equal(back.poses[f].rotation, seq.poses[f].rotation)
     np.testing.assert_array_equal(back.dynamic_labels, seq.dynamic_labels)
     np.testing.assert_array_equal(back.tracks.world, seq.tracks.world)
+
+
+def test_scene_roundtrip_without_tracks(tmp_path):
+    # tracks.json holds [] for the (0, T, 3) arrays; loading must still accept it
+    seq = small_scene(seed=1, track_count=0)
+    back = load_scene(save_scene(tmp_path / "scene", seq))
+    assert len(back.tracks) == 0
+    assert back.tracks.world.shape == (0, seq.frame_count, 3)
 
 
 def test_scene_save_is_byte_deterministic(tmp_path):

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointmatch.geometry import invert_pose, project_points, transform_pointmap, unproject
 from pointmatch.scenes import (
@@ -174,7 +176,8 @@ def test_tracks_consistent_with_matching(seq):
         xm = gt_pointmap_matching(seq, t, 0)
         for qi in range(len(tr)):
             x, y = tr.query_pixels[qi]
-            if tr.visible[qi, t] and xm.valid[y, x]:
+            assert tr.visible[qi, t] == xm.valid[y, x]
+            if tr.visible[qi, t]:
                 npt.assert_allclose(xm.points[y, x], tr.camera[qi, t], atol=1e-9)
 
 
@@ -230,3 +233,48 @@ def test_config_validation():
         SceneConfig(camera_path="spline")
     with pytest.raises(ValueError):
         SceneConfig(motion_magnitude=-0.1)
+
+
+def _bisect_80(field, origins, dirs):
+    """Reference: HeightField.intersect's bisection run for all 80 steps."""
+    zmin, zmax = field.z_bounds
+    oz, dz = origins[:, 2], dirs[:, 2]
+    ok = dz > 1e-6
+    safe_dz = np.where(ok, dz, 1.0)
+    lo = np.maximum((zmin - oz) / safe_dz, 0.0)
+    hi = (zmax - oz) / safe_dz
+    ok &= hi > 0
+    hi = np.where(ok, hi, lo + 1.0)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        p = origins + mid[:, None] * dirs
+        below = p[:, 2] - field.height(p[:, :2]) < 0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return hi, ok
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["orbit", "linear", "random-smooth"]),
+    st.integers(0, 5),
+    st.integers(0, 2**32 - 1),
+    st.integers(4, 16),
+    st.integers(4, 20),
+)
+def test_early_stopped_bisection_matches_80_steps(path, objects, seed, h, w):
+    # rays through every pixel plus the visibility rays toward every hit point
+    s = generate_scene(SceneConfig(seed=seed, frame_count=2, height=h, width=w,
+                                   object_count=objects, camera_path=path,
+                                   camera_magnitude=0.05, track_count=0))
+    k = s.intrinsics[0]
+    ys, xs = np.mgrid[0:h, 0:w].reshape(2, -1)
+    d_cam = np.stack([(xs - k.cx) / k.fx, (ys - k.cy) / k.fy, np.ones(h * w)], axis=1)
+    for pose in s.poses:
+        dirs = np.concatenate([d_cam @ pose.rotation, s.hit_world.reshape(-1, 3) - pose.center])
+        origins = np.broadcast_to(pose.center, dirs.shape)
+        got, ok = s.background.intersect(origins, dirs)
+        want, ok_ref = _bisect_80(s.background, origins, dirs)
+        npt.assert_array_equal(ok, ok_ref)
+        assert ok.any()
+        npt.assert_array_equal(got[ok], want[ok])
