@@ -177,6 +177,9 @@ def build_pair_graph(seq, predictor: Predictor, stride: int = 5) -> AlignmentPro
                 mask = dynamic_mask(pred.x_ji_matched, pred.x_ji)
             except EmptyDomainError:
                 mask = None
+            # the solver reads every head of an edge: rendering the last one
+            # here keeps global_align's time and memory those of the solve
+            pred.x_ii
             edges.append(AlignmentEdge(i=i, j=j, pred=pred, mask=mask))
     ego = [predictor.predict(f, f).x_ii for f in range(length)]
     return AlignmentProblem(

@@ -65,6 +65,12 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _out_file(args) -> Path:
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _write_run(out: Path, command: str, cfg) -> None:
     io.dump_json(out / "run.json", {"command": command, "config": asdict(cfg)})
 
@@ -238,7 +244,7 @@ def cmd_eval(args) -> int:
     else:
         report = _eval_traj(args.pred, seq)
     payload = {"kind": args.kind, "report": report}
-    io.dump_json(args.out, payload)
+    io.dump_json(_out_file(args), payload)
     _log(f"eval {args.kind}: {report} -> {args.out}")
     return 0
 
@@ -282,7 +288,7 @@ def cmd_ablate(args) -> int:
             "rigid": {"mean_apd": float(np.mean(rigid_rows)), "per_scene": rigid_rows},
         },
     }
-    io.dump_json(args.out, payload)
+    io.dump_json(_out_file(args), payload)
     for w in ABLATION_WINDOWS:
         _log(f"ablate window {w:>2}: mean APD {payload['windows'][str(w)]['mean_apd']:.3f}")
     _log(f"ablate matched {payload['heads']['matched']['mean_apd']:.3f} "

@@ -9,7 +9,10 @@ expressed in view1's camera frame:
 
 The oracle predictor reads those from a synthetic scene and optionally
 perturbs them: per-coordinate Gaussian noise scaled by depth, and one
-log-normal scale factor per pair (monocular scale wobble). Long sequences are
+log-normal scale factor per pair (monocular scale wobble). Its heads render
+on first read, so a task pays only for the maps it consumes; each head draws
+its noise from its own (seed, pair, role) stream, so the maps do not depend
+on which heads were read or in what order. Long sequences are
 processed in overlapping windows and stitched: scales harmonized by a median
 norm ratio over overlap frames, later windows win on overlap, and queries
 re-seed at each new window's keyframe by rounding projected track positions
@@ -19,6 +22,7 @@ to the nearest pixel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -113,25 +117,48 @@ class OraclePredictor:
             raw = np.ones(pm.resolution)
         return Pointmap(pts, pm.valid), ConfidenceMap(raw)
 
-    def predict(self, view1: int, view2: int) -> PairPrediction:
+    def _head(self, view1: int, view2: int, role: int) -> tuple[Pointmap, ConfidenceMap]:
         seq = self.seq
-        ego = unproject(seq.depths[view1], seq.intrinsics[view1])
-        rigid = gt_rigid_pointmap(seq, view1, view2)
-        matched = gt_pointmap_matching(seq, view1, view2)
-        ego, c_e = self._perturb(ego, view1, view2, _ROLE_EGO)
-        rigid, c_r = self._perturb(rigid, view1, view2, _ROLE_RIGID)
-        matched, _ = self._perturb(matched, view1, view2, _ROLE_MATCHED)
+        if role == _ROLE_EGO:
+            pm = unproject(seq.depths[view1], seq.intrinsics[view1])
+        elif role == _ROLE_RIGID:
+            pm = gt_rigid_pointmap(seq, view1, view2)
+        else:
+            pm = gt_pointmap_matching(seq, view1, view2)
+        pm, conf = self._perturb(pm, view1, view2, role)
         if self.sigma_scale > 0:
             f = float(np.exp(self._rng(view1, view2, _ROLE_JITTER).normal() * self.sigma_scale))
-            ego, rigid, matched = ego.scaled(f), rigid.scaled(f), matched.scaled(f)
-        return PairPrediction(
-            frames=(view1, view2),
-            x_ii=ego,
-            x_ji=rigid,
-            x_ji_matched=matched,
-            conf_ii=c_e,
-            conf_ji=c_r,
-        )
+            pm = pm.scaled(f)
+        return pm, conf
+
+    def predict(self, view1: int, view2: int) -> PairPrediction:
+        return _OraclePair(self, view1, view2)
+
+
+class _OraclePair(PairPrediction):
+    """An oracle pair prediction whose heads render on their first read."""
+
+    def __init__(self, oracle: OraclePredictor, view1: int, view2: int):
+        self.frames = (view1, view2)
+        self._oracle = oracle
+
+    @cached_property
+    def _ego(self) -> tuple[Pointmap, ConfidenceMap]:
+        return self._oracle._head(*self.frames, _ROLE_EGO)
+
+    @cached_property
+    def _rigid(self) -> tuple[Pointmap, ConfidenceMap]:
+        return self._oracle._head(*self.frames, _ROLE_RIGID)
+
+    @cached_property
+    def x_ji_matched(self) -> Pointmap:
+        # the matched head has no confidence output; its map alone is kept
+        return self._oracle._head(*self.frames, _ROLE_MATCHED)[0]
+
+    x_ii = property(lambda self: self._ego[0])
+    conf_ii = property(lambda self: self._ego[1])
+    x_ji = property(lambda self: self._rigid[0])
+    conf_ji = property(lambda self: self._rigid[1])
 
 
 @dataclass

@@ -15,7 +15,14 @@ Design notes that matter for exactness:
     W_j + span * v, the tracks feed it each query's W_q + span * v, so a
     track and the matching map agree wherever they see the same point;
   - the rigid map is P_i(W_j). Static pixels have v = 0, so W_j + span * v
-    is W_j bit for bit there and the two maps' residuals are exactly zero.
+    is W_j bit for bit there and the two maps' residuals are exactly zero;
+  - the backdrop is bisected with two stop rules. A depth raycast
+    (HeightField.intersect) stops once no valid ray's bracket moves, a fixed
+    point no longer run can change. A visibility query
+    (HeightField.crossing_beyond) also stops once every valid ray's bracket
+    lies on one side of its threshold dist - _OCCLUSION_TOL: brackets only
+    shrink, so that side is the side of the fixed point, and visibility is
+    the same boolean a full refinement gives.
 """
 
 from __future__ import annotations
@@ -88,12 +95,32 @@ class HeightField:
         return self.base - a, self.base + a
 
     def intersect(self, origins: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """First crossing along each ray; dirs need not be normalized.
+        """First crossing along each ray: (t, ok); dirs need not be normalized.
 
         Assumes origins lie below the surface band (z < zmin) and rays point
         toward +z steeply enough that the crossing is unique; callers enforce
-        that through the camera-path contract.
+        that through the camera-path contract. Bisection stops once no valid
+        ray's bracket moves: a bracket that stops moving is a fixed point, so
+        t equals what any longer run would return.
         """
+        return self._bisect(origins, dirs, None)
+
+    def crossing_beyond(
+        self, origins: np.ndarray, dirs: np.ndarray, thr: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Whether each ray's first crossing t satisfies t >= thr: (beyond, ok).
+
+        Same crossing and contract as intersect, but bisection also stops
+        once every valid ray's bracket lies on one side of its threshold.
+        The answer is exact: lo only rises and hi only falls with lo <= hi,
+        so a bracket with lo >= thr ends with t >= thr, one with hi < thr
+        ends with t < thr, and a straddling bracket that no longer moves is
+        already at intersect's fixed point.
+        """
+        hi, ok = self._bisect(origins, dirs, thr)
+        return hi >= thr, ok
+
+    def _bisect(self, origins, dirs, thr):
         zmin, zmax = self.z_bounds
         oz, dz = origins[:, 2], dirs[:, 2]
         ok = dz > _MIN_DZ
@@ -110,10 +137,10 @@ class HeightField:
         for _ in range(_BISECT_ITERS):
             mid = 0.5 * (lo + hi)
             below = g(mid) < 0
-            # a bracket that stops moving is a fixed point, so once no valid
-            # ray's bracket moves the remaining iterations would change nothing
-            moved = np.where(below, mid != lo, mid != hi)
-            if not moved[ok].any():
+            active = ok & np.where(below, mid != lo, mid != hi)
+            if thr is not None:
+                active &= (lo < thr) & (hi >= thr)
+            if not active.any():
                 break
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
@@ -353,15 +380,18 @@ def _visible_from(seq: SceneSequence, frame: int, world_pts: np.ndarray) -> np.n
     dist = np.linalg.norm(delta, axis=-1)
     ok = dist > _RAY_TMIN
     safe = np.where(ok[..., None], delta, np.array([0.0, 0.0, 1.0]))
-    dirs = safe / np.maximum(dist, _RAY_TMIN)[..., None]
+    dirs = (safe / np.maximum(dist, _RAY_TMIN)[..., None]).reshape(-1, 3)
     origins = np.broadcast_to(o, dirs.shape)
-    t, _, hit = _raycast(
-        seq.objects, seq.background, origins.reshape(-1, 3), dirs.reshape(-1, 3), frame
-    )
-    t = t.reshape(dist.shape)
-    hit = hit.reshape(dist.shape)
-    # the ray re-hits the queried surface at t == dist unless something is in front
-    return ok & hit & (t >= dist - _OCCLUSION_TOL)
+    # the ray re-hits the queried surface at t == dist unless something is in
+    # front, so the point is visible when some surface is hit and none before thr
+    thr = dist.ravel() - _OCCLUSION_TOL
+    clear, hit = seq.background.crossing_beyond(origins, dirs, thr)
+    clear |= ~hit
+    for obj in seq.objects:
+        t_k, hit_k = obj.intersect(origins, dirs, frame)
+        hit |= hit_k
+        clear &= ~hit_k | (t_k >= thr)
+    return ok & (hit & clear).reshape(dist.shape)
 
 
 def _in_bounds(pix: np.ndarray, height: int, width: int) -> np.ndarray:

@@ -110,6 +110,17 @@ def test_ablate_table(tmp_path, scene_dir):
     assert heads["matched"]["mean_apd"] >= heads["rigid"]["mean_apd"]
 
 
+def test_file_outputs_create_their_parent_dir(tmp_path, scene_dir):
+    table_path = tmp_path / "new" / "ablation.json"
+    assert run_cli("ablate", scene_dir, "--out", table_path) == 0
+    assert load_json(table_path)["format"] == "ablation-v1"
+    depth = tmp_path / "dp"
+    assert run_cli("depth", scene_dir, "--out", depth) == 0
+    report_path = tmp_path / "reports" / "depth" / "report.json"
+    assert run_cli("eval", "depth", depth, scene_dir, "--out", report_path) == 0
+    assert load_json(report_path)["kind"] == "depth"
+
+
 def run_cli_captured(*argv):
     # own capture, so the test also works under pytest -s
     buf = io.StringIO()
@@ -160,6 +171,20 @@ def _shift_track_point(root):
     dump_json(root / "tracks.json", tracks)
 
 
+def _truncate_depth(root):
+    path = root / "depth_0002.bin"
+    path.write_bytes(path.read_bytes()[:-4])
+
+
+def _nan_pose_field(root):
+    path = root / "poses.txt"
+    lines = path.read_text().splitlines()
+    fields = lines[1].split()
+    fields[3] = "nan"
+    lines[1] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
 @pytest.fixture(scope="module")
 def seed1_scene_dir(tmp_path_factory):
     # seed 1, so a boolean seed (True == 1) would regenerate this very scene
@@ -177,9 +202,11 @@ def seed1_scene_dir(tmp_path_factory):
         _set_config("seed", True),
         _drop_tracks,
         _shift_track_point,
+        _truncate_depth,
+        _nan_pose_field,
     ],
     ids=["float-height", "string-seed", "float-frame-count", "bool-seed",
-         "missing-tracks", "tampered-tracks"],
+         "missing-tracks", "tampered-tracks", "truncated-tensor", "nan-pose"],
 )
 def test_malformed_scene_dir_fails_at_load(tmp_path, seed1_scene_dir, edit):
     root = tmp_path / "scene"

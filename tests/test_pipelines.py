@@ -2,6 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from pointmatch import pipelines
+from pointmatch.alignment import build_pair_graph
+from pointmatch.geometry import ConfidenceMap, Pointmap, unproject
 from pointmatch.metrics import apd
 from pointmatch.pipelines import (
     OraclePredictor,
@@ -11,7 +14,13 @@ from pointmatch.pipelines import (
     video_depth,
     window_starts,
 )
-from pointmatch.scenes import SceneConfig, build_tracks, generate_scene
+from pointmatch.scenes import (
+    SceneConfig,
+    build_tracks,
+    generate_scene,
+    gt_pointmap_matching,
+    gt_rigid_pointmap,
+)
 
 
 def _scene(**kw):
@@ -129,6 +138,96 @@ def test_oracle_noise_scaled_confidence(seq):
     lo, hi = conf[order[: len(order) // 4]], conf[order[-len(order) // 4 :]]
     assert lo.mean() > hi.mean()
     assert (conf > 1.0).all()
+
+
+def _eager_heads(seq, sigma_point, sigma_scale, seed, mode, i, j):
+    """Reference: every head of pair (i, j) rendered up front, in a fixed order."""
+
+    def perturb(pm, role):
+        if sigma_point <= 0:
+            return pm, ConfidenceMap(np.ones(pm.resolution))
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, i, j, role))))
+        z = np.abs(pm.points[..., 2:3])
+        eps = rng.normal(size=pm.points.shape) * (sigma_point * z)
+        pts = pm.points + eps
+        pts[~pm.valid] = 0.0
+        if mode == "noise":
+            ref = sigma_point * np.maximum(z[..., 0], 1e-9)
+            raw = 1.0 / (1.0 + np.linalg.norm(eps, axis=-1) / ref)
+        else:
+            raw = np.ones(pm.resolution)
+        return Pointmap(pts, pm.valid), ConfidenceMap(raw)
+
+    ego, c_e = perturb(unproject(seq.depths[i], seq.intrinsics[i]), 1)
+    rigid, c_r = perturb(gt_rigid_pointmap(seq, i, j), 2)
+    matched, _ = perturb(gt_pointmap_matching(seq, i, j), 3)
+    if sigma_scale > 0:
+        jitter = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, i, j, 9))))
+        f = float(np.exp(jitter.normal() * sigma_scale))
+        ego, rigid, matched = ego.scaled(f), rigid.scaled(f), matched.scaled(f)
+    return {"x_ii": ego.points, "conf_ii": c_e.values, "x_ji": rigid.points,
+            "conf_ji": c_r.values, "x_ji_matched": matched.points}
+
+
+# each order reads the three renders (ego, rigid, matched) in another sequence
+_HEAD_ORDERS = [
+    ["x_ii", "conf_ii", "x_ji", "conf_ji", "x_ji_matched"],
+    ["x_ji_matched", "conf_ji", "x_ji", "conf_ii", "x_ii"],
+    ["conf_ji", "x_ji_matched", "conf_ii", "x_ii", "x_ji"],
+    ["x_ji", "x_ii", "x_ji_matched", "conf_ji", "conf_ii"],
+    ["conf_ii", "x_ji_matched", "x_ji", "x_ii", "conf_ji"],
+]
+
+
+@pytest.mark.parametrize("mode", ["uniform", "noise"])
+@pytest.mark.parametrize("sigma_scale", [0.0, 0.05])
+@pytest.mark.parametrize("sigma_point", [0.0, 0.01])
+def test_lazy_heads_match_eager_render_in_any_order(seq, sigma_point, sigma_scale, mode):
+    oracle = OraclePredictor(seq, sigma_point=sigma_point, sigma_scale=sigma_scale,
+                             seed=5, confidence_mode=mode)
+    for i, j in [(3, 1), (2, 2)]:
+        want = _eager_heads(seq, sigma_point, sigma_scale, 5, mode, i, j)
+        for order in _HEAD_ORDERS:
+            pred = oracle.predict(i, j)
+            assert pred.frames == (i, j)
+            for name in order:
+                head = getattr(pred, name)
+                got = head.values if name.startswith("conf") else head.points
+                npt.assert_array_equal(got, want[name], err_msg=f"{name} in {order}")
+                assert getattr(pred, name) is head  # rendered once per pair
+
+
+def test_tasks_render_only_the_heads_they_read(seq, monkeypatch):
+    built = {"matched": [], "rigid": []}
+
+    def counting(kind, fn):
+        def wrapper(s, i, j):
+            built[kind].append((i, j))
+            return fn(s, i, j)
+        return wrapper
+
+    monkeypatch.setattr(pipelines, "gt_pointmap_matching",
+                        counting("matched", gt_pointmap_matching))
+    monkeypatch.setattr(pipelines, "gt_rigid_pointmap", counting("rigid", gt_rigid_pointmap))
+    oracle = OraclePredictor(seq, sigma_point=0.01, sigma_scale=0.05, seed=2)
+
+    video_depth(seq, oracle)
+    assert built == {"matched": [], "rigid": []}
+    recon = feedforward_recon(seq, oracle, window=4)
+    assert built["matched"] == []
+    assert built["rigid"] == [(recon.keyframe, t) for t in recon.frames]
+
+    built["rigid"].clear()
+    track_3d(seq, oracle, seq.tracks.query_pixels, window=4, overlap=1, mode="matched")
+    assert built["rigid"] == []
+    assert len(built["matched"]) > 0
+
+    built["matched"].clear()
+    problem = build_pair_graph(seq, oracle, stride=1)
+    edges = [(e.i, e.j) for e in problem.edges]
+    # the ego-map pairs (f, f) build neither map; each edge builds each map once
+    assert built["matched"] == edges
+    assert built["rigid"] == edges
 
 
 def test_video_depth_noiseless_matches_gt(seq, oracle):

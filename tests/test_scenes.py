@@ -6,8 +6,13 @@ from hypothesis import strategies as st
 
 from pointmatch.geometry import invert_pose, project_points, transform_pointmap, unproject
 from pointmatch.scenes import (
+    _OCCLUSION_TOL,
+    _RAY_TMIN,
     SceneConfig,
     SceneObject,
+    _raycast,
+    _velocities,
+    _visible_from,
     assemble_scene,
     build_tracks,
     dynamic_pixel_fraction,
@@ -278,3 +283,53 @@ def test_early_stopped_bisection_matches_80_steps(path, objects, seed, h, w):
         npt.assert_array_equal(ok, ok_ref)
         assert ok.any()
         npt.assert_array_equal(got[ok], want[ok])
+
+
+def _visible_full(seq, frame, world_pts):
+    """Reference: visibility from the fully refined first hit along each ray."""
+    o = seq.poses[frame].center
+    delta = world_pts - o
+    dist = np.linalg.norm(delta, axis=-1)
+    ok = dist > _RAY_TMIN
+    safe = np.where(ok[..., None], delta, np.array([0.0, 0.0, 1.0]))
+    dirs = (safe / np.maximum(dist, _RAY_TMIN)[..., None]).reshape(-1, 3)
+    t, _, hit = _raycast(seq.objects, seq.background, np.broadcast_to(o, dirs.shape), dirs,
+                         frame)
+    return ok & (hit & (t >= dist.ravel() - _OCCLUSION_TOL)).reshape(dist.shape)
+
+
+def _nudged_to_threshold(seq, frame, max_ulps=4):
+    """Points along the frame's own pixel rays whose threshold dist - tol lies
+    within max_ulps ulps of the surface each ray hits: (2 max_ulps + 1, N, 3)."""
+    o = seq.poses[frame].center
+    delta = seq.hit_world[frame][seq.hit_valid[frame]] - o
+    dist = np.linalg.norm(delta, axis=-1)
+    target = dist + _OCCLUSION_TOL
+    down, up = [target], [target]
+    for _ in range(max_ulps):
+        down.insert(0, np.nextafter(down[0], -np.inf))
+        up.append(np.nextafter(up[-1], np.inf))
+    targets = np.stack(down[:-1] + up)
+    return o + (delta / dist[:, None])[None] * targets[..., None]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["orbit", "linear", "random-smooth"]),
+    st.integers(0, 5),
+    st.integers(0, 2**32 - 1),
+    st.integers(4, 16),
+    st.integers(4, 20),
+)
+def test_early_visibility_matches_full_refinement(path, objects, seed, h, w):
+    s = generate_scene(SceneConfig(seed=seed, frame_count=3, height=h, width=w,
+                                   object_count=objects, camera_path=path,
+                                   camera_magnitude=0.05, track_count=0))
+    for j in range(s.frame_count):
+        vel = _velocities(s, s.hit_id[j])
+        for i in range(s.frame_count):
+            # frame j's hit points, moved with their objects to frame i's time
+            world = s.hit_world[j] + float(i - j) * vel
+            npt.assert_array_equal(_visible_from(s, i, world), _visible_full(s, i, world))
+        near = _nudged_to_threshold(s, j)
+        npt.assert_array_equal(_visible_from(s, j, near), _visible_full(s, j, near))
