@@ -15,6 +15,8 @@ The per-edge scale acts on camera-frame points before the rigid map, so frame
 translations stay world-metric and the trajectory reads off the variables
 directly. Dynamic pixels (per-edge 3x-median mask) are excluded from the 2D
 term: their matched correspondences encode object motion, not camera motion.
+Both penalties use one fixed scale, rho(r) = sqrt(|r|^2 + delta^2) - delta with
+delta = 1e-6 (`_HUBER_DELTA`); it is not an option.
 
 The solver is Levenberg-Marquardt on the IRLS-weighted residuals (Triggs et
 al., "Bundle Adjustment - A Modern Synthesis", 2000). Each pixel's global
@@ -41,6 +43,8 @@ _SMALL_ANGLE = 1e-7
 # Levenberg-Marquardt damping: start, floor, and the ceiling past which a
 # step that still raises the energy ends the run
 _DAMPING_START, _DAMPING_MIN, _DAMPING_MAX = 1e-3, 1e-9, 1e8
+_HUBER_DELTA = 1e-6  # pseudo-Huber scale of both energy terms
+_ABS_TOL = 1e-14  # energy below this is a solved problem
 
 
 def _skew(w):
@@ -212,11 +216,19 @@ class AlignmentVariables:
 class AlignmentOptions:
     max_iters: int = 200
     tol: float = 1e-6  # relative improvement; three flat steps stop the run
-    abs_tol: float = 1e-14  # energy below this is a solved problem
     lambda_2d: float = 0.01
     use_dynamic_mask: bool = True
-    huber_delta: float = 1e-6
     init: str = "pairwise"  # or "identity"
+
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
+        if self.lambda_2d < 0:
+            raise ValueError("lambda_2d must be >= 0")
+        if self.init not in ("pairwise", "identity"):
+            raise ValueError("init must be pairwise or identity")
 
 
 @dataclass
@@ -297,7 +309,7 @@ def _blocks(pres, v, opts, want_jac):
     differentiated in rotation-vector coordinates through the left Jacobian:
     d(R p)/dw = -[R p]x J.
     """
-    delta = opts.huber_delta
+    delta = _HUBER_DELTA
     rot = [rodrigues(w) for w in v.rotvecs]
     jl = [_left_jacobian(w) for w in v.rotvecs] if want_jac else None
     scales = np.exp(v.log_scales)
@@ -582,8 +594,6 @@ def global_align(
     n = len(problem.frames)
     if n == 0:
         raise ValueError("empty problem")
-    if opts.init not in ("pairwise", "identity"):
-        raise ValueError("init must be pairwise or identity")
     pres = _prepare(problem, opts)
     v = _init_pairwise(problem, pres) if opts.init == "pairwise" else _init_identity(problem)
 
@@ -593,7 +603,7 @@ def global_align(
     trace = [energy]
     damping = _DAMPING_START
     iters = 0
-    converged = not problem.edges or energy < opts.abs_tol
+    converged = not problem.edges or energy < _ABS_TOL
     flat_tol_hits = 0
 
     while not converged and iters < opts.max_iters:
@@ -616,7 +626,7 @@ def global_align(
         v, system = cand, None  # free the system before the next linearization
         damping = max(damping / 10.0, _DAMPING_MIN)
         trace.append(e_new)
-        if e_new < opts.abs_tol:
+        if e_new < _ABS_TOL:
             converged = True
         elif (e_before - e_new) / e_before < opts.tol:
             flat_tol_hits += 1

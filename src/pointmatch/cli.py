@@ -1,12 +1,17 @@
 """Command-line surface: deterministic file-based experiments.
 
 Subcommands: synth, track, depth, recon, align, eval, ablate. Human-readable
-progress goes to stderr; machine output lands in files under --out. Every
-command is a pure function of (inputs, config, seed), so rerunning one
-reproduces its outputs byte for byte. A failing command prints a single
-machine-readable error JSON line to stdout and exits nonzero.
+progress goes to stderr; machine output lands in files under --out, which
+each command creates before any other work, so an --out that cannot be
+created fails at once. Every command is a pure function of (inputs, config,
+seed), so rerunning one reproduces its outputs byte for byte. A failing
+command prints a single machine-readable error JSON line to stdout and exits
+nonzero.
 
-Config precedence: defaults < --config JSON file < explicit flags.
+This module knows commands only: the directory formats are read and written
+by `io` (`write_bundle`, `read_meta`, `read_tensors`), and each flag's type
+comes from its `RunConfig` field. Config precedence: defaults < --config JSON
+file < explicit flags.
 """
 
 from __future__ import annotations
@@ -14,14 +19,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import io
 from .alignment import build_pair_graph, global_align
-from .config import build_config
+from .config import RunConfig, build_config
 from .geometry import DepthMap
 from .metrics import apd, depth_metrics, trajectory_metrics
 from .pipelines import OraclePredictor, feedforward_recon, track_3d, video_depth
@@ -35,24 +40,25 @@ ABLATION_FORMAT = "ablation-v1"
 
 ABLATION_WINDOWS = (1, 6, 12)
 
-_FLAG_KEYS = ("seed", "window", "overlap", "stride", "noise", "jitter", "use_dynamic_mask")
+# flags a command may take, as RunConfig field -> help, in --help order
+_FLAG_HELP = {
+    "seed": "scene and predictor seed",
+    "window": "temporal window length",
+    "overlap": "frames shared by adjacent windows",
+    "stride": "pair-graph frame stride",
+    "noise": "per-point noise sigma (depth-relative)",
+    "jitter": "per-pair log-scale jitter sigma",
+    "use_dynamic_mask": "gate the 2D alignment term by the dynamic mask",
+}
 
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _overrides(args) -> dict:
-    out = {}
-    for key in _FLAG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            out[key] = value
-    return out
-
-
 def _config_from(args):
-    return build_config(getattr(args, "config", None), _overrides(args))
+    flags = {k: v for k in _FLAG_HELP if (v := getattr(args, k, None)) is not None}
+    return build_config(args.config, flags)
 
 
 def _predictor(seq, cfg) -> OraclePredictor:
@@ -83,9 +89,9 @@ def _queries_of(seq) -> np.ndarray:
 
 
 def cmd_synth(args) -> int:
+    out = _out_dir(args)
     cfg = _config_from(args)
     seq = generate_scene(cfg.scene_config())
-    out = _out_dir(args)
     io.save_scene(out, seq)
     _write_run(out, "synth", cfg)
     _log(f"synth: {seq.frame_count} frames {cfg.height}x{cfg.width} -> {out}")
@@ -93,27 +99,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_track(args) -> int:
+    out = _out_dir(args)
     cfg = _config_from(args)
     seq = io.load_scene(args.scene)
     window, overlap = cfg.effective_window()
     res = track_3d(seq, _predictor(seq, cfg), _queries_of(seq), window=window, overlap=overlap)
-    out = _out_dir(args)
-    entries = [
-        io.write_tensor(out, "tracks", res.tracks),
-        io.write_tensor(out, "valid", res.valid.astype(np.float64)),
-        io.write_tensor(out, "queries", res.queries.astype(np.float64)),
-    ]
-    io.dump_json(
-        out / "meta.json",
-        {
-            "format": TRACK_FORMAT,
-            "tensors": entries,
-            "starts": res.starts,
-            "scales": res.scales,
-            "window": window,
-            "overlap": overlap,
-        },
-    )
+    tensors = {"tracks": res.tracks, "valid": res.valid, "queries": res.queries}
+    io.write_bundle(out, TRACK_FORMAT, tensors, starts=res.starts, scales=res.scales,
+                    window=window, overlap=overlap)
     _write_run(out, "track", cfg)
     _log(f"track: {len(res.queries)} queries over {seq.frame_count} frames, "
          f"{len(res.starts)} windows -> {out}")
@@ -121,34 +114,24 @@ def cmd_track(args) -> int:
 
 
 def cmd_depth(args) -> int:
+    out = _out_dir(args)
     cfg = _config_from(args)
     seq = io.load_scene(args.scene)
     maps = video_depth(seq, _predictor(seq, cfg))
-    out = _out_dir(args)
-    entries = [
-        io.write_tensor(out, f"depth_{f:04d}", m.depth) for f, m in enumerate(maps)
-    ]
-    io.dump_json(out / "meta.json", {"format": DEPTH_FORMAT, "tensors": entries})
+    io.write_bundle(out, DEPTH_FORMAT, {f"depth_{f:04d}": m.depth for f, m in enumerate(maps)})
     _write_run(out, "depth", cfg)
     _log(f"depth: {len(maps)} frames -> {out}")
     return 0
 
 
 def cmd_recon(args) -> int:
+    out = _out_dir(args)
     cfg = _config_from(args)
     seq = io.load_scene(args.scene)
     window, _ = cfg.effective_window()
     res = feedforward_recon(seq, _predictor(seq, cfg), window=window)
-    out = _out_dir(args)
-    entries = [io.write_tensor(out, "points", res.points)]
-    io.dump_json(
-        out / "meta.json",
-        {
-            "format": RECON_FORMAT,
-            "tensors": entries,
-            "keyframe": res.keyframe,
-            "frames": res.frames,
-        },
+    io.write_bundle(
+        out, RECON_FORMAT, {"points": res.points}, keyframe=res.keyframe, frames=res.frames
     )
     _write_run(out, "recon", cfg)
     _log(f"recon: {res.points.shape[0]} points anchored at frame {res.keyframe} -> {out}")
@@ -156,11 +139,11 @@ def cmd_recon(args) -> int:
 
 
 def cmd_align(args) -> int:
+    out = _out_dir(args)
     cfg = _config_from(args)
     seq = io.load_scene(args.scene)
     problem = build_pair_graph(seq, _predictor(seq, cfg), stride=cfg.stride)
     result = global_align(problem, cfg.alignment_options())
-    out = _out_dir(args)
     io.write_trajectory(out / "trajectory.txt", result.poses)
     io.dump_json(
         out / "report.json",
@@ -178,35 +161,15 @@ def cmd_align(args) -> int:
     return 0
 
 
-def _load_result_meta(path, expected_format: str) -> tuple[Path, dict]:
-    root = Path(path)
-    meta = io.load_json(root / "meta.json")
-    if meta.get("format") != expected_format:
-        raise ValueError(f"{root} is not a {expected_format} directory")
-    return root, meta
-
-
-def _stored_depths(scene_path, frame_count: int) -> list[DepthMap]:
-    # evaluate in the serialized f32 domain so pred == gt bytes scores exactly 0
-    root = Path(scene_path)
-    meta = io.load_json(root / "meta.json")
-    entries = {e["name"]: e for e in meta["tensors"]}
-    return [
-        DepthMap(io.read_tensor(root, entries[f"depth_{f:04d}"]))
-        for f in range(frame_count)
-    ]
-
-
 def _eval_depth(pred_path, scene_path, seq) -> dict:
-    root, meta = _load_result_meta(pred_path, DEPTH_FORMAT)
-    entries = meta["tensors"]
-    if len(entries) != seq.frame_count:
+    preds = io.read_tensors(pred_path, io.read_meta(pred_path, DEPTH_FORMAT))
+    if len(preds) != seq.frame_count:
         raise ValueError("prediction frame count does not match the scene")
-    gts = _stored_depths(scene_path, seq.frame_count)
-    preds = []
-    for entry, gt in zip(entries, gts):
-        arr = io.read_tensor(root, entry)
-        preds.append(DepthMap(arr, gt.valid & (arr > 0)))
+    # evaluate in the serialized f32 domain so pred == gt bytes scores exactly 0
+    names = [f"depth_{f:04d}" for f in range(seq.frame_count)]
+    scene_meta = io.read_meta(scene_path, io.SCENE_FORMAT)
+    gts = [DepthMap(d) for d in io.read_tensors(scene_path, scene_meta, names)]
+    preds = [DepthMap(d, gt.valid & (d > 0)) for d, gt in zip(preds, gts)]
     report = {}
     for mode in ("scale", "scale_shift"):
         rep = depth_metrics(preds, gts, alignment=mode)
@@ -215,13 +178,11 @@ def _eval_depth(pred_path, scene_path, seq) -> dict:
 
 
 def _eval_track(pred_path, seq) -> dict:
-    root, meta = _load_result_meta(pred_path, TRACK_FORMAT)
-    by_name = {e["name"]: e for e in meta["tensors"]}
-    tracks = io.read_tensor(root, by_name["tracks"])
-    valid = io.read_tensor(root, by_name["valid"]).astype(bool)
-    queries = io.read_tensor(root, by_name["queries"]).astype(np.int64)
+    meta = io.read_meta(pred_path, TRACK_FORMAT)
+    tracks, valid, queries = io.read_tensors(pred_path, meta, ("tracks", "valid", "queries"))
+    queries = queries.astype(np.int64)
     gt = build_tracks(seq, np.zeros(len(queries), np.int64), queries)
-    rep = apd(tracks, gt.camera, gt.visible, valid)
+    rep = apd(tracks, gt.camera, gt.visible, valid.astype(bool))
     return {
         "apd": rep.apd,
         "per_threshold": {str(k): v for k, v in rep.per_threshold.items()},
@@ -236,6 +197,7 @@ def _eval_traj(pred_path, seq) -> dict:
 
 
 def cmd_eval(args) -> int:
+    out = _out_file(args)
     seq = io.load_scene(args.scene)
     if args.kind == "depth":
         report = _eval_depth(args.pred, args.scene, seq)
@@ -243,9 +205,8 @@ def cmd_eval(args) -> int:
         report = _eval_track(args.pred, seq)
     else:
         report = _eval_traj(args.pred, seq)
-    payload = {"kind": args.kind, "report": report}
-    io.dump_json(_out_file(args), payload)
-    _log(f"eval {args.kind}: {report} -> {args.out}")
+    io.dump_json(out, {"kind": args.kind, "report": report})
+    _log(f"eval {args.kind}: {report} -> {out}")
     return 0
 
 
@@ -254,70 +215,61 @@ def cmd_ablate(args) -> int:
 
     Window 1 is the chained pairwise baseline (a pair needs two frames, so it
     maps to the smallest real window); windows 6 and 12 exercise genuine
-    temporal context. The matched-vs-rigid rows rerun the longest window with
-    the static-hypothesis maps, the artifact analogue of switching the
-    matching head off.
+    temporal context. The matched-vs-rigid rows compare the longest window's
+    matched row with a rerun on the static-hypothesis maps, the artifact
+    analogue of switching the matching head off.
     """
+    out = _out_file(args)
     cfg = _config_from(args)
+    longest = max(ABLATION_WINDOWS)
     window_rows = {w: [] for w in ABLATION_WINDOWS}
-    matched_rows, rigid_rows = [], []
+    rigid_rows = []
     for scene_path in args.scenes:
         seq = io.load_scene(scene_path)
         pred = _predictor(seq, cfg)
         queries = _queries_of(seq)
         gt = seq.tracks
         for w in ABLATION_WINDOWS:
-            eff = cfg.updated({"window": w})
-            t, o = eff.effective_window()
+            t, o = cfg.updated({"window": w}).effective_window()
             res = track_3d(seq, pred, queries, window=t, overlap=o, mode="matched")
             window_rows[w].append(apd(res.tracks, gt.camera, gt.visible, res.valid).apd)
-        t, o = cfg.updated({"window": max(ABLATION_WINDOWS)}).effective_window()
-        for mode, rows in (("matched", matched_rows), ("rigid", rigid_rows)):
-            res = track_3d(seq, pred, queries, window=t, overlap=o, mode=mode)
-            rows.append(apd(res.tracks, gt.camera, gt.visible, res.valid).apd)
+        t, o = cfg.updated({"window": longest}).effective_window()
+        res = track_3d(seq, pred, queries, window=t, overlap=o, mode="rigid")
+        rigid_rows.append(apd(res.tracks, gt.camera, gt.visible, res.valid).apd)
+
+    def summary(rows):
+        return {"mean_apd": float(np.mean(rows)), "per_scene": rows}
 
     payload = {
         "format": ABLATION_FORMAT,
         "scenes": [str(s) for s in args.scenes],
-        "windows": {
-            str(w): {"mean_apd": float(np.mean(window_rows[w])), "per_scene": window_rows[w]}
-            for w in ABLATION_WINDOWS
-        },
-        "heads": {
-            "matched": {"mean_apd": float(np.mean(matched_rows)), "per_scene": matched_rows},
-            "rigid": {"mean_apd": float(np.mean(rigid_rows)), "per_scene": rigid_rows},
-        },
+        "windows": {str(w): summary(window_rows[w]) for w in ABLATION_WINDOWS},
+        "heads": {"matched": summary(window_rows[longest]), "rigid": summary(rigid_rows)},
     }
-    io.dump_json(_out_file(args), payload)
+    io.dump_json(out, payload)
     for w in ABLATION_WINDOWS:
         _log(f"ablate window {w:>2}: mean APD {payload['windows'][str(w)]['mean_apd']:.3f}")
     _log(f"ablate matched {payload['heads']['matched']['mean_apd']:.3f} "
-         f"vs rigid {payload['heads']['rigid']['mean_apd']:.3f} -> {args.out}")
+         f"vs rigid {payload['heads']['rigid']['mean_apd']:.3f} -> {out}")
     return 0
 
 
-def _add_flags(p, *names) -> None:
-    if "config" in names:
+def _add_options(p, func, out_help: str, *flags) -> None:
+    """--config and the named flags, if any, each typed from its RunConfig
+    field; then the required --out. func runs the command."""
+    if flags:
         p.add_argument("--config", type=Path, help="JSON config file")
-    if "seed" in names:
-        p.add_argument("--seed", type=int, help="scene and predictor seed")
-    if "window" in names:
-        p.add_argument("--window", type=int, help="temporal window length")
-    if "overlap" in names:
-        p.add_argument("--overlap", type=int, help="frames shared by adjacent windows")
-    if "stride" in names:
-        p.add_argument("--stride", type=int, help="pair-graph frame stride")
-    if "noise" in names:
-        p.add_argument("--noise", type=float, help="per-point noise sigma (depth-relative)")
-    if "jitter" in names:
-        p.add_argument("--jitter", type=float, help="per-pair log-scale jitter sigma")
-    if "use_dynamic_mask" in names:
-        p.add_argument(
-            "--use-dynamic-mask",
-            dest="use_dynamic_mask",
-            action=argparse.BooleanOptionalAction,
-            help="gate the 2D alignment term by the dynamic mask",
-        )
+    kinds = {f.name: f.type for f in fields(RunConfig)}
+    for name in flags:
+        flag = "--" + name.replace("_", "-")
+        if kinds[name] == "bool":
+            p.add_argument(flag, dest=name, action=argparse.BooleanOptionalAction,
+                           help=_FLAG_HELP[name])
+        else:
+            p.add_argument(flag, type={"int": int, "float": float}[kinds[name]],
+                           help=_FLAG_HELP[name])
+    p.add_argument("--out", required=True, help=out_help)
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,47 +280,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic scene directory")
-    _add_flags(p, "config", "seed")
-    p.add_argument("--out", required=True, help="scene directory to create")
-    p.set_defaults(func=cmd_synth)
+    _add_options(p, cmd_synth, "scene directory to create", "seed")
 
     p = sub.add_parser("track", help="3D point tracking over a scene")
     p.add_argument("scene", help="scene directory")
-    _add_flags(p, "config", "seed", "window", "overlap", "noise", "jitter")
-    p.add_argument("--out", required=True, help="result directory")
-    p.set_defaults(func=cmd_track)
+    _add_options(p, cmd_track, "result directory",
+                 "seed", "window", "overlap", "noise", "jitter")
 
     p = sub.add_parser("depth", help="per-frame video depth")
     p.add_argument("scene", help="scene directory")
-    _add_flags(p, "config", "seed", "noise", "jitter")
-    p.add_argument("--out", required=True, help="result directory")
-    p.set_defaults(func=cmd_depth)
+    _add_options(p, cmd_depth, "result directory", "seed", "noise", "jitter")
 
     p = sub.add_parser("recon", help="feed-forward reconstruction of the final window")
     p.add_argument("scene", help="scene directory")
-    _add_flags(p, "config", "seed", "window", "noise", "jitter")
-    p.add_argument("--out", required=True, help="result directory")
-    p.set_defaults(func=cmd_recon)
+    _add_options(p, cmd_recon, "result directory", "seed", "window", "noise", "jitter")
 
     p = sub.add_parser("align", help="dynamic-mask-aware global alignment")
     p.add_argument("scene", help="scene directory")
-    _add_flags(p, "config", "seed", "stride", "noise", "jitter", "use_dynamic_mask")
-    p.add_argument("--out", required=True, help="result directory")
-    p.set_defaults(func=cmd_align)
+    _add_options(p, cmd_align, "result directory",
+                 "seed", "stride", "noise", "jitter", "use_dynamic_mask")
 
     p = sub.add_parser("eval", help="score a task output against its scene")
     p.add_argument("kind", choices=("depth", "track", "traj"))
     p.add_argument("pred", help="prediction directory")
     p.add_argument("scene", help="scene directory")
-    p.add_argument("--out", required=True, help="report JSON path")
-    p.set_defaults(func=cmd_eval)
+    _add_options(p, cmd_eval, "report JSON path")
 
     p = sub.add_parser("ablate", help="window-length and matched-vs-rigid A/B table")
     p.add_argument("scenes", nargs="+", help="scene directories")
-    _add_flags(p, "config", "seed", "overlap", "noise", "jitter")
-    p.add_argument("--out", required=True, help="table JSON path")
-    p.set_defaults(func=cmd_ablate)
-
+    _add_options(p, cmd_ablate, "table JSON path", "seed", "overlap", "noise", "jitter")
     return parser
 
 

@@ -51,13 +51,9 @@ class RunConfig:
             raise ValueError("overlap must be >= 0")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
-        if self.lambda_2d < 0:
-            raise ValueError("lambda_2d must be >= 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        self.scene_config()  # reuse the scene validation for its fields
+        # reuse the scene and solver validation for their fields
+        self.scene_config()
+        self.alignment_options()
 
     def scene_config(self) -> SceneConfig:
         return SceneConfig(**{f.name: getattr(self, f.name) for f in fields(SceneConfig)})

@@ -1,5 +1,10 @@
-"""On-disk formats: raw f32 tensor files, scene directories, trajectory text,
-and temporal-module checkpoints.
+"""On-disk formats: raw f32 tensor files, bundle directories (scenes and the
+CLI's task results), trajectory text, and temporal-module checkpoints.
+
+A bundle directory holds `meta.json` (a `format` tag, a `tensors` manifest and
+any other fields) and one `<name>.bin` per manifest entry. `write_bundle`
+writes one; `read_meta` and `read_tensors` read one back, rejecting a
+malformed manifest or a missing tensor with ValueError.
 
 Everything written here is deterministic for fixed inputs: JSON is dumped with
 sorted keys and a trailing newline, tensors are little-endian float32
@@ -25,6 +30,9 @@ TENSOR_DTYPE = "f32"
 TENSOR_ORDER = "row-major"
 SCENE_FORMAT = "pointmatch-scene-v1"
 CHECKPOINT_FORMAT = "motion-checkpoint-v1"
+# tracks.json fields: those compared exactly on load, and the float ones
+_TRACK_EXACT = ("query_frames", "query_pixels", "visible")
+_TRACK_FLOAT = ("world", "camera", "pixels")
 
 
 def dump_json(path, payload) -> None:
@@ -57,9 +65,9 @@ def read_tensor(dir_path, entry: dict) -> np.ndarray:
         raise ValueError(f"tensor {name}: dtype must be {TENSOR_DTYPE!r}")
     if entry.get("order") != TENSOR_ORDER:
         raise ValueError(f"tensor {name}: order must be {TENSOR_ORDER!r}")
-    dims = [int(d) for d in entry.get("dims", [])]
-    if any(d < 0 for d in dims):
-        raise ValueError(f"tensor {name}: negative dimension")
+    dims = entry.get("dims", [])
+    if not isinstance(dims, list) or not all(type(d) is int and d >= 0 for d in dims):
+        raise ValueError(f"tensor {name}: dims must be a list of non-negative integers")
     count = int(np.prod(dims)) if dims else 1
     raw = (Path(dir_path) / (name + ".bin")).read_bytes()
     if len(raw) != 4 * count:
@@ -67,6 +75,38 @@ def read_tensor(dir_path, entry: dict) -> np.ndarray:
             f"tensor {name}: file holds {len(raw)} bytes, expected {4 * count}"
         )
     return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(dims)
+
+
+def write_bundle(dir_path, fmt: str, tensors: dict, **fields) -> None:
+    """Write one `<name>.bin` per tensor (in dict order) and `meta.json`."""
+    out = Path(dir_path)
+    entries = [write_tensor(out, name, arr) for name, arr in tensors.items()]
+    dump_json(out / "meta.json", {"format": fmt, "tensors": entries, **fields})
+
+
+def read_meta(dir_path, fmt: str) -> dict:
+    """A bundle's `meta.json`: an object tagged `fmt` with a list-of-objects
+    `tensors` manifest."""
+    root = Path(dir_path)
+    meta = load_json(root / "meta.json")
+    if not isinstance(meta, dict) or meta.get("format") != fmt:
+        raise ValueError(f"{root} is not a {fmt} directory")
+    entries = meta.get("tensors")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError(f"{root}/meta.json has no list of tensor entries")
+    return meta
+
+
+def read_tensors(dir_path, meta: dict, names: Sequence[str] | None = None) -> list[np.ndarray]:
+    """Tensors of the bundle `read_meta` gave `meta` for: the named ones in the
+    order asked, or without names every tensor in manifest order."""
+    if names is None:
+        return [read_tensor(dir_path, e) for e in meta["tensors"]]
+    entries = {e.get("name"): e for e in meta["tensors"]}
+    for name in names:
+        if name not in entries:
+            raise ValueError(f"{dir_path} is missing tensor {name}")
+    return [read_tensor(dir_path, entries[name]) for name in names]
 
 
 def write_trajectory(path, poses: Sequence[Pose]) -> None:
@@ -107,39 +147,31 @@ def read_trajectory(path) -> list[Pose]:
     return poses
 
 
+def _scene_tensors(seq: SceneSequence) -> dict:
+    """Per frame, its depth map and then its dynamic labels, by tensor name."""
+    out = {}
+    for f in range(seq.frame_count):
+        out[f"depth_{f:04d}"] = seq.depths[f].depth
+        out[f"dynamic_{f:04d}"] = seq.dynamic_labels[f].astype(np.float64)
+    return out
+
+
 def save_scene(dir_path, seq: SceneSequence) -> Path:
     """Write a scene directory: meta.json + per-frame tensors + poses + tracks."""
     out = Path(dir_path)
     out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for f in range(seq.frame_count):
-        entries.append(write_tensor(out, f"depth_{f:04d}", seq.depths[f].depth))
-        entries.append(
-            write_tensor(out, f"dynamic_{f:04d}", seq.dynamic_labels[f].astype(np.float64))
-        )
     write_trajectory(out / "poses.txt", seq.poses)
     tr = seq.tracks
     dump_json(
         out / "tracks.json",
-        {
-            "query_frames": tr.query_frames.tolist(),
-            "query_pixels": tr.query_pixels.tolist(),
-            "world": tr.world.tolist(),
-            "camera": tr.camera.tolist(),
-            "pixels": tr.pixels.tolist(),
-            "visible": tr.visible.tolist(),
-        },
+        {name: getattr(tr, name).tolist() for name in _TRACK_EXACT + _TRACK_FLOAT},
     )
-    dump_json(
-        out / "meta.json",
-        {
-            "format": SCENE_FORMAT,
-            "config": asdict(seq.config),
-            "intrinsics": [
-                {"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy} for k in seq.intrinsics
-            ],
-            "tensors": entries,
-        },
+    write_bundle(
+        out,
+        SCENE_FORMAT,
+        _scene_tensors(seq),
+        config=asdict(seq.config),
+        intrinsics=[{"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy} for k in seq.intrinsics],
     )
     return out
 
@@ -153,24 +185,13 @@ def load_scene(dir_path) -> SceneSequence:
     mislabeled directories. Returns the full-precision regenerated sequence.
     """
     root = Path(dir_path)
-    meta = load_json(root / "meta.json")
-    if meta.get("format") != SCENE_FORMAT:
-        raise ValueError(f"{root} is not a scene directory")
+    meta = read_meta(root, SCENE_FORMAT)
     seq = generate_scene(SceneConfig(**typed_fields(SceneConfig, meta.get("config"))))
 
-    entries = {e.get("name"): e for e in meta.get("tensors", [])}
-    for f in range(seq.frame_count):
-        for name, want in (
-            (f"depth_{f:04d}", seq.depths[f].depth),
-            (f"dynamic_{f:04d}", seq.dynamic_labels[f].astype(np.float64)),
-        ):
-            if name not in entries:
-                raise ValueError(f"scene directory is missing tensor {name}")
-            stored = read_tensor(root, entries[name])
-            if stored.shape != want.shape or not np.allclose(
-                stored, want, rtol=1e-6, atol=1e-6
-            ):
-                raise ValueError(f"tensor {name} does not match the scene config")
+    wants = _scene_tensors(seq)
+    for (name, want), stored in zip(wants.items(), read_tensors(root, meta, list(wants))):
+        if stored.shape != want.shape or not np.allclose(stored, want, rtol=1e-6, atol=1e-6):
+            raise ValueError(f"tensor {name} does not match the scene config")
     poses = read_trajectory(root / "poses.txt")
     if len(poses) != seq.frame_count:
         raise ValueError("poses.txt frame count does not match the scene config")
@@ -180,9 +201,10 @@ def load_scene(dir_path) -> SceneSequence:
             and np.allclose(got.translation, want_p.translation, atol=1e-9)
         ):
             raise ValueError(f"pose {f} does not match the scene config")
-    ks = meta.get("intrinsics", [])
-    if len(ks) != seq.frame_count or any(
-        e.get("fx") != k.fx or e.get("fy") != k.fy or e.get("cx") != k.cx or e.get("cy") != k.cy
+    ks = meta.get("intrinsics")
+    if not isinstance(ks, list) or len(ks) != seq.frame_count or any(
+        not isinstance(e, dict)
+        or e.get("fx") != k.fx or e.get("fy") != k.fy or e.get("cx") != k.cx or e.get("cy") != k.cy
         for e, k in zip(ks, seq.intrinsics)
     ):
         raise ValueError("intrinsics do not match the scene config")
@@ -198,10 +220,10 @@ def _check_tracks(path: Path, tracks: TrackSet) -> None:
     stored = load_json(path)
     if not isinstance(stored, dict):
         raise ValueError("tracks.json must hold a JSON object")
-    for name in ("query_frames", "query_pixels", "visible"):
+    for name in _TRACK_EXACT:
         if stored.get(name) != getattr(tracks, name).tolist():
             raise ValueError(f"tracks.json {name} does not match the scene config")
-    for name in ("world", "camera", "pixels"):
+    for name in _TRACK_FLOAT:
         want = getattr(tracks, name)
         try:
             got = np.asarray(stored.get(name), dtype=np.float64)

@@ -322,3 +322,13 @@ def test_divergent_energy_raises():
     )
     with pytest.raises(DivergenceError):
         global_align(problem, AlignmentOptions(init="identity"))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"max_iters": 0}, {"tol": 0.0}, {"lambda_2d": -1.0}, {"init": "zero"}],
+    ids=["max-iters-0", "tol-0", "negative-lambda-2d", "unknown-init"],
+)
+def test_alignment_options_reject_invalid_values(kwargs):
+    with pytest.raises(ValueError):
+        AlignmentOptions(**kwargs)

@@ -217,3 +217,132 @@ def test_malformed_scene_dir_fails_at_load(tmp_path, seed1_scene_dir, edit):
     lines = out.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["type"] == "ValueError"
+
+
+# Every subcommand's arguments as (option strings, dest, type or action,
+# required, help), in --help order. "-h" is argparse's own.
+_SCENE = ((), "scene", "store", True, "scene directory")
+_CONFIG = (("--config",), "config", "Path", False, "JSON config file")
+_SEED = (("--seed",), "seed", "int", False, "scene and predictor seed")
+_WINDOW = (("--window",), "window", "int", False, "temporal window length")
+_OVERLAP = (("--overlap",), "overlap", "int", False, "frames shared by adjacent windows")
+_STRIDE = (("--stride",), "stride", "int", False, "pair-graph frame stride")
+_NOISE = (("--noise",), "noise", "float", False, "per-point noise sigma (depth-relative)")
+_JITTER = (("--jitter",), "jitter", "float", False, "per-pair log-scale jitter sigma")
+_MASK = (("--use-dynamic-mask", "--no-use-dynamic-mask"), "use_dynamic_mask",
+         "BooleanOptionalAction", False, "gate the 2D alignment term by the dynamic mask")
+_RESULT = (("--out",), "out", "store", True, "result directory")
+CLI_SURFACE = {
+    "synth": [_CONFIG, _SEED, (("--out",), "out", "store", True, "scene directory to create")],
+    "track": [_SCENE, _CONFIG, _SEED, _WINDOW, _OVERLAP, _NOISE, _JITTER, _RESULT],
+    "depth": [_SCENE, _CONFIG, _SEED, _NOISE, _JITTER, _RESULT],
+    "recon": [_SCENE, _CONFIG, _SEED, _WINDOW, _NOISE, _JITTER, _RESULT],
+    "align": [_SCENE, _CONFIG, _SEED, _STRIDE, _NOISE, _JITTER, _MASK, _RESULT],
+    "eval": [
+        ((), "kind", "store", True, None),
+        ((), "pred", "store", True, "prediction directory"),
+        _SCENE,
+        (("--out",), "out", "store", True, "report JSON path"),
+    ],
+    "ablate": [
+        ((), "scenes", "store", True, "scene directories"),
+        _CONFIG, _SEED, _OVERLAP, _NOISE, _JITTER,
+        (("--out",), "out", "store", True, "table JSON path"),
+    ],
+}
+
+
+def test_cli_surface_is_pinned():
+    import argparse
+
+    from pointmatch.cli import build_parser
+
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(CLI_SURFACE)
+    for name, want in CLI_SURFACE.items():
+        got = []
+        for a in sub.choices[name]._actions:
+            if a.dest == "help":
+                continue
+            if a.type is not None:
+                kind = a.type.__name__
+            elif isinstance(a, argparse.BooleanOptionalAction):
+                kind = "BooleanOptionalAction"
+            else:
+                kind = "store"
+            got.append((tuple(a.option_strings), a.dest, kind, a.required, a.help))
+        assert got == want, name
+
+
+def test_out_is_created_before_any_work(tmp_path, scene_dir, monkeypatch):
+    import pointmatch.io
+
+    def no_work(path):
+        raise AssertionError("the command loaded a scene before creating --out")
+
+    monkeypatch.setattr(pointmatch.io, "load_scene", no_work)
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    depth = tmp_path / "dp"
+    depth.mkdir()
+    for argv in (
+        ("depth", scene_dir, "--out", blocker / "d"),
+        ("eval", "depth", depth, scene_dir, "--out", blocker / "report.json"),
+        ("ablate", scene_dir, "--out", blocker / "table.json"),
+    ):
+        code, out = run_cli_captured(*argv)
+        assert code == 1, argv
+        lines = out.splitlines()
+        assert len(lines) == 1, argv
+        assert json.loads(lines[0])["error"]["type"] in (
+            "NotADirectoryError", "FileExistsError"), argv
+
+
+def _scene_meta_is_a_list(tmp_path, scene_dir):
+    root = tmp_path / "scene"
+    shutil.copytree(scene_dir, root)
+    dump_json(root / "meta.json", [])
+    return ("depth", root, "--out", tmp_path / "out")
+
+
+def _scene_intrinsics_not_objects(tmp_path, scene_dir):
+    root = tmp_path / "scene"
+    shutil.copytree(scene_dir, root)
+    meta = load_json(root / "meta.json")
+    meta["intrinsics"] = [0] * len(meta["intrinsics"])
+    dump_json(root / "meta.json", meta)
+    return ("depth", root, "--out", tmp_path / "out")
+
+
+def _depth_meta_without_tensors(tmp_path, scene_dir):
+    pred = tmp_path / "dp"
+    assert run_cli("depth", scene_dir, "--out", pred) == 0
+    meta = load_json(pred / "meta.json")
+    del meta["tensors"]
+    dump_json(pred / "meta.json", meta)
+    return ("eval", "depth", pred, scene_dir, "--out", tmp_path / "r.json")
+
+
+def _track_manifest_without_tracks(tmp_path, scene_dir):
+    pred = tmp_path / "tr"
+    assert run_cli("track", scene_dir, "--out", pred) == 0
+    meta = load_json(pred / "meta.json")
+    meta["tensors"] = [e for e in meta["tensors"] if e["name"] != "tracks"]
+    dump_json(pred / "meta.json", meta)
+    return ("eval", "track", pred, scene_dir, "--out", tmp_path / "r.json")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_scene_meta_is_a_list, _scene_intrinsics_not_objects, _depth_meta_without_tensors,
+     _track_manifest_without_tracks],
+    ids=["scene-meta-list", "scene-intrinsics-not-objects", "depth-meta-no-tensors",
+         "track-manifest-no-tracks"],
+)
+def test_malformed_manifest_fails_with_value_error(tmp_path, scene_dir, make):
+    code, out = run_cli_captured(*make(tmp_path, scene_dir))
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "ValueError"

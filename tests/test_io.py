@@ -54,6 +54,13 @@ def test_tensor_reader_rejects_mismatches(tmp_path):
         read_tensor(tmp_path, entry)
 
 
+@pytest.mark.parametrize("dims", [None, "4x4", [4, "4"], [4.0, 4], [4, -4], [True, 4]])
+def test_tensor_reader_rejects_malformed_dims(tmp_path, dims):
+    entry = write_tensor(tmp_path, "probe", np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="dims"):
+        read_tensor(tmp_path, dict(entry, dims=dims))
+
+
 def test_trajectory_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     poses = [random_pose(rng) for _ in range(5)]
