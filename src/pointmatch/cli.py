@@ -161,14 +161,12 @@ def cmd_align(args) -> int:
     return 0
 
 
-def _eval_depth(pred_path, scene_path, seq) -> dict:
+def _eval_depth(pred_path, seq) -> dict:
     preds = io.read_tensors(pred_path, io.read_meta(pred_path, DEPTH_FORMAT))
     if len(preds) != seq.frame_count:
         raise ValueError("prediction frame count does not match the scene")
     # evaluate in the serialized f32 domain so pred == gt bytes scores exactly 0
-    names = [f"depth_{f:04d}" for f in range(seq.frame_count)]
-    scene_meta = io.read_meta(scene_path, io.SCENE_FORMAT)
-    gts = [DepthMap(d) for d in io.read_tensors(scene_path, scene_meta, names)]
+    gts = [DepthMap(d.depth.astype(np.float32).astype(np.float64)) for d in seq.depths]
     preds = [DepthMap(d, gt.valid & (d > 0)) for d, gt in zip(preds, gts)]
     report = {}
     for mode in ("scale", "scale_shift"):
@@ -200,7 +198,7 @@ def cmd_eval(args) -> int:
     out = _out_file(args)
     seq = io.load_scene(args.scene)
     if args.kind == "depth":
-        report = _eval_depth(args.pred, args.scene, seq)
+        report = _eval_depth(args.pred, seq)
     elif args.kind == "track":
         report = _eval_track(args.pred, seq)
     else:

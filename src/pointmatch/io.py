@@ -61,12 +61,16 @@ def read_tensor(dir_path, entry: dict) -> np.ndarray:
     name = entry.get("name")
     if not isinstance(name, str) or not name:
         raise ValueError("tensor entry has no name")
+    # a separator would let the entry reach outside the bundle (an absolute
+    # path starts with one)
+    if name in (".", "..") or "/" in name or "\\" in name:
+        raise ValueError(f"tensor name {name!r} is not a plain file name")
     if entry.get("dtype") != TENSOR_DTYPE:
         raise ValueError(f"tensor {name}: dtype must be {TENSOR_DTYPE!r}")
     if entry.get("order") != TENSOR_ORDER:
         raise ValueError(f"tensor {name}: order must be {TENSOR_ORDER!r}")
     dims = entry.get("dims", [])
-    if not isinstance(dims, list) or not all(type(d) is int and d >= 0 for d in dims):
+    if not _is_dims(dims):
         raise ValueError(f"tensor {name}: dims must be a list of non-negative integers")
     count = int(np.prod(dims)) if dims else 1
     raw = (Path(dir_path) / (name + ".bin")).read_bytes()
@@ -265,20 +269,24 @@ def save_checkpoint(path, params: MotionParams) -> None:
 def load_checkpoint(path) -> MotionParams:
     path = Path(path)
     manifest = load_json(path)
-    if manifest.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path} is not a checkpoint manifest")
-    size = int(manifest["size"])
+    for key in ("size", "channels", "heads", "t_max"):
+        if type(manifest.get(key)) is not int:
+            raise ValueError(f"{path}: {key} must be an integer")
+    entries = manifest.get("tensors")
+    if not isinstance(entries, list) or not all(_is_checkpoint_entry(e) for e in entries):
+        raise ValueError(f"{path} has no list of tensor entries with name, shape and offset")
+    size = manifest["size"]
     raw = path.with_suffix(".bin").read_bytes()
     if len(raw) != 4 * size:
         raise ValueError(f"checkpoint buffer holds {len(raw)} bytes, expected {4 * size}")
     flat = np.frombuffer(raw, dtype="<f4").astype(np.float64)
     tensors: dict[str, np.ndarray] = {}
     names: list[str] = []
-    for e in manifest["tensors"]:
-        name = str(e["name"])
-        shape = tuple(int(s) for s in e["shape"])
+    for e in entries:
+        name, shape, off = e["name"], tuple(e["shape"]), e["offset"]
         count = int(np.prod(shape)) if shape else 1
-        off = int(e["offset"])
         if off < 0 or off + count > size:
             raise ValueError(f"tensor {name} falls outside the checkpoint buffer")
         if name in tensors:
@@ -286,9 +294,24 @@ def load_checkpoint(path) -> MotionParams:
         tensors[name] = flat[off : off + count].reshape(shape).copy()
         names.append(name)
     return MotionParams(
-        channels=int(manifest["channels"]),
-        heads=int(manifest["heads"]),
-        t_max=int(manifest["t_max"]),
+        channels=manifest["channels"],
+        heads=manifest["heads"],
+        t_max=manifest["t_max"],
         tensors=tensors,
         names=names,
     )
+
+
+def _is_checkpoint_entry(e) -> bool:
+    """An object with a string name, an integer offset and dims as shape."""
+    return (
+        isinstance(e, dict)
+        and isinstance(e.get("name"), str)
+        and type(e.get("offset")) is int
+        and _is_dims(e.get("shape"))
+    )
+
+
+def _is_dims(dims) -> bool:
+    """A list of non-negative integers (a bool is not an integer)."""
+    return isinstance(dims, list) and all(type(d) is int and d >= 0 for d in dims)

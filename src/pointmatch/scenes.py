@@ -22,11 +22,25 @@ Design notes that matter for exactness:
     (HeightField.crossing_beyond) also stops once every valid ray's bracket
     lies on one side of its threshold dist - _OCCLUSION_TOL: brackets only
     shrink, so that side is the side of the fixed point, and visibility is
-    the same boolean a full refinement gives.
+    the same boolean a full refinement gives;
+  - a bisection of 2 * _MIN_CHUNK_RAYS rays or more is split into
+    contiguous chunks of at least _MIN_CHUNK_RAYS rays, at most one per core
+    the process may run on, bisected on a private thread pool and joined in
+    ray order. This is exact on every valid ray: its brackets depend only on
+    that ray, and both stop rules are per ray (a bracket that stops moving
+    is a fixed point, a decided visibility bracket stays decided), so a
+    chunk that stops before the others returns the same values. The one
+    step that is not elementwise is height's two small matrix products;
+    BLAS gives each row the same value in any call of two or more rows, but
+    a one-row call takes another path that can differ in the last bit, and
+    the chunk size keeps every chunk far above one row.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +59,10 @@ _OCCLUSION_TOL = 1e-6
 _MIN_DZ = 1e-6
 _BISECT_ITERS = 80
 _SLOPE_BOUND = 0.3  # max |grad h|; keeps ray-surface crossings monotone in t
+# a bisection splits into chunks of at least this many rays, one per core;
+# smaller chunks lose more to the interpreter lock than the second core gains
+_MIN_CHUNK_RAYS = 4096
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 _CAMERA_PATHS = ("orbit", "linear", "random-smooth")
 
@@ -121,6 +139,31 @@ class HeightField:
         return hi >= thr, ok
 
     def _bisect(self, origins, dirs, thr):
+        """(hi, ok) of intersect's bisection, with crossing_beyond's extra stop
+        rule where thr is given; hi is meaningful only where ok.
+
+        A call of at least 2 * _MIN_CHUNK_RAYS rays is split into contiguous
+        chunks, at most one per core, that are bisected concurrently and
+        joined in ray order; wherever ok, hi equals one serial call's (see
+        the module note).
+        """
+        n = len(dirs)
+        k = min(_CORES, n // _MIN_CHUNK_RAYS)
+        if k <= 1:
+            return self._bisect_chunk(origins, dirs, thr)
+        edges = [c * n // k for c in range(k + 1)]
+        parts = [
+            (origins[a:b], dirs[a:b], None if thr is None else thr[a:b])
+            for a, b in zip(edges[:-1], edges[1:])
+        ]
+        # this thread bisects the first chunk while the pool runs the rest
+        pool = _pool()
+        futures = [pool.submit(self._bisect_chunk, *part) for part in parts[1:]]
+        results = [self._bisect_chunk(*parts[0])] + [f.result() for f in futures]
+        hi, ok = zip(*results)
+        return np.concatenate(hi), np.concatenate(ok)
+
+    def _bisect_chunk(self, origins, dirs, thr):
         zmin, zmax = self.z_bounds
         oz, dz = origins[:, 2], dirs[:, 2]
         ok = dz > _MIN_DZ
@@ -145,6 +188,29 @@ class HeightField:
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         return hi, ok
+
+
+_executor: ThreadPoolExecutor | None = None
+_executor_lock = threading.Lock()
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The raycast's thread pool, created on first use."""
+    global _executor
+    with _executor_lock:
+        if _executor is None:
+            _executor = ThreadPoolExecutor(max_workers=_CORES, thread_name_prefix="raycast")
+        return _executor
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool object and lock state, not the threads
+    global _executor, _executor_lock
+    _executor, _executor_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass

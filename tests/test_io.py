@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -186,3 +188,36 @@ def test_checkpoint_rejects_truncated_buffer(tmp_path):
     (tmp_path / "motion.bin").write_bytes(raw[:-4])
     with pytest.raises(ValueError, match="bytes"):
         load_checkpoint(path)
+
+
+def test_tensor_reader_rejects_path_names(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    entry = write_tensor(tmp_path / "b", "secret", np.ones(3))
+    for name in ("../b/secret", str(tmp_path / "b" / "secret"), "..", "b\\secret"):
+        with pytest.raises(ValueError, match="plain file name"):
+            read_tensor(tmp_path / "a", dict(entry, name=name))
+
+
+def _checkpoint_manifest(tmp_path) -> dict:
+    path = tmp_path / "motion.json"
+    save_checkpoint(path, init_params(channels=8, heads=2, t_max=4, seed=0))
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda m: {"format": m["format"]},
+        lambda m: dict(m, heads="2"),
+        lambda m: dict(m, tensors=[{k: v for k, v in e.items() if k != "offset"}
+                                   for e in m["tensors"]]),
+        lambda m: dict(m, tensors=[[e["name"], e["shape"], e["offset"]] for e in m["tensors"]]),
+    ],
+    ids=["format-only", "string-heads", "entry-without-offset", "entries-not-objects"],
+)
+def test_checkpoint_rejects_malformed_manifest(tmp_path, corrupt):
+    manifest = corrupt(_checkpoint_manifest(tmp_path))
+    (tmp_path / "motion.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError):
+        load_checkpoint(tmp_path / "motion.json")

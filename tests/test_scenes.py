@@ -1,9 +1,12 @@
+import multiprocessing
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pointmatch import scenes
 from pointmatch.geometry import invert_pose, project_points, transform_pointmap, unproject
 from pointmatch.scenes import (
     _OCCLUSION_TOL,
@@ -333,3 +336,103 @@ def test_early_visibility_matches_full_refinement(path, objects, seed, h, w):
             npt.assert_array_equal(_visible_from(s, i, world), _visible_full(s, i, world))
         near = _nudged_to_threshold(s, j)
         npt.assert_array_equal(_visible_from(s, j, near), _visible_full(s, j, near))
+
+
+
+
+def _pixel_and_visibility_rays(s, frame):
+    """Two ray sets from a frame's camera, each (origins, dirs, thr): the rays
+    through its pixels, with the other frame's depth at that pixel as the
+    threshold, and the visibility rays toward every frame's hit points, with
+    dist - _OCCLUSION_TOL as in _visible_from."""
+    k, pose = s.intrinsics[frame], s.poses[frame]
+    h, w = s.resolution
+    ys, xs = np.mgrid[0:h, 0:w].reshape(2, -1)
+    d_cam = np.stack([(xs - k.cx) / k.fx, (ys - k.cy) / k.fy, np.ones(h * w)], axis=1)
+    delta = s.hit_world[s.hit_valid] - pose.center
+    dist = np.linalg.norm(delta, axis=1)
+    pixel = d_cam @ pose.rotation, s.depths[1 - frame].depth.ravel()
+    visibility = delta / dist[:, None], dist - _OCCLUSION_TOL
+    return [(np.broadcast_to(pose.center, d.shape), d, thr) for d, thr in (pixel, visibility)]
+
+
+def _no_pool():
+    raise AssertionError("a serial bisection reached the thread pool")
+
+
+class _CountingPool:
+    def __init__(self, pool):
+        self.pool, self.submits = pool, 0
+
+    def submit(self, *args):
+        self.submits += 1
+        return self.pool.submit(*args)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["orbit", "linear", "random-smooth"]),
+    st.integers(0, 5),
+    st.integers(0, 2**32 - 1),
+    st.integers(4, 16),
+    st.integers(4, 20),
+    st.sampled_from([2, 3]),
+)
+def test_chunked_bisection_matches_serial(path, objects, seed, h, w, cores):
+    s = generate_scene(SceneConfig(seed=seed, frame_count=2, height=h, width=w,
+                                   object_count=objects, camera_path=path,
+                                   camera_magnitude=0.05, track_count=0))
+    bg = s.background
+    pool = scenes._pool()
+    for frame in range(s.frame_count):
+        for origins, dirs, thr in _pixel_and_visibility_rays(s, frame):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(scenes, "_MIN_CHUNK_RAYS", 2)
+                mp.setattr(scenes, "_pool", _no_pool)
+                mp.setattr(scenes, "_CORES", 1)
+                want_t, want_ok = bg.intersect(origins, dirs)
+                want_beyond, want_bok = bg.crossing_beyond(origins, dirs, thr)
+                # under two rays per chunk a call stays serial at any core count
+                mp.setattr(scenes, "_CORES", cores)
+                t3, ok3 = bg.intersect(origins[:3], dirs[:3])
+                beyond3, _ = bg.crossing_beyond(origins[:3], dirs[:3], thr[:3])
+                npt.assert_array_equal(t3[ok3], want_t[:3][ok3])
+                npt.assert_array_equal(beyond3[ok3], want_beyond[:3][ok3])
+
+                counted = _CountingPool(pool)
+                mp.setattr(scenes, "_pool", lambda: counted)
+                got_t, got_ok = bg.intersect(origins, dirs)
+                got_beyond, got_bok = bg.crossing_beyond(origins, dirs, thr)
+            assert counted.submits == 2 * (cores - 1)  # every chunk but the first
+            npt.assert_array_equal(got_ok, want_ok)
+            npt.assert_array_equal(got_bok, want_bok)
+            assert want_ok.any()
+            npt.assert_array_equal(got_t[want_ok], want_t[want_ok])
+            npt.assert_array_equal(got_beyond[want_ok], want_beyond[want_ok])
+
+
+def _intersect_matches(bg, origins, dirs, want):
+    got, ok = bg.intersect(origins, dirs)
+    if not np.array_equal(got[ok], want[ok]):
+        raise AssertionError("forked child's bisection differs")
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_forked_child_can_split_a_bisection(seq, monkeypatch):
+    # the child inherits the started pool object but none of its threads
+    monkeypatch.setattr(scenes, "_MIN_CHUNK_RAYS", 2)
+    monkeypatch.setattr(scenes, "_CORES", 2)
+    (origins, dirs, _), _ = _pixel_and_visibility_rays(seq, 0)
+    want, _ = seq.background.intersect(origins, dirs)
+    assert scenes._executor is not None
+    child = multiprocessing.get_context("fork").Process(
+        target=_intersect_matches, args=(seq.background, origins, dirs, want))
+    child.start()
+    child.join(30)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung
+    assert child.exitcode == 0
