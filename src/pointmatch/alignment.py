@@ -176,14 +176,16 @@ def build_pair_graph(seq, predictor: Predictor, stride: int = 5) -> AlignmentPro
     edges = []
     for i in range(length):
         for j in range(i + 1, min(i + max_gap, length - 1) + 1):
-            pred = predictor.predict(i, j)
+            lazy = predictor.predict(i, j)
             try:
-                mask = dynamic_mask(pred.x_ji_matched, pred.x_ji)
+                mask = dynamic_mask(lazy.x_ji_matched, lazy.x_ji)
             except EmptyDomainError:
                 mask = None
-            # the solver reads every head of an edge: rendering the last one
-            # here keeps global_align's time and memory those of the solve
-            pred.x_ii
+            # the solver reads every head of an edge more than once: holding
+            # the maps here keeps global_align's time and memory those of the
+            # solve, not re-renders of heads a predictor has evicted
+            pred = PairPrediction(lazy.frames, lazy.x_ii, lazy.x_ji, lazy.x_ji_matched,
+                                  lazy.conf_ii, lazy.conf_ji)
             edges.append(AlignmentEdge(i=i, j=j, pred=pred, mask=mask))
     ego = [predictor.predict(f, f).x_ii for f in range(length)]
     return AlignmentProblem(

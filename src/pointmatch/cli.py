@@ -101,8 +101,8 @@ def cmd_synth(args) -> int:
 def cmd_track(args) -> int:
     out = _out_dir(args)
     cfg = _config_from(args)
-    seq = io.load_scene(args.scene)
     window, overlap = cfg.effective_window()
+    seq = io.load_scene(args.scene)
     res = track_3d(seq, _predictor(seq, cfg), _queries_of(seq), window=window, overlap=overlap)
     tensors = {"tracks": res.tracks, "valid": res.valid, "queries": res.queries}
     io.write_bundle(out, TRACK_FORMAT, tensors, starts=res.starts, scales=res.scales,
@@ -128,8 +128,8 @@ def cmd_recon(args) -> int:
     out = _out_dir(args)
     cfg = _config_from(args)
     seq = io.load_scene(args.scene)
-    window, _ = cfg.effective_window()
-    res = feedforward_recon(seq, _predictor(seq, cfg), window=window)
+    # window 1 reads two frames, as the pairwise baseline does; recon has no overlap
+    res = feedforward_recon(seq, _predictor(seq, cfg), window=max(cfg.window, 2))
     io.write_bundle(
         out, RECON_FORMAT, {"points": res.points}, keyframe=res.keyframe, frames=res.frames
     )
@@ -208,6 +208,23 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _ablate_scene(scene_path, cfg, windows: dict) -> tuple[dict, float]:
+    """One scene's APD at each window on the matched maps, and at the longest
+    window on the rigid maps. A call of its own, so the scene and its
+    predictor's memo are freed before the next scene loads."""
+    seq = io.load_scene(scene_path)
+    pred = _predictor(seq, cfg)
+    queries = _queries_of(seq)
+    gt = seq.tracks
+
+    def score(window, mode):
+        t, o = windows[window]
+        res = track_3d(seq, pred, queries, window=t, overlap=o, mode=mode)
+        return apd(res.tracks, gt.camera, gt.visible, res.valid).apd
+
+    return {w: score(w, "matched") for w in windows}, score(max(windows), "rigid")
+
+
 def cmd_ablate(args) -> int:
     """Paired A/B table over a scene set: window length and map choice.
 
@@ -220,20 +237,15 @@ def cmd_ablate(args) -> int:
     out = _out_file(args)
     cfg = _config_from(args)
     longest = max(ABLATION_WINDOWS)
+    # every window's config is checked before any scene is loaded
+    windows = {w: cfg.updated({"window": w}).effective_window() for w in ABLATION_WINDOWS}
     window_rows = {w: [] for w in ABLATION_WINDOWS}
     rigid_rows = []
     for scene_path in args.scenes:
-        seq = io.load_scene(scene_path)
-        pred = _predictor(seq, cfg)
-        queries = _queries_of(seq)
-        gt = seq.tracks
+        matched, rigid = _ablate_scene(scene_path, cfg, windows)
         for w in ABLATION_WINDOWS:
-            t, o = cfg.updated({"window": w}).effective_window()
-            res = track_3d(seq, pred, queries, window=t, overlap=o, mode="matched")
-            window_rows[w].append(apd(res.tracks, gt.camera, gt.visible, res.valid).apd)
-        t, o = cfg.updated({"window": longest}).effective_window()
-        res = track_3d(seq, pred, queries, window=t, overlap=o, mode="rigid")
-        rigid_rows.append(apd(res.tracks, gt.camera, gt.visible, res.valid).apd)
+            window_rows[w].append(matched[w])
+        rigid_rows.append(rigid)
 
     def summary(rows):
         return {"mean_apd": float(np.mean(rows)), "per_scene": rows}

@@ -71,9 +71,15 @@ class RunConfig:
 
         window=1 means the chained pairwise baseline; a pair needs two frames,
         so it maps to the smallest real window and the overlap is clamped.
+        Any other window must exceed its overlap, else ValueError. The check
+        is made here, where the pair is used, because commands that read only
+        the window (recon) take no --overlap flag to mend the default with.
         """
-        t = max(self.window, 2)
-        return t, min(self.overlap, t - 1)
+        if self.window == 1:
+            return 2, min(self.overlap, 1)
+        if self.overlap >= self.window:
+            raise ValueError(f"overlap {self.overlap} must be < window {self.window}")
+        return self.window, self.overlap
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

@@ -12,17 +12,20 @@ perturbs them: per-coordinate Gaussian noise scaled by depth, and one
 log-normal scale factor per pair (monocular scale wobble). Its heads render
 on first read, so a task pays only for the maps it consumes; each head draws
 its noise from its own (seed, pair, role) stream, so the maps do not depend
-on which heads were read or in what order. Long sequences are
-processed in overlapping windows and stitched: scales harmonized by a median
-norm ratio over overlap frames, later windows win on overlap, and queries
-re-seed at each new window's keyframe by rounding projected track positions
-to the nearest pixel.
+on which heads were read or in what order. The predictor memoizes its heads
+by (view1, view2, role), up to _HEAD_MEMO_BYTES of maps with the least
+recently used evicted first, so windows of different lengths that read the
+same pair render it once; a re-rendered head is bit-identical by the same
+per-stream argument. Long sequences are processed in overlapping windows and
+stitched: scales harmonized by a median norm ratio over overlap frames,
+later windows win on overlap, and queries re-seed at each new window's
+keyframe by rounding projected track positions to the nearest pixel.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -42,6 +45,9 @@ DEFAULT_WINDOW = 12
 DEFAULT_OVERLAP = 4
 
 _ROLE_EGO, _ROLE_RIGID, _ROLE_MATCHED, _ROLE_JITTER = 1, 2, 3, 9
+# bytes of rendered heads a predictor keeps: about 30 heads at 48x64, where
+# an ablation pass needs 2.25 MiB to keep every repeat
+_HEAD_MEMO_BYTES = 3 << 20
 
 
 @dataclass
@@ -69,7 +75,8 @@ class OraclePredictor:
     sigma_point scales per-coordinate Gaussian noise by each pixel's depth;
     sigma_scale draws one exp(N(0, sigma^2)) factor per pair, applied to all
     three maps (they share the pair's unknown scale). Outputs are deterministic
-    per (seed, pair): repeated calls return identical maps.
+    per (seed, pair): repeated calls return identical maps, from a memo of
+    recently read heads when they are still in it.
 
     confidence_mode "uniform" emits raw logit 1 everywhere; "noise" lowers the
     logit monotonically with the actually-injected noise magnitude.
@@ -92,6 +99,9 @@ class OraclePredictor:
         self.sigma_scale = float(sigma_scale)
         self.seed = int(seed)
         self.confidence_mode = confidence_mode
+        # (view1, view2, role) -> ((map, conf), bytes), least recently read first
+        self._memo: OrderedDict = OrderedDict()
+        self._memo_bytes = 0
 
     @property
     def frame_count(self) -> int:
@@ -117,7 +127,23 @@ class OraclePredictor:
             raw = np.ones(pm.resolution)
         return Pointmap(pts, pm.valid), ConfidenceMap(raw)
 
-    def _head(self, view1: int, view2: int, role: int) -> tuple[Pointmap, ConfidenceMap]:
+    def _head(self, view1: int, view2: int, role: int) -> tuple[Pointmap, ConfidenceMap | None]:
+        """A head's (map, conf), rendered unless the memo holds it; the
+        matched head has no confidence output, so its conf is None."""
+        key = (view1, view2, role)
+        if key in self._memo:
+            self._memo.move_to_end(key)
+            return self._memo[key][0]
+        head = self._render(view1, view2, role)
+        size = head[0].points.nbytes + head[0].valid.nbytes
+        size += 0 if head[1] is None else head[1].values.nbytes
+        self._memo[key] = head, size
+        self._memo_bytes += size
+        while self._memo_bytes > _HEAD_MEMO_BYTES:
+            self._memo_bytes -= self._memo.popitem(last=False)[1][1]
+        return head
+
+    def _render(self, view1: int, view2: int, role: int) -> tuple[Pointmap, ConfidenceMap | None]:
         seq = self.seq
         if role == _ROLE_EGO:
             pm = unproject(seq.depths[view1], seq.intrinsics[view1])
@@ -129,36 +155,28 @@ class OraclePredictor:
         if self.sigma_scale > 0:
             f = float(np.exp(self._rng(view1, view2, _ROLE_JITTER).normal() * self.sigma_scale))
             pm = pm.scaled(f)
-        return pm, conf
+        return pm, None if role == _ROLE_MATCHED else conf
 
     def predict(self, view1: int, view2: int) -> PairPrediction:
         return _OraclePair(self, view1, view2)
 
 
 class _OraclePair(PairPrediction):
-    """An oracle pair prediction whose heads render on their first read."""
+    """An oracle pair prediction whose heads are read through the predictor's
+    memo, so each renders on its first read."""
 
     def __init__(self, oracle: OraclePredictor, view1: int, view2: int):
         self.frames = (view1, view2)
         self._oracle = oracle
 
-    @cached_property
-    def _ego(self) -> tuple[Pointmap, ConfidenceMap]:
-        return self._oracle._head(*self.frames, _ROLE_EGO)
+    def _read(self, role: int) -> tuple[Pointmap, ConfidenceMap | None]:
+        return self._oracle._head(*self.frames, role)
 
-    @cached_property
-    def _rigid(self) -> tuple[Pointmap, ConfidenceMap]:
-        return self._oracle._head(*self.frames, _ROLE_RIGID)
-
-    @cached_property
-    def x_ji_matched(self) -> Pointmap:
-        # the matched head has no confidence output; its map alone is kept
-        return self._oracle._head(*self.frames, _ROLE_MATCHED)[0]
-
-    x_ii = property(lambda self: self._ego[0])
-    conf_ii = property(lambda self: self._ego[1])
-    x_ji = property(lambda self: self._rigid[0])
-    conf_ji = property(lambda self: self._rigid[1])
+    x_ii = property(lambda self: self._read(_ROLE_EGO)[0])
+    conf_ii = property(lambda self: self._read(_ROLE_EGO)[1])
+    x_ji = property(lambda self: self._read(_ROLE_RIGID)[0])
+    conf_ji = property(lambda self: self._read(_ROLE_RIGID)[1])
+    x_ji_matched = property(lambda self: self._read(_ROLE_MATCHED)[0])
 
 
 @dataclass

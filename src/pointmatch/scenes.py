@@ -23,17 +23,21 @@ Design notes that matter for exactness:
     lies on one side of its threshold dist - _OCCLUSION_TOL: brackets only
     shrink, so that side is the side of the fixed point, and visibility is
     the same boolean a full refinement gives;
-  - a bisection of 2 * _MIN_CHUNK_RAYS rays or more is split into
-    contiguous chunks of at least _MIN_CHUNK_RAYS rays, at most one per core
-    the process may run on, bisected on a private thread pool and joined in
-    ray order. This is exact on every valid ray: its brackets depend only on
-    that ray, and both stop rules are per ray (a bracket that stops moving
-    is a fixed point, a decided visibility bracket stays decided), so a
-    chunk that stops before the others returns the same values. The one
-    step that is not elementwise is height's two small matrix products;
-    BLAS gives each row the same value in any call of two or more rows, but
-    a one-row call takes another path that can differ in the last bit, and
-    the chunk size keeps every chunk far above one row.
+  - assemble_scene bisects the backdrop once per scene, for every frame's
+    pixel rays together; only the analytic object hits run per frame;
+  - a bisection is split into contiguous chunks: one per core the process
+    may run on once each gets at least _MIN_CHUNK_RAYS rays, and more where
+    a chunk would exceed _MAX_CHUNK_RAYS, so a whole scene's rays become
+    bounded pieces spread over the cores. The chunks run on a private
+    thread pool and the calling thread, and are joined in ray order. This
+    is exact on every valid ray: its brackets depend only on that ray, and
+    both stop rules are per ray (a bracket that stops moving is a fixed
+    point, a decided visibility bracket stays decided), so a chunk that
+    stops before the others, or holds rays of other frames, returns the
+    same values. The one step that is not elementwise is height's two small
+    matrix products; BLAS gives each row the same value in any call of two
+    or more rows, but a one-row call takes another path that can differ in
+    the last bit, and both chunk bounds keep every chunk far above one row.
 """
 
 from __future__ import annotations
@@ -62,6 +66,10 @@ _SLOPE_BOUND = 0.3  # max |grad h|; keeps ray-surface crossings monotone in t
 # a bisection splits into chunks of at least this many rays, one per core;
 # smaller chunks lose more to the interpreter lock than the second core gains
 _MIN_CHUNK_RAYS = 4096
+# and into more where one would exceed this many rays, which bounds the
+# memory a whole scene's call holds at once; on a 96x128x12 scene this was as
+# fast as 16,384 or two chunks, with less memory (>= 2 * _MIN_CHUNK_RAYS)
+_MAX_CHUNK_RAYS = 8192
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 _CAMERA_PATHS = ("orbit", "linear", "random-smooth")
@@ -142,13 +150,13 @@ class HeightField:
         """(hi, ok) of intersect's bisection, with crossing_beyond's extra stop
         rule where thr is given; hi is meaningful only where ok.
 
-        A call of at least 2 * _MIN_CHUNK_RAYS rays is split into contiguous
-        chunks, at most one per core, that are bisected concurrently and
-        joined in ray order; wherever ok, hi equals one serial call's (see
-        the module note).
+        A call is split into contiguous chunks, one per core when each gets
+        at least _MIN_CHUNK_RAYS rays and more where one would exceed
+        _MAX_CHUNK_RAYS, that are bisected concurrently and joined in ray
+        order; wherever ok, hi equals one serial call's (see the module note).
         """
         n = len(dirs)
-        k = min(_CORES, n // _MIN_CHUNK_RAYS)
+        k = max(min(_CORES, n // _MIN_CHUNK_RAYS), -(-n // _MAX_CHUNK_RAYS))
         if k <= 1:
             return self._bisect_chunk(origins, dirs, thr)
         edges = [c * n // k for c in range(k + 1)]
@@ -398,7 +406,18 @@ def _raycast(
     frame: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nearest surface along each ray: (t, surface_id, hit)."""
-    t_best, hit_best = background.intersect(origins, dirs)
+    return _nearest_surface(seq_objects, background.intersect(origins, dirs), origins, dirs, frame)
+
+
+def _nearest_surface(
+    seq_objects: list[SceneObject],
+    backdrop: tuple[np.ndarray, np.ndarray],
+    origins: np.ndarray,
+    dirs: np.ndarray,
+    frame: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_raycast given the rays' backdrop crossing (t, ok) from HeightField.intersect."""
+    t_best, hit_best = backdrop
     t_best = np.where(hit_best, t_best, np.inf)
     id_best = np.where(hit_best, -1, -2)
     for k, obj in enumerate(seq_objects):
@@ -543,9 +562,15 @@ def assemble_scene(
     hit_id = np.full((config.frame_count, h, w), -2, dtype=np.int32)
     hit_valid = np.zeros((config.frame_count, h, w), dtype=bool)
     depths = []
-    for t, pose in enumerate(poses):
-        origins, dirs = _frame_rays(pose, _camera_dirs(intrinsics[t], pix))
-        tpar, sid, hit = _raycast(objects, background, origins, dirs, t)
+    # one backdrop bisection for every frame's rays; objects hit per frame
+    d_cam = _camera_dirs(k, pix)
+    all_dirs = np.concatenate([d_cam @ pose.rotation for pose in poses])
+    all_origins = np.repeat([pose.center for pose in poses], h * w, axis=0)
+    t_bg, ok_bg = background.intersect(all_origins, all_dirs)
+    for t in range(config.frame_count):
+        f = slice(t * h * w, (t + 1) * h * w)
+        origins, dirs = all_origins[f], all_dirs[f]
+        tpar, sid, hit = _nearest_surface(objects, (t_bg[f], ok_bg[f]), origins, dirs, t)
         hit = hit.reshape(h, w)
         depths.append(DepthMap(np.where(hit, tpar.reshape(h, w), 0.0), hit))
         world = (origins + tpar[:, None] * dirs).reshape(h, w, 3)

@@ -299,6 +299,39 @@ def test_out_is_created_before_any_work(tmp_path, scene_dir, monkeypatch):
             "NotADirectoryError", "FileExistsError"), argv
 
 
+@pytest.mark.parametrize("argv", [
+    ("track", "--window", 4, "--overlap", 9),
+    ("track", "--window", 4),  # the default overlap 4 is not < 4
+    ("ablate", "--overlap", 6),  # fine at window 12, not at window 6
+    ("ablate", "--overlap", 20),
+], ids=["track-overlap-9", "track-default-overlap", "ablate-overlap-6", "ablate-overlap-20"])
+def test_overlap_not_below_window_fails_before_work(tmp_path, scene_dir, monkeypatch, argv):
+    import pointmatch.io
+
+    def no_work(path):
+        raise AssertionError("the command loaded a scene before checking its windows")
+
+    monkeypatch.setattr(pointmatch.io, "load_scene", no_work)
+    command, *flags = argv
+    code, out = run_cli_captured(command, scene_dir, *flags, "--out", tmp_path / "out")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == "ValueError"
+    assert "overlap" in err["message"]
+
+
+def test_pairwise_window_still_clamps_its_overlap(tmp_path, scene_dir):
+    out = tmp_path / "tr"
+    assert run_cli("track", scene_dir, "--out", out, "--window", 1, "--overlap", 9) == 0
+    meta = load_json(out / "meta.json")
+    assert (meta["window"], meta["overlap"]) == (2, 1)
+    table = tmp_path / "ablation.json"
+    assert run_cli("ablate", scene_dir, "--out", table) == 0
+    assert set(load_json(table)["windows"]) == {"1", "6", "12"}
+
+
 def _scene_meta_is_a_list(tmp_path, scene_dir):
     root = tmp_path / "scene"
     shutil.copytree(scene_dir, root)

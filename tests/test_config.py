@@ -69,6 +69,14 @@ def test_effective_window_pairwise_mode():
     assert RunConfig(window=12, overlap=4).effective_window() == (12, 4)
 
 
+def test_effective_window_rejects_overlap_not_below_window():
+    for window, overlap in [(4, 9), (4, 4), (2, 2)]:
+        with pytest.raises(ValueError, match="overlap"):
+            RunConfig(window=window, overlap=overlap).effective_window()
+    assert RunConfig(window=2, overlap=1).effective_window() == (2, 1)
+    assert RunConfig(window=1, overlap=9).effective_window() == (2, 1)
+
+
 def test_updated_keeps_original():
     base = RunConfig()
     new = base.updated({"seed": 9, "jitter": 0.2})

@@ -14,13 +14,15 @@ def _load_tool():
 def test_digest_listing_is_reproducible(tmp_path):
     tool = _load_tool()
     sizes = ((16, 20, 5),)
-    first = tool.run_all(tmp_path / "a", sizes)
-    second = tool.run_all(tmp_path / "b", sizes)
+    ablations = ((sizes[0], sizes[0]),)
+    first = tool.run_all(tmp_path / "a", sizes, ablations)
+    second = tool.run_all(tmp_path / "b", sizes, ablations)
     assert first == second
     paths = [line.split("  ", 1)[1] for line in first]
     assert paths == sorted(paths)
     # every command left its output in the listing
-    tops = {p.split("/")[1] for p in paths}
+    assert "ablate/s16x20x5+s16x20x5.json" in paths
+    tops = {p.split("/")[1] for p in paths if p.startswith("s16x20x5/")}
     assert tops == {"config.json", "scene", "depth", "track", "track-jitter", "recon",
                     "align", "align-jitter", "eval", "ablate.json"}
     assert {p for p in paths if "/eval/" in p} == {

@@ -230,6 +230,78 @@ def test_tasks_render_only_the_heads_they_read(seq, monkeypatch):
     assert built["rigid"] == edges
 
 
+def _count_renders(monkeypatch):
+    """(view1, view2, kind) of every matched and rigid map built, in order."""
+    built = []
+
+    def counting(kind, fn):
+        def wrapper(s, i, j):
+            built.append((i, j, kind))
+            return fn(s, i, j)
+        return wrapper
+
+    monkeypatch.setattr(pipelines, "gt_pointmap_matching",
+                        counting("matched", gt_pointmap_matching))
+    monkeypatch.setattr(pipelines, "gt_rigid_pointmap", counting("rigid", gt_rigid_pointmap))
+    return built
+
+
+def test_predictor_renders_each_head_once(seq, monkeypatch):
+    built = _count_renders(monkeypatch)
+    oracle = OraclePredictor(seq, sigma_point=0.01, sigma_scale=0.05, seed=2)
+    reads = 0
+    for _ in range(3):
+        for pair in [(3, 1), (1, 3), (2, 2)]:
+            pred = oracle.predict(*pair)
+            pred.x_ji_matched, pred.x_ji, pred.conf_ji, pred.x_ii
+            reads += 2
+    # windows of every length start at frame 0 and so share its pairs
+    for window, overlap in [(4, 1), (6, 2), (3, 1), (2, 0)]:
+        for mode in ("matched", "rigid"):
+            track_3d(seq, oracle, seq.tracks.query_pixels, window=window, overlap=overlap,
+                     mode=mode)
+            reads += sum(min(window, seq.frame_count - s)
+                         for s in window_starts(seq.frame_count, window, overlap))
+    assert len(built) == len(set(built))
+    assert reads > 2 * len(built)  # most reads were repeats
+
+
+def _held_bytes(oracle):
+    return sum(pm.points.nbytes + pm.valid.nbytes + (0 if conf is None else conf.values.nbytes)
+               for (pm, conf), _ in oracle._memo.values())
+
+
+def _arrays(head):
+    return [head.values] if isinstance(head, ConfidenceMap) else [head.points, head.valid]
+
+
+def test_memo_evicts_to_its_budget_and_rerenders_identically(seq, monkeypatch):
+    budget = 25_000  # two or three 16x20 heads
+    monkeypatch.setattr(pipelines, "_HEAD_MEMO_BYTES", budget)
+    kw = dict(sigma_point=0.01, sigma_scale=0.05, seed=4, confidence_mode="noise")
+    rng = np.random.default_rng(0)
+    names = ["x_ii", "conf_ii", "x_ji", "conf_ji", "x_ji_matched"]
+    reads = []
+    for _ in range(60):
+        i, j = (int(v) for v in rng.integers(0, 3, size=2))
+        reads.append((i, j, names[int(rng.integers(0, 5))]))
+        reads.append(reads[-1])  # an immediate repeat always hits
+    # each read's reference comes from a predictor that never read anything else
+    want = [_arrays(getattr(OraclePredictor(seq, **kw).predict(i, j), name))
+            for i, j, name in reads]
+
+    built = _count_renders(monkeypatch)
+    oracle = OraclePredictor(seq, **kw)
+    for (i, j, name), ref in zip(reads, want):
+        got = _arrays(getattr(oracle.predict(i, j), name))
+        for a, b in zip(got, ref):
+            npt.assert_array_equal(a, b, err_msg=f"{name} of {(i, j)}")
+        assert 0 < _held_bytes(oracle) <= budget
+        assert oracle._memo_bytes == _held_bytes(oracle)
+    assert len(built) > len(set(built))  # evicted heads were rendered again
+    assert len(built) < len(reads)  # and the repeats hit
+
+
 def test_video_depth_noiseless_matches_gt(seq, oracle):
     depths = video_depth(seq, oracle)
     assert len(depths) == seq.frame_count

@@ -411,6 +411,56 @@ def test_chunked_bisection_matches_serial(path, objects, seed, h, w, cores):
             npt.assert_array_equal(got_beyond[want_ok], want_beyond[want_ok])
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["orbit", "linear", "random-smooth"]),
+    st.integers(0, 5),
+    st.integers(0, 2**32 - 1),
+    st.integers(4, 16),
+    st.integers(4, 20),
+    st.integers(1, 3),
+    st.sampled_from([2, 3]),
+    st.sampled_from([4, 7, 12]),
+)
+def test_batched_scene_raycast_matches_per_frame(path, objects, seed, h, w, frames, cores,
+                                                 chunks):
+    cfg = SceneConfig(seed=seed, frame_count=frames, height=h, width=w, object_count=objects,
+                      camera_path=path, camera_magnitude=0.05, track_count=0)
+    rays = frames * h * w
+    max_chunk = max(4, rays // chunks)  # at least 2 * _MIN_CHUNK_RAYS
+    counted = _CountingPool(scenes._pool())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenes, "_MIN_CHUNK_RAYS", 2)
+        mp.setattr(scenes, "_MAX_CHUNK_RAYS", max_chunk)
+        mp.setattr(scenes, "_CORES", cores)
+        mp.setattr(scenes, "_pool", lambda: counted)
+        s = generate_scene(cfg)
+    # one call split into more chunks than cores: every chunk but the first submitted
+    split = -(-rays // max_chunk)
+    assert split > cores
+    assert counted.submits == split - 1
+
+    # reference: each frame's rays through _raycast, serially
+    ys, xs = np.mgrid[0:h, 0:w]
+    k = s.intrinsics[0]
+    d_cam = np.stack([(xs.ravel() - k.cx) / k.fx, (ys.ravel() - k.cy) / k.fy,
+                      np.ones(h * w)], axis=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenes, "_CORES", 1)
+        mp.setattr(scenes, "_pool", _no_pool)
+        for t, pose in enumerate(s.poses):
+            dirs = d_cam @ pose.rotation
+            origins = np.broadcast_to(pose.center, dirs.shape)
+            tpar, sid, hit = _raycast(s.objects, s.background, origins, dirs, t)
+            hit = hit.reshape(h, w)
+            world = (origins + tpar[:, None] * dirs).reshape(h, w, 3)
+            npt.assert_array_equal(s.depths[t].depth, np.where(hit, tpar.reshape(h, w), 0.0))
+            npt.assert_array_equal(s.depths[t].valid, hit)
+            npt.assert_array_equal(s.hit_world[t], np.where(hit[..., None], world, 0.0))
+            npt.assert_array_equal(s.hit_id[t], sid.reshape(h, w))
+            npt.assert_array_equal(s.hit_valid[t], hit)
+
+
 def _intersect_matches(bg, origins, dirs, want):
     got, ok = bg.intersect(origins, dirs)
     if not np.array_equal(got[ok], want[ok]):

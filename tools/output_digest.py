@@ -8,8 +8,10 @@ OUTDIR must be empty or absent. For each scene size (24x32x6, 48x64x12 and
 96x128x12, seed 0) the script synthesizes a scene under OUTDIR and runs
 `depth --noise`, `track --noise` (also with `--jitter`), `recon`, `align`
 (also with `--jitter --noise --no-use-dynamic-mask`), the three `eval`s and
-`ablate` on it. It then prints one `sha256  path` line per file under OUTDIR,
-sorted by path. Commands run with OUTDIR as the working directory and
+`ablate` on it. It then runs one two-scene `ablate` (the 48x64x12 scene, then
+the 24x32x6 one), whose predictors meet the same pair at several window
+lengths. It prints one `sha256  path` line per file under OUTDIR, sorted by
+path. Commands run with OUTDIR as the working directory and
 relative paths, so the listing does not depend on where OUTDIR is.
 
 The CLI is deterministic, so two trees that compute the same outputs print the
@@ -35,12 +37,18 @@ from pointmatch import cli  # noqa: E402
 
 # (height, width, frame_count) of each scene
 SIZES = ((24, 32, 6), (48, 64, 12), (96, 128, 12))
+# the scenes of each multi-scene ablate, by size, in argument order
+ABLATIONS = (((48, 64, 12), (24, 32, 6)),)
 NOISE = ("--noise", "0.01")
 JITTER = ("--jitter", "0.05")
 
 
 class CommandFailed(RuntimeError):
     pass
+
+
+def scene_name(h: int, w: int, t: int) -> str:
+    return f"s{h}x{w}x{t}"
 
 
 def scene_commands(name: str) -> list[list[str]]:
@@ -62,8 +70,16 @@ def scene_commands(name: str) -> list[list[str]]:
     ]
 
 
-def run_all(outdir, sizes=SIZES) -> list[str]:
-    """Run every scene's commands under outdir; return the sorted listing.
+def ablation_command(sizes) -> list[str]:
+    """CLI argument list of one ablate over the scenes of the given sizes."""
+    names = [scene_name(*size) for size in sizes]
+    out = f"ablate/{'+'.join(names)}.json"
+    return ["ablate", *(f"{name}/scene" for name in names), *NOISE, "--out", out]
+
+
+def run_all(outdir, sizes=SIZES, ablations=ABLATIONS) -> list[str]:
+    """Run every scene's commands, then each multi-scene ablate (its scenes'
+    sizes must be in sizes), under outdir; return the sorted listing.
 
     Raises ValueError if outdir is not empty, and CommandFailed at the first
     command that exits nonzero.
@@ -76,19 +92,26 @@ def run_all(outdir, sizes=SIZES) -> list[str]:
     os.chdir(root)
     try:
         for h, w, t in sizes:
-            name = f"s{h}x{w}x{t}"
+            name = scene_name(h, w, t)
             Path(name).mkdir()
             cfg = {"height": h, "width": w, "frame_count": t}
             Path(name, "config.json").write_text(json.dumps(cfg, sort_keys=True) + "\n")
             for argv in scene_commands(name):
-                stdout = io.StringIO()  # the CLI prints its error line there
-                with contextlib.redirect_stdout(stdout):
-                    code = cli.main(argv)
-                if code != 0:
-                    raise CommandFailed(f"{' '.join(argv)}: {stdout.getvalue().strip()}")
+                run(argv)
+        for scenes in ablations:
+            run(ablation_command(scenes))
     finally:
         os.chdir(cwd)
     return listing(root)
+
+
+def run(argv: list[str]) -> None:
+    """Run one CLI command; CommandFailed with its error line if it fails."""
+    stdout = io.StringIO()  # the CLI prints its error line there
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    if code != 0:
+        raise CommandFailed(f"{' '.join(argv)}: {stdout.getvalue().strip()}")
 
 
 def listing(root: Path) -> list[str]:
