@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, EmptyDomainError
+from .errors import DivergenceError, EmptyDomainError, check_finite
 from .geometry import EPS_Z, Intrinsics, Pointmap, Pose, project_points
 from .matching import DynamicMask, dynamic_mask
 from .metrics import umeyama
@@ -223,6 +223,7 @@ class AlignmentOptions:
     init: str = "pairwise"  # or "identity"
 
     def __post_init__(self):
+        check_finite(tol=self.tol, lambda_2d=self.lambda_2d)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not self.tol > 0:

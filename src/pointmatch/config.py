@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .alignment import AlignmentOptions
+from .errors import check_finite
 from .scenes import SceneConfig
 
 
@@ -43,6 +44,7 @@ class RunConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
+        check_finite(noise=self.noise, jitter=self.jitter)
         if self.noise < 0 or self.jitter < 0:
             raise ValueError("noise and jitter must be >= 0")
         if self.window < 1:

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types and argument checks shared across the package."""
+
+import math
+
+
+def check_finite(**values) -> None:
+    """ValueError naming the first of the given numbers that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 class EmptyDomainError(ValueError):

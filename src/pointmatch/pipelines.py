@@ -16,7 +16,11 @@ on which heads were read or in what order. The predictor memoizes its heads
 by (view1, view2, role), up to _HEAD_MEMO_BYTES of maps with the least
 recently used evicted first, so windows of different lengths that read the
 same pair render it once; a re-rendered head is bit-identical by the same
-per-stream argument. Long sequences are processed in overlapping windows and
+per-stream argument. read_heads reads one head of many predictions at once:
+the matched heads the memo lacks render together, in batches of at most
+_CORES * _MAX_CHUNK_RAYS rays (16,384 on two cores), each one visibility
+call whose chunks fill the cores, and track_3d reads every window's maps in
+one such read. Long sequences are processed in overlapping windows and
 stitched: scales harmonized by a median norm ratio over overlap frames,
 later windows win on overlap, and queries re-seed at each new window's
 keyframe by rounding projected track positions to the nearest pixel.
@@ -30,6 +34,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from .errors import check_finite
 from .geometry import (
     ConfidenceMap,
     DepthMap,
@@ -39,12 +44,20 @@ from .geometry import (
     unproject,
 )
 from .matching import sparsify_tracks
-from .scenes import SceneSequence, gt_pointmap_matching, gt_rigid_pointmap
+from .scenes import (
+    _CORES,
+    _MAX_CHUNK_RAYS,
+    SceneSequence,
+    gt_pointmap_matching,
+    gt_pointmap_matchings,
+    gt_rigid_pointmap,
+)
 
 DEFAULT_WINDOW = 12
 DEFAULT_OVERLAP = 4
 
 _ROLE_EGO, _ROLE_RIGID, _ROLE_MATCHED, _ROLE_JITTER = 1, 2, 3, 9
+_HEAD_ROLES = {"x_ii": _ROLE_EGO, "x_ji": _ROLE_RIGID, "x_ji_matched": _ROLE_MATCHED}
 # bytes of rendered heads a predictor keeps: about 30 heads at 48x64, where
 # an ablation pass needs 2.25 MiB to keep every repeat
 _HEAD_MEMO_BYTES = 3 << 20
@@ -68,6 +81,12 @@ class Predictor(Protocol):
 
     def predict(self, view1: int, view2: int) -> PairPrediction: ...
 
+    def read_heads(self, preds: Sequence[PairPrediction], head: str) -> list[Pointmap]:
+        """getattr(p, head) for each of preds, predictions this predictor made;
+        head is "x_ii", "x_ji" or "x_ji_matched". A predictor may compute the
+        maps together."""
+        ...
+
 
 class OraclePredictor:
     """Scene-backed predictor with optional noise and per-pair scale jitter.
@@ -90,6 +109,7 @@ class OraclePredictor:
         seed: int = 0,
         confidence_mode: str = "uniform",
     ):
+        check_finite(sigma_point=sigma_point, sigma_scale=sigma_scale)
         if sigma_point < 0 or sigma_scale < 0:
             raise ValueError("noise magnitudes must be >= 0")
         if confidence_mode not in ("uniform", "noise"):
@@ -134,7 +154,11 @@ class OraclePredictor:
         if key in self._memo:
             self._memo.move_to_end(key)
             return self._memo[key][0]
-        head = self._render(view1, view2, role)
+        return self._remember(key, self._render(view1, view2, role))
+
+    def _remember(self, key, head: tuple[Pointmap, ConfidenceMap | None]):
+        """Put a rendered head into the memo, evicting the least recently read
+        heads beyond _HEAD_MEMO_BYTES; returns the head."""
         size = head[0].points.nbytes + head[0].valid.nbytes
         size += 0 if head[1] is None else head[1].values.nbytes
         self._memo[key] = head, size
@@ -151,6 +175,11 @@ class OraclePredictor:
             pm = gt_rigid_pointmap(seq, view1, view2)
         else:
             pm = gt_pointmap_matching(seq, view1, view2)
+        return self._finish(pm, view1, view2, role)
+
+    def _finish(self, pm: Pointmap, view1: int, view2: int, role: int):
+        """A head from its ground-truth map: noise, the pair's scale, and no
+        confidence for the matched head."""
         pm, conf = self._perturb(pm, view1, view2, role)
         if self.sigma_scale > 0:
             f = float(np.exp(self._rng(view1, view2, _ROLE_JITTER).normal() * self.sigma_scale))
@@ -159,6 +188,32 @@ class OraclePredictor:
 
     def predict(self, view1: int, view2: int) -> PairPrediction:
         return _OraclePair(self, view1, view2)
+
+    def read_heads(self, preds: Sequence[PairPrediction], head: str) -> list[Pointmap]:
+        """getattr(p, head) for each of preds, predictions this predictor made.
+
+        The memo's heads come from the memo. The matched heads it lacks are
+        rendered in batches of at most _CORES * _MAX_CHUNK_RAYS rays (one
+        head per batch where a head alone is larger), one visibility call
+        per batch, so a batch's chunks keep every core busy; each enters the
+        memo. The maps are returned from the read itself, so a read larger
+        than the memo renders no head twice.
+        """
+        if head not in _HEAD_ROLES:
+            raise ValueError(f"head must be one of {tuple(_HEAD_ROLES)}")
+        role = _HEAD_ROLES[head]
+        pairs = [p.frames for p in preds]
+        if role != _ROLE_MATCHED:
+            return [self._head(*pair, role)[0] for pair in pairs]
+        maps = {pair: self._head(*pair, role)[0] for pair in pairs if (*pair, role) in self._memo}
+        missing = list(dict.fromkeys(pair for pair in pairs if pair not in maps))
+        h, w = self.seq.resolution
+        step = max(1, _CORES * _MAX_CHUNK_RAYS // (h * w))
+        for b in range(0, len(missing), step):
+            batch = missing[b:b + step]
+            for (i, j), pm in zip(batch, gt_pointmap_matchings(self.seq, batch)):
+                maps[i, j] = self._remember((i, j, role), self._finish(pm, i, j, role))[0]
+        return [maps[pair] for pair in pairs]
 
 
 class _OraclePair(PairPrediction):
@@ -280,13 +335,15 @@ def track_3d(
     scales: list[float] = []
     prev_end = 0
 
-    for wi, start in enumerate(starts):
-        plan = plan_pairs("tracking", range(start, min(start + window, length)))
+    # every window's maps are read up front, in one read: they do not depend
+    # on where the queries land
+    plans = [plan_pairs("tracking", range(s, min(s + window, length))) for s in starts]
+    preds = [predictor.predict(*pair) for plan in plans for pair in plan.pairs]
+    all_maps = predictor.read_heads(preds, "x_ji_matched" if mode == "matched" else "x_ji")
+
+    for wi, plan in enumerate(plans):
         frames = list(plan.frames)
-        maps = []
-        for pair in plan.pairs:
-            pred = predictor.predict(*pair)
-            maps.append(pred.x_ji_matched if mode == "matched" else pred.x_ji)
+        maps, all_maps = all_maps[:len(frames)], all_maps[len(frames):]
         safe_pix = np.where(alive[:, None], cur_pix, 0)
         tr_w, va_w = sparsify_tracks(maps, safe_pix)
         va_w &= alive[:, None]

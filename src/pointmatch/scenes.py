@@ -9,11 +9,15 @@ instead of from a mesh rasterizer.
 Design notes that matter for exactness:
   - ray directions are z-normalized in the camera frame, so the ray parameter
     equals camera depth;
-  - every ground-truth observation runs through one kernel, _observe: world
-    points -> frame-i camera points, pixels and visibility (in view and the
-    first surface along the camera ray). The matching map feeds it
-    W_j + span * v, the tracks feed it each query's W_q + span * v, so a
-    track and the matching map agree wherever they see the same point;
+  - every ground-truth observation runs through one kernel, _observe: groups
+    of (frame i, world points) -> per group frame-i camera points, pixels and
+    visibility (in view and the first surface along the camera ray). The
+    matching map feeds it W_j + span * v, the tracks feed it each query's
+    W_q + span * v, so a track and the matching map agree wherever they see
+    the same point. One call bisects the backdrop once for all its groups'
+    rays (gt_pointmap_matchings renders many pairs, build_tracks every frame,
+    gt_pointmap_matching is a group of one); only the analytic object hits
+    run per group;
   - the rigid map is P_i(W_j). Static pixels have v = 0, so W_j + span * v
     is W_j bit for bit there and the two maps' residuals are exactly zero;
   - the backdrop is bisected with two stop rules. A depth raycast
@@ -24,7 +28,10 @@ Design notes that matter for exactness:
     shrink, so that side is the side of the fixed point, and visibility is
     the same boolean a full refinement gives;
   - assemble_scene bisects the backdrop once per scene, for every frame's
-    pixel rays together; only the analytic object hits run per frame;
+    pixel rays together; only the analytic object hits run per frame. A
+    bisection of several groups takes one origin per group (a camera center)
+    and expands it to rows one chunk at a time, so no call holds a row per
+    ray for its origins;
   - a bisection is split into contiguous chunks: one per core the process
     may run on once each gets at least _MIN_CHUNK_RAYS rays, and more where
     a chunk would exceed _MAX_CHUNK_RAYS, so a whole scene's rays become
@@ -33,11 +40,12 @@ Design notes that matter for exactness:
     is exact on every valid ray: its brackets depend only on that ray, and
     both stop rules are per ray (a bracket that stops moving is a fixed
     point, a decided visibility bracket stays decided), so a chunk that
-    stops before the others, or holds rays of other frames, returns the
-    same values. The one step that is not elementwise is height's two small
-    matrix products; BLAS gives each row the same value in any call of two
-    or more rows, but a one-row call takes another path that can differ in
-    the last bit, and both chunk bounds keep every chunk far above one row.
+    stops before the others, or holds rays of other frames or groups,
+    returns the same values. The one step that is not elementwise is
+    height's two small matrix products; BLAS gives each row the same value
+    in any call of two or more rows, but a one-row call takes another path
+    that can differ in the last bit, and both chunk bounds keep every chunk
+    far above one row.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyDomainError
+from .errors import EmptyDomainError, check_finite
 from .geometry import (
     DepthMap,
     Intrinsics,
@@ -88,6 +96,8 @@ class SceneConfig:
     track_count: int = 16
 
     def __post_init__(self):
+        check_finite(motion_magnitude=self.motion_magnitude,
+                     camera_magnitude=self.camera_magnitude)
         if self.frame_count < 1:
             raise ValueError("frame_count must be >= 1")
         if self.height < 4 or self.width < 4:
@@ -120,8 +130,14 @@ class HeightField:
         a = float(np.abs(self.amps).sum())
         return self.base - a, self.base + a
 
-    def intersect(self, origins: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def intersect(
+        self, origins: np.ndarray, dirs: np.ndarray, counts=None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """First crossing along each ray: (t, ok); dirs need not be normalized.
+
+        origins holds one row per ray or, given counts, one row per group of
+        rays: row g is the origin of the next counts[g] rays (a camera
+        center and the rays it casts).
 
         Assumes origins lie below the surface band (z < zmin) and rays point
         toward +z steeply enough that the crossing is unique; callers enforce
@@ -129,24 +145,24 @@ class HeightField:
         ray's bracket moves: a bracket that stops moving is a fixed point, so
         t equals what any longer run would return.
         """
-        return self._bisect(origins, dirs, None)
+        return self._bisect(origins, dirs, None, counts)
 
     def crossing_beyond(
-        self, origins: np.ndarray, dirs: np.ndarray, thr: np.ndarray
+        self, origins: np.ndarray, dirs: np.ndarray, thr: np.ndarray, counts=None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Whether each ray's first crossing t satisfies t >= thr: (beyond, ok).
 
-        Same crossing and contract as intersect, but bisection also stops
-        once every valid ray's bracket lies on one side of its threshold.
-        The answer is exact: lo only rises and hi only falls with lo <= hi,
-        so a bracket with lo >= thr ends with t >= thr, one with hi < thr
-        ends with t < thr, and a straddling bracket that no longer moves is
-        already at intersect's fixed point.
+        Same crossing, origins and contract as intersect, but bisection also
+        stops once every valid ray's bracket lies on one side of its
+        threshold. The answer is exact: lo only rises and hi only falls with
+        lo <= hi, so a bracket with lo >= thr ends with t >= thr, one with
+        hi < thr ends with t < thr, and a straddling bracket that no longer
+        moves is already at intersect's fixed point.
         """
-        hi, ok = self._bisect(origins, dirs, thr)
+        hi, ok = self._bisect(origins, dirs, thr, counts)
         return hi >= thr, ok
 
-    def _bisect(self, origins, dirs, thr):
+    def _bisect(self, origins, dirs, thr, counts):
         """(hi, ok) of intersect's bisection, with crossing_beyond's extra stop
         rule where thr is given; hi is meaningful only where ok.
 
@@ -154,20 +170,28 @@ class HeightField:
         at least _MIN_CHUNK_RAYS rays and more where one would exceed
         _MAX_CHUNK_RAYS, that are bisected concurrently and joined in ray
         order; wherever ok, hi equals one serial call's (see the module note).
+        Grouped origins are expanded to rows one chunk at a time.
         """
         n = len(dirs)
+        bounds = None if counts is None else np.cumsum([0, *counts])
+
+        def rows(a, b):
+            if bounds is None:
+                return origins[a:b]
+            held = np.clip(bounds[1:], a, b) - np.clip(bounds[:-1], a, b)
+            return np.repeat(origins, held, axis=0)
+
+        def chunk(a, b):
+            return self._bisect_chunk(rows(a, b), dirs[a:b], None if thr is None else thr[a:b])
+
         k = max(min(_CORES, n // _MIN_CHUNK_RAYS), -(-n // _MAX_CHUNK_RAYS))
         if k <= 1:
-            return self._bisect_chunk(origins, dirs, thr)
+            return chunk(0, n)
         edges = [c * n // k for c in range(k + 1)]
-        parts = [
-            (origins[a:b], dirs[a:b], None if thr is None else thr[a:b])
-            for a, b in zip(edges[:-1], edges[1:])
-        ]
         # this thread bisects the first chunk while the pool runs the rest
         pool = _pool()
-        futures = [pool.submit(self._bisect_chunk, *part) for part in parts[1:]]
-        results = [self._bisect_chunk(*parts[0])] + [f.result() for f in futures]
+        futures = [pool.submit(chunk, a, b) for a, b in zip(edges[1:-1], edges[2:])]
+        results = [chunk(edges[0], edges[1])] + [f.result() for f in futures]
         hi, ok = zip(*results)
         return np.concatenate(hi), np.concatenate(ok)
 
@@ -458,25 +482,42 @@ def raycast_pixels(
     return pts, sid, hit
 
 
-def _visible_from(seq: SceneSequence, frame: int, world_pts: np.ndarray) -> np.ndarray:
-    """True where a world point is the first surface hit from the frame's camera."""
-    o = seq.poses[frame].center
-    delta = world_pts - o
-    dist = np.linalg.norm(delta, axis=-1)
-    ok = dist > _RAY_TMIN
-    safe = np.where(ok[..., None], delta, np.array([0.0, 0.0, 1.0]))
-    dirs = (safe / np.maximum(dist, _RAY_TMIN)[..., None]).reshape(-1, 3)
-    origins = np.broadcast_to(o, dirs.shape)
-    # the ray re-hits the queried surface at t == dist unless something is in
-    # front, so the point is visible when some surface is hit and none before thr
-    thr = dist.ravel() - _OCCLUSION_TOL
-    clear, hit = seq.background.crossing_beyond(origins, dirs, thr)
+def _visible_from(seq: SceneSequence, groups) -> list[np.ndarray]:
+    """For each (frame, world points (..., 3)) group: True where a point is the
+    first surface hit from the frame's camera. The backdrop is bisected once
+    for every group's rays; the objects are hit per group, at its frame."""
+    rays = []
+    for frame, world_pts in groups:
+        o = seq.poses[frame].center
+        delta = world_pts - o
+        dist = np.linalg.norm(delta, axis=-1)
+        ok = dist > _RAY_TMIN
+        safe = np.where(ok[..., None], delta, np.array([0.0, 0.0, 1.0]))
+        dirs = (safe / np.maximum(dist, _RAY_TMIN)[..., None]).reshape(-1, 3)
+        # the ray re-hits the queried surface at t == dist unless something is
+        # in front, so the point is visible when some surface is hit and none
+        # before thr
+        rays.append((frame, o, dirs, dist.ravel() - _OCCLUSION_TOL, ok))
+    if not rays:
+        return []
+    _, centers, group_dirs, thrs, _ = zip(*rays)
+    clear, hit = seq.background.crossing_beyond(
+        np.array(centers), np.concatenate(group_dirs), np.concatenate(thrs),
+        [len(d) for d in group_dirs],
+    )
     clear |= ~hit
-    for obj in seq.objects:
-        t_k, hit_k = obj.intersect(origins, dirs, frame)
-        hit |= hit_k
-        clear &= ~hit_k | (t_k >= thr)
-    return ok & (hit & clear).reshape(dist.shape)
+    visible, a = [], 0
+    for frame, o, dirs, thr, ok in rays:
+        b = a + len(dirs)
+        origins = np.broadcast_to(o, dirs.shape)
+        hit_g, clear_g = hit[a:b], clear[a:b]
+        for obj in seq.objects:
+            t_k, hit_k = obj.intersect(origins, dirs, frame)
+            hit_g = hit_g | hit_k
+            clear_g = clear_g & (~hit_k | (t_k >= thr))
+        visible.append(ok & (hit_g & clear_g).reshape(ok.shape))
+        a = b
+    return visible
 
 
 def _in_bounds(pix: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -486,19 +527,21 @@ def _in_bounds(pix: np.ndarray, height: int, width: int) -> np.ndarray:
     return (x > -0.5) & (x < width - 0.5) & (y > -0.5) & (y < height - 0.5)
 
 
-def _observe(
-    seq: SceneSequence, frame: int, world: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """World points (..., 3) seen from a frame: (camera points, pixels, visible).
+def _observe(seq: SceneSequence, groups) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each (frame, world points (..., 3)) group seen from its frame:
+    (camera points, pixels, visible).
 
     visible: in front of the camera, projecting inside the image, and the first
-    surface along the camera ray at that frame.
+    surface along the camera ray at that frame. All groups share one
+    visibility call.
     """
-    cam = seq.poses[frame].apply(world)
-    pix, in_front = project_points(cam, seq.intrinsics[frame])
     h, w = seq.resolution
-    visible = in_front & _in_bounds(pix, h, w) & _visible_from(seq, frame, world)
-    return cam, pix, visible
+    seen = []
+    for (frame, world), clear in zip(groups, _visible_from(seq, groups)):
+        cam = seq.poses[frame].apply(world)
+        pix, in_front = project_points(cam, seq.intrinsics[frame])
+        seen.append((cam, pix, in_front & _in_bounds(pix, h, w) & clear))
+    return seen
 
 
 def _velocities(seq: SceneSequence, surface_ids: np.ndarray) -> np.ndarray:
@@ -565,11 +608,12 @@ def assemble_scene(
     # one backdrop bisection for every frame's rays; objects hit per frame
     d_cam = _camera_dirs(k, pix)
     all_dirs = np.concatenate([d_cam @ pose.rotation for pose in poses])
-    all_origins = np.repeat([pose.center for pose in poses], h * w, axis=0)
-    t_bg, ok_bg = background.intersect(all_origins, all_dirs)
+    centers = np.array([pose.center for pose in poses])
+    t_bg, ok_bg = background.intersect(centers, all_dirs, [h * w] * config.frame_count)
     for t in range(config.frame_count):
         f = slice(t * h * w, (t + 1) * h * w)
-        origins, dirs = all_origins[f], all_dirs[f]
+        dirs = all_dirs[f]
+        origins = np.broadcast_to(centers[t], dirs.shape)
         tpar, sid, hit = _nearest_surface(objects, (t_bg[f], ok_bg[f]), origins, dirs, t)
         hit = hit.reshape(h, w)
         depths.append(DepthMap(np.where(hit, tpar.reshape(h, w), 0.0), hit))
@@ -627,7 +671,7 @@ def build_tracks(seq: SceneSequence, query_frames: np.ndarray, query_pixels: np.
     spans = np.arange(seq.frame_count, dtype=np.float64)[None, :] - qf[:, None]  # (Q, T)
     vel = _velocities(seq, seq.hit_id[qf, qy, qx])
     world = seq.hit_world[qf, qy, qx][:, None, :] + spans[..., None] * vel[:, None, :]
-    seen = [_observe(seq, t, world[:, t, :]) for t in range(seq.frame_count)]
+    seen = _observe(seq, [(t, world[:, t, :]) for t in range(seq.frame_count)])
     camera, pixels, visible = (np.stack(a, axis=1) for a in zip(*seen))
     pixels = np.where(visible[..., None], pixels, 0.0)
     return TrackSet(qf.copy(), qp.copy(), world, camera, pixels, visible)
@@ -640,11 +684,20 @@ def gt_pointmap_matching(seq: SceneSequence, i: int, j: int) -> Pointmap:
     frame j's pixel (x, y), after that point moved with its object. Pixels whose
     point is occluded or out of view at frame i are invalid.
     """
-    _check_frame(seq, i)
-    _check_frame(seq, j)
-    world = seq.hit_world[j] + float(i - j) * _velocities(seq, seq.hit_id[j])
-    cam, _, visible = _observe(seq, i, world)
-    return Pointmap(cam, seq.hit_valid[j] & visible)
+    return gt_pointmap_matchings(seq, [(i, j)])[0]
+
+
+def gt_pointmap_matchings(seq: SceneSequence, pairs) -> list[Pointmap]:
+    """gt_pointmap_matching of each (i, j) in pairs, with one visibility call
+    for all of them; each map is bit-identical to its own call's."""
+    groups, valid = [], []
+    for i, j in pairs:
+        _check_frame(seq, i)
+        _check_frame(seq, j)
+        groups.append((i, seq.hit_world[j] + float(i - j) * _velocities(seq, seq.hit_id[j])))
+        valid.append(seq.hit_valid[j])
+    return [Pointmap(cam, v & visible)
+            for (cam, _, visible), v in zip(_observe(seq, groups), valid)]
 
 
 def gt_rigid_pointmap(seq: SceneSequence, i: int, j: int) -> Pointmap:

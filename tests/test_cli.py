@@ -332,6 +332,40 @@ def test_pairwise_window_still_clamps_its_overlap(tmp_path, scene_dir):
     assert set(load_json(table)["windows"]) == {"1", "6", "12"}
 
 
+@pytest.mark.parametrize("argv,config", [
+    (("align", "--jitter", "nan"), None),
+    (("depth", "--noise", "nan"), None),
+    (("track", "--noise", "inf"), None),
+    (("synth",), {"motion_magnitude": float("inf")}),
+    (("synth",), {"camera_magnitude": float("nan")}),
+    (("align",), {"lambda_2d": float("nan")}),
+], ids=["align-jitter-nan", "depth-noise-nan", "track-noise-inf", "synth-motion-inf",
+        "synth-camera-nan", "align-lambda-nan"])
+def test_non_finite_floats_fail_before_work(tmp_path, scene_dir, monkeypatch, argv, config):
+    import pointmatch.cli
+    import pointmatch.io
+
+    def no_work(*args):
+        raise AssertionError("the command started work on a non-finite value")
+
+    monkeypatch.setattr(pointmatch.io, "load_scene", no_work)
+    monkeypatch.setattr(pointmatch.cli, "generate_scene", no_work)
+    command, *flags = argv
+    if command != "synth":
+        flags.insert(0, scene_dir)
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))  # NaN and Infinity, as Python's json reads them
+        flags += ["--config", path]
+    code, out = run_cli_captured(command, *flags, "--out", tmp_path / "out")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == "ValueError"
+    assert "must be finite" in err["message"]
+
+
 def _scene_meta_is_a_list(tmp_path, scene_dir):
     root = tmp_path / "scene"
     shutil.copytree(scene_dir, root)

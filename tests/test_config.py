@@ -82,3 +82,25 @@ def test_updated_keeps_original():
     new = base.updated({"seed": 9, "jitter": 0.2})
     assert base.seed == 0 and new.seed == 9
     assert new.jitter == 0.2
+
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_floats_are_rejected_at_construction(bad):
+    from pointmatch.alignment import AlignmentOptions
+    from pointmatch.pipelines import OraclePredictor
+    from pointmatch.scenes import SceneConfig
+
+    for name in ("noise", "jitter", "motion_magnitude", "camera_magnitude", "lambda_2d", "tol"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            RunConfig(**{name: bad})
+    for name in ("motion_magnitude", "camera_magnitude"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SceneConfig(**{name: bad})
+    for name in ("tol", "lambda_2d"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            AlignmentOptions(**{name: bad})
+    for name in ("sigma_point", "sigma_scale"):
+        # the check comes before the scene is used
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            OraclePredictor(None, **{name: bad})

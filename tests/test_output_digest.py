@@ -23,8 +23,8 @@ def test_digest_listing_is_reproducible(tmp_path):
     # every command left its output in the listing
     assert "ablate/s16x20x5+s16x20x5.json" in paths
     tops = {p.split("/")[1] for p in paths if p.startswith("s16x20x5/")}
-    assert tops == {"config.json", "scene", "depth", "track", "track-jitter", "recon",
-                    "align", "align-jitter", "eval", "ablate.json"}
+    assert tops == {"config.json", "scene", "depth", "track", "track-jitter", "track-windows",
+                    "recon", "align", "align-jitter", "eval", "ablate.json"}
     assert {p for p in paths if "/eval/" in p} == {
         f"s16x20x5/eval/{k}.json" for k in ("depth", "track", "traj")
     }

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from pointmatch import pipelines
+from pointmatch import pipelines, scenes
 from pointmatch.alignment import build_pair_graph
 from pointmatch.geometry import ConfidenceMap, Pointmap, unproject
 from pointmatch.metrics import apd
@@ -19,6 +19,7 @@ from pointmatch.scenes import (
     build_tracks,
     generate_scene,
     gt_pointmap_matching,
+    gt_pointmap_matchings,
     gt_rigid_pointmap,
 )
 
@@ -206,8 +207,13 @@ def test_tasks_render_only_the_heads_they_read(seq, monkeypatch):
             return fn(s, i, j)
         return wrapper
 
+    def counting_batch(s, pairs):
+        built["matched"].extend(pairs)
+        return gt_pointmap_matchings(s, pairs)
+
     monkeypatch.setattr(pipelines, "gt_pointmap_matching",
                         counting("matched", gt_pointmap_matching))
+    monkeypatch.setattr(pipelines, "gt_pointmap_matchings", counting_batch)
     monkeypatch.setattr(pipelines, "gt_rigid_pointmap", counting("rigid", gt_rigid_pointmap))
     oracle = OraclePredictor(seq, sigma_point=0.01, sigma_scale=0.05, seed=2)
 
@@ -231,7 +237,8 @@ def test_tasks_render_only_the_heads_they_read(seq, monkeypatch):
 
 
 def _count_renders(monkeypatch):
-    """(view1, view2, kind) of every matched and rigid map built, in order."""
+    """(view1, view2, kind) of every matched and rigid map built, in order;
+    a batched matched render counts each of its pairs."""
     built = []
 
     def counting(kind, fn):
@@ -240,8 +247,13 @@ def _count_renders(monkeypatch):
             return fn(s, i, j)
         return wrapper
 
+    def counting_batch(s, pairs):
+        built.extend((i, j, "matched") for i, j in pairs)
+        return gt_pointmap_matchings(s, pairs)
+
     monkeypatch.setattr(pipelines, "gt_pointmap_matching",
                         counting("matched", gt_pointmap_matching))
+    monkeypatch.setattr(pipelines, "gt_pointmap_matchings", counting_batch)
     monkeypatch.setattr(pipelines, "gt_rigid_pointmap", counting("rigid", gt_rigid_pointmap))
     return built
 
@@ -300,6 +312,92 @@ def test_memo_evicts_to_its_budget_and_rerenders_identically(seq, monkeypatch):
         assert oracle._memo_bytes == _held_bytes(oracle)
     assert len(built) > len(set(built))  # evicted heads were rendered again
     assert len(built) < len(reads)  # and the repeats hit
+
+
+class _PerPair:
+    """A predictor that reads each head of each pair on its own."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.frame_count = oracle.frame_count
+
+    def predict(self, view1, view2):
+        return self.oracle.predict(view1, view2)
+
+    def read_heads(self, preds, head):
+        return [getattr(p, head) for p in preds]
+
+
+def test_track_renders_missing_matched_heads_once_in_batches(seq, monkeypatch):
+    batches, visibility = [], []
+
+    def counting_batch(s, pairs):
+        batches.append(list(pairs))
+        return gt_pointmap_matchings(s, pairs)
+
+    crossing_beyond = scenes.HeightField.crossing_beyond
+
+    def counting_visibility(field, *args):
+        visibility.append(len(args[1]))
+        return crossing_beyond(field, *args)
+
+    monkeypatch.setattr(pipelines, "gt_pointmap_matchings", counting_batch)
+    monkeypatch.setattr(scenes.HeightField, "crossing_beyond", counting_visibility)
+    # two 16x20 heads a batch
+    monkeypatch.setattr(pipelines, "_CORES", 2)
+    monkeypatch.setattr(pipelines, "_MAX_CHUNK_RAYS", 400)
+    kw = dict(sigma_point=0.01, sigma_scale=0.05, seed=2)
+    oracle = OraclePredictor(seq, **kw)
+    oracle.predict(1, 0).x_ji_matched  # one head the memo holds before tracking
+    visibility.clear()
+
+    queries = seq.tracks.query_pixels
+    res = track_3d(seq, oracle, queries, window=4, overlap=1)
+    starts = window_starts(seq.frame_count, 4, 1)
+    assert len(starts) > 1
+    pairs = [pair for s in starts
+             for pair in plan_pairs("tracking", range(s, min(s + 4, seq.frame_count))).pairs]
+    missing = [pair for pair in pairs if pair != (1, 0)]
+    assert [pair for batch in batches for pair in batch] == missing
+    assert [len(batch) for batch in batches] == [2, 2, 2, 1]
+    assert visibility == [2 * 320, 2 * 320, 2 * 320, 320]  # one call per batch
+
+    want = track_3d(seq, _PerPair(OraclePredictor(seq, **kw)), queries, window=4, overlap=1)
+    npt.assert_array_equal(res.tracks, want.tracks)
+    npt.assert_array_equal(res.valid, want.valid)
+    assert res.scales == want.scales and res.starts == want.starts
+
+    batches.clear()
+    track_3d(seq, oracle, queries, window=4, overlap=1)
+    assert batches == []  # every head now comes from the memo
+
+
+def test_read_larger_than_the_memo_renders_each_head_once(seq, monkeypatch):
+    batches = []
+
+    def counting_batch(s, pairs):
+        batches.append(list(pairs))
+        return gt_pointmap_matchings(s, pairs)
+
+    monkeypatch.setattr(pipelines, "gt_pointmap_matchings", counting_batch)
+    budget = 25_000  # two or three 16x20 heads
+    monkeypatch.setattr(pipelines, "_HEAD_MEMO_BYTES", budget)
+    kw = dict(sigma_point=0.01, sigma_scale=0.05, seed=4)
+    oracle = OraclePredictor(seq, **kw)
+    pairs = [(i, j) for i in range(seq.frame_count) for j in range(3)]
+    maps = oracle.read_heads([oracle.predict(*pair) for pair in pairs], "x_ji_matched")
+    assert sorted(pair for batch in batches for pair in batch) == sorted(pairs)
+    assert len(batches) == 1  # 18 heads of 320 rays fit one batch
+    assert 0 < _held_bytes(oracle) <= budget < sum(m.points.nbytes for m in maps)
+    for (i, j), got in zip(pairs, maps):
+        want = OraclePredictor(seq, **kw).predict(i, j).x_ji_matched
+        npt.assert_array_equal(got.points, want.points, err_msg=f"pair {(i, j)}")
+        npt.assert_array_equal(got.valid, want.valid, err_msg=f"pair {(i, j)}")
+    rigid = oracle.read_heads([oracle.predict(*pair) for pair in pairs[:4]], "x_ji")
+    for (i, j), got in zip(pairs, rigid):
+        npt.assert_array_equal(got.points, OraclePredictor(seq, **kw).predict(i, j).x_ji.points)
+    with pytest.raises(ValueError, match="head"):
+        oracle.read_heads([oracle.predict(0, 0)], "conf_ii")
 
 
 def test_video_depth_noiseless_matches_gt(seq, oracle):

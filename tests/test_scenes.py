@@ -21,6 +21,7 @@ from pointmatch.scenes import (
     dynamic_pixel_fraction,
     generate_scene,
     gt_pointmap_matching,
+    gt_pointmap_matchings,
     gt_rigid_pointmap,
     raycast_pixels,
 )
@@ -333,9 +334,9 @@ def test_early_visibility_matches_full_refinement(path, objects, seed, h, w):
         for i in range(s.frame_count):
             # frame j's hit points, moved with their objects to frame i's time
             world = s.hit_world[j] + float(i - j) * vel
-            npt.assert_array_equal(_visible_from(s, i, world), _visible_full(s, i, world))
+            npt.assert_array_equal(_visible_from(s, [(i, world)])[0], _visible_full(s, i, world))
         near = _nudged_to_threshold(s, j)
-        npt.assert_array_equal(_visible_from(s, j, near), _visible_full(s, j, near))
+        npt.assert_array_equal(_visible_from(s, [(j, near)])[0], _visible_full(s, j, near))
 
 
 
@@ -459,6 +460,47 @@ def test_batched_scene_raycast_matches_per_frame(path, objects, seed, h, w, fram
             npt.assert_array_equal(s.hit_world[t], np.where(hit[..., None], world, 0.0))
             npt.assert_array_equal(s.hit_id[t], sid.reshape(h, w))
             npt.assert_array_equal(s.hit_valid[t], hit)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["orbit", "linear", "random-smooth"]),
+    st.integers(0, 5),
+    st.integers(0, 2**32 - 1),
+    st.integers(4, 16),
+    st.integers(4, 20),
+    st.integers(2, 4),
+    st.sampled_from([2, 3]),
+    st.sampled_from([4, 7, 12]),
+)
+def test_batched_matching_maps_match_per_pair(path, objects, seed, h, w, frames, cores, chunks):
+    s = generate_scene(SceneConfig(seed=seed, frame_count=frames, height=h, width=w,
+                                   object_count=objects, camera_path=path,
+                                   camera_magnitude=0.05, track_count=0))
+    pairs = [(i, j) for i in range(frames) for j in range(frames)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenes, "_CORES", 1)
+        mp.setattr(scenes, "_pool", _no_pool)
+        want = [gt_pointmap_matching(s, i, j) for i, j in pairs]
+    rays = len(pairs) * h * w
+    max_chunk = max(4, rays // chunks)  # at least 2 * _MIN_CHUNK_RAYS
+    counted = _CountingPool(scenes._pool())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenes, "_MIN_CHUNK_RAYS", 2)
+        mp.setattr(scenes, "_MAX_CHUNK_RAYS", max_chunk)
+        mp.setattr(scenes, "_CORES", cores)
+        mp.setattr(scenes, "_pool", lambda: counted)
+        got = gt_pointmap_matchings(s, pairs)
+    # one visibility call split into more chunks than cores, each group's
+    # origins expanded chunk by chunk
+    split = -(-rays // max_chunk)
+    assert split > cores
+    assert counted.submits == split - 1
+    assert len(got) == len(pairs)
+    for (i, j), a, b in zip(pairs, got, want):
+        npt.assert_array_equal(a.points, b.points, err_msg=f"pair {(i, j)}")
+        npt.assert_array_equal(a.valid, b.valid, err_msg=f"pair {(i, j)}")
+    assert gt_pointmap_matchings(s, []) == []
 
 
 def _intersect_matches(bg, origins, dirs, want):

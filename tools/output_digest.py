@@ -6,7 +6,8 @@ Run from the repository root:
 
 OUTDIR must be empty or absent. For each scene size (24x32x6, 48x64x12 and
 96x128x12, seed 0) the script synthesizes a scene under OUTDIR and runs
-`depth --noise`, `track --noise` (also with `--jitter`), `recon`, `align`
+`depth --noise`, `track --noise` (also with `--jitter`, and with
+`--window 4 --overlap 1`, whose windows are stitched), `recon`, `align`
 (also with `--jitter --noise --no-use-dynamic-mask`), the three `eval`s and
 `ablate` on it. It then runs one two-scene `ablate` (the 48x64x12 scene, then
 the 24x32x6 one), whose predictors meet the same pair at several window
@@ -41,6 +42,8 @@ SIZES = ((24, 32, 6), (48, 64, 12), (96, 128, 12))
 ABLATIONS = (((48, 64, 12), (24, 32, 6)),)
 NOISE = ("--noise", "0.01")
 JITTER = ("--jitter", "0.05")
+# several windows on every scene, so tracks are stitched and re-seeded
+WINDOWS = ("--window", "4", "--overlap", "1")
 
 
 class CommandFailed(RuntimeError):
@@ -59,6 +62,7 @@ def scene_commands(name: str) -> list[list[str]]:
         ["depth", scene, *NOISE, "--out", f"{name}/depth"],
         ["track", scene, *NOISE, "--out", f"{name}/track"],
         ["track", scene, *NOISE, *JITTER, "--out", f"{name}/track-jitter"],
+        ["track", scene, *NOISE, *WINDOWS, "--out", f"{name}/track-windows"],
         ["recon", scene, "--out", f"{name}/recon"],
         ["align", scene, "--out", f"{name}/align"],
         ["align", scene, *JITTER, *NOISE, "--no-use-dynamic-mask",
