@@ -19,16 +19,20 @@ Both penalties use one fixed scale, rho(r) = sqrt(|r|^2 + delta^2) - delta with
 delta = 1e-6 (`_HUBER_DELTA`); it is not an option.
 
 The solver is Levenberg-Marquardt on the IRLS-weighted residuals (Triggs et
-al., "Bundle Adjustment - A Modern Synthesis", 2000). Each pixel's global
-point couples only to its own residuals, so its 3x3 curvature block is
-eliminated by a Schur complement, frame by frame, leaving a dense system over
-poses and scales. A step is kept only if the energy drops, so the energy trace
-is monotone. Frame 0's pose and the first edge's scale are pinned (gauge
-freedom).
+al., "Bundle Adjustment - A Modern Synthesis", 2000). The residuals live in
+two flat tables, one row per (edge, term, pixel), grouped by the frame whose
+map a row pulls; every pass over them takes a fixed number of numpy calls per
+chunk of `_CHUNK_ROWS` rows, whatever the number of edges. Each pixel's global
+point couples only to its own residuals, so its 3x3 block is eliminated by a
+Schur complement, the coupling rebuilt from the rows one frame at a time,
+leaving a dense system over poses and scales. A step is kept only if the
+energy drops, so the energy trace is monotone. Frame 0's pose and the first
+edge's scale are pinned (gauge freedom).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +51,10 @@ _HUBER_DELTA = 1e-6  # pseudo-Huber scale of both energy terms
 _ABS_TOL = 1e-14  # energy below this is a solved problem
 
 
-def _skew(w):
-    """Cross-product matrices [w]x of (..., 3) vectors, shape (..., 3, 3)."""
-    out = np.zeros(w.shape[:-1] + (3, 3))
+def _skew(w, out=None):
+    """Cross-product matrices [w]x of (..., 3) vectors, shape (..., 3, 3),
+    written into out's off-diagonal entries when given."""
+    out = np.zeros(w.shape[:-1] + (3, 3)) if out is None else out
     out[..., 0, 1], out[..., 0, 2], out[..., 1, 2] = -w[..., 2], w[..., 1], -w[..., 0]
     out[..., 1, 0], out[..., 2, 0], out[..., 2, 1] = w[..., 2], -w[..., 1], w[..., 0]
     return out
@@ -173,27 +178,23 @@ def build_pair_graph(seq, predictor: Predictor, stride: int = 5) -> AlignmentPro
     if stride < 1:
         raise ValueError("stride must be >= 1")
     max_gap = 1 if stride >= length else stride + 1
+    pairs = [(i, j) for i in range(length) for j in range(i + 1, min(i + max_gap, length - 1) + 1)]
+    lazies = [predictor.predict(i, j) for i, j in pairs]
+    # one read, so a predictor can render the matched heads together
+    matched = predictor.read_heads(lazies, "x_ji_matched")
     edges = []
-    for i in range(length):
-        for j in range(i + 1, min(i + max_gap, length - 1) + 1):
-            lazy = predictor.predict(i, j)
-            try:
-                mask = dynamic_mask(lazy.x_ji_matched, lazy.x_ji)
-            except EmptyDomainError:
-                mask = None
-            # the solver reads every head of an edge more than once: holding
-            # the maps here keeps global_align's time and memory those of the
-            # solve, not re-renders of heads a predictor has evicted
-            pred = PairPrediction(lazy.frames, lazy.x_ii, lazy.x_ji, lazy.x_ji_matched,
-                                  lazy.conf_ii, lazy.conf_ji)
-            edges.append(AlignmentEdge(i=i, j=j, pred=pred, mask=mask))
+    for (i, j), lazy, m in zip(pairs, lazies, matched):
+        try:
+            mask = dynamic_mask(m, lazy.x_ji)
+        except EmptyDomainError:
+            mask = None
+        # the solver reads every head of an edge more than once: holding
+        # the maps here keeps global_align's time and memory those of the
+        # solve, not re-renders of heads a predictor has evicted
+        pred = PairPrediction(lazy.frames, lazy.x_ii, lazy.x_ji, m, lazy.conf_ii, lazy.conf_ji)
+        edges.append(AlignmentEdge(i=i, j=j, pred=pred, mask=mask))
     ego = [predictor.predict(f, f).x_ii for f in range(length)]
-    return AlignmentProblem(
-        frames=list(range(length)),
-        intrinsics=list(seq.intrinsics),
-        edges=edges,
-        ego_maps=ego,
-    )
+    return AlignmentProblem(list(range(length)), list(seq.intrinsics), edges, ego)
 
 
 @dataclass
@@ -206,12 +207,8 @@ class AlignmentVariables:
     pointmaps: np.ndarray  # (F, H, W, 3)
 
     def copy(self) -> "AlignmentVariables":
-        return AlignmentVariables(
-            self.rotvecs.copy(),
-            self.translations.copy(),
-            self.log_scales.copy(),
-            self.pointmaps.copy(),
-        )
+        return AlignmentVariables(self.rotvecs.copy(), self.translations.copy(),
+                                  self.log_scales.copy(), self.pointmaps.copy())
 
 
 @dataclass
@@ -245,253 +242,243 @@ class AlignmentResult:
     variables: AlignmentVariables
 
 
-@dataclass
-class _EdgePre:
-    """Flattened per-edge arrays the energy loops over."""
-
-    i: int
-    j: int
-    edge_index: int
-    cols: np.ndarray  # camera unknowns of the edge: pose of i (6), scale (1)
-    idx_ii: np.ndarray
-    pts_ii: np.ndarray
-    w_ii: np.ndarray
-    idx_ji: np.ndarray
-    pts_ji: np.ndarray
-    w_ji: np.ndarray
-    idx_2d: np.ndarray
-    f_2d: np.ndarray
-    k: Intrinsics
+# rows per step of a pass that builds Jacobians, which bounds its temporaries;
+# a pass without them needs a quarter of the memory a row and takes twice as many
+_CHUNK_ROWS = 1 << 11
 
 
-def _prepare(problem: AlignmentProblem, opts: AlignmentOptions) -> list[_EdgePre]:
-    n = len(problem.frames)
-    pres = []
+# One term's residual rows, in segments of one (edge, term) each, ordered by
+# the frame whose global map they pull. Row k pulls pixel pix[k] of the
+# frames' stacked maps (frame * pixels + pixel); data[k] is a 3D row's point
+# and confidence (x, y, z, w) or a 2D row's matched pixel position. Segment
+# s owns rows start[s]:start[s + 1] (at least one), pulls frame[s], is posed
+# by frame pose[s] and scaled by edge[s]; cols[s] are its camera columns
+# (pose, then scale).
+_Rows = namedtuple("_Rows", "pix data start frame pose edge cols")
+
+
+def _rows(segs, width: int, n: int) -> _Rows:
+    """Rows of segs [((frame, pose, edge), selection, selection -> its rows' data)]."""
+    segs = sorted((s for s in segs if s[1].any()), key=lambda s: s[0][0])
+    start = np.cumsum([0] + [int(s[1].sum()) for s in segs])
+    ids = np.array([s[0] for s in segs], dtype=np.intp).reshape(-1, 3)
+    cols = np.column_stack([6 * ids[:, 1:2] + np.arange(6), 6 * n + ids[:, 2]])
+    rows = _Rows(np.empty(start[-1], np.intp), np.empty((start[-1], width)), start, *ids.T, cols)
+    for ((f, _, _), sel, data), lo, hi in zip(segs, start, start[1:]):
+        rows.pix[lo:hi] = f * sel.size + np.flatnonzero(sel)
+        rows.data[lo:hi] = data(sel)
+    return rows
+
+
+def _prepare(problem: AlignmentProblem, opts: AlignmentOptions) -> tuple[_Rows, _Rows]:
+    """The 3D and 2D rows of every edge, each table filled in place a segment at a time."""
+    segs3, segs2 = [], []
     for ei, e in enumerate(problem.edges):
-        k = problem.intrinsics[e.i]
-        pred = e.pred
-        sel_ii = pred.x_ii.valid.ravel()
-        sel_ji = pred.x_ji.valid.ravel()
-        m = pred.x_ji_matched
-        sel_2d = m.valid & (m.points[..., 2] > EPS_Z)
+        p, k = e.pred, problem.intrinsics[e.i]
+        for f, pm, conf in ((e.i, p.x_ii, p.conf_ii), (e.j, p.x_ji, p.conf_ji)):
+            segs3.append(((f, e.i, ei), pm.valid, lambda s, pm=pm, conf=conf:
+                          np.column_stack([pm.points[s], conf.values[s]])))
+        m = p.x_ji_matched
+        sel = m.valid & (m.points[..., 2] > EPS_Z)
         if opts.use_dynamic_mask and e.mask is not None:
-            sel_2d = sel_2d & ~e.mask.mask
-        pres.append(
-            _EdgePre(
-                i=e.i,
-                j=e.j,
-                edge_index=ei,
-                cols=np.r_[6 * e.i : 6 * e.i + 6, 6 * n + ei],
-                idx_ii=np.flatnonzero(sel_ii),
-                pts_ii=pred.x_ii.points.reshape(-1, 3)[sel_ii],
-                w_ii=pred.conf_ii.values.ravel()[sel_ii],
-                idx_ji=np.flatnonzero(sel_ji),
-                pts_ji=pred.x_ji.points.reshape(-1, 3)[sel_ji],
-                w_ji=pred.conf_ji.values.ravel()[sel_ji],
-                idx_2d=np.flatnonzero(sel_2d.ravel()),
-                f_2d=project_points(m.points[sel_2d], k)[0],
-                k=k,
-            )
-        )
-    return pres
+            sel &= ~e.mask.mask
+        if opts.lambda_2d > 0:
+            segs2.append(((e.j, e.i, ei), sel,
+                          lambda s, m=m, k=k: project_points(m.points[s], k)[0]))
+    return _rows(segs3, 4, len(problem.frames)), _rows(segs2, 2, len(problem.frames))
 
 
-def _left_jacobian(w: np.ndarray) -> np.ndarray:
-    """J with columns c_k such that dR/dw_k = [c_k]x R."""
-    m = rodrigues_jacobian(w) @ rodrigues(w).T
-    return np.stack([m[:, 2, 1], m[:, 0, 2], m[:, 1, 0]])
+# an iterate as the row passes read it: (F, 3, 3) rotations, (F, 3)
+# translations, (E,) scales, (F * pixels, 3) chi and (F, 4) fx, fy, cx, cy
+_At = namedtuple("_At", "rot trans scales chi k lambda_2d")
 
 
-def _blocks(pres, v, opts, want_jac):
-    """Residual blocks, one per (edge, term), as
-    [energy, frame, pixels, r, u, d r/d chi, d r/d camera, camera columns].
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis, without np.cross's per-call overhead."""
+    a0, a1, a2, b0, b1, b2 = a[..., 0], a[..., 1], a[..., 2], b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
-    r is (n, 3) for the 3D terms and (n, 2) for the 2D term; u are the IRLS
-    weights of the pseudo-Huber kernel, so u r is the energy's gradient in r.
-    Without want_jac a block holds its energy only. Rotations are
-    differentiated in rotation-vector coordinates through the left Jacobian:
-    d(R p)/dw = -[R p]x J.
-    """
-    delta = _HUBER_DELTA
-    rot = [rodrigues(w) for w in v.rotvecs]
-    jl = [_left_jacobian(w) for w in v.rotvecs] if want_jac else None
-    scales = np.exp(v.log_scales)
-    flat_maps = v.pointmaps.reshape(len(v.pointmaps), -1, 3)
-    for pre in pres:
-        r_i = rot[pre.i]
-        t_i = v.translations[pre.i]
-        s = scales[pre.edge_index]
-        for idx, pts, w, fidx in (
-            (pre.idx_ii, pre.pts_ii, pre.w_ii, pre.i),
-            (pre.idx_ji, pre.pts_ji, pre.w_ji, pre.j),
-        ):
-            if idx.size == 0:
-                continue
-            mapped_local = pts @ r_i.T
-            mapped = s * mapped_local + t_i
-            r = flat_maps[fidx][idx] - mapped
+
+def _linearized(pres: tuple[_Rows, _Rows], at: _At, frames: tuple[int, int], jac=True):
+    """Rows of frames lo..hi - 1, chunk by chunk: (table, segment, pixel,
+    weight, residual, kernel root, d r / d chi, d r / d camera). d r / d chi
+    is None for the 3D rows' identity; d r / d camera is (m, 2 or 3, 7) over
+    the segment's cols, rotations as left perturbations. 2D rows behind their
+    camera drop out."""
+    step = _CHUNK_ROWS if jac else 2 * _CHUNK_ROWS
+    for t, rows in enumerate(pres):
+        lo, hi = rows.start[np.searchsorted(rows.frame, frames)]
+        for row0 in range(lo, hi, step):
+            sl = slice(row0, min(row0 + step, hi))
+            seg = np.searchsorted(rows.start, np.arange(sl.start, sl.stop), side="right") - 1
+            pix, t_i, j_chi = rows.pix[sl], at.trans[rows.pose].take(seg, axis=0), None
+            if t == 0:  # chi - (s_e R_i x + t_i)
+                m = (at.scales[rows.edge, None, None] * at.rot[rows.pose]).take(seg, axis=0)
+                a = np.einsum("nij,nj->ni", m, rows.data[sl, :3])
+                r, w = at.chi.take(pix, axis=0) - a - t_i, rows.data[sl, 3]
+            else:  # project(R_i^T (chi - t_i)) - F
+                rot = at.rot[rows.pose].take(seg, axis=0)
+                d = at.chi.take(pix, axis=0) - t_i
+                y = np.einsum("nji,nj->ni", rot, d)
+                ok = np.flatnonzero(y[:, 2] > EPS_Z)
+                seg, pix, d, y, w = seg[ok], pix[ok], d[ok], y[ok], at.lambda_2d
+                k, z = at.k[rows.pose].take(seg, axis=0), y[:, 2:]
+                r = k[:, :2] * y[:, :2] / z + k[:, 2:] - rows.data[sl][ok]
             # overflow to inf is fine here: an infinite energy raises
             # DivergenceError at the start and rejects a step later
             with np.errstate(over="ignore"):
-                root = np.sqrt((r * r).sum(axis=1) + delta * delta)
-            block = [float((w * (root - delta)).sum())]
-            if want_jac:
-                a = s * mapped_local
-                j_cam = np.empty((idx.size, 3, 7))
-                j_cam[..., :3] = _skew(a) @ jl[pre.i]
-                j_cam[..., 3:6] = -np.eye(3)
-                j_cam[..., 6] = -a
-                j_chi = np.broadcast_to(np.eye(3), (idx.size, 3, 3))
-                block += [fidx, idx, r, w / root, j_chi, j_cam, pre.cols]
-            yield block
-        if opts.lambda_2d > 0 and pre.idx_2d.size:
-            d = flat_maps[pre.j][pre.idx_2d] - t_i
-            y = d @ r_i  # R_i^T d, row form
-            ok = y[:, 2] > EPS_Z
-            if not ok.any():
-                continue
-            idx, y, d = pre.idx_2d[ok], y[ok], d[ok]
-            r2 = project_points(y, pre.k)[0] - pre.f_2d[ok]
-            root2 = np.sqrt((r2 * r2).sum(axis=1) + delta * delta)
-            block = [opts.lambda_2d * float((root2 - delta).sum())]
-            if want_jac:
-                z = y[:, 2]
-                jp = np.zeros((idx.size, 2, 3))  # d(pixel)/dy
-                jp[:, 0, 0], jp[:, 1, 1] = pre.k.fx / z, pre.k.fy / z
-                jp[:, :, 2] = -jp[:, [0, 1], [0, 1]] * y[:, :2] / z[:, None]
-                j_chi = jp @ r_i.T
-                j_cam = np.concatenate([j_chi @ _skew(d) @ jl[pre.i], -j_chi], axis=2)
-                u2 = opts.lambda_2d / root2
-                block += [pre.j, idx, r2, u2, j_chi, j_cam, pre.cols[:6]]
-            yield block
+                root = np.sqrt(np.einsum("ni,ni->n", r, r) + _HUBER_DELTA**2)
+            j_cam = np.zeros(r.shape + (7,)) if jac else None
+            if jac and t == 0:
+                _skew(a, j_cam[:, :, :3])
+                j_cam[:, :, 3:6], j_cam[:, :, 6] = -np.eye(3), -a
+            elif jac:  # the rows of R_i^T are the columns of R_i
+                rt, kz = rot[ok].transpose(0, 2, 1), (k[:, :2] / z)[:, :, None]
+                j_chi = kz * (rt[:, :2] - (y[:, :2] / z)[:, :, None] * rt[:, 2:])
+                j_cam[:, :, :3], j_cam[:, :, 3:6] = _cross(j_chi, d[:, None]), -j_chi
+            yield t, seg, pix, w, r, root, j_chi, j_cam
 
 
-@dataclass
-class _NormalSystem:
-    """IRLS Gauss-Newton system, split into camera and per-pixel chi blocks.
-
-    Camera unknowns are [rotvec, translation] per frame, then one log-scale
-    per edge; the gauge columns are present here and dropped in the solve.
-    Frame f's pixels couple only to the camera columns cols[f], so its
-    coupling block b[f] is (pixels, 3, len(cols[f])).
-    """
-
-    h: np.ndarray  # camera-camera block
-    g: np.ndarray  # camera gradient
-    c: np.ndarray  # (F, pixels, 3, 3) chi-chi blocks
-    g_chi: np.ndarray  # (F, pixels, 3) chi gradient
-    cols: list[np.ndarray]
-    b: list[np.ndarray]
+def _chi_t(j_chi, x: np.ndarray) -> np.ndarray:
+    """d r / d chi^T x per row; x is (m, k) or (m, k, c)."""
+    return x if j_chi is None else np.einsum("nki,nk...->ni...", j_chi, x)
 
 
-def _energy_and_grad(
-    problem: AlignmentProblem,
-    pres: list[_EdgePre],
-    v: AlignmentVariables,
-    opts: AlignmentOptions,
-    want_grad: bool = True,
-):
+def _scatter(out: np.ndarray, idx: np.ndarray, vals: np.ndarray):
+    """out[idx] += vals (m, k), rows of equal idx summing."""
+    if idx.size:
+        lo, hi = idx.min(), idx.max() + 1
+        for col in range(vals.shape[1]):
+            out[lo:hi, col] += np.bincount(idx - lo, vals[:, col], hi - lo)
+
+
+# IRLS Gauss-Newton system: camera block h and gradient g, each pixel's 3x3
+# chi block c and chi gradient g_chi. Camera unknowns are [rotvec,
+# translation] per frame, then one log-scale per edge (gauge columns are
+# dropped in the solve). Rows differentiate a rotation by a left perturbation
+# J dw, dR/dw_k = [J e_k]x R, and jac maps camera steps to those coordinates.
+# _lm_step rebuilds the chi-camera coupling from the rows at the iterate `at`.
+_NormalSystem = namedtuple("_NormalSystem", "h g c g_chi jac pres at")
+
+
+def _energy_and_grad(problem: AlignmentProblem, pres: tuple[_Rows, _Rows],
+                     v: AlignmentVariables, opts: AlignmentOptions, want_grad: bool = True):
     """Energy and, with want_grad, its gradient and IRLS normal system.
 
-    Every block adds u J^T r to the gradient and u J^T J to the system, so the
+    Every row adds u J^T r to the gradient and u J^T J to the system, so the
     gradient is exact and the system is the Gauss-Newton curvature of the
-    current IRLS majorant.
+    current IRLS majorant. Camera terms are summed per segment and placed
+    once; chi terms are scattered per pixel.
     """
-    blocks = _blocks(pres, v, opts, want_grad)
-    if not want_grad:
-        return sum((blk[0] for blk in blocks), 0.0), None, None
-    n = len(problem.frames)
-    dim = 6 * n + len(v.log_scales)
-    pix = v.pointmaps[0].size // 3
-    cols = [[] for _ in range(n)]
-    for pre in pres:
-        cols[pre.i].append(pre.cols)
-        cols[pre.j].append(pre.cols)
-    cols = [np.unique(np.concatenate(c)) if c else np.zeros(0, int) for c in cols]
-    system = _NormalSystem(
-        np.zeros((dim, dim)), np.zeros(dim), np.zeros((n, pix, 3, 3)), np.zeros((n, pix, 3)),
-        cols, [np.zeros((pix, 3, c.size)) for c in cols],
-    )
+    n, ks = len(v.rotvecs), problem.intrinsics
+    at = _At(np.array([rodrigues(w) for w in v.rotvecs]).reshape(n, 3, 3), v.translations,
+             np.exp(v.log_scales), v.pointmaps.reshape(-1, 3),
+             np.array([[k.fx, k.fy, k.cx, k.cy] for k in ks]).reshape(n, 4), opts.lambda_2d)
     energy = 0.0
-    for e, f, idx, r, u, j_chi, j_cam, jc in blocks:
-        energy += e
-        j_flat = j_cam.reshape(-1, jc.size)
-        system.g[jc] += j_flat.T @ (u[:, None] * r).ravel()
-        system.h[np.ix_(jc, jc)] += (np.repeat(u, r.shape[1])[:, None] * j_flat).T @ j_flat
-        ut = u[:, None, None] * j_chi.transpose(0, 2, 1)  # u d r/d chi^T
-        system.g_chi[f, idx] += (ut @ r[..., None])[..., 0]
-        system.c[f, idx] += ut @ j_chi
-        local = np.searchsorted(cols[f], jc)
-        system.b[f][np.ix_(idx, np.arange(3), local)] += ut @ j_cam
+    if want_grad:  # per segment: J^T u r, J^T u J
+        acc = [np.zeros((len(rows.pose), 56)) for rows in pres]
+        c, g_chi = np.zeros((len(at.chi), 9)), np.zeros(at.chi.shape)
+    for t, seg, p, w, r, root, j_chi, j_cam in _linearized(pres, at, (0, n), want_grad):
+        energy += float((w * (root - _HUBER_DELTA)).sum())
+        if want_grad and seg.size:
+            u = w / root
+            ur, uj = u[:, None] * r, u[:, None, None] * j_cam
+            first = np.flatnonzero(np.diff(seg, prepend=-1))  # each segment's first row
+            jtj = (j_cam.transpose(0, 2, 1) @ uj).reshape(-1, 49)
+            acc[t][seg[first], :7] += np.add.reduceat(np.einsum("nki,nk->ni", j_cam, ur), first)
+            acc[t][seg[first], 7:] += np.add.reduceat(jtj, first)
+            _scatter(g_chi, p, _chi_t(j_chi, ur))
+            uc = u[:, None, None] * (np.eye(3) if j_chi is None else j_chi)
+            _scatter(c, p, _chi_t(j_chi, uc).reshape(-1, 9))
+    if not want_grad:
+        return energy, None, None
+    dim = 6 * n + len(at.scales)
+    g, h = np.zeros(dim), np.zeros((dim, dim))
+    for rows, sums in zip(pres, acc):
+        np.add.at(g, rows.cols, sums[:, :7])
+        np.add.at(h, (rows.cols[:, :, None], rows.cols[:, None]), sums[:, 7:].reshape(-1, 7, 7))
+    jac = np.eye(dim)
+    for f, w in enumerate(v.rotvecs):  # the columns J e_k = [dR/dw_k R^T]^vee
+        m = rodrigues_jacobian(w) @ at.rot[f].T
+        jac[6 * f : 6 * f + 3, 6 * f : 6 * f + 3] = np.stack([m[:, 2, 1], m[:, 0, 2], m[:, 1, 0]])
+    h, g = jac.T @ h @ jac, jac.T @ g
     # pixels no term reaches get an inert unit block
-    system.c[np.trace(system.c, axis1=2, axis2=3) == 0] = np.eye(3)
-    cam = system.g[: 6 * n].reshape(n, 6)
-    grad = AlignmentVariables(
-        cam[:, :3], cam[:, 3:], system.g[6 * n :], system.g_chi.reshape(v.pointmaps.shape)
-    )
-    return energy, grad, system
+    c, g_chi = c.reshape(n, -1, 3, 3), g_chi.reshape(n, -1, 3)
+    c[np.trace(c, axis1=2, axis2=3) == 0] = np.eye(3)
+    cam = g[: 6 * n].reshape(n, 6)
+    grad = AlignmentVariables(cam[:, :3], cam[:, 3:], g[6 * n :], g_chi.reshape(v.pointmaps.shape))
+    return energy, grad, _NormalSystem(h, g, c, g_chi, jac, pres, at)
+
+
+def _inv3(m: np.ndarray) -> np.ndarray:
+    """Inverses of (..., 3, 3) matrices by their adjugates."""
+    cof = _cross(m[..., [1, 2, 0], :], m[..., [2, 0, 1], :])  # rows 1x2, 2x0, 0x1
+    det = np.einsum("...i,...i->...", m[..., 0, :], cof[..., 0, :])
+    return cof.swapaxes(-1, -2) / det[..., None, None]
 
 
 def _lm_step(v: AlignmentVariables, system: _NormalSystem, damping: float) -> AlignmentVariables:
     """One Levenberg-Marquardt step: eliminate chi, solve, back-substitute.
 
-    Damping scales every diagonal entry by (1 + damping). Raises LinAlgError
-    when the reduced system cannot be solved.
+    Frame by frame, the rows' couplings u J_chi^T J_cam are summed per pixel
+    over the frame's camera columns and eliminated through the damped chi
+    blocks; after the camera solve, each row's coupling times the step goes
+    back to its pixel. Damping scales every diagonal entry by (1 + damping).
+    Raises LinAlgError when the reduced system cannot be solved.
     """
-    n = len(v.rotvecs)
-    h = system.h * (1.0 + damping * np.eye(len(system.g)))
-    rhs = system.g.copy()
-    c_inv = []
-    for f, cols in enumerate(system.cols):
-        ci = np.linalg.inv(system.c[f] * (1.0 + damping * np.eye(3)))
-        k = ci @ system.b[f]
-        h[np.ix_(cols, cols)] -= np.einsum("pac,pad->cd", system.b[f], k)
-        rhs[cols] -= np.einsum("pac,pa->c", k, system.g_chi[f])
-        c_inv.append(ci)
+    n, pix = system.g_chi.shape[:2]
+    damp, jac = 1.0 + damping * np.eye(3), system.jac
+    cols = [rows.cols for rows in system.pres]
+    schur, g_schur = np.zeros_like(system.h), np.zeros_like(system.g)
+    for f in range(n):
+        own = np.unique(np.concatenate([c[r.frame == f] for c, r in zip(cols, system.pres)]))
+        # flat index into b of a segment's (3, 7) entries at pixel 0
+        slots = [np.arange(3)[:, None] * own.size + np.searchsorted(own, c)[:, None] for c in cols]
+        b = np.zeros(pix * 3 * own.size)
+        for t, seg, p, w, _, root, j_chi, j_cam in _linearized(system.pres, system.at, (f, f + 1)):
+            idx = (3 * own.size) * (p - f * pix)[:, None, None] + slots[t].take(seg, axis=0)
+            np.add.at(b, idx.ravel(), _chi_t(j_chi, (w / root)[:, None, None] * j_cam).ravel())
+        b = b.reshape(pix * 3, own.size)
+        k = (_inv3(system.c[f] * damp) @ b.reshape(pix, 3, -1)).reshape(pix * 3, -1)
+        # einsum, not a BLAS product: threaded BLAS on a busy machine spins
+        schur[own[:, None], own] += np.einsum("pc,pd->cd", b, k)
+        g_schur[own] += np.einsum("pc,p->c", k, system.g_chi[f].ravel())
+    h = system.h * (1.0 + damping * np.eye(len(system.g))) - jac.T @ schur @ jac
+    rhs = system.g - jac.T @ g_schur
     # frame 0's pose and edge 0's scale carry the gauge; unknowns no term
     # touches (the last frame's pose) stay put
     keep = np.flatnonzero(np.diag(system.h) > 0)
     keep = keep[(keep >= 6) & (keep != 6 * n)]
     step = np.zeros_like(rhs)
-    step[keep] = np.linalg.solve(h[np.ix_(keep, keep)], -rhs[keep])
-    d_chi = [
-        -np.einsum("pab,pb->pa", ci, system.g_chi[f] + system.b[f] @ step[cols])
-        for f, (ci, cols) in enumerate(zip(c_inv, system.cols))
-    ]
+    step[keep] = np.linalg.solve(h[keep][:, keep], -rhs[keep])
+    moved, d_chi = [(jac @ step)[c] for c in cols], system.g_chi.reshape(-1, 3).copy()
+    for t, seg, p, w, _, root, j_chi, j_cam in _linearized(system.pres, system.at, (0, n)):
+        jd = np.einsum("nkj,nj->nk", j_cam, moved[t].take(seg, axis=0))
+        _scatter(d_chi, p, _chi_t(j_chi, (w / root)[:, None] * jd))
+    d_chi = d_chi.reshape(n, pix, 3)
+    for f in range(n):
+        d_chi[f] = -np.einsum("pab,pb->pa", _inv3(system.c[f] * damp), d_chi[f])
     cam = step[: 6 * n].reshape(n, 6)
-    return AlignmentVariables(
-        v.rotvecs + cam[:, :3],
-        v.translations + cam[:, 3:],
-        v.log_scales + step[6 * n :],
-        v.pointmaps + np.reshape(d_chi, v.pointmaps.shape),
-    )
+    return AlignmentVariables(v.rotvecs + cam[:, :3], v.translations + cam[:, 3:],
+                              v.log_scales + step[6 * n :],
+                              v.pointmaps + d_chi.reshape(v.pointmaps.shape))
 
 
-def alignment_energy(
-    problem: AlignmentProblem, v: AlignmentVariables, options: AlignmentOptions | None = None
-) -> float:
+def alignment_energy(problem: AlignmentProblem, v: AlignmentVariables,
+                     options: AlignmentOptions | None = None) -> float:
     """Total energy of a variable assignment (no gradients)."""
     opts = options or AlignmentOptions()
-    pres = _prepare(problem, opts)
-    energy, _, _ = _energy_and_grad(problem, pres, v, opts, want_grad=False)
-    return energy
+    return _energy_and_grad(problem, _prepare(problem, opts), v, opts, want_grad=False)[0]
 
 
 def _init_identity(problem: AlignmentProblem) -> AlignmentVariables:
     n = len(problem.frames)
-    h, w = problem.ego_maps[0].resolution
-    v = AlignmentVariables(
-        rotvecs=np.zeros((n, 3)),
-        translations=np.zeros((n, 3)),
-        log_scales=np.zeros(len(problem.edges)),
-        pointmaps=np.zeros((n, h, w, 3)),
-    )
-    for f in range(n):
-        v.pointmaps[f] = problem.ego_maps[f].points
-    return v
+    maps = np.array([m.points for m in problem.ego_maps], dtype=np.float64)
+    return AlignmentVariables(np.zeros((n, 3)), np.zeros((n, 3)), np.zeros(len(problem.edges)),
+                              maps)
 
 
-def _init_pairwise(problem: AlignmentProblem, pres: list[_EdgePre]) -> AlignmentVariables:
+def _init_pairwise(problem: AlignmentProblem, pres: tuple[_Rows, _Rows]) -> AlignmentVariables:
     """Spanning-tree initialization from per-edge similarity fits.
 
     Each edge's (x_jj, x_ji) correspondence gives a cam_j -> cam_i similarity
@@ -504,28 +491,20 @@ def _init_pairwise(problem: AlignmentProblem, pres: list[_EdgePre]) -> Alignment
         return v
 
     rel: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]] = {}
-    for e in problem.edges:
-        ego_j = problem.ego_maps[e.j]
-        joint = ego_j.valid & e.pred.x_ji.valid
-        if int(joint.sum()) < 3:
-            continue
-        src = ego_j.points[joint]
-        dst = e.pred.x_ji.points[joint]
-        try:
-            s, r, t = umeyama(src, dst, with_scale=True)
-        except EmptyDomainError:
-            continue
-        rel[(e.i, e.j)] = (s, r, t)
-
-    rot = [np.eye(3) for _ in range(n)]
-    cen = [np.zeros(3) for _ in range(n)]
-    kappa = np.ones(n)
-    seen = {0}
-    frontier = [0]
     adj: dict[int, list[tuple[int, int, int]]] = {f: [] for f in range(n)}
     for e in problem.edges:
         adj[e.i].append((e.j, e.i, e.j))
         adj[e.j].append((e.i, e.i, e.j))
+        ego_j = problem.ego_maps[e.j]
+        joint = ego_j.valid & e.pred.x_ji.valid
+        if int(joint.sum()) >= 3:
+            try:
+                rel[(e.i, e.j)] = umeyama(ego_j.points[joint], e.pred.x_ji.points[joint])
+            except EmptyDomainError:
+                pass
+
+    rot, cen, kappa = [np.eye(3)] * n, [np.zeros(3)] * n, np.ones(n)
+    seen, frontier = {0}, [0]
     while frontier:
         f = frontier.pop(0)
         for nxt, i, j in adj[f]:
@@ -545,37 +524,27 @@ def _init_pairwise(problem: AlignmentProblem, pres: list[_EdgePre]) -> Alignment
             seen.add(nxt)
             frontier.append(nxt)
 
-    for f in range(n):
-        v.rotvecs[f] = rotation_log(rot[f])
-        v.translations[f] = cen[f]
-    for ei, e in enumerate(problem.edges):
-        v.log_scales[ei] = float(np.log(max(kappa[e.i], 1e-12)))
+    v.rotvecs[:], v.translations[:] = [rotation_log(r) for r in rot], cen
+    v.log_scales[:] = np.log(np.maximum(kappa[[e.i for e in problem.edges]], 1e-12))
     # gauge: normalize the first edge's scale to exactly 1
     shift = v.log_scales[0]
-    if abs(shift) > 0:
-        v.log_scales -= shift
-        v.translations *= np.exp(-shift)
-        kappa *= np.exp(-shift)
+    v.log_scales -= shift
+    v.translations *= np.exp(-shift)
+    kappa *= np.exp(-shift)
 
+    # each pixel starts at the weighted mean of its 3D rows' mapped points
+    # s_e R_i x + t_i, which are minus their residuals at chi = 0
     h, w = problem.ego_maps[0].resolution
-    num = np.zeros((n, h * w, 3))
-    den = np.zeros((n, h * w, 1))
-    scales = np.exp(v.log_scales)
-    for pre in pres:
-        r_i = rot[pre.i]
-        t_i = v.translations[pre.i]
-        s = scales[pre.edge_index]
-        for idx, pts, wgt, fidx in (
-            (pre.idx_ii, pre.pts_ii, pre.w_ii, pre.i),
-            (pre.idx_ji, pre.pts_ji, pre.w_ji, pre.j),
-        ):
-            num[fidx][idx] += wgt[:, None] * (s * (pts @ r_i.T) + t_i)
-            den[fidx][idx] += wgt[:, None]
+    zero = np.broadcast_to(0.0, (n * h * w, 3))
+    at = _At(np.array(rot), v.translations, np.exp(v.log_scales), zero, None, None)
     for f in range(n):
-        base = kappa[f] * (problem.ego_maps[f].points.reshape(-1, 3) @ rot[f].T) + cen[f]
-        filled = den[f][:, 0] > 0
-        chi = base
-        chi[filled] = num[f][filled] / den[f][filled]
+        num, den = np.zeros((h * w, 3)), np.zeros((h * w, 1))
+        for _, _, p, wgt, r, *_ in _linearized(pres[:1], at, (f, f + 1), jac=False):
+            _scatter(num, p - f * h * w, -wgt[:, None] * r)
+            _scatter(den, p - f * h * w, wgt[:, None])
+        chi = kappa[f] * (problem.ego_maps[f].points.reshape(-1, 3) @ rot[f].T) + cen[f]
+        filled = den[:, 0] > 0
+        chi[filled] = num[filled] / den[filled]
         v.pointmaps[f] = chi.reshape(h, w, 3)
     return v
 
@@ -604,10 +573,8 @@ def global_align(
     if not np.isfinite(energy):
         raise DivergenceError("initial energy is non-finite", trace=[energy])
     trace = [energy]
-    damping = _DAMPING_START
-    iters = 0
+    damping, iters, flat_tol_hits = _DAMPING_START, 0, 0
     converged = not problem.edges or energy < _ABS_TOL
-    flat_tol_hits = 0
 
     while not converged and iters < opts.max_iters:
         e_before = trace[-1]
@@ -641,11 +608,8 @@ def global_align(
     # its global map by a similarity gives every frame a pose, including
     # frames that never serve as an edge's reference view.
     poses = []
-    for f in range(n):
-        ego = problem.ego_maps[f]
-        sel = ego.valid
-        r_c2w = rodrigues(v.rotvecs[f])
-        center = v.translations[f]
+    for f, ego in enumerate(problem.ego_maps):
+        sel, r_c2w, center = ego.valid, rodrigues(v.rotvecs[f]), v.translations[f]
         if problem.edges and int(sel.sum()) >= 3:
             try:
                 _, r_c2w, center = umeyama(ego.points[sel], v.pointmaps[f][sel], with_scale=True)
@@ -653,12 +617,4 @@ def global_align(
                 pass
         poses.append(Pose(r_c2w.T, -r_c2w.T @ center))
     maps = [Pointmap(v.pointmaps[f], problem.ego_maps[f].valid) for f in range(n)]
-    return AlignmentResult(
-        poses=poses,
-        scales=np.exp(v.log_scales),
-        pointmaps=maps,
-        energy_trace=trace,
-        converged=converged,
-        iterations=iters,
-        variables=v,
-    )
+    return AlignmentResult(poses, np.exp(v.log_scales), maps, trace, converged, iters, v)
