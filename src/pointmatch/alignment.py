@@ -24,10 +24,11 @@ two flat tables, one row per (edge, term, pixel), grouped by the frame whose
 map a row pulls; every pass over them takes a fixed number of numpy calls per
 chunk of `_CHUNK_ROWS` rows, whatever the number of edges. Each pixel's global
 point couples only to its own residuals, so its 3x3 block is eliminated by a
-Schur complement, the coupling rebuilt from the rows one frame at a time,
-leaving a dense system over poses and scales. A step is kept only if the
-energy drops, so the energy trace is monotone. Frame 0's pose and the first
-edge's scale are pinned (gauge freedom).
+Schur complement, one frame at a time in the pass that builds the system,
+leaving a dense system over poses and scales; no frame's coupling block
+outlives its elimination. A step is kept only if the energy drops, so the
+energy trace is monotone. Frame 0's pose and the first edge's scale are
+pinned (gauge freedom).
 """
 
 from __future__ import annotations
@@ -51,10 +52,9 @@ _HUBER_DELTA = 1e-6  # pseudo-Huber scale of both energy terms
 _ABS_TOL = 1e-14  # energy below this is a solved problem
 
 
-def _skew(w, out=None):
-    """Cross-product matrices [w]x of (..., 3) vectors, shape (..., 3, 3),
-    written into out's off-diagonal entries when given."""
-    out = np.zeros(w.shape[:-1] + (3, 3)) if out is None else out
+def _skew(w):
+    """Cross-product matrices [w]x of (..., 3) vectors, shape (..., 3, 3)."""
+    out = np.zeros(w.shape[:-1] + (3, 3))
     out[..., 0, 1], out[..., 0, 2], out[..., 1, 2] = -w[..., 2], w[..., 1], -w[..., 0]
     out[..., 1, 0], out[..., 2, 0], out[..., 2, 1] = w[..., 2], -w[..., 1], w[..., 0]
     return out
@@ -178,23 +178,27 @@ def build_pair_graph(seq, predictor: Predictor, stride: int = 5) -> AlignmentPro
     if stride < 1:
         raise ValueError("stride must be >= 1")
     max_gap = 1 if stride >= length else stride + 1
-    pairs = [(i, j) for i in range(length) for j in range(i + 1, min(i + max_gap, length - 1) + 1)]
-    lazies = [predictor.predict(i, j) for i, j in pairs]
-    # one read, so a predictor can render the matched heads together
-    matched = predictor.read_heads(lazies, "x_ji_matched")
     edges = []
-    for (i, j), lazy, m in zip(pairs, lazies, matched):
-        try:
-            mask = dynamic_mask(m, lazy.x_ji)
-        except EmptyDomainError:
-            mask = None
-        # the solver reads every head of an edge more than once: holding
-        # the maps here keeps global_align's time and memory those of the
-        # solve, not re-renders of heads a predictor has evicted
-        pred = PairPrediction(lazy.frames, lazy.x_ii, lazy.x_ji, m, lazy.conf_ii, lazy.conf_ji)
-        edges.append(AlignmentEdge(i=i, j=j, pred=pred, mask=mask))
+    for i in range(length):
+        for j in range(i + 1, min(i + max_gap, length - 1) + 1):
+            lazy = predictor.predict(i, j)
+            try:
+                mask = dynamic_mask(lazy.x_ji_matched, lazy.x_ji)
+            except EmptyDomainError:
+                mask = None
+            # the solver reads every head of an edge more than once: holding
+            # the maps here keeps global_align's time and memory those of the
+            # solve, not re-renders of heads a predictor has evicted
+            pred = PairPrediction(lazy.frames, lazy.x_ii, lazy.x_ji, lazy.x_ji_matched,
+                                  lazy.conf_ii, lazy.conf_ji)
+            edges.append(AlignmentEdge(i=i, j=j, pred=pred, mask=mask))
     ego = [predictor.predict(f, f).x_ii for f in range(length)]
-    return AlignmentProblem(list(range(length)), list(seq.intrinsics), edges, ego)
+    return AlignmentProblem(
+        frames=list(range(length)),
+        intrinsics=list(seq.intrinsics),
+        edges=edges,
+        ego_maps=ego,
+    )
 
 
 @dataclass
@@ -207,8 +211,12 @@ class AlignmentVariables:
     pointmaps: np.ndarray  # (F, H, W, 3)
 
     def copy(self) -> "AlignmentVariables":
-        return AlignmentVariables(self.rotvecs.copy(), self.translations.copy(),
-                                  self.log_scales.copy(), self.pointmaps.copy())
+        return AlignmentVariables(
+            self.rotvecs.copy(),
+            self.translations.copy(),
+            self.log_scales.copy(),
+            self.pointmaps.copy(),
+        )
 
 
 @dataclass
@@ -293,18 +301,12 @@ def _prepare(problem: AlignmentProblem, opts: AlignmentOptions) -> tuple[_Rows, 
 _At = namedtuple("_At", "rot trans scales chi k lambda_2d")
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b over the last axis, without np.cross's per-call overhead."""
-    a0, a1, a2, b0, b1, b2 = a[..., 0], a[..., 1], a[..., 2], b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
-
-
 def _linearized(pres: tuple[_Rows, _Rows], at: _At, frames: tuple[int, int], jac=True):
     """Rows of frames lo..hi - 1, chunk by chunk: (table, segment, pixel,
-    weight, residual, kernel root, d r / d chi, d r / d camera). d r / d chi
-    is None for the 3D rows' identity; d r / d camera is (m, 2 or 3, 7) over
-    the segment's cols, rotations as left perturbations. 2D rows behind their
-    camera drop out."""
+    weight, residual, kernel root, d r / d chi, lever). d r / d chi is None
+    for the 3D rows' identity and for every row without jac; the lever is a
+    3D row's mapped point s_e R_i x or a 2D row's chi - t_i, from which
+    _j_cam builds d r / d camera. 2D rows behind their camera drop out."""
     step = _CHUNK_ROWS if jac else 2 * _CHUNK_ROWS
     for t, rows in enumerate(pres):
         lo, hi = rows.start[np.searchsorted(rows.frame, frames)]
@@ -328,15 +330,23 @@ def _linearized(pres: tuple[_Rows, _Rows], at: _At, frames: tuple[int, int], jac
             # DivergenceError at the start and rejects a step later
             with np.errstate(over="ignore"):
                 root = np.sqrt(np.einsum("ni,ni->n", r, r) + _HUBER_DELTA**2)
-            j_cam = np.zeros(r.shape + (7,)) if jac else None
-            if jac and t == 0:
-                _skew(a, j_cam[:, :, :3])
-                j_cam[:, :, 3:6], j_cam[:, :, 6] = -np.eye(3), -a
-            elif jac:  # the rows of R_i^T are the columns of R_i
+            if jac and t == 1:  # the rows of R_i^T are the columns of R_i
                 rt, kz = rot[ok].transpose(0, 2, 1), (k[:, :2] / z)[:, :, None]
                 j_chi = kz * (rt[:, :2] - (y[:, :2] / z)[:, :, None] * rt[:, 2:])
-                j_cam[:, :, :3], j_cam[:, :, 3:6] = _cross(j_chi, d[:, None]), -j_chi
-            yield t, seg, pix, w, r, root, j_chi, j_cam
+            yield t, seg, pix, w, r, root, j_chi, a if t == 0 else d
+
+
+def _j_cam(j_chi, lever: np.ndarray) -> np.ndarray:
+    """d r / d camera, (m, 2 or 3, 7) over a segment's cols, rotations as
+    left perturbations: [[a]x, -I, -a] for a 3D row, J_chi [[d]x, -I, 0]
+    for a 2D row."""
+    if j_chi is None:
+        j_cam = np.zeros(lever.shape + (7,))
+        j_cam[:, :, :3], j_cam[:, :, 3:6], j_cam[:, :, 6] = _skew(lever), -np.eye(3), -lever
+    else:
+        j_cam = np.zeros(j_chi.shape[:2] + (7,))
+        j_cam[:, :, :3], j_cam[:, :, 3:6] = np.cross(j_chi, lever[:, None]), -j_chi
+    return j_cam
 
 
 def _chi_t(j_chi, x: np.ndarray) -> np.ndarray:
@@ -347,9 +357,9 @@ def _chi_t(j_chi, x: np.ndarray) -> np.ndarray:
 def _scatter(out: np.ndarray, idx: np.ndarray, vals: np.ndarray):
     """out[idx] += vals (m, k), rows of equal idx summing."""
     if idx.size:
-        lo, hi = idx.min(), idx.max() + 1
-        for col in range(vals.shape[1]):
-            out[lo:hi, col] += np.bincount(idx - lo, vals[:, col], hi - lo)
+        lo, hi, k = idx.min(), idx.max() + 1, vals.shape[1]
+        flat = ((idx - lo)[:, None] * k + np.arange(k)).ravel()
+        out[lo:hi] += np.bincount(flat, vals.ravel(), (hi - lo) * k).reshape(-1, k)
 
 
 # IRLS Gauss-Newton system: camera block h and gradient g, each pixel's 3x3
@@ -357,28 +367,78 @@ def _scatter(out: np.ndarray, idx: np.ndarray, vals: np.ndarray):
 # translation] per frame, then one log-scale per edge (gauge columns are
 # dropped in the solve). Rows differentiate a rotation by a left perturbation
 # J dw, dR/dw_k = [J e_k]x R, and jac maps camera steps to those coordinates.
-# _lm_step rebuilds the chi-camera coupling from the rows at the iterate `at`.
-_NormalSystem = namedtuple("_NormalSystem", "h g c g_chi jac pres at")
+# `eliminated` holds chi eliminated at a few dampings; a step at another
+# damping eliminates it again from the rows at the iterate `at`.
+_NormalSystem = namedtuple("_NormalSystem", "h g c g_chi jac pres at eliminated")
+
+# chi eliminated at `damping`: the couplings' B^T K B and B^T K g_chi, in the
+# rows' camera coordinates, and K, the inverses of the damped chi blocks
+_Eliminated = namedtuple("_Eliminated", "damping schur g_schur k_chi")
+
+
+def _eliminated(damping: float, c: np.ndarray, dim: int) -> _Eliminated:
+    return _Eliminated(damping, np.zeros((dim, dim)), np.zeros(dim), np.empty_like(c))
+
+
+def _eliminating(pres: tuple[_Rows, _Rows], at: _At, c: np.ndarray, g_chi: np.ndarray,
+                 outs: list[_Eliminated]):
+    """_linearized's chunks, frame by frame and with d r / d camera in place
+    of the lever, eliminating each frame's chi into outs.
+
+    The rows of a frame are the only ones that reach its pixels, so once the
+    consumer of its chunks has summed them into c and g_chi, the frame's
+    couplings u J_chi^T J_cam, summed per pixel over the frame's camera
+    columns, are eliminated through its damped chi blocks (damping scales
+    every diagonal entry by 1 + damping). Pixels no term reaches get an inert
+    unit block. Raises LinAlgError when a chi block cannot be inverted.
+    """
+    n, pix = c.shape[:2]
+    cols = [rows.cols for rows in pres]
+    for f in range(n):
+        own = np.unique(np.concatenate([cl[r.frame == f] for cl, r in zip(cols, pres)]))
+        # flat index into b of a segment's (3, 7) entries at pixel 0
+        slots = [np.arange(3)[:, None] * own.size + np.searchsorted(own, cl)[:, None]
+                 for cl in cols]
+        b = np.zeros(pix * 3 * own.size)
+        for t, seg, p, w, r, root, j_chi, lever in _linearized(pres, at, (f, f + 1)):
+            j_cam = _j_cam(j_chi, lever)
+            idx = (3 * own.size) * (p - f * pix)[:, None, None] + slots[t].take(seg, axis=0)
+            np.add.at(b, idx.ravel(), _chi_t(j_chi, (w / root)[:, None, None] * j_cam).ravel())
+            del idx  # the consumer's products of this chunk come next
+            yield t, seg, p, w, r, root, j_chi, j_cam
+        c[f][np.trace(c[f], axis1=1, axis2=2) == 0] = np.eye(3)
+        for out in outs:
+            out.k_chi[f] = np.linalg.inv(c[f] * (1.0 + out.damping * np.eye(3)))
+            kb = (out.k_chi[f] @ b.reshape(pix, 3, own.size)).reshape(-1, own.size)
+            out.schur[own[:, None], own] += b.reshape(-1, own.size).T @ kb
+            out.g_schur[own] += kb.T @ g_chi[f].ravel()
 
 
 def _energy_and_grad(problem: AlignmentProblem, pres: tuple[_Rows, _Rows],
-                     v: AlignmentVariables, opts: AlignmentOptions, want_grad: bool = True):
-    """Energy and, with want_grad, its gradient and IRLS normal system.
+                     v: AlignmentVariables, opts: AlignmentOptions, want_grad: bool = True,
+                     dampings: tuple[float, ...] = (_DAMPING_START,)):
+    """Energy and, with want_grad, its gradient and IRLS normal system, chi
+    eliminated at each of `dampings`.
 
     Every row adds u J^T r to the gradient and u J^T J to the system, so the
     gradient is exact and the system is the Gauss-Newton curvature of the
     current IRLS majorant. Camera terms are summed per segment and placed
-    once; chi terms are scattered per pixel.
+    once; chi terms are scattered per pixel. Raises LinAlgError when a chi
+    block cannot be inverted.
     """
     n, ks = len(v.rotvecs), problem.intrinsics
     at = _At(np.array([rodrigues(w) for w in v.rotvecs]).reshape(n, 3, 3), v.translations,
              np.exp(v.log_scales), v.pointmaps.reshape(-1, 3),
              np.array([[k.fx, k.fy, k.cx, k.cy] for k in ks]).reshape(n, 4), opts.lambda_2d)
     energy = 0.0
+    chunks = _linearized(pres, at, (0, n), jac=False)
     if want_grad:  # per segment: J^T u r, J^T u J
+        dim = 6 * n + len(at.scales)
         acc = [np.zeros((len(rows.pose), 56)) for rows in pres]
-        c, g_chi = np.zeros((len(at.chi), 9)), np.zeros(at.chi.shape)
-    for t, seg, p, w, r, root, j_chi, j_cam in _linearized(pres, at, (0, n), want_grad):
+        c, g_chi = np.zeros((n, len(at.chi) // n, 3, 3)), np.zeros((n, len(at.chi) // n, 3))
+        eliminated = [_eliminated(d, c, dim) for d in dampings]
+        chunks = _eliminating(pres, at, c, g_chi, eliminated)
+    for t, seg, p, w, r, root, j_chi, j_cam in chunks:
         energy += float((w * (root - _HUBER_DELTA)).sum())
         if want_grad and seg.size:
             u = w / root
@@ -387,12 +447,14 @@ def _energy_and_grad(problem: AlignmentProblem, pres: tuple[_Rows, _Rows],
             jtj = (j_cam.transpose(0, 2, 1) @ uj).reshape(-1, 49)
             acc[t][seg[first], :7] += np.add.reduceat(np.einsum("nki,nk->ni", j_cam, ur), first)
             acc[t][seg[first], 7:] += np.add.reduceat(jtj, first)
-            _scatter(g_chi, p, _chi_t(j_chi, ur))
+            _scatter(g_chi.reshape(-1, 3), p, _chi_t(j_chi, ur))
             uc = u[:, None, None] * (np.eye(3) if j_chi is None else j_chi)
-            _scatter(c, p, _chi_t(j_chi, uc).reshape(-1, 9))
+            _scatter(c.reshape(-1, 9), p, _chi_t(j_chi, uc).reshape(-1, 9))
+            # freed before the next chunk, whose linearization and coupling
+            # would otherwise overlap them
+            del ur, uj, jtj, uc
     if not want_grad:
         return energy, None, None
-    dim = 6 * n + len(at.scales)
     g, h = np.zeros(dim), np.zeros((dim, dim))
     for rows, sums in zip(pres, acc):
         np.add.at(g, rows.cols, sums[:, :7])
@@ -402,66 +464,54 @@ def _energy_and_grad(problem: AlignmentProblem, pres: tuple[_Rows, _Rows],
         m = rodrigues_jacobian(w) @ at.rot[f].T
         jac[6 * f : 6 * f + 3, 6 * f : 6 * f + 3] = np.stack([m[:, 2, 1], m[:, 0, 2], m[:, 1, 0]])
     h, g = jac.T @ h @ jac, jac.T @ g
-    # pixels no term reaches get an inert unit block
-    c, g_chi = c.reshape(n, -1, 3, 3), g_chi.reshape(n, -1, 3)
-    c[np.trace(c, axis1=2, axis2=3) == 0] = np.eye(3)
     cam = g[: 6 * n].reshape(n, 6)
     grad = AlignmentVariables(cam[:, :3], cam[:, 3:], g[6 * n :], g_chi.reshape(v.pointmaps.shape))
-    return energy, grad, _NormalSystem(h, g, c, g_chi, jac, pres, at)
-
-
-def _inv3(m: np.ndarray) -> np.ndarray:
-    """Inverses of (..., 3, 3) matrices by their adjugates."""
-    cof = _cross(m[..., [1, 2, 0], :], m[..., [2, 0, 1], :])  # rows 1x2, 2x0, 0x1
-    det = np.einsum("...i,...i->...", m[..., 0, :], cof[..., 0, :])
-    return cof.swapaxes(-1, -2) / det[..., None, None]
+    return energy, grad, _NormalSystem(h, g, c, g_chi, jac, pres, at, eliminated)
 
 
 def _lm_step(v: AlignmentVariables, system: _NormalSystem, damping: float) -> AlignmentVariables:
-    """One Levenberg-Marquardt step: eliminate chi, solve, back-substitute.
+    """One Levenberg-Marquardt step: solve the camera system left by
+    eliminating chi, then back-substitute.
 
-    Frame by frame, the rows' couplings u J_chi^T J_cam are summed per pixel
-    over the frame's camera columns and eliminated through the damped chi
-    blocks; after the camera solve, each row's coupling times the step goes
-    back to its pixel. Damping scales every diagonal entry by (1 + damping).
-    Raises LinAlgError when the reduced system cannot be solved.
+    At a damping the system has not eliminated chi at (a retry), chi is
+    eliminated again from the rows, at this damping and ten times it, and
+    the system keeps both for the tries that follow. After the camera solve,
+    each row's coupling times the step goes back to its pixel. Damping
+    scales every diagonal entry by (1 + damping). Raises LinAlgError when a
+    chi block or the reduced system cannot be inverted.
     """
-    n, pix = system.g_chi.shape[:2]
-    damp, jac = 1.0 + damping * np.eye(3), system.jac
-    cols = [rows.cols for rows in system.pres]
-    schur, g_schur = np.zeros_like(system.h), np.zeros_like(system.g)
-    for f in range(n):
-        own = np.unique(np.concatenate([c[r.frame == f] for c, r in zip(cols, system.pres)]))
-        # flat index into b of a segment's (3, 7) entries at pixel 0
-        slots = [np.arange(3)[:, None] * own.size + np.searchsorted(own, c)[:, None] for c in cols]
-        b = np.zeros(pix * 3 * own.size)
-        for t, seg, p, w, _, root, j_chi, j_cam in _linearized(system.pres, system.at, (f, f + 1)):
-            idx = (3 * own.size) * (p - f * pix)[:, None, None] + slots[t].take(seg, axis=0)
-            np.add.at(b, idx.ravel(), _chi_t(j_chi, (w / root)[:, None, None] * j_cam).ravel())
-        b = b.reshape(pix * 3, own.size)
-        k = (_inv3(system.c[f] * damp) @ b.reshape(pix, 3, -1)).reshape(pix * 3, -1)
-        # einsum, not a BLAS product: threaded BLAS on a busy machine spins
-        schur[own[:, None], own] += np.einsum("pc,pd->cd", b, k)
-        g_schur[own] += np.einsum("pc,p->c", k, system.g_chi[f].ravel())
-    h = system.h * (1.0 + damping * np.eye(len(system.g))) - jac.T @ schur @ jac
-    rhs = system.g - jac.T @ g_schur
+    n = len(system.g_chi)
+    jac = system.jac
+    elim = next((e for e in system.eliminated if e.damping == damping), None)
+    if elim is None:
+        elims = [_eliminated(d, system.c, len(system.g)) for d in (damping, 10.0 * damping)]
+        for _ in _eliminating(system.pres, system.at, system.c, system.g_chi, elims):
+            pass
+        system.eliminated[:] = elims
+        elim = elims[0]
+    h = system.h * (1.0 + damping * np.eye(len(system.g))) - jac.T @ elim.schur @ jac
+    rhs = system.g - jac.T @ elim.g_schur
     # frame 0's pose and edge 0's scale carry the gauge; unknowns no term
     # touches (the last frame's pose) stay put
     keep = np.flatnonzero(np.diag(system.h) > 0)
     keep = keep[(keep >= 6) & (keep != 6 * n)]
     step = np.zeros_like(rhs)
     step[keep] = np.linalg.solve(h[keep][:, keep], -rhs[keep])
-    moved, d_chi = [(jac @ step)[c] for c in cols], system.g_chi.reshape(-1, 3).copy()
-    for t, seg, p, w, _, root, j_chi, j_cam in _linearized(system.pres, system.at, (0, n)):
-        jd = np.einsum("nkj,nj->nk", j_cam, moved[t].take(seg, axis=0))
+    moved = [(jac @ step)[rows.cols] for rows in system.pres]
+    d_chi = system.g_chi.reshape(-1, 3).copy()
+    for t, seg, p, w, _, root, j_chi, lever in _linearized(system.pres, system.at, (0, n)):
+        mv = moved[t].take(seg, axis=0)  # d r / d camera times mv, without building it
+        jd = np.cross(lever, mv[:, :3]) - mv[:, 3:6] - (t == 0) * mv[:, 6:] * lever
+        jd = jd if j_chi is None else np.einsum("nki,ni->nk", j_chi, jd)
         _scatter(d_chi, p, _chi_t(j_chi, (w / root)[:, None] * jd))
-    d_chi = d_chi.reshape(n, pix, 3)
-    for f in range(n):
-        d_chi[f] = -np.einsum("pab,pb->pa", _inv3(system.c[f] * damp), d_chi[f])
+    d_chi = -np.einsum("pab,pb->pa", elim.k_chi.reshape(-1, 3, 3), d_chi)
     cam = step[: 6 * n].reshape(n, 6)
-    return AlignmentVariables(v.rotvecs + cam[:, :3], v.translations + cam[:, 3:],
-                              v.log_scales + step[6 * n :],
-                              v.pointmaps + d_chi.reshape(v.pointmaps.shape))
+    return AlignmentVariables(
+        v.rotvecs + cam[:, :3],
+        v.translations + cam[:, 3:],
+        v.log_scales + step[6 * n :],
+        v.pointmaps + d_chi.reshape(v.pointmaps.shape),
+    )
 
 
 def alignment_energy(problem: AlignmentProblem, v: AlignmentVariables,
@@ -473,9 +523,12 @@ def alignment_energy(problem: AlignmentProblem, v: AlignmentVariables,
 
 def _init_identity(problem: AlignmentProblem) -> AlignmentVariables:
     n = len(problem.frames)
-    maps = np.array([m.points for m in problem.ego_maps], dtype=np.float64)
-    return AlignmentVariables(np.zeros((n, 3)), np.zeros((n, 3)), np.zeros(len(problem.edges)),
-                              maps)
+    return AlignmentVariables(
+        rotvecs=np.zeros((n, 3)),
+        translations=np.zeros((n, 3)),
+        log_scales=np.zeros(len(problem.edges)),
+        pointmaps=np.array([m.points for m in problem.ego_maps], dtype=np.float64),
+    )
 
 
 def _init_pairwise(problem: AlignmentProblem, pres: tuple[_Rows, _Rows]) -> AlignmentVariables:
@@ -503,8 +556,11 @@ def _init_pairwise(problem: AlignmentProblem, pres: tuple[_Rows, _Rows]) -> Alig
             except EmptyDomainError:
                 pass
 
-    rot, cen, kappa = [np.eye(3)] * n, [np.zeros(3)] * n, np.ones(n)
-    seen, frontier = {0}, [0]
+    rot = [np.eye(3) for _ in range(n)]
+    cen = [np.zeros(3) for _ in range(n)]
+    kappa = np.ones(n)
+    seen = {0}
+    frontier = [0]
     while frontier:
         f = frontier.pop(0)
         for nxt, i, j in adj[f]:
@@ -573,15 +629,25 @@ def global_align(
     if not np.isfinite(energy):
         raise DivergenceError("initial energy is non-finite", trace=[energy])
     trace = [energy]
-    damping, iters, flat_tol_hits = _DAMPING_START, 0, 0
+    damping = _DAMPING_START
+    iters = 0
+    flat_tol_hits = 0
+    retried = False
     converged = not problem.edges or energy < _ABS_TOL
 
     while not converged and iters < opts.max_iters:
         e_before = trace[-1]
-        _, _, system = _energy_and_grad(problem, pres, v, opts)
+        first_damping = damping
         iters += 1
+        system = None
         while damping <= _DAMPING_MAX:
             try:
+                if system is None:
+                    # chi is eliminated at the first try's damping, and at the
+                    # second's too after an iteration that needed a retry:
+                    # damping then tends to go up and down by turns
+                    ladder = (damping, 10.0 * damping) if retried else (damping,)
+                    _, _, system = _energy_and_grad(problem, pres, v, opts, dampings=ladder)
                 cand = _lm_step(v, system, damping)
             except np.linalg.LinAlgError:
                 damping *= 10.0
@@ -594,6 +660,7 @@ def global_align(
             converged = True  # no damping lowers the energy: a minimum
             break
         v, system = cand, None  # free the system before the next linearization
+        retried = damping > first_damping
         damping = max(damping / 10.0, _DAMPING_MIN)
         trace.append(e_new)
         if e_new < _ABS_TOL:
@@ -608,8 +675,11 @@ def global_align(
     # its global map by a similarity gives every frame a pose, including
     # frames that never serve as an edge's reference view.
     poses = []
-    for f, ego in enumerate(problem.ego_maps):
-        sel, r_c2w, center = ego.valid, rodrigues(v.rotvecs[f]), v.translations[f]
+    for f in range(n):
+        ego = problem.ego_maps[f]
+        sel = ego.valid
+        r_c2w = rodrigues(v.rotvecs[f])
+        center = v.translations[f]
         if problem.edges and int(sel.sum()) >= 3:
             try:
                 _, r_c2w, center = umeyama(ego.points[sel], v.pointmaps[f][sel], with_scale=True)
@@ -617,4 +687,12 @@ def global_align(
                 pass
         poses.append(Pose(r_c2w.T, -r_c2w.T @ center))
     maps = [Pointmap(v.pointmaps[f], problem.ego_maps[f].valid) for f in range(n)]
-    return AlignmentResult(poses, np.exp(v.log_scales), maps, trace, converged, iters, v)
+    return AlignmentResult(
+        poses=poses,
+        scales=np.exp(v.log_scales),
+        pointmaps=maps,
+        energy_trace=trace,
+        converged=converged,
+        iterations=iters,
+        variables=v,
+    )

@@ -1,6 +1,7 @@
 """Solver-layer checks of global alignment: the flat residual table against
-an energy written out edge by edge, invariance to the row-chunk size, the
-memory of one step, and a property test of monotone, finite solves."""
+an energy written out edge by edge, invariance to the row-chunk size, reuse
+of a chi elimination across damping tries, the memory of one step, and a
+property test of monotone, finite solves."""
 
 import dataclasses
 import tracemalloc
@@ -157,6 +158,34 @@ def test_row_chunk_size_leaves_the_solve_unchanged(monkeypatch):
         assert same(getattr(step, field), getattr(step7, field)), field
     assert (result7.iterations, result7.converged) == (result.iterations, result.converged)
     assert same(np.array(result.energy_trace), np.array(result7.energy_trace))
+
+
+def test_a_step_reads_the_rows_once_at_a_damping_chi_was_eliminated_at(monkeypatch):
+    problem, _ = noisy_scene_problem()
+    opts = AlignmentOptions(lambda_2d=0.5)
+    pres = _prepare(problem, opts)
+    v = alignment._init_pairwise(problem, pres)
+
+    def fresh(damping):
+        system = _energy_and_grad(problem, pres, v, opts, dampings=(damping,))[2]
+        return _lm_step(v, system, damping)
+
+    want = {d: fresh(d) for d in (1e-3, 1e-2, 1e-1, 1.0)}
+    _, _, system = _energy_and_grad(problem, pres, v, opts, dampings=(1e-3, 1e-2))
+    reads = []
+    linearized = alignment._linearized
+    monkeypatch.setattr(alignment, "_linearized",
+                        lambda *args, **kw: reads.append(args[2]) or linearized(*args, **kw))
+    n = len(problem.frames)
+    # the two eliminated dampings, then a retry past them, which eliminates
+    # frame by frame at it and at ten times it
+    for damping, frames_read in ((1e-3, []), (1e-2, []), (1e-1, [(f, f + 1) for f in range(n)]),
+                                 (1.0, [])):
+        reads.clear()
+        step = _lm_step(v, system, damping)
+        assert reads == frames_read + [(0, n)], damping  # then the back-substitution
+        for field in ("rotvecs", "translations", "log_scales", "pointmaps"):
+            np.testing.assert_array_equal(getattr(step, field), getattr(want[damping], field))
 
 
 def test_one_step_memory_is_bounded_by_the_rows_not_the_couplings():
