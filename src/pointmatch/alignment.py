@@ -144,9 +144,18 @@ class AlignmentProblem:
         n = len(self.frames)
         if len(self.intrinsics) != n or len(self.ego_maps) != n:
             raise ValueError("per-frame lists must match the frame count")
+        res = {m.valid.shape for m in self.ego_maps}
+        if len(res) > 1:
+            raise ValueError("ego maps must share one resolution")
         for e in self.edges:
             if not (0 <= e.i < n and 0 <= e.j < n and e.i != e.j):
                 raise ValueError("edge endpoints out of range")
+            p = e.pred
+            grids = [p.x_ii.valid, p.x_ji.valid, p.x_ji_matched.valid, p.conf_ii.raw, p.conf_ji.raw]
+            if e.mask is not None:
+                grids.append(e.mask.mask)
+            if {g.shape for g in grids} != res:
+                raise ValueError("an edge's maps must share the ego maps' resolution")
         if n > 1 and not self._connected():
             raise ValueError("pair graph is disconnected")
 

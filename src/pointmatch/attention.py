@@ -53,17 +53,17 @@ class TokenGrid:
 class MotionParams:
     """Named parameter tensors for the temporal module.
 
-    names fixes the serialization order; tensors maps name -> float64 array.
+    tensors maps name -> float64 array; its order is the serialization order.
     """
 
     channels: int
     heads: int
     t_max: int
     tensors: dict[str, np.ndarray]
-    names: list[str]
 
-    def flat_size(self) -> int:
-        return sum(self.tensors[n].size for n in self.names)
+    @property
+    def names(self) -> list[str]:
+        return list(self.tensors)
 
 
 def sinusoidal_table(t_max: int, channels: int) -> np.ndarray:
@@ -84,11 +84,9 @@ def init_params(channels: int, heads: int = 4, t_max: int = 12, seed: int = 0) -
     rng = np.random.Generator(np.random.Philox(seed))
     w_scale = 0.02
     tensors: dict[str, np.ndarray] = {}
-    names: list[str] = []
 
     def add(name, arr):
         tensors[name] = np.asarray(arr, dtype=np.float64)
-        names.append(name)
 
     add("pos", sinusoidal_table(t_max, channels))
     hidden = FFN_MULT * channels
@@ -108,7 +106,7 @@ def init_params(channels: int, heads: int = 4, t_max: int = 12, seed: int = 0) -
         add(f"{p}.ffn.b1", np.zeros(hidden))
         add(f"{p}.ffn.w2", np.zeros((hidden, channels)))
         add(f"{p}.ffn.b2", np.zeros(channels))
-    return MotionParams(channels=channels, heads=heads, t_max=t_max, tensors=tensors, names=names)
+    return MotionParams(channels=channels, heads=heads, t_max=t_max, tensors=tensors)
 
 
 def _gelu(x):

@@ -1,10 +1,10 @@
-"""On-disk formats: raw f32 tensor files, bundle directories (scenes and the
-CLI's task results), trajectory text, and temporal-module checkpoints.
+"""On-disk formats: bundle directories of raw f32 tensors, and trajectory text.
 
 A bundle directory holds `meta.json` (a `format` tag, a `tensors` manifest and
-any other fields) and one `<name>.bin` per manifest entry. `write_bundle`
-writes one; `read_meta` and `read_tensors` read one back, rejecting a
-malformed manifest or a missing tensor with ValueError.
+any other fields) and one `<name>.bin` per manifest entry: scenes, the CLI's
+task results and temporal-module checkpoints, told apart by their format tag.
+`write_bundle` writes one; `read_meta` and `read_tensors` read one back,
+rejecting a malformed manifest or a missing tensor with ValueError.
 
 Everything written here is deterministic for fixed inputs: JSON is dumped with
 sorted keys and a trailing newline, tensors are little-endian float32
@@ -29,7 +29,7 @@ from .scenes import SceneConfig, SceneSequence, TrackSet, generate_scene
 TENSOR_DTYPE = "f32"
 TENSOR_ORDER = "row-major"
 SCENE_FORMAT = "pointmatch-scene-v1"
-CHECKPOINT_FORMAT = "motion-checkpoint-v1"
+CHECKPOINT_FORMAT = "motion-checkpoint-v2"
 # tracks.json fields: those compared exactly on load, and the float ones
 _TRACK_EXACT = ("query_frames", "query_pixels", "visible")
 _TRACK_FLOAT = ("world", "camera", "pixels")
@@ -69,8 +69,9 @@ def read_tensor(dir_path, entry: dict) -> np.ndarray:
         raise ValueError(f"tensor {name}: dtype must be {TENSOR_DTYPE!r}")
     if entry.get("order") != TENSOR_ORDER:
         raise ValueError(f"tensor {name}: order must be {TENSOR_ORDER!r}")
-    dims = entry.get("dims", [])
-    if not _is_dims(dims):
+    dims = entry.get("dims")
+    # a bool is not an integer
+    if not isinstance(dims, list) or not all(type(d) is int and d >= 0 for d in dims):
         raise ValueError(f"tensor {name}: dims must be a list of non-negative integers")
     count = int(np.prod(dims)) if dims else 1
     raw = (Path(dir_path) / (name + ".bin")).read_bytes()
@@ -81,11 +82,13 @@ def read_tensor(dir_path, entry: dict) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(dims)
 
 
-def write_bundle(dir_path, fmt: str, tensors: dict, **fields) -> None:
-    """Write one `<name>.bin` per tensor (in dict order) and `meta.json`."""
+def write_bundle(dir_path, fmt: str, tensors: dict, **fields) -> Path:
+    """Make dir_path and write one `<name>.bin` per tensor (in dict order) and `meta.json`."""
     out = Path(dir_path)
+    out.mkdir(parents=True, exist_ok=True)
     entries = [write_tensor(out, name, arr) for name, arr in tensors.items()]
     dump_json(out / "meta.json", {"format": fmt, "tensors": entries, **fields})
+    return out
 
 
 def read_meta(dir_path, fmt: str) -> dict:
@@ -162,20 +165,17 @@ def _scene_tensors(seq: SceneSequence) -> dict:
 
 def save_scene(dir_path, seq: SceneSequence) -> Path:
     """Write a scene directory: meta.json + per-frame tensors + poses + tracks."""
-    out = Path(dir_path)
-    out.mkdir(parents=True, exist_ok=True)
-    write_trajectory(out / "poses.txt", seq.poses)
-    tr = seq.tracks
-    dump_json(
-        out / "tracks.json",
-        {name: getattr(tr, name).tolist() for name in _TRACK_EXACT + _TRACK_FLOAT},
-    )
-    write_bundle(
-        out,
+    out = write_bundle(
+        dir_path,
         SCENE_FORMAT,
         _scene_tensors(seq),
         config=asdict(seq.config),
         intrinsics=[{"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy} for k in seq.intrinsics],
+    )
+    write_trajectory(out / "poses.txt", seq.poses)
+    dump_json(
+        out / "tracks.json",
+        {name: getattr(seq.tracks, name).tolist() for name in _TRACK_EXACT + _TRACK_FLOAT},
     )
     return out
 
@@ -239,79 +239,31 @@ def _check_tracks(path: Path, tracks: TrackSet) -> None:
             raise ValueError(f"tracks.json {name} does not match the scene config")
 
 
-def save_checkpoint(path, params: MotionParams) -> None:
-    """Manifest JSON at `path`, raw little-endian f32 buffer at `<path>.bin`."""
-    path = Path(path)
-    if path.suffix != ".json":
-        raise ValueError("checkpoint path must end in .json")
-    chunks = []
-    entries = []
-    offset = 0
-    for name in params.names:
-        arr = np.ascontiguousarray(params.tensors[name], dtype="<f4")
-        entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += arr.size
-        chunks.append(arr.tobytes())
-    path.with_suffix(".bin").write_bytes(b"".join(chunks))
-    dump_json(
-        path,
-        {
-            "format": CHECKPOINT_FORMAT,
-            "channels": params.channels,
-            "heads": params.heads,
-            "t_max": params.t_max,
-            "size": offset,
-            "tensors": entries,
-        },
+def save_checkpoint(dir_path, params: MotionParams) -> Path:
+    """Write params as a bundle directory, one `<name>.bin` per tensor in order."""
+    return write_bundle(
+        dir_path,
+        CHECKPOINT_FORMAT,
+        params.tensors,
+        channels=params.channels,
+        heads=params.heads,
+        t_max=params.t_max,
     )
 
 
-def load_checkpoint(path) -> MotionParams:
-    path = Path(path)
-    manifest = load_json(path)
-    if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path} is not a checkpoint manifest")
-    for key in ("size", "channels", "heads", "t_max"):
-        if type(manifest.get(key)) is not int:
-            raise ValueError(f"{path}: {key} must be an integer")
-    entries = manifest.get("tensors")
-    if not isinstance(entries, list) or not all(_is_checkpoint_entry(e) for e in entries):
-        raise ValueError(f"{path} has no list of tensor entries with name, shape and offset")
-    size = manifest["size"]
-    raw = path.with_suffix(".bin").read_bytes()
-    if len(raw) != 4 * size:
-        raise ValueError(f"checkpoint buffer holds {len(raw)} bytes, expected {4 * size}")
-    flat = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-    tensors: dict[str, np.ndarray] = {}
-    names: list[str] = []
-    for e in entries:
-        name, shape, off = e["name"], tuple(e["shape"]), e["offset"]
-        count = int(np.prod(shape)) if shape else 1
-        if off < 0 or off + count > size:
-            raise ValueError(f"tensor {name} falls outside the checkpoint buffer")
-        if name in tensors:
-            raise ValueError(f"duplicate tensor {name}")
-        tensors[name] = flat[off : off + count].reshape(shape).copy()
-        names.append(name)
+def load_checkpoint(dir_path) -> MotionParams:
+    """Read a `save_checkpoint` directory back; ValueError if it is malformed."""
+    meta = read_meta(dir_path, CHECKPOINT_FORMAT)
+    for key in ("channels", "heads", "t_max"):
+        if type(meta.get(key)) is not int:
+            raise ValueError(f"{dir_path}: {key} must be an integer")
+    # read_tensors checks every name before the dict is keyed by them
+    tensors = dict(zip((e["name"] for e in meta["tensors"]), read_tensors(dir_path, meta)))
+    if len(tensors) != len(meta["tensors"]):
+        raise ValueError(f"{dir_path} names a tensor twice")
     return MotionParams(
-        channels=manifest["channels"],
-        heads=manifest["heads"],
-        t_max=manifest["t_max"],
+        channels=meta["channels"],
+        heads=meta["heads"],
+        t_max=meta["t_max"],
         tensors=tensors,
-        names=names,
     )
-
-
-def _is_checkpoint_entry(e) -> bool:
-    """An object with a string name, an integer offset and dims as shape."""
-    return (
-        isinstance(e, dict)
-        and isinstance(e.get("name"), str)
-        and type(e.get("offset")) is int
-        and _is_dims(e.get("shape"))
-    )
-
-
-def _is_dims(dims) -> bool:
-    """A list of non-negative integers (a bool is not an integer)."""
-    return isinstance(dims, list) and all(type(d) is int and d >= 0 for d in dims)

@@ -347,6 +347,7 @@ def track_3d(
         safe_pix = np.where(alive[:, None], cur_pix, 0)
         tr_w, va_w = sparsify_tracks(maps, safe_pix)
         va_w &= alive[:, None]
+        tr_w[~va_w] = 0.0
 
         if wi == 0:
             s = 1.0

@@ -18,6 +18,7 @@ from pointmatch.alignment import (
 from pointmatch.config import RunConfig
 from pointmatch.errors import DivergenceError
 from pointmatch.geometry import ConfidenceMap, Intrinsics, Pointmap
+from pointmatch.matching import DynamicMask
 from pointmatch.metrics import trajectory_metrics
 from pointmatch.pipelines import OraclePredictor, PairPrediction
 from pointmatch.scenes import SceneConfig, generate_scene
@@ -131,6 +132,54 @@ def test_disconnected_graph_rejected():
             edges=[e for e in problem.edges if (e.i, e.j) not in ((1, 2), (0, 2), (1, 3))],
             ego_maps=problem.ego_maps,
         )
+
+
+def _grid_problem(ego_shapes, edge_shape, **edge_shapes):
+    """A 2-frame problem; edge_shapes overrides one grid of the edge by field."""
+
+    def pm(shape):
+        return Pointmap(np.ones(shape + (3,)), np.ones(shape, dtype=bool))
+
+    def grid(name):
+        return edge_shapes.get(name, edge_shape)
+
+    k = Intrinsics(fx=10.0, fy=10.0, cx=2.0, cy=1.5)
+    pred = PairPrediction(
+        frames=(0, 1),
+        x_ii=pm(grid("x_ii")),
+        x_ji=pm(grid("x_ji")),
+        x_ji_matched=pm(grid("x_ji_matched")),
+        conf_ii=ConfidenceMap.uniform(grid("conf_ii")),
+        conf_ji=ConfidenceMap.uniform(grid("conf_ji")),
+    )
+    shape = grid("mask")
+    mask = DynamicMask(np.zeros(shape, dtype=bool), 0.0, np.zeros(shape), np.ones(shape, bool))
+    return AlignmentProblem(
+        frames=[0, 1],
+        intrinsics=[k, k],
+        edges=[AlignmentEdge(i=0, j=1, pred=pred, mask=mask)],
+        ego_maps=[pm(s) for s in ego_shapes],
+    )
+
+
+@pytest.mark.parametrize(
+    "ego_shapes, edge_shape, overrides",
+    [
+        (((4, 5), (4, 5)), (3, 5), {}),
+        (((4, 5), (4, 5)), (4, 4), {}),
+        (((4, 5), (4, 5)), (4, 6), {}),
+        (((4, 5), (4, 5)), (4, 5), {"x_ji_matched": (3, 5)}),
+        (((4, 5), (4, 5)), (4, 5), {"conf_ji": (4, 6)}),
+        (((4, 5), (4, 5)), (4, 5), {"mask": (4, 4)}),
+        (((4, 5), (4, 6)), (4, 5), {}),
+    ],
+    ids=["edge-3x5", "edge-4x4", "edge-4x6", "matched-3x5", "conf-4x6", "mask-4x4",
+         "ego-4x5-4x6"],
+)
+def test_problem_rejects_mismatched_resolutions(ego_shapes, edge_shape, overrides):
+    _grid_problem(((4, 5), (4, 5)), (4, 5))  # one resolution throughout is a problem
+    with pytest.raises(ValueError, match="resolution"):
+        _grid_problem(ego_shapes, edge_shape, **overrides)
 
 
 # ---------------------------------------------------------------- energy

@@ -6,9 +6,12 @@ import pytest
 from pointmatch.attention import TokenGrid, forward, init_params
 from pointmatch.geometry import Pose
 from pointmatch.io import (
+    CHECKPOINT_FORMAT,
     load_checkpoint,
     load_scene,
+    read_meta,
     read_tensor,
+    read_tensors,
     read_trajectory,
     save_checkpoint,
     save_scene,
@@ -61,6 +64,14 @@ def test_tensor_reader_rejects_malformed_dims(tmp_path, dims):
     entry = write_tensor(tmp_path, "probe", np.zeros((4, 4)))
     with pytest.raises(ValueError, match="dims"):
         read_tensor(tmp_path, dict(entry, dims=dims))
+
+
+def test_tensor_reader_requires_dims(tmp_path):
+    # without dims a one-element tensor would read back as a scalar
+    entry = write_tensor(tmp_path, "probe", np.ones((1, 1)))
+    del entry["dims"]
+    with pytest.raises(ValueError, match="dims"):
+        read_tensor(tmp_path, entry)
 
 
 def test_trajectory_roundtrip(tmp_path):
@@ -168,8 +179,8 @@ def test_checkpoint_roundtrip(tmp_path):
         params.tensors[name] = params.tensors[name] + rng.normal(
             scale=0.05, size=params.tensors[name].shape
         )
-    path = tmp_path / "motion.json"
-    save_checkpoint(path, params)
+    path = tmp_path / "motion"
+    assert save_checkpoint(path, params) == path
     back = load_checkpoint(path)
     assert back.names == params.names
     assert (back.channels, back.heads, back.t_max) == (8, 2, 4)
@@ -180,14 +191,25 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.abs(out_a - out_b).max() <= 1e-6
 
 
-def test_checkpoint_rejects_truncated_buffer(tmp_path):
+def test_checkpoint_rejects_truncated_tensor_file(tmp_path):
     params = init_params(channels=8, heads=2, t_max=4, seed=0)
-    path = tmp_path / "motion.json"
-    save_checkpoint(path, params)
-    raw = (tmp_path / "motion.bin").read_bytes()
-    (tmp_path / "motion.bin").write_bytes(raw[:-4])
+    path = save_checkpoint(tmp_path / "motion", params)
+    tensor_file = path / f"{params.names[1]}.bin"
+    tensor_file.write_bytes(tensor_file.read_bytes()[:-4])
     with pytest.raises(ValueError, match="bytes"):
         load_checkpoint(path)
+
+
+def test_checkpoint_is_a_bundle(tmp_path):
+    params = init_params(channels=8, heads=2, t_max=4, seed=1)
+    path = save_checkpoint(tmp_path / "motion", params)
+    meta = read_meta(path, CHECKPOINT_FORMAT)
+    assert (meta["channels"], meta["heads"], meta["t_max"]) == (8, 2, 4)
+    assert [e["name"] for e in meta["tensors"]] == params.names
+    for name, arr in zip(params.names, read_tensors(path, meta)):
+        want = params.tensors[name]
+        assert arr.shape == want.shape
+        assert np.array_equal(arr, want.astype(np.float32))
 
 
 def test_tensor_reader_rejects_path_names(tmp_path):
@@ -200,9 +222,8 @@ def test_tensor_reader_rejects_path_names(tmp_path):
 
 
 def _checkpoint_manifest(tmp_path) -> dict:
-    path = tmp_path / "motion.json"
-    save_checkpoint(path, init_params(channels=8, heads=2, t_max=4, seed=0))
-    return json.loads(path.read_text())
+    path = save_checkpoint(tmp_path / "motion", init_params(channels=8, heads=2, t_max=4, seed=0))
+    return json.loads((path / "meta.json").read_text())
 
 
 @pytest.mark.parametrize(
@@ -210,14 +231,16 @@ def _checkpoint_manifest(tmp_path) -> dict:
     [
         lambda m: {"format": m["format"]},
         lambda m: dict(m, heads="2"),
-        lambda m: dict(m, tensors=[{k: v for k, v in e.items() if k != "offset"}
+        lambda m: dict(m, tensors=[{k: v for k, v in e.items() if k != "dims"}
                                    for e in m["tensors"]]),
-        lambda m: dict(m, tensors=[[e["name"], e["shape"], e["offset"]] for e in m["tensors"]]),
+        lambda m: dict(m, tensors=[[e["name"], e["dims"]] for e in m["tensors"]]),
+        lambda m: dict(m, tensors=m["tensors"] + m["tensors"][:1]),
     ],
-    ids=["format-only", "string-heads", "entry-without-offset", "entries-not-objects"],
+    ids=["format-only", "string-heads", "entry-without-dims", "entries-not-objects",
+         "duplicate-name"],
 )
 def test_checkpoint_rejects_malformed_manifest(tmp_path, corrupt):
     manifest = corrupt(_checkpoint_manifest(tmp_path))
-    (tmp_path / "motion.json").write_text(json.dumps(manifest))
+    (tmp_path / "motion" / "meta.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError):
-        load_checkpoint(tmp_path / "motion.json")
+        load_checkpoint(tmp_path / "motion")

@@ -1,6 +1,10 @@
+from contextlib import suppress
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointmatch import pipelines, scenes
 from pointmatch.alignment import build_pair_graph
@@ -501,3 +505,47 @@ def test_track_query_validation(seq, oracle):
         track_3d(seq, oracle, np.array([[0, 0, 0]]))
     with pytest.raises(ValueError):
         track_3d(seq, oracle, np.zeros((1, 2), np.int64), mode="hybrid")
+
+
+def _finite_and_zero_where_invalid(values, valid):
+    assert np.all(np.isfinite(values))
+    assert not np.any(values[~valid])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["orbit", "linear", "random-smooth"]),
+    st.integers(0, 5),
+    st.integers(4, 16),
+    st.integers(4, 20),
+    st.integers(1, 4),
+    st.floats(0.0, 0.2),
+    st.floats(0.0, 0.2),
+    st.floats(0.0, 0.2),
+    st.integers(2, 5),
+    st.data(),
+)
+def test_pipelines_return_clean_outputs_or_raise(cam, objects, h, w, frames, noise, jitter,
+                                                 motion, window, data):
+    """Over scene configs, noise and windows, each pipeline returns finite
+    outputs that are zero wherever invalid, or raises a ValueError (EmptyDomainError is
+    one)."""
+    overlap = data.draw(st.integers(0, window - 1), label="overlap")
+    mode = data.draw(st.sampled_from(["matched", "rigid"]), label="mode")
+    seq = generate_scene(SceneConfig(seed=frames + objects, frame_count=frames, height=h,
+                                     width=w, object_count=objects, motion_magnitude=motion,
+                                     camera_path=cam, track_count=6))
+    oracle = OraclePredictor(seq, sigma_point=noise, sigma_scale=jitter, seed=1)
+    with suppress(ValueError):
+        for m in video_depth(seq, oracle):
+            _finite_and_zero_where_invalid(m.depth, m.valid)
+    with suppress(ValueError):
+        recon = feedforward_recon(seq, oracle, window=window)
+        assert np.all(np.isfinite(recon.points))
+        assert len(recon.points) == sum(int(m.valid.sum()) for m in recon.maps)
+        for m in recon.maps:
+            _finite_and_zero_where_invalid(m.points, m.valid)
+    with suppress(ValueError):
+        res = track_3d(seq, oracle, seq.tracks.query_pixels, window=window, overlap=overlap,
+                       mode=mode)
+        _finite_and_zero_where_invalid(res.tracks, res.valid)
