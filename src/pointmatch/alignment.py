@@ -13,22 +13,25 @@ matched maps' projected correspondences,
 
 The per-edge scale acts on camera-frame points before the rigid map, so frame
 translations stay world-metric and the trajectory reads off the variables
-directly. Dynamic pixels (per-edge 3x-median mask) are excluded from the 2D
-term: their matched correspondences encode object motion, not camera motion.
-Both penalties use one fixed scale, rho(r) = sqrt(|r|^2 + delta^2) - delta with
-delta = 1e-6 (`_HUBER_DELTA`); it is not an option.
+directly. A static pixel's matched point is valid and in front of camera i,
+at a pixel where the edge's x_ji is valid too; dynamic pixels (per-edge
+3x-median mask) are excluded, as their matched correspondences encode object
+motion, not camera motion. Both penalties use one fixed scale, rho(r) =
+sqrt(|r|^2 + delta^2) - delta with delta = 1e-6 (`_HUBER_DELTA`); it is not
+an option.
 
 The solver is Levenberg-Marquardt on the IRLS-weighted residuals (Triggs et
 al., "Bundle Adjustment - A Modern Synthesis", 2000). The residuals live in
 two flat tables, one row per (edge, term, pixel), grouped by the frame whose
 map a row pulls; every pass over them takes a fixed number of numpy calls per
 chunk of `_CHUNK_ROWS` rows, whatever the number of edges. Each pixel's global
-point couples only to its own residuals, so its 3x3 block is eliminated by a
-Schur complement, one frame at a time in the pass that builds the system,
-leaving a dense system over poses and scales; no frame's coupling block
-outlives its elimination. A step is kept only if the energy drops, so the
-energy trace is monotone. Frame 0's pose and the first edge's scale are
-pinned (gauge freedom).
+point couples only to its own residuals, so once per iteration its 3x3 block
+is eliminated, undamped, by a Schur complement, one frame at a time in the
+pass that builds the system; the damping acts on the reduced system over
+poses and scales alone, so every try reuses that elimination. Rotations step
+as R <- exp([dw]x) R (Sola et al., arXiv 1812.01537). A step is kept only if
+the energy drops, so the energy trace is monotone. Frame 0's pose and the
+first edge's scale are pinned (gauge freedom).
 """
 
 from __future__ import annotations
@@ -73,32 +76,6 @@ def rodrigues(w: np.ndarray) -> np.ndarray:
         a = np.sin(th) / th
         b = (1.0 - np.cos(th)) / th2
     return np.eye(3) + a * k + b * (k @ k)
-
-
-def rodrigues_jacobian(w: np.ndarray) -> np.ndarray:
-    """dR/dw as a (3, 3, 3) array: [k] is the derivative w.r.t. w[k].
-
-    Closed form for exp-map derivatives; first-order Taylor below the
-    small-angle threshold. Finite-difference checked in the tests.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    th2 = float(w @ w)
-    out = np.empty((3, 3, 3))
-    if th2 < _SMALL_ANGLE**2:
-        k = _skew(w)
-        for idx in range(3):
-            e = np.zeros(3)
-            e[idx] = 1.0
-            ek = _skew(e)
-            out[idx] = ek + 0.5 * (ek @ k + k @ ek)
-        return out
-    r = rodrigues(w)
-    eye = np.eye(3)
-    for idx in range(3):
-        e = eye[idx]
-        v = np.cross(w, (eye - r) @ e)
-        out[idx] = ((w[idx] * _skew(w) + _skew(v)) / th2) @ r
-    return out
 
 
 def rotation_log(r: np.ndarray) -> np.ndarray:
@@ -296,7 +273,8 @@ def _prepare(problem: AlignmentProblem, opts: AlignmentOptions) -> tuple[_Rows, 
             segs3.append(((f, e.i, ei), pm.valid, lambda s, pm=pm, conf=conf:
                           np.column_stack([pm.points[s], conf.values[s]])))
         m = p.x_ji_matched
-        sel = m.valid & (m.points[..., 2] > EPS_Z)
+        # 2D rows only where x_ji gives a 3D row too: chi blocks invert undamped
+        sel = m.valid & p.x_ji.valid & (m.points[..., 2] > EPS_Z)
         if opts.use_dynamic_mask and e.mask is not None:
             sel &= ~e.mask.mask
         if opts.lambda_2d > 0:
@@ -371,37 +349,43 @@ def _scatter(out: np.ndarray, idx: np.ndarray, vals: np.ndarray):
         out[lo:hi] += np.bincount(flat, vals.ravel(), (hi - lo) * k).reshape(-1, k)
 
 
-# IRLS Gauss-Newton system: camera block h and gradient g, each pixel's 3x3
-# chi block c and chi gradient g_chi. Camera unknowns are [rotvec,
-# translation] per frame, then one log-scale per edge (gauge columns are
-# dropped in the solve). Rows differentiate a rotation by a left perturbation
-# J dw, dR/dw_k = [J e_k]x R, and jac maps camera steps to those coordinates.
-# `eliminated` holds chi eliminated at a few dampings; a step at another
-# damping eliminates it again from the rows at the iterate `at`.
-_NormalSystem = namedtuple("_NormalSystem", "h g c g_chi jac pres at eliminated")
-
-# chi eliminated at `damping`: the couplings' B^T K B and B^T K g_chi, in the
-# rows' camera coordinates, and K, the inverses of the damped chi blocks
-_Eliminated = namedtuple("_Eliminated", "damping schur g_schur k_chi")
+# IRLS Gauss-Newton system, chi eliminated: camera block h and gradient g,
+# the couplings' B^T K B and B^T K g_chi (schur, g_schur), the chi blocks'
+# inverses K (k_chi) and gradient g_chi. Camera unknowns are [rotation,
+# translation] per frame, then one log-scale per edge; a rotation unknown is
+# a left perturbation dw, R <- exp([dw]x) R. The back-substitution reads the
+# rows `pres` again at the iterate `at`.
+_NormalSystem = namedtuple("_NormalSystem", "h g schur g_schur k_chi g_chi pres at")
 
 
-def _eliminated(damping: float, c: np.ndarray, dim: int) -> _Eliminated:
-    return _Eliminated(damping, np.zeros((dim, dim)), np.zeros(dim), np.empty_like(c))
+def _energy_and_grad(problem: AlignmentProblem, pres: tuple[_Rows, _Rows],
+                     v: AlignmentVariables, opts: AlignmentOptions, want_grad: bool = True):
+    """Energy and, with want_grad, its gradient (rotations by left
+    perturbations) and IRLS normal system with chi eliminated, undamped.
 
-
-def _eliminating(pres: tuple[_Rows, _Rows], at: _At, c: np.ndarray, g_chi: np.ndarray,
-                 outs: list[_Eliminated]):
-    """_linearized's chunks, frame by frame and with d r / d camera in place
-    of the lever, eliminating each frame's chi into outs.
-
-    The rows of a frame are the only ones that reach its pixels, so once the
-    consumer of its chunks has summed them into c and g_chi, the frame's
-    couplings u J_chi^T J_cam, summed per pixel over the frame's camera
-    columns, are eliminated through its damped chi blocks (damping scales
-    every diagonal entry by 1 + damping). Pixels no term reaches get an inert
-    unit block. Raises LinAlgError when a chi block cannot be inverted.
+    Every row adds u J^T r to the gradient and u J^T J to the system, so the
+    gradient is exact and the system is the Gauss-Newton curvature of the
+    current IRLS majorant. Camera terms are summed per segment and placed
+    once; chi terms are scattered per pixel. Only a frame's own rows reach its
+    pixels, so after them its couplings u J_chi^T J_cam are eliminated through
+    its chi blocks, which c[f] then holds inverted, and dropped. Pixels no
+    term reaches get an inert unit block. Raises LinAlgError when a chi block
+    cannot be inverted.
     """
-    n, pix = c.shape[:2]
+    n, ks = len(v.rotvecs), problem.intrinsics
+    at = _At(np.array([rodrigues(w) for w in v.rotvecs]).reshape(n, 3, 3), v.translations,
+             np.exp(v.log_scales), v.pointmaps.reshape(-1, 3),
+             np.array([[k.fx, k.fy, k.cx, k.cy] for k in ks]).reshape(n, 4), opts.lambda_2d)
+    energy = 0.0
+    if not want_grad:
+        for _, _, _, w, _, root, _, _ in _linearized(pres, at, (0, n), jac=False):
+            energy += float((w * (root - _HUBER_DELTA)).sum())
+        return energy, None, None
+    dim = 6 * n + len(at.scales)
+    pix = len(at.chi) // n
+    acc = [np.zeros((len(rows.pose), 56)) for rows in pres]  # per segment: J^T u r, J^T u J
+    c, g_chi = np.zeros((n, pix, 3, 3)), np.zeros((n, pix, 3))
+    schur, g_schur = np.zeros((dim, dim)), np.zeros(dim)
     cols = [rows.cols for rows in pres]
     for f in range(n):
         own = np.unique(np.concatenate([cl[r.frame == f] for cl, r in zip(cols, pres)]))
@@ -410,48 +394,16 @@ def _eliminating(pres: tuple[_Rows, _Rows], at: _At, c: np.ndarray, g_chi: np.nd
                  for cl in cols]
         b = np.zeros(pix * 3 * own.size)
         for t, seg, p, w, r, root, j_chi, lever in _linearized(pres, at, (f, f + 1)):
-            j_cam = _j_cam(j_chi, lever)
-            idx = (3 * own.size) * (p - f * pix)[:, None, None] + slots[t].take(seg, axis=0)
-            np.add.at(b, idx.ravel(), _chi_t(j_chi, (w / root)[:, None, None] * j_cam).ravel())
-            del idx  # the consumer's products of this chunk come next
-            yield t, seg, p, w, r, root, j_chi, j_cam
-        c[f][np.trace(c[f], axis1=1, axis2=2) == 0] = np.eye(3)
-        for out in outs:
-            out.k_chi[f] = np.linalg.inv(c[f] * (1.0 + out.damping * np.eye(3)))
-            kb = (out.k_chi[f] @ b.reshape(pix, 3, own.size)).reshape(-1, own.size)
-            out.schur[own[:, None], own] += b.reshape(-1, own.size).T @ kb
-            out.g_schur[own] += kb.T @ g_chi[f].ravel()
-
-
-def _energy_and_grad(problem: AlignmentProblem, pres: tuple[_Rows, _Rows],
-                     v: AlignmentVariables, opts: AlignmentOptions, want_grad: bool = True,
-                     dampings: tuple[float, ...] = (_DAMPING_START,)):
-    """Energy and, with want_grad, its gradient and IRLS normal system, chi
-    eliminated at each of `dampings`.
-
-    Every row adds u J^T r to the gradient and u J^T J to the system, so the
-    gradient is exact and the system is the Gauss-Newton curvature of the
-    current IRLS majorant. Camera terms are summed per segment and placed
-    once; chi terms are scattered per pixel. Raises LinAlgError when a chi
-    block cannot be inverted.
-    """
-    n, ks = len(v.rotvecs), problem.intrinsics
-    at = _At(np.array([rodrigues(w) for w in v.rotvecs]).reshape(n, 3, 3), v.translations,
-             np.exp(v.log_scales), v.pointmaps.reshape(-1, 3),
-             np.array([[k.fx, k.fy, k.cx, k.cy] for k in ks]).reshape(n, 4), opts.lambda_2d)
-    energy = 0.0
-    chunks = _linearized(pres, at, (0, n), jac=False)
-    if want_grad:  # per segment: J^T u r, J^T u J
-        dim = 6 * n + len(at.scales)
-        acc = [np.zeros((len(rows.pose), 56)) for rows in pres]
-        c, g_chi = np.zeros((n, len(at.chi) // n, 3, 3)), np.zeros((n, len(at.chi) // n, 3))
-        eliminated = [_eliminated(d, c, dim) for d in dampings]
-        chunks = _eliminating(pres, at, c, g_chi, eliminated)
-    for t, seg, p, w, r, root, j_chi, j_cam in chunks:
-        energy += float((w * (root - _HUBER_DELTA)).sum())
-        if want_grad and seg.size:
+            energy += float((w * (root - _HUBER_DELTA)).sum())
+            if not seg.size:
+                continue
             u = w / root
-            ur, uj = u[:, None] * r, u[:, None, None] * j_cam
+            j_cam = _j_cam(j_chi, lever)
+            uj = u[:, None, None] * j_cam
+            idx = (3 * own.size) * (p - f * pix)[:, None, None] + slots[t].take(seg, axis=0)
+            np.add.at(b, idx.ravel(), _chi_t(j_chi, uj).ravel())
+            del idx  # the products below come next
+            ur = u[:, None] * r
             first = np.flatnonzero(np.diff(seg, prepend=-1))  # each segment's first row
             jtj = (j_cam.transpose(0, 2, 1) @ uj).reshape(-1, 49)
             acc[t][seg[first], :7] += np.add.reduceat(np.einsum("nki,nk->ni", j_cam, ur), first)
@@ -462,61 +414,50 @@ def _energy_and_grad(problem: AlignmentProblem, pres: tuple[_Rows, _Rows],
             # freed before the next chunk, whose linearization and coupling
             # would otherwise overlap them
             del ur, uj, jtj, uc
-    if not want_grad:
-        return energy, None, None
+        c[f][np.trace(c[f], axis1=1, axis2=2) == 0] = np.eye(3)
+        c[f] = np.linalg.inv(c[f])
+        kb = (c[f] @ b.reshape(pix, 3, own.size)).reshape(-1, own.size)
+        schur[own[:, None], own] += b.reshape(-1, own.size).T @ kb
+        g_schur[own] += kb.T @ g_chi[f].ravel()
     g, h = np.zeros(dim), np.zeros((dim, dim))
     for rows, sums in zip(pres, acc):
         np.add.at(g, rows.cols, sums[:, :7])
         np.add.at(h, (rows.cols[:, :, None], rows.cols[:, None]), sums[:, 7:].reshape(-1, 7, 7))
-    jac = np.eye(dim)
-    for f, w in enumerate(v.rotvecs):  # the columns J e_k = [dR/dw_k R^T]^vee
-        m = rodrigues_jacobian(w) @ at.rot[f].T
-        jac[6 * f : 6 * f + 3, 6 * f : 6 * f + 3] = np.stack([m[:, 2, 1], m[:, 0, 2], m[:, 1, 0]])
-    h, g = jac.T @ h @ jac, jac.T @ g
     cam = g[: 6 * n].reshape(n, 6)
     grad = AlignmentVariables(cam[:, :3], cam[:, 3:], g[6 * n :], g_chi.reshape(v.pointmaps.shape))
-    return energy, grad, _NormalSystem(h, g, c, g_chi, jac, pres, at, eliminated)
+    # c holds the chi blocks' inverses now
+    return energy, grad, _NormalSystem(h, g, schur, g_schur, c, g_chi, pres, at)
 
 
 def _lm_step(v: AlignmentVariables, system: _NormalSystem, damping: float) -> AlignmentVariables:
-    """One Levenberg-Marquardt step: solve the camera system left by
-    eliminating chi, then back-substitute.
-
-    At a damping the system has not eliminated chi at (a retry), chi is
-    eliminated again from the rows, at this damping and ten times it, and
-    the system keeps both for the tries that follow. After the camera solve,
-    each row's coupling times the step goes back to its pixel. Damping
-    scales every diagonal entry by (1 + damping). Raises LinAlgError when a
-    chi block or the reduced system cannot be inverted.
+    """One Levenberg-Marquardt step: solve the reduced camera system, whose
+    diagonal is scaled by (1 + damping) before chi's Schur complement is taken
+    off, then back-substitute each row's coupling times the step to its pixel
+    through the undamped chi blocks. So every try at an iterate reuses its one
+    elimination and reads the rows once. Rotations compose, R <- exp([dw]x) R.
+    Raises LinAlgError when the reduced system cannot be solved.
     """
     n = len(system.g_chi)
-    jac = system.jac
-    elim = next((e for e in system.eliminated if e.damping == damping), None)
-    if elim is None:
-        elims = [_eliminated(d, system.c, len(system.g)) for d in (damping, 10.0 * damping)]
-        for _ in _eliminating(system.pres, system.at, system.c, system.g_chi, elims):
-            pass
-        system.eliminated[:] = elims
-        elim = elims[0]
-    h = system.h * (1.0 + damping * np.eye(len(system.g))) - jac.T @ elim.schur @ jac
-    rhs = system.g - jac.T @ elim.g_schur
+    h = system.h * (1.0 + damping * np.eye(len(system.g))) - system.schur
+    rhs = system.g - system.g_schur
     # frame 0's pose and edge 0's scale carry the gauge; unknowns no term
     # touches (the last frame's pose) stay put
     keep = np.flatnonzero(np.diag(system.h) > 0)
     keep = keep[(keep >= 6) & (keep != 6 * n)]
     step = np.zeros_like(rhs)
     step[keep] = np.linalg.solve(h[keep][:, keep], -rhs[keep])
-    moved = [(jac @ step)[rows.cols] for rows in system.pres]
+    moved = [step[rows.cols] for rows in system.pres]
     d_chi = system.g_chi.reshape(-1, 3).copy()
     for t, seg, p, w, _, root, j_chi, lever in _linearized(system.pres, system.at, (0, n)):
         mv = moved[t].take(seg, axis=0)  # d r / d camera times mv, without building it
         jd = np.cross(lever, mv[:, :3]) - mv[:, 3:6] - (t == 0) * mv[:, 6:] * lever
         jd = jd if j_chi is None else np.einsum("nki,ni->nk", j_chi, jd)
         _scatter(d_chi, p, _chi_t(j_chi, (w / root)[:, None] * jd))
-    d_chi = -np.einsum("pab,pb->pa", elim.k_chi.reshape(-1, 3, 3), d_chi)
+    d_chi = -np.einsum("pab,pb->pa", system.k_chi.reshape(-1, 3, 3), d_chi)
     cam = step[: 6 * n].reshape(n, 6)
+    rot = [rotation_log(rodrigues(dw) @ r) for dw, r in zip(cam[:, :3], system.at.rot)]
     return AlignmentVariables(
-        v.rotvecs + cam[:, :3],
+        np.array(rot).reshape(n, 3),
         v.translations + cam[:, 3:],
         v.log_scales + step[6 * n :],
         v.pointmaps + d_chi.reshape(v.pointmaps.shape),
@@ -620,12 +561,12 @@ def global_align(
     """Jointly optimize poses, edge scales and global maps; monotone energy.
 
     Each iteration linearizes the residuals under the IRLS weights of the
-    current iterate and takes one Levenberg-Marquardt step, the per-pixel chi
-    blocks eliminated by their Schur complement. A step is kept only if it
-    lowers the energy; otherwise the damping grows tenfold and the step is
-    retried, and a run no damping can improve has converged. Frame 0's pose
-    and edge 0's log-scale are held at the gauge. Raises DivergenceError if
-    the initial energy is non-finite.
+    current iterate, eliminates the per-pixel chi blocks once, and takes one
+    Levenberg-Marquardt step on the reduced camera system. A step is kept only
+    if it lowers the energy; otherwise the damping grows tenfold and the step
+    is tried again from the same elimination, and a run no damping can improve
+    has converged. Frame 0's pose and edge 0's log-scale are held at the
+    gauge. Raises DivergenceError if the initial energy is non-finite.
     """
     opts = options or AlignmentOptions()
     n = len(problem.frames)
@@ -641,22 +582,14 @@ def global_align(
     damping = _DAMPING_START
     iters = 0
     flat_tol_hits = 0
-    retried = False
     converged = not problem.edges or energy < _ABS_TOL
 
     while not converged and iters < opts.max_iters:
         e_before = trace[-1]
-        first_damping = damping
         iters += 1
-        system = None
+        _, _, system = _energy_and_grad(problem, pres, v, opts)
         while damping <= _DAMPING_MAX:
             try:
-                if system is None:
-                    # chi is eliminated at the first try's damping, and at the
-                    # second's too after an iteration that needed a retry:
-                    # damping then tends to go up and down by turns
-                    ladder = (damping, 10.0 * damping) if retried else (damping,)
-                    _, _, system = _energy_and_grad(problem, pres, v, opts, dampings=ladder)
                 cand = _lm_step(v, system, damping)
             except np.linalg.LinAlgError:
                 damping *= 10.0
@@ -668,8 +601,8 @@ def global_align(
         else:
             converged = True  # no damping lowers the energy: a minimum
             break
-        v, system = cand, None  # free the system before the next linearization
-        retried = damping > first_damping
+        v = cand
+        del system  # freed before the next linearization
         damping = max(damping / 10.0, _DAMPING_MIN)
         trace.append(e_new)
         if e_new < _ABS_TOL:
