@@ -25,9 +25,7 @@ from .losses import (
     confidence_loss,
     confidence_optimum,
     regression_loss,
-    temporal_depth_loss,
-    temporal_recon_loss,
-    temporal_tracking_loss,
+    temporal_window_loss,
 )
 from .matching import DynamicMask, dynamic_mask, pointmap_residuals
 from .metrics import apd, depth_metrics, trajectory_metrics, umeyama
@@ -71,9 +69,7 @@ __all__ = [
     "pointmap_residuals",
     "project_points",
     "regression_loss",
-    "temporal_depth_loss",
-    "temporal_recon_loss",
-    "temporal_tracking_loss",
+    "temporal_window_loss",
     "track_3d",
     "trajectory_metrics",
     "transform_pointmap",

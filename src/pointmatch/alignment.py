@@ -9,7 +9,7 @@ each frame's global pointmap toward every edge's evidence,
 with rho a pseudo-Huber penalty, plus a 2D term tying static pixels to the
 matched maps' projected correspondences,
 
-    E2d = lambda_2d * sum_e sum_{static px} rho2(project(R_i^T (chi_j - t_i)) - F_e)
+    E2d = lambda_2d * sum_e sum_{static px} rho2(project_points(R_i^T (chi_j - t_i)) - F_e)
 
 The per-edge scale acts on camera-frame points before the rigid map, so frame
 translations stay world-metric and the trajectory reads off the variables
@@ -305,7 +305,7 @@ def _linearized(pres: tuple[_Rows, _Rows], at: _At, frames: tuple[int, int], jac
                 m = (at.scales[rows.edge, None, None] * at.rot[rows.pose]).take(seg, axis=0)
                 a = np.einsum("nij,nj->ni", m, rows.data[sl, :3])
                 r, w = at.chi.take(pix, axis=0) - a - t_i, rows.data[sl, 3]
-            else:  # project(R_i^T (chi - t_i)) - F
+            else:  # project_points(R_i^T (chi - t_i)) - F
                 rot = at.rot[rows.pose].take(seg, axis=0)
                 d = at.chi.take(pix, axis=0) - t_i
                 y = np.einsum("nji,nj->ni", rot, d)

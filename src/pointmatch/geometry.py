@@ -160,14 +160,6 @@ class Pointmap:
         self.valid = val.copy()
 
     @property
-    def height(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.points.shape[1]
-
-    @property
     def resolution(self) -> tuple[int, int]:
         return self.points.shape[0], self.points.shape[1]
 
@@ -241,31 +233,23 @@ def pixel_grid(height: int, width: int) -> np.ndarray:
     return g
 
 
+def pixel_rays(k: Intrinsics, pix: np.ndarray) -> np.ndarray:
+    """Camera-frame rays ((x-cx)/fx, (y-cy)/fy, 1) through pixels pix (..., 2).
+
+    The rays are z-normalized, so depth times a pixel's ray is the camera
+    point seen there at that depth.
+    """
+    pix = np.asarray(pix, dtype=np.float64)
+    rays = np.ones(pix.shape[:-1] + (3,))
+    rays[..., 0] = (pix[..., 0] - k.cx) / k.fx
+    rays[..., 1] = (pix[..., 1] - k.cy) / k.fy
+    return rays
+
+
 def unproject(depth: DepthMap, k: Intrinsics) -> Pointmap:
-    """Lift a depth map to a camera-frame pointmap.
-
-    Pixel (x, y) with depth z maps to ((x-cx)/fx * z, (y-cy)/fy * z, z).
-    """
-    h, w = depth.resolution
-    xs = (np.arange(w, dtype=np.float64) - k.cx) / k.fx
-    ys = (np.arange(h, dtype=np.float64) - k.cy) / k.fy
-    pts = np.empty((h, w, 3))
-    pts[..., 0] = xs[None, :] * depth.depth
-    pts[..., 1] = ys[:, None] * depth.depth
-    pts[..., 2] = depth.depth
-    return Pointmap(pts, depth.valid)
-
-
-def project(pm: Pointmap, k: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
-    """Project a camera-frame pointmap to pixel coordinates.
-
-    Returns (pix, valid): pix is (H, W, 2) with (x, y) per cell, zero where
-    invalid; valid requires the input cell valid and z > EPS_Z.
-    """
-    pix, valid = project_points(pm.points, k)
-    valid &= pm.valid
-    pix[~valid] = 0.0
-    return pix, valid
+    """Lift a depth map to a camera-frame pointmap: depth times each pixel's ray."""
+    return Pointmap(depth.depth[..., None] * pixel_rays(k, pixel_grid(*depth.resolution)),
+                    depth.valid)
 
 
 def project_points(points: np.ndarray, k: Intrinsics) -> tuple[np.ndarray, np.ndarray]:

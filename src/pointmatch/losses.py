@@ -21,20 +21,12 @@ ALPHA_CONF = 0.2
 _DEGENERATE_NORM = 1e-12
 
 
-def norm_factor(pm: Pointmap) -> float:
-    """Mean distance-to-origin over the map's valid pixels.
+def norm_factor(maps: Sequence[Pointmap]) -> float:
+    """Mean distance-to-origin pooled over every valid pixel of the maps.
 
     All-zero maps (degenerate) normalize by 1 instead; empty validity raises
     EmptyDomainError.
     """
-    if not pm.valid.any():
-        raise EmptyDomainError("norm factor needs at least one valid pixel")
-    z = float(np.linalg.norm(pm.points[pm.valid], axis=-1).mean())
-    return z if z > _DEGENERATE_NORM else 1.0
-
-
-def norm_factor_window(maps: Sequence[Pointmap]) -> float:
-    """Norm factor pooled over every valid pixel of a window of maps."""
     if not maps:
         raise ValueError("need at least one map")
     total, count = 0.0, 0
@@ -65,8 +57,8 @@ def regression_loss(pred: Pointmap, gt: Pointmap) -> PixelLoss:
     """
     if pred.resolution != gt.resolution:
         raise ValueError("pred and gt must share resolution")
-    z = norm_factor(pred)
-    z_bar = norm_factor(gt)
+    z = norm_factor([pred])
+    z_bar = norm_factor([gt])
     valid = pred.valid & gt.valid
     diff = pred.points / z - gt.points / z_bar
     values = np.linalg.norm(diff, axis=-1)
@@ -134,10 +126,10 @@ def _stream_terms(stream: WindowPredictions) -> list[float]:
     """Per-frame mean normalized error with window-pooled norm factors.
 
     Frames with empty joint validity contribute zero (nothing to compare);
-    a stream with no valid pixels at all raises via norm_factor_window.
+    a stream with no valid pixels at all raises via norm_factor.
     """
-    z = norm_factor_window(stream.preds)
-    z_bar = norm_factor_window(stream.gts)
+    z = norm_factor(stream.preds)
+    z_bar = norm_factor(stream.gts)
     terms = []
     for p, g in zip(stream.preds, stream.gts):
         valid = p.valid & g.valid
@@ -149,35 +141,17 @@ def _stream_terms(stream: WindowPredictions) -> list[float]:
     return terms
 
 
-def _two_stream_loss(a: WindowPredictions, b: WindowPredictions) -> float:
+def temporal_window_loss(a: WindowPredictions, b: WindowPredictions) -> float:
+    """Window loss of two streams: mean over frames of both streams' terms.
+
+    Each task pairs its streams as follows. Tracking: a holds the matched
+    maps (keyframe content in each frame's camera), b each frame's own-view
+    ego maps. Depth: a and b are the two heads of identical-view pairs, which
+    see the same geometry. Reconstruction: a is the keyframe-anchored stream
+    (the keyframe seen from every frame), b the per-frame reference stream.
+    Norm factors pool over the window per stream.
+    """
     if a.frames != b.frames:
         raise ValueError("streams must cover the same window")
     ta, tb = _stream_terms(a), _stream_terms(b)
     return float(np.mean([x + y for x, y in zip(ta, tb)]))
-
-
-def temporal_tracking_loss(matched: WindowPredictions, ego: WindowPredictions) -> float:
-    """Window tracking loss: matched-map stream plus ego-map stream.
-
-    matched holds the keyframe-content maps in each frame's camera; ego holds
-    each frame's own-view maps. Norm factors pool over the window per stream.
-    """
-    return _two_stream_loss(matched, ego)
-
-
-def temporal_depth_loss(head1: WindowPredictions, head2: WindowPredictions) -> float:
-    """Window depth loss over identical-view pairs.
-
-    Both heads see the same geometry; each stream is normalized by its own
-    pooled factor.
-    """
-    return _two_stream_loss(head1, head2)
-
-
-def temporal_recon_loss(keyframe: WindowPredictions, refs: WindowPredictions) -> float:
-    """Window reconstruction loss.
-
-    keyframe is the keyframe-anchored stream (same keyframe content seen from
-    every frame of the window), refs the per-frame reference stream.
-    """
-    return _two_stream_loss(keyframe, refs)

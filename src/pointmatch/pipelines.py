@@ -366,9 +366,8 @@ def track_3d(
             tr_w = tr_w * s
         scales.append(s)
 
-        for fi, f in enumerate(frames):
-            out[:, f] = tr_w[:, fi]
-            out_valid[:, f] = va_w[:, fi]
+        out[:, frames] = tr_w
+        out_valid[:, frames] = va_w
         prev_end = frames[-1] + 1
 
         if wi + 1 < len(starts):

@@ -28,10 +28,10 @@ Design notes that matter for exactness:
     shrink, so that side is the side of the fixed point, and visibility is
     the same boolean a full refinement gives;
   - assemble_scene bisects the backdrop once per scene, for every frame's
-    pixel rays together; only the analytic object hits run per frame. A
-    bisection of several groups takes one origin per group (a camera center)
-    and expands it to rows one chunk at a time, so no call holds a row per
-    ray for its origins;
+    pixel rays together; only the analytic object hits run per frame. Every
+    bisection takes one origin per group of rays (a camera center) and
+    expands it to rows one chunk at a time, so no call holds a row per ray
+    for its origins;
   - a bisection is split into contiguous chunks: one per core the process
     may run on once each gets at least _MIN_CHUNK_RAYS rays, and more where
     a chunk would exceed _MAX_CHUNK_RAYS, so a whole scene's rays become
@@ -63,6 +63,8 @@ from .geometry import (
     Intrinsics,
     Pointmap,
     Pose,
+    pixel_grid,
+    pixel_rays,
     project_points,
 )
 
@@ -131,13 +133,12 @@ class HeightField:
         return self.base - a, self.base + a
 
     def intersect(
-        self, origins: np.ndarray, dirs: np.ndarray, counts=None
+        self, origins: np.ndarray, dirs: np.ndarray, counts
     ) -> tuple[np.ndarray, np.ndarray]:
         """First crossing along each ray: (t, ok); dirs need not be normalized.
 
-        origins holds one row per ray or, given counts, one row per group of
-        rays: row g is the origin of the next counts[g] rays (a camera
-        center and the rays it casts).
+        origins holds one row per group of rays: row g is the origin of the
+        next counts[g] rays (a camera center and the rays it casts).
 
         Assumes origins lie below the surface band (z < zmin) and rays point
         toward +z steeply enough that the crossing is unique; callers enforce
@@ -148,7 +149,7 @@ class HeightField:
         return self._bisect(origins, dirs, None, counts)
 
     def crossing_beyond(
-        self, origins: np.ndarray, dirs: np.ndarray, thr: np.ndarray, counts=None
+        self, origins: np.ndarray, dirs: np.ndarray, thr: np.ndarray, counts
     ) -> tuple[np.ndarray, np.ndarray]:
         """Whether each ray's first crossing t satisfies t >= thr: (beyond, ok).
 
@@ -173,11 +174,9 @@ class HeightField:
         Grouped origins are expanded to rows one chunk at a time.
         """
         n = len(dirs)
-        bounds = None if counts is None else np.cumsum([0, *counts])
+        bounds = np.cumsum([0, *counts])
 
         def rows(a, b):
-            if bounds is None:
-                return origins[a:b]
             held = np.clip(bounds[1:], a, b) - np.clip(bounds[:-1], a, b)
             return np.repeat(origins, held, axis=0)
 
@@ -422,17 +421,6 @@ def _sample_objects(cfg: SceneConfig, rng: np.random.Generator) -> list[SceneObj
     return objects
 
 
-def _raycast(
-    seq_objects: list[SceneObject],
-    background: HeightField,
-    origins: np.ndarray,
-    dirs: np.ndarray,
-    frame: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nearest surface along each ray: (t, surface_id, hit)."""
-    return _nearest_surface(seq_objects, background.intersect(origins, dirs), origins, dirs, frame)
-
-
 def _nearest_surface(
     seq_objects: list[SceneObject],
     backdrop: tuple[np.ndarray, np.ndarray],
@@ -440,7 +428,8 @@ def _nearest_surface(
     dirs: np.ndarray,
     frame: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_raycast given the rays' backdrop crossing (t, ok) from HeightField.intersect."""
+    """Nearest surface along each ray, (t, surface_id, hit), given the rays'
+    backdrop crossing (t, ok) from HeightField.intersect."""
     t_best, hit_best = backdrop
     t_best = np.where(hit_best, t_best, np.inf)
     id_best = np.where(hit_best, -1, -2)
@@ -453,31 +442,27 @@ def _nearest_surface(
     return np.where(hit, t_best, 0.0), id_best, hit
 
 
-def _camera_dirs(k: Intrinsics, pix: np.ndarray) -> np.ndarray:
-    """Camera-frame ray directions (N, 3) through pixel coords pix (N, 2), z-normalized."""
-    return np.stack(
-        [(pix[:, 0] - k.cx) / k.fx, (pix[:, 1] - k.cy) / k.fy, np.ones(len(pix))], axis=1
-    )
-
-
-def _frame_rays(pose: Pose, d_cam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """World-space (origins, dirs) of camera-frame directions d_cam (N, 3)."""
-    dirs = d_cam @ pose.rotation
-    return np.broadcast_to(pose.center, dirs.shape), dirs
-
-
 def raycast_pixels(
     seq: SceneSequence, frame: int, pix: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raycast arbitrary (possibly fractional) pixels at a frame.
 
-    Returns (points_cam (N, 3), surface_id (N,), hit (N,)). The ray parameter
-    is camera depth, so points_cam = depth * ((x-cx)/fx, (y-cy)/fy, 1).
+    pix must be (N, 2) and finite. Returns (points_cam (N, 3), surface_id (N,),
+    hit (N,)). The ray parameter is camera depth, so points_cam = depth *
+    pixel_rays(k, pix).
     """
     _check_frame(seq, frame)
-    d_cam = _camera_dirs(seq.intrinsics[frame], np.asarray(pix, dtype=np.float64))
-    origins, dirs = _frame_rays(seq.poses[frame], d_cam)
-    t, sid, hit = _raycast(seq.objects, seq.background, origins, dirs, frame)
+    pix = np.asarray(pix, dtype=np.float64)
+    if pix.ndim != 2 or pix.shape[1] != 2:
+        raise ValueError(f"pixels must be (N, 2), got shape {pix.shape}")
+    if not np.all(np.isfinite(pix)):
+        raise ValueError("pixels must be finite")
+    d_cam = pixel_rays(seq.intrinsics[frame], pix)
+    pose = seq.poses[frame]
+    dirs = d_cam @ pose.rotation
+    backdrop = seq.background.intersect(pose.center[None], dirs, [len(dirs)])
+    origins = np.broadcast_to(pose.center, dirs.shape)
+    t, sid, hit = _nearest_surface(seq.objects, backdrop, origins, dirs, frame)
     pts = np.where(hit[:, None], t[:, None] * d_cam, 0.0)
     return pts, sid, hit
 
@@ -598,15 +583,12 @@ def assemble_scene(
     k = Intrinsics(fx=f, fy=f, cx=(w - 1) / 2.0, cy=(h - 1) / 2.0)
     intrinsics = [k] * config.frame_count
 
-    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    pix = np.stack([xs.ravel(), ys.ravel()], axis=1)
-
     hit_world = np.zeros((config.frame_count, h, w, 3))
     hit_id = np.full((config.frame_count, h, w), -2, dtype=np.int32)
     hit_valid = np.zeros((config.frame_count, h, w), dtype=bool)
     depths = []
     # one backdrop bisection for every frame's rays; objects hit per frame
-    d_cam = _camera_dirs(k, pix)
+    d_cam = pixel_rays(k, pixel_grid(h, w).reshape(-1, 2))
     all_dirs = np.concatenate([d_cam @ pose.rotation for pose in poses])
     centers = np.array([pose.center for pose in poses])
     t_bg, ok_bg = background.intersect(centers, all_dirs, [h * w] * config.frame_count)

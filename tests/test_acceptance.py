@@ -26,9 +26,7 @@ from pointmatch.losses import (
     WindowPredictions,
     confidence_optimum,
     regression_loss,
-    temporal_depth_loss,
-    temporal_recon_loss,
-    temporal_tracking_loss,
+    temporal_window_loss,
 )
 from pointmatch.matching import dynamic_mask
 from pointmatch.metrics import apd, depth_metrics, trajectory_metrics
@@ -216,7 +214,7 @@ def test_criterion_04_loss_identities():
         # window losses: exactly zero at ground truth
         maps_a = [_random_map(rng) for _ in range(3)]
         maps_b = [_random_map(rng) for _ in range(3)]
-        losses = (temporal_tracking_loss, temporal_depth_loss, temporal_recon_loss)
+        losses = (temporal_window_loss,)
         for fn in losses:
             at_gt = fn(WindowPredictions(maps_a, maps_a), WindowPredictions(maps_b, maps_b))
             assert at_gt == 0.0
@@ -252,7 +250,7 @@ def test_criterion_04_loss_identities():
             d = p.points[v] / z_pred - g.points[v] / z_gt
             terms.append(float(np.linalg.norm(d, axis=-1).mean()))
         expected = float(np.mean(terms))  # clean second stream contributes zero
-        got = temporal_tracking_loss(WindowPredictions(ja, ga), clean)
+        got = temporal_window_loss(WindowPredictions(ja, ga), clean)
         assert abs(got - expected) <= 1e-12
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pointmatch.cli import main
-from pointmatch.io import dump_json, load_json
+from pointmatch.io import dump_json, load_json, read_tensor, write_tensor
 
 
 def run_cli(*argv):
@@ -400,12 +400,21 @@ def _track_manifest_without_tracks(tmp_path, scene_dir):
     return ("eval", "track", pred, scene_dir, "--out", tmp_path / "r.json")
 
 
+def _track_queries_fractional(tmp_path, scene_dir):
+    # a cast to integers would truncate x + 0.6 back onto the true pixel
+    pred = tmp_path / "tr"
+    assert run_cli("track", scene_dir, "--out", pred) == 0
+    entry = next(e for e in load_json(pred / "meta.json")["tensors"] if e["name"] == "queries")
+    write_tensor(pred, "queries", read_tensor(pred, entry) + 0.6)
+    return ("eval", "track", pred, scene_dir, "--out", tmp_path / "r.json")
+
+
 @pytest.mark.parametrize(
     "make",
     [_scene_meta_is_a_list, _scene_intrinsics_not_objects, _depth_meta_without_tensors,
-     _track_manifest_without_tracks],
+     _track_manifest_without_tracks, _track_queries_fractional],
     ids=["scene-meta-list", "scene-intrinsics-not-objects", "depth-meta-no-tensors",
-         "track-manifest-no-tracks"],
+         "track-manifest-no-tracks", "track-queries-fractional"],
 )
 def test_malformed_manifest_fails_with_value_error(tmp_path, scene_dir, make):
     code, out = run_cli_captured(*make(tmp_path, scene_dir))

@@ -14,7 +14,6 @@ from pointmatch.geometry import (
     depth_channel,
     invert_pose,
     pixel_grid,
-    project,
     project_points,
     quat_to_rotation,
     relative_pose,
@@ -54,7 +53,7 @@ def test_unproject_hand_value():
 def test_project_hand_value():
     pts = np.zeros((1, 1, 3))
     pts[0, 0] = [1.0, 0.0, 1.0]
-    pix, valid = project(Pointmap(pts, np.ones((1, 1), bool)), K)
+    pix, valid = project_points(pts, K)
     npt.assert_allclose(pix[0, 0], [150.0, 50.0], atol=1e-12)
     assert valid[0, 0]
 
@@ -63,7 +62,7 @@ def test_project_rejects_tiny_depth():
     pts = np.zeros((1, 2, 3))
     pts[0, 0] = [0.0, 0.0, 1e-12]
     pts[0, 1] = [0.0, 0.0, -1.0]
-    pix, valid = project(Pointmap(pts, np.ones((1, 2), bool)), K)
+    pix, valid = project_points(pts, K)
     assert not valid.any()
     npt.assert_array_equal(pix, 0.0)
 
@@ -112,7 +111,7 @@ def test_unproject_project_roundtrip(seed):
     h, w = 6, 8
     depth = DepthMap(rng.uniform(0.5, 5.0, size=(h, w)))
     pm = unproject(depth, K)
-    pix, valid = project(pm, K)
+    pix, valid = project_points(pm.points, K)
     assert valid.all()
     npt.assert_allclose(pix, pixel_grid(h, w), atol=1e-9)
     npt.assert_allclose(pm.points[..., 2], depth.depth)
@@ -180,15 +179,6 @@ def test_depth_channel():
     dm = depth_channel(Pointmap(pts, np.ones((1, 2), bool)))
     assert dm.valid[0, 0] and not dm.valid[0, 1]
     npt.assert_allclose(dm.depth[0, 0], 3.0)
-
-
-def test_project_points_matches_grid_path():
-    rng = np.random.default_rng(5)
-    pts = rng.uniform(0.2, 4.0, size=(9, 3))
-    loose, lv = project_points(pts, K)
-    grid, gv = project(Pointmap(pts.reshape(1, 9, 3), np.ones((1, 9), bool)), K)
-    npt.assert_allclose(loose, grid[0], atol=1e-12)
-    npt.assert_array_equal(lv, gv[0])
 
 
 @settings(max_examples=50, deadline=None)

@@ -9,11 +9,8 @@ from pointmatch.losses import (
     confidence_loss,
     confidence_optimum,
     norm_factor,
-    norm_factor_window,
     regression_loss,
-    temporal_depth_loss,
-    temporal_recon_loss,
-    temporal_tracking_loss,
+    temporal_window_loss,
 )
 
 
@@ -27,25 +24,25 @@ def _pm(points, valid=None):
 
 
 def test_norm_factor_hand_value():
-    assert norm_factor(_pm([[3.0, 4.0, 0.0]])) == 5.0
+    assert norm_factor([_pm([[3.0, 4.0, 0.0]])]) == 5.0
 
 
 def test_norm_factor_degenerate_is_one():
-    assert norm_factor(_pm([[0.0, 0.0, 0.0]])) == 1.0
+    assert norm_factor([_pm([[0.0, 0.0, 0.0]])]) == 1.0
 
 
 def test_norm_factor_empty_raises():
     with pytest.raises(EmptyDomainError):
-        norm_factor(_pm([[1.0, 0, 0]], valid=np.zeros((1, 1), bool)))
+        norm_factor([_pm([[1.0, 0, 0]], valid=np.zeros((1, 1), bool))])
 
 
 def test_window_norm_factor_pools():
     a = _pm([[1.0, 0, 0]])
     b = _pm([[3.0, 0, 0]])
-    assert norm_factor_window([a, b]) == 2.0
+    assert norm_factor([a, b]) == 2.0
     # pooling is per-pixel, not per-frame means
     c = _pm([[1.0, 0, 0], [1.0, 0, 0], [1.0, 0, 0]])
-    assert norm_factor_window([c, b]) == 1.5
+    assert norm_factor([c, b]) == 1.5
 
 
 def test_regression_loss_perfect_after_scale():
@@ -134,19 +131,17 @@ def test_temporal_losses_zero_on_perfect():
     rng = np.random.default_rng(2)
     a = _window(rng, 3)
     b = _window(rng, 3)
-    assert temporal_tracking_loss(a, b) == 0.0
-    assert temporal_depth_loss(a, b) == 0.0
-    assert temporal_recon_loss(a, b) == 0.0
+    assert temporal_window_loss(a, b) == 0.0
 
 
 def test_temporal_loss_global_scale_invariance():
     rng = np.random.default_rng(3)
     a = _window(rng, 4, noise=0.03)
     b = _window(rng, 4, noise=0.03)
-    base = temporal_tracking_loss(a, b)
+    base = temporal_window_loss(a, b)
     for s in (0.25, 8.0):
         a_s = WindowPredictions(preds=[p.scaled(s) for p in a.preds], gts=a.gts)
-        npt.assert_allclose(temporal_tracking_loss(a_s, b), base, rtol=1e-12)
+        npt.assert_allclose(temporal_window_loss(a_s, b), base, rtol=1e-12)
 
 
 def test_temporal_loss_penalizes_inconsistent_scale():
@@ -155,11 +150,11 @@ def test_temporal_loss_penalizes_inconsistent_scale():
     rng = np.random.default_rng(4)
     a = _window(rng, 4)
     b = _window(rng, 4)
-    assert temporal_tracking_loss(a, b) == 0.0
+    assert temporal_window_loss(a, b) == 0.0
     preds = list(a.preds)
     preds[1] = preds[1].scaled(1.5)
     a_bad = WindowPredictions(preds=preds, gts=a.gts)
-    assert temporal_tracking_loss(a_bad, b) > 1e-3
+    assert temporal_window_loss(a_bad, b) > 1e-3
 
 
 def test_temporal_loss_isolates_empty_frames():
@@ -172,10 +167,10 @@ def test_temporal_loss_isolates_empty_frames():
     b = _window(rng, 3)
     # frame 1 has empty joint validity: contributes zero, pools unchanged
     # (both streams lost identical pixels), loss stays exactly zero
-    assert temporal_tracking_loss(a_holes, b) == 0.0
+    assert temporal_window_loss(a_holes, b) == 0.0
     # one-sided holes shift the gt pool but never break finiteness
     one_sided = WindowPredictions(preds=a.preds, gts=gts)
-    assert np.isfinite(temporal_tracking_loss(one_sided, b))
+    assert np.isfinite(temporal_window_loss(one_sided, b))
 
 
 def test_window_validation():
@@ -185,4 +180,4 @@ def test_window_validation():
     a = _window(rng, 2)
     b = _window(rng, 3)
     with pytest.raises(ValueError):
-        temporal_depth_loss(a, b)
+        temporal_window_loss(a, b)

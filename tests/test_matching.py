@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from pointmatch.errors import EmptyDomainError
-from pointmatch.geometry import Intrinsics, Pointmap, pixel_grid, project, unproject, DepthMap
+from pointmatch.geometry import Intrinsics, Pointmap, pixel_grid, project_points, unproject, DepthMap
 from pointmatch.matching import (
     dynamic_mask,
     pointmap_residuals,
@@ -107,7 +107,7 @@ def test_matching_to_pixels_self_pair_is_grid():
     k = Intrinsics(30.0, 30.0, 9.5, 7.5)
     depth = DepthMap(np.full((16, 20), 2.0))
     pm = unproject(depth, k)
-    pix, valid = project(pm, k)
+    pix, valid = project_points(pm.points, k)
     assert valid.all()
     npt.assert_allclose(pix, pixel_grid(16, 20), atol=1e-9)
 
@@ -118,7 +118,7 @@ def test_matching_to_pixels_scene_correspondences():
                       track_count=0)
     s = generate_scene(cfg)
     xm = gt_pointmap_matching(s, 2, 0)
-    pix, pv = project(xm, s.intrinsics[2])
+    pix, pv = project_points(xm.points, s.intrinsics[2])
     sel = xm.valid & pv
     assert sel.any()
     # correspondences stay inside the target image footprint

@@ -7,13 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointmatch import scenes
-from pointmatch.geometry import invert_pose, project_points, transform_pointmap, unproject
+from pointmatch.geometry import (
+    invert_pose,
+    pixel_grid,
+    project_points,
+    transform_pointmap,
+    unproject,
+)
 from pointmatch.scenes import (
     _OCCLUSION_TOL,
     _RAY_TMIN,
     SceneConfig,
     SceneObject,
-    _raycast,
+    _nearest_surface,
     _velocities,
     _visible_from,
     assemble_scene,
@@ -163,6 +169,39 @@ def test_static_scene_cross_view_consistency():
     npt.assert_allclose(pts, xm.points[sel], atol=1e-6)
 
 
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["orbit", "linear", "random-smooth"]),
+    st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_pixel_raycast_is_the_ego_map(path, objects, seed):
+    # raycast_pixels and unproject share one pixel-ray map, so casting every
+    # pixel center reproduces the stored depth's unprojection bit for bit
+    s = generate_scene(SceneConfig(seed=seed, frame_count=3, height=16, width=20,
+                                   object_count=objects, camera_path=path,
+                                   camera_magnitude=0.05, track_count=0))
+    h, w = s.resolution
+    for f in range(s.frame_count):
+        pts, sid, hit = raycast_pixels(s, f, pixel_grid(h, w).reshape(-1, 2))
+        npt.assert_array_equal(pts.reshape(h, w, 3),
+                               unproject(s.depths[f], s.intrinsics[f]).points)
+        npt.assert_array_equal(sid.reshape(h, w), s.hit_id[f])
+        npt.assert_array_equal(hit.reshape(h, w), s.hit_valid[f])
+
+
+@pytest.mark.parametrize("pix", [
+    np.array([3.0, 4.0]),
+    np.zeros((4, 3)),
+    np.array([[1.0, 2.0], [np.nan, 2.0]]),
+    np.array([[1.0, np.inf]]),
+], ids=["one-dim", "three-columns", "nan", "inf"])
+def test_raycast_pixels_rejects_malformed_pixels(pix):
+    s = generate_scene(SceneConfig(seed=3, frame_count=2, height=8, width=10, track_count=0))
+    with pytest.raises(ValueError):
+        raycast_pixels(s, 0, pix)
+
+
 def test_occlusion_invalidates_matching():
     # an object moving sideways uncovers/covers backdrop; some frame-0 pixels
     # must become invalid (occluded) at a later frame
@@ -282,7 +321,7 @@ def test_early_stopped_bisection_matches_80_steps(path, objects, seed, h, w):
     for pose in s.poses:
         dirs = np.concatenate([d_cam @ pose.rotation, s.hit_world.reshape(-1, 3) - pose.center])
         origins = np.broadcast_to(pose.center, dirs.shape)
-        got, ok = s.background.intersect(origins, dirs)
+        got, ok = s.background.intersect(origins[:1], dirs, [len(dirs)])
         want, ok_ref = _bisect_80(s.background, origins, dirs)
         npt.assert_array_equal(ok, ok_ref)
         assert ok.any()
@@ -297,8 +336,9 @@ def _visible_full(seq, frame, world_pts):
     ok = dist > _RAY_TMIN
     safe = np.where(ok[..., None], delta, np.array([0.0, 0.0, 1.0]))
     dirs = (safe / np.maximum(dist, _RAY_TMIN)[..., None]).reshape(-1, 3)
-    t, _, hit = _raycast(seq.objects, seq.background, np.broadcast_to(o, dirs.shape), dirs,
-                         frame)
+    backdrop = seq.background.intersect(o[None], dirs, [len(dirs)])
+    t, _, hit = _nearest_surface(seq.objects, backdrop, np.broadcast_to(o, dirs.shape), dirs,
+                                 frame)
     return ok & (hit & (t >= dist.ravel() - _OCCLUSION_TOL)).reshape(dist.shape)
 
 
@@ -391,19 +431,19 @@ def test_chunked_bisection_matches_serial(path, objects, seed, h, w, cores):
                 mp.setattr(scenes, "_MIN_CHUNK_RAYS", 2)
                 mp.setattr(scenes, "_pool", _no_pool)
                 mp.setattr(scenes, "_CORES", 1)
-                want_t, want_ok = bg.intersect(origins, dirs)
-                want_beyond, want_bok = bg.crossing_beyond(origins, dirs, thr)
+                want_t, want_ok = bg.intersect(origins[:1], dirs, [len(dirs)])
+                want_beyond, want_bok = bg.crossing_beyond(origins[:1], dirs, thr, [len(dirs)])
                 # under two rays per chunk a call stays serial at any core count
                 mp.setattr(scenes, "_CORES", cores)
-                t3, ok3 = bg.intersect(origins[:3], dirs[:3])
-                beyond3, _ = bg.crossing_beyond(origins[:3], dirs[:3], thr[:3])
+                t3, ok3 = bg.intersect(origins[:1], dirs[:3], [3])
+                beyond3, _ = bg.crossing_beyond(origins[:1], dirs[:3], thr[:3], [3])
                 npt.assert_array_equal(t3[ok3], want_t[:3][ok3])
                 npt.assert_array_equal(beyond3[ok3], want_beyond[:3][ok3])
 
                 counted = _CountingPool(pool)
                 mp.setattr(scenes, "_pool", lambda: counted)
-                got_t, got_ok = bg.intersect(origins, dirs)
-                got_beyond, got_bok = bg.crossing_beyond(origins, dirs, thr)
+                got_t, got_ok = bg.intersect(origins[:1], dirs, [len(dirs)])
+                got_beyond, got_bok = bg.crossing_beyond(origins[:1], dirs, thr, [len(dirs)])
             assert counted.submits == 2 * (cores - 1)  # every chunk but the first
             npt.assert_array_equal(got_ok, want_ok)
             npt.assert_array_equal(got_bok, want_bok)
@@ -441,7 +481,7 @@ def test_batched_scene_raycast_matches_per_frame(path, objects, seed, h, w, fram
     assert split > cores
     assert counted.submits == split - 1
 
-    # reference: each frame's rays through _raycast, serially
+    # reference: each frame's rays cast on their own, serially
     ys, xs = np.mgrid[0:h, 0:w]
     k = s.intrinsics[0]
     d_cam = np.stack([(xs.ravel() - k.cx) / k.fx, (ys.ravel() - k.cy) / k.fy,
@@ -452,7 +492,8 @@ def test_batched_scene_raycast_matches_per_frame(path, objects, seed, h, w, fram
         for t, pose in enumerate(s.poses):
             dirs = d_cam @ pose.rotation
             origins = np.broadcast_to(pose.center, dirs.shape)
-            tpar, sid, hit = _raycast(s.objects, s.background, origins, dirs, t)
+            backdrop = s.background.intersect(pose.center[None], dirs, [len(dirs)])
+            tpar, sid, hit = _nearest_surface(s.objects, backdrop, origins, dirs, t)
             hit = hit.reshape(h, w)
             world = (origins + tpar[:, None] * dirs).reshape(h, w, 3)
             npt.assert_array_equal(s.depths[t].depth, np.where(hit, tpar.reshape(h, w), 0.0))
@@ -504,7 +545,7 @@ def test_batched_matching_maps_match_per_pair(path, objects, seed, h, w, frames,
 
 
 def _intersect_matches(bg, origins, dirs, want):
-    got, ok = bg.intersect(origins, dirs)
+    got, ok = bg.intersect(origins[:1], dirs, [len(dirs)])
     if not np.array_equal(got[ok], want[ok]):
         raise AssertionError("forked child's bisection differs")
 
@@ -516,7 +557,7 @@ def test_forked_child_can_split_a_bisection(seq, monkeypatch):
     monkeypatch.setattr(scenes, "_MIN_CHUNK_RAYS", 2)
     monkeypatch.setattr(scenes, "_CORES", 2)
     (origins, dirs, _), _ = _pixel_and_visibility_rays(seq, 0)
-    want, _ = seq.background.intersect(origins, dirs)
+    want, _ = seq.background.intersect(origins[:1], dirs, [len(dirs)])
     assert scenes._executor is not None
     child = multiprocessing.get_context("fork").Process(
         target=_intersect_matches, args=(seq.background, origins, dirs, want))
