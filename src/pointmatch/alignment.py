@@ -110,7 +110,7 @@ class AlignmentEdge:
 
 @dataclass
 class AlignmentProblem:
-    """Frames, intrinsics, pairwise predictions and per-edge dynamic masks."""
+    """Frames 0..n-1, intrinsics, pair (i, j)'s prediction and dynamic mask per edge."""
 
     frames: list[int]
     intrinsics: list[Intrinsics]
@@ -119,6 +119,8 @@ class AlignmentProblem:
 
     def __post_init__(self):
         n = len(self.frames)
+        if list(self.frames) != list(range(n)):
+            raise ValueError("frames must be 0, 1, ..., n - 1")
         if len(self.intrinsics) != n or len(self.ego_maps) != n:
             raise ValueError("per-frame lists must match the frame count")
         res = {m.valid.shape for m in self.ego_maps}
@@ -127,6 +129,8 @@ class AlignmentProblem:
         for e in self.edges:
             if not (0 <= e.i < n and 0 <= e.j < n and e.i != e.j):
                 raise ValueError("edge endpoints out of range")
+            if tuple(e.pred.frames) != (e.i, e.j):
+                raise ValueError(f"edge ({e.i}, {e.j}) holds pair {e.pred.frames}'s prediction")
             p = e.pred
             grids = [p.x_ii.valid, p.x_ji.valid, p.x_ji_matched.valid, p.conf_ii.raw, p.conf_ji.raw]
             if e.mask is not None:

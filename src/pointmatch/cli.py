@@ -178,10 +178,7 @@ def _eval_depth(pred_path, seq) -> dict:
 def _eval_track(pred_path, seq) -> dict:
     meta = io.read_meta(pred_path, TRACK_FORMAT)
     tracks, valid, queries = io.read_tensors(pred_path, meta, ("tracks", "valid", "queries"))
-    if not np.all(np.isfinite(queries)) or np.any(queries != np.round(queries)):
-        raise ValueError("track queries must be finite whole-number pixels")
-    queries = queries.astype(np.int64)
-    gt = build_tracks(seq, np.zeros(len(queries), np.int64), queries)
+    gt = build_tracks(seq, np.zeros(queries.shape[:1], np.int64), queries)
     rep = apd(tracks, gt.camera, gt.visible, valid.astype(bool))
     return {
         "apd": rep.apd,

@@ -233,6 +233,19 @@ def pixel_grid(height: int, width: int) -> np.ndarray:
     return g
 
 
+def pixel_indices(pix: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Pixels (x, y) as (Q, 2) int64 indices; ValueError unless pix is (Q, 2),
+    finite, whole-numbered (floats included) and inside the H x W image."""
+    p = np.asarray(pix)
+    if p.ndim != 2 or p.shape[1] != 2:
+        raise ValueError(f"pixels must be (Q, 2), got shape {p.shape}")
+    if not np.all(np.isfinite(p)) or np.any(p != np.round(p)):
+        raise ValueError("pixels must be finite whole numbers")
+    if np.any(p < 0) or np.any(p[:, 0] >= width) or np.any(p[:, 1] >= height):
+        raise ValueError(f"pixels must lie inside the {width}x{height} image")
+    return p.astype(np.int64)
+
+
 def pixel_rays(k: Intrinsics, pix: np.ndarray) -> np.ndarray:
     """Camera-frame rays ((x-cx)/fx, (y-cy)/fy, 1) through pixels pix (..., 2).
 

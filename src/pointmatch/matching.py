@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyDomainError
-from .geometry import Pointmap
+from .geometry import Pointmap, pixel_indices
 
 DYNAMIC_MEDIAN_FACTOR = 3.0
 
@@ -65,7 +65,8 @@ def sparsify_tracks(
 
     matched_maps[t] must be indexed by the query frame's pixels (all maps share
     that indexing); queries is (Q, 2) integer (x, y). Returns
-    (tracks (Q, T, 3), valid (Q, T)). Out-of-bounds queries raise ValueError.
+    (tracks (Q, T, 3), valid (Q, T)). Queries that are not whole pixels of
+    the maps' image raise ValueError (geometry.pixel_indices).
     """
     if not matched_maps:
         raise ValueError("need at least one matching pointmap")
@@ -73,18 +74,8 @@ def sparsify_tracks(
     for m in matched_maps:
         if m.resolution != (h, w):
             raise ValueError("matching pointmaps must share resolution")
-    q = np.asarray(queries, dtype=np.int64)
-    if q.ndim != 2 or q.shape[1] != 2:
-        raise ValueError("queries must be (Q, 2) integer pixels")
-    if q.size and (
-        (q[:, 0] < 0).any() or (q[:, 0] >= w).any() or (q[:, 1] < 0).any() or (q[:, 1] >= h).any()
-    ):
-        raise ValueError("query pixel out of bounds")
-    t = len(matched_maps)
-    tracks = np.zeros((q.shape[0], t, 3))
-    valid = np.zeros((q.shape[0], t), dtype=bool)
-    for ti, m in enumerate(matched_maps):
-        tracks[:, ti, :] = m.points[q[:, 1], q[:, 0]]
-        valid[:, ti] = m.valid[q[:, 1], q[:, 0]]
+    x, y = pixel_indices(queries, h, w).T
+    tracks = np.stack([m.points[y, x] for m in matched_maps], axis=1)
+    valid = np.stack([m.valid[y, x] for m in matched_maps], axis=1)
     tracks[~valid] = 0.0
     return tracks, valid

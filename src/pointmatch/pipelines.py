@@ -17,11 +17,10 @@ by (view1, view2, role), up to _HEAD_MEMO_BYTES of maps with the least
 recently used evicted first, so windows of different lengths that read the
 same pair render it once; a re-rendered head is bit-identical by the same
 per-stream argument. read_heads reads one head of many predictions at once:
-the matched heads the memo lacks render together, in batches of at most
-_CORES * _MAX_CHUNK_RAYS rays (16,384 on two cores), each one visibility
-call whose chunks fill the cores, and track_3d reads every window's maps in
-one such read. Long sequences are processed in overlapping windows and
-stitched: scales harmonized by a median norm ratio over overlap frames,
+the matched heads the memo lacks render in one gt_pointmap_matchings call,
+which sizes its own visibility batches, and track_3d reads every window's
+maps in one such read. Long sequences are processed in overlapping windows
+and stitched: scales harmonized by a median norm ratio over overlap frames,
 later windows win on overlap, and queries re-seed at each new window's
 keyframe by rounding projected track positions to the nearest pixel.
 """
@@ -40,13 +39,12 @@ from .geometry import (
     DepthMap,
     Pointmap,
     depth_channel,
+    pixel_indices,
     project_points,
     unproject,
 )
 from .matching import sparsify_tracks
 from .scenes import (
-    _CORES,
-    _MAX_CHUNK_RAYS,
     SceneSequence,
     gt_pointmap_matching,
     gt_pointmap_matchings,
@@ -76,9 +74,6 @@ class PairPrediction:
 
 
 class Predictor(Protocol):
-    @property
-    def frame_count(self) -> int: ...
-
     def predict(self, view1: int, view2: int) -> PairPrediction: ...
 
     def read_heads(self, preds: Sequence[PairPrediction], head: str) -> list[Pointmap]:
@@ -122,10 +117,6 @@ class OraclePredictor:
         # (view1, view2, role) -> ((map, conf), bytes), least recently read first
         self._memo: OrderedDict = OrderedDict()
         self._memo_bytes = 0
-
-    @property
-    def frame_count(self) -> int:
-        return self.seq.frame_count
 
     def _rng(self, i: int, j: int, role: int) -> np.random.Generator:
         ss = np.random.SeedSequence((self.seed, i, j, role))
@@ -193,11 +184,9 @@ class OraclePredictor:
         """getattr(p, head) for each of preds, predictions this predictor made.
 
         The memo's heads come from the memo. The matched heads it lacks are
-        rendered in batches of at most _CORES * _MAX_CHUNK_RAYS rays (one
-        head per batch where a head alone is larger), one visibility call
-        per batch, so a batch's chunks keep every core busy; each enters the
-        memo. The maps are returned from the read itself, so a read larger
-        than the memo renders no head twice.
+        rendered by one gt_pointmap_matchings call, in the batches it sizes,
+        and each enters the memo as it arrives. The maps are returned from
+        the read itself, so a read larger than the memo renders no head twice.
         """
         if head not in _HEAD_ROLES:
             raise ValueError(f"head must be one of {tuple(_HEAD_ROLES)}")
@@ -207,12 +196,8 @@ class OraclePredictor:
             return [self._head(*pair, role)[0] for pair in pairs]
         maps = {pair: self._head(*pair, role)[0] for pair in pairs if (*pair, role) in self._memo}
         missing = list(dict.fromkeys(pair for pair in pairs if pair not in maps))
-        h, w = self.seq.resolution
-        step = max(1, _CORES * _MAX_CHUNK_RAYS // (h * w))
-        for b in range(0, len(missing), step):
-            batch = missing[b:b + step]
-            for (i, j), pm in zip(batch, gt_pointmap_matchings(self.seq, batch)):
-                maps[i, j] = self._remember((i, j, role), self._finish(pm, i, j, role))[0]
+        for (i, j), pm in zip(missing, gt_pointmap_matchings(self.seq, missing)):
+            maps[i, j] = self._remember((i, j, role), self._finish(pm, i, j, role))[0]
         return [maps[pair] for pair in pairs]
 
 
@@ -323,14 +308,12 @@ def track_3d(
     length = seq.frame_count
     h, w = seq.resolution
     starts = window_starts(length, window, overlap)
-    q = np.asarray(queries, dtype=np.int64)
-    if q.ndim != 2 or q.shape[1] != 2:
-        raise ValueError("queries must be (Q, 2) integer pixels")
+    q = pixel_indices(queries, h, w)
     nq = q.shape[0]
 
     out = np.zeros((nq, length, 3))
     out_valid = np.zeros((nq, length), dtype=bool)
-    cur_pix = q.copy()
+    cur_pix = q
     alive = np.ones(nq, dtype=bool)
     scales: list[float] = []
     prev_end = 0
@@ -344,26 +327,19 @@ def track_3d(
     for wi, plan in enumerate(plans):
         frames = list(plan.frames)
         maps, all_maps = all_maps[:len(frames)], all_maps[len(frames):]
-        safe_pix = np.where(alive[:, None], cur_pix, 0)
-        tr_w, va_w = sparsify_tracks(maps, safe_pix)
+        tr_w, va_w = sparsify_tracks(maps, cur_pix)
         va_w &= alive[:, None]
         tr_w[~va_w] = 0.0
 
-        if wi == 0:
-            s = 1.0
-        else:
-            ratios = []
-            for fi, f in enumerate(frames):
-                if f >= prev_end:
-                    break
-                both = va_w[:, fi] & out_valid[:, f]
-                if both.any():
-                    prev_n = np.linalg.norm(out[both, f], axis=1)
-                    new_n = np.linalg.norm(tr_w[both, fi], axis=1)
-                    ok = new_n > 1e-12
-                    ratios.append(prev_n[ok] / new_n[ok])
-            s = float(np.median(np.concatenate(ratios))) if ratios else 1.0
-            tr_w = tr_w * s
+        # the window's leading frames that earlier windows wrote (none for the
+        # first window, whose scale is then 1)
+        ov = frames[:max(0, prev_end - frames[0])]
+        both = va_w[:, :len(ov)] & out_valid[:, ov]
+        prev_n = np.linalg.norm(out[:, ov][both], axis=1)
+        new_n = np.linalg.norm(tr_w[:, :len(ov)][both], axis=1)
+        ok = new_n > 1e-12
+        s = float(np.median(prev_n[ok] / new_n[ok])) if ok.any() else 1.0
+        tr_w = tr_w * s
         scales.append(s)
 
         out[:, frames] = tr_w
@@ -376,12 +352,7 @@ def track_3d(
             ri = frames.index(reseed_f)
             pix, pv = project_points(tr_w[:, ri], seq.intrinsics[reseed_f])
             rounded = np.rint(pix).astype(np.int64)
-            inb = (
-                (rounded[:, 0] >= 0)
-                & (rounded[:, 0] < w)
-                & (rounded[:, 1] >= 0)
-                & (rounded[:, 1] < h)
-            )
+            inb = ((rounded >= 0) & (rounded < (w, h))).all(axis=1)
             alive = alive & va_w[:, ri] & pv & inb
             cur_pix = np.where(alive[:, None], rounded, 0)
 

@@ -15,9 +15,9 @@ Design notes that matter for exactness:
     matching map feeds it W_j + span * v, the tracks feed it each query's
     W_q + span * v, so a track and the matching map agree wherever they see
     the same point. One call bisects the backdrop once for all its groups'
-    rays (gt_pointmap_matchings renders many pairs, build_tracks every frame,
-    gt_pointmap_matching is a group of one); only the analytic object hits
-    run per group;
+    rays (build_tracks renders every frame, gt_pointmap_matchings a batch of
+    pairs sized here to fill the cores, gt_pointmap_matching a group of one);
+    only the analytic object hits run per group;
   - the rigid map is P_i(W_j). Static pixels have v = 0, so W_j + span * v
     is W_j bit for bit there and the two maps' residuals are exactly zero;
   - the backdrop is bisected with two stop rules. A depth raycast
@@ -54,6 +54,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -64,6 +65,7 @@ from .geometry import (
     Pointmap,
     Pose,
     pixel_grid,
+    pixel_indices,
     pixel_rays,
     project_points,
 )
@@ -537,7 +539,7 @@ def _velocities(seq: SceneSequence, surface_ids: np.ndarray) -> np.ndarray:
 
 
 def _check_frame(seq: SceneSequence, frame: int):
-    if not isinstance(frame, (int, np.integer)):
+    if isinstance(frame, bool) or not isinstance(frame, (int, np.integer)):
         raise ValueError("frame index must be an integer")
     if frame < 0 or frame >= seq.frame_count:
         raise ValueError(f"frame index {frame} out of range [0, {seq.frame_count})")
@@ -620,34 +622,29 @@ def assemble_scene(
     )
 
     q = min(config.track_count, int(hit_valid[0].sum()))
-    if q > 0:
-        flat = np.flatnonzero(hit_valid[0].ravel())
-        chosen = rng.choice(flat, size=q, replace=False)
-        qy, qx = np.unravel_index(np.sort(chosen), (h, w))
-        qpix = np.stack([qx, qy], axis=1).astype(np.int64)
-        seq.tracks = build_tracks(seq, np.zeros(q, dtype=np.int64), qpix)
-    else:
-        seq.tracks = build_tracks(seq, np.zeros(0, dtype=np.int64), np.zeros((0, 2), np.int64))
+    flat = np.flatnonzero(hit_valid[0].ravel())
+    chosen = rng.choice(flat, size=q, replace=False)
+    qy, qx = np.unravel_index(np.sort(chosen), (h, w))
+    seq.tracks = build_tracks(seq, np.zeros(q, dtype=np.int64), np.stack([qx, qy], axis=1))
     return seq
 
 
 def build_tracks(seq: SceneSequence, query_frames: np.ndarray, query_pixels: np.ndarray) -> TrackSet:
     """Analytic 3D tracks for integer query pixels.
 
-    Raises ValueError if a query pixel is out of bounds or hits no surface at
-    its query frame.
+    Raises ValueError if a query pixel is not a whole pixel of the image
+    (geometry.pixel_indices), a query frame is not a frame index, or a query
+    pixel hits no surface at its query frame.
     """
-    qf = np.asarray(query_frames, dtype=np.int64)
-    qp = np.asarray(query_pixels, dtype=np.int64)
-    if qp.ndim != 2 or qp.shape[1] != 2 or qf.shape != (qp.shape[0],):
+    qp = pixel_indices(query_pixels, *seq.resolution)
+    qf = np.asarray(query_frames)
+    if qf.shape != (qp.shape[0],):
         raise ValueError("queries must be (Q,) frames and (Q, 2) pixels")
-    h, w = seq.resolution
     for f0, (x, y) in zip(qf.tolist(), qp.tolist()):
         _check_frame(seq, f0)
-        if not (0 <= x < w and 0 <= y < h):
-            raise ValueError(f"query pixel ({x}, {y}) outside {w}x{h} image")
         if not seq.hit_valid[f0, y, x]:
             raise ValueError(f"query pixel ({x}, {y}) hits no surface at frame {f0}")
+    qf = qf.astype(np.int64)
 
     qx, qy = qp[:, 0], qp[:, 1]
     spans = np.arange(seq.frame_count, dtype=np.float64)[None, :] - qf[:, None]  # (Q, T)
@@ -656,7 +653,7 @@ def build_tracks(seq: SceneSequence, query_frames: np.ndarray, query_pixels: np.
     seen = _observe(seq, [(t, world[:, t, :]) for t in range(seq.frame_count)])
     camera, pixels, visible = (np.stack(a, axis=1) for a in zip(*seen))
     pixels = np.where(visible[..., None], pixels, 0.0)
-    return TrackSet(qf.copy(), qp.copy(), world, camera, pixels, visible)
+    return TrackSet(qf, qp, world, camera, pixels, visible)
 
 
 def gt_pointmap_matching(seq: SceneSequence, i: int, j: int) -> Pointmap:
@@ -666,20 +663,31 @@ def gt_pointmap_matching(seq: SceneSequence, i: int, j: int) -> Pointmap:
     frame j's pixel (x, y), after that point moved with its object. Pixels whose
     point is occluded or out of view at frame i are invalid.
     """
-    return gt_pointmap_matchings(seq, [(i, j)])[0]
+    return next(gt_pointmap_matchings(seq, [(i, j)]))
 
 
-def gt_pointmap_matchings(seq: SceneSequence, pairs) -> list[Pointmap]:
-    """gt_pointmap_matching of each (i, j) in pairs, with one visibility call
-    for all of them; each map is bit-identical to its own call's."""
-    groups, valid = [], []
+def gt_pointmap_matchings(seq: SceneSequence, pairs) -> Iterator[Pointmap]:
+    """gt_pointmap_matching of each (i, j) in pairs, in order and bit-identical.
+
+    The maps render in batches of at most _CORES * _MAX_CHUNK_RAYS rays (one
+    pair where a pair alone is larger), one visibility call whose chunks fill
+    the cores per batch, each when its first map is asked for.
+    """
+    pairs = list(pairs)
     for i, j in pairs:
         _check_frame(seq, i)
         _check_frame(seq, j)
-        groups.append((i, seq.hit_world[j] + float(i - j) * _velocities(seq, seq.hit_id[j])))
-        valid.append(seq.hit_valid[j])
-    return [Pointmap(cam, v & visible)
-            for (cam, _, visible), v in zip(_observe(seq, groups), valid)]
+    h, w = seq.resolution
+    step = max(1, _CORES * _MAX_CHUNK_RAYS // (h * w))
+    return (pm for b in range(0, len(pairs), step) for pm in _matchings(seq, pairs[b:b + step]))
+
+
+def _matchings(seq: SceneSequence, pairs) -> list[Pointmap]:
+    """The matching maps of pairs, from one visibility call."""
+    groups = [(i, seq.hit_world[j] + float(i - j) * _velocities(seq, seq.hit_id[j]))
+              for i, j in pairs]
+    return [Pointmap(cam, seq.hit_valid[j] & visible)
+            for (cam, _, visible), (_, j) in zip(_observe(seq, groups), pairs)]
 
 
 def gt_rigid_pointmap(seq: SceneSequence, i: int, j: int) -> Pointmap:

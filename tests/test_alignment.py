@@ -121,8 +121,9 @@ def test_disconnected_graph_rejected():
         )
 
 
-def _grid_problem(ego_shapes, edge_shape, **edge_shapes):
-    """A 2-frame problem; edge_shapes overrides one grid of the edge by field."""
+def _grid_problem(ego_shapes, edge_shape, frames=(0, 1), ij=(0, 1), **edge_shapes):
+    """A 2-frame problem; edge_shapes overrides one grid of the edge by field,
+    frames the problem's frame labels and ij the edge's (i, j)."""
 
     def pm(shape):
         return Pointmap(np.ones(shape + (3,)), np.ones(shape, dtype=bool))
@@ -142,30 +143,32 @@ def _grid_problem(ego_shapes, edge_shape, **edge_shapes):
     shape = grid("mask")
     mask = DynamicMask(np.zeros(shape, dtype=bool), 0.0, np.zeros(shape), np.ones(shape, bool))
     return AlignmentProblem(
-        frames=[0, 1],
+        frames=list(frames),
         intrinsics=[k, k],
-        edges=[AlignmentEdge(i=0, j=1, pred=pred, mask=mask)],
+        edges=[AlignmentEdge(*ij, pred=pred, mask=mask)],
         ego_maps=[pm(s) for s in ego_shapes],
     )
 
 
 @pytest.mark.parametrize(
-    "ego_shapes, edge_shape, overrides",
+    "ego_shapes, edge_shape, overrides, match",
     [
-        (((4, 5), (4, 5)), (3, 5), {}),
-        (((4, 5), (4, 5)), (4, 4), {}),
-        (((4, 5), (4, 5)), (4, 6), {}),
-        (((4, 5), (4, 5)), (4, 5), {"x_ji_matched": (3, 5)}),
-        (((4, 5), (4, 5)), (4, 5), {"conf_ji": (4, 6)}),
-        (((4, 5), (4, 5)), (4, 5), {"mask": (4, 4)}),
-        (((4, 5), (4, 6)), (4, 5), {}),
+        (((4, 5), (4, 5)), (3, 5), {}, "resolution"),
+        (((4, 5), (4, 5)), (4, 4), {}, "resolution"),
+        (((4, 5), (4, 5)), (4, 6), {}, "resolution"),
+        (((4, 5), (4, 5)), (4, 5), {"x_ji_matched": (3, 5)}, "resolution"),
+        (((4, 5), (4, 5)), (4, 5), {"conf_ji": (4, 6)}, "resolution"),
+        (((4, 5), (4, 5)), (4, 5), {"mask": (4, 4)}, "resolution"),
+        (((4, 5), (4, 6)), (4, 5), {}, "resolution"),
+        (((4, 5), (4, 5)), (4, 5), {"ij": (1, 0)}, "prediction"),
+        (((4, 5), (4, 5)), (4, 5), {"frames": (5, 7)}, "frames"),
     ],
     ids=["edge-3x5", "edge-4x4", "edge-4x6", "matched-3x5", "conf-4x6", "mask-4x4",
-         "ego-4x5-4x6"],
+         "ego-4x5-4x6", "edge-1-0-holds-0-1", "frames-5-7"],
 )
-def test_problem_rejects_mismatched_resolutions(ego_shapes, edge_shape, overrides):
+def test_problem_rejects_mismatched_resolutions(ego_shapes, edge_shape, overrides, match):
     _grid_problem(((4, 5), (4, 5)), (4, 5))  # one resolution throughout is a problem
-    with pytest.raises(ValueError, match="resolution"):
+    with pytest.raises(ValueError, match=match):
         _grid_problem(ego_shapes, edge_shape, **overrides)
 
 

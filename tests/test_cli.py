@@ -409,12 +409,22 @@ def _track_queries_fractional(tmp_path, scene_dir):
     return ("eval", "track", pred, scene_dir, "--out", tmp_path / "r.json")
 
 
+def _track_queries_scalar(tmp_path, scene_dir):
+    pred = tmp_path / "tr"
+    assert run_cli("track", scene_dir, "--out", pred) == 0
+    meta = load_json(pred / "meta.json")
+    entry = next(e for e in meta["tensors"] if e["name"] == "queries")
+    entry.update(write_tensor(pred, "queries", np.float64(3.0)))
+    dump_json(pred / "meta.json", meta)
+    return ("eval", "track", pred, scene_dir, "--out", tmp_path / "r.json")
+
+
 @pytest.mark.parametrize(
     "make",
     [_scene_meta_is_a_list, _scene_intrinsics_not_objects, _depth_meta_without_tensors,
-     _track_manifest_without_tracks, _track_queries_fractional],
+     _track_manifest_without_tracks, _track_queries_fractional, _track_queries_scalar],
     ids=["scene-meta-list", "scene-intrinsics-not-objects", "depth-meta-no-tensors",
-         "track-manifest-no-tracks", "track-queries-fractional"],
+         "track-manifest-no-tracks", "track-queries-fractional", "track-queries-scalar"],
 )
 def test_malformed_manifest_fails_with_value_error(tmp_path, scene_dir, make):
     code, out = run_cli_captured(*make(tmp_path, scene_dir))

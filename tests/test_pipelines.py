@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pointmatch import pipelines, scenes
 from pointmatch.alignment import build_pair_graph
 from pointmatch.geometry import ConfidenceMap, Pointmap, unproject
+from pointmatch.matching import sparsify_tracks
 from pointmatch.metrics import apd
 from pointmatch.pipelines import (
     OraclePredictor,
@@ -323,7 +324,6 @@ class _PerPair:
 
     def __init__(self, oracle):
         self.oracle = oracle
-        self.frame_count = oracle.frame_count
 
     def predict(self, view1, view2):
         return self.oracle.predict(view1, view2)
@@ -333,10 +333,10 @@ class _PerPair:
 
 
 def test_track_renders_missing_matched_heads_once_in_batches(seq, monkeypatch):
-    batches, visibility = [], []
+    reads, visibility = [], []
 
-    def counting_batch(s, pairs):
-        batches.append(list(pairs))
+    def counting_read(s, pairs):
+        reads.append(list(pairs))
         return gt_pointmap_matchings(s, pairs)
 
     crossing_beyond = scenes.HeightField.crossing_beyond
@@ -345,11 +345,11 @@ def test_track_renders_missing_matched_heads_once_in_batches(seq, monkeypatch):
         visibility.append(len(args[1]))
         return crossing_beyond(field, *args)
 
-    monkeypatch.setattr(pipelines, "gt_pointmap_matchings", counting_batch)
+    monkeypatch.setattr(pipelines, "gt_pointmap_matchings", counting_read)
     monkeypatch.setattr(scenes.HeightField, "crossing_beyond", counting_visibility)
-    # two 16x20 heads a batch
-    monkeypatch.setattr(pipelines, "_CORES", 2)
-    monkeypatch.setattr(pipelines, "_MAX_CHUNK_RAYS", 400)
+    # scenes renders two 16x20 heads a batch
+    monkeypatch.setattr(scenes, "_CORES", 2)
+    monkeypatch.setattr(scenes, "_MAX_CHUNK_RAYS", 400)
     kw = dict(sigma_point=0.01, sigma_scale=0.05, seed=2)
     oracle = OraclePredictor(seq, **kw)
     oracle.predict(1, 0).x_ji_matched  # one head the memo holds before tracking
@@ -362,8 +362,7 @@ def test_track_renders_missing_matched_heads_once_in_batches(seq, monkeypatch):
     pairs = [pair for s in starts
              for pair in plan_pairs("tracking", range(s, min(s + 4, seq.frame_count))).pairs]
     missing = [pair for pair in pairs if pair != (1, 0)]
-    assert [pair for batch in batches for pair in batch] == missing
-    assert [len(batch) for batch in batches] == [2, 2, 2, 1]
+    assert reads == [missing]  # one read renders every missing head
     assert visibility == [2 * 320, 2 * 320, 2 * 320, 320]  # one call per batch
 
     want = track_3d(seq, _PerPair(OraclePredictor(seq, **kw)), queries, window=4, overlap=1)
@@ -371,9 +370,9 @@ def test_track_renders_missing_matched_heads_once_in_batches(seq, monkeypatch):
     npt.assert_array_equal(res.valid, want.valid)
     assert res.scales == want.scales and res.starts == want.starts
 
-    batches.clear()
+    reads.clear()
     track_3d(seq, oracle, queries, window=4, overlap=1)
-    assert batches == []  # every head now comes from the memo
+    assert [pair for read in reads for pair in read] == []  # every head now comes from the memo
 
 
 def test_read_larger_than_the_memo_renders_each_head_once(seq, monkeypatch):
@@ -505,6 +504,51 @@ def test_track_query_validation(seq, oracle):
         track_3d(seq, oracle, np.array([[0, 0, 0]]))
     with pytest.raises(ValueError):
         track_3d(seq, oracle, np.zeros((1, 2), np.int64), mode="hybrid")
+
+
+@pytest.fixture(scope="module")
+def tiny():
+    return _scene(frame_count=3, height=8, width=10, track_count=4)
+
+
+def _set_first(q, col, value):
+    q = q.astype(float)
+    q[0, col] = value
+    return q
+
+
+_NOT_PIXELS = {
+    "shift-0.6": lambda q: q + 0.6,
+    "nan": lambda q: _set_first(q, 0, np.nan),
+    "inf": lambda q: _set_first(q, 1, np.inf),
+    "x-minus-1": lambda q: _set_first(q, 0, -1),
+    "x-width": lambda q: _set_first(q, 0, 10),
+    "q-by-3": lambda q: np.concatenate([q, q[:, :1]], axis=1),
+}
+
+
+@pytest.mark.parametrize("reader", ["build_tracks", "track_3d", "sparsify_tracks"])
+@pytest.mark.parametrize("case", list(_NOT_PIXELS))
+def test_pixel_readers_reject_queries_that_are_not_whole_pixels(tiny, reader, case):
+    maps = [gt_pointmap_matching(tiny, t, 0) for t in range(tiny.frame_count)]
+    read = {
+        "build_tracks": lambda q: build_tracks(tiny, np.zeros(len(q), np.int64), q).camera,
+        "track_3d": lambda q: track_3d(tiny, OraclePredictor(tiny), q, window=2, overlap=1).tracks,
+        "sparsify_tracks": lambda q: sparsify_tracks(maps, q)[0],
+    }[reader]
+    q = tiny.tracks.query_pixels
+    # whole-numbered floats, as read back from a float32 tensor, are pixels
+    npt.assert_array_equal(read(q.astype(np.float32)), read(q))
+    with pytest.raises(ValueError, match="pixels must"):
+        read(_NOT_PIXELS[case](q))
+
+
+def test_build_tracks_rejects_non_integer_query_frames(tiny):
+    q = tiny.tracks.query_pixels[:1]
+    for frames in ([0.7], np.array([0.0]), [True]):
+        with pytest.raises(ValueError, match="frame index must be an integer"):
+            build_tracks(tiny, frames, q)
+    npt.assert_array_equal(build_tracks(tiny, [0], q).camera, tiny.tracks.camera[:1])
 
 
 def _finite_and_zero_where_invalid(values, valid):

@@ -531,17 +531,20 @@ def test_batched_matching_maps_match_per_pair(path, objects, seed, h, w, frames,
         mp.setattr(scenes, "_MAX_CHUNK_RAYS", max_chunk)
         mp.setattr(scenes, "_CORES", cores)
         mp.setattr(scenes, "_pool", lambda: counted)
-        got = gt_pointmap_matchings(s, pairs)
-    # one visibility call split into more chunks than cores, each group's
-    # origins expanded chunk by chunk
-    split = -(-rays // max_chunk)
-    assert split > cores
-    assert counted.submits == split - 1
+        got = list(gt_pointmap_matchings(s, pairs))
+    # one visibility call per batch of at most cores * max_chunk rays, each
+    # split into chunks, each group's origins expanded chunk by chunk
+    step = max(1, cores * max_chunk // (h * w))
+    sizes = [len(pairs[b:b + step]) * h * w for b in range(0, len(pairs), step)]
+    splits = [max(min(cores, n // 2), -(-n // max_chunk)) for n in sizes]
+    assert len(sizes) > 1
+    assert sum(splits) > cores
+    assert counted.submits == sum(k - 1 for k in splits)
     assert len(got) == len(pairs)
     for (i, j), a, b in zip(pairs, got, want):
         npt.assert_array_equal(a.points, b.points, err_msg=f"pair {(i, j)}")
         npt.assert_array_equal(a.valid, b.valid, err_msg=f"pair {(i, j)}")
-    assert gt_pointmap_matchings(s, []) == []
+    assert list(gt_pointmap_matchings(s, [])) == []
 
 
 def _intersect_matches(bg, origins, dirs, want):
