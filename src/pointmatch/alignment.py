@@ -246,8 +246,8 @@ _CHUNK_ROWS = 1 << 11
 
 
 # One term's residual rows, in segments of one (edge, term) each, ordered by
-# the frame whose global map they pull. Row k pulls pixel pix[k] of the
-# frames' stacked maps (frame * pixels + pixel); data[k] is a 3D row's point
+# the frame whose global map they pull. Row k pulls pixel pix[k] (int32) of
+# the frames' stacked maps (frame * pixels + pixel); data[k] is a 3D row's point
 # and confidence (x, y, z, w) or a 2D row's matched pixel position. Segment
 # s owns rows start[s]:start[s + 1] (at least one), pulls frame[s], is posed
 # by frame pose[s] and scaled by edge[s]; cols[s] are its camera columns
@@ -261,7 +261,7 @@ def _rows(segs, width: int, n: int) -> _Rows:
     start = np.cumsum([0] + [int(s[1].sum()) for s in segs])
     ids = np.array([s[0] for s in segs], dtype=np.intp).reshape(-1, 3)
     cols = np.column_stack([6 * ids[:, 1:2] + np.arange(6), 6 * n + ids[:, 2]])
-    rows = _Rows(np.empty(start[-1], np.intp), np.empty((start[-1], width)), start, *ids.T, cols)
+    rows = _Rows(np.empty(start[-1], np.int32), np.empty((start[-1], width)), start, *ids.T, cols)
     for ((f, _, _), sel, data), lo, hi in zip(segs, start, start[1:]):
         rows.pix[lo:hi] = f * sel.size + np.flatnonzero(sel)
         rows.data[lo:hi] = data(sel)
@@ -269,7 +269,11 @@ def _rows(segs, width: int, n: int) -> _Rows:
 
 
 def _prepare(problem: AlignmentProblem, opts: AlignmentOptions) -> tuple[_Rows, _Rows]:
-    """The 3D and 2D rows of every edge, each table filled in place a segment at a time."""
+    """The 3D and 2D rows of every edge, each table filled in place a segment
+    at a time. Raises ValueError when a row's pixel index cannot be an int32."""
+    h, w = problem.ego_maps[0].resolution
+    if len(problem.frames) * h * w > np.iinfo(np.int32).max:
+        raise ValueError("frames x pixels exceeds the int32 range of a row's pixel index")
     segs3, segs2 = [], []
     for ei, e in enumerate(problem.edges):
         p, k = e.pred, problem.intrinsics[e.i]
@@ -304,7 +308,9 @@ def _linearized(pres: tuple[_Rows, _Rows], at: _At, frames: tuple[int, int], jac
         for row0 in range(lo, hi, step):
             sl = slice(row0, min(row0 + step, hi))
             seg = np.searchsorted(rows.start, np.arange(sl.start, sl.stop), side="right") - 1
-            pix, t_i, j_chi = rows.pix[sl], at.trans[rows.pose].take(seg, axis=0), None
+            # widened per chunk, so the index arithmetic below cannot wrap
+            pix = rows.pix[sl].astype(np.intp)
+            t_i, j_chi = at.trans[rows.pose].take(seg, axis=0), None
             if t == 0:  # chi - (s_e R_i x + t_i)
                 m = (at.scales[rows.edge, None, None] * at.rot[rows.pose]).take(seg, axis=0)
                 a = np.einsum("nij,nj->ni", m, rows.data[sl, :3])

@@ -7,7 +7,10 @@ frames talk to each other but tokens never do. Two pre-norm residual blocks
 zero-initialized so an untrained module is exactly the identity.
 
 Everything is float64 numpy. Backward passes are analytic and checked against
-central finite differences in the tests.
+central finite differences in the tests. The GELU's erf comes from
+scipy.special, imported on first use: scipy serves only this module, so
+importing pointmatch, or a command that never runs the module, does not load
+it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import DivergenceError
 from .geometry import DepthMap, Intrinsics, Pointmap, unproject
@@ -110,10 +112,14 @@ def init_params(channels: int, heads: int = 4, t_max: int = 12, seed: int = 0) -
 
 
 def _gelu(x):
+    from scipy.special import erf
+
     return 0.5 * x * (1.0 + erf(x / _SQRT2))
 
 
 def _gelu_grad(x):
+    from scipy.special import erf
+
     phi = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
     return 0.5 * (1.0 + erf(x / _SQRT2)) + x * phi
 

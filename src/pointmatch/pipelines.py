@@ -46,6 +46,7 @@ from .geometry import (
 from .matching import sparsify_tracks
 from .scenes import (
     SceneSequence,
+    check_frame,
     gt_pointmap_matching,
     gt_pointmap_matchings,
     gt_rigid_pointmap,
@@ -178,6 +179,10 @@ class OraclePredictor:
         return pm, None if role == _ROLE_MATCHED else conf
 
     def predict(self, view1: int, view2: int) -> PairPrediction:
+        """The pair's prediction, each head rendered on its first read.
+        Raises ValueError unless both views are frame indices of the scene."""
+        check_frame(self.seq, view1)
+        check_frame(self.seq, view2)
         return _OraclePair(self, view1, view2)
 
     def read_heads(self, preds: Sequence[PairPrediction], head: str) -> list[Pointmap]:

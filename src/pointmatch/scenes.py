@@ -453,7 +453,7 @@ def raycast_pixels(
     hit (N,)). The ray parameter is camera depth, so points_cam = depth *
     pixel_rays(k, pix).
     """
-    _check_frame(seq, frame)
+    check_frame(seq, frame)
     pix = np.asarray(pix, dtype=np.float64)
     if pix.ndim != 2 or pix.shape[1] != 2:
         raise ValueError(f"pixels must be (N, 2), got shape {pix.shape}")
@@ -538,7 +538,8 @@ def _velocities(seq: SceneSequence, surface_ids: np.ndarray) -> np.ndarray:
     return table[np.maximum(surface_ids, -1)]
 
 
-def _check_frame(seq: SceneSequence, frame: int):
+def check_frame(seq: SceneSequence, frame: int):
+    """Raise ValueError unless frame is an integer (not a bool) frame index of seq."""
     if isinstance(frame, bool) or not isinstance(frame, (int, np.integer)):
         raise ValueError("frame index must be an integer")
     if frame < 0 or frame >= seq.frame_count:
@@ -641,7 +642,7 @@ def build_tracks(seq: SceneSequence, query_frames: np.ndarray, query_pixels: np.
     if qf.shape != (qp.shape[0],):
         raise ValueError("queries must be (Q,) frames and (Q, 2) pixels")
     for f0, (x, y) in zip(qf.tolist(), qp.tolist()):
-        _check_frame(seq, f0)
+        check_frame(seq, f0)
         if not seq.hit_valid[f0, y, x]:
             raise ValueError(f"query pixel ({x}, {y}) hits no surface at frame {f0}")
     qf = qf.astype(np.int64)
@@ -675,8 +676,8 @@ def gt_pointmap_matchings(seq: SceneSequence, pairs) -> Iterator[Pointmap]:
     """
     pairs = list(pairs)
     for i, j in pairs:
-        _check_frame(seq, i)
-        _check_frame(seq, j)
+        check_frame(seq, i)
+        check_frame(seq, j)
     h, w = seq.resolution
     step = max(1, _CORES * _MAX_CHUNK_RAYS // (h * w))
     return (pm for b in range(0, len(pairs), step) for pm in _matchings(seq, pairs[b:b + step]))
@@ -697,8 +698,8 @@ def gt_rigid_pointmap(seq: SceneSequence, i: int, j: int) -> Pointmap:
     applied: validity is frame j's own. Dynamic pixels therefore disagree with
     gt_pointmap_matching by exactly the object displacement.
     """
-    _check_frame(seq, i)
-    _check_frame(seq, j)
+    check_frame(seq, i)
+    check_frame(seq, j)
     return Pointmap(seq.poses[i].apply(seq.hit_world[j]), seq.hit_valid[j])
 
 

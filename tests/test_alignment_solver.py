@@ -6,6 +6,7 @@ monotone, finite solves and of exact recovery on noiseless static scenes."""
 
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -142,6 +143,15 @@ def test_a_matched_pixel_without_a_3d_row_gets_no_2d_row():
     result = global_align(problem, dataclasses.replace(opts, max_iters=8))
     assert result.iterations >= 1 and np.all(np.isfinite(result.energy_trace))
     assert np.all(np.isfinite(result.variables.pointmaps))
+
+
+def test_row_pixel_indices_are_int32_within_their_range():
+    problem, _ = handmade()
+    assert all(rows.pix.dtype == np.int32 for rows in _prepare(problem, AlignmentOptions()))
+    # the range check reads only the frame count and the resolution
+    big = SimpleNamespace(frames=range(2), ego_maps=[SimpleNamespace(resolution=(1 << 15, 1 << 15))])
+    with pytest.raises(ValueError, match="int32"):
+        _prepare(big, AlignmentOptions())
 
 
 @pytest.mark.parametrize("lambda_2d", [0.0, 0.5])

@@ -1,4 +1,7 @@
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
@@ -9,6 +12,24 @@ def _load_tool():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# runs every command on one scene, then prints the scipy modules it loaded
+_LOADED_SCIPY = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import output_digest
+output_digest.run_all(sys.argv[2], ((16, 20, 5),), ())
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_no_command_loads_scipy_special(tmp_path):
+    # a fresh interpreter, since this one may have loaded it for other tests
+    argv = [sys.executable, "-c", _LOADED_SCIPY, str(TOOL.parent), str(tmp_path / "out")]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "scipy.special" not in json.loads(done.stdout)
 
 
 def test_digest_listing_is_reproducible(tmp_path):

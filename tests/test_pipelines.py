@@ -551,6 +551,15 @@ def test_build_tracks_rejects_non_integer_query_frames(tiny):
     npt.assert_array_equal(build_tracks(tiny, [0], q).camera, tiny.tracks.camera[:1])
 
 
+@pytest.mark.parametrize("frame", [-1, 3, True, 1.0], ids=["minus-1", "n", "bool", "float"])
+def test_predict_rejects_frames_outside_the_scene(tiny, frame):
+    oracle = OraclePredictor(tiny)
+    for pair in ((0, frame), (frame, 0)):
+        with pytest.raises(ValueError, match="frame index"):
+            oracle.predict(*pair)
+    assert oracle.predict(np.int64(2), 0).frames == (2, 0)
+
+
 def _finite_and_zero_where_invalid(values, valid):
     assert np.all(np.isfinite(values))
     assert not np.any(values[~valid])
