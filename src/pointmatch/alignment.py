@@ -1,6 +1,6 @@
 """Dynamic-mask-aware global alignment of pairwise pointmap predictions.
 
-Variables: per-frame camera-to-world pose (rotation vector + translation),
+Variables: per-frame camera-to-world pose (rotation matrix + translation),
 one log-scale per edge, and a free global pointmap per frame. The energy pulls
 each frame's global pointmap toward every edge's evidence,
 
@@ -76,28 +76,6 @@ def rodrigues(w: np.ndarray) -> np.ndarray:
         a = np.sin(th) / th
         b = (1.0 - np.cos(th)) / th2
     return np.eye(3) + a * k + b * (k @ k)
-
-
-def rotation_log(r: np.ndarray) -> np.ndarray:
-    """Rotation matrix -> rotation vector (inverse of rodrigues)."""
-    r = np.asarray(r, dtype=np.float64)
-    tr = np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0)
-    th = float(np.arccos(tr))
-    vee = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    if th < _SMALL_ANGLE:
-        return vee
-    if th > np.pi - 1e-5:
-        # near pi the antisymmetric part vanishes; recover the axis from R + I
-        b = (r + np.eye(3)) / 2.0
-        axis = np.sqrt(np.maximum(np.diag(b), 0.0))
-        k = int(np.argmax(axis))
-        if axis[k] > 0:
-            axis = b[:, k] / axis[k]
-            axis /= np.linalg.norm(axis)
-        if np.dot(axis, vee) < 0:
-            axis = -axis
-        return th * axis
-    return (th / np.sin(th)) * vee
 
 
 @dataclass
@@ -195,14 +173,14 @@ def build_pair_graph(seq, predictor: Predictor, stride: int = 5) -> AlignmentPro
 class AlignmentVariables:
     """Optimization state: c2w poses, per-edge log scales, global pointmaps."""
 
-    rotvecs: np.ndarray  # (F, 3)
+    rotations: np.ndarray  # (F, 3, 3) camera-to-world
     translations: np.ndarray  # (F, 3)
     log_scales: np.ndarray  # (E,)
     pointmaps: np.ndarray  # (F, H, W, 3)
 
     def copy(self) -> "AlignmentVariables":
         return AlignmentVariables(
-            self.rotvecs.copy(),
+            self.rotations.copy(),
             self.translations.copy(),
             self.log_scales.copy(),
             self.pointmaps.copy(),
@@ -370,8 +348,9 @@ _NormalSystem = namedtuple("_NormalSystem", "h g schur g_schur k_chi g_chi pres 
 
 def _energy_and_grad(problem: AlignmentProblem, pres: tuple[_Rows, _Rows],
                      v: AlignmentVariables, opts: AlignmentOptions, want_grad: bool = True):
-    """Energy and, with want_grad, its gradient (rotations by left
-    perturbations) and IRLS normal system with chi eliminated, undamped.
+    """Energy and, with want_grad, its IRLS normal system with chi
+    eliminated, undamped, whose g and g_chi are the energy's gradient
+    (rotations by left perturbations); without want_grad the system is None.
 
     Every row adds u J^T r to the gradient and u J^T J to the system, so the
     gradient is exact and the system is the Gauss-Newton curvature of the
@@ -382,15 +361,14 @@ def _energy_and_grad(problem: AlignmentProblem, pres: tuple[_Rows, _Rows],
     term reaches get an inert unit block. Raises LinAlgError when a chi block
     cannot be inverted.
     """
-    n, ks = len(v.rotvecs), problem.intrinsics
-    at = _At(np.array([rodrigues(w) for w in v.rotvecs]).reshape(n, 3, 3), v.translations,
-             np.exp(v.log_scales), v.pointmaps.reshape(-1, 3),
+    n, ks = len(v.rotations), problem.intrinsics
+    at = _At(v.rotations, v.translations, np.exp(v.log_scales), v.pointmaps.reshape(-1, 3),
              np.array([[k.fx, k.fy, k.cx, k.cy] for k in ks]).reshape(n, 4), opts.lambda_2d)
     energy = 0.0
     if not want_grad:
         for _, _, _, w, _, root, _, _ in _linearized(pres, at, (0, n), jac=False):
             energy += float((w * (root - _HUBER_DELTA)).sum())
-        return energy, None, None
+        return energy, None
     dim = 6 * n + len(at.scales)
     pix = len(at.chi) // n
     acc = [np.zeros((len(rows.pose), 56)) for rows in pres]  # per segment: J^T u r, J^T u J
@@ -433,10 +411,8 @@ def _energy_and_grad(problem: AlignmentProblem, pres: tuple[_Rows, _Rows],
     for rows, sums in zip(pres, acc):
         np.add.at(g, rows.cols, sums[:, :7])
         np.add.at(h, (rows.cols[:, :, None], rows.cols[:, None]), sums[:, 7:].reshape(-1, 7, 7))
-    cam = g[: 6 * n].reshape(n, 6)
-    grad = AlignmentVariables(cam[:, :3], cam[:, 3:], g[6 * n :], g_chi.reshape(v.pointmaps.shape))
     # c holds the chi blocks' inverses now
-    return energy, grad, _NormalSystem(h, g, schur, g_schur, c, g_chi, pres, at)
+    return energy, _NormalSystem(h, g, schur, g_schur, c, g_chi, pres, at)
 
 
 def _lm_step(v: AlignmentVariables, system: _NormalSystem, damping: float) -> AlignmentVariables:
@@ -465,9 +441,8 @@ def _lm_step(v: AlignmentVariables, system: _NormalSystem, damping: float) -> Al
         _scatter(d_chi, p, _chi_t(j_chi, (w / root)[:, None] * jd))
     d_chi = -np.einsum("pab,pb->pa", system.k_chi.reshape(-1, 3, 3), d_chi)
     cam = step[: 6 * n].reshape(n, 6)
-    rot = [rotation_log(rodrigues(dw) @ r) for dw, r in zip(cam[:, :3], system.at.rot)]
     return AlignmentVariables(
-        np.array(rot).reshape(n, 3),
+        np.array([rodrigues(dw) @ r for dw, r in zip(cam[:, :3], v.rotations)]),
         v.translations + cam[:, 3:],
         v.log_scales + step[6 * n :],
         v.pointmaps + d_chi.reshape(v.pointmaps.shape),
@@ -476,7 +451,16 @@ def _lm_step(v: AlignmentVariables, system: _NormalSystem, damping: float) -> Al
 
 def alignment_energy(problem: AlignmentProblem, v: AlignmentVariables,
                      options: AlignmentOptions | None = None) -> float:
-    """Total energy of a variable assignment (no gradients)."""
+    """Total energy of a variable assignment (no gradients). Raises
+    ValueError unless v has the problem's shapes and finite values."""
+    n, (h, w) = len(problem.frames), problem.ego_maps[0].resolution
+    for name, shape in (("rotations", (n, 3, 3)), ("translations", (n, 3)),
+                        ("log_scales", (len(problem.edges),)), ("pointmaps", (n, h, w, 3))):
+        a = np.asarray(getattr(v, name), dtype=np.float64)
+        if a.shape != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite")
     opts = options or AlignmentOptions()
     return _energy_and_grad(problem, _prepare(problem, opts), v, opts, want_grad=False)[0]
 
@@ -484,7 +468,7 @@ def alignment_energy(problem: AlignmentProblem, v: AlignmentVariables,
 def _init_identity(problem: AlignmentProblem) -> AlignmentVariables:
     n = len(problem.frames)
     return AlignmentVariables(
-        rotvecs=np.zeros((n, 3)),
+        rotations=np.tile(np.eye(3), (n, 1, 1)),
         translations=np.zeros((n, 3)),
         log_scales=np.zeros(len(problem.edges)),
         pointmaps=np.array([m.points for m in problem.ego_maps], dtype=np.float64),
@@ -540,7 +524,7 @@ def _init_pairwise(problem: AlignmentProblem, pres: tuple[_Rows, _Rows]) -> Alig
             seen.add(nxt)
             frontier.append(nxt)
 
-    v.rotvecs[:], v.translations[:] = [rotation_log(r) for r in rot], cen
+    v.rotations[:], v.translations[:] = rot, cen
     v.log_scales[:] = np.log(np.maximum(kappa[[e.i for e in problem.edges]], 1e-12))
     # gauge: normalize the first edge's scale to exactly 1
     shift = v.log_scales[0]
@@ -552,7 +536,7 @@ def _init_pairwise(problem: AlignmentProblem, pres: tuple[_Rows, _Rows]) -> Alig
     # s_e R_i x + t_i, which are minus their residuals at chi = 0
     h, w = problem.ego_maps[0].resolution
     zero = np.broadcast_to(0.0, (n * h * w, 3))
-    at = _At(np.array(rot), v.translations, np.exp(v.log_scales), zero, None, None)
+    at = _At(v.rotations, v.translations, np.exp(v.log_scales), zero, None, None)
     for f in range(n):
         num, den = np.zeros((h * w, 3)), np.zeros((h * w, 1))
         for _, _, p, wgt, r, *_ in _linearized(pres[:1], at, (f, f + 1), jac=False):
@@ -585,7 +569,7 @@ def global_align(
     pres = _prepare(problem, opts)
     v = _init_pairwise(problem, pres) if opts.init == "pairwise" else _init_identity(problem)
 
-    energy, _, _ = _energy_and_grad(problem, pres, v, opts, want_grad=False)
+    energy, _ = _energy_and_grad(problem, pres, v, opts, want_grad=False)
     if not np.isfinite(energy):
         raise DivergenceError("initial energy is non-finite", trace=[energy])
     trace = [energy]
@@ -597,14 +581,14 @@ def global_align(
     while not converged and iters < opts.max_iters:
         e_before = trace[-1]
         iters += 1
-        _, _, system = _energy_and_grad(problem, pres, v, opts)
+        _, system = _energy_and_grad(problem, pres, v, opts)
         while damping <= _DAMPING_MAX:
             try:
                 cand = _lm_step(v, system, damping)
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
-            e_new, _, _ = _energy_and_grad(problem, pres, cand, opts, want_grad=False)
+            e_new, _ = _energy_and_grad(problem, pres, cand, opts, want_grad=False)
             if np.isfinite(e_new) and e_new < e_before:
                 break
             damping *= 10.0
@@ -630,11 +614,11 @@ def global_align(
     for f in range(n):
         ego = problem.ego_maps[f]
         sel = ego.valid
-        r_c2w = rodrigues(v.rotvecs[f])
+        r_c2w = v.rotations[f]
         center = v.translations[f]
         if problem.edges and int(sel.sum()) >= 3:
             try:
-                _, r_c2w, center = umeyama(ego.points[sel], v.pointmaps[f][sel], with_scale=True)
+                _, r_c2w, center = umeyama(ego.points[sel], v.pointmaps[f][sel])
             except EmptyDomainError:
                 pass
         poses.append(Pose(r_c2w.T, -r_c2w.T @ center))

@@ -164,9 +164,7 @@ class Pointmap:
         return self.points.shape[0], self.points.shape[1]
 
     def scaled(self, s: float) -> "Pointmap":
-        out = self.points * float(s)
-        out[~self.valid] = 0.0
-        return Pointmap(out, self.valid)
+        return Pointmap(self.points * float(s), self.valid)
 
 
 @dataclass
@@ -285,10 +283,7 @@ def transform_pointmap(pm: Pointmap, src: Pose, dst: Pose) -> Pointmap:
     Validity is preserved: this is the rigid-scene change of coordinates and
     says nothing about visibility from dst.
     """
-    rel = relative_pose(src, dst)
-    pts = rel.apply(pm.points)
-    pts[~pm.valid] = 0.0
-    return Pointmap(pts, pm.valid)
+    return Pointmap(relative_pose(src, dst).apply(pm.points), pm.valid)
 
 
 def depth_channel(pm: Pointmap) -> DepthMap:

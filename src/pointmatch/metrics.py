@@ -156,7 +156,7 @@ def apd(
     )
 
 
-def umeyama(src: np.ndarray, dst: np.ndarray, with_scale: bool = True):
+def umeyama(src: np.ndarray, dst: np.ndarray):
     """Similarity fit dst ~ s * R @ src + t (least squares).
 
     Returns (s, R, t). Degenerate spreads (either cloud collapses to a point)
@@ -179,7 +179,7 @@ def umeyama(src: np.ndarray, dst: np.ndarray, with_scale: bool = True):
     r = (u * dd) @ vt
     var_s = (sc**2).sum() / src.shape[0]
     var_d = (dc**2).sum() / src.shape[0]
-    if with_scale and var_s > 1e-15 and var_d > 1e-15:
+    if var_s > 1e-15 and var_d > 1e-15:
         s = float((sv * dd).sum() / var_s)
         if s <= 1e-15:
             s = 1.0
@@ -211,7 +211,7 @@ def trajectory_metrics(pred: Sequence[Pose], gt: Sequence[Pose]) -> TrajectoryEv
         raise ValueError("need at least two poses")
     cp = np.stack([p.center for p in pred])
     cg = np.stack([g.center for g in gt])
-    s, r, t = umeyama(cp, cg, with_scale=True)
+    s, r, t = umeyama(cp, cg)
     aligned = cp @ (s * r).T + t
     ate = float(np.sqrt(((aligned - cg) ** 2).sum(axis=1).mean()))
 

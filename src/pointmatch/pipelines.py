@@ -129,15 +129,13 @@ class OraclePredictor:
         rng = self._rng(i, j, role)
         z = np.abs(pm.points[..., 2:3])
         eps = rng.normal(size=pm.points.shape) * (self.sigma_point * z)
-        pts = pm.points + eps
-        pts[~pm.valid] = 0.0
         if self.confidence_mode == "noise":
             mag = np.linalg.norm(eps, axis=-1)
             ref = self.sigma_point * np.maximum(z[..., 0], 1e-9)
             raw = 1.0 / (1.0 + mag / ref)
         else:
             raw = np.ones(pm.resolution)
-        return Pointmap(pts, pm.valid), ConfidenceMap(raw)
+        return Pointmap(pm.points + eps, pm.valid), ConfidenceMap(raw)
 
     def _head(self, view1: int, view2: int, role: int) -> tuple[Pointmap, ConfidenceMap | None]:
         """A head's (map, conf), rendered unless the memo holds it; the
@@ -152,7 +150,7 @@ class OraclePredictor:
         """Put a rendered head into the memo, evicting the least recently read
         heads beyond _HEAD_MEMO_BYTES; returns the head."""
         size = head[0].points.nbytes + head[0].valid.nbytes
-        size += 0 if head[1] is None else head[1].values.nbytes
+        size += 0 if head[1] is None else head[1].raw.nbytes
         self._memo[key] = head, size
         self._memo_bytes += size
         while self._memo_bytes > _HEAD_MEMO_BYTES:

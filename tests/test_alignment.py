@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from pointmatch.alignment import (
     build_pair_graph,
     global_align,
     rodrigues,
-    rotation_log,
     _energy_and_grad,
     _prepare,
 )
@@ -39,11 +40,8 @@ def small_scene(seed=0, frames=3, h=8, w=12, objects=1, cam="orbit", cam_mag=0.0
 
 def gt_variables(seq, problem):
     n = seq.frame_count
-    rot = np.zeros((n, 3))
-    tr = np.zeros((n, 3))
-    for f in range(n):
-        rot[f] = rotation_log(seq.poses[f].rotation.T)
-        tr[f] = seq.poses[f].center
+    rot = np.array([seq.poses[f].rotation.T for f in range(n)])
+    tr = np.array([seq.poses[f].center for f in range(n)])
     chi = seq.hit_world.copy()
     chi[~seq.hit_valid] = 0.0
     return AlignmentVariables(rot, tr, np.zeros(len(problem.edges)), chi)
@@ -59,24 +57,6 @@ def test_rodrigues_identity():
 def test_rodrigues_quarter_turn_z():
     r = rodrigues(np.array([0.0, 0.0, np.pi / 2]))
     assert np.allclose(r @ np.array([1.0, 0, 0]), [0, 1, 0], atol=1e-12)
-
-
-def test_rodrigues_log_roundtrip():
-    rng = np.random.default_rng(3)
-    for scale in (1e-9, 1e-4, 0.5, 2.0, 3.0):
-        w = rng.normal(size=3)
-        w = scale * w / np.linalg.norm(w)
-        r = rodrigues(w)
-        assert np.allclose(rodrigues(rotation_log(r)), r, atol=1e-9)
-
-
-def test_rotation_log_near_pi():
-    axis = np.array([1.0, 2.0, -0.5])
-    axis /= np.linalg.norm(axis)
-    w = (np.pi - 1e-7) * axis
-    r = rodrigues(w)
-    back = rotation_log(r)
-    assert np.allclose(rodrigues(back), r, atol=1e-6)
 
 
 # ---------------------------------------------------------------- pair graph
@@ -200,6 +180,25 @@ def test_2d_term_is_nonnegative_addition():
     assert without < with_2d
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("rotations", lambda a: a[:, :, 0]),  # the shape of rotation vectors
+    ("translations", lambda a: a[:2]),
+    ("log_scales", lambda a: a[:1]),
+    ("pointmaps", lambda a: a[:, :3]),
+], ids=["rotations", "translations", "log_scales", "pointmaps"])
+def test_energy_rejects_variables_of_another_shape_or_not_finite(field, bad):
+    seq = small_scene(frames=3, h=6, w=8)
+    problem = build_pair_graph(seq, OraclePredictor(seq), stride=2)
+    v = gt_variables(seq, problem)
+    assert np.isfinite(alignment_energy(problem, v))
+    with pytest.raises(ValueError, match=f"{field} must have shape"):
+        alignment_energy(problem, dataclasses.replace(v, **{field: bad(getattr(v, field))}))
+    inf = getattr(v, field).copy()
+    inf.flat[-1] = np.inf
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        alignment_energy(problem, dataclasses.replace(v, **{field: inf}))
+
+
 def test_energy_gradient_matches_finite_differences():
     seq = small_scene(frames=3, h=6, w=8, objects=1)
     problem = build_pair_graph(seq, OraclePredictor(seq), stride=2)
@@ -207,32 +206,41 @@ def test_energy_gradient_matches_finite_differences():
     pres = _prepare(problem, opts)
     v = gt_variables(seq, problem)
     rng = np.random.default_rng(11)
-    v.rotvecs += 0.05 * rng.normal(size=v.rotvecs.shape)
+    v.rotations = np.array([rodrigues(w) for w in 0.05 * rng.normal(size=(3, 3))]) @ v.rotations
     v.translations += 0.05 * rng.normal(size=v.translations.shape)
     v.log_scales += 0.1 * rng.normal(size=v.log_scales.shape)
     v.pointmaps += 0.05 * rng.normal(size=v.pointmaps.shape)
 
-    _, grad, _ = _energy_and_grad(problem, pres, v, opts, want_grad=True)
+    _, system = _energy_and_grad(problem, pres, v, opts, want_grad=True)
+    n = len(problem.frames)
+    # the analytic gradient of each probed entry: rotation k of frame f at
+    # 6f + k, its translation at 6f + 3 + k, edge e's log-scale at 6n + e
+    analytic = {
+        "rotations": lambda f, k: system.g[6 * f + k],
+        "translations": lambda f, k: system.g[6 * f + 3 + k],
+        "log_scales": lambda e: system.g[6 * n + e],
+        "pointmaps": lambda *px: system.g_chi.reshape(v.pointmaps.shape)[px],
+    }
 
     def moved(field, index, h):
         out = v.copy()
-        if field == "rotvecs":  # a left perturbation, R <- exp([h e_k]x) R
+        if field == "rotations":  # a left perturbation, R <- exp([h e_k]x) R
             f, k = index
-            out.rotvecs[f] = rotation_log(rodrigues(h * np.eye(3)[k]) @ rodrigues(v.rotvecs[f]))
+            out.rotations[f] = rodrigues(h * np.eye(3)[k]) @ v.rotations[f]
         else:
             getattr(out, field)[index] += h
         return out
 
     def probe(field, index):
         h = 1e-6
-        ep, _, _ = _energy_and_grad(problem, pres, moved(field, index, h), opts, want_grad=False)
-        em, _, _ = _energy_and_grad(problem, pres, moved(field, index, -h), opts, want_grad=False)
+        ep, _ = _energy_and_grad(problem, pres, moved(field, index, h), opts, want_grad=False)
+        em, _ = _energy_and_grad(problem, pres, moved(field, index, -h), opts, want_grad=False)
         return (ep - em) / (2 * h)
 
     checks = []
     for f in range(3):
         for k in range(3):
-            checks.append(("rotvecs", (f, k)))
+            checks.append(("rotations", (f, k)))
             checks.append(("translations", (f, k)))
     for e in range(len(problem.edges)):
         checks.append(("log_scales", (e,)))
@@ -245,7 +253,7 @@ def test_energy_gradient_matches_finite_differences():
 
     for field, index in checks:
         fd = probe(field, index)
-        an = float(getattr(grad, field)[index])
+        an = float(analytic[field](*index))
         err = abs(an - fd) / max(abs(fd), 1e-8)
         assert err < 1e-4, (field, index, an, fd)
 
@@ -305,6 +313,8 @@ def test_jittered_cli_default_scene_converges():
     result = global_align(problem, cfg.alignment_options())
     assert result.converged
     assert trajectory_metrics(result.poses, list(seq.poses)).ate <= 1e-6
+    rot = result.variables.rotations
+    assert np.abs(rot @ rot.transpose(0, 2, 1) - np.eye(3)).max() <= 1e-12
 
 
 def test_single_frame_problem_trivially_converged():

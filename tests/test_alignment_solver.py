@@ -45,7 +45,7 @@ def reference_energy(problem, v, opts):
     """E3d + E2d of the alignment module docstring, one edge at a time."""
     total, scales = 0.0, np.exp(v.log_scales)
     for ei, e in enumerate(problem.edges):
-        r_i, t_i, p = rodrigues(v.rotvecs[e.i]), v.translations[e.i], e.pred
+        r_i, t_i, p = v.rotations[e.i], v.translations[e.i], e.pred
         k = problem.intrinsics[e.i]
         for f, pm, conf in ((e.i, p.x_ii, p.conf_ii), (e.j, p.x_ji, p.conf_ji)):
             mapped = (scales[ei] * pm.points[pm.valid]) @ r_i.T + t_i
@@ -87,7 +87,8 @@ def handmade():
     ego = [pm(full), pm(full), pm(hole), pm(full)]
     problem = AlignmentProblem([0, 1, 2, 3], [k] * 4, edges, ego)
     v = AlignmentVariables(
-        0.05 * rng.normal(size=(4, 3)), 0.05 * rng.normal(size=(4, 3)),
+        np.array([rodrigues(w) for w in 0.05 * rng.normal(size=(4, 3))]),
+        0.05 * rng.normal(size=(4, 3)),
         0.1 * rng.normal(size=4), rng.normal(scale=0.3, size=(4, h, w, 3)) + [0.0, 0.0, 2.0],
     )
     v.pointmaps[2, ..., 2] -= 4.0
@@ -102,7 +103,8 @@ def noisy_scene_problem():
     problem = build_pair_graph(seq, predictor, stride=2)
     rng = np.random.default_rng(1)
     v = alignment._init_pairwise(problem, _prepare(problem, AlignmentOptions()))
-    v.rotvecs += 0.02 * rng.normal(size=v.rotvecs.shape)
+    turns = 0.02 * rng.normal(size=(len(v.rotations), 3))
+    v.rotations = np.array([rodrigues(w) for w in turns]) @ v.rotations
     v.pointmaps += 0.02 * rng.normal(size=v.pointmaps.shape)
     return problem, v
 
@@ -112,7 +114,7 @@ def test_handmade_problem_covers_the_corner_cases():
 
     def depths(e):  # of the edge's 2D rows in its camera i
         d = v.pointmaps[e.j][e.pred.x_ji_matched.valid] - v.translations[e.i]
-        return (d @ rodrigues(v.rotvecs[e.i]))[:, 2]
+        return (d @ v.rotations[e.i])[:, 2]
 
     assert np.all(depths(problem.edges[0]) > EPS_Z)
     assert depths(problem.edges[1]).size and np.all(depths(problem.edges[1]) <= EPS_Z)
@@ -138,7 +140,7 @@ def test_a_matched_pixel_without_a_3d_row_gets_no_2d_row():
     pulled = rows2.pix[rows2.start[seg] : rows2.start[seg + 1]] - 1 * 20  # frame 1's pixels
     np.testing.assert_array_equal(pulled, np.flatnonzero(x_ji))
     assert all(1 * 20 + 0 not in rows.pix for rows in (rows3, rows2))
-    _, _, system = _energy_and_grad(problem, (rows3, rows2), v, opts)
+    _, system = _energy_and_grad(problem, (rows3, rows2), v, opts)
     assert np.all(np.isfinite(system.k_chi))
     result = global_align(problem, dataclasses.replace(opts, max_iters=8))
     assert result.iterations >= 1 and np.all(np.isfinite(result.energy_trace))
@@ -172,23 +174,24 @@ def test_row_chunk_size_leaves_the_solve_unchanged(monkeypatch):
     def solve():
         pres = _prepare(problem, opts)
         v = alignment._init_pairwise(problem, pres)
-        energy, grad, system = _energy_and_grad(problem, pres, v, opts)
+        energy, system = _energy_and_grad(problem, pres, v, opts)
         step = _lm_step(v, system, 1e-3)
-        return pres, energy, grad, step, global_align(problem, opts)
+        return pres, energy, system, step, global_align(problem, opts)
 
-    pres, energy, grad, step, result = solve()
+    pres, energy, system, step, result = solve()
     assert result.iterations > 1
     monkeypatch.setattr(alignment, "_CHUNK_ROWS", 7)
     # 7-row chunks split segments of each term, and so edges and frames
     assert all(np.diff(rows.start).max() > 7 for rows in pres)
-    _, energy7, grad7, step7, result7 = solve()
+    _, energy7, system7, step7, result7 = solve()
 
     def same(a, b):
         return np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
 
     assert abs(energy7 - energy) <= 1e-12 * energy
-    for field in ("rotvecs", "translations", "log_scales", "pointmaps"):
-        assert same(getattr(grad, field), getattr(grad7, field)), field
+    for field in ("g", "g_chi"):
+        assert same(getattr(system, field), getattr(system7, field)), field
+    for field in ("rotations", "translations", "log_scales", "pointmaps"):
         assert same(getattr(step, field), getattr(step7, field)), field
     assert (result7.iterations, result7.converged) == (result.iterations, result.converged)
     assert same(np.array(result.energy_trace), np.array(result7.energy_trace))
@@ -200,8 +203,8 @@ def test_every_damping_try_reads_the_rows_once_from_one_elimination(monkeypatch)
     pres = _prepare(problem, opts)
     v = alignment._init_pairwise(problem, pres)
     dampings = (1e-3, 1e-2, 1e-1, 1.0)
-    want = {d: _lm_step(v, _energy_and_grad(problem, pres, v, opts)[2], d) for d in dampings}
-    _, _, system = _energy_and_grad(problem, pres, v, opts)
+    want = {d: _lm_step(v, _energy_and_grad(problem, pres, v, opts)[1], d) for d in dampings}
+    _, system = _energy_and_grad(problem, pres, v, opts)
     reads = []
     linearized = alignment._linearized
     monkeypatch.setattr(alignment, "_linearized",
@@ -211,7 +214,7 @@ def test_every_damping_try_reads_the_rows_once_from_one_elimination(monkeypatch)
         reads.clear()
         step = _lm_step(v, system, damping)
         assert reads == [(0, n)], damping  # the back-substitution alone
-        for field in ("rotvecs", "translations", "log_scales", "pointmaps"):
+        for field in ("rotations", "translations", "log_scales", "pointmaps"):
             np.testing.assert_array_equal(getattr(step, field), getattr(want[damping], field))
 
 
@@ -254,6 +257,8 @@ def test_solve_descends_monotonically_to_finite_outputs(seed, camera_path, objec
     for pose, pm in zip(result.poses, result.pointmaps):
         assert np.all(np.isfinite(pose.rotation)) and np.all(np.isfinite(pose.translation))
         assert np.all(np.isfinite(pm.points))
+    rot = result.variables.rotations
+    assert np.abs(rot @ rot.transpose(0, 2, 1) - np.eye(3)).max() <= 1e-12
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
