@@ -22,9 +22,11 @@ an option.
 
 The solver is Levenberg-Marquardt on the IRLS-weighted residuals (Triggs et
 al., "Bundle Adjustment - A Modern Synthesis", 2000). The residuals live in
-two flat tables, one row per (edge, term, pixel), grouped by the frame whose
-map a row pulls; every pass over them takes a fixed number of numpy calls per
-chunk of `_CHUNK_ROWS` rows, whatever the number of edges. Each pixel's global
+two tables, one row per (edge, term, pixel), grouped by the frame whose map a
+row pulls. AlignmentProblem builds them as it reads each edge, whose maps it
+then drops, so a problem holds its rows and ego maps but no prediction; every
+pass over the rows takes a fixed number of numpy calls per chunk of
+`_CHUNK_ROWS` rows, whatever the number of edges. Each pixel's global
 point couples only to its own residuals, so once per iteration its 3x3 block
 is eliminated, undamped, by a Schur complement, one frame at a time in the
 pass that builds the system; the damping acts on the reduced system over
@@ -37,7 +39,8 @@ first edge's scale are pinned (gauge freedom).
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -86,86 +89,108 @@ class AlignmentEdge:
     mask: DynamicMask | None
 
 
-@dataclass
+# a built problem's edge: its frames, its maps having become rows
+EdgeIds = namedtuple("EdgeIds", "i j")
+
+
 class AlignmentProblem:
-    """Frames 0..n-1, intrinsics, pair (i, j)'s prediction and dynamic mask per edge."""
+    """Frames 0..n-1 with intrinsics and ego maps, and the residual rows of
+    edges, each pair (i, j)'s prediction and dynamic mask. An edge becomes
+    its rows as it arrives and is dropped, so a generator of edges has one
+    edge's maps alive at a time. Kept: `edges`, each edge's (i, j); `rows`,
+    the 3D and 2D tables (see _Rows), the 2D rows every static candidate;
+    `dynamic[e]`, edge e's mask at its 2D rows. Raises ValueError on zero
+    frames, more frames x pixels than an int32 row index reaches (before any
+    edge is read), inputs that do not match, or a disconnected graph."""
 
-    frames: list[int]
-    intrinsics: list[Intrinsics]
-    edges: list[AlignmentEdge]
-    ego_maps: list[Pointmap]
-
-    def __post_init__(self):
-        n = len(self.frames)
-        if list(self.frames) != list(range(n)):
-            raise ValueError("frames must be 0, 1, ..., n - 1")
-        if len(self.intrinsics) != n or len(self.ego_maps) != n:
+    def __init__(self, frames: list[int], intrinsics: list[Intrinsics],
+                 edges: Iterable[AlignmentEdge], ego_maps: list[Pointmap]):
+        n = len(frames)
+        if n == 0 or list(frames) != list(range(n)):
+            raise ValueError("frames must be 0, 1, ..., n - 1 for some n >= 1")
+        if len(intrinsics) != n or len(ego_maps) != n:
             raise ValueError("per-frame lists must match the frame count")
-        res = {m.valid.shape for m in self.ego_maps}
+        res = {m.valid.shape for m in ego_maps}
         if len(res) > 1:
             raise ValueError("ego maps must share one resolution")
-        for e in self.edges:
-            if not (0 <= e.i < n and 0 <= e.j < n and e.i != e.j):
-                raise ValueError("edge endpoints out of range")
-            if tuple(e.pred.frames) != (e.i, e.j):
-                raise ValueError(f"edge ({e.i}, {e.j}) holds pair {e.pred.frames}'s prediction")
-            p = e.pred
-            grids = [p.x_ii.valid, p.x_ji.valid, p.x_ji_matched.valid, p.conf_ii.raw, p.conf_ji.raw]
-            if e.mask is not None:
-                grids.append(e.mask.mask)
-            if {g.shape for g in grids} != res:
-                raise ValueError("an edge's maps must share the ego maps' resolution")
+        if n * np.prod(ego_maps[0].valid.shape) > np.iinfo(np.int32).max:
+            raise ValueError("frames x pixels exceeds the int32 range of a row's pixel index")
+        self.frames, self.intrinsics, self.ego_maps = list(frames), list(intrinsics), list(ego_maps)
+        self.edges, self.dynamic, segs3, segs2 = [], [], [], []
+        for seg_ii, seg_ji, seg2 in map(self._segments, edges):  # map drops each edge
+            segs3 += seg_ii, seg_ji
+            segs2.append(seg2)
         if n > 1 and not self._connected():
             raise ValueError("pair graph is disconnected")
+        self.rows = _table(segs3, n), _table(segs2, n)
+
+    def _segments(self, e: AlignmentEdge) -> list:
+        """Checked edge e's x_ii, x_ji and 2D segments; notes its (i, j) and 2D rows' mask."""
+        n, res, p = len(self.frames), self.ego_maps[0].valid.shape, e.pred
+        if not (0 <= e.i < n and 0 <= e.j < n and e.i != e.j):
+            raise ValueError("edge endpoints out of range")
+        if tuple(p.frames) != (e.i, e.j):
+            raise ValueError(f"edge ({e.i}, {e.j}) holds pair {p.frames}'s prediction")
+        x_ii, x_ji, m, conf_ii, conf_ji = p.x_ii, p.x_ji, p.x_ji_matched, p.conf_ii, p.conf_ji
+        dyn = np.zeros(res, bool) if e.mask is None else e.mask.mask
+        if {g.shape for g in (x_ii.valid, x_ji.valid, m.valid, conf_ii.raw, conf_ji.raw,
+                              dyn)} != {res}:
+            raise ValueError("an edge's maps must share the ego maps' resolution")
+        ei = len(self.edges)
+        self.edges.append(EdgeIds(e.i, e.j))
+
+        def segment(f, sel, data):  # rows at the pixels sel of frame f
+            return (f, e.i, ei), (f * sel.size + np.flatnonzero(sel)).astype(np.int32), data
+
+        # 2D rows only where x_ji gives a 3D row too: chi blocks invert undamped
+        sel = m.valid & x_ji.valid & (m.points[..., 2] > EPS_Z)
+        self.dynamic.append(dyn[sel])
+        segs = [segment(f, pm.valid, np.column_stack([pm.points[pm.valid], conf.values[pm.valid]]))
+                for f, pm, conf in ((e.i, x_ii, conf_ii), (e.j, x_ji, conf_ji))]
+        return segs + [segment(e.j, sel, project_points(m.points[sel], self.intrinsics[e.i])[0])]
 
     def _connected(self) -> bool:
-        n = len(self.frames)
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for e in self.edges:
-            ra, rb = find(e.i), find(e.j)
-            parent[ra] = rb
-        return len({find(f) for f in range(n)}) == 1
+        seen, todo = {0}, [0]
+        while todo:
+            f = todo.pop()
+            new = {e.j if e.i == f else e.i for e in self.edges if f in e} - seen
+            seen |= new
+            todo += new
+        return len(seen) == len(self.frames)
 
 
 def build_pair_graph(seq, predictor: Predictor, stride: int = 5) -> AlignmentProblem:
     """Edges for all frame gaps 1..stride+1 (a symmetric sliding window).
 
     A stride at or beyond the sequence length degrades to adjacent-only.
-    Each edge carries the pair prediction (view1 = earlier frame) and the
-    dynamic mask thresholded from its matched-vs-rigid residuals; pairs with
-    no co-visible pixels get an empty mask.
+    Each edge is the pair prediction (view1 = earlier frame) and the dynamic
+    mask thresholded from its matched-vs-rigid residuals; pairs with no
+    co-visible pixels get an empty mask. The edges are rendered one at a
+    time, as the problem turns each into its residual rows, and then dropped.
     """
     length = seq.frame_count
     if stride < 1:
         raise ValueError("stride must be >= 1")
     max_gap = 1 if stride >= length else stride + 1
-    edges = []
-    for i in range(length):
-        for j in range(i + 1, min(i + max_gap, length - 1) + 1):
-            lazy = predictor.predict(i, j)
-            try:
-                mask = dynamic_mask(lazy.x_ji_matched, lazy.x_ji)
-            except EmptyDomainError:
-                mask = None
-            # the solver reads every head of an edge more than once: holding
-            # the maps here keeps global_align's time and memory those of the
-            # solve, not re-renders of heads a predictor has evicted
-            pred = PairPrediction(lazy.frames, lazy.x_ii, lazy.x_ji, lazy.x_ji_matched,
-                                  lazy.conf_ii, lazy.conf_ji)
-            edges.append(AlignmentEdge(i=i, j=j, pred=pred, mask=mask))
-    ego = [predictor.predict(f, f).x_ii for f in range(length)]
+
+    def edge(i, j):
+        lazy = predictor.predict(i, j)
+        # each head read once, whatever a predictor keeps: the mask and the
+        # problem read some of them twice
+        pred = PairPrediction(lazy.frames, lazy.x_ii, lazy.x_ji, lazy.x_ji_matched,
+                              lazy.conf_ii, lazy.conf_ji)
+        try:
+            mask = dynamic_mask(pred.x_ji_matched, pred.x_ji)
+        except EmptyDomainError:
+            mask = None
+        return AlignmentEdge(i=i, j=j, pred=pred, mask=mask)
+
     return AlignmentProblem(
         frames=list(range(length)),
         intrinsics=list(seq.intrinsics),
-        edges=edges,
-        ego_maps=ego,
+        edges=(edge(i, j) for i in range(length)
+               for j in range(i + 1, min(i + max_gap, length - 1) + 1)),
+        ego_maps=[predictor.predict(f, f).x_ii for f in range(length)],
     )
 
 
@@ -179,12 +204,7 @@ class AlignmentVariables:
     pointmaps: np.ndarray  # (F, H, W, 3)
 
     def copy(self) -> "AlignmentVariables":
-        return AlignmentVariables(
-            self.rotations.copy(),
-            self.translations.copy(),
-            self.log_scales.copy(),
-            self.pointmaps.copy(),
-        )
+        return AlignmentVariables(*astuple(self))  # astuple copies each array
 
 
 @dataclass
@@ -224,49 +244,44 @@ _CHUNK_ROWS = 1 << 11
 
 
 # One term's residual rows, in segments of one (edge, term) each, ordered by
-# the frame whose global map they pull. Row k pulls pixel pix[k] (int32) of
-# the frames' stacked maps (frame * pixels + pixel); data[k] is a 3D row's point
-# and confidence (x, y, z, w) or a 2D row's matched pixel position. Segment
-# s owns rows start[s]:start[s + 1] (at least one), pulls frame[s], is posed
-# by frame pose[s] and scaled by edge[s]; cols[s] are its camera columns
-# (pose, then scale).
+# the frame whose global map they pull. Segment s holds rows start[s]:start[s
+# + 1] (at least one) as its own arrays: pix[s] (int32), the pixels they pull
+# in the frames' stacked maps (frame * pixels + pixel), and data[s], a 3D
+# row's point and confidence (x, y, z, w) or a 2D row's matched pixel
+# position. It pulls frame[s], is posed by frame pose[s] and scaled by
+# edge[s]; cols[s] are its camera columns (pose, then scale).
 _Rows = namedtuple("_Rows", "pix data start frame pose edge cols")
 
 
-def _rows(segs, width: int, n: int) -> _Rows:
-    """Rows of segs [((frame, pose, edge), selection, selection -> its rows' data)]."""
-    segs = sorted((s for s in segs if s[1].any()), key=lambda s: s[0][0])
-    start = np.cumsum([0] + [int(s[1].sum()) for s in segs])
+def _table(segs: list, n: int) -> _Rows:
+    """The rows of segments [(ids, pix, data)] of n frames' maps, stably
+    sorted by frame; segments without rows are dropped."""
+    segs = sorted((s for s in segs if len(s[1])), key=lambda s: s[0][0])
+    start = np.cumsum([0] + [len(s[1]) for s in segs])
     ids = np.array([s[0] for s in segs], dtype=np.intp).reshape(-1, 3)
     cols = np.column_stack([6 * ids[:, 1:2] + np.arange(6), 6 * n + ids[:, 2]])
-    rows = _Rows(np.empty(start[-1], np.int32), np.empty((start[-1], width)), start, *ids.T, cols)
-    for ((f, _, _), sel, data), lo, hi in zip(segs, start, start[1:]):
-        rows.pix[lo:hi] = f * sel.size + np.flatnonzero(sel)
-        rows.data[lo:hi] = data(sel)
-    return rows
+    return _Rows([s[1] for s in segs], [s[2] for s in segs], start, *ids.T, cols)
+
+
+def _chunk(rows: _Rows, lo: int, hi: int, segs: range) -> tuple[np.ndarray, np.ndarray]:
+    """pix and data of rows lo..hi - 1, which lie in the segments segs; pix
+    is widened to intp, so no index arithmetic on it can wrap."""
+    cuts = [slice(max(lo - rows.start[s], 0), hi - rows.start[s]) for s in segs]
+    return (np.concatenate([rows.pix[s][c] for s, c in zip(segs, cuts)]).astype(np.intp),
+            np.concatenate([rows.data[s][c] for s, c in zip(segs, cuts)]))
 
 
 def _prepare(problem: AlignmentProblem, opts: AlignmentOptions) -> tuple[_Rows, _Rows]:
-    """The 3D and 2D rows of every edge, each table filled in place a segment
-    at a time. Raises ValueError when a row's pixel index cannot be an int32."""
-    h, w = problem.ego_maps[0].resolution
-    if len(problem.frames) * h * w > np.iinfo(np.int32).max:
-        raise ValueError("frames x pixels exceeds the int32 range of a row's pixel index")
-    segs3, segs2 = [], []
-    for ei, e in enumerate(problem.edges):
-        p, k = e.pred, problem.intrinsics[e.i]
-        for f, pm, conf in ((e.i, p.x_ii, p.conf_ii), (e.j, p.x_ji, p.conf_ji)):
-            segs3.append(((f, e.i, ei), pm.valid, lambda s, pm=pm, conf=conf:
-                          np.column_stack([pm.points[s], conf.values[s]])))
-        m = p.x_ji_matched
-        # 2D rows only where x_ji gives a 3D row too: chi blocks invert undamped
-        sel = m.valid & p.x_ji.valid & (m.points[..., 2] > EPS_Z)
-        if opts.use_dynamic_mask and e.mask is not None:
-            sel &= ~e.mask.mask
-        if opts.lambda_2d > 0:
-            segs2.append(((e.j, e.i, ei), sel,
-                          lambda s, m=m, k=k: project_points(m.points[s], k)[0]))
-    return _rows(segs3, 4, len(problem.frames)), _rows(segs2, 2, len(problem.frames))
+    """The rows opts solve over: every 3D row, and the 2D rows unless
+    lambda_2d is 0, less those flagged dynamic under use_dynamic_mask."""
+    rows3, rows2 = problem.rows
+    if opts.lambda_2d == 0:
+        return rows3, _table([], len(problem.frames))
+    if not opts.use_dynamic_mask:
+        return problem.rows
+    static = [~problem.dynamic[e] for e in rows2.edge]
+    segs = zip(zip(rows2.frame, rows2.pose, rows2.edge), rows2.pix, rows2.data, static)
+    return rows3, _table([(ids, p[k], d[k]) for ids, p, d, k in segs], len(problem.frames))
 
 
 # an iterate as the row passes read it: (F, 3, 3) rotations, (F, 3)
@@ -284,15 +299,14 @@ def _linearized(pres: tuple[_Rows, _Rows], at: _At, frames: tuple[int, int], jac
     for t, rows in enumerate(pres):
         lo, hi = rows.start[np.searchsorted(rows.frame, frames)]
         for row0 in range(lo, hi, step):
-            sl = slice(row0, min(row0 + step, hi))
-            seg = np.searchsorted(rows.start, np.arange(sl.start, sl.stop), side="right") - 1
-            # widened per chunk, so the index arithmetic below cannot wrap
-            pix = rows.pix[sl].astype(np.intp)
+            row1 = min(row0 + step, hi)
+            seg = np.searchsorted(rows.start, np.arange(row0, row1), side="right") - 1
+            pix, data = _chunk(rows, row0, row1, range(seg[0], seg[-1] + 1))
             t_i, j_chi = at.trans[rows.pose].take(seg, axis=0), None
             if t == 0:  # chi - (s_e R_i x + t_i)
                 m = (at.scales[rows.edge, None, None] * at.rot[rows.pose]).take(seg, axis=0)
-                a = np.einsum("nij,nj->ni", m, rows.data[sl, :3])
-                r, w = at.chi.take(pix, axis=0) - a - t_i, rows.data[sl, 3]
+                a = np.einsum("nij,nj->ni", m, data[:, :3])
+                r, w = at.chi.take(pix, axis=0) - a - t_i, data[:, 3]
             else:  # project_points(R_i^T (chi - t_i)) - F
                 rot = at.rot[rows.pose].take(seg, axis=0)
                 d = at.chi.take(pix, axis=0) - t_i
@@ -300,7 +314,7 @@ def _linearized(pres: tuple[_Rows, _Rows], at: _At, frames: tuple[int, int], jac
                 ok = np.flatnonzero(y[:, 2] > EPS_Z)
                 seg, pix, d, y, w = seg[ok], pix[ok], d[ok], y[ok], at.lambda_2d
                 k, z = at.k[rows.pose].take(seg, axis=0), y[:, 2:]
-                r = k[:, :2] * y[:, :2] / z + k[:, 2:] - rows.data[sl][ok]
+                r = k[:, :2] * y[:, :2] / z + k[:, 2:] - data[ok]
             # overflow to inf is fine here: an infinite energy raises
             # DivergenceError at the start and rejects a step later
             with np.errstate(over="ignore"):
@@ -475,36 +489,38 @@ def _init_identity(problem: AlignmentProblem) -> AlignmentVariables:
     )
 
 
-def _init_pairwise(problem: AlignmentProblem, pres: tuple[_Rows, _Rows]) -> AlignmentVariables:
+def _init_pairwise(problem: AlignmentProblem) -> AlignmentVariables:
     """Spanning-tree initialization from per-edge similarity fits.
 
-    Each edge's (x_jj, x_ji) correspondence gives a cam_j -> cam_i similarity
-    (Kabsch/Umeyama); BFS from frame 0 accumulates poses and per-frame scales,
-    then edge scales and global maps are seeded consistently.
+    Each edge's (x_jj, x_ji) correspondence, its x_ji read from its 3D rows
+    of frame j, gives a cam_j -> cam_i similarity (Kabsch/Umeyama); BFS from
+    frame 0 accumulates poses and per-frame scales, then edge scales and
+    global maps are seeded consistently.
     """
     n = len(problem.frames)
     v = _init_identity(problem)
     if not problem.edges:
         return v
 
+    rows, (h, w) = problem.rows[0], problem.ego_maps[0].resolution
     rel: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]] = {}
     adj: dict[int, list[tuple[int, int, int]]] = {f: [] for f in range(n)}
-    for e in problem.edges:
+    for ei, e in enumerate(problem.edges):
         adj[e.i].append((e.j, e.i, e.j))
         adj[e.j].append((e.i, e.i, e.j))
         ego_j = problem.ego_maps[e.j]
-        joint = ego_j.valid & e.pred.x_ji.valid
-        if int(joint.sum()) >= 3:
-            try:
-                rel[(e.i, e.j)] = umeyama(ego_j.points[joint], e.pred.x_ji.points[joint])
-            except EmptyDomainError:
-                pass
+        for s in np.flatnonzero((rows.edge == ei) & (rows.frame == e.j)):  # x_ji's segment
+            pix = rows.pix[s] - e.j * h * w
+            joint = ego_j.valid.ravel()[pix]  # the pixels valid in x_ji and ego_j
+            if int(joint.sum()) >= 3:
+                try:
+                    rel[(e.i, e.j)] = umeyama(ego_j.points.reshape(-1, 3)[pix[joint]],
+                                              rows.data[s][joint, :3])
+                except EmptyDomainError:
+                    pass
 
-    rot = [np.eye(3) for _ in range(n)]
-    cen = [np.zeros(3) for _ in range(n)]
-    kappa = np.ones(n)
-    seen = {0}
-    frontier = [0]
+    rot, cen, kappa = [np.eye(3)] * n, [np.zeros(3)] * n, np.ones(n)
+    seen, frontier = {0}, [0]
     while frontier:
         f = frontier.pop(0)
         for nxt, i, j in adj[f]:
@@ -534,12 +550,11 @@ def _init_pairwise(problem: AlignmentProblem, pres: tuple[_Rows, _Rows]) -> Alig
 
     # each pixel starts at the weighted mean of its 3D rows' mapped points
     # s_e R_i x + t_i, which are minus their residuals at chi = 0
-    h, w = problem.ego_maps[0].resolution
     zero = np.broadcast_to(0.0, (n * h * w, 3))
     at = _At(v.rotations, v.translations, np.exp(v.log_scales), zero, None, None)
     for f in range(n):
         num, den = np.zeros((h * w, 3)), np.zeros((h * w, 1))
-        for _, _, p, wgt, r, *_ in _linearized(pres[:1], at, (f, f + 1), jac=False):
+        for _, _, p, wgt, r, *_ in _linearized(problem.rows[:1], at, (f, f + 1), jac=False):
             _scatter(num, p - f * h * w, -wgt[:, None] * r)
             _scatter(den, p - f * h * w, wgt[:, None])
         chi = kappa[f] * (problem.ego_maps[f].points.reshape(-1, 3) @ rot[f].T) + cen[f]
@@ -563,19 +578,13 @@ def global_align(
     gauge. Raises DivergenceError if the initial energy is non-finite.
     """
     opts = options or AlignmentOptions()
-    n = len(problem.frames)
-    if n == 0:
-        raise ValueError("empty problem")
+    v = _init_pairwise(problem) if opts.init == "pairwise" else _init_identity(problem)
     pres = _prepare(problem, opts)
-    v = _init_pairwise(problem, pres) if opts.init == "pairwise" else _init_identity(problem)
 
     energy, _ = _energy_and_grad(problem, pres, v, opts, want_grad=False)
     if not np.isfinite(energy):
         raise DivergenceError("initial energy is non-finite", trace=[energy])
-    trace = [energy]
-    damping = _DAMPING_START
-    iters = 0
-    flat_tol_hits = 0
+    trace, damping, iters, flat_tol_hits = [energy], _DAMPING_START, 0, 0
     converged = not problem.edges or energy < _ABS_TOL
 
     while not converged and iters < opts.max_iters:
@@ -606,29 +615,20 @@ def global_align(
             converged = flat_tol_hits >= 3
         else:
             flat_tol_hits = 0
+    del pres  # freed before the result's maps are built
 
     # Cameras are read off the aligned maps: registering each ego map onto
     # its global map by a similarity gives every frame a pose, including
     # frames that never serve as an edge's reference view.
     poses = []
-    for f in range(n):
-        ego = problem.ego_maps[f]
-        sel = ego.valid
-        r_c2w = v.rotations[f]
-        center = v.translations[f]
+    for f, ego in enumerate(problem.ego_maps):
+        sel, r_c2w, center = ego.valid, v.rotations[f], v.translations[f]
         if problem.edges and int(sel.sum()) >= 3:
             try:
                 _, r_c2w, center = umeyama(ego.points[sel], v.pointmaps[f][sel])
             except EmptyDomainError:
                 pass
         poses.append(Pose(r_c2w.T, -r_c2w.T @ center))
-    maps = [Pointmap(v.pointmaps[f], problem.ego_maps[f].valid) for f in range(n)]
-    return AlignmentResult(
-        poses=poses,
-        scales=np.exp(v.log_scales),
-        pointmaps=maps,
-        energy_trace=trace,
-        converged=converged,
-        iterations=iters,
-        variables=v,
-    )
+    maps = [Pointmap(v.pointmaps[f], ego.valid) for f, ego in enumerate(problem.ego_maps)]
+    return AlignmentResult(poses=poses, scales=np.exp(v.log_scales), pointmaps=maps,
+                           energy_trace=trace, converged=converged, iterations=iters, variables=v)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pointmatch import alignment
 from pointmatch.alignment import (
     AlignmentEdge,
     AlignmentOptions,
@@ -18,7 +19,7 @@ from pointmatch.alignment import (
 from pointmatch.config import RunConfig
 from pointmatch.errors import DivergenceError
 from pointmatch.geometry import ConfidenceMap, Intrinsics, Pointmap
-from pointmatch.matching import DynamicMask
+from pointmatch.matching import DynamicMask, dynamic_mask
 from pointmatch.metrics import trajectory_metrics
 from pointmatch.pipelines import OraclePredictor, PairPrediction
 from pointmatch.scenes import SceneConfig, generate_scene
@@ -82,23 +83,37 @@ def test_pair_graph_rejects_bad_stride():
         build_pair_graph(seq, OraclePredictor(seq), stride=0)
 
 
-def test_pair_graph_has_masks_and_ego_maps():
+def test_pair_graph_has_masks_and_ego_maps(monkeypatch):
     seq = small_scene(frames=4)
+    masks = []  # one per edge whose mask dynamic_mask could threshold
+
+    def recorded(*maps):
+        masks.append(dynamic_mask(*maps))
+        return masks[-1]
+
+    monkeypatch.setattr(alignment, "dynamic_mask", recorded)
     problem = build_pair_graph(seq, OraclePredictor(seq), stride=2)
     assert len(problem.ego_maps) == 4
-    assert all(e.mask is not None for e in problem.edges)
+    assert len(masks) == len(problem.edges)
 
 
 def test_disconnected_graph_rejected():
     seq = small_scene(frames=4)
     problem = build_pair_graph(seq, OraclePredictor(seq), stride=1)
+    kept = [e for e in problem.edges if (e.i, e.j) not in ((1, 2), (0, 2), (1, 3))]
+    oracle = OraclePredictor(seq)
     with pytest.raises(ValueError, match="disconnected"):
         AlignmentProblem(
             frames=problem.frames,
             intrinsics=problem.intrinsics,
-            edges=[e for e in problem.edges if (e.i, e.j) not in ((1, 2), (0, 2), (1, 3))],
+            edges=[AlignmentEdge(e.i, e.j, oracle.predict(e.i, e.j), None) for e in kept],
             ego_maps=problem.ego_maps,
         )
+
+
+def test_problem_rejects_zero_frames():
+    with pytest.raises(ValueError, match="n >= 1"):
+        AlignmentProblem([], [], [], [])
 
 
 def _grid_problem(ego_shapes, edge_shape, frames=(0, 1), ij=(0, 1), **edge_shapes):

@@ -29,7 +29,8 @@ from pointmatch.alignment import (
 )
 from pointmatch.config import RunConfig
 from pointmatch.geometry import EPS_Z, ConfidenceMap, Intrinsics, Pointmap, project_points
-from pointmatch.matching import DynamicMask
+from pointmatch.errors import EmptyDomainError
+from pointmatch.matching import DynamicMask, dynamic_mask
 from pointmatch.metrics import trajectory_metrics
 from pointmatch.pipelines import OraclePredictor, PairPrediction
 from pointmatch.scenes import _CAMERA_PATHS, SceneConfig, generate_scene
@@ -41,12 +42,12 @@ def rho(r):
     return np.sqrt((r * r).sum(axis=-1) + DELTA**2) - DELTA
 
 
-def reference_energy(problem, v, opts):
-    """E3d + E2d of the alignment module docstring, one edge at a time."""
+def reference_energy(edges, intrinsics, v, opts):
+    """E3d + E2d of the alignment module docstring, one AlignmentEdge at a time."""
     total, scales = 0.0, np.exp(v.log_scales)
-    for ei, e in enumerate(problem.edges):
+    for ei, e in enumerate(edges):
         r_i, t_i, p = v.rotations[e.i], v.translations[e.i], e.pred
-        k = problem.intrinsics[e.i]
+        k = intrinsics[e.i]
         for f, pm, conf in ((e.i, p.x_ii, p.conf_ii), (e.j, p.x_ji, p.conf_ji)):
             mapped = (scales[ei] * pm.points[pm.valid]) @ r_i.T + t_i
             total += float((conf.values[pm.valid] * rho(v.pointmaps[f][pm.valid] - mapped)).sum())
@@ -62,10 +63,10 @@ def reference_energy(problem, v, opts):
 
 
 def handmade():
-    """Four 4x5 frames. At the returned variables the 2D rows of edge (1, 2)
-    all lie behind camera 1, those of edge (2, 3) half behind camera 2;
-    edge (0, 3) has no valid pixel, and pixel (0, 0) of frame 2 is reached
-    by no term."""
+    """A problem of four 4x5 frames, its edges and variables. At the
+    variables the 2D rows of edge (1, 2) all lie behind camera 1, those of
+    edge (2, 3) half behind camera 2; edge (0, 3) has no valid pixel, and
+    pixel (0, 0) of frame 2 is reached by no term."""
     rng = np.random.default_rng(5)
     h, w = 4, 5
     k = Intrinsics(fx=6.0, fy=5.0, cx=2.0, cy=1.5)
@@ -93,7 +94,24 @@ def handmade():
     )
     v.pointmaps[2, ..., 2] -= 4.0
     v.pointmaps[3, : h // 2, :, 2] -= 4.0
-    return problem, v
+    return problem, edges, v
+
+
+def pair_graph_edges(seq, predictor, stride):
+    """The edges build_pair_graph renders, as a list of AlignmentEdges, and
+    the ego maps."""
+    n = seq.frame_count
+    gap = 1 if stride >= n else stride + 1
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, min(i + gap, n - 1) + 1):
+            pred = predictor.predict(i, j)
+            try:
+                mask = dynamic_mask(pred.x_ji_matched, pred.x_ji)
+            except EmptyDomainError:
+                mask = None
+            edges.append(AlignmentEdge(i, j, pred, mask))
+    return edges, [predictor.predict(f, f).x_ii for f in range(n)]
 
 
 def noisy_scene_problem():
@@ -101,45 +119,47 @@ def noisy_scene_problem():
                                      motion_magnitude=0.1, track_count=0))
     predictor = OraclePredictor(seq, sigma_point=0.01, sigma_scale=0.1, seed=3)
     problem = build_pair_graph(seq, predictor, stride=2)
+    edges, _ = pair_graph_edges(seq, predictor, stride=2)
     rng = np.random.default_rng(1)
-    v = alignment._init_pairwise(problem, _prepare(problem, AlignmentOptions()))
+    v = alignment._init_pairwise(problem)
     turns = 0.02 * rng.normal(size=(len(v.rotations), 3))
     v.rotations = np.array([rodrigues(w) for w in turns]) @ v.rotations
     v.pointmaps += 0.02 * rng.normal(size=v.pointmaps.shape)
-    return problem, v
+    return problem, edges, v
 
 
 def test_handmade_problem_covers_the_corner_cases():
-    problem, v = handmade()
+    problem, edges, v = handmade()
 
     def depths(e):  # of the edge's 2D rows in its camera i
         d = v.pointmaps[e.j][e.pred.x_ji_matched.valid] - v.translations[e.i]
         return (d @ v.rotations[e.i])[:, 2]
 
-    assert np.all(depths(problem.edges[0]) > EPS_Z)
-    assert depths(problem.edges[1]).size and np.all(depths(problem.edges[1]) <= EPS_Z)
-    assert np.any(depths(problem.edges[2]) <= EPS_Z) and np.any(depths(problem.edges[2]) > EPS_Z)
-    assert not problem.edges[3].pred.x_ii.valid.any()
+    assert np.all(depths(edges[0]) > EPS_Z)
+    assert depths(edges[1]).size and np.all(depths(edges[1]) <= EPS_Z)
+    assert np.any(depths(edges[2]) <= EPS_Z) and np.any(depths(edges[2]) > EPS_Z)
+    assert not edges[3].pred.x_ii.valid.any()
     # pixel (0, 0) of frame 2 (index frame * pixels + pixel) is in no row
     pres = _prepare(problem, AlignmentOptions(lambda_2d=0.5, use_dynamic_mask=False))
-    assert all(2 * (4 * 5) + 0 not in rows.pix for rows in pres)
+    assert all(2 * (4 * 5) + 0 not in np.concatenate(rows.pix) for rows in pres)
 
 
 def test_a_matched_pixel_without_a_3d_row_gets_no_2d_row():
-    problem, v = handmade()
+    problem, edges, v = handmade()
     # edge (0, 1)'s matched head stays valid where its x_ji is not; frame 1's
     # pixel (0, 0) lies in edge (1, 2)'s hole too, so no 3D row reaches it
-    e = problem.edges[0]
+    e = edges[0]
     x_ji = e.pred.x_ji.valid.copy()
     x_ji[0, 0] = x_ji[2, 3] = False
     e.pred = dataclasses.replace(e.pred, x_ji=Pointmap(e.pred.x_ji.points, x_ji))
     assert e.pred.x_ji_matched.valid.all()
+    problem = AlignmentProblem(problem.frames, problem.intrinsics, edges, problem.ego_maps)
     opts = AlignmentOptions(lambda_2d=0.5, use_dynamic_mask=False)
     rows3, rows2 = _prepare(problem, opts)
     seg = int(np.flatnonzero(rows2.edge == 0)[0])
-    pulled = rows2.pix[rows2.start[seg] : rows2.start[seg + 1]] - 1 * 20  # frame 1's pixels
+    pulled = rows2.pix[seg] - 1 * 20  # frame 1's pixels
     np.testing.assert_array_equal(pulled, np.flatnonzero(x_ji))
-    assert all(1 * 20 + 0 not in rows.pix for rows in (rows3, rows2))
+    assert all(1 * 20 + 0 not in np.concatenate(rows.pix) for rows in (rows3, rows2))
     _, system = _energy_and_grad(problem, (rows3, rows2), v, opts)
     assert np.all(np.isfinite(system.k_chi))
     result = global_align(problem, dataclasses.replace(opts, max_iters=8))
@@ -148,32 +168,85 @@ def test_a_matched_pixel_without_a_3d_row_gets_no_2d_row():
 
 
 def test_row_pixel_indices_are_int32_within_their_range():
-    problem, _ = handmade()
-    assert all(rows.pix.dtype == np.int32 for rows in _prepare(problem, AlignmentOptions()))
-    # the range check reads only the frame count and the resolution
-    big = SimpleNamespace(frames=range(2), ego_maps=[SimpleNamespace(resolution=(1 << 15, 1 << 15))])
+    problem, _, _ = handmade()
+    pres = _prepare(problem, AlignmentOptions())
+    assert all(pix.dtype == np.int32 for rows in pres for pix in rows.pix)
+
+    # the range check reads only the frame count and the ego maps' shape,
+    # and it comes before any edge is read
+    def unread():
+        pytest.fail("an edge was read before the range check")
+        yield
+
+    big = [SimpleNamespace(valid=np.broadcast_to(False, (1 << 15, 1 << 15)))] * 2
     with pytest.raises(ValueError, match="int32"):
-        _prepare(big, AlignmentOptions())
+        AlignmentProblem([0, 1], problem.intrinsics[:2], unread(), big)
+
+
+def test_streamed_and_listed_edges_build_one_problem():
+    # the pair graph streams its edges into the problem; the same edges
+    # handed over as a list give the same rows and a bit-equal solve
+    seq = generate_scene(SceneConfig(seed=1, frame_count=5, height=16, width=20, object_count=2,
+                                     motion_magnitude=0.1, track_count=0))
+
+    def oracle():
+        return OraclePredictor(seq, sigma_point=0.01, sigma_scale=0.05, seed=4)
+
+    edges, ego = pair_graph_edges(seq, oracle(), stride=2)
+    listed = AlignmentProblem(list(range(seq.frame_count)), list(seq.intrinsics), edges, ego)
+    tracemalloc.start()  # after the listed build, so first-use costs stay out
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        streamed = build_pair_graph(seq, oracle(), stride=2)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+    def raw(arrays):
+        return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+    assert streamed.edges == listed.edges
+    assert raw(streamed.dynamic) == raw(listed.dynamic)
+    for a, b in zip(streamed.rows, listed.rows):
+        assert all(raw(x) == raw(y) for x, y in zip(a[:2], b[:2]))  # each segment's pix, data
+        assert raw(a[2:]) == raw(b[2:])  # start, frame, pose, edge, cols
+    opts = AlignmentOptions(max_iters=5)
+    a, b = global_align(streamed, opts), global_align(listed, opts)
+    assert a.iterations > 1 and (a.iterations, a.converged) == (b.iterations, b.converged)
+    assert a.energy_trace == b.energy_trace
+    for field in ("rotations", "translations", "log_scales", "pointmaps"):
+        np.testing.assert_array_equal(getattr(a.variables, field), getattr(b.variables, field))
+
+    # the problem keeps its rows, flags and ego maps, and no edge's maps: a
+    # row holds its head pixel's numbers, so beyond those arrays it retains
+    # only containers, far less than the edges' heads
+    heads = sum(m.points.nbytes + m.valid.nbytes
+                for e in edges for m in (e.pred.x_ii, e.pred.x_ji, e.pred.x_ji_matched))
+    heads += sum(e.pred.conf_ii.raw.nbytes + e.pred.conf_ji.raw.nbytes for e in edges)
+    own = sum(a.nbytes for rows in streamed.rows for a in rows.pix + rows.data)
+    own += sum(d.nbytes for d in streamed.dynamic)
+    own += sum(m.points.nbytes + m.valid.nbytes for m in streamed.ego_maps)
+    assert own <= retained < own + heads / 4, (own, retained, heads)
 
 
 @pytest.mark.parametrize("lambda_2d", [0.0, 0.5])
 @pytest.mark.parametrize("use_dynamic_mask", [True, False], ids=["masked", "unmasked"])
 @pytest.mark.parametrize("make", [handmade, noisy_scene_problem], ids=["handmade", "scene"])
 def test_energy_matches_the_edge_by_edge_reference(make, use_dynamic_mask, lambda_2d):
-    problem, v = make()
+    problem, edges, v = make()
     opts = AlignmentOptions(lambda_2d=lambda_2d, use_dynamic_mask=use_dynamic_mask)
-    want = reference_energy(problem, v, opts)
+    want = reference_energy(edges, problem.intrinsics, v, opts)
     assert want > 0
     assert abs(alignment_energy(problem, v, opts) - want) <= 1e-12 * want
 
 
 def test_row_chunk_size_leaves_the_solve_unchanged(monkeypatch):
-    problem, _ = noisy_scene_problem()
+    problem, _, _ = noisy_scene_problem()
     opts = AlignmentOptions(lambda_2d=0.5, max_iters=12)
 
     def solve():
         pres = _prepare(problem, opts)
-        v = alignment._init_pairwise(problem, pres)
+        v = alignment._init_pairwise(problem)
         energy, system = _energy_and_grad(problem, pres, v, opts)
         step = _lm_step(v, system, 1e-3)
         return pres, energy, system, step, global_align(problem, opts)
@@ -198,10 +271,10 @@ def test_row_chunk_size_leaves_the_solve_unchanged(monkeypatch):
 
 
 def test_every_damping_try_reads_the_rows_once_from_one_elimination(monkeypatch):
-    problem, _ = noisy_scene_problem()
+    problem, _, _ = noisy_scene_problem()
     opts = AlignmentOptions(lambda_2d=0.5)
     pres = _prepare(problem, opts)
-    v = alignment._init_pairwise(problem, pres)
+    v = alignment._init_pairwise(problem)
     dampings = (1e-3, 1e-2, 1e-1, 1.0)
     want = {d: _lm_step(v, _energy_and_grad(problem, pres, v, opts)[1], d) for d in dampings}
     _, system = _energy_and_grad(problem, pres, v, opts)
