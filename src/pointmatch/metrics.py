@@ -160,7 +160,9 @@ def umeyama(src: np.ndarray, dst: np.ndarray):
     """Similarity fit dst ~ s * R @ src + t (least squares).
 
     Returns (s, R, t). Degenerate spreads (either cloud collapses to a point)
-    fall back to s = 1 so relative-error metrics stay meaningful.
+    fall back to s = 1 so relative-error metrics stay meaningful. Raises
+    ValueError when a cloud holds a non-finite value or their covariance
+    overflows.
     """
     src = np.asarray(src, dtype=np.float64)
     dst = np.asarray(dst, dtype=np.float64)
@@ -168,9 +170,14 @@ def umeyama(src: np.ndarray, dst: np.ndarray):
         raise ValueError("need matching (N, 3) clouds")
     if src.shape[0] < 1:
         raise EmptyDomainError("empty clouds")
-    mu_s, mu_d = src.mean(axis=0), dst.mean(axis=0)
-    sc, dc = src - mu_s, dst - mu_d
-    cov = dc.T @ sc / src.shape[0]
+    # a non-finite point makes the covariance non-finite too
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu_s, mu_d = src.mean(axis=0), dst.mean(axis=0)
+        sc, dc = src - mu_s, dst - mu_d
+        cov = dc.T @ sc / src.shape[0]
+    if not np.isfinite(cov).all():
+        raise ValueError("cloud covariance is not finite: a cloud holds a non-finite "
+                         "value or its spread overflows")
     u, sv, vt = np.linalg.svd(cov)
     d = np.sign(np.linalg.det(u @ vt))
     if d == 0:

@@ -27,6 +27,7 @@ keyframe by rounding projected track positions to the nearest pixel.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Protocol, Sequence
@@ -89,9 +90,10 @@ class OraclePredictor:
 
     sigma_point scales per-coordinate Gaussian noise by each pixel's depth;
     sigma_scale draws one exp(N(0, sigma^2)) factor per pair, applied to all
-    three maps (they share the pair's unknown scale). Outputs are deterministic
-    per (seed, pair): repeated calls return identical maps, from a memo of
-    recently read heads when they are still in it.
+    three maps (they share the pair's unknown scale); reading a head raises
+    ValueError when its pair's factor overflows or underflows. Outputs are
+    deterministic per (seed, pair): repeated calls return identical maps, from
+    a memo of recently read heads when they are still in it.
 
     confidence_mode "uniform" emits raw logit 1 everywhere; "noise" lowers the
     logit monotonically with the actually-injected noise magnitude.
@@ -172,7 +174,12 @@ class OraclePredictor:
         confidence for the matched head."""
         pm, conf = self._perturb(pm, view1, view2, role)
         if self.sigma_scale > 0:
-            f = float(np.exp(self._rng(view1, view2, _ROLE_JITTER).normal() * self.sigma_scale))
+            draw = self._rng(view1, view2, _ROLE_JITTER).normal()
+            with np.errstate(over="ignore"):
+                f = float(np.exp(draw * self.sigma_scale))
+            if not 0.0 < f < math.inf:
+                raise ValueError(f"jitter {self.sigma_scale} gives pair ({view1}, {view2}) the "
+                                 f"scale factor {f}; it must be finite and positive")
             pm = pm.scaled(f)
         return pm, None if role == _ROLE_MATCHED else conf
 

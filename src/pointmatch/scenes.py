@@ -14,38 +14,44 @@ Design notes that matter for exactness:
     visibility (in view and the first surface along the camera ray). The
     matching map feeds it W_j + span * v, the tracks feed it each query's
     W_q + span * v, so a track and the matching map agree wherever they see
-    the same point. One call bisects the backdrop once for all its groups'
+    the same point. One call raycasts the backdrop once for all its groups'
     rays (build_tracks renders every frame, gt_pointmap_matchings a batch of
     pairs sized here to fill the cores, gt_pointmap_matching a group of one);
     only the analytic object hits run per group;
   - the rigid map is P_i(W_j). Static pixels have v = 0, so W_j + span * v
     is W_j bit for bit there and the two maps' residuals are exactly zero;
-  - the backdrop is bisected with two stop rules. A depth raycast
-    (HeightField.intersect) stops once no valid ray's bracket moves, a fixed
-    point no longer run can change. A visibility query
-    (HeightField.crossing_beyond) also stops once every valid ray's bracket
-    lies on one side of its threshold dist - _OCCLUSION_TOL: brackets only
-    shrink, so that side is the side of the fixed point, and visibility is
-    the same boolean a full refinement gives;
+  - a depth raycast (HeightField.intersect) bisects the backdrop until no
+    valid ray's bracket moves, a fixed point no longer run can change. A
+    visibility query (HeightField.crossing_beyond) needs only the side of
+    its threshold dist - _OCCLUSION_TOL that fixed point lies on. It reads
+    that side from the sign of one height evaluation at the threshold,
+    wherever the field's slope bound makes the crossing unique along the ray
+    and the value clears three times a bound on its rounding error (the
+    proof is in its docstring), and bisects only the rays this leaves
+    undecided, with a stop rule: brackets only shrink, so one that lies on
+    one side of the threshold stays there. Visibility is the boolean a full
+    refinement gives, for one evaluation per ray instead of about twenty;
   - assemble_scene bisects the backdrop once per scene, for every frame's
     pixel rays together; only the analytic object hits run per frame. Every
-    bisection takes one origin per group of rays (a camera center) and
+    raycast takes one origin per group of rays (a camera center) and
     expands it to rows one chunk at a time, so no call holds a row per ray
     for its origins;
-  - a bisection is split into contiguous chunks: one per core the process
+  - a raycast is split into contiguous chunks: one per core the process
     may run on once each gets at least _MIN_CHUNK_RAYS rays, and more where
     a chunk would exceed _MAX_CHUNK_RAYS, so a whole scene's rays become
     bounded pieces spread over the cores. The chunks run on a private
     thread pool and the calling thread, and are joined in ray order. This
-    is exact on every valid ray: its brackets depend only on that ray, and
-    both stop rules are per ray (a bracket that stops moving is a fixed
-    point, a decided visibility bracket stays decided), so a chunk that
-    stops before the others, or holds rays of other frames or groups,
-    returns the same values. The one step that is not elementwise is
-    height's two small matrix products; BLAS gives each row the same value
-    in any call of two or more rows, but a one-row call takes another path
-    that can differ in the last bit, and both chunk bounds keep every chunk
-    far above one row.
+    is exact on every valid ray: its answer depends only on that ray, since
+    the certified test is elementwise and both stop rules are per ray (a
+    bracket that stops moving is a fixed point, a decided visibility bracket
+    stays decided), so a chunk that stops before the others, or holds rays
+    of other frames or groups, returns the same values. The one step that is
+    not elementwise is height's two small matrix products; BLAS gives each
+    row the same value in any call of two or more rows, but a one-row call
+    takes another path that can differ in the last bit, so both chunk
+    bounds keep every chunk far above one row, and a visibility query
+    bisects a lone undecided ray as two rows. The certified test's bound
+    holds on either path.
 """
 
 from __future__ import annotations
@@ -75,6 +81,9 @@ _OCCLUSION_TOL = 1e-6
 _MIN_DZ = 1e-6
 _BISECT_ITERS = 80
 _SLOPE_BOUND = 0.3  # max |grad h|; keeps ray-surface crossings monotone in t
+# the relative margin of crossing_beyond's certificates: 2^13 unit roundoffs,
+# over 800 times the rounding error its docstring derives
+_SIGN_TOL = 2.0**-40
 # a bisection splits into chunks of at least this many rays, one per core;
 # smaller chunks lose more to the interpreter lock than the second core gains
 _MIN_CHUNK_RAYS = 4096
@@ -148,32 +157,71 @@ class HeightField:
         ray's bracket moves: a bracket that stops moving is a fixed point, so
         t equals what any longer run would return.
         """
-        return self._bisect(origins, dirs, None, counts)
+        return self._split(self._bisect_chunk, origins, dirs, None, counts)
 
     def crossing_beyond(
         self, origins: np.ndarray, dirs: np.ndarray, thr: np.ndarray, counts
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Whether each ray's first crossing t satisfies t >= thr: (beyond, ok).
+        """Whether each ray's first crossing t satisfies t >= thr: (beyond, ok);
+        beyond is meaningful only where ok.
 
-        Same crossing, origins and contract as intersect, but bisection also
-        stops once every valid ray's bracket lies on one side of its
-        threshold. The answer is exact: lo only rises and hi only falls with
-        lo <= hi, so a bracket with lo >= thr ends with t >= thr, one with
-        hi < thr ends with t < thr, and a straddling bracket that no longer
-        moves is already at intersect's fixed point.
+        Same crossing, origins and contract as intersect, and the boolean
+        intersect's t >= thr gives, mostly from one evaluation per ray. With
+        [lo0, hi0] a ray's initial bracket, a ray with thr <= lo0 is beyond
+        and one with thr > hi0 is not. Any other valid ray is decided by one
+        float evaluation of g(t) = p_z - height(p_xy), p = o + t d, as
+        beyond = g(thr) < 0, when two certificates hold:
+          (a) d_z - s |d_xy| > 2^-40 (d_z + s |d_xy|) and lo0 > 0, with
+              s = sum_k |a_k| |f_k| this field's slope bound: |grad height|
+              <= s, so the exact G(t) = o_z + t d_z - height(o_xy + t d_xy)
+              is nondecreasing (the margin covers the test's own rounding),
+              and the origin lies below the band, as the proof's lo = lo0
+              case needs;
+          (b) |g(thr)| > 3E, E = 2^-40 P S (below) >= |g(t) - G(t)| for all t
+              in [0, hi0] and any order of BLAS's sums.
+        The rays these leave undecided run the stop-rule bisection
+        (_bisect_chunk) on their own, in a call of at least two rows, as
+        their chunk would. A visible point's threshold lies _OCCLUSION_TOL
+        before its crossing, so |g(thr)| is near 1e-6 there, far above 3E
+        (about 1e-10 on the sampled scenes): only grazing rays are left.
+
+        Why the sign is the bisection's answer. The bisection keeps lo0 <= lo
+        <= hi <= hi0, raises lo only to a midpoint m with g(m) < 0, lowers hi
+        only to one with g(m) >= 0, and answers hi >= thr at its first of
+        three stops: lo >= thr, hi < thr, or a bracket that stops moving,
+        whose ends are adjacent floats (so with lo < thr <= hi, thr == hi).
+          - g(thr) < -3E: G(thr) < -2E, so every m <= thr has G(m) < -2E by
+            (a) and g(m) < -E: hi never falls to thr or below, and every stop
+            answers True.
+          - g(thr) > 3E: G(thr) > 2E, so every m >= thr has g(m) > E and lo
+            stays below thr: lo >= thr cannot stop it, hi < thr answers
+            False, and a still bracket would need lo one float below thr ==
+            hi. There G(lo) < E: either g(lo) < 0, or lo = lo0, the float of
+            the t where p_z = zmin <= height, so G(lo0) <= 4u P S. And
+            G(thr) - G(lo) <= (d_z + s |d_xy|) (thr - lo) <= 2u hi0 |d|_1 S
+            <= 2u P S < E, so G(thr) < 2E: a contradiction.
+        The bound, with u = 2^-53 and the standard model (each operation
+        exact to a relative u, a K-term sum to K u of its terms' magnitudes,
+        np.sin to 8u absolute): for t in [0, hi0], P = 1 + |o|_1 + hi0 |d|_1
+        bounds 1 + |p|_1, and S = 1 + |base| + A (1 + K + sum |f| + sum
+        |phi|), A = sum |a_k|. The point's rounding (2u P over its
+        coordinates) moves p_z and, through s, the height; each sine's
+        argument carries 3u (|f_k|_1 P + |phi_k|) and np.sin 8u, weighted
+        by |a_k|; the amplitude sum adds K u A, the base and the subtraction
+        u (P + |base| + A). Together |g(t) - G(t)| <= 10u P S, and E is over
+        800 times that.
         """
-        hi, ok = self._bisect(origins, dirs, thr, counts)
-        return hi >= thr, ok
+        return self._split(self._beyond_chunk, origins, dirs, thr, counts)
 
-    def _bisect(self, origins, dirs, thr, counts):
-        """(hi, ok) of intersect's bisection, with crossing_beyond's extra stop
-        rule where thr is given; hi is meaningful only where ok.
+    def _split(self, solve, origins, dirs, thr, counts):
+        """solve(chunk origins, chunk dirs, chunk thr or None) over the call's
+        rays, joined in ray order.
 
         A call is split into contiguous chunks, one per core when each gets
         at least _MIN_CHUNK_RAYS rays and more where one would exceed
-        _MAX_CHUNK_RAYS, that are bisected concurrently and joined in ray
-        order; wherever ok, hi equals one serial call's (see the module note).
-        Grouped origins are expanded to rows one chunk at a time.
+        _MAX_CHUNK_RAYS, that are solved concurrently; wherever ok, the
+        result equals one serial call's (see the module note). Grouped
+        origins are expanded to rows one chunk at a time.
         """
         n = len(dirs)
         bounds = np.cumsum([0, *counts])
@@ -183,20 +231,22 @@ class HeightField:
             return np.repeat(origins, held, axis=0)
 
         def chunk(a, b):
-            return self._bisect_chunk(rows(a, b), dirs[a:b], None if thr is None else thr[a:b])
+            return solve(rows(a, b), dirs[a:b], None if thr is None else thr[a:b])
 
         k = max(min(_CORES, n // _MIN_CHUNK_RAYS), -(-n // _MAX_CHUNK_RAYS))
         if k <= 1:
             return chunk(0, n)
         edges = [c * n // k for c in range(k + 1)]
-        # this thread bisects the first chunk while the pool runs the rest
+        # this thread solves the first chunk while the pool runs the rest
         pool = _pool()
         futures = [pool.submit(chunk, a, b) for a, b in zip(edges[1:-1], edges[2:])]
         results = [chunk(edges[0], edges[1])] + [f.result() for f in futures]
-        hi, ok = zip(*results)
-        return np.concatenate(hi), np.concatenate(ok)
+        out, ok = zip(*results)
+        return np.concatenate(out), np.concatenate(ok)
 
-    def _bisect_chunk(self, origins, dirs, thr):
+    def _bracket(self, origins, dirs):
+        """Each ray's initial bracket and validity, (lo, hi, ok); hi is lo + 1
+        where not ok."""
         zmin, zmax = self.z_bounds
         oz, dz = origins[:, 2], dirs[:, 2]
         ok = dz > _MIN_DZ
@@ -204,15 +254,25 @@ class HeightField:
         lo = np.maximum((zmin - oz) / safe_dz, 0.0)
         hi = (zmax - oz) / safe_dz
         ok &= hi > 0
+        return lo, np.where(ok, hi, lo + 1.0), ok
 
-        def g(t):
-            p = origins + t[:, None] * dirs
-            return p[:, 2] - self.height(p[:, :2])
+    def _excess(self, origins, dirs, t):
+        """g(t) = p_z - height(p_xy) at p = origins + t * dirs; negative below
+        the surface."""
+        p = origins + t[:, None] * dirs
+        return p[:, 2] - self.height(p[:, :2])
 
-        hi = np.where(ok, hi, lo + 1.0)
+    def _bisect_chunk(self, origins, dirs, thr):
+        """(hi, ok) of the stop-rule bisection; hi is meaningful only where ok.
+
+        It stops once no valid ray's bracket moves and, where thr is given,
+        once every valid ray's bracket lies on one side of its threshold (lo
+        >= thr or hi < thr). Brackets only shrink, so hi >= thr is then the
+        answer a full refinement gives."""
+        lo, hi, ok = self._bracket(origins, dirs)
         for _ in range(_BISECT_ITERS):
             mid = 0.5 * (lo + hi)
-            below = g(mid) < 0
+            below = self._excess(origins, dirs, mid) < 0
             active = ok & np.where(below, mid != lo, mid != hi)
             if thr is not None:
                 active &= (lo < thr) & (hi >= thr)
@@ -221,6 +281,37 @@ class HeightField:
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         return hi, ok
+
+    def _beyond_chunk(self, origins, dirs, thr):
+        """crossing_beyond's (beyond, ok) for one chunk of rays."""
+        lo, hi, ok = self._bracket(origins, dirs)
+        beyond = thr <= lo
+        open_ = ok & (lo < thr) & (thr <= hi)
+        g = self._excess(origins, dirs, np.where(open_, thr, lo))
+        run = self.slope * np.hypot(dirs[:, 0], dirs[:, 1])
+        rising = (dirs[:, 2] - run > _SIGN_TOL * (dirs[:, 2] + run)) & (lo > 0)
+        sure = open_ & rising & (np.abs(g) > 3.0 * self._sign_error(origins, dirs, hi))
+        beyond[sure] = g[sure] < 0
+        rest = np.flatnonzero(open_ & ~sure)
+        if len(rest):
+            # a one-row matmul takes another BLAS path than the chunk's rows
+            pick = np.repeat(rest, 2) if len(rest) == 1 else rest
+            hi_rest, _ = self._bisect_chunk(origins[pick], dirs[pick], thr[pick])
+            beyond[pick] = hi_rest >= thr[pick]
+        return beyond, ok
+
+    @property
+    def slope(self) -> float:
+        """sum_k |a_k| |f_k|, a bound on |grad height|."""
+        return float((np.abs(self.amps) * np.linalg.norm(self.freqs, axis=1)).sum())
+
+    def _sign_error(self, origins, dirs, hi):
+        """crossing_beyond's E: a bound on |g(t) - G(t)| for t in [0, hi]."""
+        a = float(np.abs(self.amps).sum())
+        shape = 1.0 + abs(self.base) + a * (
+            1 + len(self.amps) + np.abs(self.freqs).sum() + np.abs(self.phases).sum())
+        reach = 1.0 + np.abs(origins).sum(axis=1) + hi * np.abs(dirs).sum(axis=1)
+        return _SIGN_TOL * shape * reach
 
 
 _executor: ThreadPoolExecutor | None = None
@@ -395,11 +486,12 @@ def _sample_background(rng: np.random.Generator) -> HeightField:
     amps = rng.uniform(0.04, 0.1, size=k)
     freqs = rng.uniform(0.3, 0.9, size=(k, 2)) * rng.choice([-1.0, 1.0], size=(k, 2))
     phases = rng.uniform(0.0, 2 * np.pi, size=k)
+    field = HeightField(base=0.0, amps=amps, freqs=freqs, phases=phases)
     # enforce the slope bound that makes raycast brackets monotone
-    slope = float((np.abs(amps) * np.linalg.norm(freqs, axis=1)).sum())
+    slope = field.slope
     if slope > _SLOPE_BOUND:
         amps *= _SLOPE_BOUND / slope
-    return HeightField(base=0.0, amps=amps, freqs=freqs, phases=phases)
+    return field
 
 
 def _sample_objects(cfg: SceneConfig, rng: np.random.Generator) -> list[SceneObject]:
@@ -471,7 +563,7 @@ def raycast_pixels(
 
 def _visible_from(seq: SceneSequence, groups) -> list[np.ndarray]:
     """For each (frame, world points (..., 3)) group: True where a point is the
-    first surface hit from the frame's camera. The backdrop is bisected once
+    first surface hit from the frame's camera. The backdrop is raycast once
     for every group's rays; the objects are hit per group, at its frame."""
     rays = []
     for frame, world_pts in groups:
@@ -672,7 +764,9 @@ def gt_pointmap_matchings(seq: SceneSequence, pairs) -> Iterator[Pointmap]:
 
     The maps render in batches of at most _CORES * _MAX_CHUNK_RAYS rays (one
     pair where a pair alone is larger), one visibility call whose chunks fill
-    the cores per batch, each when its first map is asked for.
+    the cores per batch, each when its first map is asked for. A batch costs
+    one backdrop height evaluation per ray, plus a bisection for the rare ray
+    whose sign that evaluation cannot certify (HeightField.crossing_beyond).
     """
     pairs = list(pairs)
     for i, j in pairs:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +218,34 @@ def test_malformed_scene_dir_fails_at_load(tmp_path, seed1_scene_dir, edit):
     lines = out.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["type"] == "ValueError"
+
+
+@pytest.fixture(scope="module")
+def small_scene_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli16")
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps({"height": 16, "width": 20, "frame_count": 5}))
+    assert run_cli("synth", "--config", cfg, "--seed", 0, "--out", root / "scene") == 0
+    return root / "scene"
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--noise", "1e300"), "covariance is not finite"),
+    (("--jitter", "1e308"), "jitter 1e+308 gives pair ("),
+], ids=["noise-overflows-the-fit", "jitter-overflows-the-scale"])
+def test_overflowing_predictor_noise_fails_with_value_error(tmp_path, small_scene_dir, flags,
+                                                           message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli_captured("align", small_scene_dir, *flags, "--out", tmp_path / "al")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == "ValueError"
+    assert message in err["message"]
+    # the scale factor is drawn under errstate: numpy's exp warns no more
+    assert not [w for w in caught if "exp" in str(w.message)]
 
 
 # Every subcommand's arguments as (option strings, dest, type or action,

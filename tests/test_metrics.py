@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -140,6 +142,19 @@ def test_umeyama_degenerate_scale_falls_back():
     dst = np.tile(np.array([0.0, 0.0, 0.0]), (4, 1))
     s, _, _ = umeyama(src, dst)
     assert s == 1.0
+
+
+def test_umeyama_rejects_non_finite_clouds():
+    src = np.random.default_rng(4).normal(size=(6, 3))
+    nan, inf = src.copy(), src.copy()
+    nan[2, 1], inf[3, 0] = np.nan, np.inf
+    # the last pair is finite, but its covariance overflows
+    pairs = [(src, nan), (nan, src), (inf, src), (src, inf), (1e200 * src, 1e200 * src)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in pairs:
+            with pytest.raises(ValueError, match="covariance is not finite"):
+                umeyama(a, b)
 
 
 def _pose_from(r, t):

@@ -572,3 +572,89 @@ def test_forked_child_can_split_a_bisection(seq, monkeypatch):
         child.join()
     assert not hung
     assert child.exitcode == 0
+
+
+def _fallback_rows(monkeypatch):
+    """Count what crossing_beyond leaves to the stop-rule bisection: the row
+    count of each such call, in a list the caller reads."""
+    rows = []
+    bisect = scenes.HeightField._bisect_chunk
+
+    def counting(field, origins, dirs, thr):
+        if thr is not None:
+            rows.append(len(dirs))
+        return bisect(field, origins, dirs, thr)
+
+    monkeypatch.setattr(scenes.HeightField, "_bisect_chunk", counting)
+    return rows
+
+
+@pytest.mark.parametrize("seed,path", [(0, "orbit"), (1, "linear"), (2, "random-smooth")])
+def test_certified_edge_matches_full_refinement(monkeypatch, seed, path):
+    s = generate_scene(SceneConfig(seed=seed, frame_count=2, height=16, width=20,
+                                   object_count=2, camera_path=path, track_count=0))
+    bg = s.background
+    origins, dirs, _ = _pixel_and_visibility_rays(s, 0)[1]
+    t, ok = bg.intersect(origins[:1], dirs, [len(dirs)])
+    assert ok.all()
+    # thresholds k E / m past the crossing, where m bounds g's rise per unit t:
+    # |g(thr)| >= k E, so |k| > 3 is certified and smaller |k| may not be
+    _, hi0, _ = bg._bracket(origins, dirs)
+    rise = dirs[:, 2] - bg.slope * np.hypot(dirs[:, 0], dirs[:, 1])
+    unit = bg._sign_error(origins, dirs, hi0) / rise
+    thresholds = {f"t + {k} E/m": t + k * unit
+                  for k in (-12, -6, -4, -3, -2, -1, 1, 2, 3, 4, 6, 12)}
+    # and the crossing itself and its float neighbours, where g's sign is noise
+    thresholds.update({"t - 1 ulp": np.nextafter(t, -np.inf), "t": t,
+                       "t + 1 ulp": np.nextafter(t, np.inf)})
+    rows = _fallback_rows(monkeypatch)
+    for name, thr in thresholds.items():
+        beyond, _ = bg.crossing_beyond(origins[:1], dirs, thr, [len(dirs)])
+        npt.assert_array_equal(beyond, t >= thr, err_msg=name)
+    assert 3 * len(dirs) <= sum(rows) < len(thresholds) * len(dirs)
+
+
+def test_steep_field_falls_back_on_shallow_rays(monkeypatch):
+    # slope bound 0.3 * 5 + 0.2 * 5.39 = 2.58: rays with d_z below 2.58 |d_xy|
+    # have no monotone certificate and may cross the surface more than once
+    bg = scenes.HeightField(base=0.0, amps=np.array([0.3, 0.2]),
+                            freqs=np.array([[4.0, 3.0], [-5.0, 2.0]]),
+                            phases=np.array([0.1, 1.0]))
+    rng = np.random.default_rng(0)
+    n = 400
+    angle = rng.uniform(0, 2 * np.pi, n)
+    dirs = np.stack([np.cos(angle), np.sin(angle), np.geomspace(0.2, 6.0, n)], axis=1)
+    o = np.array([0.1, -0.2, -1.5])
+    origins = np.broadcast_to(o, dirs.shape)
+    lo0, hi0, ok = bg._bracket(origins, dirs)
+    assert ok.all()
+    thr = lo0 + rng.uniform(-0.1, 1.1, n) * (hi0 - lo0)
+    t, _ = bg.intersect(o[None], dirs, [n])
+    rows = _fallback_rows(monkeypatch)
+    beyond, _ = bg.crossing_beyond(o[None], dirs, thr, [n])
+    npt.assert_array_equal(beyond, t >= thr)
+    shallow = dirs[:, 2] <= bg.slope * np.hypot(dirs[:, 0], dirs[:, 1])
+    in_bracket = (lo0 < thr) & (thr <= hi0)
+    assert (shallow & in_bracket).sum() > 0 and (~shallow & in_bracket).sum() > 0
+    assert len(rows) == 1 and (shallow & in_bracket).sum() <= rows[0] < in_bracket.sum()
+
+
+def test_one_undecided_ray_bisects_in_two_rows(seq, monkeypatch):
+    bg = seq.background
+    origins, dirs, thr = _pixel_and_visibility_rays(seq, 1)[1]
+    t, _ = bg.intersect(origins[:1], dirs, [len(dirs)])
+    thr[5] = t[5]  # g(thr) is rounding noise at the crossing itself
+    rows = _fallback_rows(monkeypatch)
+    beyond, _ = bg.crossing_beyond(origins[:1], dirs, thr, [len(dirs)])
+    assert rows == [2]
+    npt.assert_array_equal(beyond, t >= thr)
+    assert beyond[5]
+
+
+def test_matched_renders_need_no_bisection(monkeypatch):
+    # the certified test decides every ray of a scene's matching maps and tracks
+    s = generate_scene(SceneConfig(seed=0, frame_count=5, height=16, width=20))
+    rows = _fallback_rows(monkeypatch)
+    maps = list(gt_pointmap_matchings(s, [(i, j) for i in range(5) for j in range(5)]))
+    build_tracks(s, s.tracks.query_frames, s.tracks.query_pixels)
+    assert len(maps) == 25 and rows == []
