@@ -24,9 +24,12 @@ The solver is Levenberg-Marquardt on the IRLS-weighted residuals (Triggs et
 al., "Bundle Adjustment - A Modern Synthesis", 2000). The residuals live in
 two tables, one row per (edge, term, pixel), grouped by the frame whose map a
 row pulls. AlignmentProblem builds them as it reads each edge, whose maps it
-then drops, so a problem holds its rows and ego maps but no prediction; every
-pass over the rows takes a fixed number of numpy calls per chunk of
-`_CHUNK_ROWS` rows, whatever the number of edges. Each pixel's global
+then drops, so a problem holds its rows and ego maps but no prediction. A 3D
+row holds its point; its confidence is held once for a segment whose
+confidence is uniform, as every CLI predictor's is. The dynamic mask selects
+2D rows as a pass gathers them, so no solve copies a row. Every pass over the
+rows takes a fixed number of numpy calls per chunk of `_CHUNK_ROWS` rows,
+whatever the number of edges. Each pixel's global
 point couples only to its own residuals, so once per iteration its 3x3 block
 is eliminated, undamped, by a Schur complement, one frame at a time in the
 pass that builds the system; the damping acts on the reduced system over
@@ -139,13 +142,13 @@ class AlignmentProblem:
         ei = len(self.edges)
         self.edges.append(EdgeIds(e.i, e.j))
 
-        def segment(f, sel, data):  # rows at the pixels sel of frame f
-            return (f, e.i, ei), (f * sel.size + np.flatnonzero(sel)).astype(np.int32), data
+        def segment(f, sel, data, w=None):  # rows at the pixels sel of frame f
+            return (f, e.i, ei), (f * sel.size + np.flatnonzero(sel)).astype(np.int32), data, w
 
         # 2D rows only where x_ji gives a 3D row too: chi blocks invert undamped
         sel = m.valid & x_ji.valid & (m.points[..., 2] > EPS_Z)
         self.dynamic.append(dyn[sel])
-        segs = [segment(f, pm.valid, np.column_stack([pm.points[pm.valid], conf.values[pm.valid]]))
+        segs = [segment(f, pm.valid, pm.points[pm.valid], _weights(conf.values[pm.valid]))
                 for f, pm, conf in ((e.i, x_ii, conf_ii), (e.j, x_ji, conf_ji))]
         return segs + [segment(e.j, sel, project_points(m.points[sel], self.intrinsics[e.i])[0])]
 
@@ -246,42 +249,66 @@ _CHUNK_ROWS = 1 << 11
 # One term's residual rows, in segments of one (edge, term) each, ordered by
 # the frame whose global map they pull. Segment s holds rows start[s]:start[s
 # + 1] (at least one) as its own arrays: pix[s] (int32), the pixels they pull
-# in the frames' stacked maps (frame * pixels + pixel), and data[s], a 3D
-# row's point and confidence (x, y, z, w) or a 2D row's matched pixel
-# position. It pulls frame[s], is posed by frame pose[s] and scaled by
-# edge[s]; cols[s] are its camera columns (pose, then scale).
-_Rows = namedtuple("_Rows", "pix data start frame pose edge cols")
+# in the frames' stacked maps (frame * pixels + pixel), data[s], a 3D row's
+# point (x, y, z) or a 2D row's matched pixel position, and, in the 3D table,
+# w[s], the rows' confidences (w is None in the 2D table, whose weight is
+# lambda_2d). A table that _prepare selects by the dynamic flags holds
+# drop[s], the flags of the rows of segment s's arrays that it leaves out;
+# start counts the rows left (drop is None in a table of every row). Segment
+# s pulls frame[s], is posed by frame pose[s] and scaled by edge[s]; cols[s]
+# are its camera columns (pose, then scale).
+_Rows = namedtuple("_Rows", "pix data w drop start frame pose edge cols")
+
+
+def _weights(conf: np.ndarray) -> np.ndarray:
+    """A segment's confidences; one value throughout is held once, as a
+    zero-stride view that reads as one weight per row."""
+    return np.broadcast_to(conf[:1].copy(), conf.shape) if (conf == conf[:1]).all() else conf
 
 
 def _table(segs: list, n: int) -> _Rows:
-    """The rows of segments [(ids, pix, data)] of n frames' maps, stably
-    sorted by frame; segments without rows are dropped."""
+    """The rows of segments [(ids, pix, data, w)] of n frames' maps, stably
+    sorted by frame; segments without rows are dropped. w is None for 2D
+    segments."""
     segs = sorted((s for s in segs if len(s[1])), key=lambda s: s[0][0])
     start = np.cumsum([0] + [len(s[1]) for s in segs])
     ids = np.array([s[0] for s in segs], dtype=np.intp).reshape(-1, 3)
     cols = np.column_stack([6 * ids[:, 1:2] + np.arange(6), 6 * n + ids[:, 2]])
-    return _Rows([s[1] for s in segs], [s[2] for s in segs], start, *ids.T, cols)
+    w = [s[3] for s in segs] if segs and segs[0][3] is not None else None
+    return _Rows([s[1] for s in segs], [s[2] for s in segs], w, None, start, *ids.T, cols)
 
 
-def _chunk(rows: _Rows, lo: int, hi: int, segs: range) -> tuple[np.ndarray, np.ndarray]:
-    """pix and data of rows lo..hi - 1, which lie in the segments segs; pix
-    is widened to intp, so no index arithmetic on it can wrap."""
+def _chunk(rows: _Rows, lo: int, hi: int, segs: range):
+    """pix, data and w (None in the 2D table) of rows lo..hi - 1, which lie
+    in the segments segs; pix is widened to intp, so no index arithmetic on
+    it can wrap."""
     cuts = [slice(max(lo - rows.start[s], 0), hi - rows.start[s]) for s in segs]
-    return (np.concatenate([rows.pix[s][c] for s, c in zip(segs, cuts)]).astype(np.intp),
-            np.concatenate([rows.data[s][c] for s, c in zip(segs, cuts)]))
+    if rows.drop is not None:  # the cuts count the rows drop leaves
+        cuts = [np.flatnonzero(~rows.drop[s])[c] for s, c in zip(segs, cuts)]
+
+    def cat(col):  # take, as fancy indexing a (m, 2) array is several times slower
+        return np.concatenate([col[s][c] if rows.drop is None else col[s].take(c, axis=0)
+                               for s, c in zip(segs, cuts)])
+
+    return cat(rows.pix).astype(np.intp), cat(rows.data), None if rows.w is None else cat(rows.w)
 
 
 def _prepare(problem: AlignmentProblem, opts: AlignmentOptions) -> tuple[_Rows, _Rows]:
     """The rows opts solve over: every 3D row, and the 2D rows unless
-    lambda_2d is 0, less those flagged dynamic under use_dynamic_mask."""
+    lambda_2d is 0, less those flagged dynamic under use_dynamic_mask. The
+    flags select rows where a pass gathers them, so no row is copied."""
     rows3, rows2 = problem.rows
     if opts.lambda_2d == 0:
         return rows3, _table([], len(problem.frames))
     if not opts.use_dynamic_mask:
         return problem.rows
-    static = [~problem.dynamic[e] for e in rows2.edge]
-    segs = zip(zip(rows2.frame, rows2.pose, rows2.edge), rows2.pix, rows2.data, static)
-    return rows3, _table([(ids, p[k], d[k]) for ids, p, d, k in segs], len(problem.frames))
+    drop = [problem.dynamic[e] for e in rows2.edge]
+    kept = [len(d) - np.count_nonzero(d) for d in drop]
+    s = [k for k, c in enumerate(kept) if c]  # segments left without rows are dropped
+    return rows3, rows2._replace(
+        pix=[rows2.pix[k] for k in s], data=[rows2.data[k] for k in s], drop=[drop[k] for k in s],
+        start=np.cumsum([0] + [kept[k] for k in s]), frame=rows2.frame[s], pose=rows2.pose[s],
+        edge=rows2.edge[s], cols=rows2.cols[s])
 
 
 # an iterate as the row passes read it: (F, 3, 3) rotations, (F, 3)
@@ -301,12 +328,12 @@ def _linearized(pres: tuple[_Rows, _Rows], at: _At, frames: tuple[int, int], jac
         for row0 in range(lo, hi, step):
             row1 = min(row0 + step, hi)
             seg = np.searchsorted(rows.start, np.arange(row0, row1), side="right") - 1
-            pix, data = _chunk(rows, row0, row1, range(seg[0], seg[-1] + 1))
+            pix, data, w = _chunk(rows, row0, row1, range(seg[0], seg[-1] + 1))
             t_i, j_chi = at.trans[rows.pose].take(seg, axis=0), None
             if t == 0:  # chi - (s_e R_i x + t_i)
                 m = (at.scales[rows.edge, None, None] * at.rot[rows.pose]).take(seg, axis=0)
-                a = np.einsum("nij,nj->ni", m, data[:, :3])
-                r, w = at.chi.take(pix, axis=0) - a - t_i, data[:, 3]
+                a = np.einsum("nij,nj->ni", m, data)
+                r = at.chi.take(pix, axis=0) - a - t_i
             else:  # project_points(R_i^T (chi - t_i)) - F
                 rot = at.rot[rows.pose].take(seg, axis=0)
                 d = at.chi.take(pix, axis=0) - t_i
@@ -515,7 +542,7 @@ def _init_pairwise(problem: AlignmentProblem) -> AlignmentVariables:
             if int(joint.sum()) >= 3:
                 try:
                     rel[(e.i, e.j)] = umeyama(ego_j.points.reshape(-1, 3)[pix[joint]],
-                                              rows.data[s][joint, :3])
+                                              rows.data[s][joint])
                 except EmptyDomainError:
                     pass
 
@@ -549,9 +576,13 @@ def _init_pairwise(problem: AlignmentProblem) -> AlignmentVariables:
     kappa *= np.exp(-shift)
 
     # each pixel starts at the weighted mean of its 3D rows' mapped points
-    # s_e R_i x + t_i, which are minus their residuals at chi = 0
-    zero = np.broadcast_to(0.0, (n * h * w, 3))
-    at = _At(v.rotations, v.translations, np.exp(v.log_scales), zero, None, None)
+    # s_e R_i x + t_i, which are minus their residuals at chi = 0. A frame's
+    # rows read only its own pixels, so the maps are zeroed and each frame's
+    # is filled after its rows are read (a zero-stride chi would be copied
+    # whole by every chunk's take)
+    v.pointmaps[:] = 0.0
+    at = _At(v.rotations, v.translations, np.exp(v.log_scales), v.pointmaps.reshape(-1, 3),
+             None, None)
     for f in range(n):
         num, den = np.zeros((h * w, 3)), np.zeros((h * w, 1))
         for _, _, p, wgt, r, *_ in _linearized(problem.rows[:1], at, (f, f + 1), jac=False):

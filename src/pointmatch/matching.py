@@ -33,11 +33,13 @@ class DynamicMask:
 
 
 def pointmap_residuals(matched: Pointmap, rigid: Pointmap) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel L2 disagreement between two pointmaps and the joint validity."""
+    """Per-pixel L2 disagreement between two pointmaps and the joint validity.
+    A disagreement beyond the float range is inf, without a numpy warning."""
     if matched.resolution != rigid.resolution:
         raise ValueError("pointmaps must share resolution")
     valid = matched.valid & rigid.valid
-    res = np.linalg.norm(matched.points - rigid.points, axis=-1)
+    with np.errstate(over="ignore"):
+        res = np.linalg.norm(matched.points - rigid.points, axis=-1)
     res[~valid] = 0.0
     return res, valid
 

@@ -208,8 +208,10 @@ def test_streamed_and_listed_edges_build_one_problem():
     assert streamed.edges == listed.edges
     assert raw(streamed.dynamic) == raw(listed.dynamic)
     for a, b in zip(streamed.rows, listed.rows):
-        assert all(raw(x) == raw(y) for x, y in zip(a[:2], b[:2]))  # each segment's pix, data
-        assert raw(a[2:]) == raw(b[2:])  # start, frame, pose, edge, cols
+        # each segment's pix, data and w (the 2D table has no w)
+        assert all(raw(x or []) == raw(y or []) for x, y in zip(a[:3], b[:3]))
+        assert a.drop is None and b.drop is None
+        assert raw(a[4:]) == raw(b[4:])  # start, frame, pose, edge, cols
     opts = AlignmentOptions(max_iters=5)
     a, b = global_align(streamed, opts), global_align(listed, opts)
     assert a.iterations > 1 and (a.iterations, a.converged) == (b.iterations, b.converged)
@@ -217,16 +219,63 @@ def test_streamed_and_listed_edges_build_one_problem():
     for field in ("rotations", "translations", "log_scales", "pointmaps"):
         np.testing.assert_array_equal(getattr(a.variables, field), getattr(b.variables, field))
 
-    # the problem keeps its rows, flags and ego maps, and no edge's maps: a
-    # row holds its head pixel's numbers, so beyond those arrays it retains
-    # only containers, far less than the edges' heads
+    # the problem keeps its rows, flags and ego maps, and no edge's maps:
+    # beyond those arrays it retains only containers, far less than the
+    # edges' heads
+    def held(a):  # a zero-stride weight holds its one value
+        return a.itemsize if a.strides == (0,) else a.nbytes
+
+    def table(rows):
+        return sum(held(a) for col in (rows.pix, rows.data, rows.w or []) for a in col)
+
     heads = sum(m.points.nbytes + m.valid.nbytes
                 for e in edges for m in (e.pred.x_ii, e.pred.x_ji, e.pred.x_ji_matched))
     heads += sum(e.pred.conf_ii.raw.nbytes + e.pred.conf_ji.raw.nbytes for e in edges)
-    own = sum(a.nbytes for rows in streamed.rows for a in rows.pix + rows.data)
+    own = sum(map(table, streamed.rows))
     own += sum(d.nbytes for d in streamed.dynamic)
     own += sum(m.points.nbytes + m.valid.nbytes for m in streamed.ego_maps)
     assert own <= retained < own + heads / 4, (own, retained, heads)
+    # uniform confidence is held once a segment, so the 3D table (28 bytes a
+    # row) is smaller than the heads it came from (33 bytes a pixel)
+    heads3 = sum(m.points.nbytes + m.valid.nbytes + c.raw.nbytes for e in edges
+                 for m, c in ((e.pred.x_ii, e.pred.conf_ii), (e.pred.x_ji, e.pred.conf_ji)))
+    rows3 = streamed.rows[0]
+    assert all(w.strides == (0,) for w in rows3.w)
+    assert table(rows3) < heads3, (table(rows3), heads3)
+
+
+def test_masked_rows_are_selected_without_a_copy():
+    # under the dynamic mask the 2D rows are selected from the problem's
+    # table where a pass gathers them: _prepare copies no row, and any cut
+    # of the selected rows is the static rows in table order
+    seq = generate_scene(SceneConfig(seed=0, frame_count=5, height=16, width=20, object_count=2,
+                                     motion_magnitude=0.1, track_count=0))
+    problem = build_pair_graph(seq, OraclePredictor(seq, sigma_point=0.01, seed=1), stride=2)
+    rows2 = problem.rows[1]
+    size = sum(a.nbytes for col in (rows2.pix, rows2.data) for a in col)
+    opts = AlignmentOptions(lambda_2d=0.5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _, masked = _prepare(problem, opts)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 4, (peak, size)
+
+    static = [(s, ~problem.dynamic[e]) for s, e in enumerate(rows2.edge)]
+    assert sum(k.all() for _, k in static) < len(static) and any(k.any() for _, k in static)
+    want = [np.concatenate([col[s][k] for s, k in static if k.any()])
+            for col in (rows2.pix, rows2.data)]
+    assert masked.start[-1] == len(want[0])
+    for lo in range(0, masked.start[-1], 37):  # cuts across segments
+        hi = min(lo + 37, masked.start[-1])
+        segs = np.searchsorted(masked.start, [lo, hi - 1], side="right") - 1
+        pix, data, w = alignment._chunk(masked, lo, hi, range(segs[0], segs[1] + 1))
+        np.testing.assert_array_equal(pix, want[0][lo:hi])
+        np.testing.assert_array_equal(data, want[1][lo:hi])
+        assert w is None
 
 
 @pytest.mark.parametrize("lambda_2d", [0.0, 0.5])
