@@ -29,13 +29,18 @@ row holds its point; its confidence is held once for a segment whose
 confidence is uniform, as every CLI predictor's is. The dynamic mask selects
 2D rows as a pass gathers them, so no solve copies a row. Every pass over the
 rows takes a fixed number of numpy calls per chunk of `_CHUNK_ROWS` rows,
-whatever the number of edges. Each pixel's global
-point couples only to its own residuals, so once per iteration its 3x3 block
-is eliminated, undamped, by a Schur complement, one frame at a time in the
-pass that builds the system; the damping acts on the reduced system over
-poses and scales alone, so every try reuses that elimination. Rotations step
-as R <- exp([dw]x) R (Sola et al., arXiv 1812.01537). A step is kept only if
-the energy drops, so the energy trace is monotone. Frame 0's pose and the
+whatever the number of edges, and the system pass one matrix product more per
+2D segment. Each pixel's global point couples only to its own residuals, so
+once per iteration its 3x3 block is eliminated, undamped, by a Schur
+complement, one frame at a time in the pass that builds the system. That pass
+writes every Jacobian out in closed form over whole columns of rows: a 3D
+segment's camera terms come from its moments, a 2D segment's camera block is
+one product of its Jacobian rows, each coupling is scattered by its nonzeros,
+and each chi block is inverted by its adjugate; no per-row matrix product or
+LAPACK inverse is taken. The damping acts on the reduced system over poses and
+scales alone, so every try reuses that elimination. Rotations step as R <-
+exp([dw]x) R (Sola et al., arXiv 1812.01537). A step is kept only if the
+energy drops, so the energy trace is monotone. Frame 0's pose and the
 first edge's scale are pinned (gauge freedom).
 """
 
@@ -234,11 +239,17 @@ class AlignmentOptions:
 class AlignmentResult:
     poses: list[Pose]  # world-to-camera
     scales: np.ndarray  # per edge
-    pointmaps: list[Pointmap]  # aligned global maps, validity from ego maps
     energy_trace: list[float]
     converged: bool
     iterations: int
     variables: AlignmentVariables
+    valid: list[np.ndarray]  # the ego maps' validity grids
+
+    @property
+    def pointmaps(self) -> list[Pointmap]:
+        """The aligned global maps, built from the variables at each read,
+        with the ego maps' validity."""
+        return [Pointmap(chi, ok) for chi, ok in zip(self.variables.pointmaps, self.valid)]
 
 
 # rows per step of a pass that builds Jacobians, which bounds its temporaries;
@@ -319,9 +330,10 @@ _At = namedtuple("_At", "rot trans scales chi k lambda_2d")
 def _linearized(pres: tuple[_Rows, _Rows], at: _At, frames: tuple[int, int], jac=True):
     """Rows of frames lo..hi - 1, chunk by chunk: (table, segment, pixel,
     weight, residual, kernel root, d r / d chi, lever). d r / d chi is None
-    for the 3D rows' identity and for every row without jac; the lever is a
-    3D row's mapped point s_e R_i x or a 2D row's chi - t_i, from which
-    _j_cam builds d r / d camera. 2D rows behind their camera drop out."""
+    for the 3D rows' identity and for every row without jac, else a 2D row's
+    two rows as a (2, 3, m) array, the rows' axis last; the lever is a 3D
+    row's mapped point s_e R_i x or a 2D row's chi - t_i. 2D rows behind
+    their camera drop out."""
     step = _CHUNK_ROWS if jac else 2 * _CHUNK_ROWS
     for t, rows in enumerate(pres):
         lo, hi = rows.start[np.searchsorted(rows.frame, frames)]
@@ -346,36 +358,71 @@ def _linearized(pres: tuple[_Rows, _Rows], at: _At, frames: tuple[int, int], jac
             # DivergenceError at the start and rejects a step later
             with np.errstate(over="ignore"):
                 root = np.sqrt(np.einsum("ni,ni->n", r, r) + _HUBER_DELTA**2)
-            if jac and t == 1:  # the rows of R_i^T are the columns of R_i
-                rt, kz = rot[ok].transpose(0, 2, 1), (k[:, :2] / z)[:, :, None]
-                j_chi = kz * (rt[:, :2] - (y[:, :2] / z)[:, :, None] * rt[:, 2:])
+            if jac and t == 1:  # row q: (k_q / z) (R_i[:, q] - (y_q / z) R_i[:, 2])
+                col = at.rot[rows.pose].transpose(2, 1, 0).take(seg, axis=2)  # col[q]: R_i[:, q]
+                kz, yz = ((x[:, :2] / z).T.copy()[:, None] for x in (k, y))
+                j_chi = kz * (col[:2] - yz * col[2])
             yield t, seg, pix, w, r, root, j_chi, a if t == 0 else d
 
 
-def _j_cam(j_chi, lever: np.ndarray) -> np.ndarray:
-    """d r / d camera, (m, 2 or 3, 7) over a segment's cols, rotations as
-    left perturbations: [[a]x, -I, -a] for a 3D row, J_chi [[d]x, -I, 0]
-    for a 2D row."""
-    if j_chi is None:
-        j_cam = np.zeros(lever.shape + (7,))
-        j_cam[:, :, :3], j_cam[:, :, 3:6], j_cam[:, :, 6] = _skew(lever), -np.eye(3), -lever
-    else:
-        j_cam = np.zeros(j_chi.shape[:2] + (7,))
-        j_cam[:, :, :3], j_cam[:, :, 3:6] = np.cross(j_chi, lever[:, None]), -j_chi
-    return j_cam
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over axis -2 of arrays whose last axis runs over rows, written
+    out (np.cross is slower for them)."""
+    (a0, a1, a2), (b0, b1, b2) = ([x[..., q, :] for q in range(3)] for x in (a, b))
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-2)
 
 
-def _chi_t(j_chi, x: np.ndarray) -> np.ndarray:
-    """d r / d chi^T x per row; x is (m, k) or (m, k, c)."""
-    return x if j_chi is None else np.einsum("nki,nk...->ni...", j_chi, x)
+def _jacobian_rows(pres: tuple[_Rows, _Rows], at: _At, frames: tuple[int, int]):
+    """The rows of frames lo..hi - 1 with their Jacobians in closed form,
+    chunk by chunk: (table, segment, pixel, energy, u, residual, lever,
+    d r / d chi, d r / d camera). The per-row arrays have the rows' axis
+    last, so each product is one pass over whole columns. u = w / root is a
+    row's IRLS weight. A 3D row's Jacobian, I over chi and [[a]x, -I, -a]
+    over its segment's camera columns, is read off its lever a (3, m); both
+    Jacobians are None. A 2D row's d r / d chi is (2, 3, m) and its d r / d
+    camera (2, 6, m): row q is [j_q x d, -j_q] over its pose columns, for
+    J_chi's row j_q and the lever d (its scale column is 0)."""
+    for t, seg, pix, w, r, root, j_chi, lever in _linearized(pres, at, frames):
+        lever, j_cam = lever.T.copy(), None
+        if t == 1:
+            j_cam = np.concatenate([_cross(j_chi, lever), -j_chi], axis=1)
+        yield (t, seg, pix, float((w * (root - _HUBER_DELTA)).sum()), w / root, r.T.copy(),
+               lever, j_chi, j_cam)
 
 
 def _scatter(out: np.ndarray, idx: np.ndarray, vals: np.ndarray):
     """out[idx] += vals (m, k), rows of equal idx summing."""
     if idx.size:
-        lo, hi, k = idx.min(), idx.max() + 1, vals.shape[1]
-        flat = ((idx - lo)[:, None] * k + np.arange(k)).ravel()
-        out[lo:hi] += np.bincount(flat, vals.ravel(), (hi - lo) * k).reshape(-1, k)
+        lo, hi = idx.min(), idx.max() + 1
+        idx = idx - lo
+        for q in range(vals.shape[1]):  # vals may be a (k, m) array's transpose
+            out[lo:hi, q] += np.bincount(idx, vals[:, q], hi - lo)
+
+
+# A symmetric 3x3 block is held as its 6 unique entries xx, yy, zz, xy, xz,
+# yz: entry _SYM[a, b] is its (a, b), and entry q is (_SYM_A[q], _SYM_B[q]).
+_SYM = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+_SYM_A, _SYM_B = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
+
+# A 3D row's coupling u [[a]x, -I, -a] (3 x 7) has 12 nonzeros: nonzero q
+# sits at (_C3_ROW[q], _C3_COL[q]) and is _C3_SIGN[q] times entry _C3_SRC[q]
+# of (u, u a).
+_C3_ROW = np.repeat(np.arange(3), 4)
+_C3_COL = np.array([1, 2, 3, 6, 0, 2, 4, 6, 0, 1, 5, 6])
+_C3_SRC = np.array([3, 2, 0, 1, 3, 1, 0, 2, 2, 1, 0, 3])
+_C3_SIGN = np.array([-1.0, 1, -1, -1, 1, -1, -1, -1, -1, 1, -1, -1])
+
+
+def _sym_inverse(c: np.ndarray) -> np.ndarray:
+    """Inverses (m, 3, 3) of symmetric 3x3 blocks c (6, m) by their
+    adjugates. Raises LinAlgError where a determinant is 0 or not finite."""
+    xx, yy, zz, xy, xz, yz = c
+    adj = np.array([yy * zz - yz * yz, xx * zz - xz * xz, xx * yy - xy * xy,
+                    xz * yz - xy * zz, xy * yz - xz * yy, xy * xz - xx * yz])
+    det = xx * adj[0] + xy * adj[3] + xz * adj[4]
+    if not (np.isfinite(det).all() and det.all()):
+        raise np.linalg.LinAlgError("a chi block is singular")
+    return (adj / det)[_SYM].transpose(2, 0, 1)
 
 
 # IRLS Gauss-Newton system, chi eliminated: camera block h and gradient g,
@@ -387,6 +434,29 @@ def _scatter(out: np.ndarray, idx: np.ndarray, vals: np.ndarray):
 _NormalSystem = namedtuple("_NormalSystem", "h g schur g_schur k_chi g_chi pres at")
 
 
+def _camera_terms(sums: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-segment gradient (S, 7) and block (S, 7, 7) over the segments'
+    camera columns from their row sums. A 3D segment sums u, u a, u a a^T
+    (see _SYM), u r, u r x a and u a . r: J = [[a]x, -I, -a] gives J^T u r =
+    [u r x a, -u r, -u a . r] and J^T u J = u [[|a|^2 I - a a^T, [a]x, 0],
+    [-[a]x, I, a], [0, a^T, |a|^2]]. A 2D segment sums J^T u r and J^T u J
+    over its pose columns."""
+    g, h = np.zeros((len(sums), 7)), np.zeros((len(sums), 7, 7))
+    if t == 1:
+        g[:, :6], h[:, :6, :6] = sums[:, :6], sums[:, 6:].reshape(-1, 6, 6)
+        return g, h
+    sa, saa = sums[:, 1:4], sums[:, 4:10][:, _SYM]
+    tr = np.trace(saa, axis1=1, axis2=2)
+    g[:, :3], g[:, 3:6], g[:, 6] = sums[:, 13:16], -sums[:, 10:13], -sums[:, 16]
+    h[:, :3, :3] = tr[:, None, None] * np.eye(3) - saa
+    h[:, :3, 3:6] = _skew(sa)
+    h[:, 3:6, :3] = -_skew(sa)
+    h[:, 3:6, 3:6] = sums[:, 0, None, None] * np.eye(3)
+    h[:, 3:6, 6] = h[:, 6, 3:6] = sa
+    h[:, 6, 6] = tr
+    return g, h
+
+
 def _energy_and_grad(problem: AlignmentProblem, pres: tuple[_Rows, _Rows],
                      v: AlignmentVariables, opts: AlignmentOptions, want_grad: bool = True):
     """Energy and, with want_grad, its IRLS normal system with chi
@@ -395,12 +465,15 @@ def _energy_and_grad(problem: AlignmentProblem, pres: tuple[_Rows, _Rows],
 
     Every row adds u J^T r to the gradient and u J^T J to the system, so the
     gradient is exact and the system is the Gauss-Newton curvature of the
-    current IRLS majorant. Camera terms are summed per segment and placed
-    once; chi terms are scattered per pixel. Only a frame's own rows reach its
-    pixels, so after them its couplings u J_chi^T J_cam are eliminated through
-    its chi blocks, which c[f] then holds inverted, and dropped. Pixels no
-    term reaches get an inert unit block. Raises LinAlgError when a chi block
-    cannot be inverted.
+    current IRLS majorant. Each term is written out over the rows' columns
+    (_jacobian_rows), with no per-row matrix product: the 3D rows' camera
+    terms come from per-segment moments (_camera_terms), a 2D segment's
+    camera block is one product of its (2m, 6) Jacobian rows, and each
+    coupling u J_chi^T J_cam is scattered by its nonzeros. Chi terms are
+    scattered per pixel. Only a frame's own rows reach its pixels, so after
+    them its couplings are eliminated through its chi blocks, inverted by
+    their adjugates, and dropped. Pixels no term reaches get an inert unit
+    block. Raises LinAlgError when a chi block cannot be inverted.
     """
     n, ks = len(v.rotations), problem.intrinsics
     at = _At(v.rotations, v.translations, np.exp(v.log_scales), v.pointmaps.reshape(-1, 3),
@@ -412,48 +485,68 @@ def _energy_and_grad(problem: AlignmentProblem, pres: tuple[_Rows, _Rows],
         return energy, None
     dim = 6 * n + len(at.scales)
     pix = len(at.chi) // n
-    acc = [np.zeros((len(rows.pose), 56)) for rows in pres]  # per segment: J^T u r, J^T u J
-    c, g_chi = np.zeros((n, pix, 3, 3)), np.zeros((n, pix, 3))
+    # per segment: a 3D segment's 17 moments, a 2D segment's J^T u r and J^T u J
+    acc = [np.zeros((len(rows.pose), width)) for rows, width in zip(pres, (17, 42))]
+    k_chi, g_chi = np.zeros((n, pix, 3, 3)), np.zeros((n, pix, 3))
     schur, g_schur = np.zeros((dim, dim)), np.zeros(dim)
     cols = [rows.cols for rows in pres]
     for f in range(n):
         own = np.unique(np.concatenate([cl[r.frame == f] for cl, r in zip(cols, pres)]))
-        # flat index into b of a segment's (3, 7) entries at pixel 0
-        slots = [np.arange(3)[:, None] * own.size + np.searchsorted(own, cl)[:, None]
-                 for cl in cols]
-        b = np.zeros(pix * 3 * own.size)
-        for t, seg, p, w, r, root, j_chi, lever in _linearized(pres, at, (f, f + 1)):
-            energy += float((w * (root - _HUBER_DELTA)).sum())
+        # a segment's nonzeros' offsets into b at pixel 0: (12 or 6, segments)
+        slots = [np.searchsorted(own, cl) for cl in cols]
+        offs = [(own.size * _C3_ROW + slots[0][:, _C3_COL]).T, slots[1][:, :6].T]
+        b = np.zeros(pix * 3 * own.size)  # the couplings, (pixel, 3, own)
+        c = np.zeros((6, pix))  # the chi blocks, see _SYM
+        for t, seg, p, e, u, r, lever, j_chi, j_cam in _jacobian_rows(pres, at, (f, f + 1)):
+            energy += e
             if not seg.size:
                 continue
-            u = w / root
-            j_cam = _j_cam(j_chi, lever)
-            uj = u[:, None, None] * j_cam
-            idx = (3 * own.size) * (p - f * pix)[:, None, None] + slots[t].take(seg, axis=0)
-            np.add.at(b, idx.ravel(), _chi_t(j_chi, uj).ravel())
-            del idx  # the products below come next
-            ur = u[:, None] * r
-            first = np.flatnonzero(np.diff(seg, prepend=-1))  # each segment's first row
-            jtj = (j_cam.transpose(0, 2, 1) @ uj).reshape(-1, 49)
-            acc[t][seg[first], :7] += np.add.reduceat(np.einsum("nki,nk->ni", j_cam, ur), first)
-            acc[t][seg[first], 7:] += np.add.reduceat(jtj, first)
-            _scatter(g_chi.reshape(-1, 3), p, _chi_t(j_chi, ur))
-            uc = u[:, None, None] * (np.eye(3) if j_chi is None else j_chi)
-            _scatter(c.reshape(-1, 9), p, _chi_t(j_chi, uc).reshape(-1, 9))
-            # freed before the next chunk, whose linearization and coupling
-            # would otherwise overlap them
-            del ur, uj, jtj, uc
-        c[f][np.trace(c[f], axis1=1, axis2=2) == 0] = np.eye(3)
-        c[f] = np.linalg.inv(c[f])
-        kb = (c[f] @ b.reshape(pix, 3, own.size)).reshape(-1, own.size)
+            p = p - f * pix
+            first = np.flatnonzero(np.concatenate(([True], seg[1:] != seg[:-1])))
+            idx = (3 * own.size) * p + offs[t].take(seg, axis=1)
+            if t == 0:
+                mom = np.empty((17, len(u)))
+                mom[0], mom[1:4], mom[10:13] = u, u * lever, u * r
+                mom[4:10] = mom[1:4][_SYM_A] * lever[_SYM_B]
+                mom[13:16] = _cross(mom[10:13], lever)
+                mom[16] = (mom[10:13] * lever).sum(axis=0)
+                acc[t][seg[first]] += np.add.reduceat(mom, first, axis=1).T
+                _scatter(g_chi[f], p, mom[10:13].T)
+                c[:3] += np.bincount(p, u, pix)
+                vals = mom[_C3_SRC] * _C3_SIGN[:, None]
+                del mom
+            else:
+                uj = u * j_cam
+                for s, lo, hi in zip(seg[first], first, np.append(first[1:], len(seg))):
+                    jr, ujr = (np.concatenate(x[:, :, lo:hi], axis=1) for x in (j_cam, uj))
+                    acc[t][s, 6:] += (jr @ ujr.T).ravel()
+                    del jr, ujr
+                acc[t][seg[first], :6] += np.add.reduceat(  # J^T u r
+                    uj[0] * r[0] + uj[1] * r[1], first, axis=1).T
+                _scatter(g_chi[f], p, (u * r[0] * j_chi[0] + u * r[1] * j_chi[1]).T)
+                uc = u * j_chi
+                _scatter(c.T, p, (uc[:, _SYM_A] * j_chi[:, _SYM_B]).sum(axis=0).T)
+                # u J_chi^T J_cam = u (j_0 j_cam_0^T + j_1 j_cam_1^T), 3 x 6
+                vals = uc[0][:, None] * j_cam[0] + uc[1][:, None] * j_cam[1]
+                idx = idx + own.size * np.arange(3)[:, None, None]
+                del uj, uc
+            np.add.at(b, idx.ravel(), vals.ravel())
+            # each chunk's temporaries are freed before the next chunk's
+            # linearization, which would otherwise overlap them
+            del idx, vals
+        c[:3, c[:3].sum(axis=0) == 0] = 1.0
+        k_chi[f] = _sym_inverse(c)
+        b = b.reshape(pix, 3, own.size)
+        kb = (k_chi[f] @ b).reshape(-1, own.size)
         schur[own[:, None], own] += b.reshape(-1, own.size).T @ kb
         g_schur[own] += kb.T @ g_chi[f].ravel()
+        del b, kb
     g, h = np.zeros(dim), np.zeros((dim, dim))
-    for rows, sums in zip(pres, acc):
-        np.add.at(g, rows.cols, sums[:, :7])
-        np.add.at(h, (rows.cols[:, :, None], rows.cols[:, None]), sums[:, 7:].reshape(-1, 7, 7))
-    # c holds the chi blocks' inverses now
-    return energy, _NormalSystem(h, g, schur, g_schur, c, g_chi, pres, at)
+    for t, (rows, sums) in enumerate(zip(pres, acc)):
+        g_seg, h_seg = _camera_terms(sums, t)
+        np.add.at(g, rows.cols, g_seg)
+        np.add.at(h, (rows.cols[:, :, None], rows.cols[:, None]), h_seg)
+    return energy, _NormalSystem(h, g, schur, g_schur, k_chi, g_chi, pres, at)
 
 
 def _lm_step(v: AlignmentVariables, system: _NormalSystem, damping: float) -> AlignmentVariables:
@@ -473,13 +566,16 @@ def _lm_step(v: AlignmentVariables, system: _NormalSystem, damping: float) -> Al
     keep = keep[(keep >= 6) & (keep != 6 * n)]
     step = np.zeros_like(rhs)
     step[keep] = np.linalg.solve(h[keep][:, keep], -rhs[keep])
-    moved = [step[rows.cols] for rows in system.pres]
+    moved = [step[rows.cols].T for rows in system.pres]
     d_chi = system.g_chi.reshape(-1, 3).copy()
-    for t, seg, p, w, _, root, j_chi, lever in _linearized(system.pres, system.at, (0, n)):
-        mv = moved[t].take(seg, axis=0)  # d r / d camera times mv, without building it
-        jd = np.cross(lever, mv[:, :3]) - mv[:, 3:6] - (t == 0) * mv[:, 6:] * lever
-        jd = jd if j_chi is None else np.einsum("nki,ni->nk", j_chi, jd)
-        _scatter(d_chi, p, _chi_t(j_chi, (w / root)[:, None] * jd))
+    for t, seg, p, _, u, _, lever, j_chi, j_cam in _jacobian_rows(system.pres, system.at, (0, n)):
+        mv = moved[t].take(seg, axis=1)  # d r / d camera times mv, without building it
+        if t == 0:
+            jd = u * (_cross(lever, mv[:3]) - mv[3:6] - mv[6] * lever)
+        else:
+            q = u * (j_cam * mv[:6]).sum(axis=1)
+            jd = q[0] * j_chi[0] + q[1] * j_chi[1]
+        _scatter(d_chi, p, jd.T)
     d_chi = -np.einsum("pab,pb->pa", system.k_chi.reshape(-1, 3, 3), d_chi)
     cam = step[: 6 * n].reshape(n, 6)
     return AlignmentVariables(
@@ -646,7 +742,6 @@ def global_align(
             converged = flat_tol_hits >= 3
         else:
             flat_tol_hits = 0
-    del pres  # freed before the result's maps are built
 
     # Cameras are read off the aligned maps: registering each ego map onto
     # its global map by a similarity gives every frame a pose, including
@@ -660,6 +755,6 @@ def global_align(
             except EmptyDomainError:
                 pass
         poses.append(Pose(r_c2w.T, -r_c2w.T @ center))
-    maps = [Pointmap(v.pointmaps[f], ego.valid) for f, ego in enumerate(problem.ego_maps)]
-    return AlignmentResult(poses=poses, scales=np.exp(v.log_scales), pointmaps=maps,
-                           energy_trace=trace, converged=converged, iterations=iters, variables=v)
+    return AlignmentResult(poses=poses, scales=np.exp(v.log_scales), energy_trace=trace,
+                           converged=converged, iterations=iters, variables=v,
+                           valid=[ego.valid for ego in problem.ego_maps])

@@ -1,8 +1,9 @@
 """Solver-layer checks of global alignment: the flat residual table against
-an energy written out edge by edge, 2D rows only where a 3D row reaches the
-pixel too, invariance to the row-chunk size, reuse of one chi elimination
-across damping tries, the memory of one step, and property tests of
-monotone, finite solves and of exact recovery on noiseless static scenes."""
+an energy written out edge by edge, the reduced normal system against one
+built from every row's explicit Jacobian, 2D rows only where a 3D row
+reaches the pixel too, invariance to the row-chunk size, reuse of one chi
+elimination across damping tries, the memory of one step, and property tests
+of monotone, finite solves and of exact recovery on noiseless static scenes."""
 
 import dataclasses
 import tracemalloc
@@ -289,6 +290,83 @@ def test_energy_matches_the_edge_by_edge_reference(make, use_dynamic_mask, lambd
     assert abs(alignment_energy(problem, v, opts) - want) <= 1e-12 * want
 
 
+def skew(a):
+    return np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+
+
+def reference_system(edges, intrinsics, v, opts):
+    """The reduced system of the alignment module docstring's energy, built
+    row by row: every residual's Jacobian over all unknowns (cameras as
+    [rotation, translation] per frame, then one log-scale per edge; then chi)
+    as an explicit matrix, J^T U J and J^T U r summed over rows, and chi
+    eliminated densely. Pixels no term reaches get a unit chi block."""
+    n, (h, w) = len(v.rotations), v.pointmaps.shape[1:3]
+    dim, scales = 6 * n + len(edges), np.exp(v.log_scales)
+    hess, grad = np.zeros((dim + 3 * n * h * w,) * 2), np.zeros(dim + 3 * n * h * w)
+
+    def add(jac, r, weight, frame, pixels, pose, edge):
+        # jac: per row, d r / d [rotation, translation, log-scale, chi]
+        for jr, rr, wt, px in zip(jac, r, weight, pixels):
+            u = wt / np.sqrt(rr @ rr + DELTA**2)
+            cols = [*range(6 * pose, 6 * pose + 6), 6 * n + edge,
+                    *range(dim + 3 * (frame * h * w + px), dim + 3 * (frame * h * w + px) + 3)]
+            hess[np.ix_(cols, cols)] += u * jr.T @ jr
+            grad[cols] += u * jr.T @ rr
+
+    for ei, e in enumerate(edges):
+        r_i, t_i, p, k = v.rotations[e.i], v.translations[e.i], e.pred, intrinsics[e.i]
+        for f, pm, conf in ((e.i, p.x_ii, p.conf_ii), (e.j, p.x_ji, p.conf_ji)):
+            a = (scales[ei] * pm.points[pm.valid]) @ r_i.T
+            r = v.pointmaps[f][pm.valid] - a - t_i
+            jac = [np.hstack([skew(x), -np.eye(3), -x[:, None], np.eye(3)]) for x in a]
+            add(jac, r, conf.values[pm.valid], f, np.flatnonzero(pm.valid), e.i, ei)
+        if opts.lambda_2d == 0:
+            continue
+        m = p.x_ji_matched
+        static = m.valid & p.x_ji.valid & (m.points[..., 2] > EPS_Z)
+        if opts.use_dynamic_mask and e.mask is not None:
+            static &= ~e.mask.mask
+        target = project_points(m.points[static], k)[0]
+        d = v.pointmaps[e.j][static] - t_i
+        y = d @ r_i
+        front = y[:, 2] > EPS_Z
+        jac = []
+        for dd, (y0, y1, z) in zip(d[front], y[front]):
+            proj = np.array([[k.fx / z, 0.0, -k.fx * y0 / z**2],
+                             [0.0, k.fy / z, -k.fy * y1 / z**2]])
+            j_chi = proj @ r_i.T
+            jac.append(np.hstack([j_chi @ skew(dd), -j_chi, np.zeros((2, 1)), j_chi]))
+        r = project_points(y[front], k)[0] - target[front]
+        add(jac, r, np.full(len(r), opts.lambda_2d), e.j, np.flatnonzero(static)[front], e.i, ei)
+
+    chi = hess[dim:, dim:]
+    for q in range(0, len(chi), 3):  # unit blocks where no term reaches
+        if not chi[q:q + 3, q:q + 3].any():
+            chi[q:q + 3, q:q + 3] = np.eye(3)
+    k_chi = np.linalg.inv(chi)
+    h, g, coupling, g_chi = hess[:dim, :dim], grad[:dim], hess[dim:, :dim], grad[dim:]
+    return dict(h=h, g=g, reduced_h=h - coupling.T @ k_chi @ coupling,
+                reduced_g=g - coupling.T @ k_chi @ g_chi,
+                k_chi=np.array([k_chi[q:q + 3, q:q + 3] for q in range(0, len(chi), 3)]),
+                g_chi=g_chi)
+
+
+@pytest.mark.parametrize("lambda_2d", [0.0, 0.5])
+@pytest.mark.parametrize("use_dynamic_mask", [True, False], ids=["masked", "unmasked"])
+@pytest.mark.parametrize("make", [handmade, noisy_scene_problem], ids=["handmade", "scene"])
+def test_reduced_system_matches_a_dense_jacobian_reference(make, use_dynamic_mask, lambda_2d):
+    problem, edges, v = make()
+    opts = AlignmentOptions(lambda_2d=lambda_2d, use_dynamic_mask=use_dynamic_mask)
+    want = reference_system(edges, problem.intrinsics, v, opts)
+    _, system = _energy_and_grad(problem, _prepare(problem, opts), v, opts)
+    got = dict(h=system.h, g=system.g, reduced_h=system.h - system.schur,
+               reduced_g=system.g - system.g_schur, k_chi=system.k_chi.reshape(-1, 3, 3),
+               g_chi=system.g_chi.ravel())
+    for name, ref in want.items():
+        err = np.abs(got[name] - ref).max()
+        assert err <= 1e-12 * np.abs(ref).max(), (name, err, np.abs(ref).max())
+
+
 def test_row_chunk_size_leaves_the_solve_unchanged(monkeypatch):
     problem, _, _ = noisy_scene_problem()
     opts = AlignmentOptions(lambda_2d=0.5, max_iters=12)
@@ -311,7 +389,7 @@ def test_row_chunk_size_leaves_the_solve_unchanged(monkeypatch):
         return np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
 
     assert abs(energy7 - energy) <= 1e-12 * energy
-    for field in ("g", "g_chi"):
+    for field in ("h", "g", "schur", "g_schur", "k_chi", "g_chi"):
         assert same(getattr(system, field), getattr(system7, field)), field
     for field in ("rotations", "translations", "log_scales", "pointmaps"):
         assert same(getattr(step, field), getattr(step7, field)), field
@@ -328,9 +406,9 @@ def test_every_damping_try_reads_the_rows_once_from_one_elimination(monkeypatch)
     want = {d: _lm_step(v, _energy_and_grad(problem, pres, v, opts)[1], d) for d in dampings}
     _, system = _energy_and_grad(problem, pres, v, opts)
     reads = []
-    linearized = alignment._linearized
-    monkeypatch.setattr(alignment, "_linearized",
-                        lambda *args, **kw: reads.append(args[2]) or linearized(*args, **kw))
+    jacobian_rows = alignment._jacobian_rows
+    monkeypatch.setattr(alignment, "_jacobian_rows",
+                        lambda *args, **kw: reads.append(args[2]) or jacobian_rows(*args, **kw))
     n = len(problem.frames)
     for damping in dampings:
         reads.clear()

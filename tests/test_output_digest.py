@@ -1,8 +1,12 @@
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
 
@@ -32,12 +36,18 @@ def test_no_command_loads_scipy_special(tmp_path):
     assert "scipy.special" not in json.loads(done.stdout)
 
 
-def test_digest_listing_is_reproducible(tmp_path):
-    tool = _load_tool()
+@pytest.fixture(scope="module")
+def trees(tmp_path_factory):
+    """Two output trees of one 16x20x5 scene, each run from scratch, and
+    their listings."""
+    tool, root = _load_tool(), tmp_path_factory.mktemp("digest")
     sizes = ((16, 20, 5),)
     ablations = ((sizes[0], sizes[0]),)
-    first = tool.run_all(tmp_path / "a", sizes, ablations)
-    second = tool.run_all(tmp_path / "b", sizes, ablations)
+    return [(root / name, tool.run_all(root / name, sizes, ablations)) for name in "ab"]
+
+
+def test_digest_listing_is_reproducible(trees):
+    (_, first), (_, second) = trees
     assert first == second
     paths = [line.split("  ", 1)[1] for line in first]
     assert paths == sorted(paths)
@@ -62,3 +72,40 @@ def test_digest_exits_nonzero_on_a_failing_command(tmp_path, monkeypatch, capsys
     (tmp_path / "full").mkdir()
     (tmp_path / "full" / "x").write_text("")
     assert tool.main([str(tmp_path / "full")]) == 1
+
+
+def test_compare_reports_each_changed_file_by_its_largest_difference(trees, tmp_path, capsys):
+    tool = _load_tool()
+    (a, _), (b, _) = trees
+    assert tool.main(["--compare", str(a), str(b)]) == 0
+    count = len(tool.files(a))
+    assert capsys.readouterr().out == f"{count} identical, 0 differ or in one tree only\n"
+    b = shutil.copytree(b, tmp_path / "b")
+    # a float's last digits, an integer, one tensor entry, a trajectory token
+    report = json.loads((b / "s16x20x5/align-jitter/report.json").read_text())
+    report["energy_trace"][1] *= 1 + 2e-15
+    (b / "s16x20x5/align-jitter/report.json").write_text(json.dumps(report))
+    report = json.loads((b / "s16x20x5/align/report.json").read_text())
+    report["iterations"] += 1
+    (b / "s16x20x5/align/report.json").write_text(json.dumps(report))
+    bins = sorted((b / "s16x20x5/depth").glob("*.bin"))
+    tensor = np.fromfile(bins[0], dtype="<f4")
+    tensor[3] = tensor[3] * np.float32(1.5) + np.float32(1.0)
+    tensor.tofile(bins[0])
+    traj = b / "s16x20x5/align-jitter/trajectory.txt"
+    traj.write_text(traj.read_text().replace("0 ", "zero ", 1))
+    (b / "extra.txt").write_text("1\n")
+
+    assert tool.main(["--compare", str(a), str(b)]) == 1
+    lines = dict(line.split("  ", 1) for line in capsys.readouterr().out.splitlines()[:-1])
+    assert set(lines) == {"s16x20x5/align-jitter/report.json", "s16x20x5/align/report.json",
+                          bins[0].relative_to(b).as_posix(), "s16x20x5/align-jitter/trajectory.txt",
+                          "extra.txt"}
+    rel = float(lines["s16x20x5/align-jitter/report.json"].split()[3])
+    assert 0 < rel <= 4e-15
+    assert lines["s16x20x5/align-jitter/report.json"].endswith("other values equal: True")
+    assert lines["s16x20x5/align/report.json"] == (
+        "max rel diff 0  max abs diff 0  other values equal: False")
+    assert float(lines[bins[0].relative_to(b).as_posix()].split()[3]) > 0.3
+    assert lines["s16x20x5/align-jitter/trajectory.txt"].endswith("other values equal: False")
+    assert lines["extra.txt"] == f"only in {b}"

@@ -1,8 +1,10 @@
-"""Hash every file the CLI writes on a fixed set of synthetic scenes.
+"""Hash every file the CLI writes on a fixed set of synthetic scenes, or
+compare two such output trees.
 
 Run from the repository root:
 
     python3 tools/output_digest.py OUTDIR
+    python3 tools/output_digest.py --compare A B
 
 OUTDIR must be empty or absent. For each scene size (24x32x6, 48x64x12 and
 96x128x12, seed 0) the script synthesizes a scene under OUTDIR and runs
@@ -19,6 +21,14 @@ The CLI is deterministic, so two trees that compute the same outputs print the
 same listing: diff the listings of two checkouts (copy this file into an older
 one) to check that a change leaves every output byte-identical. If a command
 fails, the script prints it and its error to stderr and exits 1.
+
+`--compare A B` reads two output trees and prints one line per file whose
+bytes differ: the largest relative and absolute differences among its numbers,
+and whether all of its integers, booleans and strings (and its layout) are
+equal. It reads JSON files as JSON, `.bin` tensors as little-endian float32
+and any other file as whitespace-separated tokens. It then prints how many
+files are identical, differ, or exist in one tree only, and exits 0 if every
+file is byte-identical, else 1.
 """
 
 from __future__ import annotations
@@ -27,9 +37,12 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -118,16 +131,95 @@ def run(argv: list[str]) -> None:
         raise CommandFailed(f"{' '.join(argv)}: {stdout.getvalue().strip()}")
 
 
+def files(root: Path) -> list[str]:
+    """The relative paths of the files under root, sorted."""
+    return sorted(p.relative_to(root).as_posix() for p in Path(root).rglob("*") if p.is_file())
+
+
 def listing(root: Path) -> list[str]:
     """One `sha256  relative/path` line per file under root, sorted by path."""
-    files = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
-    return [f"{hashlib.sha256((root / f).read_bytes()).hexdigest()}  {f}" for f in files]
+    return [f"{hashlib.sha256((root / f).read_bytes()).hexdigest()}  {f}" for f in files(root)]
+
+
+def token(text: str):
+    """A whitespace token as an int, else a float, else the string."""
+    for kind in (int, float):
+        with contextlib.suppress(ValueError):
+            return kind(text)
+    return text
+
+
+def values(path: Path) -> tuple[list[float], list]:
+    """A file's numbers (floats) and its other values (ints, bools, strings,
+    None, and the keys and lengths that give its layout), in file order."""
+    if path.suffix == ".bin":
+        return np.frombuffer(path.read_bytes(), dtype="<f4").astype(float).tolist(), []
+    leaves = []
+
+    def walk(x):
+        if isinstance(x, dict):
+            leaves.append(sorted(x))
+            for k in sorted(x):
+                walk(x[k])
+        elif isinstance(x, list):
+            leaves.append(len(x))
+            for y in x:
+                walk(y)
+        else:
+            leaves.append(x)
+
+    text = path.read_text()
+    walk(json.loads(text) if path.suffix == ".json" else [token(t) for t in text.split()])
+    return [x for x in leaves if type(x) is float], [x for x in leaves if type(x) is not float]
+
+
+def difference(a: float, b: float) -> tuple[float, float]:
+    """Relative and absolute difference of two numbers; equal ones (NaNs
+    included) differ by 0."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0, 0.0
+    gap = abs(a - b)
+    return gap / max(abs(a), abs(b)), gap
+
+
+def compare(a, b) -> tuple[list[str], bool]:
+    """One line per file of trees a and b that differs or exists in one only,
+    then a summary line; and whether every file is byte-identical."""
+    a, b = Path(a), Path(b)
+    in_a, in_b = files(a), files(b)
+    lines, same = [], 0
+    for f in sorted(set(in_a) | set(in_b)):
+        if f not in in_a or f not in in_b:
+            lines.append(f"{f}  only in {a if f in in_a else b}")
+            continue
+        if (a / f).read_bytes() == (b / f).read_bytes():
+            same += 1
+            continue
+        (num_a, rest_a), (num_b, rest_b) = values(a / f), values(b / f)
+        if len(num_a) != len(num_b):
+            lines.append(f"{f}  {len(num_a)} numbers against {len(num_b)}  "
+                         f"other values equal: {rest_a == rest_b}")
+            continue
+        gaps = [difference(x, y) for x, y in zip(num_a, num_b)]
+        rel, gap = (max(g[k] for g in gaps) if gaps else 0.0 for k in (0, 1))
+        lines.append(f"{f}  max rel diff {rel:.3g}  max abs diff {gap:.3g}  "
+                     f"other values equal: {rest_a == rest_b}")
+    differ = len(lines)
+    lines.append(f"{same} identical, {differ} differ or in one tree only")
+    return lines, differ == 0
 
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if len(args) == 3 and args[0] == "--compare":
+        if not all(Path(d).is_dir() for d in args[1:]):
+            print("output_digest: --compare needs two directories", file=sys.stderr)
+            return 2
+        lines, identical = compare(*args[1:])
+        print("\n".join(lines))
+        return 0 if identical else 1
     if len(args) != 1:
-        print("usage: output_digest.py OUTDIR", file=sys.stderr)
+        print("usage: output_digest.py OUTDIR | --compare A B", file=sys.stderr)
         return 2
     try:
         lines = run_all(args[0])
