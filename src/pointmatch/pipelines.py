@@ -16,13 +16,12 @@ on which heads were read or in what order. The predictor memoizes its heads
 by (view1, view2, role), up to _HEAD_MEMO_BYTES of maps with the least
 recently used evicted first, so windows of different lengths that read the
 same pair render it once; a re-rendered head is bit-identical by the same
-per-stream argument. read_heads reads one head of many predictions at once:
-the matched heads the memo lacks render in one gt_pointmap_matchings call,
-which sizes its own visibility batches, and track_3d reads every window's
-maps in one such read. Long sequences are processed in overlapping windows
+per-stream argument. Long sequences are processed in overlapping windows
 and stitched: scales harmonized by a median norm ratio over overlap frames,
 later windows win on overlap, and queries re-seed at each new window's
 keyframe by rounding projected track positions to the nearest pixel.
+Tracking reads one window's maps at a time, so beyond the memo it holds
+one window of maps.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from .scenes import (
     SceneSequence,
     check_frame,
     gt_pointmap_matching,
-    gt_pointmap_matchings,
     gt_rigid_pointmap,
 )
 
@@ -57,7 +55,6 @@ DEFAULT_WINDOW = 12
 DEFAULT_OVERLAP = 4
 
 _ROLE_EGO, _ROLE_RIGID, _ROLE_MATCHED, _ROLE_JITTER = 1, 2, 3, 9
-_HEAD_ROLES = {"x_ii": _ROLE_EGO, "x_ji": _ROLE_RIGID, "x_ji_matched": _ROLE_MATCHED}
 # bytes of rendered heads a predictor keeps: about 30 heads at 48x64, where
 # an ablation pass needs 2.25 MiB to keep every repeat
 _HEAD_MEMO_BYTES = 3 << 20
@@ -77,12 +74,6 @@ class PairPrediction:
 
 class Predictor(Protocol):
     def predict(self, view1: int, view2: int) -> PairPrediction: ...
-
-    def read_heads(self, preds: Sequence[PairPrediction], head: str) -> list[Pointmap]:
-        """getattr(p, head) for each of preds, predictions this predictor made;
-        head is "x_ii", "x_ji" or "x_ji_matched". A predictor may compute the
-        maps together."""
-        ...
 
 
 class OraclePredictor:
@@ -141,16 +132,14 @@ class OraclePredictor:
 
     def _head(self, view1: int, view2: int, role: int) -> tuple[Pointmap, ConfidenceMap | None]:
         """A head's (map, conf), rendered unless the memo holds it; the
-        matched head has no confidence output, so its conf is None."""
+        matched head has no confidence output, so its conf is None. A rendered
+        head enters the memo, which evicts the least recently read heads
+        beyond _HEAD_MEMO_BYTES."""
         key = (view1, view2, role)
         if key in self._memo:
             self._memo.move_to_end(key)
             return self._memo[key][0]
-        return self._remember(key, self._render(view1, view2, role))
-
-    def _remember(self, key, head: tuple[Pointmap, ConfidenceMap | None]):
-        """Put a rendered head into the memo, evicting the least recently read
-        heads beyond _HEAD_MEMO_BYTES; returns the head."""
+        head = self._render(view1, view2, role)
         size = head[0].points.nbytes + head[0].valid.nbytes
         size += 0 if head[1] is None else head[1].raw.nbytes
         self._memo[key] = head, size
@@ -160,6 +149,8 @@ class OraclePredictor:
         return head
 
     def _render(self, view1: int, view2: int, role: int) -> tuple[Pointmap, ConfidenceMap | None]:
+        """A head from its ground-truth map: noise, the pair's scale, and no
+        confidence for the matched head."""
         seq = self.seq
         if role == _ROLE_EGO:
             pm = unproject(seq.depths[view1], seq.intrinsics[view1])
@@ -167,11 +158,6 @@ class OraclePredictor:
             pm = gt_rigid_pointmap(seq, view1, view2)
         else:
             pm = gt_pointmap_matching(seq, view1, view2)
-        return self._finish(pm, view1, view2, role)
-
-    def _finish(self, pm: Pointmap, view1: int, view2: int, role: int):
-        """A head from its ground-truth map: noise, the pair's scale, and no
-        confidence for the matched head."""
         pm, conf = self._perturb(pm, view1, view2, role)
         if self.sigma_scale > 0:
             draw = self._rng(view1, view2, _ROLE_JITTER).normal()
@@ -189,26 +175,6 @@ class OraclePredictor:
         check_frame(self.seq, view1)
         check_frame(self.seq, view2)
         return _OraclePair(self, view1, view2)
-
-    def read_heads(self, preds: Sequence[PairPrediction], head: str) -> list[Pointmap]:
-        """getattr(p, head) for each of preds, predictions this predictor made.
-
-        The memo's heads come from the memo. The matched heads it lacks are
-        rendered by one gt_pointmap_matchings call, in the batches it sizes,
-        and each enters the memo as it arrives. The maps are returned from
-        the read itself, so a read larger than the memo renders no head twice.
-        """
-        if head not in _HEAD_ROLES:
-            raise ValueError(f"head must be one of {tuple(_HEAD_ROLES)}")
-        role = _HEAD_ROLES[head]
-        pairs = [p.frames for p in preds]
-        if role != _ROLE_MATCHED:
-            return [self._head(*pair, role)[0] for pair in pairs]
-        maps = {pair: self._head(*pair, role)[0] for pair in pairs if (*pair, role) in self._memo}
-        missing = list(dict.fromkeys(pair for pair in pairs if pair not in maps))
-        for (i, j), pm in zip(missing, gt_pointmap_matchings(self.seq, missing)):
-            maps[i, j] = self._remember((i, j, role), self._finish(pm, i, j, role))[0]
-        return [maps[pair] for pair in pairs]
 
 
 class _OraclePair(PairPrediction):
@@ -327,17 +293,15 @@ def track_3d(
     alive = np.ones(nq, dtype=bool)
     scales: list[float] = []
     prev_end = 0
+    head = "x_ji_matched" if mode == "matched" else "x_ji"
 
-    # every window's maps are read up front, in one read: they do not depend
-    # on where the queries land
-    plans = [plan_pairs("tracking", range(s, min(s + window, length))) for s in starts]
-    preds = [predictor.predict(*pair) for plan in plans for pair in plan.pairs]
-    all_maps = predictor.read_heads(preds, "x_ji_matched" if mode == "matched" else "x_ji")
-
-    for wi, plan in enumerate(plans):
+    for wi, start in enumerate(starts):
+        plan = plan_pairs("tracking", range(start, min(start + window, length)))
         frames = list(plan.frames)
-        maps, all_maps = all_maps[:len(frames)], all_maps[len(frames):]
-        tr_w, va_w = sparsify_tracks(maps, cur_pix)
+        # the window's maps are dropped once its tracks are read, so no two
+        # windows' maps are alive together
+        tr_w, va_w = sparsify_tracks(
+            [getattr(predictor.predict(*pair), head) for pair in plan.pairs], cur_pix)
         va_w &= alive[:, None]
         tr_w[~va_w] = 0.0
 

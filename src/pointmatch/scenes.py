@@ -15,9 +15,8 @@ Design notes that matter for exactness:
     matching map feeds it W_j + span * v, the tracks feed it each query's
     W_q + span * v, so a track and the matching map agree wherever they see
     the same point. One call raycasts the backdrop once for all its groups'
-    rays (build_tracks renders every frame, gt_pointmap_matchings a batch of
-    pairs sized here to fill the cores, gt_pointmap_matching a group of one);
-    only the analytic object hits run per group;
+    rays (build_tracks renders every frame, gt_pointmap_matching a group of
+    one); only the analytic object hits run per group;
   - the rigid map is P_i(W_j). Static pixels have v = 0, so W_j + span * v
     is W_j bit for bit there and the two maps' residuals are exactly zero;
   - a depth raycast (HeightField.intersect) bisects the backdrop until no
@@ -60,7 +59,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -754,35 +752,15 @@ def gt_pointmap_matching(seq: SceneSequence, i: int, j: int) -> Pointmap:
 
     Cell (x, y) holds the frame-i camera coordinates of the scene point seen at
     frame j's pixel (x, y), after that point moved with its object. Pixels whose
-    point is occluded or out of view at frame i are invalid.
+    point is occluded or out of view at frame i are invalid. Visibility costs
+    one backdrop height evaluation per pixel, plus a bisection for the rare
+    ray whose sign that evaluation cannot certify (HeightField.crossing_beyond).
     """
-    return next(gt_pointmap_matchings(seq, [(i, j)]))
-
-
-def gt_pointmap_matchings(seq: SceneSequence, pairs) -> Iterator[Pointmap]:
-    """gt_pointmap_matching of each (i, j) in pairs, in order and bit-identical.
-
-    The maps render in batches of at most _CORES * _MAX_CHUNK_RAYS rays (one
-    pair where a pair alone is larger), one visibility call whose chunks fill
-    the cores per batch, each when its first map is asked for. A batch costs
-    one backdrop height evaluation per ray, plus a bisection for the rare ray
-    whose sign that evaluation cannot certify (HeightField.crossing_beyond).
-    """
-    pairs = list(pairs)
-    for i, j in pairs:
-        check_frame(seq, i)
-        check_frame(seq, j)
-    h, w = seq.resolution
-    step = max(1, _CORES * _MAX_CHUNK_RAYS // (h * w))
-    return (pm for b in range(0, len(pairs), step) for pm in _matchings(seq, pairs[b:b + step]))
-
-
-def _matchings(seq: SceneSequence, pairs) -> list[Pointmap]:
-    """The matching maps of pairs, from one visibility call."""
-    groups = [(i, seq.hit_world[j] + float(i - j) * _velocities(seq, seq.hit_id[j]))
-              for i, j in pairs]
-    return [Pointmap(cam, seq.hit_valid[j] & visible)
-            for (cam, _, visible), (_, j) in zip(_observe(seq, groups), pairs)]
+    check_frame(seq, i)
+    check_frame(seq, j)
+    world = seq.hit_world[j] + float(i - j) * _velocities(seq, seq.hit_id[j])
+    [(cam, _, visible)] = _observe(seq, [(i, world)])
+    return Pointmap(cam, seq.hit_valid[j] & visible)
 
 
 def gt_rigid_pointmap(seq: SceneSequence, i: int, j: int) -> Pointmap:

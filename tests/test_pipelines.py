@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import suppress
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointmatch import pipelines, scenes
+from pointmatch import pipelines
 from pointmatch.alignment import build_pair_graph
 from pointmatch.geometry import ConfidenceMap, Pointmap, unproject
 from pointmatch.matching import sparsify_tracks
@@ -24,7 +25,6 @@ from pointmatch.scenes import (
     build_tracks,
     generate_scene,
     gt_pointmap_matching,
-    gt_pointmap_matchings,
     gt_rigid_pointmap,
 )
 
@@ -212,13 +212,8 @@ def test_tasks_render_only_the_heads_they_read(seq, monkeypatch):
             return fn(s, i, j)
         return wrapper
 
-    def counting_batch(s, pairs):
-        built["matched"].extend(pairs)
-        return gt_pointmap_matchings(s, pairs)
-
     monkeypatch.setattr(pipelines, "gt_pointmap_matching",
                         counting("matched", gt_pointmap_matching))
-    monkeypatch.setattr(pipelines, "gt_pointmap_matchings", counting_batch)
     monkeypatch.setattr(pipelines, "gt_rigid_pointmap", counting("rigid", gt_rigid_pointmap))
     oracle = OraclePredictor(seq, sigma_point=0.01, sigma_scale=0.05, seed=2)
 
@@ -242,8 +237,7 @@ def test_tasks_render_only_the_heads_they_read(seq, monkeypatch):
 
 
 def _count_renders(monkeypatch):
-    """(view1, view2, kind) of every matched and rigid map built, in order;
-    a batched matched render counts each of its pairs."""
+    """(view1, view2, kind) of every matched and rigid map built, in order."""
     built = []
 
     def counting(kind, fn):
@@ -252,20 +246,16 @@ def _count_renders(monkeypatch):
             return fn(s, i, j)
         return wrapper
 
-    def counting_batch(s, pairs):
-        built.extend((i, j, "matched") for i, j in pairs)
-        return gt_pointmap_matchings(s, pairs)
-
     monkeypatch.setattr(pipelines, "gt_pointmap_matching",
                         counting("matched", gt_pointmap_matching))
-    monkeypatch.setattr(pipelines, "gt_pointmap_matchings", counting_batch)
     monkeypatch.setattr(pipelines, "gt_rigid_pointmap", counting("rigid", gt_rigid_pointmap))
     return built
 
 
 def test_predictor_renders_each_head_once(seq, monkeypatch):
     built = _count_renders(monkeypatch)
-    oracle = OraclePredictor(seq, sigma_point=0.01, sigma_scale=0.05, seed=2)
+    kw = dict(sigma_point=0.01, sigma_scale=0.05, seed=2)
+    oracle = OraclePredictor(seq, **kw)
     reads = 0
     for _ in range(3):
         for pair in [(3, 1), (1, 3), (2, 2)]:
@@ -281,6 +271,27 @@ def test_predictor_renders_each_head_once(seq, monkeypatch):
                          for s in window_starts(seq.frame_count, window, overlap))
     assert len(built) == len(set(built))
     assert reads > 2 * len(built)  # most reads were repeats
+
+    # a repeated call renders nothing, and tracks as a fresh predictor does
+    rendered = len(built)
+    queries = seq.tracks.query_pixels
+    res = track_3d(seq, oracle, queries, window=4, overlap=1)
+    assert len(built) == rendered
+    want = track_3d(seq, OraclePredictor(seq, **kw), queries, window=4, overlap=1)
+    npt.assert_array_equal(res.tracks, want.tracks)
+    npt.assert_array_equal(res.valid, want.valid)
+    assert res.scales == want.scales and res.starts == want.starts
+    # every map the memo serves is bit-identical to a fresh predictor's
+    heads = [((t, start), name) for start in res.starts
+             for t in range(start, min(start + 4, seq.frame_count))
+             for name in ("x_ji_matched", "x_ji")]
+    fresh = [getattr(OraclePredictor(seq, **kw).predict(*pair), name) for pair, name in heads]
+    rendered = len(built)
+    for (pair, name), want in zip(heads, fresh):
+        got = getattr(oracle.predict(*pair), name)
+        npt.assert_array_equal(got.points, want.points, err_msg=f"{name} of {pair}")
+        npt.assert_array_equal(got.valid, want.valid, err_msg=f"{name} of {pair}")
+    assert len(built) == rendered
 
 
 def _held_bytes(oracle):
@@ -319,88 +330,34 @@ def test_memo_evicts_to_its_budget_and_rerenders_identically(seq, monkeypatch):
     assert len(built) < len(reads)  # and the repeats hit
 
 
-class _PerPair:
-    """A predictor that reads each head of each pair on its own."""
+def test_track_holds_one_window_of_maps(monkeypatch):
+    monkeypatch.setattr(pipelines, "_HEAD_MEMO_BYTES", 0)
+    s = _scene(frame_count=5)
+    queries = s.tracks.query_pixels
+    window, overlap = 2, 1
+    starts = window_starts(s.frame_count, window, overlap)
+    assert len(starts) == 4
+    pairs = [pair for start in starts
+             for pair in plan_pairs("tracking", range(start, start + window)).pairs]
 
-    def __init__(self, oracle):
-        self.oracle = oracle
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = fn()
+            return tracemalloc.get_traced_memory()[1] - base, out
+        finally:
+            tracemalloc.stop()
 
-    def predict(self, view1, view2):
-        return self.oracle.predict(view1, view2)
-
-    def read_heads(self, preds, head):
-        return [getattr(p, head) for p in preds]
-
-
-def test_track_renders_missing_matched_heads_once_in_batches(seq, monkeypatch):
-    reads, visibility = [], []
-
-    def counting_read(s, pairs):
-        reads.append(list(pairs))
-        return gt_pointmap_matchings(s, pairs)
-
-    crossing_beyond = scenes.HeightField.crossing_beyond
-
-    def counting_visibility(field, *args):
-        visibility.append(len(args[1]))
-        return crossing_beyond(field, *args)
-
-    monkeypatch.setattr(pipelines, "gt_pointmap_matchings", counting_read)
-    monkeypatch.setattr(scenes.HeightField, "crossing_beyond", counting_visibility)
-    # scenes renders two 16x20 heads a batch
-    monkeypatch.setattr(scenes, "_CORES", 2)
-    monkeypatch.setattr(scenes, "_MAX_CHUNK_RAYS", 400)
-    kw = dict(sigma_point=0.01, sigma_scale=0.05, seed=2)
-    oracle = OraclePredictor(seq, **kw)
-    oracle.predict(1, 0).x_ji_matched  # one head the memo holds before tracking
-    visibility.clear()
-
-    queries = seq.tracks.query_pixels
-    res = track_3d(seq, oracle, queries, window=4, overlap=1)
-    starts = window_starts(seq.frame_count, 4, 1)
-    assert len(starts) > 1
-    pairs = [pair for s in starts
-             for pair in plan_pairs("tracking", range(s, min(s + 4, seq.frame_count))).pairs]
-    missing = [pair for pair in pairs if pair != (1, 0)]
-    assert reads == [missing]  # one read renders every missing head
-    assert visibility == [2 * 320, 2 * 320, 2 * 320, 320]  # one call per batch
-
-    want = track_3d(seq, _PerPair(OraclePredictor(seq, **kw)), queries, window=4, overlap=1)
-    npt.assert_array_equal(res.tracks, want.tracks)
-    npt.assert_array_equal(res.valid, want.valid)
-    assert res.scales == want.scales and res.starts == want.starts
-
-    reads.clear()
-    track_3d(seq, oracle, queries, window=4, overlap=1)
-    assert [pair for read in reads for pair in read] == []  # every head now comes from the memo
-
-
-def test_read_larger_than_the_memo_renders_each_head_once(seq, monkeypatch):
-    batches = []
-
-    def counting_batch(s, pairs):
-        batches.append(list(pairs))
-        return gt_pointmap_matchings(s, pairs)
-
-    monkeypatch.setattr(pipelines, "gt_pointmap_matchings", counting_batch)
-    budget = 25_000  # two or three 16x20 heads
-    monkeypatch.setattr(pipelines, "_HEAD_MEMO_BYTES", budget)
-    kw = dict(sigma_point=0.01, sigma_scale=0.05, seed=4)
-    oracle = OraclePredictor(seq, **kw)
-    pairs = [(i, j) for i in range(seq.frame_count) for j in range(3)]
-    maps = oracle.read_heads([oracle.predict(*pair) for pair in pairs], "x_ji_matched")
-    assert sorted(pair for batch in batches for pair in batch) == sorted(pairs)
-    assert len(batches) == 1  # 18 heads of 320 rays fit one batch
-    assert 0 < _held_bytes(oracle) <= budget < sum(m.points.nbytes for m in maps)
-    for (i, j), got in zip(pairs, maps):
-        want = OraclePredictor(seq, **kw).predict(i, j).x_ji_matched
-        npt.assert_array_equal(got.points, want.points, err_msg=f"pair {(i, j)}")
-        npt.assert_array_equal(got.valid, want.valid, err_msg=f"pair {(i, j)}")
-    rigid = oracle.read_heads([oracle.predict(*pair) for pair in pairs[:4]], "x_ji")
-    for (i, j), got in zip(pairs, rigid):
-        npt.assert_array_equal(got.points, OraclePredictor(seq, **kw).predict(i, j).x_ji.points)
-    with pytest.raises(ValueError, match="head"):
-        oracle.read_heads([oracle.predict(0, 0)], "conf_ii")
+    track_3d(s, OraclePredictor(s), queries, window=window, overlap=overlap)  # warm caches
+    render = max(peak(lambda: OraclePredictor(s).predict(*pair).x_ji_matched)[0]
+                 for pair in pairs)
+    held, res = peak(lambda: track_3d(s, OraclePredictor(s), queries, window=window,
+                                      overlap=overlap))
+    head = s.hit_world[0].nbytes + s.hit_valid[0].nbytes
+    # one render, the rest of its window's maps, and the output: no earlier
+    # window's maps and no later one's
+    assert held < render + window * head + res.tracks.nbytes + res.valid.nbytes
 
 
 def test_video_depth_noiseless_matches_gt(seq, oracle):

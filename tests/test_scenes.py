@@ -27,7 +27,6 @@ from pointmatch.scenes import (
     dynamic_pixel_fraction,
     generate_scene,
     gt_pointmap_matching,
-    gt_pointmap_matchings,
     gt_rigid_pointmap,
     raycast_pixels,
 )
@@ -514,37 +513,44 @@ def test_batched_scene_raycast_matches_per_frame(path, objects, seed, h, w, fram
     st.sampled_from([2, 3]),
     st.sampled_from([4, 7, 12]),
 )
-def test_batched_matching_maps_match_per_pair(path, objects, seed, h, w, frames, cores, chunks):
+def test_chunked_tracks_and_matching_maps_match_serial(path, objects, seed, h, w, frames,
+                                                       cores, chunks):
     s = generate_scene(SceneConfig(seed=seed, frame_count=frames, height=h, width=w,
                                    object_count=objects, camera_path=path,
                                    camera_magnitude=0.05, track_count=0))
+    # every pixel that hits a surface, queried at its own frame and tracked
+    # through every frame in one multi-group call
+    qf, qy, qx = np.nonzero(s.hit_valid)
+    qp = np.stack([qx, qy], axis=1)
     pairs = [(i, j) for i in range(frames) for j in range(frames)]
+
+    def render():
+        return build_tracks(s, qf, qp), [gt_pointmap_matching(s, i, j) for i, j in pairs]
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenes, "_CORES", 1)
         mp.setattr(scenes, "_pool", _no_pool)
-        want = [gt_pointmap_matching(s, i, j) for i, j in pairs]
-    rays = len(pairs) * h * w
-    max_chunk = max(4, rays // chunks)  # at least 2 * _MIN_CHUNK_RAYS
+        want_tracks, want_maps = render()
+    max_chunk = max(4, h * w // chunks)  # at least 2 * _MIN_CHUNK_RAYS
     counted = _CountingPool(scenes._pool())
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenes, "_MIN_CHUNK_RAYS", 2)
         mp.setattr(scenes, "_MAX_CHUNK_RAYS", max_chunk)
         mp.setattr(scenes, "_CORES", cores)
         mp.setattr(scenes, "_pool", lambda: counted)
-        got = list(gt_pointmap_matchings(s, pairs))
-    # one visibility call per batch of at most cores * max_chunk rays, each
-    # split into chunks, each group's origins expanded chunk by chunk
-    step = max(1, cores * max_chunk // (h * w))
-    sizes = [len(pairs[b:b + step]) * h * w for b in range(0, len(pairs), step)]
+        got_tracks, got_maps = render()
+    # one visibility call for the tracks and one per pair, each split into
+    # chunks, each group's origins expanded chunk by chunk
+    sizes = [frames * len(qf)] + [h * w] * len(pairs)
     splits = [max(min(cores, n // 2), -(-n // max_chunk)) for n in sizes]
-    assert len(sizes) > 1
-    assert sum(splits) > cores
+    assert min(splits) >= cores and max(splits) > cores
     assert counted.submits == sum(k - 1 for k in splits)
-    assert len(got) == len(pairs)
-    for (i, j), a, b in zip(pairs, got, want):
+    for name in ("camera", "pixels", "visible"):
+        npt.assert_array_equal(getattr(got_tracks, name), getattr(want_tracks, name),
+                               err_msg=name)
+    for (i, j), a, b in zip(pairs, got_maps, want_maps):
         npt.assert_array_equal(a.points, b.points, err_msg=f"pair {(i, j)}")
         npt.assert_array_equal(a.valid, b.valid, err_msg=f"pair {(i, j)}")
-    assert list(gt_pointmap_matchings(s, [])) == []
 
 
 def _intersect_matches(bg, origins, dirs, want):
@@ -655,6 +661,6 @@ def test_matched_renders_need_no_bisection(monkeypatch):
     # the certified test decides every ray of a scene's matching maps and tracks
     s = generate_scene(SceneConfig(seed=0, frame_count=5, height=16, width=20))
     rows = _fallback_rows(monkeypatch)
-    maps = list(gt_pointmap_matchings(s, [(i, j) for i in range(5) for j in range(5)]))
+    maps = [gt_pointmap_matching(s, i, j) for i in range(5) for j in range(5)]
     build_tracks(s, s.tracks.query_frames, s.tracks.query_pixels)
     assert len(maps) == 25 and rows == []
