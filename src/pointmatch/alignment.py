@@ -14,11 +14,11 @@ matched maps' projected correspondences,
 The per-edge scale acts on camera-frame points before the rigid map, so frame
 translations stay world-metric and the trajectory reads off the variables
 directly. A static pixel's matched point is valid and in front of camera i,
-at a pixel where the edge's x_ji is valid too; dynamic pixels (per-edge
-3x-median mask) are excluded, as their matched correspondences encode object
-motion, not camera motion. Both penalties use one fixed scale, rho(r) =
-sqrt(|r|^2 + delta^2) - delta with delta = 1e-6 (`_HUBER_DELTA`); it is not
-an option.
+at a pixel where the edge's x_ji is valid too; dynamic pixels (the per-edge
+3x-median mask, when the pair graph is built with it) are excluded, as their
+matched correspondences encode object motion, not camera motion. Both
+penalties use one fixed scale, rho(r) = sqrt(|r|^2 + delta^2) - delta with
+delta = 1e-6 (`_HUBER_DELTA`); it is not an option.
 
 The solver is Levenberg-Marquardt on the IRLS-weighted residuals (Triggs et
 al., "Bundle Adjustment - A Modern Synthesis", 2000). The residuals live in
@@ -26,8 +26,8 @@ two tables, one row per (edge, term, pixel), grouped by the frame whose map a
 row pulls. AlignmentProblem builds them as it reads each edge, whose maps it
 then drops, so a problem holds its rows and ego maps but no prediction. A 3D
 row holds its point; its confidence is held once for a segment whose
-confidence is uniform, as every CLI predictor's is. The dynamic mask selects
-2D rows as a pass gathers them, so no solve copies a row. Every pass over the
+confidence is uniform, as every CLI predictor's is. An edge's masked pixels
+get no 2D row, so a solve reads every row of both tables. Every pass over the
 rows takes a fixed number of numpy calls per chunk of `_CHUNK_ROWS` rows,
 whatever the number of edges, and the system pass one matrix product more per
 2D segment. Each pixel's global point couples only to its own residuals, so
@@ -103,11 +103,11 @@ EdgeIds = namedtuple("EdgeIds", "i j")
 
 class AlignmentProblem:
     """Frames 0..n-1 with intrinsics and ego maps, and the residual rows of
-    edges, each pair (i, j)'s prediction and dynamic mask. An edge becomes
-    its rows as it arrives and is dropped, so a generator of edges has one
-    edge's maps alive at a time. Kept: `edges`, each edge's (i, j); `rows`,
-    the 3D and 2D tables (see _Rows), the 2D rows every static candidate;
-    `dynamic[e]`, edge e's mask at its 2D rows. Raises ValueError on zero
+    edges, each pair (i, j)'s prediction and dynamic mask (None for no
+    mask). An edge becomes its rows as it arrives and is dropped, so a
+    generator of edges has one edge's maps alive at a time. Kept: `edges`,
+    each edge's (i, j); `rows`, the 3D and 2D tables (see _Rows), the 2D rows
+    every static candidate outside its edge's mask. Raises ValueError on zero
     frames, more frames x pixels than an int32 row index reaches (before any
     edge is read), inputs that do not match, or a disconnected graph."""
 
@@ -124,7 +124,7 @@ class AlignmentProblem:
         if n * np.prod(ego_maps[0].valid.shape) > np.iinfo(np.int32).max:
             raise ValueError("frames x pixels exceeds the int32 range of a row's pixel index")
         self.frames, self.intrinsics, self.ego_maps = list(frames), list(intrinsics), list(ego_maps)
-        self.edges, self.dynamic, segs3, segs2 = [], [], [], []
+        self.edges, segs3, segs2 = [], [], []
         for seg_ii, seg_ji, seg2 in map(self._segments, edges):  # map drops each edge
             segs3 += seg_ii, seg_ji
             segs2.append(seg2)
@@ -133,7 +133,7 @@ class AlignmentProblem:
         self.rows = _table(segs3, n), _table(segs2, n)
 
     def _segments(self, e: AlignmentEdge) -> list:
-        """Checked edge e's x_ii, x_ji and 2D segments; notes its (i, j) and 2D rows' mask."""
+        """Checked edge e's x_ii, x_ji and 2D segments; notes its (i, j)."""
         n, res, p = len(self.frames), self.ego_maps[0].valid.shape, e.pred
         if not (0 <= e.i < n and 0 <= e.j < n and e.i != e.j):
             raise ValueError("edge endpoints out of range")
@@ -151,8 +151,7 @@ class AlignmentProblem:
             return (f, e.i, ei), (f * sel.size + np.flatnonzero(sel)).astype(np.int32), data, w
 
         # 2D rows only where x_ji gives a 3D row too: chi blocks invert undamped
-        sel = m.valid & x_ji.valid & (m.points[..., 2] > EPS_Z)
-        self.dynamic.append(dyn[sel])
+        sel = m.valid & x_ji.valid & (m.points[..., 2] > EPS_Z) & ~dyn
         segs = [segment(f, pm.valid, pm.points[pm.valid], _weights(conf.values[pm.valid]))
                 for f, pm, conf in ((e.i, x_ii, conf_ii), (e.j, x_ji, conf_ji))]
         return segs + [segment(e.j, sel, project_points(m.points[sel], self.intrinsics[e.i])[0])]
@@ -167,14 +166,17 @@ class AlignmentProblem:
         return len(seen) == len(self.frames)
 
 
-def build_pair_graph(seq, predictor: Predictor, stride: int = 5) -> AlignmentProblem:
+def build_pair_graph(seq, predictor: Predictor, stride: int = 5,
+                     use_dynamic_mask: bool = True) -> AlignmentProblem:
     """Edges for all frame gaps 1..stride+1 (a symmetric sliding window).
 
     A stride at or beyond the sequence length degrades to adjacent-only.
-    Each edge is the pair prediction (view1 = earlier frame) and the dynamic
-    mask thresholded from its matched-vs-rigid residuals; pairs with no
-    co-visible pixels get an empty mask. The edges are rendered one at a
-    time, as the problem turns each into its residual rows, and then dropped.
+    Each edge is the pair prediction (view1 = earlier frame) and, with
+    use_dynamic_mask, the dynamic mask thresholded from its matched-vs-rigid
+    residuals, whose pixels get no 2D row; pairs with no co-visible pixels,
+    and every pair without use_dynamic_mask, get no mask. The edges are
+    rendered one at a time, as the problem turns each into its residual rows,
+    and then dropped.
     """
     length = seq.frame_count
     if stride < 1:
@@ -187,10 +189,12 @@ def build_pair_graph(seq, predictor: Predictor, stride: int = 5) -> AlignmentPro
         # problem read some of them twice
         pred = PairPrediction(lazy.frames, lazy.x_ii, lazy.x_ji, lazy.x_ji_matched,
                               lazy.conf_ii, lazy.conf_ji)
-        try:
-            mask = dynamic_mask(pred.x_ji_matched, pred.x_ji)
-        except EmptyDomainError:
-            mask = None
+        mask = None
+        if use_dynamic_mask:
+            try:
+                mask = dynamic_mask(pred.x_ji_matched, pred.x_ji)
+            except EmptyDomainError:
+                pass
         return AlignmentEdge(i=i, j=j, pred=pred, mask=mask)
 
     return AlignmentProblem(
@@ -220,8 +224,6 @@ class AlignmentOptions:
     max_iters: int = 200
     tol: float = 1e-6  # relative improvement; three flat steps stop the run
     lambda_2d: float = 0.01
-    use_dynamic_mask: bool = True
-    init: str = "pairwise"  # or "identity"
 
     def __post_init__(self):
         check_finite(tol=self.tol, lambda_2d=self.lambda_2d)
@@ -231,8 +233,6 @@ class AlignmentOptions:
             raise ValueError("tol must be positive")
         if self.lambda_2d < 0:
             raise ValueError("lambda_2d must be >= 0")
-        if self.init not in ("pairwise", "identity"):
-            raise ValueError("init must be pairwise or identity")
 
 
 @dataclass
@@ -263,12 +263,9 @@ _CHUNK_ROWS = 1 << 11
 # in the frames' stacked maps (frame * pixels + pixel), data[s], a 3D row's
 # point (x, y, z) or a 2D row's matched pixel position, and, in the 3D table,
 # w[s], the rows' confidences (w is None in the 2D table, whose weight is
-# lambda_2d). A table that _prepare selects by the dynamic flags holds
-# drop[s], the flags of the rows of segment s's arrays that it leaves out;
-# start counts the rows left (drop is None in a table of every row). Segment
-# s pulls frame[s], is posed by frame pose[s] and scaled by edge[s]; cols[s]
-# are its camera columns (pose, then scale).
-_Rows = namedtuple("_Rows", "pix data w drop start frame pose edge cols")
+# lambda_2d). Segment s pulls frame[s], is posed by frame pose[s] and scaled
+# by edge[s]; cols[s] are its camera columns (pose, then scale).
+_Rows = namedtuple("_Rows", "pix data w start frame pose edge cols")
 
 
 def _weights(conf: np.ndarray) -> np.ndarray:
@@ -286,7 +283,7 @@ def _table(segs: list, n: int) -> _Rows:
     ids = np.array([s[0] for s in segs], dtype=np.intp).reshape(-1, 3)
     cols = np.column_stack([6 * ids[:, 1:2] + np.arange(6), 6 * n + ids[:, 2]])
     w = [s[3] for s in segs] if segs and segs[0][3] is not None else None
-    return _Rows([s[1] for s in segs], [s[2] for s in segs], w, None, start, *ids.T, cols)
+    return _Rows([s[1] for s in segs], [s[2] for s in segs], w, start, *ids.T, cols)
 
 
 def _chunk(rows: _Rows, lo: int, hi: int, segs: range):
@@ -294,32 +291,19 @@ def _chunk(rows: _Rows, lo: int, hi: int, segs: range):
     in the segments segs; pix is widened to intp, so no index arithmetic on
     it can wrap."""
     cuts = [slice(max(lo - rows.start[s], 0), hi - rows.start[s]) for s in segs]
-    if rows.drop is not None:  # the cuts count the rows drop leaves
-        cuts = [np.flatnonzero(~rows.drop[s])[c] for s, c in zip(segs, cuts)]
 
-    def cat(col):  # take, as fancy indexing a (m, 2) array is several times slower
-        return np.concatenate([col[s][c] if rows.drop is None else col[s].take(c, axis=0)
-                               for s, c in zip(segs, cuts)])
+    def cat(col):
+        return np.concatenate([col[s][c] for s, c in zip(segs, cuts)])
 
     return cat(rows.pix).astype(np.intp), cat(rows.data), None if rows.w is None else cat(rows.w)
 
 
 def _prepare(problem: AlignmentProblem, opts: AlignmentOptions) -> tuple[_Rows, _Rows]:
-    """The rows opts solve over: every 3D row, and the 2D rows unless
-    lambda_2d is 0, less those flagged dynamic under use_dynamic_mask. The
-    flags select rows where a pass gathers them, so no row is copied."""
-    rows3, rows2 = problem.rows
+    """The rows opts solve over: every 3D row, and every 2D row unless
+    lambda_2d is 0; the tables are the problem's own, not copies."""
     if opts.lambda_2d == 0:
-        return rows3, _table([], len(problem.frames))
-    if not opts.use_dynamic_mask:
-        return problem.rows
-    drop = [problem.dynamic[e] for e in rows2.edge]
-    kept = [len(d) - np.count_nonzero(d) for d in drop]
-    s = [k for k, c in enumerate(kept) if c]  # segments left without rows are dropped
-    return rows3, rows2._replace(
-        pix=[rows2.pix[k] for k in s], data=[rows2.data[k] for k in s], drop=[drop[k] for k in s],
-        start=np.cumsum([0] + [kept[k] for k in s]), frame=rows2.frame[s], pose=rows2.pose[s],
-        edge=rows2.edge[s], cols=rows2.cols[s])
+        return problem.rows[0], _table([], len(problem.frames))
+    return problem.rows
 
 
 # an iterate as the row passes read it: (F, 3, 3) rotations, (F, 3)
@@ -374,11 +358,11 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _jacobian_rows(pres: tuple[_Rows, _Rows], at: _At, frames: tuple[int, int]):
     """The rows of frames lo..hi - 1 with their Jacobians in closed form,
-    chunk by chunk: (table, segment, pixel, energy, u, residual, lever,
-    d r / d chi, d r / d camera). The per-row arrays have the rows' axis
-    last, so each product is one pass over whole columns. u = w / root is a
-    row's IRLS weight. A 3D row's Jacobian, I over chi and [[a]x, -I, -a]
-    over its segment's camera columns, is read off its lever a (3, m); both
+    chunk by chunk: (table, segment, pixel, u, residual, lever, d r / d chi,
+    d r / d camera). The per-row arrays have the rows' axis last, so each
+    product is one pass over whole columns. u = w / root is a row's IRLS
+    weight. A 3D row's Jacobian, I over chi and [[a]x, -I, -a] over its
+    segment's camera columns, is read off its lever a (3, m); both
     Jacobians are None. A 2D row's d r / d chi is (2, 3, m) and its d r / d
     camera (2, 6, m): row q is [j_q x d, -j_q] over its pose columns, for
     J_chi's row j_q and the lever d (its scale column is 0)."""
@@ -386,8 +370,7 @@ def _jacobian_rows(pres: tuple[_Rows, _Rows], at: _At, frames: tuple[int, int]):
         lever, j_cam = lever.T.copy(), None
         if t == 1:
             j_cam = np.concatenate([_cross(j_chi, lever), -j_chi], axis=1)
-        yield (t, seg, pix, float((w * (root - _HUBER_DELTA)).sum()), w / root, r.T.copy(),
-               lever, j_chi, j_cam)
+        yield t, seg, pix, w / root, r.T.copy(), lever, j_chi, j_cam
 
 
 def _scatter(out: np.ndarray, idx: np.ndarray, vals: np.ndarray):
@@ -457,11 +440,27 @@ def _camera_terms(sums: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
     return g, h
 
 
-def _energy_and_grad(problem: AlignmentProblem, pres: tuple[_Rows, _Rows],
-                     v: AlignmentVariables, opts: AlignmentOptions, want_grad: bool = True):
-    """Energy and, with want_grad, its IRLS normal system with chi
-    eliminated, undamped, whose g and g_chi are the energy's gradient
-    (rotations by left perturbations); without want_grad the system is None.
+def _iterate(problem: AlignmentProblem, v: AlignmentVariables, opts: AlignmentOptions) -> _At:
+    """v as the row passes read it."""
+    n, ks = len(v.rotations), problem.intrinsics
+    return _At(v.rotations, v.translations, np.exp(v.log_scales), v.pointmaps.reshape(-1, 3),
+               np.array([[k.fx, k.fy, k.cx, k.cy] for k in ks]).reshape(n, 4), opts.lambda_2d)
+
+
+def _energy(problem: AlignmentProblem, pres: tuple[_Rows, _Rows], v: AlignmentVariables,
+            opts: AlignmentOptions) -> float:
+    """The energy of the rows pres at v."""
+    at, energy = _iterate(problem, v, opts), 0.0
+    for _, _, _, w, _, root, _, _ in _linearized(pres, at, (0, len(v.rotations)), jac=False):
+        energy += float((w * (root - _HUBER_DELTA)).sum())
+    return energy
+
+
+def _normal_system(problem: AlignmentProblem, pres: tuple[_Rows, _Rows], v: AlignmentVariables,
+                   opts: AlignmentOptions) -> _NormalSystem:
+    """The IRLS normal system of the rows pres at v with chi eliminated,
+    undamped, whose g and g_chi are the energy's gradient (rotations by left
+    perturbations).
 
     Every row adds u J^T r to the gradient and u J^T J to the system, so the
     gradient is exact and the system is the Gauss-Newton curvature of the
@@ -475,14 +474,7 @@ def _energy_and_grad(problem: AlignmentProblem, pres: tuple[_Rows, _Rows],
     their adjugates, and dropped. Pixels no term reaches get an inert unit
     block. Raises LinAlgError when a chi block cannot be inverted.
     """
-    n, ks = len(v.rotations), problem.intrinsics
-    at = _At(v.rotations, v.translations, np.exp(v.log_scales), v.pointmaps.reshape(-1, 3),
-             np.array([[k.fx, k.fy, k.cx, k.cy] for k in ks]).reshape(n, 4), opts.lambda_2d)
-    energy = 0.0
-    if not want_grad:
-        for _, _, _, w, _, root, _, _ in _linearized(pres, at, (0, n), jac=False):
-            energy += float((w * (root - _HUBER_DELTA)).sum())
-        return energy, None
+    n, at = len(v.rotations), _iterate(problem, v, opts)
     dim = 6 * n + len(at.scales)
     pix = len(at.chi) // n
     # per segment: a 3D segment's 17 moments, a 2D segment's J^T u r and J^T u J
@@ -497,8 +489,7 @@ def _energy_and_grad(problem: AlignmentProblem, pres: tuple[_Rows, _Rows],
         offs = [(own.size * _C3_ROW + slots[0][:, _C3_COL]).T, slots[1][:, :6].T]
         b = np.zeros(pix * 3 * own.size)  # the couplings, (pixel, 3, own)
         c = np.zeros((6, pix))  # the chi blocks, see _SYM
-        for t, seg, p, e, u, r, lever, j_chi, j_cam in _jacobian_rows(pres, at, (f, f + 1)):
-            energy += e
+        for t, seg, p, u, r, lever, j_chi, j_cam in _jacobian_rows(pres, at, (f, f + 1)):
             if not seg.size:
                 continue
             p = p - f * pix
@@ -546,7 +537,7 @@ def _energy_and_grad(problem: AlignmentProblem, pres: tuple[_Rows, _Rows],
         g_seg, h_seg = _camera_terms(sums, t)
         np.add.at(g, rows.cols, g_seg)
         np.add.at(h, (rows.cols[:, :, None], rows.cols[:, None]), h_seg)
-    return energy, _NormalSystem(h, g, schur, g_schur, k_chi, g_chi, pres, at)
+    return _NormalSystem(h, g, schur, g_schur, k_chi, g_chi, pres, at)
 
 
 def _lm_step(v: AlignmentVariables, system: _NormalSystem, damping: float) -> AlignmentVariables:
@@ -568,7 +559,7 @@ def _lm_step(v: AlignmentVariables, system: _NormalSystem, damping: float) -> Al
     step[keep] = np.linalg.solve(h[keep][:, keep], -rhs[keep])
     moved = [step[rows.cols].T for rows in system.pres]
     d_chi = system.g_chi.reshape(-1, 3).copy()
-    for t, seg, p, _, u, _, lever, j_chi, j_cam in _jacobian_rows(system.pres, system.at, (0, n)):
+    for t, seg, p, u, _, lever, j_chi, j_cam in _jacobian_rows(system.pres, system.at, (0, n)):
         mv = moved[t].take(seg, axis=1)  # d r / d camera times mv, without building it
         if t == 0:
             jd = u * (_cross(lever, mv[:3]) - mv[3:6] - mv[6] * lever)
@@ -599,17 +590,7 @@ def alignment_energy(problem: AlignmentProblem, v: AlignmentVariables,
         if not np.isfinite(a).all():
             raise ValueError(f"{name} must be finite")
     opts = options or AlignmentOptions()
-    return _energy_and_grad(problem, _prepare(problem, opts), v, opts, want_grad=False)[0]
-
-
-def _init_identity(problem: AlignmentProblem) -> AlignmentVariables:
-    n = len(problem.frames)
-    return AlignmentVariables(
-        rotations=np.tile(np.eye(3), (n, 1, 1)),
-        translations=np.zeros((n, 3)),
-        log_scales=np.zeros(len(problem.edges)),
-        pointmaps=np.array([m.points for m in problem.ego_maps], dtype=np.float64),
-    )
+    return _energy(problem, _prepare(problem, opts), v, opts)
 
 
 def _init_pairwise(problem: AlignmentProblem) -> AlignmentVariables:
@@ -621,7 +602,9 @@ def _init_pairwise(problem: AlignmentProblem) -> AlignmentVariables:
     global maps are seeded consistently.
     """
     n = len(problem.frames)
-    v = _init_identity(problem)
+    v = AlignmentVariables(np.tile(np.eye(3), (n, 1, 1)), np.zeros((n, 3)),
+                           np.zeros(len(problem.edges)),
+                           np.array([m.points for m in problem.ego_maps], dtype=np.float64))
     if not problem.edges:
         return v
 
@@ -705,10 +688,10 @@ def global_align(
     gauge. Raises DivergenceError if the initial energy is non-finite.
     """
     opts = options or AlignmentOptions()
-    v = _init_pairwise(problem) if opts.init == "pairwise" else _init_identity(problem)
+    v = _init_pairwise(problem)
     pres = _prepare(problem, opts)
 
-    energy, _ = _energy_and_grad(problem, pres, v, opts, want_grad=False)
+    energy = _energy(problem, pres, v, opts)
     if not np.isfinite(energy):
         raise DivergenceError("initial energy is non-finite", trace=[energy])
     trace, damping, iters, flat_tol_hits = [energy], _DAMPING_START, 0, 0
@@ -717,14 +700,14 @@ def global_align(
     while not converged and iters < opts.max_iters:
         e_before = trace[-1]
         iters += 1
-        _, system = _energy_and_grad(problem, pres, v, opts)
+        system = _normal_system(problem, pres, v, opts)
         while damping <= _DAMPING_MAX:
             try:
                 cand = _lm_step(v, system, damping)
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
-            e_new, _ = _energy_and_grad(problem, pres, cand, opts, want_grad=False)
+            e_new = _energy(problem, pres, cand, opts)
             if np.isfinite(e_new) and e_new < e_before:
                 break
             damping *= 10.0

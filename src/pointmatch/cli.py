@@ -142,7 +142,8 @@ def cmd_align(args) -> int:
     out = _out_dir(args)
     cfg = _config_from(args)
     seq = io.load_scene(args.scene)
-    problem = build_pair_graph(seq, _predictor(seq, cfg), stride=cfg.stride)
+    problem = build_pair_graph(seq, _predictor(seq, cfg), stride=cfg.stride,
+                               use_dynamic_mask=cfg.use_dynamic_mask)
     result = global_align(problem, cfg.alignment_options())
     io.write_trajectory(out / "trajectory.txt", result.poses)
     io.dump_json(

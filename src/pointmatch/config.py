@@ -61,12 +61,7 @@ class RunConfig:
         return SceneConfig(**{f.name: getattr(self, f.name) for f in fields(SceneConfig)})
 
     def alignment_options(self) -> AlignmentOptions:
-        return AlignmentOptions(
-            max_iters=self.max_iters,
-            tol=self.tol,
-            lambda_2d=self.lambda_2d,
-            use_dynamic_mask=self.use_dynamic_mask,
-        )
+        return AlignmentOptions(**{f.name: getattr(self, f.name) for f in fields(AlignmentOptions)})
 
     def effective_window(self) -> tuple[int, int]:
         """Window/overlap actually fed to the sliding-window code.

@@ -116,19 +116,19 @@ class OraclePredictor:
         ss = np.random.SeedSequence((self.seed, i, j, role))
         return np.random.Generator(np.random.Philox(ss))
 
-    def _perturb(self, pm: Pointmap, i: int, j: int, role: int) -> tuple[Pointmap, ConfidenceMap]:
-        if self.sigma_point <= 0:
-            return pm, ConfidenceMap(np.ones(pm.resolution))
-        rng = self._rng(i, j, role)
-        z = np.abs(pm.points[..., 2:3])
-        eps = rng.normal(size=pm.points.shape) * (self.sigma_point * z)
-        if self.confidence_mode == "noise":
-            mag = np.linalg.norm(eps, axis=-1)
-            ref = self.sigma_point * np.maximum(z[..., 0], 1e-9)
-            raw = 1.0 / (1.0 + mag / ref)
-        else:
-            raw = np.ones(pm.resolution)
-        return Pointmap(pm.points + eps, pm.valid), ConfidenceMap(raw)
+    def _perturb(self, pm: Pointmap, i: int, j: int,
+                 role: int) -> tuple[Pointmap, ConfidenceMap | None]:
+        """The head's map with its noise, and its confidence; the matched
+        head has no confidence output, so its conf is None."""
+        raw = None if role == _ROLE_MATCHED else np.ones(pm.resolution)
+        if self.sigma_point > 0:
+            z = np.abs(pm.points[..., 2:3])
+            eps = self._rng(i, j, role).normal(size=pm.points.shape) * (self.sigma_point * z)
+            if raw is not None and self.confidence_mode == "noise":
+                mag = np.linalg.norm(eps, axis=-1)
+                raw = 1.0 / (1.0 + mag / (self.sigma_point * np.maximum(z[..., 0], 1e-9)))
+            pm = Pointmap(pm.points + eps, pm.valid)
+        return pm, None if raw is None else ConfidenceMap(raw)
 
     def _head(self, view1: int, view2: int, role: int) -> tuple[Pointmap, ConfidenceMap | None]:
         """A head's (map, conf), rendered unless the memo holds it; the
@@ -167,7 +167,7 @@ class OraclePredictor:
                 raise ValueError(f"jitter {self.sigma_scale} gives pair ({view1}, {view2}) the "
                                  f"scale factor {f}; it must be finite and positive")
             pm = pm.scaled(f)
-        return pm, None if role == _ROLE_MATCHED else conf
+        return pm, conf
 
     def predict(self, view1: int, view2: int) -> PairPrediction:
         """The pair's prediction, each head rendered on its first read.

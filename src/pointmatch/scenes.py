@@ -27,8 +27,7 @@ Design notes that matter for exactness:
     wherever the field's slope bound makes the crossing unique along the ray
     and the value clears three times a bound on its rounding error (the
     proof is in its docstring), and bisects only the rays this leaves
-    undecided, with a stop rule: brackets only shrink, so one that lies on
-    one side of the threshold stays there. Visibility is the boolean a full
+    undecided, to that fixed point. Visibility is the boolean a full
     refinement gives, for one evaluation per ray instead of about twenty;
   - assemble_scene bisects the backdrop once per scene, for every frame's
     pixel rays together; only the analytic object hits run per frame. Every
@@ -41,16 +40,15 @@ Design notes that matter for exactness:
     bounded pieces spread over the cores. The chunks run on a private
     thread pool and the calling thread, and are joined in ray order. This
     is exact on every valid ray: its answer depends only on that ray, since
-    the certified test is elementwise and both stop rules are per ray (a
-    bracket that stops moving is a fixed point, a decided visibility bracket
-    stays decided), so a chunk that stops before the others, or holds rays
-    of other frames or groups, returns the same values. The one step that is
-    not elementwise is height's two small matrix products; BLAS gives each
-    row the same value in any call of two or more rows, but a one-row call
-    takes another path that can differ in the last bit, so both chunk
-    bounds keep every chunk far above one row, and a visibility query
-    bisects a lone undecided ray as two rows. The certified test's bound
-    holds on either path.
+    the certified test is elementwise and the stop rule is per ray (a
+    bracket that stops moving is a fixed point), so a chunk that stops
+    before the others, or holds rays of other frames or groups, returns the
+    same values. The one step that is not elementwise is height's two small
+    matrix products; BLAS gives each row the same value in any call of two
+    or more rows, but a one-row call takes another path that can differ in
+    the last bit, so both chunk bounds keep every chunk far above one row,
+    and a visibility query bisects a lone undecided ray as two rows. The
+    certified test's bound holds on either path.
 """
 
 from __future__ import annotations
@@ -155,7 +153,7 @@ class HeightField:
         ray's bracket moves: a bracket that stops moving is a fixed point, so
         t equals what any longer run would return.
         """
-        return self._split(self._bisect_chunk, origins, dirs, None, counts)
+        return self._split(self._bisect_chunk, origins, dirs, counts)
 
     def crossing_beyond(
         self, origins: np.ndarray, dirs: np.ndarray, thr: np.ndarray, counts
@@ -177,27 +175,28 @@ class HeightField:
               case needs;
           (b) |g(thr)| > 3E, E = 2^-40 P S (below) >= |g(t) - G(t)| for all t
               in [0, hi0] and any order of BLAS's sums.
-        The rays these leave undecided run the stop-rule bisection
+        The rays these leave undecided run intersect's bisection
         (_bisect_chunk) on their own, in a call of at least two rows, as
-        their chunk would. A visible point's threshold lies _OCCLUSION_TOL
-        before its crossing, so |g(thr)| is near 1e-6 there, far above 3E
-        (about 1e-10 on the sampled scenes): only grazing rays are left.
+        their chunk would, and read hi >= thr. A visible point's threshold
+        lies _OCCLUSION_TOL before its crossing, so |g(thr)| is near 1e-6
+        there, far above 3E (about 1e-10 on the sampled scenes): only
+        grazing rays are left.
 
         Why the sign is the bisection's answer. The bisection keeps lo0 <= lo
         <= hi <= hi0, raises lo only to a midpoint m with g(m) < 0, lowers hi
-        only to one with g(m) >= 0, and answers hi >= thr at its first of
-        three stops: lo >= thr, hi < thr, or a bracket that stops moving,
-        whose ends are adjacent floats (so with lo < thr <= hi, thr == hi).
+        only to one with g(m) >= 0, and stops once its bracket stops moving,
+        whose ends are then equal or adjacent floats (so with lo < thr <= hi,
+        thr == hi); the answer is hi >= thr.
           - g(thr) < -3E: G(thr) < -2E, so every m <= thr has G(m) < -2E by
-            (a) and g(m) < -E: hi never falls to thr or below, and every stop
-            answers True.
+            (a) and g(m) < -E: hi never falls to thr or below, and the
+            answer is True.
           - g(thr) > 3E: G(thr) > 2E, so every m >= thr has g(m) > E and lo
-            stays below thr: lo >= thr cannot stop it, hi < thr answers
-            False, and a still bracket would need lo one float below thr ==
-            hi. There G(lo) < E: either g(lo) < 0, or lo = lo0, the float of
-            the t where p_z = zmin <= height, so G(lo0) <= 4u P S. And
-            G(thr) - G(lo) <= (d_z + s |d_xy|) (thr - lo) <= 2u hi0 |d|_1 S
-            <= 2u P S < E, so G(thr) < 2E: a contradiction.
+            stays below thr: the answer is False unless the still bracket
+            has lo one float below thr == hi. There G(lo) < E: either
+            g(lo) < 0, or lo = lo0, the float of the t where p_z = zmin <=
+            height, so G(lo0) <= 4u P S. And G(thr) - G(lo) <= (d_z + s
+            |d_xy|) (thr - lo) <= 2u hi0 |d|_1 S <= 2u P S < E, so G(thr) <
+            2E: a contradiction.
         The bound, with u = 2^-53 and the standard model (each operation
         exact to a relative u, a K-term sum to K u of its terms' magnitudes,
         np.sin to 8u absolute): for t in [0, hi0], P = 1 + |o|_1 + hi0 |d|_1
@@ -209,11 +208,11 @@ class HeightField:
         u (P + |base| + A). Together |g(t) - G(t)| <= 10u P S, and E is over
         800 times that.
         """
-        return self._split(self._beyond_chunk, origins, dirs, thr, counts)
+        return self._split(self._beyond_chunk, origins, dirs, counts, thr)
 
-    def _split(self, solve, origins, dirs, thr, counts):
-        """solve(chunk origins, chunk dirs, chunk thr or None) over the call's
-        rays, joined in ray order.
+    def _split(self, solve, origins, dirs, counts, *per_ray):
+        """solve(chunk origins, chunk dirs, *chunk per_ray arrays) over the
+        call's rays, joined in ray order.
 
         A call is split into contiguous chunks, one per core when each gets
         at least _MIN_CHUNK_RAYS rays and more where one would exceed
@@ -229,7 +228,7 @@ class HeightField:
             return np.repeat(origins, held, axis=0)
 
         def chunk(a, b):
-            return solve(rows(a, b), dirs[a:b], None if thr is None else thr[a:b])
+            return solve(rows(a, b), dirs[a:b], *(x[a:b] for x in per_ray))
 
         k = max(min(_CORES, n // _MIN_CHUNK_RAYS), -(-n // _MAX_CHUNK_RAYS))
         if k <= 1:
@@ -260,20 +259,14 @@ class HeightField:
         p = origins + t[:, None] * dirs
         return p[:, 2] - self.height(p[:, :2])
 
-    def _bisect_chunk(self, origins, dirs, thr):
-        """(hi, ok) of the stop-rule bisection; hi is meaningful only where ok.
-
-        It stops once no valid ray's bracket moves and, where thr is given,
-        once every valid ray's bracket lies on one side of its threshold (lo
-        >= thr or hi < thr). Brackets only shrink, so hi >= thr is then the
-        answer a full refinement gives."""
+    def _bisect_chunk(self, origins, dirs):
+        """(hi, ok) of the bisection, which stops once no valid ray's bracket
+        moves; hi is meaningful only where ok."""
         lo, hi, ok = self._bracket(origins, dirs)
         for _ in range(_BISECT_ITERS):
             mid = 0.5 * (lo + hi)
             below = self._excess(origins, dirs, mid) < 0
             active = ok & np.where(below, mid != lo, mid != hi)
-            if thr is not None:
-                active &= (lo < thr) & (hi >= thr)
             if not active.any():
                 break
             lo = np.where(below, mid, lo)
@@ -294,7 +287,7 @@ class HeightField:
         if len(rest):
             # a one-row matmul takes another BLAS path than the chunk's rows
             pick = np.repeat(rest, 2) if len(rest) == 1 else rest
-            hi_rest, _ = self._bisect_chunk(origins[pick], dirs[pick], thr[pick])
+            hi_rest, _ = self._bisect_chunk(origins[pick], dirs[pick])
             beyond[pick] = hi_rest >= thr[pick]
         return beyond, ok
 

@@ -343,9 +343,10 @@ def test_criterion_06_alignment_recovery():
             seq = generate_scene(cfg)
             dynamic_fractions.append(float(seq.dynamic_labels.mean()))
             predictor = OraclePredictor(seq, sigma_point=0.003, seed=1)
-            problem = build_pair_graph(seq, predictor, stride=2)
-            on = global_align(problem, AlignmentOptions(max_iters=60, lambda_2d=0.5, use_dynamic_mask=True))
-            off = global_align(problem, AlignmentOptions(max_iters=60, lambda_2d=0.5, use_dynamic_mask=False))
+            opts = AlignmentOptions(max_iters=60, lambda_2d=0.5)
+            on = global_align(build_pair_graph(seq, predictor, stride=2), opts)
+            off = global_align(build_pair_graph(seq, predictor, stride=2, use_dynamic_mask=False),
+                               opts)
             ate_on = trajectory_metrics(on.poses, list(seq.poses)).ate
             ate_off = trajectory_metrics(off.poses, list(seq.poses)).ate
             wins += ate_on <= ate_off

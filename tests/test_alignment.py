@@ -13,7 +13,8 @@ from pointmatch.alignment import (
     build_pair_graph,
     global_align,
     rodrigues,
-    _energy_and_grad,
+    _energy,
+    _normal_system,
     _prepare,
 )
 from pointmatch.config import RunConfig
@@ -95,6 +96,14 @@ def test_pair_graph_has_masks_and_ego_maps(monkeypatch):
     problem = build_pair_graph(seq, OraclePredictor(seq), stride=2)
     assert len(problem.ego_maps) == 4
     assert len(masks) == len(problem.edges)
+
+
+def test_unmasked_pair_graph_thresholds_no_mask(monkeypatch):
+    seq = small_scene(frames=4)
+    calls = []
+    monkeypatch.setattr(alignment, "dynamic_mask", lambda *maps: calls.append(maps))
+    problem = build_pair_graph(seq, OraclePredictor(seq), stride=2, use_dynamic_mask=False)
+    assert len(problem.edges) == 6 and calls == []
 
 
 def test_disconnected_graph_rejected():
@@ -226,7 +235,7 @@ def test_energy_gradient_matches_finite_differences():
     v.log_scales += 0.1 * rng.normal(size=v.log_scales.shape)
     v.pointmaps += 0.05 * rng.normal(size=v.pointmaps.shape)
 
-    _, system = _energy_and_grad(problem, pres, v, opts, want_grad=True)
+    system = _normal_system(problem, pres, v, opts)
     n = len(problem.frames)
     # the analytic gradient of each probed entry: rotation k of frame f at
     # 6f + k, its translation at 6f + 3 + k, edge e's log-scale at 6n + e
@@ -248,8 +257,8 @@ def test_energy_gradient_matches_finite_differences():
 
     def probe(field, index):
         h = 1e-6
-        ep, _ = _energy_and_grad(problem, pres, moved(field, index, h), opts, want_grad=False)
-        em, _ = _energy_and_grad(problem, pres, moved(field, index, -h), opts, want_grad=False)
+        ep = _energy(problem, pres, moved(field, index, h), opts)
+        em = _energy(problem, pres, moved(field, index, -h), opts)
         return (ep - em) / (2 * h)
 
     checks = []
@@ -298,10 +307,10 @@ def test_trajectory_extraction_matches_result():
     )
 
 
-def test_identity_init_descends_monotonically():
+def test_pairwise_init_descends_monotonically():
     seq = small_scene(seed=4, frames=3, h=8, w=12, objects=1)
-    problem = build_pair_graph(seq, OraclePredictor(seq), stride=2)
-    opts = AlignmentOptions(init="identity", max_iters=150)
+    problem = build_pair_graph(seq, OraclePredictor(seq, sigma_scale=0.1, seed=1), stride=2)
+    opts = AlignmentOptions(max_iters=150)
     result = global_align(problem, opts)
     trace = np.array(result.energy_trace)
     assert np.all(np.diff(trace) <= 0)
@@ -359,44 +368,43 @@ def test_masked_alignment_beats_unmasked_on_dynamic_scene():
     )
     seq = generate_scene(cfg)
     predictor = OraclePredictor(seq, sigma_point=0.003, seed=1)
-    problem = build_pair_graph(seq, predictor, stride=2)
-    opts_on = AlignmentOptions(max_iters=60, lambda_2d=0.5, use_dynamic_mask=True)
-    opts_off = AlignmentOptions(max_iters=60, lambda_2d=0.5, use_dynamic_mask=False)
-    masked = global_align(problem, opts_on)
-    unmasked = global_align(problem, opts_off)
+    opts = AlignmentOptions(max_iters=60, lambda_2d=0.5)
+    masked = global_align(build_pair_graph(seq, predictor, stride=2), opts)
+    unmasked = global_align(build_pair_graph(seq, predictor, stride=2, use_dynamic_mask=False),
+                            opts)
     ate_masked = trajectory_metrics(masked.poses, list(seq.poses)).ate
     ate_unmasked = trajectory_metrics(unmasked.poses, list(seq.poses)).ate
     assert ate_masked <= ate_unmasked
 
 
 def test_divergent_energy_raises():
+    # two edges pull frame 0's map to +1e200 and -1e200: the pairwise init
+    # starts it at their mean, 0, where each residual's square overflows
     h, w = 4, 6
     k = Intrinsics(fx=10.0, fy=10.0, cx=2.5, cy=1.5)
     ones = Pointmap(np.ones((h, w, 3)), np.ones((h, w), dtype=bool))
-    huge = Pointmap(np.full((h, w, 3), 1e200), np.ones((h, w), dtype=bool))
     conf = ConfidenceMap.uniform((h, w))
-    pred = PairPrediction(
-        frames=(0, 1),
-        x_ii=huge,
-        x_ji=ones,
-        x_ji_matched=ones,
-        conf_ii=conf,
-        conf_ji=conf,
-    )
+
+    def edge(x):
+        far = Pointmap(np.full((h, w, 3), x), np.ones((h, w), dtype=bool))
+        pred = PairPrediction(frames=(0, 1), x_ii=far, x_ji=ones, x_ji_matched=ones,
+                              conf_ii=conf, conf_ji=conf)
+        return AlignmentEdge(i=0, j=1, pred=pred, mask=None)
+
     problem = AlignmentProblem(
         frames=[0, 1],
         intrinsics=[k, k],
-        edges=[AlignmentEdge(i=0, j=1, pred=pred, mask=None)],
+        edges=[edge(1e200), edge(-1e200)],
         ego_maps=[ones, ones],
     )
     with pytest.raises(DivergenceError):
-        global_align(problem, AlignmentOptions(init="identity"))
+        global_align(problem)
 
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"max_iters": 0}, {"tol": 0.0}, {"lambda_2d": -1.0}, {"init": "zero"}],
-    ids=["max-iters-0", "tol-0", "negative-lambda-2d", "unknown-init"],
+    [{"max_iters": 0}, {"tol": 0.0}, {"lambda_2d": -1.0}],
+    ids=["max-iters-0", "tol-0", "negative-lambda-2d"],
 )
 def test_alignment_options_reject_invalid_values(kwargs):
     with pytest.raises(ValueError):

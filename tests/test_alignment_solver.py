@@ -24,8 +24,9 @@ from pointmatch.alignment import (
     build_pair_graph,
     global_align,
     rodrigues,
-    _energy_and_grad,
+    _energy,
     _lm_step,
+    _normal_system,
     _prepare,
 )
 from pointmatch.config import RunConfig
@@ -44,7 +45,8 @@ def rho(r):
 
 
 def reference_energy(edges, intrinsics, v, opts):
-    """E3d + E2d of the alignment module docstring, one AlignmentEdge at a time."""
+    """E3d + E2d of the alignment module docstring, one AlignmentEdge at a
+    time; an edge's mask, where it has one, takes its pixels out of E2d."""
     total, scales = 0.0, np.exp(v.log_scales)
     for ei, e in enumerate(edges):
         r_i, t_i, p = v.rotations[e.i], v.translations[e.i], e.pred
@@ -54,7 +56,7 @@ def reference_energy(edges, intrinsics, v, opts):
             total += float((conf.values[pm.valid] * rho(v.pointmaps[f][pm.valid] - mapped)).sum())
         m = p.x_ji_matched
         static = m.valid & p.x_ji.valid & (m.points[..., 2] > EPS_Z)
-        if opts.use_dynamic_mask and e.mask is not None:
+        if e.mask is not None:
             static &= ~e.mask.mask
         target = project_points(m.points[static], k)[0]
         y = (v.pointmaps[e.j][static] - t_i) @ r_i  # R_i^T (chi_j - t_i), row form
@@ -63,11 +65,12 @@ def reference_energy(edges, intrinsics, v, opts):
     return total
 
 
-def handmade():
-    """A problem of four 4x5 frames, its edges and variables. At the
-    variables the 2D rows of edge (1, 2) all lie behind camera 1, those of
-    edge (2, 3) half behind camera 2; edge (0, 3) has no valid pixel, and
-    pixel (0, 0) of frame 2 is reached by no term."""
+def handmade(use_dynamic_mask=True):
+    """A problem of four 4x5 frames, its edges and variables; each edge with
+    a valid pixel has a mask under use_dynamic_mask, and the draws are the
+    same either way. At the variables the 2D rows of edge (1, 2) all lie
+    behind camera 1, those of edge (2, 3) half behind camera 2; edge (0, 3)
+    has no valid pixel, and pixel (0, 0) of frame 2 is reached by no term."""
     rng = np.random.default_rng(5)
     h, w = 4, 5
     k = Intrinsics(fx=6.0, fy=5.0, cx=2.0, cy=1.5)
@@ -83,7 +86,7 @@ def handmade():
         conf = [ConfidenceMap(rng.normal(size=(h, w))) for _ in range(2)]
         pred = PairPrediction((i, j), pm(valid), pm(valid), pm(valid), *conf)
         mask = DynamicMask(rng.random((h, w)) < 0.3, 0.1, np.zeros((h, w)), valid)
-        return AlignmentEdge(i, j, pred, mask if valid.any() else None)
+        return AlignmentEdge(i, j, pred, mask if use_dynamic_mask and valid.any() else None)
 
     edges = [edge(0, 1, full), edge(1, 2, hole), edge(2, 3, hole), edge(0, 3, none)]
     ego = [pm(full), pm(full), pm(hole), pm(full)]
@@ -98,7 +101,7 @@ def handmade():
     return problem, edges, v
 
 
-def pair_graph_edges(seq, predictor, stride):
+def pair_graph_edges(seq, predictor, stride, use_dynamic_mask=True):
     """The edges build_pair_graph renders, as a list of AlignmentEdges, and
     the ego maps."""
     n = seq.frame_count
@@ -106,21 +109,22 @@ def pair_graph_edges(seq, predictor, stride):
     edges = []
     for i in range(n):
         for j in range(i + 1, min(i + gap, n - 1) + 1):
-            pred = predictor.predict(i, j)
-            try:
-                mask = dynamic_mask(pred.x_ji_matched, pred.x_ji)
-            except EmptyDomainError:
-                mask = None
+            pred, mask = predictor.predict(i, j), None
+            if use_dynamic_mask:
+                try:
+                    mask = dynamic_mask(pred.x_ji_matched, pred.x_ji)
+                except EmptyDomainError:
+                    pass
             edges.append(AlignmentEdge(i, j, pred, mask))
     return edges, [predictor.predict(f, f).x_ii for f in range(n)]
 
 
-def noisy_scene_problem():
+def noisy_scene_problem(use_dynamic_mask=True):
     seq = generate_scene(SceneConfig(seed=2, frame_count=4, height=8, width=10, object_count=2,
                                      motion_magnitude=0.1, track_count=0))
     predictor = OraclePredictor(seq, sigma_point=0.01, sigma_scale=0.1, seed=3)
-    problem = build_pair_graph(seq, predictor, stride=2)
-    edges, _ = pair_graph_edges(seq, predictor, stride=2)
+    problem = build_pair_graph(seq, predictor, stride=2, use_dynamic_mask=use_dynamic_mask)
+    edges, _ = pair_graph_edges(seq, predictor, stride=2, use_dynamic_mask=use_dynamic_mask)
     rng = np.random.default_rng(1)
     v = alignment._init_pairwise(problem)
     turns = 0.02 * rng.normal(size=(len(v.rotations), 3))
@@ -130,7 +134,7 @@ def noisy_scene_problem():
 
 
 def test_handmade_problem_covers_the_corner_cases():
-    problem, edges, v = handmade()
+    problem, edges, v = handmade(use_dynamic_mask=False)
 
     def depths(e):  # of the edge's 2D rows in its camera i
         d = v.pointmaps[e.j][e.pred.x_ji_matched.valid] - v.translations[e.i]
@@ -141,12 +145,12 @@ def test_handmade_problem_covers_the_corner_cases():
     assert np.any(depths(edges[2]) <= EPS_Z) and np.any(depths(edges[2]) > EPS_Z)
     assert not edges[3].pred.x_ii.valid.any()
     # pixel (0, 0) of frame 2 (index frame * pixels + pixel) is in no row
-    pres = _prepare(problem, AlignmentOptions(lambda_2d=0.5, use_dynamic_mask=False))
+    pres = _prepare(problem, AlignmentOptions(lambda_2d=0.5))
     assert all(2 * (4 * 5) + 0 not in np.concatenate(rows.pix) for rows in pres)
 
 
 def test_a_matched_pixel_without_a_3d_row_gets_no_2d_row():
-    problem, edges, v = handmade()
+    problem, edges, v = handmade(use_dynamic_mask=False)
     # edge (0, 1)'s matched head stays valid where its x_ji is not; frame 1's
     # pixel (0, 0) lies in edge (1, 2)'s hole too, so no 3D row reaches it
     e = edges[0]
@@ -155,13 +159,13 @@ def test_a_matched_pixel_without_a_3d_row_gets_no_2d_row():
     e.pred = dataclasses.replace(e.pred, x_ji=Pointmap(e.pred.x_ji.points, x_ji))
     assert e.pred.x_ji_matched.valid.all()
     problem = AlignmentProblem(problem.frames, problem.intrinsics, edges, problem.ego_maps)
-    opts = AlignmentOptions(lambda_2d=0.5, use_dynamic_mask=False)
+    opts = AlignmentOptions(lambda_2d=0.5)
     rows3, rows2 = _prepare(problem, opts)
     seg = int(np.flatnonzero(rows2.edge == 0)[0])
     pulled = rows2.pix[seg] - 1 * 20  # frame 1's pixels
     np.testing.assert_array_equal(pulled, np.flatnonzero(x_ji))
     assert all(1 * 20 + 0 not in np.concatenate(rows.pix) for rows in (rows3, rows2))
-    _, system = _energy_and_grad(problem, (rows3, rows2), v, opts)
+    system = _normal_system(problem, (rows3, rows2), v, opts)
     assert np.all(np.isfinite(system.k_chi))
     result = global_align(problem, dataclasses.replace(opts, max_iters=8))
     assert result.iterations >= 1 and np.all(np.isfinite(result.energy_trace))
@@ -186,94 +190,99 @@ def test_row_pixel_indices_are_int32_within_their_range():
 
 def test_streamed_and_listed_edges_build_one_problem():
     # the pair graph streams its edges into the problem; the same edges
-    # handed over as a list give the same rows and a bit-equal solve
+    # handed over as a list give the same rows and a bit-equal solve, with
+    # and without the dynamic mask
     seq = generate_scene(SceneConfig(seed=1, frame_count=5, height=16, width=20, object_count=2,
                                      motion_magnitude=0.1, track_count=0))
 
     def oracle():
         return OraclePredictor(seq, sigma_point=0.01, sigma_scale=0.05, seed=4)
 
-    edges, ego = pair_graph_edges(seq, oracle(), stride=2)
-    listed = AlignmentProblem(list(range(seq.frame_count)), list(seq.intrinsics), edges, ego)
-    tracemalloc.start()  # after the listed build, so first-use costs stay out
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        streamed = build_pair_graph(seq, oracle(), stride=2)
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-
     def raw(arrays):
         return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
-    assert streamed.edges == listed.edges
-    assert raw(streamed.dynamic) == raw(listed.dynamic)
-    for a, b in zip(streamed.rows, listed.rows):
-        # each segment's pix, data and w (the 2D table has no w)
-        assert all(raw(x or []) == raw(y or []) for x, y in zip(a[:3], b[:3]))
-        assert a.drop is None and b.drop is None
-        assert raw(a[4:]) == raw(b[4:])  # start, frame, pose, edge, cols
-    opts = AlignmentOptions(max_iters=5)
-    a, b = global_align(streamed, opts), global_align(listed, opts)
-    assert a.iterations > 1 and (a.iterations, a.converged) == (b.iterations, b.converged)
-    assert a.energy_trace == b.energy_trace
-    for field in ("rotations", "translations", "log_scales", "pointmaps"):
-        np.testing.assert_array_equal(getattr(a.variables, field), getattr(b.variables, field))
-
-    # the problem keeps its rows, flags and ego maps, and no edge's maps:
-    # beyond those arrays it retains only containers, far less than the
-    # edges' heads
     def held(a):  # a zero-stride weight holds its one value
         return a.itemsize if a.strides == (0,) else a.nbytes
 
     def table(rows):
         return sum(held(a) for col in (rows.pix, rows.data, rows.w or []) for a in col)
 
-    heads = sum(m.points.nbytes + m.valid.nbytes
-                for e in edges for m in (e.pred.x_ii, e.pred.x_ji, e.pred.x_ji_matched))
-    heads += sum(e.pred.conf_ii.raw.nbytes + e.pred.conf_ji.raw.nbytes for e in edges)
-    own = sum(map(table, streamed.rows))
-    own += sum(d.nbytes for d in streamed.dynamic)
-    own += sum(m.points.nbytes + m.valid.nbytes for m in streamed.ego_maps)
-    assert own <= retained < own + heads / 4, (own, retained, heads)
-    # uniform confidence is held once a segment, so the 3D table (28 bytes a
-    # row) is smaller than the heads it came from (33 bytes a pixel)
-    heads3 = sum(m.points.nbytes + m.valid.nbytes + c.raw.nbytes for e in edges
-                 for m, c in ((e.pred.x_ii, e.pred.conf_ii), (e.pred.x_ji, e.pred.conf_ji)))
-    rows3 = streamed.rows[0]
-    assert all(w.strides == (0,) for w in rows3.w)
-    assert table(rows3) < heads3, (table(rows3), heads3)
+    for use_dynamic_mask in (True, False):
+        edges, ego = pair_graph_edges(seq, oracle(), stride=2, use_dynamic_mask=use_dynamic_mask)
+        listed = AlignmentProblem(list(range(seq.frame_count)), list(seq.intrinsics), edges, ego)
+        tracemalloc.start()  # after the listed build, so first-use costs stay out
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            streamed = build_pair_graph(seq, oracle(), stride=2, use_dynamic_mask=use_dynamic_mask)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+        assert streamed.edges == listed.edges
+        for a, b in zip(streamed.rows, listed.rows):
+            # each segment's pix, data and w (the 2D table has no w)
+            assert all(raw(x or []) == raw(y or []) for x, y in zip(a[:3], b[:3]))
+            assert raw(a[3:]) == raw(b[3:])  # start, frame, pose, edge, cols
+        opts = AlignmentOptions(max_iters=5)
+        a, b = global_align(streamed, opts), global_align(listed, opts)
+        assert a.iterations > 1 and (a.iterations, a.converged) == (b.iterations, b.converged)
+        assert a.energy_trace == b.energy_trace
+        for field in ("rotations", "translations", "log_scales", "pointmaps"):
+            np.testing.assert_array_equal(getattr(a.variables, field), getattr(b.variables, field))
+
+        # the problem keeps its rows and ego maps, and no edge's maps: beyond
+        # those arrays it retains only containers, far less than the edges'
+        # heads
+        heads = sum(m.points.nbytes + m.valid.nbytes
+                    for e in edges for m in (e.pred.x_ii, e.pred.x_ji, e.pred.x_ji_matched))
+        heads += sum(e.pred.conf_ii.raw.nbytes + e.pred.conf_ji.raw.nbytes for e in edges)
+        own = sum(map(table, streamed.rows))
+        own += sum(m.points.nbytes + m.valid.nbytes for m in streamed.ego_maps)
+        assert own <= retained < own + heads / 4, (own, retained, heads)
+        # uniform confidence is held once a segment, so the 3D table (28
+        # bytes a row) is smaller than the heads it came from (33 bytes a
+        # pixel)
+        heads3 = sum(m.points.nbytes + m.valid.nbytes + c.raw.nbytes for e in edges
+                     for m, c in ((e.pred.x_ii, e.pred.conf_ii), (e.pred.x_ji, e.pred.conf_ji)))
+        rows3 = streamed.rows[0]
+        assert all(w.strides == (0,) for w in rows3.w)
+        assert table(rows3) < heads3, (table(rows3), heads3)
 
 
 def test_masked_rows_are_selected_without_a_copy():
-    # under the dynamic mask the 2D rows are selected from the problem's
-    # table where a pass gathers them: _prepare copies no row, and any cut
-    # of the selected rows is the static rows in table order
+    # the dynamic mask takes its pixels out when the pair graph is built: the
+    # masked 2D table is the unmasked one less each edge's masked pixels, in
+    # table order, its 3D table is the unmasked one, and _prepare hands the
+    # problem's tables to a solve without copying a row
     seq = generate_scene(SceneConfig(seed=0, frame_count=5, height=16, width=20, object_count=2,
                                      motion_magnitude=0.1, track_count=0))
-    problem = build_pair_graph(seq, OraclePredictor(seq, sigma_point=0.01, seed=1), stride=2)
-    rows2 = problem.rows[1]
-    size = sum(a.nbytes for col in (rows2.pix, rows2.data) for a in col)
-    opts = AlignmentOptions(lambda_2d=0.5)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        _, masked = _prepare(problem, opts)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak < size / 4, (peak, size)
+    predictor = OraclePredictor(seq, sigma_point=0.01, seed=1)
+    problem = build_pair_graph(seq, predictor, stride=2)
+    unmasked = build_pair_graph(seq, predictor, stride=2, use_dynamic_mask=False)
+    assert _prepare(problem, AlignmentOptions(lambda_2d=0.5)) is problem.rows
+    (rows3, rows2), (all3, all2) = problem.rows, unmasked.rows
+    for a, b in zip(rows3[:3], all3[:3]):  # each segment's pix, data and w
+        assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+    for a, b in zip(rows3[3:], all3[3:]):  # start, frame, pose, edge, cols
+        np.testing.assert_array_equal(a, b)
 
-    static = [(s, ~problem.dynamic[e]) for s, e in enumerate(rows2.edge)]
-    assert sum(k.all() for _, k in static) < len(static) and any(k.any() for _, k in static)
-    want = [np.concatenate([col[s][k] for s, k in static if k.any()])
-            for col in (rows2.pix, rows2.data)]
-    assert masked.start[-1] == len(want[0])
-    for lo in range(0, masked.start[-1], 37):  # cuts across segments
-        hi = min(lo + 37, masked.start[-1])
-        segs = np.searchsorted(masked.start, [lo, hi - 1], side="right") - 1
-        pix, data, w = alignment._chunk(masked, lo, hi, range(segs[0], segs[1] + 1))
+    pixels = seq.resolution[0] * seq.resolution[1]
+    static = []  # per unmasked 2D segment: its rows outside its edge's mask
+    for s, e in enumerate(all2.edge):
+        pred = predictor.predict(*problem.edges[e])
+        mask = dynamic_mask(pred.x_ji_matched, pred.x_ji).mask
+        static.append(~mask.ravel()[all2.pix[s] - all2.frame[s] * pixels])
+    assert sum(k.all() for k in static) < len(static) and any(k.any() for k in static)
+    kept = [s for s, k in enumerate(static) if k.any()]
+    for col in ("frame", "pose", "edge", "cols"):
+        np.testing.assert_array_equal(getattr(rows2, col), getattr(all2, col)[kept])
+    want = [np.concatenate([col[s][k] for s, k in enumerate(static) if k.any()])
+            for col in (all2.pix, all2.data)]
+    assert rows2.start[-1] == len(want[0])
+    for lo in range(0, rows2.start[-1], 37):  # cuts across segments
+        hi = min(lo + 37, rows2.start[-1])
+        segs = np.searchsorted(rows2.start, [lo, hi - 1], side="right") - 1
+        pix, data, w = alignment._chunk(rows2, lo, hi, range(segs[0], segs[1] + 1))
         np.testing.assert_array_equal(pix, want[0][lo:hi])
         np.testing.assert_array_equal(data, want[1][lo:hi])
         assert w is None
@@ -283,8 +292,9 @@ def test_masked_rows_are_selected_without_a_copy():
 @pytest.mark.parametrize("use_dynamic_mask", [True, False], ids=["masked", "unmasked"])
 @pytest.mark.parametrize("make", [handmade, noisy_scene_problem], ids=["handmade", "scene"])
 def test_energy_matches_the_edge_by_edge_reference(make, use_dynamic_mask, lambda_2d):
-    problem, edges, v = make()
-    opts = AlignmentOptions(lambda_2d=lambda_2d, use_dynamic_mask=use_dynamic_mask)
+    problem, edges, v = make(use_dynamic_mask)
+    assert any(e.mask is not None for e in edges) == use_dynamic_mask
+    opts = AlignmentOptions(lambda_2d=lambda_2d)
     want = reference_energy(edges, problem.intrinsics, v, opts)
     assert want > 0
     assert abs(alignment_energy(problem, v, opts) - want) <= 1e-12 * want
@@ -299,7 +309,8 @@ def reference_system(edges, intrinsics, v, opts):
     row by row: every residual's Jacobian over all unknowns (cameras as
     [rotation, translation] per frame, then one log-scale per edge; then chi)
     as an explicit matrix, J^T U J and J^T U r summed over rows, and chi
-    eliminated densely. Pixels no term reaches get a unit chi block."""
+    eliminated densely. Pixels no term reaches get a unit chi block, and an
+    edge's mask, where it has one, takes its pixels out of the 2D rows."""
     n, (h, w) = len(v.rotations), v.pointmaps.shape[1:3]
     dim, scales = 6 * n + len(edges), np.exp(v.log_scales)
     hess, grad = np.zeros((dim + 3 * n * h * w,) * 2), np.zeros(dim + 3 * n * h * w)
@@ -324,7 +335,7 @@ def reference_system(edges, intrinsics, v, opts):
             continue
         m = p.x_ji_matched
         static = m.valid & p.x_ji.valid & (m.points[..., 2] > EPS_Z)
-        if opts.use_dynamic_mask and e.mask is not None:
+        if e.mask is not None:
             static &= ~e.mask.mask
         target = project_points(m.points[static], k)[0]
         d = v.pointmaps[e.j][static] - t_i
@@ -355,10 +366,11 @@ def reference_system(edges, intrinsics, v, opts):
 @pytest.mark.parametrize("use_dynamic_mask", [True, False], ids=["masked", "unmasked"])
 @pytest.mark.parametrize("make", [handmade, noisy_scene_problem], ids=["handmade", "scene"])
 def test_reduced_system_matches_a_dense_jacobian_reference(make, use_dynamic_mask, lambda_2d):
-    problem, edges, v = make()
-    opts = AlignmentOptions(lambda_2d=lambda_2d, use_dynamic_mask=use_dynamic_mask)
+    problem, edges, v = make(use_dynamic_mask)
+    assert any(e.mask is not None for e in edges) == use_dynamic_mask
+    opts = AlignmentOptions(lambda_2d=lambda_2d)
     want = reference_system(edges, problem.intrinsics, v, opts)
-    _, system = _energy_and_grad(problem, _prepare(problem, opts), v, opts)
+    system = _normal_system(problem, _prepare(problem, opts), v, opts)
     got = dict(h=system.h, g=system.g, reduced_h=system.h - system.schur,
                reduced_g=system.g - system.g_schur, k_chi=system.k_chi.reshape(-1, 3, 3),
                g_chi=system.g_chi.ravel())
@@ -374,7 +386,7 @@ def test_row_chunk_size_leaves_the_solve_unchanged(monkeypatch):
     def solve():
         pres = _prepare(problem, opts)
         v = alignment._init_pairwise(problem)
-        energy, system = _energy_and_grad(problem, pres, v, opts)
+        energy, system = _energy(problem, pres, v, opts), _normal_system(problem, pres, v, opts)
         step = _lm_step(v, system, 1e-3)
         return pres, energy, system, step, global_align(problem, opts)
 
@@ -403,8 +415,8 @@ def test_every_damping_try_reads_the_rows_once_from_one_elimination(monkeypatch)
     pres = _prepare(problem, opts)
     v = alignment._init_pairwise(problem)
     dampings = (1e-3, 1e-2, 1e-1, 1.0)
-    want = {d: _lm_step(v, _energy_and_grad(problem, pres, v, opts)[1], d) for d in dampings}
-    _, system = _energy_and_grad(problem, pres, v, opts)
+    want = {d: _lm_step(v, _normal_system(problem, pres, v, opts), d) for d in dampings}
+    system = _normal_system(problem, pres, v, opts)
     reads = []
     jacobian_rows = alignment._jacobian_rows
     monkeypatch.setattr(alignment, "_jacobian_rows",

@@ -154,6 +154,26 @@ def test_use_dynamic_mask_flag_roundtrip(tmp_path, scene_dir):
     assert run["config"]["use_dynamic_mask"] is False
 
 
+@pytest.mark.parametrize("flag, want", [("--use-dynamic-mask", True),
+                                        ("--no-use-dynamic-mask", False)])
+def test_use_dynamic_mask_flag_reaches_the_pair_graph(tmp_path, scene_dir, monkeypatch, flag, want):
+    import inspect
+
+    from pointmatch import alignment, cli
+
+    seen = []
+
+    def recorded(*args, **kwargs):
+        bound = inspect.signature(alignment.build_pair_graph).bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(bound.arguments["use_dynamic_mask"])
+        return alignment.build_pair_graph(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_pair_graph", recorded)
+    assert run_cli("align", scene_dir, "--out", tmp_path / "al", "--stride", 2, flag) == 0
+    assert seen == [want]
+
+
 def _set_config(key, value):
     def edit(root):
         meta = load_json(root / "meta.json")

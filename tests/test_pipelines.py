@@ -146,6 +146,27 @@ def test_oracle_noise_scaled_confidence(seq):
     assert (conf > 1.0).all()
 
 
+def test_matched_render_builds_no_confidence_map(seq, monkeypatch):
+    # the matched head has no confidence output, so its render builds none;
+    # each head that has one builds one
+    built = []
+
+    class Counted(ConfidenceMap):
+        def __post_init__(self):
+            built.append(np.shape(self.raw))
+            super().__post_init__()
+
+    monkeypatch.setattr(pipelines, "ConfidenceMap", Counted)
+    for kw in ({}, dict(sigma_point=0.01, seed=2),
+               dict(sigma_point=0.01, seed=2, confidence_mode="noise")):
+        built.clear()
+        pred = OraclePredictor(seq, **kw).predict(1, 3)
+        pred.x_ji_matched
+        assert built == [], kw
+        assert isinstance(pred.conf_ii, Counted) and isinstance(pred.conf_ji, Counted)
+        assert built == [seq.resolution] * 2, kw
+
+
 def _eager_heads(seq, sigma_point, sigma_scale, seed, mode, i, j):
     """Reference: every head of pair (i, j) rendered up front, in a fixed order."""
 

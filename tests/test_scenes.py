@@ -1,4 +1,5 @@
 import multiprocessing
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -581,15 +582,15 @@ def test_forked_child_can_split_a_bisection(seq, monkeypatch):
 
 
 def _fallback_rows(monkeypatch):
-    """Count what crossing_beyond leaves to the stop-rule bisection: the row
-    count of each such call, in a list the caller reads."""
+    """Count what crossing_beyond leaves to the bisection: the row count of
+    each call that a visibility chunk makes, in a list the caller reads."""
     rows = []
     bisect = scenes.HeightField._bisect_chunk
 
-    def counting(field, origins, dirs, thr):
-        if thr is not None:
+    def counting(field, origins, dirs):
+        if sys._getframe(1).f_code is scenes.HeightField._beyond_chunk.__code__:
             rows.append(len(dirs))
-        return bisect(field, origins, dirs, thr)
+        return bisect(field, origins, dirs)
 
     monkeypatch.setattr(scenes.HeightField, "_bisect_chunk", counting)
     return rows
