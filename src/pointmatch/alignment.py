@@ -26,7 +26,9 @@ two tables, one row per (edge, term, pixel), grouped by the frame whose map a
 row pulls. AlignmentProblem builds them as it reads each edge, whose maps it
 then drops, so a problem holds its rows and ego maps but no prediction. A 3D
 row holds its point; its confidence is held once for a segment whose
-confidence is uniform, as every CLI predictor's is. An edge's masked pixels
+confidence is uniform, as every CLI predictor's is. A segment's pixels are
+one bool mask over its frame's grid, one byte a pixel, which each chunk
+turns into the row indices it reads. An edge's masked pixels
 get no 2D row, so a solve reads every row of both tables. Every pass over the
 rows takes a fixed number of numpy calls per chunk of `_CHUNK_ROWS` rows,
 whatever the number of edges, and the system pass one matrix product more per
@@ -148,7 +150,7 @@ class AlignmentProblem:
         self.edges.append(EdgeIds(e.i, e.j))
 
         def segment(f, sel, data, w=None):  # rows at the pixels sel of frame f
-            return (f, e.i, ei), (f * sel.size + np.flatnonzero(sel)).astype(np.int32), data, w
+            return (f, e.i, ei), sel.copy(), data, w  # a grid of its own, not a head's
 
         # 2D rows only where x_ji gives a 3D row too: chi blocks invert undamped
         sel = m.valid & x_ji.valid & (m.points[..., 2] > EPS_Z) & ~dyn
@@ -259,13 +261,14 @@ _CHUNK_ROWS = 1 << 11
 
 # One term's residual rows, in segments of one (edge, term) each, ordered by
 # the frame whose global map they pull. Segment s holds rows start[s]:start[s
-# + 1] (at least one) as its own arrays: pix[s] (int32), the pixels they pull
-# in the frames' stacked maps (frame * pixels + pixel), data[s], a 3D row's
-# point (x, y, z) or a 2D row's matched pixel position, and, in the 3D table,
-# w[s], the rows' confidences (w is None in the 2D table, whose weight is
-# lambda_2d). Segment s pulls frame[s], is posed by frame pose[s] and scaled
-# by edge[s]; cols[s] are its camera columns (pose, then scale).
-_Rows = namedtuple("_Rows", "pix data w start frame pose edge cols")
+# + 1] (at least one) as its own arrays: mask[s], the (H, W) bool grid of the
+# pixels they pull in frame[s]'s map, one row per True pixel in raster order,
+# data[s], a 3D row's point (x, y, z) or a 2D row's matched pixel position,
+# and, in the 3D table, w[s], the rows' confidences (w is None in the 2D
+# table, whose weight is lambda_2d). Segment s pulls frame[s], is posed by
+# frame pose[s] and scaled by edge[s]; cols[s] are its camera columns (pose,
+# then scale).
+_Rows = namedtuple("_Rows", "mask data w start frame pose edge cols")
 
 
 def _weights(conf: np.ndarray) -> np.ndarray:
@@ -275,11 +278,11 @@ def _weights(conf: np.ndarray) -> np.ndarray:
 
 
 def _table(segs: list, n: int) -> _Rows:
-    """The rows of segments [(ids, pix, data, w)] of n frames' maps, stably
+    """The rows of segments [(ids, mask, data, w)] of n frames' maps, stably
     sorted by frame; segments without rows are dropped. w is None for 2D
     segments."""
-    segs = sorted((s for s in segs if len(s[1])), key=lambda s: s[0][0])
-    start = np.cumsum([0] + [len(s[1]) for s in segs])
+    segs = sorted((s for s in segs if len(s[2])), key=lambda s: s[0][0])
+    start = np.cumsum([0] + [len(s[2]) for s in segs])
     ids = np.array([s[0] for s in segs], dtype=np.intp).reshape(-1, 3)
     cols = np.column_stack([6 * ids[:, 1:2] + np.arange(6), 6 * n + ids[:, 2]])
     w = [s[3] for s in segs] if segs and segs[0][3] is not None else None
@@ -288,14 +291,16 @@ def _table(segs: list, n: int) -> _Rows:
 
 def _chunk(rows: _Rows, lo: int, hi: int, segs: range):
     """pix, data and w (None in the 2D table) of rows lo..hi - 1, which lie
-    in the segments segs; pix is widened to intp, so no index arithmetic on
-    it can wrap."""
+    in the segments segs; pix (intp) indexes the pixels they pull in the
+    frames' stacked maps, frame * pixels + pixel."""
     cuts = [slice(max(lo - rows.start[s], 0), hi - rows.start[s]) for s in segs]
 
     def cat(col):
         return np.concatenate([col[s][c] for s, c in zip(segs, cuts)])
 
-    return cat(rows.pix).astype(np.intp), cat(rows.data), None if rows.w is None else cat(rows.w)
+    pix = np.concatenate([rows.frame[s] * rows.mask[s].size + np.flatnonzero(rows.mask[s])[c]
+                          for s, c in zip(segs, cuts)])
+    return pix, cat(rows.data), None if rows.w is None else cat(rows.w)
 
 
 def _prepare(problem: AlignmentProblem, opts: AlignmentOptions) -> tuple[_Rows, _Rows]:
@@ -527,9 +532,10 @@ def _normal_system(problem: AlignmentProblem, pres: tuple[_Rows, _Rows], v: Alig
             del idx, vals
         c[:3, c[:3].sum(axis=0) == 0] = 1.0
         k_chi[f] = _sym_inverse(c)
+        # explicit sizes: a frame no row reaches has no columns of its own
         b = b.reshape(pix, 3, own.size)
-        kb = (k_chi[f] @ b).reshape(-1, own.size)
-        schur[own[:, None], own] += b.reshape(-1, own.size).T @ kb
+        kb = (k_chi[f] @ b).reshape(3 * pix, own.size)
+        schur[own[:, None], own] += b.reshape(3 * pix, own.size).T @ kb
         g_schur[own] += kb.T @ g_chi[f].ravel()
         del b, kb
     g, h = np.zeros(dim), np.zeros((dim, dim))
@@ -616,11 +622,10 @@ def _init_pairwise(problem: AlignmentProblem) -> AlignmentVariables:
         adj[e.j].append((e.i, e.i, e.j))
         ego_j = problem.ego_maps[e.j]
         for s in np.flatnonzero((rows.edge == ei) & (rows.frame == e.j)):  # x_ji's segment
-            pix = rows.pix[s] - e.j * h * w
-            joint = ego_j.valid.ravel()[pix]  # the pixels valid in x_ji and ego_j
+            joint = ego_j.valid[rows.mask[s]]  # x_ji's rows at pixels ego_j has too
             if int(joint.sum()) >= 3:
                 try:
-                    rel[(e.i, e.j)] = umeyama(ego_j.points.reshape(-1, 3)[pix[joint]],
+                    rel[(e.i, e.j)] = umeyama(ego_j.points[rows.mask[s] & ego_j.valid],
                                               rows.data[s][joint])
                 except EmptyDomainError:
                     pass

@@ -184,8 +184,9 @@ def umeyama(src: np.ndarray, dst: np.ndarray):
         d = 1.0
     dd = np.array([1.0, 1.0, d])
     r = (u * dd) @ vt
-    var_s = (sc**2).sum() / src.shape[0]
-    var_d = (dc**2).sum() / src.shape[0]
+    with np.errstate(over="ignore"):  # an overflowing spread reads inf: s stays finite
+        var_s = (sc**2).sum() / src.shape[0]
+        var_d = (dc**2).sum() / src.shape[0]
     if var_s > 1e-15 and var_d > 1e-15:
         s = float((sv * dd).sum() / var_s)
         if s <= 1e-15:

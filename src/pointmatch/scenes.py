@@ -412,8 +412,8 @@ class SceneSequence:
     objects: list[SceneObject]
     background: HeightField
     tracks: TrackSet = field(default=None)  # type: ignore[assignment]
-    # raycast caches: world hit points, surface ids (-1 bg, k>=0 object, miss invalid)
-    hit_world: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
+    # raycast caches: surface ids (-1 bg, k>=0 object, miss invalid); a
+    # frame's world hit points are world_points, from its depth and pose
     hit_id: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
     hit_valid: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
 
@@ -669,13 +669,11 @@ def assemble_scene(
     k = Intrinsics(fx=f, fy=f, cx=(w - 1) / 2.0, cy=(h - 1) / 2.0)
     intrinsics = [k] * config.frame_count
 
-    hit_world = np.zeros((config.frame_count, h, w, 3))
     hit_id = np.full((config.frame_count, h, w), -2, dtype=np.int32)
     hit_valid = np.zeros((config.frame_count, h, w), dtype=bool)
     depths = []
     # one backdrop bisection for every frame's rays; objects hit per frame
-    d_cam = pixel_rays(k, pixel_grid(h, w).reshape(-1, 2))
-    all_dirs = np.concatenate([d_cam @ pose.rotation for pose in poses])
+    all_dirs = np.concatenate([_frame_rays(k, pose, h, w) for pose in poses])
     centers = np.array([pose.center for pose in poses])
     t_bg, ok_bg = background.intersect(centers, all_dirs, [h * w] * config.frame_count)
     for t in range(config.frame_count):
@@ -685,8 +683,6 @@ def assemble_scene(
         tpar, sid, hit = _nearest_surface(objects, (t_bg[f], ok_bg[f]), origins, dirs, t)
         hit = hit.reshape(h, w)
         depths.append(DepthMap(np.where(hit, tpar.reshape(h, w), 0.0), hit))
-        world = (origins + tpar[:, None] * dirs).reshape(h, w, 3)
-        hit_world[t] = np.where(hit[..., None], world, 0.0)
         hit_id[t] = sid.reshape(h, w)
         hit_valid[t] = hit
 
@@ -700,7 +696,6 @@ def assemble_scene(
         dynamic_labels=dynamic[np.maximum(hit_id, -1)],
         objects=objects,
         background=background,
-        hit_world=hit_world,
         hit_id=hit_id,
         hit_valid=hit_valid,
     )
@@ -711,6 +706,22 @@ def assemble_scene(
     qy, qx = np.unravel_index(np.sort(chosen), (h, w))
     seq.tracks = build_tracks(seq, np.zeros(q, dtype=np.int64), np.stack([qx, qy], axis=1))
     return seq
+
+
+def _frame_rays(k: Intrinsics, pose: Pose, h: int, w: int) -> np.ndarray:
+    """World directions (h * w, 3) of a frame's pixel rays, in raster order;
+    each is z-normalized in the camera, so its parameter is camera depth."""
+    return pixel_rays(k, pixel_grid(h, w).reshape(-1, 2)) @ pose.rotation
+
+
+def world_points(seq: SceneSequence, j: int) -> np.ndarray:
+    """Frame j's world hit points (H, W, 3): the camera center plus each
+    pixel's depth along its ray, 0 where the pixel hits no surface."""
+    check_frame(seq, j)
+    h, w = seq.resolution
+    dirs = _frame_rays(seq.intrinsics[j], seq.poses[j], h, w).reshape(h, w, 3)
+    world = seq.poses[j].center + seq.depths[j].depth[..., None] * dirs
+    return np.where(seq.hit_valid[j][..., None], world, 0.0)
 
 
 def build_tracks(seq: SceneSequence, query_frames: np.ndarray, query_pixels: np.ndarray) -> TrackSet:
@@ -733,7 +744,11 @@ def build_tracks(seq: SceneSequence, query_frames: np.ndarray, query_pixels: np.
     qx, qy = qp[:, 0], qp[:, 1]
     spans = np.arange(seq.frame_count, dtype=np.float64)[None, :] - qf[:, None]  # (Q, T)
     vel = _velocities(seq, seq.hit_id[qf, qy, qx])
-    world = seq.hit_world[qf, qy, qx][:, None, :] + spans[..., None] * vel[:, None, :]
+    start = np.empty((len(qf), 3))  # each query's world point, one frame's map at a time
+    for f in np.unique(qf).tolist():
+        at = qf == f
+        start[at] = world_points(seq, f)[qy[at], qx[at]]
+    world = start[:, None, :] + spans[..., None] * vel[:, None, :]
     seen = _observe(seq, [(t, world[:, t, :]) for t in range(seq.frame_count)])
     camera, pixels, visible = (np.stack(a, axis=1) for a in zip(*seen))
     pixels = np.where(visible[..., None], pixels, 0.0)
@@ -750,8 +765,7 @@ def gt_pointmap_matching(seq: SceneSequence, i: int, j: int) -> Pointmap:
     ray whose sign that evaluation cannot certify (HeightField.crossing_beyond).
     """
     check_frame(seq, i)
-    check_frame(seq, j)
-    world = seq.hit_world[j] + float(i - j) * _velocities(seq, seq.hit_id[j])
+    world = world_points(seq, j) + float(i - j) * _velocities(seq, seq.hit_id[j])
     [(cam, _, visible)] = _observe(seq, [(i, world)])
     return Pointmap(cam, seq.hit_valid[j] & visible)
 
@@ -764,8 +778,7 @@ def gt_rigid_pointmap(seq: SceneSequence, i: int, j: int) -> Pointmap:
     gt_pointmap_matching by exactly the object displacement.
     """
     check_frame(seq, i)
-    check_frame(seq, j)
-    return Pointmap(seq.poses[i].apply(seq.hit_world[j]), seq.hit_valid[j])
+    return Pointmap(seq.poses[i].apply(world_points(seq, j)), seq.hit_valid[j])
 
 
 def dynamic_pixel_fraction(seq: SceneSequence) -> float:

@@ -23,7 +23,7 @@ from pointmatch.geometry import ConfidenceMap, Intrinsics, Pointmap
 from pointmatch.matching import DynamicMask, dynamic_mask
 from pointmatch.metrics import trajectory_metrics
 from pointmatch.pipelines import OraclePredictor, PairPrediction
-from pointmatch.scenes import SceneConfig, generate_scene
+from pointmatch.scenes import SceneConfig, generate_scene, world_points
 
 
 def small_scene(seed=0, frames=3, h=8, w=12, objects=1, cam="orbit", cam_mag=0.02):
@@ -44,7 +44,7 @@ def gt_variables(seq, problem):
     n = seq.frame_count
     rot = np.array([seq.poses[f].rotation.T for f in range(n)])
     tr = np.array([seq.poses[f].center for f in range(n)])
-    chi = seq.hit_world.copy()
+    chi = np.array([world_points(seq, f) for f in range(n)])
     chi[~seq.hit_valid] = 0.0
     return AlignmentVariables(rot, tr, np.zeros(len(problem.edges)), chi)
 

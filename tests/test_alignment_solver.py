@@ -65,6 +65,17 @@ def reference_energy(edges, intrinsics, v, opts):
     return total
 
 
+def segment_pixels(rows, s):
+    """Segment s's rows' pixels in the frames' stacked maps, frame * pixels
+    + pixel, read off its mask."""
+    return rows.frame[s] * rows.mask[s].size + np.flatnonzero(rows.mask[s])
+
+
+def table_pixels(rows):
+    """Every row's pixel in the frames' stacked maps, in table order."""
+    return np.concatenate([segment_pixels(rows, s) for s in range(len(rows.mask))])
+
+
 def handmade(use_dynamic_mask=True):
     """A problem of four 4x5 frames, its edges and variables; each edge with
     a valid pixel has a mask under use_dynamic_mask, and the draws are the
@@ -146,7 +157,7 @@ def test_handmade_problem_covers_the_corner_cases():
     assert not edges[3].pred.x_ii.valid.any()
     # pixel (0, 0) of frame 2 (index frame * pixels + pixel) is in no row
     pres = _prepare(problem, AlignmentOptions(lambda_2d=0.5))
-    assert all(2 * (4 * 5) + 0 not in np.concatenate(rows.pix) for rows in pres)
+    assert all(2 * (4 * 5) + 0 not in table_pixels(rows) for rows in pres)
 
 
 def test_a_matched_pixel_without_a_3d_row_gets_no_2d_row():
@@ -162,9 +173,9 @@ def test_a_matched_pixel_without_a_3d_row_gets_no_2d_row():
     opts = AlignmentOptions(lambda_2d=0.5)
     rows3, rows2 = _prepare(problem, opts)
     seg = int(np.flatnonzero(rows2.edge == 0)[0])
-    pulled = rows2.pix[seg] - 1 * 20  # frame 1's pixels
+    pulled = segment_pixels(rows2, seg) - 1 * 20  # frame 1's pixels
     np.testing.assert_array_equal(pulled, np.flatnonzero(x_ji))
-    assert all(1 * 20 + 0 not in np.concatenate(rows.pix) for rows in (rows3, rows2))
+    assert all(1 * 20 + 0 not in table_pixels(rows) for rows in (rows3, rows2))
     system = _normal_system(problem, (rows3, rows2), v, opts)
     assert np.all(np.isfinite(system.k_chi))
     result = global_align(problem, dataclasses.replace(opts, max_iters=8))
@@ -172,10 +183,45 @@ def test_a_matched_pixel_without_a_3d_row_gets_no_2d_row():
     assert np.all(np.isfinite(result.variables.pointmaps))
 
 
-def test_row_pixel_indices_are_int32_within_their_range():
+def test_a_frame_without_rows_keeps_its_initial_map():
+    # pair (1, 2) of a 3-frame scene has no valid x_ji or matched pixel, so
+    # no row pulls frame 2: its pixels get inert unit chi blocks and the
+    # solve leaves its map where the initialization put it
+    seq = generate_scene(SceneConfig(seed=0, frame_count=3, height=8, width=10, track_count=0))
+    edges, ego = pair_graph_edges(seq, OraclePredictor(seq, sigma_point=0.01, sigma_scale=0.05),
+                                  stride=5, use_dynamic_mask=False)
+    assert [(e.i, e.j) for e in edges] == [(0, 1), (1, 2)]
+    none = Pointmap(np.zeros((8, 10, 3)), np.zeros((8, 10), bool))
+    p = edges[1].pred
+    edges[1].pred = PairPrediction(p.frames, p.x_ii, none, none, p.conf_ii, p.conf_ji)
+    problem = AlignmentProblem([0, 1, 2], list(seq.intrinsics), edges, ego)
+    assert all(2 not in rows.frame for rows in problem.rows)
+    start = alignment._init_pairwise(problem)
+    result = global_align(problem, AlignmentOptions(max_iters=8))
+    trace = np.array(result.energy_trace)
+    assert result.iterations >= 1 and np.all(np.isfinite(trace)) and np.all(np.diff(trace) <= 0)
+    np.testing.assert_array_equal(result.variables.pointmaps[2], start.pointmaps[2])
+
+
+def test_segment_pixels_are_a_bool_mask_of_the_frame_grid():
+    # a segment holds its pixels as one byte per pixel of its frame's grid,
+    # one row per True pixel, and the chunks read them back in table order
+    problem, _, _ = noisy_scene_problem()
+    for rows in problem.rows:
+        assert len(rows.mask) == len(rows.frame) > 0
+        for s, mask in enumerate(rows.mask):
+            assert mask.dtype == bool and mask.shape == (8, 10)
+            assert mask.sum() == rows.start[s + 1] - rows.start[s] == len(rows.data[s])
+        end = rows.start[-1]
+        pix, _, _ = alignment._chunk(rows, 0, end, range(len(rows.mask)))
+        np.testing.assert_array_equal(pix, table_pixels(rows))
+        assert pix.dtype == np.intp
+
+
+def test_row_pixels_are_frame_masks_and_their_index_range_is_checked():
     problem, _, _ = handmade()
     pres = _prepare(problem, AlignmentOptions())
-    assert all(pix.dtype == np.int32 for rows in pres for pix in rows.pix)
+    assert all(m.dtype == bool and m.shape == (4, 5) for rows in pres for m in rows.mask)
 
     # the range check reads only the frame count and the ego maps' shape,
     # and it comes before any edge is read
@@ -205,7 +251,7 @@ def test_streamed_and_listed_edges_build_one_problem():
         return a.itemsize if a.strides == (0,) else a.nbytes
 
     def table(rows):
-        return sum(held(a) for col in (rows.pix, rows.data, rows.w or []) for a in col)
+        return sum(held(a) for col in (rows.mask, rows.data, rows.w or []) for a in col)
 
     for use_dynamic_mask in (True, False):
         edges, ego = pair_graph_edges(seq, oracle(), stride=2, use_dynamic_mask=use_dynamic_mask)
@@ -220,7 +266,7 @@ def test_streamed_and_listed_edges_build_one_problem():
 
         assert streamed.edges == listed.edges
         for a, b in zip(streamed.rows, listed.rows):
-            # each segment's pix, data and w (the 2D table has no w)
+            # each segment's mask, data and w (the 2D table has no w)
             assert all(raw(x or []) == raw(y or []) for x, y in zip(a[:3], b[:3]))
             assert raw(a[3:]) == raw(b[3:])  # start, frame, pose, edge, cols
         opts = AlignmentOptions(max_iters=5)
@@ -261,23 +307,24 @@ def test_masked_rows_are_selected_without_a_copy():
     unmasked = build_pair_graph(seq, predictor, stride=2, use_dynamic_mask=False)
     assert _prepare(problem, AlignmentOptions(lambda_2d=0.5)) is problem.rows
     (rows3, rows2), (all3, all2) = problem.rows, unmasked.rows
-    for a, b in zip(rows3[:3], all3[:3]):  # each segment's pix, data and w
+    for a, b in zip(rows3[:3], all3[:3]):  # each segment's mask, data and w
         assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
     for a, b in zip(rows3[3:], all3[3:]):  # start, frame, pose, edge, cols
         np.testing.assert_array_equal(a, b)
 
-    pixels = seq.resolution[0] * seq.resolution[1]
     static = []  # per unmasked 2D segment: its rows outside its edge's mask
     for s, e in enumerate(all2.edge):
         pred = predictor.predict(*problem.edges[e])
         mask = dynamic_mask(pred.x_ji_matched, pred.x_ji).mask
-        static.append(~mask.ravel()[all2.pix[s] - all2.frame[s] * pixels])
+        static.append(~mask[all2.mask[s]])
     assert sum(k.all() for k in static) < len(static) and any(k.any() for k in static)
     kept = [s for s, k in enumerate(static) if k.any()]
     for col in ("frame", "pose", "edge", "cols"):
         np.testing.assert_array_equal(getattr(rows2, col), getattr(all2, col)[kept])
+    all_pix = [segment_pixels(all2, s) for s in range(len(all2.mask))]
     want = [np.concatenate([col[s][k] for s, k in enumerate(static) if k.any()])
-            for col in (all2.pix, all2.data)]
+            for col in (all_pix, all2.data)]
+    np.testing.assert_array_equal(table_pixels(rows2), want[0])
     assert rows2.start[-1] == len(want[0])
     for lo in range(0, rows2.start[-1], 37):  # cuts across segments
         hi = min(lo + 37, rows2.start[-1])

@@ -157,6 +157,18 @@ def test_umeyama_rejects_non_finite_clouds():
                 umeyama(a, b)
 
 
+def test_umeyama_fits_an_overflowing_spread_without_a_warning():
+    # the destination's squared spread overflows to inf; the covariance does
+    # not, so the fit stands, scale 1e200 and the identity rotation
+    a = np.random.default_rng(0).normal(size=(10, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s, r, t = umeyama(a, a * 1e200)
+    assert abs(s / 1e200 - 1.0) <= 1e-12
+    npt.assert_allclose(r, np.eye(3), atol=1e-12)
+    assert np.abs(t).max() <= 1e-12 * 1e200
+
+
 def _pose_from(r, t):
     return Pose(r, t)
 

@@ -30,6 +30,7 @@ from pointmatch.scenes import (
     gt_pointmap_matching,
     gt_rigid_pointmap,
     raycast_pixels,
+    world_points,
 )
 
 CFG = SceneConfig(seed=7, frame_count=4, height=16, width=20, object_count=2,
@@ -40,6 +41,11 @@ CFG = SceneConfig(seed=7, frame_count=4, height=16, width=20, object_count=2,
 @pytest.fixture(scope="module")
 def seq():
     return generate_scene(CFG)
+
+
+def all_world_points(s):
+    """Every frame's world hit points, (T, H, W, 3)."""
+    return np.array([world_points(s, t) for t in range(s.frame_count)])
 
 
 def test_deterministic_regeneration(seq):
@@ -66,13 +72,59 @@ def test_depth_is_camera_z(seq):
     for t in range(seq.frame_count):
         pm = unproject(seq.depths[t], seq.intrinsics[t])
         world = invert_pose(seq.poses[t]).apply(pm.points)
-        npt.assert_allclose(world[pm.valid], seq.hit_world[t][pm.valid], atol=1e-9)
+        npt.assert_allclose(world[pm.valid], world_points(seq, t)[pm.valid], atol=1e-9)
+
+
+@pytest.mark.parametrize("cfg", [
+    CFG,
+    SceneConfig(seed=1, frame_count=3, height=12, width=9, object_count=4, camera_path="linear",
+                track_count=0),
+    SceneConfig(seed=5, frame_count=5, height=7, width=16, object_count=0,
+                camera_path="random-smooth", track_count=3),
+], ids=["orbit", "linear", "random-smooth"])
+def test_world_points_are_depth_along_each_pixel_ray(cfg):
+    # bit for bit the camera center plus depth times the pixel's world ray,
+    # which is how the raycast places each hit, and 0 off the surface
+    s = generate_scene(cfg)
+    h, w = s.resolution
+    ys, xs = np.mgrid[0:h, 0:w]
+    for t, (k, pose) in enumerate(zip(s.intrinsics, s.poses)):
+        d_cam = np.stack([(xs - k.cx) / k.fx, (ys - k.cy) / k.fy, np.ones((h, w))], axis=-1)
+        dirs = (d_cam.reshape(-1, 3) @ pose.rotation).reshape(h, w, 3)
+        hit, depth = s.hit_valid[t], s.depths[t].depth
+        want = np.where(hit[..., None], pose.center + depth[..., None] * dirs, 0.0)
+        npt.assert_array_equal(world_points(s, t), want)
+    with pytest.raises(ValueError, match="out of range"):
+        world_points(s, s.frame_count)
+
+
+def test_scene_holds_no_per_pixel_world_points():
+    # a 48x64x12 scene keeps depth, ids and validity per pixel, and no
+    # (frames, H, W, 3) array: world points are computed per frame when read
+    s = generate_scene(SceneConfig(seed=0, frame_count=12, height=48, width=64, track_count=8))
+
+    def arrays(x, seen):
+        if id(x) in seen:
+            return
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            yield x
+        elif isinstance(x, (list, tuple)):
+            for y in x:
+                yield from arrays(y, seen)
+        elif hasattr(x, "__dict__"):
+            for y in vars(x).values():
+                yield from arrays(y, seen)
+
+    shapes = [a.shape for a in arrays(s, set())]
+    assert (12, 48, 64) in shapes  # the walk reaches the per-pixel caches
+    assert all(len(shape) < 4 for shape in shapes), shapes
 
 
 def test_height_field_points_on_surface(seq):
     t = 0
     bg = seq.hit_id[t] == -1
-    pts = seq.hit_world[t][bg]
+    pts = world_points(seq, t)[bg]
     npt.assert_allclose(pts[:, 2], seq.background.height(pts[:, :2]), atol=1e-10)
 
 
@@ -84,7 +136,7 @@ def test_sphere_points_on_surface(seq):
             if not sel.any():
                 continue
             c = obj.center + obj.offset_at(t)
-            r = np.linalg.norm(seq.hit_world[t][sel] - c, axis=1)
+            r = np.linalg.norm(world_points(seq, t)[sel] - c, axis=1)
             npt.assert_allclose(r, obj.size[0], atol=1e-9)
 
 
@@ -319,7 +371,8 @@ def test_early_stopped_bisection_matches_80_steps(path, objects, seed, h, w):
     ys, xs = np.mgrid[0:h, 0:w].reshape(2, -1)
     d_cam = np.stack([(xs - k.cx) / k.fx, (ys - k.cy) / k.fy, np.ones(h * w)], axis=1)
     for pose in s.poses:
-        dirs = np.concatenate([d_cam @ pose.rotation, s.hit_world.reshape(-1, 3) - pose.center])
+        toward_hits = all_world_points(s).reshape(-1, 3) - pose.center
+        dirs = np.concatenate([d_cam @ pose.rotation, toward_hits])
         origins = np.broadcast_to(pose.center, dirs.shape)
         got, ok = s.background.intersect(origins[:1], dirs, [len(dirs)])
         want, ok_ref = _bisect_80(s.background, origins, dirs)
@@ -346,7 +399,7 @@ def _nudged_to_threshold(seq, frame, max_ulps=4):
     """Points along the frame's own pixel rays whose threshold dist - tol lies
     within max_ulps ulps of the surface each ray hits: (2 max_ulps + 1, N, 3)."""
     o = seq.poses[frame].center
-    delta = seq.hit_world[frame][seq.hit_valid[frame]] - o
+    delta = world_points(seq, frame)[seq.hit_valid[frame]] - o
     dist = np.linalg.norm(delta, axis=-1)
     target = dist + _OCCLUSION_TOL
     down, up = [target], [target]
@@ -373,7 +426,7 @@ def test_early_visibility_matches_full_refinement(path, objects, seed, h, w):
         vel = _velocities(s, s.hit_id[j])
         for i in range(s.frame_count):
             # frame j's hit points, moved with their objects to frame i's time
-            world = s.hit_world[j] + float(i - j) * vel
+            world = world_points(s, j) + float(i - j) * vel
             npt.assert_array_equal(_visible_from(s, [(i, world)])[0], _visible_full(s, i, world))
         near = _nudged_to_threshold(s, j)
         npt.assert_array_equal(_visible_from(s, [(j, near)])[0], _visible_full(s, j, near))
@@ -390,7 +443,7 @@ def _pixel_and_visibility_rays(s, frame):
     h, w = s.resolution
     ys, xs = np.mgrid[0:h, 0:w].reshape(2, -1)
     d_cam = np.stack([(xs - k.cx) / k.fx, (ys - k.cy) / k.fy, np.ones(h * w)], axis=1)
-    delta = s.hit_world[s.hit_valid] - pose.center
+    delta = all_world_points(s)[s.hit_valid] - pose.center
     dist = np.linalg.norm(delta, axis=1)
     pixel = d_cam @ pose.rotation, s.depths[1 - frame].depth.ravel()
     visibility = delta / dist[:, None], dist - _OCCLUSION_TOL
@@ -498,7 +551,7 @@ def test_batched_scene_raycast_matches_per_frame(path, objects, seed, h, w, fram
             world = (origins + tpar[:, None] * dirs).reshape(h, w, 3)
             npt.assert_array_equal(s.depths[t].depth, np.where(hit, tpar.reshape(h, w), 0.0))
             npt.assert_array_equal(s.depths[t].valid, hit)
-            npt.assert_array_equal(s.hit_world[t], np.where(hit[..., None], world, 0.0))
+            npt.assert_array_equal(world_points(s, t), np.where(hit[..., None], world, 0.0))
             npt.assert_array_equal(s.hit_id[t], sid.reshape(h, w))
             npt.assert_array_equal(s.hit_valid[t], hit)
 
