@@ -23,27 +23,28 @@ delta = 1e-6 (`_HUBER_DELTA`); it is not an option.
 The solver is Levenberg-Marquardt on the IRLS-weighted residuals (Triggs et
 al., "Bundle Adjustment - A Modern Synthesis", 2000). The residuals live in
 two tables, one row per (edge, term, pixel), grouped by the frame whose map a
-row pulls. AlignmentProblem builds them as it reads each edge, whose maps it
-then drops, so a problem holds its rows and ego maps but no prediction. A 3D
-row holds its point; its confidence is held once for a segment whose
-confidence is uniform, as every CLI predictor's is. A segment's pixels are
-one bool mask over its frame's grid, one byte a pixel, which each chunk
-turns into the row indices it reads. An edge's masked pixels
-get no 2D row, so a solve reads every row of both tables. Every pass over the
-rows takes a fixed number of numpy calls per chunk of `_CHUNK_ROWS` rows,
-whatever the number of edges, and the system pass one matrix product more per
-2D segment. Each pixel's global point couples only to its own residuals, so
-once per iteration its 3x3 block is eliminated, undamped, by a Schur
-complement, one frame at a time in the pass that builds the system. That pass
-writes every Jacobian out in closed form over whole columns of rows: a 3D
-segment's camera terms come from its moments, a 2D segment's camera block is
-one product of its Jacobian rows, each coupling is scattered by its nonzeros,
-and each chi block is inverted by its adjugate; no per-row matrix product or
-LAPACK inverse is taken. The damping acts on the reduced system over poses and
-scales alone, so every try reuses that elimination. Rotations step as R <-
-exp([dw]x) R (Sola et al., arXiv 1812.01537). A step is kept only if the
-energy drops, so the energy trace is monotone. Frame 0's pose and the
-first edge's scale are pinned (gauge freedom).
+row pulls. AlignmentProblem builds them as it reads each edge, a pair
+prediction and its mask, whose maps it then drops, so a problem holds its rows
+and ego maps, one per frame, but no prediction. A 3D row holds its point; its
+confidence is held once for a segment whose confidence is uniform, as every
+CLI predictor's is. A segment's pixels are one bool mask over its frame's
+grid, one byte a pixel, which each chunk turns into the row indices it reads.
+An edge's masked pixels get no 2D row, so a solve reads every row of both
+tables. Every pass over the rows takes a fixed number of numpy calls per chunk
+of `_CHUNK_ROWS` rows, whatever the number of edges, and the system pass one
+matrix product more per 2D segment. Each pixel's global point couples only to
+its own residuals, so once per iteration its 3x3 block is eliminated,
+undamped, by a Schur complement, one frame at a time in the pass that builds
+the system. That pass writes every Jacobian out in closed form over whole
+columns of rows: a 3D segment's camera terms come from its moments, a 2D
+segment's camera block is one product of its Jacobian rows, each coupling is
+scattered by its nonzeros, and each chi block is inverted by its adjugate; no
+per-row matrix product or LAPACK inverse is taken. The damping acts on the
+reduced system over poses and scales alone, so every try reuses that
+elimination. Rotations step as R <- exp([dw]x) R (Sola et al., arXiv
+1812.01537). A step is kept only if the energy drops, so the energy trace is
+monotone. Frame 0's pose and the first edge's scale are pinned (gauge
+freedom).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ import numpy as np
 
 from .errors import DivergenceError, EmptyDomainError, check_finite
 from .geometry import EPS_Z, Intrinsics, Pointmap, Pose, project_points
-from .matching import DynamicMask, dynamic_mask
+from .matching import dynamic_mask
 from .metrics import umeyama
 from .pipelines import PairPrediction, Predictor
 
@@ -91,41 +92,32 @@ def rodrigues(w: np.ndarray) -> np.ndarray:
     return np.eye(3) + a * k + b * (k @ k)
 
 
-@dataclass
-class AlignmentEdge:
-    i: int
-    j: int
-    pred: PairPrediction
-    mask: DynamicMask | None
-
-
 # a built problem's edge: its frames, its maps having become rows
 EdgeIds = namedtuple("EdgeIds", "i j")
 
 
 class AlignmentProblem:
-    """Frames 0..n-1 with intrinsics and ego maps, and the residual rows of
-    edges, each pair (i, j)'s prediction and dynamic mask (None for no
-    mask). An edge becomes its rows as it arrives and is dropped, so a
-    generator of edges has one edge's maps alive at a time. Kept: `edges`,
-    each edge's (i, j); `rows`, the 3D and 2D tables (see _Rows), the 2D rows
-    every static candidate outside its edge's mask. Raises ValueError on zero
-    frames, more frames x pixels than an int32 row index reaches (before any
-    edge is read), inputs that do not match, or a disconnected graph."""
+    """Frames 0..n-1, one per ego map, with their intrinsics, and the
+    residual rows of edges. An edge is a pair (pred, mask): the prediction
+    of its frames (i, j) = pred.frames, and the (H, W) bool grid of the
+    pixels that get no 2D row (None for no mask). An edge becomes its rows as
+    it arrives and is dropped, so a generator of edges has one edge's maps
+    alive at a time. Kept: `edges`, each edge's (i, j); `rows`, the 3D and 2D
+    tables (see _Rows), the 2D rows every static candidate outside its edge's
+    mask. Raises ValueError on zero frames, inputs that do not match, or a
+    disconnected graph."""
 
-    def __init__(self, frames: list[int], intrinsics: list[Intrinsics],
-                 edges: Iterable[AlignmentEdge], ego_maps: list[Pointmap]):
-        n = len(frames)
-        if n == 0 or list(frames) != list(range(n)):
-            raise ValueError("frames must be 0, 1, ..., n - 1 for some n >= 1")
-        if len(intrinsics) != n or len(ego_maps) != n:
-            raise ValueError("per-frame lists must match the frame count")
+    def __init__(self, intrinsics: list[Intrinsics], ego_maps: list[Pointmap],
+                 edges: Iterable[tuple[PairPrediction, np.ndarray | None]]):
+        n = len(ego_maps)
+        if n == 0:
+            raise ValueError("a problem needs n >= 1 frames, one per ego map")
+        if len(intrinsics) != n:
+            raise ValueError("intrinsics must match the frame count")
         res = {m.valid.shape for m in ego_maps}
         if len(res) > 1:
             raise ValueError("ego maps must share one resolution")
-        if n * np.prod(ego_maps[0].valid.shape) > np.iinfo(np.int32).max:
-            raise ValueError("frames x pixels exceeds the int32 range of a row's pixel index")
-        self.frames, self.intrinsics, self.ego_maps = list(frames), list(intrinsics), list(ego_maps)
+        self.intrinsics, self.ego_maps = list(intrinsics), list(ego_maps)
         self.edges, segs3, segs2 = [], [], []
         for seg_ii, seg_ji, seg2 in map(self._segments, edges):  # map drops each edge
             segs3 += seg_ii, seg_ji
@@ -134,29 +126,28 @@ class AlignmentProblem:
             raise ValueError("pair graph is disconnected")
         self.rows = _table(segs3, n), _table(segs2, n)
 
-    def _segments(self, e: AlignmentEdge) -> list:
-        """Checked edge e's x_ii, x_ji and 2D segments; notes its (i, j)."""
-        n, res, p = len(self.frames), self.ego_maps[0].valid.shape, e.pred
-        if not (0 <= e.i < n and 0 <= e.j < n and e.i != e.j):
-            raise ValueError("edge endpoints out of range")
-        if tuple(p.frames) != (e.i, e.j):
-            raise ValueError(f"edge ({e.i}, {e.j}) holds pair {p.frames}'s prediction")
+    def _segments(self, edge: tuple[PairPrediction, np.ndarray | None]) -> list:
+        """Checked edge's x_ii, x_ji and 2D segments; notes its (i, j)."""
+        p, dyn = edge
+        (i, j), n, res = p.frames, len(self.ego_maps), self.ego_maps[0].valid.shape
+        if not (0 <= i < n and 0 <= j < n and i != j):
+            raise ValueError(f"edge {p.frames} must join two distinct frames of 0..{n - 1}")
         x_ii, x_ji, m, conf_ii, conf_ji = p.x_ii, p.x_ji, p.x_ji_matched, p.conf_ii, p.conf_ji
-        dyn = np.zeros(res, bool) if e.mask is None else e.mask.mask
+        dyn = np.zeros(res, bool) if dyn is None else dyn
         if {g.shape for g in (x_ii.valid, x_ji.valid, m.valid, conf_ii.raw, conf_ji.raw,
                               dyn)} != {res}:
             raise ValueError("an edge's maps must share the ego maps' resolution")
         ei = len(self.edges)
-        self.edges.append(EdgeIds(e.i, e.j))
+        self.edges.append(EdgeIds(i, j))
 
         def segment(f, sel, data, w=None):  # rows at the pixels sel of frame f
-            return (f, e.i, ei), sel.copy(), data, w  # a grid of its own, not a head's
+            return (f, i, ei), sel.copy(), data, w  # a grid of its own, not a head's
 
         # 2D rows only where x_ji gives a 3D row too: chi blocks invert undamped
         sel = m.valid & x_ji.valid & (m.points[..., 2] > EPS_Z) & ~dyn
         segs = [segment(f, pm.valid, pm.points[pm.valid], _weights(conf.values[pm.valid]))
-                for f, pm, conf in ((e.i, x_ii, conf_ii), (e.j, x_ji, conf_ji))]
-        return segs + [segment(e.j, sel, project_points(m.points[sel], self.intrinsics[e.i])[0])]
+                for f, pm, conf in ((i, x_ii, conf_ii), (j, x_ji, conf_ji))]
+        return segs + [segment(j, sel, project_points(m.points[sel], self.intrinsics[i])[0])]
 
     def _connected(self) -> bool:
         seen, todo = {0}, [0]
@@ -165,7 +156,7 @@ class AlignmentProblem:
             new = {e.j if e.i == f else e.i for e in self.edges if f in e} - seen
             seen |= new
             todo += new
-        return len(seen) == len(self.frames)
+        return len(seen) == len(self.ego_maps)
 
 
 def build_pair_graph(seq, predictor: Predictor, stride: int = 5,
@@ -174,9 +165,9 @@ def build_pair_graph(seq, predictor: Predictor, stride: int = 5,
 
     A stride at or beyond the sequence length degrades to adjacent-only.
     Each edge is the pair prediction (view1 = earlier frame) and, with
-    use_dynamic_mask, the dynamic mask thresholded from its matched-vs-rigid
-    residuals, whose pixels get no 2D row; pairs with no co-visible pixels,
-    and every pair without use_dynamic_mask, get no mask. The edges are
+    use_dynamic_mask, the grid of the dynamic mask thresholded from its
+    matched-vs-rigid residuals, whose pixels get no 2D row; pairs with no
+    co-visible pixels, and every pair without use_dynamic_mask, get no mask. The edges are
     rendered one at a time, as the problem turns each into its residual rows,
     and then dropped.
     """
@@ -194,17 +185,15 @@ def build_pair_graph(seq, predictor: Predictor, stride: int = 5,
         mask = None
         if use_dynamic_mask:
             try:
-                mask = dynamic_mask(pred.x_ji_matched, pred.x_ji)
+                mask = dynamic_mask(pred.x_ji_matched, pred.x_ji).mask
             except EmptyDomainError:
                 pass
-        return AlignmentEdge(i=i, j=j, pred=pred, mask=mask)
+        return pred, mask
 
     return AlignmentProblem(
-        frames=list(range(length)),
-        intrinsics=list(seq.intrinsics),
-        edges=(edge(i, j) for i in range(length)
-               for j in range(i + 1, min(i + max_gap, length - 1) + 1)),
-        ego_maps=[predictor.predict(f, f).x_ii for f in range(length)],
+        list(seq.intrinsics), [predictor.predict(f, f).x_ii for f in range(length)],
+        (edge(i, j) for i in range(length)
+         for j in range(i + 1, min(i + max_gap, length - 1) + 1)),
     )
 
 
@@ -307,7 +296,7 @@ def _prepare(problem: AlignmentProblem, opts: AlignmentOptions) -> tuple[_Rows, 
     """The rows opts solve over: every 3D row, and every 2D row unless
     lambda_2d is 0; the tables are the problem's own, not copies."""
     if opts.lambda_2d == 0:
-        return problem.rows[0], _table([], len(problem.frames))
+        return problem.rows[0], _table([], len(problem.ego_maps))
     return problem.rows
 
 
@@ -587,7 +576,7 @@ def alignment_energy(problem: AlignmentProblem, v: AlignmentVariables,
                      options: AlignmentOptions | None = None) -> float:
     """Total energy of a variable assignment (no gradients). Raises
     ValueError unless v has the problem's shapes and finite values."""
-    n, (h, w) = len(problem.frames), problem.ego_maps[0].resolution
+    n, (h, w) = len(problem.ego_maps), problem.ego_maps[0].resolution
     for name, shape in (("rotations", (n, 3, 3)), ("translations", (n, 3)),
                         ("log_scales", (len(problem.edges),)), ("pointmaps", (n, h, w, 3))):
         a = np.asarray(getattr(v, name), dtype=np.float64)
@@ -607,7 +596,7 @@ def _init_pairwise(problem: AlignmentProblem) -> AlignmentVariables:
     frame 0 accumulates poses and per-frame scales, then edge scales and
     global maps are seeded consistently.
     """
-    n = len(problem.frames)
+    n = len(problem.ego_maps)
     v = AlignmentVariables(np.tile(np.eye(3), (n, 1, 1)), np.zeros((n, 3)),
                            np.zeros(len(problem.edges)),
                            np.array([m.points for m in problem.ego_maps], dtype=np.float64))

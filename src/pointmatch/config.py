@@ -14,34 +14,35 @@ from pathlib import Path
 
 from .alignment import AlignmentOptions
 from .errors import check_finite
+from .pipelines import DEFAULT_OVERLAP, DEFAULT_WINDOW
 from .scenes import SceneConfig
 
 
 @dataclass
 class RunConfig:
-    # scene generation
-    seed: int = 0
-    frame_count: int = 6
-    height: int = 24
-    width: int = 32
-    object_count: int = 2
-    motion_magnitude: float = 0.05
-    camera_path: str = "orbit"
-    camera_magnitude: float = 0.02
-    track_count: int = 16
+    # scene generation; each default is its owner's
+    seed: int = SceneConfig.seed
+    frame_count: int = SceneConfig.frame_count
+    height: int = SceneConfig.height
+    width: int = SceneConfig.width
+    object_count: int = SceneConfig.object_count
+    motion_magnitude: float = SceneConfig.motion_magnitude
+    camera_path: str = SceneConfig.camera_path
+    camera_magnitude: float = SceneConfig.camera_magnitude
+    track_count: int = SceneConfig.track_count
     # predictor corruption: per-point sigma (depth-proportional) and
     # per-pair log-scale sigma
     noise: float = 0.0
     jitter: float = 0.0
     # sliding-window inference
-    window: int = 12
-    overlap: int = 4
+    window: int = DEFAULT_WINDOW
+    overlap: int = DEFAULT_OVERLAP
     # global alignment
     stride: int = 5
-    lambda_2d: float = 0.01
+    lambda_2d: float = AlignmentOptions.lambda_2d
     use_dynamic_mask: bool = True
-    max_iters: int = 200
-    tol: float = 1e-6
+    max_iters: int = AlignmentOptions.max_iters
+    tol: float = AlignmentOptions.tol
 
     def __post_init__(self):
         check_finite(noise=self.noise, jitter=self.jitter)

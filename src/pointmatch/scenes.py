@@ -412,10 +412,10 @@ class SceneSequence:
     objects: list[SceneObject]
     background: HeightField
     tracks: TrackSet = field(default=None)  # type: ignore[assignment]
-    # raycast caches: surface ids (-1 bg, k>=0 object, miss invalid); a
-    # frame's world hit points are world_points, from its depth and pose
+    # raycast cache: surface ids (-1 bg, k>=0 object, -2 miss, which is
+    # invalid in depths); a frame's world hit points are world_points, from
+    # its depth and pose
     hit_id: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    hit_valid: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
 
     @property
     def frame_count(self) -> int:
@@ -670,7 +670,6 @@ def assemble_scene(
     intrinsics = [k] * config.frame_count
 
     hit_id = np.full((config.frame_count, h, w), -2, dtype=np.int32)
-    hit_valid = np.zeros((config.frame_count, h, w), dtype=bool)
     depths = []
     # one backdrop bisection for every frame's rays; objects hit per frame
     all_dirs = np.concatenate([_frame_rays(k, pose, h, w) for pose in poses])
@@ -684,7 +683,6 @@ def assemble_scene(
         hit = hit.reshape(h, w)
         depths.append(DepthMap(np.where(hit, tpar.reshape(h, w), 0.0), hit))
         hit_id[t] = sid.reshape(h, w)
-        hit_valid[t] = hit
 
     # the trailing False serves the backdrop and misses, whose ids clamp to -1
     dynamic = np.array([o.dynamic for o in objects] + [False])
@@ -697,11 +695,10 @@ def assemble_scene(
         objects=objects,
         background=background,
         hit_id=hit_id,
-        hit_valid=hit_valid,
     )
 
-    q = min(config.track_count, int(hit_valid[0].sum()))
-    flat = np.flatnonzero(hit_valid[0].ravel())
+    q = min(config.track_count, int(depths[0].valid.sum()))
+    flat = np.flatnonzero(depths[0].valid.ravel())
     chosen = rng.choice(flat, size=q, replace=False)
     qy, qx = np.unravel_index(np.sort(chosen), (h, w))
     seq.tracks = build_tracks(seq, np.zeros(q, dtype=np.int64), np.stack([qx, qy], axis=1))
@@ -721,7 +718,7 @@ def world_points(seq: SceneSequence, j: int) -> np.ndarray:
     h, w = seq.resolution
     dirs = _frame_rays(seq.intrinsics[j], seq.poses[j], h, w).reshape(h, w, 3)
     world = seq.poses[j].center + seq.depths[j].depth[..., None] * dirs
-    return np.where(seq.hit_valid[j][..., None], world, 0.0)
+    return np.where(seq.depths[j].valid[..., None], world, 0.0)
 
 
 def build_tracks(seq: SceneSequence, query_frames: np.ndarray, query_pixels: np.ndarray) -> TrackSet:
@@ -737,7 +734,7 @@ def build_tracks(seq: SceneSequence, query_frames: np.ndarray, query_pixels: np.
         raise ValueError("queries must be (Q,) frames and (Q, 2) pixels")
     for f0, (x, y) in zip(qf.tolist(), qp.tolist()):
         check_frame(seq, f0)
-        if not seq.hit_valid[f0, y, x]:
+        if not seq.depths[f0].valid[y, x]:
             raise ValueError(f"query pixel ({x}, {y}) hits no surface at frame {f0}")
     qf = qf.astype(np.int64)
 
@@ -767,7 +764,7 @@ def gt_pointmap_matching(seq: SceneSequence, i: int, j: int) -> Pointmap:
     check_frame(seq, i)
     world = world_points(seq, j) + float(i - j) * _velocities(seq, seq.hit_id[j])
     [(cam, _, visible)] = _observe(seq, [(i, world)])
-    return Pointmap(cam, seq.hit_valid[j] & visible)
+    return Pointmap(cam, seq.depths[j].valid & visible)
 
 
 def gt_rigid_pointmap(seq: SceneSequence, i: int, j: int) -> Pointmap:
@@ -778,12 +775,13 @@ def gt_rigid_pointmap(seq: SceneSequence, i: int, j: int) -> Pointmap:
     gt_pointmap_matching by exactly the object displacement.
     """
     check_frame(seq, i)
-    return Pointmap(seq.poses[i].apply(world_points(seq, j)), seq.hit_valid[j])
+    return Pointmap(seq.poses[i].apply(world_points(seq, j)), seq.depths[j].valid)
 
 
 def dynamic_pixel_fraction(seq: SceneSequence) -> float:
     """Fraction of valid pixels on moving objects, over all frames."""
-    tot = int(seq.hit_valid.sum())
+    valid = seq.hit_id > -2
+    tot = int(valid.sum())
     if tot == 0:
         raise EmptyDomainError("scene has no valid pixels")
-    return float(seq.dynamic_labels[seq.hit_valid].sum()) / tot
+    return float(seq.dynamic_labels[valid].sum()) / tot

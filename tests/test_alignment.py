@@ -5,7 +5,6 @@ import pytest
 
 from pointmatch import alignment
 from pointmatch.alignment import (
-    AlignmentEdge,
     AlignmentOptions,
     AlignmentProblem,
     AlignmentVariables,
@@ -20,7 +19,7 @@ from pointmatch.alignment import (
 from pointmatch.config import RunConfig
 from pointmatch.errors import DivergenceError
 from pointmatch.geometry import ConfidenceMap, Intrinsics, Pointmap
-from pointmatch.matching import DynamicMask, dynamic_mask
+from pointmatch.matching import dynamic_mask
 from pointmatch.metrics import trajectory_metrics
 from pointmatch.pipelines import OraclePredictor, PairPrediction
 from pointmatch.scenes import SceneConfig, generate_scene, world_points
@@ -45,7 +44,7 @@ def gt_variables(seq, problem):
     rot = np.array([seq.poses[f].rotation.T for f in range(n)])
     tr = np.array([seq.poses[f].center for f in range(n)])
     chi = np.array([world_points(seq, f) for f in range(n)])
-    chi[~seq.hit_valid] = 0.0
+    chi[~np.array([d.valid for d in seq.depths])] = 0.0
     return AlignmentVariables(rot, tr, np.zeros(len(problem.edges)), chi)
 
 
@@ -112,22 +111,18 @@ def test_disconnected_graph_rejected():
     kept = [e for e in problem.edges if (e.i, e.j) not in ((1, 2), (0, 2), (1, 3))]
     oracle = OraclePredictor(seq)
     with pytest.raises(ValueError, match="disconnected"):
-        AlignmentProblem(
-            frames=problem.frames,
-            intrinsics=problem.intrinsics,
-            edges=[AlignmentEdge(e.i, e.j, oracle.predict(e.i, e.j), None) for e in kept],
-            ego_maps=problem.ego_maps,
-        )
+        AlignmentProblem(problem.intrinsics, problem.ego_maps,
+                         [(oracle.predict(*e), None) for e in kept])
 
 
 def test_problem_rejects_zero_frames():
     with pytest.raises(ValueError, match="n >= 1"):
-        AlignmentProblem([], [], [], [])
+        AlignmentProblem([], [], [])
 
 
-def _grid_problem(ego_shapes, edge_shape, frames=(0, 1), ij=(0, 1), **edge_shapes):
-    """A 2-frame problem; edge_shapes overrides one grid of the edge by field,
-    frames the problem's frame labels and ij the edge's (i, j)."""
+def _grid_problem(ego_shapes, edge_shape, pair=(0, 1), **edge_shapes):
+    """A 2-frame problem of one edge, the prediction of pair; edge_shapes
+    overrides one grid of the edge by field."""
 
     def pm(shape):
         return Pointmap(np.ones(shape + (3,)), np.ones(shape, dtype=bool))
@@ -137,21 +132,15 @@ def _grid_problem(ego_shapes, edge_shape, frames=(0, 1), ij=(0, 1), **edge_shape
 
     k = Intrinsics(fx=10.0, fy=10.0, cx=2.0, cy=1.5)
     pred = PairPrediction(
-        frames=(0, 1),
+        frames=pair,
         x_ii=pm(grid("x_ii")),
         x_ji=pm(grid("x_ji")),
         x_ji_matched=pm(grid("x_ji_matched")),
         conf_ii=ConfidenceMap.uniform(grid("conf_ii")),
         conf_ji=ConfidenceMap.uniform(grid("conf_ji")),
     )
-    shape = grid("mask")
-    mask = DynamicMask(np.zeros(shape, dtype=bool), 0.0, np.zeros(shape), np.ones(shape, bool))
-    return AlignmentProblem(
-        frames=list(frames),
-        intrinsics=[k, k],
-        edges=[AlignmentEdge(*ij, pred=pred, mask=mask)],
-        ego_maps=[pm(s) for s in ego_shapes],
-    )
+    return AlignmentProblem([k, k], [pm(s) for s in ego_shapes],
+                            [(pred, np.zeros(grid("mask"), dtype=bool))])
 
 
 @pytest.mark.parametrize(
@@ -164,11 +153,12 @@ def _grid_problem(ego_shapes, edge_shape, frames=(0, 1), ij=(0, 1), **edge_shape
         (((4, 5), (4, 5)), (4, 5), {"conf_ji": (4, 6)}, "resolution"),
         (((4, 5), (4, 5)), (4, 5), {"mask": (4, 4)}, "resolution"),
         (((4, 5), (4, 6)), (4, 5), {}, "resolution"),
-        (((4, 5), (4, 5)), (4, 5), {"ij": (1, 0)}, "prediction"),
-        (((4, 5), (4, 5)), (4, 5), {"frames": (5, 7)}, "frames"),
+        # an edge's frames are its prediction's, named by the message
+        (((4, 5), (4, 5)), (4, 5), {"pair": (0, 0)}, r"edge \(0, 0\) must join two distinct"),
+        (((4, 5), (4, 5)), (4, 5), {"pair": (0, 5)}, r"edge \(0, 5\) must join two distinct"),
     ],
     ids=["edge-3x5", "edge-4x4", "edge-4x6", "matched-3x5", "conf-4x6", "mask-4x4",
-         "ego-4x5-4x6", "edge-1-0-holds-0-1", "frames-5-7"],
+         "ego-4x5-4x6", "pair-0-0", "pair-0-5"],
 )
 def test_problem_rejects_mismatched_resolutions(ego_shapes, edge_shape, overrides, match):
     _grid_problem(((4, 5), (4, 5)), (4, 5))  # one resolution throughout is a problem
@@ -236,7 +226,7 @@ def test_energy_gradient_matches_finite_differences():
     v.pointmaps += 0.05 * rng.normal(size=v.pointmaps.shape)
 
     system = _normal_system(problem, pres, v, opts)
-    n = len(problem.frames)
+    n = len(problem.ego_maps)
     # the analytic gradient of each probed entry: rotation k of frame f at
     # 6f + k, its translation at 6f + 3 + k, edge e's log-scale at 6n + e
     analytic = {
@@ -389,14 +379,9 @@ def test_divergent_energy_raises():
         far = Pointmap(np.full((h, w, 3), x), np.ones((h, w), dtype=bool))
         pred = PairPrediction(frames=(0, 1), x_ii=far, x_ji=ones, x_ji_matched=ones,
                               conf_ii=conf, conf_ji=conf)
-        return AlignmentEdge(i=0, j=1, pred=pred, mask=None)
+        return pred, None
 
-    problem = AlignmentProblem(
-        frames=[0, 1],
-        intrinsics=[k, k],
-        edges=[edge(1e200), edge(-1e200)],
-        ego_maps=[ones, ones],
-    )
+    problem = AlignmentProblem([k, k], [ones, ones], [edge(1e200), edge(-1e200)])
     with pytest.raises(DivergenceError):
         global_align(problem)
 

@@ -7,7 +7,6 @@ of monotone, finite solves and of exact recovery on noiseless static scenes."""
 
 import dataclasses
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from hypothesis import strategies as st
 
 from pointmatch import alignment
 from pointmatch.alignment import (
-    AlignmentEdge,
     AlignmentOptions,
     AlignmentProblem,
     AlignmentVariables,
@@ -32,7 +30,7 @@ from pointmatch.alignment import (
 from pointmatch.config import RunConfig
 from pointmatch.geometry import EPS_Z, ConfidenceMap, Intrinsics, Pointmap, project_points
 from pointmatch.errors import EmptyDomainError
-from pointmatch.matching import DynamicMask, dynamic_mask
+from pointmatch.matching import dynamic_mask
 from pointmatch.metrics import trajectory_metrics
 from pointmatch.pipelines import OraclePredictor, PairPrediction
 from pointmatch.scenes import _CAMERA_PATHS, SceneConfig, generate_scene
@@ -45,21 +43,21 @@ def rho(r):
 
 
 def reference_energy(edges, intrinsics, v, opts):
-    """E3d + E2d of the alignment module docstring, one AlignmentEdge at a
-    time; an edge's mask, where it has one, takes its pixels out of E2d."""
+    """E3d + E2d of the alignment module docstring, one (pred, mask) edge at
+    a time; an edge's mask, where it has one, takes its pixels out of E2d."""
     total, scales = 0.0, np.exp(v.log_scales)
-    for ei, e in enumerate(edges):
-        r_i, t_i, p = v.rotations[e.i], v.translations[e.i], e.pred
-        k = intrinsics[e.i]
-        for f, pm, conf in ((e.i, p.x_ii, p.conf_ii), (e.j, p.x_ji, p.conf_ji)):
+    for ei, (p, mask) in enumerate(edges):
+        i, j = p.frames
+        r_i, t_i, k = v.rotations[i], v.translations[i], intrinsics[i]
+        for f, pm, conf in ((i, p.x_ii, p.conf_ii), (j, p.x_ji, p.conf_ji)):
             mapped = (scales[ei] * pm.points[pm.valid]) @ r_i.T + t_i
             total += float((conf.values[pm.valid] * rho(v.pointmaps[f][pm.valid] - mapped)).sum())
         m = p.x_ji_matched
         static = m.valid & p.x_ji.valid & (m.points[..., 2] > EPS_Z)
-        if e.mask is not None:
-            static &= ~e.mask.mask
+        if mask is not None:
+            static &= ~mask
         target = project_points(m.points[static], k)[0]
-        y = (v.pointmaps[e.j][static] - t_i) @ r_i  # R_i^T (chi_j - t_i), row form
+        y = (v.pointmaps[j][static] - t_i) @ r_i  # R_i^T (chi_j - t_i), row form
         front = y[:, 2] > EPS_Z
         total += opts.lambda_2d * float(rho(project_points(y[front], k)[0] - target[front]).sum())
     return total
@@ -96,12 +94,12 @@ def handmade(use_dynamic_mask=True):
     def edge(i, j, valid):
         conf = [ConfidenceMap(rng.normal(size=(h, w))) for _ in range(2)]
         pred = PairPrediction((i, j), pm(valid), pm(valid), pm(valid), *conf)
-        mask = DynamicMask(rng.random((h, w)) < 0.3, 0.1, np.zeros((h, w)), valid)
-        return AlignmentEdge(i, j, pred, mask if use_dynamic_mask and valid.any() else None)
+        mask = rng.random((h, w)) < 0.3
+        return pred, mask if use_dynamic_mask and valid.any() else None
 
     edges = [edge(0, 1, full), edge(1, 2, hole), edge(2, 3, hole), edge(0, 3, none)]
     ego = [pm(full), pm(full), pm(hole), pm(full)]
-    problem = AlignmentProblem([0, 1, 2, 3], [k] * 4, edges, ego)
+    problem = AlignmentProblem([k] * 4, ego, edges)
     v = AlignmentVariables(
         np.array([rodrigues(w) for w in 0.05 * rng.normal(size=(4, 3))]),
         0.05 * rng.normal(size=(4, 3)),
@@ -113,8 +111,8 @@ def handmade(use_dynamic_mask=True):
 
 
 def pair_graph_edges(seq, predictor, stride, use_dynamic_mask=True):
-    """The edges build_pair_graph renders, as a list of AlignmentEdges, and
-    the ego maps."""
+    """The edges build_pair_graph renders, as a list of (pred, mask) pairs,
+    and the ego maps."""
     n = seq.frame_count
     gap = 1 if stride >= n else stride + 1
     edges = []
@@ -123,10 +121,10 @@ def pair_graph_edges(seq, predictor, stride, use_dynamic_mask=True):
             pred, mask = predictor.predict(i, j), None
             if use_dynamic_mask:
                 try:
-                    mask = dynamic_mask(pred.x_ji_matched, pred.x_ji)
+                    mask = dynamic_mask(pred.x_ji_matched, pred.x_ji).mask
                 except EmptyDomainError:
                     pass
-            edges.append(AlignmentEdge(i, j, pred, mask))
+            edges.append((pred, mask))
     return edges, [predictor.predict(f, f).x_ii for f in range(n)]
 
 
@@ -147,14 +145,16 @@ def noisy_scene_problem(use_dynamic_mask=True):
 def test_handmade_problem_covers_the_corner_cases():
     problem, edges, v = handmade(use_dynamic_mask=False)
 
-    def depths(e):  # of the edge's 2D rows in its camera i
-        d = v.pointmaps[e.j][e.pred.x_ji_matched.valid] - v.translations[e.i]
-        return (d @ v.rotations[e.i])[:, 2]
+    def depths(edge):  # of the edge's 2D rows in its camera i
+        p, _ = edge
+        i, j = p.frames
+        d = v.pointmaps[j][p.x_ji_matched.valid] - v.translations[i]
+        return (d @ v.rotations[i])[:, 2]
 
     assert np.all(depths(edges[0]) > EPS_Z)
     assert depths(edges[1]).size and np.all(depths(edges[1]) <= EPS_Z)
     assert np.any(depths(edges[2]) <= EPS_Z) and np.any(depths(edges[2]) > EPS_Z)
-    assert not edges[3].pred.x_ii.valid.any()
+    assert not edges[3][0].x_ii.valid.any()
     # pixel (0, 0) of frame 2 (index frame * pixels + pixel) is in no row
     pres = _prepare(problem, AlignmentOptions(lambda_2d=0.5))
     assert all(2 * (4 * 5) + 0 not in table_pixels(rows) for rows in pres)
@@ -164,12 +164,12 @@ def test_a_matched_pixel_without_a_3d_row_gets_no_2d_row():
     problem, edges, v = handmade(use_dynamic_mask=False)
     # edge (0, 1)'s matched head stays valid where its x_ji is not; frame 1's
     # pixel (0, 0) lies in edge (1, 2)'s hole too, so no 3D row reaches it
-    e = edges[0]
-    x_ji = e.pred.x_ji.valid.copy()
+    pred, mask = edges[0]
+    x_ji = pred.x_ji.valid.copy()
     x_ji[0, 0] = x_ji[2, 3] = False
-    e.pred = dataclasses.replace(e.pred, x_ji=Pointmap(e.pred.x_ji.points, x_ji))
-    assert e.pred.x_ji_matched.valid.all()
-    problem = AlignmentProblem(problem.frames, problem.intrinsics, edges, problem.ego_maps)
+    edges[0] = dataclasses.replace(pred, x_ji=Pointmap(pred.x_ji.points, x_ji)), mask
+    assert pred.x_ji_matched.valid.all()
+    problem = AlignmentProblem(problem.intrinsics, problem.ego_maps, edges)
     opts = AlignmentOptions(lambda_2d=0.5)
     rows3, rows2 = _prepare(problem, opts)
     seg = int(np.flatnonzero(rows2.edge == 0)[0])
@@ -190,11 +190,11 @@ def test_a_frame_without_rows_keeps_its_initial_map():
     seq = generate_scene(SceneConfig(seed=0, frame_count=3, height=8, width=10, track_count=0))
     edges, ego = pair_graph_edges(seq, OraclePredictor(seq, sigma_point=0.01, sigma_scale=0.05),
                                   stride=5, use_dynamic_mask=False)
-    assert [(e.i, e.j) for e in edges] == [(0, 1), (1, 2)]
+    assert [p.frames for p, _ in edges] == [(0, 1), (1, 2)]
     none = Pointmap(np.zeros((8, 10, 3)), np.zeros((8, 10), bool))
-    p = edges[1].pred
-    edges[1].pred = PairPrediction(p.frames, p.x_ii, none, none, p.conf_ii, p.conf_ji)
-    problem = AlignmentProblem([0, 1, 2], list(seq.intrinsics), edges, ego)
+    p, mask = edges[1]
+    edges[1] = PairPrediction(p.frames, p.x_ii, none, none, p.conf_ii, p.conf_ji), mask
+    problem = AlignmentProblem(list(seq.intrinsics), ego, edges)
     assert all(2 not in rows.frame for rows in problem.rows)
     start = alignment._init_pairwise(problem)
     result = global_align(problem, AlignmentOptions(max_iters=8))
@@ -218,20 +218,10 @@ def test_segment_pixels_are_a_bool_mask_of_the_frame_grid():
         assert pix.dtype == np.intp
 
 
-def test_row_pixels_are_frame_masks_and_their_index_range_is_checked():
+def test_row_pixels_are_frame_masks():
     problem, _, _ = handmade()
     pres = _prepare(problem, AlignmentOptions())
     assert all(m.dtype == bool and m.shape == (4, 5) for rows in pres for m in rows.mask)
-
-    # the range check reads only the frame count and the ego maps' shape,
-    # and it comes before any edge is read
-    def unread():
-        pytest.fail("an edge was read before the range check")
-        yield
-
-    big = [SimpleNamespace(valid=np.broadcast_to(False, (1 << 15, 1 << 15)))] * 2
-    with pytest.raises(ValueError, match="int32"):
-        AlignmentProblem([0, 1], problem.intrinsics[:2], unread(), big)
 
 
 def test_streamed_and_listed_edges_build_one_problem():
@@ -255,7 +245,7 @@ def test_streamed_and_listed_edges_build_one_problem():
 
     for use_dynamic_mask in (True, False):
         edges, ego = pair_graph_edges(seq, oracle(), stride=2, use_dynamic_mask=use_dynamic_mask)
-        listed = AlignmentProblem(list(range(seq.frame_count)), list(seq.intrinsics), edges, ego)
+        listed = AlignmentProblem(list(seq.intrinsics), ego, edges)
         tracemalloc.start()  # after the listed build, so first-use costs stay out
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -280,16 +270,16 @@ def test_streamed_and_listed_edges_build_one_problem():
         # those arrays it retains only containers, far less than the edges'
         # heads
         heads = sum(m.points.nbytes + m.valid.nbytes
-                    for e in edges for m in (e.pred.x_ii, e.pred.x_ji, e.pred.x_ji_matched))
-        heads += sum(e.pred.conf_ii.raw.nbytes + e.pred.conf_ji.raw.nbytes for e in edges)
+                    for p, _ in edges for m in (p.x_ii, p.x_ji, p.x_ji_matched))
+        heads += sum(p.conf_ii.raw.nbytes + p.conf_ji.raw.nbytes for p, _ in edges)
         own = sum(map(table, streamed.rows))
         own += sum(m.points.nbytes + m.valid.nbytes for m in streamed.ego_maps)
         assert own <= retained < own + heads / 4, (own, retained, heads)
         # uniform confidence is held once a segment, so the 3D table (28
         # bytes a row) is smaller than the heads it came from (33 bytes a
         # pixel)
-        heads3 = sum(m.points.nbytes + m.valid.nbytes + c.raw.nbytes for e in edges
-                     for m, c in ((e.pred.x_ii, e.pred.conf_ii), (e.pred.x_ji, e.pred.conf_ji)))
+        heads3 = sum(m.points.nbytes + m.valid.nbytes + c.raw.nbytes for p, _ in edges
+                     for m, c in ((p.x_ii, p.conf_ii), (p.x_ji, p.conf_ji)))
         rows3 = streamed.rows[0]
         assert all(w.strides == (0,) for w in rows3.w)
         assert table(rows3) < heads3, (table(rows3), heads3)
@@ -340,7 +330,7 @@ def test_masked_rows_are_selected_without_a_copy():
 @pytest.mark.parametrize("make", [handmade, noisy_scene_problem], ids=["handmade", "scene"])
 def test_energy_matches_the_edge_by_edge_reference(make, use_dynamic_mask, lambda_2d):
     problem, edges, v = make(use_dynamic_mask)
-    assert any(e.mask is not None for e in edges) == use_dynamic_mask
+    assert any(mask is not None for _, mask in edges) == use_dynamic_mask
     opts = AlignmentOptions(lambda_2d=lambda_2d)
     want = reference_energy(edges, problem.intrinsics, v, opts)
     assert want > 0
@@ -371,21 +361,22 @@ def reference_system(edges, intrinsics, v, opts):
             hess[np.ix_(cols, cols)] += u * jr.T @ jr
             grad[cols] += u * jr.T @ rr
 
-    for ei, e in enumerate(edges):
-        r_i, t_i, p, k = v.rotations[e.i], v.translations[e.i], e.pred, intrinsics[e.i]
-        for f, pm, conf in ((e.i, p.x_ii, p.conf_ii), (e.j, p.x_ji, p.conf_ji)):
+    for ei, (p, mask) in enumerate(edges):
+        i, j = p.frames
+        r_i, t_i, k = v.rotations[i], v.translations[i], intrinsics[i]
+        for f, pm, conf in ((i, p.x_ii, p.conf_ii), (j, p.x_ji, p.conf_ji)):
             a = (scales[ei] * pm.points[pm.valid]) @ r_i.T
             r = v.pointmaps[f][pm.valid] - a - t_i
             jac = [np.hstack([skew(x), -np.eye(3), -x[:, None], np.eye(3)]) for x in a]
-            add(jac, r, conf.values[pm.valid], f, np.flatnonzero(pm.valid), e.i, ei)
+            add(jac, r, conf.values[pm.valid], f, np.flatnonzero(pm.valid), i, ei)
         if opts.lambda_2d == 0:
             continue
         m = p.x_ji_matched
         static = m.valid & p.x_ji.valid & (m.points[..., 2] > EPS_Z)
-        if e.mask is not None:
-            static &= ~e.mask.mask
+        if mask is not None:
+            static &= ~mask
         target = project_points(m.points[static], k)[0]
-        d = v.pointmaps[e.j][static] - t_i
+        d = v.pointmaps[j][static] - t_i
         y = d @ r_i
         front = y[:, 2] > EPS_Z
         jac = []
@@ -395,7 +386,7 @@ def reference_system(edges, intrinsics, v, opts):
             j_chi = proj @ r_i.T
             jac.append(np.hstack([j_chi @ skew(dd), -j_chi, np.zeros((2, 1)), j_chi]))
         r = project_points(y[front], k)[0] - target[front]
-        add(jac, r, np.full(len(r), opts.lambda_2d), e.j, np.flatnonzero(static)[front], e.i, ei)
+        add(jac, r, np.full(len(r), opts.lambda_2d), j, np.flatnonzero(static)[front], i, ei)
 
     chi = hess[dim:, dim:]
     for q in range(0, len(chi), 3):  # unit blocks where no term reaches
@@ -414,7 +405,7 @@ def reference_system(edges, intrinsics, v, opts):
 @pytest.mark.parametrize("make", [handmade, noisy_scene_problem], ids=["handmade", "scene"])
 def test_reduced_system_matches_a_dense_jacobian_reference(make, use_dynamic_mask, lambda_2d):
     problem, edges, v = make(use_dynamic_mask)
-    assert any(e.mask is not None for e in edges) == use_dynamic_mask
+    assert any(mask is not None for _, mask in edges) == use_dynamic_mask
     opts = AlignmentOptions(lambda_2d=lambda_2d)
     want = reference_system(edges, problem.intrinsics, v, opts)
     system = _normal_system(problem, _prepare(problem, opts), v, opts)
@@ -468,7 +459,7 @@ def test_every_damping_try_reads_the_rows_once_from_one_elimination(monkeypatch)
     jacobian_rows = alignment._jacobian_rows
     monkeypatch.setattr(alignment, "_jacobian_rows",
                         lambda *args, **kw: reads.append(args[2]) or jacobian_rows(*args, **kw))
-    n = len(problem.frames)
+    n = len(problem.ego_maps)
     for damping in dampings:
         reads.clear()
         step = _lm_step(v, system, damping)

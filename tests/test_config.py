@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from pointmatch.alignment import AlignmentOptions
 from pointmatch.config import RunConfig, build_config, load_config_file
+from pointmatch.pipelines import DEFAULT_OVERLAP, DEFAULT_WINDOW
+from pointmatch.scenes import SceneConfig
 
 
 def test_defaults_are_valid():
@@ -14,6 +17,13 @@ def test_defaults_are_valid():
     assert cfg.use_dynamic_mask is True
     sc = cfg.scene_config()
     assert (sc.height, sc.width) == (24, 32)
+
+
+def test_defaults_are_their_owners():
+    cfg = RunConfig()
+    assert cfg.scene_config() == SceneConfig()
+    assert cfg.alignment_options() == AlignmentOptions()
+    assert (cfg.window, cfg.overlap) == (DEFAULT_WINDOW, DEFAULT_OVERLAP)
 
 
 def test_from_dict_rejects_unknown_keys():

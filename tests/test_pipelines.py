@@ -376,7 +376,7 @@ def test_track_holds_one_window_of_maps(monkeypatch):
                  for pair in pairs)
     held, res = peak(lambda: track_3d(s, OraclePredictor(s), queries, window=window,
                                       overlap=overlap))
-    head = world_points(s, 0).nbytes + s.hit_valid[0].nbytes
+    head = world_points(s, 0).nbytes + s.depths[0].valid.nbytes
     # one render, the rest of its window's maps, and the output: no earlier
     # window's maps and no later one's
     assert held < render + window * head + res.tracks.nbytes + res.valid.nbytes

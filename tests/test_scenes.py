@@ -91,7 +91,7 @@ def test_world_points_are_depth_along_each_pixel_ray(cfg):
     for t, (k, pose) in enumerate(zip(s.intrinsics, s.poses)):
         d_cam = np.stack([(xs - k.cx) / k.fx, (ys - k.cy) / k.fy, np.ones((h, w))], axis=-1)
         dirs = (d_cam.reshape(-1, 3) @ pose.rotation).reshape(h, w, 3)
-        hit, depth = s.hit_valid[t], s.depths[t].depth
+        hit, depth = s.depths[t].valid, s.depths[t].depth
         want = np.where(hit[..., None], pose.center + depth[..., None] * dirs, 0.0)
         npt.assert_array_equal(world_points(s, t), want)
     with pytest.raises(ValueError, match="out of range"):
@@ -239,7 +239,7 @@ def test_pixel_raycast_is_the_ego_map(path, objects, seed):
         npt.assert_array_equal(pts.reshape(h, w, 3),
                                unproject(s.depths[f], s.intrinsics[f]).points)
         npt.assert_array_equal(sid.reshape(h, w), s.hit_id[f])
-        npt.assert_array_equal(hit.reshape(h, w), s.hit_valid[f])
+        npt.assert_array_equal(hit.reshape(h, w), s.depths[f].valid)
 
 
 @pytest.mark.parametrize("pix", [
@@ -264,7 +264,7 @@ def test_occlusion_invalidates_matching():
     if not s.dynamic_labels[0].any():
         pytest.skip("object out of view for this seed")
     xm = gt_pointmap_matching(s, 4, 0)
-    lost = s.hit_valid[0] & ~xm.valid
+    lost = s.depths[0].valid & ~xm.valid
     assert lost.any()
     # and the invalid cells are zero-filled
     npt.assert_array_equal(xm.points[~xm.valid], 0.0)
@@ -399,7 +399,7 @@ def _nudged_to_threshold(seq, frame, max_ulps=4):
     """Points along the frame's own pixel rays whose threshold dist - tol lies
     within max_ulps ulps of the surface each ray hits: (2 max_ulps + 1, N, 3)."""
     o = seq.poses[frame].center
-    delta = world_points(seq, frame)[seq.hit_valid[frame]] - o
+    delta = world_points(seq, frame)[seq.depths[frame].valid] - o
     dist = np.linalg.norm(delta, axis=-1)
     target = dist + _OCCLUSION_TOL
     down, up = [target], [target]
@@ -443,7 +443,7 @@ def _pixel_and_visibility_rays(s, frame):
     h, w = s.resolution
     ys, xs = np.mgrid[0:h, 0:w].reshape(2, -1)
     d_cam = np.stack([(xs - k.cx) / k.fx, (ys - k.cy) / k.fy, np.ones(h * w)], axis=1)
-    delta = all_world_points(s)[s.hit_valid] - pose.center
+    delta = all_world_points(s)[s.hit_id > -2] - pose.center
     dist = np.linalg.norm(delta, axis=1)
     pixel = d_cam @ pose.rotation, s.depths[1 - frame].depth.ravel()
     visibility = delta / dist[:, None], dist - _OCCLUSION_TOL
@@ -553,7 +553,7 @@ def test_batched_scene_raycast_matches_per_frame(path, objects, seed, h, w, fram
             npt.assert_array_equal(s.depths[t].valid, hit)
             npt.assert_array_equal(world_points(s, t), np.where(hit[..., None], world, 0.0))
             npt.assert_array_equal(s.hit_id[t], sid.reshape(h, w))
-            npt.assert_array_equal(s.hit_valid[t], hit)
+            npt.assert_array_equal(s.hit_id[t] > -2, hit)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -574,7 +574,7 @@ def test_chunked_tracks_and_matching_maps_match_serial(path, objects, seed, h, w
                                    camera_magnitude=0.05, track_count=0))
     # every pixel that hits a surface, queried at its own frame and tracked
     # through every frame in one multi-group call
-    qf, qy, qx = np.nonzero(s.hit_valid)
+    qf, qy, qx = np.nonzero(s.hit_id > -2)
     qp = np.stack([qx, qy], axis=1)
     pairs = [(i, j) for i in range(frames) for j in range(frames)]
 
