@@ -134,8 +134,10 @@ class AlignmentProblem:
             raise ValueError(f"edge {p.frames} must join two distinct frames of 0..{n - 1}")
         x_ii, x_ji, m, conf_ii, conf_ji = p.x_ii, p.x_ji, p.x_ji_matched, p.conf_ii, p.conf_ji
         dyn = np.zeros(res, bool) if dyn is None else dyn
-        if {g.shape for g in (x_ii.valid, x_ji.valid, m.valid, conf_ii.raw, conf_ji.raw,
-                              dyn)} != {res}:
+        if not (isinstance(dyn, np.ndarray) and dyn.dtype == bool and dyn.shape == res):
+            raise ValueError(f"edge {p.frames}'s mask must be a bool grid of the ego maps' "
+                             f"resolution {res}")
+        if {g.shape for g in (x_ii.valid, x_ji.valid, m.valid, conf_ii.raw, conf_ji.raw)} != {res}:
             raise ValueError("an edge's maps must share the ego maps' resolution")
         ei = len(self.edges)
         self.edges.append(EdgeIds(i, j))

@@ -94,7 +94,8 @@ def typed_fields(cls, data) -> dict:
     """Keyword arguments for dataclass cls from a JSON object, checked per field.
 
     Unknown keys and values of the wrong JSON type raise ValueError (a boolean
-    is not an integer); integers given for float fields become floats.
+    is not an integer); integers given for float fields become floats, and
+    one too large for a float raises ValueError.
     """
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
@@ -111,7 +112,10 @@ def typed_fields(cls, data) -> dict:
         elif kind == "float":
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"config key {name} must be a number")
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ValueError(f"config key {name} is too large for a float") from None
         elif kind == "bool":
             if not isinstance(value, bool):
                 raise ValueError(f"config key {name} must be a boolean")

@@ -9,14 +9,19 @@ instead of from a mesh rasterizer.
 Design notes that matter for exactness:
   - ray directions are z-normalized in the camera frame, so the ray parameter
     equals camera depth;
-  - every ground-truth observation runs through one kernel, _observe: groups
-    of (frame i, world points) -> per group frame-i camera points, pixels and
-    visibility (in view and the first surface along the camera ray). The
-    matching map feeds it W_j + span * v, the tracks feed it each query's
-    W_q + span * v, so a track and the matching map agree wherever they see
-    the same point. One call raycasts the backdrop once for all its groups'
-    rays (build_tracks renders every frame, gt_pointmap_matching a group of
-    one); only the analytic object hits run per group;
+  - every raycast takes G camera centers (G, 3) and a (G, N, 3) block of
+    rays, N from each center, and returns (G, N) results; a chunk of rays
+    reads its origins from the centers, so only one chunk at a time holds a
+    row per ray for them;
+  - every ground-truth observation runs through one kernel, _observe: a
+    (G, ..., 3) stack of world points, group g seen from frame frames[g] ->
+    camera points, pixels and visibility (in view and the first surface
+    along the camera ray). The matching map feeds it W_j + span * v, the
+    tracks feed it each query's W_q + span * v, so a track and the matching
+    map agree wherever they see the same point. One call raycasts the
+    backdrop once for all its groups' rays (build_tracks renders every
+    frame, gt_pointmap_matching a group of one); only the analytic object
+    hits run per group;
   - the rigid map is P_i(W_j). Static pixels have v = 0, so W_j + span * v
     is W_j bit for bit there and the two maps' residuals are exactly zero;
   - a depth raycast (HeightField.intersect) bisects the backdrop until no
@@ -30,10 +35,7 @@ Design notes that matter for exactness:
     undecided, to that fixed point. Visibility is the boolean a full
     refinement gives, for one evaluation per ray instead of about twenty;
   - assemble_scene bisects the backdrop once per scene, for every frame's
-    pixel rays together; only the analytic object hits run per frame. Every
-    raycast takes one origin per group of rays (a camera center) and
-    expands it to rows one chunk at a time, so no call holds a row per ray
-    for its origins;
+    pixel rays together; only the analytic object hits run per frame;
   - a raycast is split into contiguous chunks: one per core the process
     may run on once each gets at least _MIN_CHUNK_RAYS rays, and more where
     a chunk would exceed _MAX_CHUNK_RAYS, so a whole scene's rays become
@@ -140,28 +142,29 @@ class HeightField:
         return self.base - a, self.base + a
 
     def intersect(
-        self, origins: np.ndarray, dirs: np.ndarray, counts
+        self, centers: np.ndarray, dirs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """First crossing along each ray: (t, ok); dirs need not be normalized.
+        """First crossing along each ray: (t, ok), each (G, N); dirs need not
+        be normalized.
 
-        origins holds one row per group of rays: row g is the origin of the
-        next counts[g] rays (a camera center and the rays it casts).
+        centers (G, 3) holds one origin per group of rays, dirs (G, N, 3) the
+        N rays each casts (a camera center and its rays).
 
-        Assumes origins lie below the surface band (z < zmin) and rays point
+        Assumes centers lie below the surface band (z < zmin) and rays point
         toward +z steeply enough that the crossing is unique; callers enforce
         that through the camera-path contract. Bisection stops once no valid
         ray's bracket moves: a bracket that stops moving is a fixed point, so
         t equals what any longer run would return.
         """
-        return self._split(self._bisect_chunk, origins, dirs, counts)
+        return self._split(self._bisect_chunk, centers, dirs)
 
     def crossing_beyond(
-        self, origins: np.ndarray, dirs: np.ndarray, thr: np.ndarray, counts
+        self, centers: np.ndarray, dirs: np.ndarray, thr: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Whether each ray's first crossing t satisfies t >= thr: (beyond, ok);
-        beyond is meaningful only where ok.
+        """Whether each ray's first crossing t satisfies t >= thr (G, N):
+        (beyond, ok), each (G, N); beyond is meaningful only where ok.
 
-        Same crossing, origins and contract as intersect, and the boolean
+        Same crossing, rays and contract as intersect, and the boolean
         intersect's t >= thr gives, mostly from one evaluation per ray. With
         [lo0, hi0] a ray's initial bracket, a ray with thr <= lo0 is beyond
         and one with thr > hi0 is not. Any other valid ray is decided by one
@@ -208,38 +211,33 @@ class HeightField:
         u (P + |base| + A). Together |g(t) - G(t)| <= 10u P S, and E is over
         800 times that.
         """
-        return self._split(self._beyond_chunk, origins, dirs, counts, thr)
+        return self._split(self._beyond_chunk, centers, dirs, thr)
 
-    def _split(self, solve, origins, dirs, counts, *per_ray):
+    def _split(self, solve, centers, dirs, *per_ray):
         """solve(chunk origins, chunk dirs, *chunk per_ray arrays) over the
-        call's rays, joined in ray order.
+        call's G x N rays in row-major order, joined back to (G, N).
 
         A call is split into contiguous chunks, one per core when each gets
         at least _MIN_CHUNK_RAYS rays and more where one would exceed
         _MAX_CHUNK_RAYS, that are solved concurrently; wherever ok, the
-        result equals one serial call's (see the module note). Grouped
-        origins are expanded to rows one chunk at a time.
+        result equals one serial call's (see the module note). A chunk's
+        origins are its rays' centers, centers[ray // N].
         """
-        n = len(dirs)
-        bounds = np.cumsum([0, *counts])
-
-        def rows(a, b):
-            held = np.clip(bounds[1:], a, b) - np.clip(bounds[:-1], a, b)
-            return np.repeat(origins, held, axis=0)
+        g, n = dirs.shape[:2]
+        flat, per_ray = dirs.reshape(-1, 3), [x.reshape(-1) for x in per_ray]
 
         def chunk(a, b):
-            return solve(rows(a, b), dirs[a:b], *(x[a:b] for x in per_ray))
+            origins = centers[np.arange(a, b) // n]
+            return solve(origins, flat[a:b], *(x[a:b] for x in per_ray))
 
-        k = max(min(_CORES, n // _MIN_CHUNK_RAYS), -(-n // _MAX_CHUNK_RAYS))
-        if k <= 1:
-            return chunk(0, n)
-        edges = [c * n // k for c in range(k + 1)]
+        rays = g * n
+        k = max(1, min(_CORES, rays // _MIN_CHUNK_RAYS), -(-rays // _MAX_CHUNK_RAYS))
+        edges = [c * rays // k for c in range(k + 1)]
         # this thread solves the first chunk while the pool runs the rest
-        pool = _pool()
-        futures = [pool.submit(chunk, a, b) for a, b in zip(edges[1:-1], edges[2:])]
+        futures = [_pool().submit(chunk, a, b) for a, b in zip(edges[1:-1], edges[2:])]
         results = [chunk(edges[0], edges[1])] + [f.result() for f in futures]
         out, ok = zip(*results)
-        return np.concatenate(out), np.concatenate(ok)
+        return np.concatenate(out).reshape(g, n), np.concatenate(ok).reshape(g, n)
 
     def _bracket(self, origins, dirs):
         """Each ray's initial bracket and validity, (lo, hi, ok); hi is lo + 1
@@ -356,12 +354,14 @@ class SceneObject:
         return frame * self.velocity
 
     def intersect(
-        self, origins: np.ndarray, dirs: np.ndarray, frame: int
+        self, center: np.ndarray, dirs: np.ndarray, frame: int
     ) -> tuple[np.ndarray, np.ndarray]:
+        """First hit (t, hit) of each ray dirs (N, 3) from the camera center
+        (3,) on the object at frame."""
         c = self.center + self.offset_at(frame)
         if self.kind == "sphere":
             r = float(self.size[0])
-            oc = origins - c
+            oc = np.broadcast_to(center, dirs.shape) - c
             a = np.einsum("ij,ij->i", dirs, dirs)
             b = 2.0 * np.einsum("ij,ij->i", oc, dirs)
             cc = np.einsum("ij,ij->i", oc, oc) - r * r
@@ -372,8 +372,8 @@ class SceneObject:
             return t, hit & (t > _RAY_TMIN)
         lo, hi = c - self.size, c + self.size
         with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (lo[None, :] - origins) / dirs
-            t2 = (hi[None, :] - origins) / dirs
+            t1 = (lo - center) / dirs
+            t2 = (hi - center) / dirs
         tn = np.nanmax(np.minimum(t1, t2), axis=1)
         tf = np.nanmin(np.maximum(t1, t2), axis=1)
         hit = (tn <= tf) & (tn > _RAY_TMIN)
@@ -509,17 +509,18 @@ def _sample_objects(cfg: SceneConfig, rng: np.random.Generator) -> list[SceneObj
 def _nearest_surface(
     seq_objects: list[SceneObject],
     backdrop: tuple[np.ndarray, np.ndarray],
-    origins: np.ndarray,
+    center: np.ndarray,
     dirs: np.ndarray,
     frame: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nearest surface along each ray, (t, surface_id, hit), given the rays'
-    backdrop crossing (t, ok) from HeightField.intersect."""
+    """Nearest surface along each ray dirs (N, 3) from the camera center (3,),
+    (t, surface_id, hit), given the rays' backdrop crossing (t, ok) from
+    HeightField.intersect."""
     t_best, hit_best = backdrop
     t_best = np.where(hit_best, t_best, np.inf)
     id_best = np.where(hit_best, -1, -2)
     for k, obj in enumerate(seq_objects):
-        t_k, hit_k = obj.intersect(origins, dirs, frame)
+        t_k, hit_k = obj.intersect(center, dirs, frame)
         closer = hit_k & (t_k < t_best)
         t_best = np.where(closer, t_k, t_best)
         id_best = np.where(closer, k, id_best)
@@ -545,49 +546,34 @@ def raycast_pixels(
     d_cam = pixel_rays(seq.intrinsics[frame], pix)
     pose = seq.poses[frame]
     dirs = d_cam @ pose.rotation
-    backdrop = seq.background.intersect(pose.center[None], dirs, [len(dirs)])
-    origins = np.broadcast_to(pose.center, dirs.shape)
-    t, sid, hit = _nearest_surface(seq.objects, backdrop, origins, dirs, frame)
+    [t_bg], [ok_bg] = seq.background.intersect(pose.center[None], dirs[None])
+    t, sid, hit = _nearest_surface(seq.objects, (t_bg, ok_bg), pose.center, dirs, frame)
     pts = np.where(hit[:, None], t[:, None] * d_cam, 0.0)
     return pts, sid, hit
 
 
-def _visible_from(seq: SceneSequence, groups) -> list[np.ndarray]:
-    """For each (frame, world points (..., 3)) group: True where a point is the
-    first surface hit from the frame's camera. The backdrop is raycast once
-    for every group's rays; the objects are hit per group, at its frame."""
-    rays = []
-    for frame, world_pts in groups:
-        o = seq.poses[frame].center
-        delta = world_pts - o
-        dist = np.linalg.norm(delta, axis=-1)
-        ok = dist > _RAY_TMIN
-        safe = np.where(ok[..., None], delta, np.array([0.0, 0.0, 1.0]))
-        dirs = (safe / np.maximum(dist, _RAY_TMIN)[..., None]).reshape(-1, 3)
-        # the ray re-hits the queried surface at t == dist unless something is
-        # in front, so the point is visible when some surface is hit and none
-        # before thr
-        rays.append((frame, o, dirs, dist.ravel() - _OCCLUSION_TOL, ok))
-    if not rays:
-        return []
-    _, centers, group_dirs, thrs, _ = zip(*rays)
-    clear, hit = seq.background.crossing_beyond(
-        np.array(centers), np.concatenate(group_dirs), np.concatenate(thrs),
-        [len(d) for d in group_dirs],
-    )
+def _visible_from(seq: SceneSequence, frames, world: np.ndarray) -> np.ndarray:
+    """(G, ...) bool: True where a point of world (G, ..., 3) is the first
+    surface hit from its group's frame's camera, frames[g]. The backdrop is
+    raycast once for every group's rays; the objects are hit per group, at
+    its frame."""
+    centers = np.array([seq.poses[f].center for f in frames])
+    delta = world.reshape(len(centers), -1, 3) - centers[:, None]
+    dist = np.linalg.norm(delta, axis=-1)
+    ok = dist > _RAY_TMIN
+    safe = np.where(ok[..., None], delta, np.array([0.0, 0.0, 1.0]))
+    dirs = safe / np.maximum(dist, _RAY_TMIN)[..., None]
+    # the ray re-hits the queried surface at t == dist unless something is in
+    # front, so the point is visible when some surface is hit and none before thr
+    thr = dist - _OCCLUSION_TOL
+    clear, hit = seq.background.crossing_beyond(centers, dirs, thr)
     clear |= ~hit
-    visible, a = [], 0
-    for frame, o, dirs, thr, ok in rays:
-        b = a + len(dirs)
-        origins = np.broadcast_to(o, dirs.shape)
-        hit_g, clear_g = hit[a:b], clear[a:b]
+    for g, frame in enumerate(frames):
         for obj in seq.objects:
-            t_k, hit_k = obj.intersect(origins, dirs, frame)
-            hit_g = hit_g | hit_k
-            clear_g = clear_g & (~hit_k | (t_k >= thr))
-        visible.append(ok & (hit_g & clear_g).reshape(ok.shape))
-        a = b
-    return visible
+            t_k, hit_k = obj.intersect(centers[g], dirs[g], frame)
+            hit[g] |= hit_k
+            clear[g] &= ~hit_k | (t_k >= thr[g])
+    return (ok & hit & clear).reshape(world.shape[:-1])
 
 
 def _in_bounds(pix: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -597,21 +583,22 @@ def _in_bounds(pix: np.ndarray, height: int, width: int) -> np.ndarray:
     return (x > -0.5) & (x < width - 0.5) & (y > -0.5) & (y < height - 0.5)
 
 
-def _observe(seq: SceneSequence, groups) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Each (frame, world points (..., 3)) group seen from its frame:
-    (camera points, pixels, visible).
+def _observe(
+    seq: SceneSequence, frames, world: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """World points (G, ..., 3), group g seen from frame frames[g] (a
+    sequence of G frames): camera points (G, ..., 3), pixels (G, ..., 2) and
+    visible (G, ...).
 
     visible: in front of the camera, projecting inside the image, and the first
     surface along the camera ray at that frame. All groups share one
     visibility call.
     """
     h, w = seq.resolution
-    seen = []
-    for (frame, world), clear in zip(groups, _visible_from(seq, groups)):
-        cam = seq.poses[frame].apply(world)
-        pix, in_front = project_points(cam, seq.intrinsics[frame])
-        seen.append((cam, pix, in_front & _in_bounds(pix, h, w) & clear))
-    return seen
+    cam = np.stack([seq.poses[f].apply(x) for f, x in zip(frames, world)])
+    seen = [project_points(c, seq.intrinsics[f]) for f, c in zip(frames, cam)]
+    pix, in_front = (np.stack(a) for a in zip(*seen))
+    return cam, pix, in_front & _in_bounds(pix, h, w) & _visible_from(seq, frames, world)
 
 
 def _velocities(seq: SceneSequence, surface_ids: np.ndarray) -> np.ndarray:
@@ -672,14 +659,12 @@ def assemble_scene(
     hit_id = np.full((config.frame_count, h, w), -2, dtype=np.int32)
     depths = []
     # one backdrop bisection for every frame's rays; objects hit per frame
-    all_dirs = np.concatenate([_frame_rays(k, pose, h, w) for pose in poses])
+    all_dirs = np.stack([_frame_rays(k, pose, h, w) for pose in poses])
     centers = np.array([pose.center for pose in poses])
-    t_bg, ok_bg = background.intersect(centers, all_dirs, [h * w] * config.frame_count)
+    t_bg, ok_bg = background.intersect(centers, all_dirs)
     for t in range(config.frame_count):
-        f = slice(t * h * w, (t + 1) * h * w)
-        dirs = all_dirs[f]
-        origins = np.broadcast_to(centers[t], dirs.shape)
-        tpar, sid, hit = _nearest_surface(objects, (t_bg[f], ok_bg[f]), origins, dirs, t)
+        tpar, sid, hit = _nearest_surface(objects, (t_bg[t], ok_bg[t]), centers[t],
+                                          all_dirs[t], t)
         hit = hit.reshape(h, w)
         depths.append(DepthMap(np.where(hit, tpar.reshape(h, w), 0.0), hit))
         hit_id[t] = sid.reshape(h, w)
@@ -746,8 +731,8 @@ def build_tracks(seq: SceneSequence, query_frames: np.ndarray, query_pixels: np.
         at = qf == f
         start[at] = world_points(seq, f)[qy[at], qx[at]]
     world = start[:, None, :] + spans[..., None] * vel[:, None, :]
-    seen = _observe(seq, [(t, world[:, t, :]) for t in range(seq.frame_count)])
-    camera, pixels, visible = (np.stack(a, axis=1) for a in zip(*seen))
+    seen = _observe(seq, range(seq.frame_count), world.swapaxes(0, 1))
+    camera, pixels, visible = (a.swapaxes(0, 1).copy() for a in seen)
     pixels = np.where(visible[..., None], pixels, 0.0)
     return TrackSet(qf, qp, world, camera, pixels, visible)
 
@@ -763,7 +748,7 @@ def gt_pointmap_matching(seq: SceneSequence, i: int, j: int) -> Pointmap:
     """
     check_frame(seq, i)
     world = world_points(seq, j) + float(i - j) * _velocities(seq, seq.hit_id[j])
-    [(cam, _, visible)] = _observe(seq, [(i, world)])
+    [cam], _, [visible] = _observe(seq, [i], world[None])
     return Pointmap(cam, seq.depths[j].valid & visible)
 
 

@@ -120,9 +120,9 @@ def test_problem_rejects_zero_frames():
         AlignmentProblem([], [], [])
 
 
-def _grid_problem(ego_shapes, edge_shape, pair=(0, 1), **edge_shapes):
-    """A 2-frame problem of one edge, the prediction of pair; edge_shapes
-    overrides one grid of the edge by field."""
+def _grid_problem(ego_shapes, edge_shape, pair=(0, 1), mask_dtype=bool, **edge_shapes):
+    """A 2-frame problem of one edge, the prediction of pair, with an all-zero
+    mask of mask_dtype; edge_shapes overrides one grid of the edge by field."""
 
     def pm(shape):
         return Pointmap(np.ones(shape + (3,)), np.ones(shape, dtype=bool))
@@ -140,7 +140,7 @@ def _grid_problem(ego_shapes, edge_shape, pair=(0, 1), **edge_shapes):
         conf_ji=ConfidenceMap.uniform(grid("conf_ji")),
     )
     return AlignmentProblem([k, k], [pm(s) for s in ego_shapes],
-                            [(pred, np.zeros(grid("mask"), dtype=bool))])
+                            [(pred, np.zeros(grid("mask"), dtype=mask_dtype))])
 
 
 @pytest.mark.parametrize(
@@ -164,6 +164,14 @@ def test_problem_rejects_mismatched_resolutions(ego_shapes, edge_shape, override
     _grid_problem(((4, 5), (4, 5)), (4, 5))  # one resolution throughout is a problem
     with pytest.raises(ValueError, match=match):
         _grid_problem(ego_shapes, edge_shape, **overrides)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+def test_problem_rejects_a_mask_that_is_not_bool(dtype):
+    # a 0/1 grid would select pixels by integer index, not mask them
+    _grid_problem(((4, 5), (4, 5)), (4, 5))
+    with pytest.raises(ValueError, match=r"edge \(0, 1\)'s mask must be a bool grid"):
+        _grid_problem(((4, 5), (4, 5)), (4, 5), mask_dtype=dtype)
 
 
 # ---------------------------------------------------------------- energy

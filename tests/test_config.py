@@ -42,6 +42,13 @@ def test_from_dict_rejects_wrong_types():
         RunConfig.from_dict({"camera_path": 7})
 
 
+def test_huge_integer_for_a_float_key_is_a_value_error(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"noise": 1' + "0" * 400 + "}")
+    with pytest.raises(ValueError, match="config key noise is too large for a float"):
+        RunConfig.from_dict(load_config_file(path))
+
+
 def test_value_validation():
     with pytest.raises(ValueError):
         RunConfig(window=0)

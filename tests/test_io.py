@@ -171,6 +171,15 @@ def test_scene_load_rejects_unknown_config_key(tmp_path):
         load_scene(root)
 
 
+def test_scene_load_rejects_a_huge_integer_config_value(tmp_path):
+    root = save_scene(tmp_path / "scene", small_scene(seed=2))
+    meta = json.loads((root / "meta.json").read_text())
+    meta["config"]["motion_magnitude"] = 10**400
+    (root / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="config key motion_magnitude is too large"):
+        load_scene(root)
+
+
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(11)
     params = init_params(channels=8, heads=2, t_max=4, seed=3)

@@ -21,6 +21,7 @@ from pointmatch.scenes import (
     SceneConfig,
     SceneObject,
     _nearest_surface,
+    _observe,
     _velocities,
     _visible_from,
     assemble_scene,
@@ -335,10 +336,10 @@ def test_config_validation():
         SceneConfig(motion_magnitude=-0.1)
 
 
-def _bisect_80(field, origins, dirs):
+def _bisect_80(field, center, dirs):
     """Reference: HeightField.intersect's bisection run for all 80 steps."""
     zmin, zmax = field.z_bounds
-    oz, dz = origins[:, 2], dirs[:, 2]
+    oz, dz = center[2], dirs[:, 2]
     ok = dz > 1e-6
     safe_dz = np.where(ok, dz, 1.0)
     lo = np.maximum((zmin - oz) / safe_dz, 0.0)
@@ -347,7 +348,7 @@ def _bisect_80(field, origins, dirs):
     hi = np.where(ok, hi, lo + 1.0)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        p = origins + mid[:, None] * dirs
+        p = center + mid[:, None] * dirs
         below = p[:, 2] - field.height(p[:, :2]) < 0
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
@@ -373,9 +374,8 @@ def test_early_stopped_bisection_matches_80_steps(path, objects, seed, h, w):
     for pose in s.poses:
         toward_hits = all_world_points(s).reshape(-1, 3) - pose.center
         dirs = np.concatenate([d_cam @ pose.rotation, toward_hits])
-        origins = np.broadcast_to(pose.center, dirs.shape)
-        got, ok = s.background.intersect(origins[:1], dirs, [len(dirs)])
-        want, ok_ref = _bisect_80(s.background, origins, dirs)
+        [got], [ok] = s.background.intersect(pose.center[None], dirs[None])
+        want, ok_ref = _bisect_80(s.background, pose.center, dirs)
         npt.assert_array_equal(ok, ok_ref)
         assert ok.any()
         npt.assert_array_equal(got[ok], want[ok])
@@ -389,9 +389,8 @@ def _visible_full(seq, frame, world_pts):
     ok = dist > _RAY_TMIN
     safe = np.where(ok[..., None], delta, np.array([0.0, 0.0, 1.0]))
     dirs = (safe / np.maximum(dist, _RAY_TMIN)[..., None]).reshape(-1, 3)
-    backdrop = seq.background.intersect(o[None], dirs, [len(dirs)])
-    t, _, hit = _nearest_surface(seq.objects, backdrop, np.broadcast_to(o, dirs.shape), dirs,
-                                 frame)
+    [t_bg], [ok_bg] = seq.background.intersect(o[None], dirs[None])
+    t, _, hit = _nearest_surface(seq.objects, (t_bg, ok_bg), o, dirs, frame)
     return ok & (hit & (t >= dist.ravel() - _OCCLUSION_TOL)).reshape(dist.shape)
 
 
@@ -427,18 +426,20 @@ def test_early_visibility_matches_full_refinement(path, objects, seed, h, w):
         for i in range(s.frame_count):
             # frame j's hit points, moved with their objects to frame i's time
             world = world_points(s, j) + float(i - j) * vel
-            npt.assert_array_equal(_visible_from(s, [(i, world)])[0], _visible_full(s, i, world))
+            npt.assert_array_equal(_visible_from(s, [i], world[None])[0],
+                                   _visible_full(s, i, world))
         near = _nudged_to_threshold(s, j)
-        npt.assert_array_equal(_visible_from(s, [(j, near)])[0], _visible_full(s, j, near))
+        npt.assert_array_equal(_visible_from(s, [j], near[None])[0], _visible_full(s, j, near))
 
 
 
 
 def _pixel_and_visibility_rays(s, frame):
-    """Two ray sets from a frame's camera, each (origins, dirs, thr): the rays
-    through its pixels, with the other frame's depth at that pixel as the
-    threshold, and the visibility rays toward every frame's hit points, with
-    dist - _OCCLUSION_TOL as in _visible_from."""
+    """Two ray sets from a frame's camera, each one group (centers (1, 3),
+    dirs (1, N, 3), thr (1, N)): the rays through its pixels, with the other
+    frame's depth at that pixel as the threshold, and the visibility rays
+    toward every frame's hit points, with dist - _OCCLUSION_TOL as in
+    _visible_from."""
     k, pose = s.intrinsics[frame], s.poses[frame]
     h, w = s.resolution
     ys, xs = np.mgrid[0:h, 0:w].reshape(2, -1)
@@ -447,7 +448,7 @@ def _pixel_and_visibility_rays(s, frame):
     dist = np.linalg.norm(delta, axis=1)
     pixel = d_cam @ pose.rotation, s.depths[1 - frame].depth.ravel()
     visibility = delta / dist[:, None], dist - _OCCLUSION_TOL
-    return [(np.broadcast_to(pose.center, d.shape), d, thr) for d, thr in (pixel, visibility)]
+    return [(pose.center[None], d[None], thr[None]) for d, thr in (pixel, visibility)]
 
 
 def _no_pool():
@@ -479,24 +480,24 @@ def test_chunked_bisection_matches_serial(path, objects, seed, h, w, cores):
     bg = s.background
     pool = scenes._pool()
     for frame in range(s.frame_count):
-        for origins, dirs, thr in _pixel_and_visibility_rays(s, frame):
+        for centers, dirs, thr in _pixel_and_visibility_rays(s, frame):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(scenes, "_MIN_CHUNK_RAYS", 2)
                 mp.setattr(scenes, "_pool", _no_pool)
                 mp.setattr(scenes, "_CORES", 1)
-                want_t, want_ok = bg.intersect(origins[:1], dirs, [len(dirs)])
-                want_beyond, want_bok = bg.crossing_beyond(origins[:1], dirs, thr, [len(dirs)])
+                want_t, want_ok = bg.intersect(centers, dirs)
+                want_beyond, want_bok = bg.crossing_beyond(centers, dirs, thr)
                 # under two rays per chunk a call stays serial at any core count
                 mp.setattr(scenes, "_CORES", cores)
-                t3, ok3 = bg.intersect(origins[:1], dirs[:3], [3])
-                beyond3, _ = bg.crossing_beyond(origins[:1], dirs[:3], thr[:3], [3])
-                npt.assert_array_equal(t3[ok3], want_t[:3][ok3])
-                npt.assert_array_equal(beyond3[ok3], want_beyond[:3][ok3])
+                t3, ok3 = bg.intersect(centers, dirs[:, :3])
+                beyond3, _ = bg.crossing_beyond(centers, dirs[:, :3], thr[:, :3])
+                npt.assert_array_equal(t3[ok3], want_t[:, :3][ok3])
+                npt.assert_array_equal(beyond3[ok3], want_beyond[:, :3][ok3])
 
                 counted = _CountingPool(pool)
                 mp.setattr(scenes, "_pool", lambda: counted)
-                got_t, got_ok = bg.intersect(origins[:1], dirs, [len(dirs)])
-                got_beyond, got_bok = bg.crossing_beyond(origins[:1], dirs, thr, [len(dirs)])
+                got_t, got_ok = bg.intersect(centers, dirs)
+                got_beyond, got_bok = bg.crossing_beyond(centers, dirs, thr)
             assert counted.submits == 2 * (cores - 1)  # every chunk but the first
             npt.assert_array_equal(got_ok, want_ok)
             npt.assert_array_equal(got_bok, want_bok)
@@ -544,11 +545,10 @@ def test_batched_scene_raycast_matches_per_frame(path, objects, seed, h, w, fram
         mp.setattr(scenes, "_pool", _no_pool)
         for t, pose in enumerate(s.poses):
             dirs = d_cam @ pose.rotation
-            origins = np.broadcast_to(pose.center, dirs.shape)
-            backdrop = s.background.intersect(pose.center[None], dirs, [len(dirs)])
-            tpar, sid, hit = _nearest_surface(s.objects, backdrop, origins, dirs, t)
+            [t_bg], [ok_bg] = s.background.intersect(pose.center[None], dirs[None])
+            tpar, sid, hit = _nearest_surface(s.objects, (t_bg, ok_bg), pose.center, dirs, t)
             hit = hit.reshape(h, w)
-            world = (origins + tpar[:, None] * dirs).reshape(h, w, 3)
+            world = (pose.center + tpar[:, None] * dirs).reshape(h, w, 3)
             npt.assert_array_equal(s.depths[t].depth, np.where(hit, tpar.reshape(h, w), 0.0))
             npt.assert_array_equal(s.depths[t].valid, hit)
             npt.assert_array_equal(world_points(s, t), np.where(hit[..., None], world, 0.0))
@@ -594,7 +594,7 @@ def test_chunked_tracks_and_matching_maps_match_serial(path, objects, seed, h, w
         mp.setattr(scenes, "_pool", lambda: counted)
         got_tracks, got_maps = render()
     # one visibility call for the tracks and one per pair, each split into
-    # chunks, each group's origins expanded chunk by chunk
+    # chunks, each chunk's origins read from its rays' centers
     sizes = [frames * len(qf)] + [h * w] * len(pairs)
     splits = [max(min(cores, n // 2), -(-n // max_chunk)) for n in sizes]
     assert min(splits) >= cores and max(splits) > cores
@@ -607,8 +607,23 @@ def test_chunked_tracks_and_matching_maps_match_serial(path, objects, seed, h, w
         npt.assert_array_equal(a.valid, b.valid, err_msg=f"pair {(i, j)}")
 
 
-def _intersect_matches(bg, origins, dirs, want):
-    got, ok = bg.intersect(origins[:1], dirs, [len(dirs)])
+def test_multi_group_observe_matches_one_group_calls(seq):
+    # build_tracks' (T, Q, 3) stack for every pixel that hits a surface at
+    # frame 0; Q >= 2, since a one-row BLAS call may differ in the last bit
+    qy, qx = np.nonzero(seq.hit_id[0] > -2)
+    tracks = build_tracks(seq, np.zeros(len(qx), dtype=np.int64), np.stack([qx, qy], axis=1))
+    stack = tracks.world.swapaxes(0, 1)
+    frames = range(seq.frame_count)
+    got = _observe(seq, frames, stack)
+    assert got[2].any() and not got[2].all()
+    for t in frames:
+        for name, a, [b] in zip(("camera", "pixels", "visible"), got,
+                                _observe(seq, [t], stack[t:t + 1])):
+            npt.assert_array_equal(a[t], b, err_msg=f"{name} at frame {t}")
+
+
+def _intersect_matches(bg, centers, dirs, want):
+    got, ok = bg.intersect(centers, dirs)
     if not np.array_equal(got[ok], want[ok]):
         raise AssertionError("forked child's bisection differs")
 
@@ -619,11 +634,11 @@ def test_forked_child_can_split_a_bisection(seq, monkeypatch):
     # the child inherits the started pool object but none of its threads
     monkeypatch.setattr(scenes, "_MIN_CHUNK_RAYS", 2)
     monkeypatch.setattr(scenes, "_CORES", 2)
-    (origins, dirs, _), _ = _pixel_and_visibility_rays(seq, 0)
-    want, _ = seq.background.intersect(origins[:1], dirs, [len(dirs)])
+    (centers, dirs, _), _ = _pixel_and_visibility_rays(seq, 0)
+    want, _ = seq.background.intersect(centers, dirs)
     assert scenes._executor is not None
     child = multiprocessing.get_context("fork").Process(
-        target=_intersect_matches, args=(seq.background, origins, dirs, want))
+        target=_intersect_matches, args=(seq.background, centers, dirs, want))
     child.start()
     child.join(30)
     hung = child.is_alive()
@@ -654,11 +669,12 @@ def test_certified_edge_matches_full_refinement(monkeypatch, seed, path):
     s = generate_scene(SceneConfig(seed=seed, frame_count=2, height=16, width=20,
                                    object_count=2, camera_path=path, track_count=0))
     bg = s.background
-    origins, dirs, _ = _pixel_and_visibility_rays(s, 0)[1]
-    t, ok = bg.intersect(origins[:1], dirs, [len(dirs)])
+    centers, [dirs], _ = _pixel_and_visibility_rays(s, 0)[1]
+    [t], [ok] = bg.intersect(centers, dirs[None])
     assert ok.all()
     # thresholds k E / m past the crossing, where m bounds g's rise per unit t:
     # |g(thr)| >= k E, so |k| > 3 is certified and smaller |k| may not be
+    origins = np.broadcast_to(centers, dirs.shape)  # the rows of one chunk
     _, hi0, _ = bg._bracket(origins, dirs)
     rise = dirs[:, 2] - bg.slope * np.hypot(dirs[:, 0], dirs[:, 1])
     unit = bg._sign_error(origins, dirs, hi0) / rise
@@ -669,7 +685,7 @@ def test_certified_edge_matches_full_refinement(monkeypatch, seed, path):
                        "t + 1 ulp": np.nextafter(t, np.inf)})
     rows = _fallback_rows(monkeypatch)
     for name, thr in thresholds.items():
-        beyond, _ = bg.crossing_beyond(origins[:1], dirs, thr, [len(dirs)])
+        [beyond], _ = bg.crossing_beyond(centers, dirs[None], thr[None])
         npt.assert_array_equal(beyond, t >= thr, err_msg=name)
     assert 3 * len(dirs) <= sum(rows) < len(thresholds) * len(dirs)
 
@@ -689,9 +705,9 @@ def test_steep_field_falls_back_on_shallow_rays(monkeypatch):
     lo0, hi0, ok = bg._bracket(origins, dirs)
     assert ok.all()
     thr = lo0 + rng.uniform(-0.1, 1.1, n) * (hi0 - lo0)
-    t, _ = bg.intersect(o[None], dirs, [n])
+    [t], _ = bg.intersect(o[None], dirs[None])
     rows = _fallback_rows(monkeypatch)
-    beyond, _ = bg.crossing_beyond(o[None], dirs, thr, [n])
+    [beyond], _ = bg.crossing_beyond(o[None], dirs[None], thr[None])
     npt.assert_array_equal(beyond, t >= thr)
     shallow = dirs[:, 2] <= bg.slope * np.hypot(dirs[:, 0], dirs[:, 1])
     in_bracket = (lo0 < thr) & (thr <= hi0)
@@ -701,14 +717,14 @@ def test_steep_field_falls_back_on_shallow_rays(monkeypatch):
 
 def test_one_undecided_ray_bisects_in_two_rows(seq, monkeypatch):
     bg = seq.background
-    origins, dirs, thr = _pixel_and_visibility_rays(seq, 1)[1]
-    t, _ = bg.intersect(origins[:1], dirs, [len(dirs)])
-    thr[5] = t[5]  # g(thr) is rounding noise at the crossing itself
+    centers, dirs, thr = _pixel_and_visibility_rays(seq, 1)[1]
+    t, _ = bg.intersect(centers, dirs)
+    thr[0, 5] = t[0, 5]  # g(thr) is rounding noise at the crossing itself
     rows = _fallback_rows(monkeypatch)
-    beyond, _ = bg.crossing_beyond(origins[:1], dirs, thr, [len(dirs)])
+    beyond, _ = bg.crossing_beyond(centers, dirs, thr)
     assert rows == [2]
     npt.assert_array_equal(beyond, t >= thr)
-    assert beyond[5]
+    assert beyond[0, 5]
 
 
 def test_matched_renders_need_no_bisection(monkeypatch):
