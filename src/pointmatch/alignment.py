@@ -122,7 +122,7 @@ class AlignmentProblem:
         for seg_ii, seg_ji, seg2 in map(self._segments, edges):  # map drops each edge
             segs3 += seg_ii, seg_ji
             segs2.append(seg2)
-        if n > 1 and not self._connected():
+        if len(_spanning_tree(self.edges)) < n - 1:
             raise ValueError("pair graph is disconnected")
         self.rows = _table(segs3, n), _table(segs2, n)
 
@@ -151,14 +151,20 @@ class AlignmentProblem:
                 for f, pm, conf in ((i, x_ii, conf_ii), (j, x_ji, conf_ji))]
         return segs + [segment(j, sel, project_points(m.points[sel], self.intrinsics[i])[0])]
 
-    def _connected(self) -> bool:
-        seen, todo = {0}, [0]
-        while todo:
-            f = todo.pop()
-            new = {e.j if e.i == f else e.i for e in self.edges if f in e} - seen
-            seen |= new
-            todo += new
-        return len(seen) == len(self.ego_maps)
+
+def _spanning_tree(pairs: list[tuple[int, int]]) -> list[tuple[int, int, tuple[int, int]]]:
+    """A breadth-first walk of the graph of pairs (i, j) from frame 0, each
+    frame's pairs taken in their list order: (frame, child, pair) for every
+    other frame it reaches, in the order reached."""
+    order, seen, tree = [0], {0}, []
+    for f in order:  # order grows as the walk reaches frames
+        for i, j in pairs:
+            child = j if i == f else i if j == f else None
+            if child is not None and child not in seen:
+                seen.add(child)
+                order.append(child)
+                tree.append((f, child, (i, j)))
+    return tree
 
 
 def build_pair_graph(seq, predictor: Predictor, stride: int = 5,
@@ -294,20 +300,23 @@ def _chunk(rows: _Rows, lo: int, hi: int, segs: range):
     return pix, cat(rows.data), None if rows.w is None else cat(rows.w)
 
 
-def _prepare(problem: AlignmentProblem, opts: AlignmentOptions) -> tuple[_Rows, _Rows]:
-    """The rows opts solve over: every 3D row, and every 2D row unless
-    lambda_2d is 0; the tables are the problem's own, not copies."""
-    if opts.lambda_2d == 0:
-        return problem.rows[0], _table([], len(problem.ego_maps))
-    return problem.rows
+# an iterate as the row passes read it: the 3D and 2D tables it solves over,
+# (F, 3, 3) rotations, (F, 3) translations, (E,) scales, (F * pixels, 3) chi,
+# (F, 4) fx, fy, cx, cy and the 2D rows' weight
+_At = namedtuple("_At", "rows rot trans scales chi k lambda_2d")
 
 
-# an iterate as the row passes read it: (F, 3, 3) rotations, (F, 3)
-# translations, (E,) scales, (F * pixels, 3) chi and (F, 4) fx, fy, cx, cy
-_At = namedtuple("_At", "rot trans scales chi k lambda_2d")
+def _iterate(problem: AlignmentProblem, v: AlignmentVariables, opts: AlignmentOptions) -> _At:
+    """v as the row passes read it, over every 3D row and, unless lambda_2d
+    is 0, every 2D row; the tables are the problem's own, not copies."""
+    n, ks = len(v.rotations), problem.intrinsics
+    rows = problem.rows if opts.lambda_2d else (problem.rows[0], _table([], n))
+    return _At(rows, v.rotations, v.translations, np.exp(v.log_scales),
+               v.pointmaps.reshape(-1, 3),
+               np.array([[k.fx, k.fy, k.cx, k.cy] for k in ks]).reshape(n, 4), opts.lambda_2d)
 
 
-def _linearized(pres: tuple[_Rows, _Rows], at: _At, frames: tuple[int, int], jac=True):
+def _linearized(at: _At, frames: tuple[int, int], jac=True):
     """Rows of frames lo..hi - 1, chunk by chunk: (table, segment, pixel,
     weight, residual, kernel root, d r / d chi, lever). d r / d chi is None
     for the 3D rows' identity and for every row without jac, else a 2D row's
@@ -315,7 +324,7 @@ def _linearized(pres: tuple[_Rows, _Rows], at: _At, frames: tuple[int, int], jac
     row's mapped point s_e R_i x or a 2D row's chi - t_i. 2D rows behind
     their camera drop out."""
     step = _CHUNK_ROWS if jac else 2 * _CHUNK_ROWS
-    for t, rows in enumerate(pres):
+    for t, rows in enumerate(at.rows):
         lo, hi = rows.start[np.searchsorted(rows.frame, frames)]
         for row0 in range(lo, hi, step):
             row1 = min(row0 + step, hi)
@@ -352,7 +361,7 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-2)
 
 
-def _jacobian_rows(pres: tuple[_Rows, _Rows], at: _At, frames: tuple[int, int]):
+def _jacobian_rows(at: _At, frames: tuple[int, int]):
     """The rows of frames lo..hi - 1 with their Jacobians in closed form,
     chunk by chunk: (table, segment, pixel, u, residual, lever, d r / d chi,
     d r / d camera). The per-row arrays have the rows' axis last, so each
@@ -362,7 +371,7 @@ def _jacobian_rows(pres: tuple[_Rows, _Rows], at: _At, frames: tuple[int, int]):
     Jacobians are None. A 2D row's d r / d chi is (2, 3, m) and its d r / d
     camera (2, 6, m): row q is [j_q x d, -j_q] over its pose columns, for
     J_chi's row j_q and the lever d (its scale column is 0)."""
-    for t, seg, pix, w, r, root, j_chi, lever in _linearized(pres, at, frames):
+    for t, seg, pix, w, r, root, j_chi, lever in _linearized(at, frames):
         lever, j_cam = lever.T.copy(), None
         if t == 1:
             j_cam = np.concatenate([_cross(j_chi, lever), -j_chi], axis=1)
@@ -409,8 +418,8 @@ def _sym_inverse(c: np.ndarray) -> np.ndarray:
 # inverses K (k_chi) and gradient g_chi. Camera unknowns are [rotation,
 # translation] per frame, then one log-scale per edge; a rotation unknown is
 # a left perturbation dw, R <- exp([dw]x) R. The back-substitution reads the
-# rows `pres` again at the iterate `at`.
-_NormalSystem = namedtuple("_NormalSystem", "h g schur g_schur k_chi g_chi pres at")
+# rows of the iterate `at` again.
+_NormalSystem = namedtuple("_NormalSystem", "h g schur g_schur k_chi g_chi at")
 
 
 def _camera_terms(sums: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -436,27 +445,19 @@ def _camera_terms(sums: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
     return g, h
 
 
-def _iterate(problem: AlignmentProblem, v: AlignmentVariables, opts: AlignmentOptions) -> _At:
-    """v as the row passes read it."""
-    n, ks = len(v.rotations), problem.intrinsics
-    return _At(v.rotations, v.translations, np.exp(v.log_scales), v.pointmaps.reshape(-1, 3),
-               np.array([[k.fx, k.fy, k.cx, k.cy] for k in ks]).reshape(n, 4), opts.lambda_2d)
-
-
-def _energy(problem: AlignmentProblem, pres: tuple[_Rows, _Rows], v: AlignmentVariables,
-            opts: AlignmentOptions) -> float:
-    """The energy of the rows pres at v."""
+def _energy(problem: AlignmentProblem, v: AlignmentVariables, opts: AlignmentOptions) -> float:
+    """The energy at v of the rows opts solve over (see _iterate)."""
     at, energy = _iterate(problem, v, opts), 0.0
-    for _, _, _, w, _, root, _, _ in _linearized(pres, at, (0, len(v.rotations)), jac=False):
+    for _, _, _, w, _, root, _, _ in _linearized(at, (0, len(v.rotations)), jac=False):
         energy += float((w * (root - _HUBER_DELTA)).sum())
     return energy
 
 
-def _normal_system(problem: AlignmentProblem, pres: tuple[_Rows, _Rows], v: AlignmentVariables,
+def _normal_system(problem: AlignmentProblem, v: AlignmentVariables,
                    opts: AlignmentOptions) -> _NormalSystem:
-    """The IRLS normal system of the rows pres at v with chi eliminated,
-    undamped, whose g and g_chi are the energy's gradient (rotations by left
-    perturbations).
+    """The IRLS normal system at v of the rows opts solve over (see
+    _iterate), with chi eliminated, undamped, whose g and g_chi are the
+    energy's gradient (rotations by left perturbations).
 
     Every row adds u J^T r to the gradient and u J^T J to the system, so the
     gradient is exact and the system is the Gauss-Newton curvature of the
@@ -474,18 +475,18 @@ def _normal_system(problem: AlignmentProblem, pres: tuple[_Rows, _Rows], v: Alig
     dim = 6 * n + len(at.scales)
     pix = len(at.chi) // n
     # per segment: a 3D segment's 17 moments, a 2D segment's J^T u r and J^T u J
-    acc = [np.zeros((len(rows.pose), width)) for rows, width in zip(pres, (17, 42))]
+    acc = [np.zeros((len(rows.pose), width)) for rows, width in zip(at.rows, (17, 42))]
     k_chi, g_chi = np.zeros((n, pix, 3, 3)), np.zeros((n, pix, 3))
     schur, g_schur = np.zeros((dim, dim)), np.zeros(dim)
-    cols = [rows.cols for rows in pres]
+    cols = [rows.cols for rows in at.rows]
     for f in range(n):
-        own = np.unique(np.concatenate([cl[r.frame == f] for cl, r in zip(cols, pres)]))
+        own = np.unique(np.concatenate([cl[r.frame == f] for cl, r in zip(cols, at.rows)]))
         # a segment's nonzeros' offsets into b at pixel 0: (12 or 6, segments)
         slots = [np.searchsorted(own, cl) for cl in cols]
         offs = [(own.size * _C3_ROW + slots[0][:, _C3_COL]).T, slots[1][:, :6].T]
         b = np.zeros(pix * 3 * own.size)  # the couplings, (pixel, 3, own)
         c = np.zeros((6, pix))  # the chi blocks, see _SYM
-        for t, seg, p, u, r, lever, j_chi, j_cam in _jacobian_rows(pres, at, (f, f + 1)):
+        for t, seg, p, u, r, lever, j_chi, j_cam in _jacobian_rows(at, (f, f + 1)):
             if not seg.size:
                 continue
             p = p - f * pix
@@ -530,11 +531,11 @@ def _normal_system(problem: AlignmentProblem, pres: tuple[_Rows, _Rows], v: Alig
         g_schur[own] += kb.T @ g_chi[f].ravel()
         del b, kb
     g, h = np.zeros(dim), np.zeros((dim, dim))
-    for t, (rows, sums) in enumerate(zip(pres, acc)):
+    for t, (rows, sums) in enumerate(zip(at.rows, acc)):
         g_seg, h_seg = _camera_terms(sums, t)
         np.add.at(g, rows.cols, g_seg)
         np.add.at(h, (rows.cols[:, :, None], rows.cols[:, None]), h_seg)
-    return _NormalSystem(h, g, schur, g_schur, k_chi, g_chi, pres, at)
+    return _NormalSystem(h, g, schur, g_schur, k_chi, g_chi, at)
 
 
 def _lm_step(v: AlignmentVariables, system: _NormalSystem, damping: float) -> AlignmentVariables:
@@ -554,9 +555,9 @@ def _lm_step(v: AlignmentVariables, system: _NormalSystem, damping: float) -> Al
     keep = keep[(keep >= 6) & (keep != 6 * n)]
     step = np.zeros_like(rhs)
     step[keep] = np.linalg.solve(h[keep][:, keep], -rhs[keep])
-    moved = [step[rows.cols].T for rows in system.pres]
+    moved = [step[rows.cols].T for rows in system.at.rows]
     d_chi = system.g_chi.reshape(-1, 3).copy()
-    for t, seg, p, u, _, lever, j_chi, j_cam in _jacobian_rows(system.pres, system.at, (0, n)):
+    for t, seg, p, u, _, lever, j_chi, j_cam in _jacobian_rows(system.at, (0, n)):
         mv = moved[t].take(seg, axis=1)  # d r / d camera times mv, without building it
         if t == 0:
             jd = u * (_cross(lever, mv[:3]) - mv[3:6] - mv[6] * lever)
@@ -587,16 +588,19 @@ def alignment_energy(problem: AlignmentProblem, v: AlignmentVariables,
         if not np.isfinite(a).all():
             raise ValueError(f"{name} must be finite")
     opts = options or AlignmentOptions()
-    return _energy(problem, _prepare(problem, opts), v, opts)
+    return _energy(problem, v, opts)
 
 
 def _init_pairwise(problem: AlignmentProblem) -> AlignmentVariables:
     """Spanning-tree initialization from per-edge similarity fits.
 
     Each edge's (x_jj, x_ji) correspondence, its x_ji read from its 3D rows
-    of frame j, gives a cam_j -> cam_i similarity (Kabsch/Umeyama); BFS from
-    frame 0 accumulates poses and per-frame scales, then edge scales and
-    global maps are seeded consistently.
+    of frame j, gives a cam_j -> cam_i similarity (Kabsch/Umeyama) when they
+    share 3 or more pixels. A breadth-first walk of the fitted edges from
+    frame 0 (_spanning_tree) accumulates poses and per-frame scales; a frame
+    it does not reach keeps the identity pose. Edge scales and global maps are
+    then seeded consistently, the maps through an iterate without 2D rows
+    (lambda_2d = 0).
     """
     n = len(problem.ego_maps)
     v = AlignmentVariables(np.tile(np.eye(3), (n, 1, 1)), np.zeros((n, 3)),
@@ -607,40 +611,26 @@ def _init_pairwise(problem: AlignmentProblem) -> AlignmentVariables:
 
     rows, (h, w) = problem.rows[0], problem.ego_maps[0].resolution
     rel: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]] = {}
-    adj: dict[int, list[tuple[int, int, int]]] = {f: [] for f in range(n)}
     for ei, e in enumerate(problem.edges):
-        adj[e.i].append((e.j, e.i, e.j))
-        adj[e.j].append((e.i, e.i, e.j))
         ego_j = problem.ego_maps[e.j]
         for s in np.flatnonzero((rows.edge == ei) & (rows.frame == e.j)):  # x_ji's segment
             joint = ego_j.valid[rows.mask[s]]  # x_ji's rows at pixels ego_j has too
             if int(joint.sum()) >= 3:
-                try:
-                    rel[(e.i, e.j)] = umeyama(ego_j.points[rows.mask[s] & ego_j.valid],
-                                              rows.data[s][joint])
-                except EmptyDomainError:
-                    pass
+                rel[e] = umeyama(ego_j.points[rows.mask[s] & ego_j.valid], rows.data[s][joint])
 
     rot, cen, kappa = [np.eye(3)] * n, [np.zeros(3)] * n, np.ones(n)
-    seen, frontier = {0}, [0]
-    while frontier:
-        f = frontier.pop(0)
-        for nxt, i, j in adj[f]:
-            if nxt in seen or (i, j) not in rel:
-                continue
-            s, r, t = rel[(i, j)]
-            if f == i:
-                # child j: x_i = s r x_j + t, world map W_j = W_i o M
-                rot[nxt] = rot[f] @ r
-                cen[nxt] = kappa[f] * (rot[f] @ t) + cen[f]
-                kappa[nxt] = kappa[f] * s
-            else:
-                # child i: invert the edge map
-                rot[nxt] = rot[f] @ r.T
-                cen[nxt] = cen[f] - (kappa[f] / s) * (rot[f] @ r.T @ t)
-                kappa[nxt] = kappa[f] / s
-            seen.add(nxt)
-            frontier.append(nxt)
+    for f, nxt, (i, j) in _spanning_tree([e for e in problem.edges if e in rel]):
+        s, r, t = rel[(i, j)]
+        if f == i:
+            # child j: x_i = s r x_j + t, world map W_j = W_i o M
+            rot[nxt] = rot[f] @ r
+            cen[nxt] = kappa[f] * (rot[f] @ t) + cen[f]
+            kappa[nxt] = kappa[f] * s
+        else:
+            # child i: invert the edge map
+            rot[nxt] = rot[f] @ r.T
+            cen[nxt] = cen[f] - (kappa[f] / s) * (rot[f] @ r.T @ t)
+            kappa[nxt] = kappa[f] / s
 
     v.rotations[:], v.translations[:] = rot, cen
     v.log_scales[:] = np.log(np.maximum(kappa[[e.i for e in problem.edges]], 1e-12))
@@ -656,11 +646,10 @@ def _init_pairwise(problem: AlignmentProblem) -> AlignmentVariables:
     # is filled after its rows are read (a zero-stride chi would be copied
     # whole by every chunk's take)
     v.pointmaps[:] = 0.0
-    at = _At(v.rotations, v.translations, np.exp(v.log_scales), v.pointmaps.reshape(-1, 3),
-             None, None)
+    at = _iterate(problem, v, AlignmentOptions(lambda_2d=0.0))
     for f in range(n):
         num, den = np.zeros((h * w, 3)), np.zeros((h * w, 1))
-        for _, _, p, wgt, r, *_ in _linearized(problem.rows[:1], at, (f, f + 1), jac=False):
+        for _, _, p, wgt, r, *_ in _linearized(at, (f, f + 1), jac=False):
             _scatter(num, p - f * h * w, -wgt[:, None] * r)
             _scatter(den, p - f * h * w, wgt[:, None])
         chi = kappa[f] * (problem.ego_maps[f].points.reshape(-1, 3) @ rot[f].T) + cen[f]
@@ -685,9 +674,8 @@ def global_align(
     """
     opts = options or AlignmentOptions()
     v = _init_pairwise(problem)
-    pres = _prepare(problem, opts)
 
-    energy = _energy(problem, pres, v, opts)
+    energy = _energy(problem, v, opts)
     if not np.isfinite(energy):
         raise DivergenceError("initial energy is non-finite", trace=[energy])
     trace, damping, iters, flat_tol_hits = [energy], _DAMPING_START, 0, 0
@@ -696,14 +684,14 @@ def global_align(
     while not converged and iters < opts.max_iters:
         e_before = trace[-1]
         iters += 1
-        system = _normal_system(problem, pres, v, opts)
+        system = _normal_system(problem, v, opts)
         while damping <= _DAMPING_MAX:
             try:
                 cand = _lm_step(v, system, damping)
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
-            e_new = _energy(problem, pres, cand, opts)
+            e_new = _energy(problem, cand, opts)
             if np.isfinite(e_new) and e_new < e_before:
                 break
             damping *= 10.0
@@ -729,10 +717,7 @@ def global_align(
     for f, ego in enumerate(problem.ego_maps):
         sel, r_c2w, center = ego.valid, v.rotations[f], v.translations[f]
         if problem.edges and int(sel.sum()) >= 3:
-            try:
-                _, r_c2w, center = umeyama(ego.points[sel], v.pointmaps[f][sel])
-            except EmptyDomainError:
-                pass
+            _, r_c2w, center = umeyama(ego.points[sel], v.pointmaps[f][sel])
         poses.append(Pose(r_c2w.T, -r_c2w.T @ center))
     return AlignmentResult(poses=poses, scales=np.exp(v.log_scales), energy_trace=trace,
                            converged=converged, iterations=iters, variables=v,

@@ -103,6 +103,8 @@ class OraclePredictor:
             raise ValueError("noise magnitudes must be >= 0")
         if confidence_mode not in ("uniform", "noise"):
             raise ValueError("confidence_mode must be uniform or noise")
+        if seed < 0:
+            raise ValueError("seed must be >= 0")
         self.seq = seq
         self.sigma_point = float(sigma_point)
         self.sigma_scale = float(sigma_scale)
@@ -197,17 +199,12 @@ class _OraclePair(PairPrediction):
 
 @dataclass
 class TaskPlan:
-    """Ordered pair list for one window of a task.
-
-    pairs are (view1, view2); heads names the decoder outputs the task
-    consumes downstream.
-    """
+    """Ordered pair list for one window of a task; pairs are (view1, view2)."""
 
     task: str
     frames: tuple[int, ...]
     keyframe: int | None
     pairs: list[tuple[int, int]]
-    heads: tuple[str, ...]
 
 
 def plan_pairs(task: str, frames: Sequence[int]) -> TaskPlan:
@@ -222,12 +219,12 @@ def plan_pairs(task: str, frames: Sequence[int]) -> TaskPlan:
         raise ValueError("empty frame window")
     if task == "tracking":
         kf = fr[0]
-        return TaskPlan(task, fr, kf, [(t, kf) for t in fr], ("head3",))
+        return TaskPlan(task, fr, kf, [(t, kf) for t in fr])
     if task == "video_depth":
-        return TaskPlan(task, fr, None, [(t, t) for t in fr], ("head1",))
+        return TaskPlan(task, fr, None, [(t, t) for t in fr])
     if task == "reconstruction":
         kf = fr[-1]
-        return TaskPlan(task, fr, kf, [(kf, t) for t in fr], ("head1", "head2"))
+        return TaskPlan(task, fr, kf, [(kf, t) for t in fr])
     raise ValueError(f"unknown task {task!r}")
 
 

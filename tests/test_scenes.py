@@ -336,6 +336,18 @@ def test_config_validation():
         SceneConfig(motion_magnitude=-0.1)
 
 
+def test_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SceneConfig(seed=-1)
+
+
+@pytest.mark.parametrize("name", ["motion_magnitude", "camera_magnitude"])
+def test_magnitudes_above_the_line_are_rejected(name):
+    SceneConfig(**{name: 1e3})
+    with pytest.raises(ValueError, match=f"{name} must be in \\[0, 1000\\]"):
+        SceneConfig(**{name: np.nextafter(1e3, np.inf)})
+
+
 def _bisect_80(field, center, dirs):
     """Reference: HeightField.intersect's bisection run for all 80 steps."""
     zmin, zmax = field.z_bounds

@@ -17,9 +17,14 @@ lengths. It prints one `sha256  path` line per file under OUTDIR, sorted by
 path. Commands run with OUTDIR as the working directory and
 relative paths, so the listing does not depend on where OUTDIR is.
 
-The CLI is deterministic, so two trees that compute the same outputs print the
-same listing: diff the listings of two checkouts (copy this file into an older
-one) to check that a change leaves every output byte-identical. If a command
+The CLI is deterministic for a given BLAS thread count, so two trees that
+compute the same outputs under the same count print the same listing: diff the
+listings of two checkouts (copy this file into an older one) to check that a
+change leaves every output byte-identical. The count matters: the 6
+`align-jitter` files of the 24x32x6 and larger scenes change in their last
+digits between one and two OpenBLAS threads. So the script first prints its
+OPENBLAS_NUM_THREADS and OMP_NUM_THREADS to stderr, and both checkouts should
+run under the same values, for example OPENBLAS_NUM_THREADS=1. If a command
 fails, the script prints it and its error to stderr and exits 1.
 
 `--compare A B` reads two output trees and prints one line per file whose
@@ -57,6 +62,8 @@ NOISE = ("--noise", "0.01")
 JITTER = ("--jitter", "0.05")
 # several windows on every scene, so tracks are stitched and re-seeded
 WINDOWS = ("--window", "4", "--overlap", "1")
+# the environment variables that set the BLAS thread count
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class CommandFailed(RuntimeError):
@@ -221,6 +228,8 @@ def main(argv=None) -> int:
     if len(args) != 1:
         print("usage: output_digest.py OUTDIR | --compare A B", file=sys.stderr)
         return 2
+    print("output_digest: " + " ".join(f"{k}={os.environ.get(k, 'unset')}" for k in THREAD_VARS),
+          file=sys.stderr)
     try:
         lines = run_all(args[0])
     except (CommandFailed, ValueError) as exc:
