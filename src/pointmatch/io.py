@@ -3,8 +3,9 @@
 A bundle directory holds `meta.json` (a `format` tag, a `tensors` manifest and
 any other fields) and one `<name>.bin` per manifest entry: scenes, the CLI's
 task results and temporal-module checkpoints, told apart by their format tag.
-`write_bundle` writes one; `read_meta` and `read_tensors` read one back,
-rejecting a malformed manifest or a missing tensor with ValueError.
+`write_bundle` writes one, refusing a tensor that float32 cannot hold;
+`read_meta` and `read_tensors` read one back, rejecting a malformed manifest
+or a missing tensor with ValueError.
 
 Everything written here is deterministic for fixed inputs: JSON is dumped with
 sorted keys and a trailing newline, tensors are little-endian float32
@@ -83,7 +84,18 @@ def read_tensor(dir_path, entry: dict) -> np.ndarray:
 
 
 def write_bundle(dir_path, fmt: str, tensors: dict, **fields) -> Path:
-    """Make dir_path and write one `<name>.bin` per tensor (in dict order) and `meta.json`."""
+    """Make dir_path and write one `<name>.bin` per tensor (in dict order) and `meta.json`.
+
+    Raises ValueError, before writing any file, naming the first tensor that
+    float32 cannot hold: one with a NaN, an infinity or a value beyond the
+    float32 range.
+    """
+    with np.errstate(over="ignore"):
+        tensors = {name: np.asarray(arr, dtype=np.float64).astype("<f4")
+                   for name, arr in tensors.items()}
+    for name, arr in tensors.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"tensor {name} holds a value float32 cannot hold")
     out = Path(dir_path)
     out.mkdir(parents=True, exist_ok=True)
     entries = [write_tensor(out, name, arr) for name, arr in tensors.items()]

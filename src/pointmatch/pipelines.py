@@ -201,7 +201,6 @@ class _OraclePair(PairPrediction):
 class TaskPlan:
     """Ordered pair list for one window of a task; pairs are (view1, view2)."""
 
-    task: str
     frames: tuple[int, ...]
     keyframe: int | None
     pairs: list[tuple[int, int]]
@@ -219,12 +218,12 @@ def plan_pairs(task: str, frames: Sequence[int]) -> TaskPlan:
         raise ValueError("empty frame window")
     if task == "tracking":
         kf = fr[0]
-        return TaskPlan(task, fr, kf, [(t, kf) for t in fr])
+        return TaskPlan(fr, kf, [(t, kf) for t in fr])
     if task == "video_depth":
-        return TaskPlan(task, fr, None, [(t, t) for t in fr])
+        return TaskPlan(fr, None, [(t, t) for t in fr])
     if task == "reconstruction":
         kf = fr[-1]
-        return TaskPlan(task, fr, kf, [(kf, t) for t in fr])
+        return TaskPlan(fr, kf, [(kf, t) for t in fr])
     raise ValueError(f"unknown task {task!r}")
 
 

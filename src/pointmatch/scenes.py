@@ -36,27 +36,27 @@ Design notes that matter for exactness:
     refinement gives, for one evaluation per ray instead of about twenty;
   - assemble_scene bisects the backdrop once per scene, for every frame's
     pixel rays together; only the analytic object hits run per frame;
-  - a raycast is split into contiguous chunks: one per core the process
-    may run on once each gets at least _MIN_CHUNK_RAYS rays, and more where
-    a chunk would exceed _MAX_CHUNK_RAYS, so a whole scene's rays become
-    bounded pieces spread over the cores. The chunks run on a private
-    thread pool and the calling thread, and are joined in ray order. This
-    is exact on every valid ray: its answer depends only on that ray, since
-    the certified test is elementwise and the stop rule is per ray (a
-    bracket that stops moving is a fixed point), so a chunk that stops
-    before the others, or holds rays of other frames or groups, returns the
-    same values. The one step that is not elementwise is height's two small
-    matrix products; BLAS gives each row the same value in any call of two
-    or more rows, but a one-row call takes another path that can differ in
-    the last bit, so both chunk bounds keep every chunk far above one row,
-    and a visibility query bisects a lone undecided ray as two rows. The
-    certified test's bound holds on either path.
+  - a depth raycast is split into contiguous chunks: one per core the
+    process may run on once each gets at least _MIN_CHUNK_RAYS rays, and more
+    where a chunk would exceed _MAX_CHUNK_RAYS, so a whole scene's rays become
+    bounded pieces spread over the cores. The chunks run on a thread pool that
+    lives for the one call, and are joined in ray order; a visibility query
+    runs in the calling thread, since the certified test leaves it one
+    evaluation per ray. Chunking is exact on every valid ray: its answer
+    depends only on that ray, since the certified test is elementwise and the
+    stop rule is per ray (a bracket that stops moving is a fixed point), so a
+    chunk that stops before the others, or holds rays of other frames or
+    groups, returns the same values. The one step that is not elementwise is
+    height's two small matrix products; BLAS gives each row the same value in
+    any call of two or more rows, but a one-row call takes another path that
+    can differ in the last bit, so both chunk bounds keep every chunk far
+    above one row, and a visibility query bisects a lone undecided ray as two
+    rows. The certified test's bound holds on either path.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -164,7 +164,7 @@ class HeightField:
         ray's bracket moves: a bracket that stops moving is a fixed point, so
         t equals what any longer run would return.
         """
-        return self._split(self._bisect_chunk, centers, dirs)
+        return self._split(centers, dirs)
 
     def crossing_beyond(
         self, centers: np.ndarray, dirs: np.ndarray, thr: np.ndarray
@@ -187,8 +187,8 @@ class HeightField:
           (b) |g(thr)| > 3E, E = 2^-40 P S (below) >= |g(t) - G(t)| for all t
               in [0, hi0] and any order of BLAS's sums.
         The rays these leave undecided run intersect's bisection
-        (_bisect_chunk) on their own, in a call of at least two rows, as
-        their chunk would, and read hi >= thr. A visible point's threshold
+        (_bisect_chunk) on their own, in a call of at least two rows like
+        its chunks, and read hi >= thr. A visible point's threshold
         lies _OCCLUSION_TOL before its crossing, so |g(thr)| is near 1e-6
         there, far above 3E (about 1e-10 on the sampled scenes): only
         grazing rays are left.
@@ -219,33 +219,37 @@ class HeightField:
         u (P + |base| + A). Together |g(t) - G(t)| <= 10u P S, and E is over
         800 times that.
         """
-        return self._split(self._beyond_chunk, centers, dirs, thr)
+        g, n = dirs.shape[:2]
+        beyond, ok = self._beyond_chunk(np.repeat(centers, n, axis=0), dirs.reshape(-1, 3),
+                                        thr.reshape(-1))
+        return beyond.reshape(g, n), ok.reshape(g, n)
 
-    def _split(self, solve, centers, dirs, *per_ray):
-        """solve(chunk origins, chunk dirs, *chunk per_ray arrays) over the
-        call's G x N rays in row-major order, joined back to (G, N).
+    def _split(self, centers, dirs):
+        """intersect's bisection (_bisect_chunk) over the call's G x N rays in
+        row-major order, joined back to (G, N).
 
         A call is split into contiguous chunks, one per core when each gets
         at least _MIN_CHUNK_RAYS rays and more where one would exceed
-        _MAX_CHUNK_RAYS, that are solved concurrently; wherever ok, the
-        result equals one serial call's (see the module note). A chunk's
-        origins are its rays' centers, centers[ray // N].
+        _MAX_CHUNK_RAYS. Two or more chunks run on a thread pool that is shut
+        down before the call returns; wherever ok, the result equals one
+        serial call's (see the module note). A chunk's origins are its rays'
+        centers, centers[ray // N].
         """
         g, n = dirs.shape[:2]
-        flat, per_ray = dirs.reshape(-1, 3), [x.reshape(-1) for x in per_ray]
+        flat = dirs.reshape(-1, 3)
 
         def chunk(a, b):
-            origins = centers[np.arange(a, b) // n]
-            return solve(origins, flat[a:b], *(x[a:b] for x in per_ray))
+            return self._bisect_chunk(centers[np.arange(a, b) // n], flat[a:b])
 
         rays = g * n
         k = max(1, min(_CORES, rays // _MIN_CHUNK_RAYS), -(-rays // _MAX_CHUNK_RAYS))
+        if k == 1:
+            t, ok = chunk(0, rays)
+            return t.reshape(g, n), ok.reshape(g, n)
         edges = [c * rays // k for c in range(k + 1)]
-        # this thread solves the first chunk while the pool runs the rest
-        futures = [_pool().submit(chunk, a, b) for a, b in zip(edges[1:-1], edges[2:])]
-        results = [chunk(edges[0], edges[1])] + [f.result() for f in futures]
-        out, ok = zip(*results)
-        return np.concatenate(out).reshape(g, n), np.concatenate(ok).reshape(g, n)
+        with ThreadPoolExecutor(max_workers=_CORES) as pool:
+            t, ok = zip(*pool.map(chunk, edges[:-1], edges[1:]))
+        return np.concatenate(t).reshape(g, n), np.concatenate(ok).reshape(g, n)
 
     def _bracket(self, origins, dirs):
         """Each ray's initial bracket and validity, (lo, hi, ok); hi is lo + 1
@@ -280,7 +284,7 @@ class HeightField:
         return hi, ok
 
     def _beyond_chunk(self, origins, dirs, thr):
-        """crossing_beyond's (beyond, ok) for one chunk of rays."""
+        """crossing_beyond's (beyond, ok) for rows of rays (origins, dirs, thr)."""
         lo, hi, ok = self._bracket(origins, dirs)
         beyond = thr <= lo
         open_ = ok & (lo < thr) & (thr <= hi)
@@ -309,29 +313,6 @@ class HeightField:
             1 + len(self.amps) + np.abs(self.freqs).sum() + np.abs(self.phases).sum())
         reach = 1.0 + np.abs(origins).sum(axis=1) + hi * np.abs(dirs).sum(axis=1)
         return _SIGN_TOL * shape * reach
-
-
-_executor: ThreadPoolExecutor | None = None
-_executor_lock = threading.Lock()
-
-
-def _pool() -> ThreadPoolExecutor:
-    """The raycast's thread pool, created on first use."""
-    global _executor
-    with _executor_lock:
-        if _executor is None:
-            _executor = ThreadPoolExecutor(max_workers=_CORES, thread_name_prefix="raycast")
-        return _executor
-
-
-def _forget_pool() -> None:
-    # a forked child inherits the pool object and lock state, not the threads
-    global _executor, _executor_lock
-    _executor, _executor_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass

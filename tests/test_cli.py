@@ -302,6 +302,27 @@ def test_overflowing_predictor_noise_fails_with_value_error(tmp_path, small_scen
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("command,tensor", [("depth", "depth_0000"), ("track", "tracks"),
+                                            ("recon", "points")])
+def test_outputs_float32_cannot_hold_fail_with_value_error(tmp_path, small_scene_dir, command,
+                                                          tensor):
+    # noise 1e40 is finite in float64 but past the float32 maximum; the error
+    # names the first tensor that holds such a value
+    out = tmp_path / command
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, printed = run_cli_captured(command, small_scene_dir, "--noise", "1e40",
+                                         "--out", out)
+    assert code == 1
+    lines = printed.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err == {"type": "ValueError",
+                   "message": f"tensor {tensor} holds a value float32 cannot hold"}
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not list(out.glob("*.bin"))
+
+
 # Every subcommand's arguments as (option strings, dest, type or action,
 # required, help), in --help order. "-h" is argparse's own.
 _SCENE = ((), "scene", "store", True, "scene directory")

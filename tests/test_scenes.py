@@ -1,5 +1,7 @@
 import multiprocessing
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -463,17 +465,27 @@ def _pixel_and_visibility_rays(s, frame):
     return [(pose.center[None], d[None], thr[None]) for d, thr in (pixel, visibility)]
 
 
-def _no_pool():
-    raise AssertionError("a serial bisection reached the thread pool")
+class _NoPool(ThreadPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a serial raycast built a thread pool")
 
 
-class _CountingPool:
-    def __init__(self, pool):
-        self.pool, self.submits = pool, 0
+def _count_pools(mp):
+    """Patch scenes' thread pool class with one that counts the chunks each
+    pool it builds is given; returns those counts, one per pool, in order."""
+    counts = []
 
-    def submit(self, *args):
-        self.submits += 1
-        return self.pool.submit(*args)
+    class Counting(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            counts.append(0)
+
+        def submit(self, *args, **kwargs):
+            counts[-1] += 1
+            return super().submit(*args, **kwargs)
+
+    mp.setattr(scenes, "ThreadPoolExecutor", Counting)
+    return counts
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -490,12 +502,11 @@ def test_chunked_bisection_matches_serial(path, objects, seed, h, w, cores):
                                    object_count=objects, camera_path=path,
                                    camera_magnitude=0.05, track_count=0))
     bg = s.background
-    pool = scenes._pool()
     for frame in range(s.frame_count):
         for centers, dirs, thr in _pixel_and_visibility_rays(s, frame):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(scenes, "_MIN_CHUNK_RAYS", 2)
-                mp.setattr(scenes, "_pool", _no_pool)
+                mp.setattr(scenes, "ThreadPoolExecutor", _NoPool)
                 mp.setattr(scenes, "_CORES", 1)
                 want_t, want_ok = bg.intersect(centers, dirs)
                 want_beyond, want_bok = bg.crossing_beyond(centers, dirs, thr)
@@ -506,11 +517,11 @@ def test_chunked_bisection_matches_serial(path, objects, seed, h, w, cores):
                 npt.assert_array_equal(t3[ok3], want_t[:, :3][ok3])
                 npt.assert_array_equal(beyond3[ok3], want_beyond[:, :3][ok3])
 
-                counted = _CountingPool(pool)
-                mp.setattr(scenes, "_pool", lambda: counted)
+                counts = _count_pools(mp)
                 got_t, got_ok = bg.intersect(centers, dirs)
+                assert counts == [cores]  # one pool, one chunk per core
                 got_beyond, got_bok = bg.crossing_beyond(centers, dirs, thr)
-            assert counted.submits == 2 * (cores - 1)  # every chunk but the first
+                assert counts == [cores]  # visibility runs in the calling thread
             npt.assert_array_equal(got_ok, want_ok)
             npt.assert_array_equal(got_bok, want_bok)
             assert want_ok.any()
@@ -535,17 +546,16 @@ def test_batched_scene_raycast_matches_per_frame(path, objects, seed, h, w, fram
                       camera_path=path, camera_magnitude=0.05, track_count=0)
     rays = frames * h * w
     max_chunk = max(4, rays // chunks)  # at least 2 * _MIN_CHUNK_RAYS
-    counted = _CountingPool(scenes._pool())
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenes, "_MIN_CHUNK_RAYS", 2)
         mp.setattr(scenes, "_MAX_CHUNK_RAYS", max_chunk)
         mp.setattr(scenes, "_CORES", cores)
-        mp.setattr(scenes, "_pool", lambda: counted)
+        counts = _count_pools(mp)
         s = generate_scene(cfg)
-    # one call split into more chunks than cores: every chunk but the first submitted
+    # one call split into more chunks than cores, all run on one pool
     split = -(-rays // max_chunk)
     assert split > cores
-    assert counted.submits == split - 1
+    assert counts == [split]
 
     # reference: each frame's rays cast on their own, serially
     ys, xs = np.mgrid[0:h, 0:w]
@@ -554,7 +564,7 @@ def test_batched_scene_raycast_matches_per_frame(path, objects, seed, h, w, fram
                       np.ones(h * w)], axis=1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenes, "_CORES", 1)
-        mp.setattr(scenes, "_pool", _no_pool)
+        mp.setattr(scenes, "ThreadPoolExecutor", _NoPool)
         for t, pose in enumerate(s.poses):
             dirs = d_cam @ pose.rotation
             [t_bg], [ok_bg] = s.background.intersect(pose.center[None], dirs[None])
@@ -595,22 +605,17 @@ def test_chunked_tracks_and_matching_maps_match_serial(path, objects, seed, h, w
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenes, "_CORES", 1)
-        mp.setattr(scenes, "_pool", _no_pool)
+        mp.setattr(scenes, "ThreadPoolExecutor", _NoPool)
         want_tracks, want_maps = render()
     max_chunk = max(4, h * w // chunks)  # at least 2 * _MIN_CHUNK_RAYS
-    counted = _CountingPool(scenes._pool())
+    # visibility never splits, at any core count or chunk bound: one
+    # visibility call for the tracks and one per pair, each in this thread
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenes, "_MIN_CHUNK_RAYS", 2)
         mp.setattr(scenes, "_MAX_CHUNK_RAYS", max_chunk)
         mp.setattr(scenes, "_CORES", cores)
-        mp.setattr(scenes, "_pool", lambda: counted)
+        mp.setattr(scenes, "ThreadPoolExecutor", _NoPool)
         got_tracks, got_maps = render()
-    # one visibility call for the tracks and one per pair, each split into
-    # chunks, each chunk's origins read from its rays' centers
-    sizes = [frames * len(qf)] + [h * w] * len(pairs)
-    splits = [max(min(cores, n // 2), -(-n // max_chunk)) for n in sizes]
-    assert min(splits) >= cores and max(splits) > cores
-    assert counted.submits == sum(k - 1 for k in splits)
     for name in ("camera", "pixels", "visible"):
         npt.assert_array_equal(getattr(got_tracks, name), getattr(want_tracks, name),
                                err_msg=name)
@@ -643,12 +648,11 @@ def _intersect_matches(bg, centers, dirs, want):
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="needs the fork start method")
 def test_forked_child_can_split_a_bisection(seq, monkeypatch):
-    # the child inherits the started pool object but none of its threads
+    # a child forked after a split bisection builds its own pool
     monkeypatch.setattr(scenes, "_MIN_CHUNK_RAYS", 2)
     monkeypatch.setattr(scenes, "_CORES", 2)
     (centers, dirs, _), _ = _pixel_and_visibility_rays(seq, 0)
     want, _ = seq.background.intersect(centers, dirs)
-    assert scenes._executor is not None
     child = multiprocessing.get_context("fork").Process(
         target=_intersect_matches, args=(seq.background, centers, dirs, want))
     child.start()
@@ -659,6 +663,27 @@ def test_forked_child_can_split_a_bisection(seq, monkeypatch):
         child.join()
     assert not hung
     assert child.exitcode == 0
+
+
+def test_no_raycast_thread_outlives_its_call(seq, monkeypatch):
+    monkeypatch.setattr(scenes, "_MIN_CHUNK_RAYS", 2)
+    monkeypatch.setattr(scenes, "_CORES", 2)
+    ran_on = set()
+    bisect = scenes.HeightField._bisect_chunk
+
+    def recording(field, origins, dirs):
+        ran_on.add(threading.current_thread())
+        return bisect(field, origins, dirs)
+
+    monkeypatch.setattr(scenes.HeightField, "_bisect_chunk", recording)
+    (centers, dirs, _), _ = _pixel_and_visibility_rays(seq, 0)
+    before = threading.enumerate()
+    seq.background.intersect(centers, dirs)
+    assert set(threading.enumerate()) == set(before)
+    # the call was split across threads, each of which has ended
+    workers = ran_on - {threading.current_thread()}
+    assert workers
+    assert not [t.name for t in workers if t.is_alive()]
 
 
 def _fallback_rows(monkeypatch):
