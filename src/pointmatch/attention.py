@@ -55,7 +55,7 @@ class TokenGrid:
 class MotionParams:
     """Named parameter tensors for the temporal module.
 
-    tensors maps name -> float64 array; its order is the serialization order.
+    tensors maps name -> float64 array; `names` gives its keys in order.
     """
 
     channels: int

@@ -1,8 +1,8 @@
 """On-disk formats: bundle directories of raw f32 tensors, and trajectory text.
 
 A bundle directory holds `meta.json` (a `format` tag, a `tensors` manifest and
-any other fields) and one `<name>.bin` per manifest entry: scenes, the CLI's
-task results and temporal-module checkpoints, told apart by their format tag.
+any other fields) and one `<name>.bin` per manifest entry: scenes and the
+CLI's task results, told apart by their format tag.
 `write_bundle` writes one, refusing a tensor that float32 cannot hold;
 `read_meta` and `read_tensors` read one back, rejecting a malformed manifest
 or a missing tensor with ValueError.
@@ -22,7 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .attention import MotionParams
 from .config import typed_fields
 from .geometry import Pose, invert_pose, quat_to_rotation, rotation_to_quat
 from .scenes import SceneConfig, SceneSequence, TrackSet, generate_scene
@@ -30,7 +29,6 @@ from .scenes import SceneConfig, SceneSequence, TrackSet, generate_scene
 TENSOR_DTYPE = "f32"
 TENSOR_ORDER = "row-major"
 SCENE_FORMAT = "pointmatch-scene-v1"
-CHECKPOINT_FORMAT = "motion-checkpoint-v2"
 # tracks.json fields: those compared exactly on load, and the float ones
 _TRACK_EXACT = ("query_frames", "query_pixels", "visible")
 _TRACK_FLOAT = ("world", "camera", "pixels")
@@ -42,19 +40,6 @@ def dump_json(path, payload) -> None:
 
 def load_json(path):
     return json.loads(Path(path).read_text())
-
-
-def write_tensor(dir_path, name: str, array: np.ndarray) -> dict:
-    """Write `<name>.bin` under dir_path, return its manifest entry."""
-    arr = np.asarray(array, dtype=np.float64)
-    data = np.ascontiguousarray(arr, dtype="<f4")
-    (Path(dir_path) / (name + ".bin")).write_bytes(data.tobytes())
-    return {
-        "name": name,
-        "dims": list(arr.shape),
-        "dtype": TENSOR_DTYPE,
-        "order": TENSOR_ORDER,
-    }
 
 
 def read_tensor(dir_path, entry: dict) -> np.ndarray:
@@ -98,7 +83,11 @@ def write_bundle(dir_path, fmt: str, tensors: dict, **fields) -> Path:
             raise ValueError(f"tensor {name} holds a value float32 cannot hold")
     out = Path(dir_path)
     out.mkdir(parents=True, exist_ok=True)
-    entries = [write_tensor(out, name, arr) for name, arr in tensors.items()]
+    entries = []
+    for name, arr in tensors.items():
+        (out / (name + ".bin")).write_bytes(arr.tobytes())  # row-major
+        entries.append({"name": name, "dims": list(arr.shape),
+                        "dtype": TENSOR_DTYPE, "order": TENSOR_ORDER})
     dump_json(out / "meta.json", {"format": fmt, "tensors": entries, **fields})
     return out
 
@@ -249,33 +238,3 @@ def _check_tracks(path: Path, tracks: TrackSet) -> None:
             continue
         if got.shape != want.shape or not np.allclose(got, want, rtol=0.0, atol=1e-9):
             raise ValueError(f"tracks.json {name} does not match the scene config")
-
-
-def save_checkpoint(dir_path, params: MotionParams) -> Path:
-    """Write params as a bundle directory, one `<name>.bin` per tensor in order."""
-    return write_bundle(
-        dir_path,
-        CHECKPOINT_FORMAT,
-        params.tensors,
-        channels=params.channels,
-        heads=params.heads,
-        t_max=params.t_max,
-    )
-
-
-def load_checkpoint(dir_path) -> MotionParams:
-    """Read a `save_checkpoint` directory back; ValueError if it is malformed."""
-    meta = read_meta(dir_path, CHECKPOINT_FORMAT)
-    for key in ("channels", "heads", "t_max"):
-        if type(meta.get(key)) is not int:
-            raise ValueError(f"{dir_path}: {key} must be an integer")
-    # read_tensors checks every name before the dict is keyed by them
-    tensors = dict(zip((e["name"] for e in meta["tensors"]), read_tensors(dir_path, meta)))
-    if len(tensors) != len(meta["tensors"]):
-        raise ValueError(f"{dir_path} names a tensor twice")
-    return MotionParams(
-        channels=meta["channels"],
-        heads=meta["heads"],
-        t_max=meta["t_max"],
-        tensors=tensors,
-    )

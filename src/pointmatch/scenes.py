@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyDomainError, check_finite
+from .errors import check_finite
 from .geometry import (
     DepthMap,
     Intrinsics,
@@ -160,11 +160,32 @@ class HeightField:
 
         Assumes centers lie below the surface band (z < zmin) and rays point
         toward +z steeply enough that the crossing is unique; callers enforce
-        that through the camera-path contract. Bisection stops once no valid
-        ray's bracket moves: a bracket that stops moving is a fixed point, so
-        t equals what any longer run would return.
+        that through the camera-path contract. Bisection (_bisect_chunk) stops
+        once no valid ray's bracket moves: a bracket that stops moving is a
+        fixed point, so t equals what any longer run would return.
+
+        The G x N rays, in row-major order, are split into contiguous chunks,
+        one per core when each gets at least _MIN_CHUNK_RAYS rays and more
+        where one would exceed _MAX_CHUNK_RAYS. Two or more chunks run on a
+        thread pool that is shut down before the call returns; wherever ok,
+        the result equals one serial call's (see the module note). A chunk's
+        origins are its rays' centers, centers[ray // N].
         """
-        return self._split(centers, dirs)
+        g, n = dirs.shape[:2]
+        flat = dirs.reshape(-1, 3)
+
+        def chunk(a, b):
+            return self._bisect_chunk(centers[np.arange(a, b) // n], flat[a:b])
+
+        rays = g * n
+        k = max(1, min(_CORES, rays // _MIN_CHUNK_RAYS), -(-rays // _MAX_CHUNK_RAYS))
+        if k == 1:
+            t, ok = chunk(0, rays)
+            return t.reshape(g, n), ok.reshape(g, n)
+        edges = [c * rays // k for c in range(k + 1)]
+        with ThreadPoolExecutor(max_workers=_CORES) as pool:
+            t, ok = zip(*pool.map(chunk, edges[:-1], edges[1:]))
+        return np.concatenate(t).reshape(g, n), np.concatenate(ok).reshape(g, n)
 
     def crossing_beyond(
         self, centers: np.ndarray, dirs: np.ndarray, thr: np.ndarray
@@ -223,33 +244,6 @@ class HeightField:
         beyond, ok = self._beyond_chunk(np.repeat(centers, n, axis=0), dirs.reshape(-1, 3),
                                         thr.reshape(-1))
         return beyond.reshape(g, n), ok.reshape(g, n)
-
-    def _split(self, centers, dirs):
-        """intersect's bisection (_bisect_chunk) over the call's G x N rays in
-        row-major order, joined back to (G, N).
-
-        A call is split into contiguous chunks, one per core when each gets
-        at least _MIN_CHUNK_RAYS rays and more where one would exceed
-        _MAX_CHUNK_RAYS. Two or more chunks run on a thread pool that is shut
-        down before the call returns; wherever ok, the result equals one
-        serial call's (see the module note). A chunk's origins are its rays'
-        centers, centers[ray // N].
-        """
-        g, n = dirs.shape[:2]
-        flat = dirs.reshape(-1, 3)
-
-        def chunk(a, b):
-            return self._bisect_chunk(centers[np.arange(a, b) // n], flat[a:b])
-
-        rays = g * n
-        k = max(1, min(_CORES, rays // _MIN_CHUNK_RAYS), -(-rays // _MAX_CHUNK_RAYS))
-        if k == 1:
-            t, ok = chunk(0, rays)
-            return t.reshape(g, n), ok.reshape(g, n)
-        edges = [c * rays // k for c in range(k + 1)]
-        with ThreadPoolExecutor(max_workers=_CORES) as pool:
-            t, ok = zip(*pool.map(chunk, edges[:-1], edges[1:]))
-        return np.concatenate(t).reshape(g, n), np.concatenate(ok).reshape(g, n)
 
     def _bracket(self, origins, dirs):
         """Each ray's initial bracket and validity, (lo, hi, ok); hi is lo + 1
@@ -750,12 +744,3 @@ def gt_rigid_pointmap(seq: SceneSequence, i: int, j: int) -> Pointmap:
     """
     check_frame(seq, i)
     return Pointmap(seq.poses[i].apply(world_points(seq, j)), seq.depths[j].valid)
-
-
-def dynamic_pixel_fraction(seq: SceneSequence) -> float:
-    """Fraction of valid pixels on moving objects, over all frames."""
-    valid = seq.hit_id > -2
-    tot = int(valid.sum())
-    if tot == 0:
-        raise EmptyDomainError("scene has no valid pixels")
-    return float(seq.dynamic_labels[valid].sum()) / tot

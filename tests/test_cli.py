@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pointmatch.cli import main
-from pointmatch.io import dump_json, load_json, read_tensor, write_tensor
+from pointmatch.io import dump_json, load_json, read_tensor
 
 
 def run_cli(*argv):
@@ -509,7 +509,7 @@ def _track_queries_fractional(tmp_path, scene_dir):
     pred = tmp_path / "tr"
     assert run_cli("track", scene_dir, "--out", pred) == 0
     entry = next(e for e in load_json(pred / "meta.json")["tensors"] if e["name"] == "queries")
-    write_tensor(pred, "queries", read_tensor(pred, entry) + 0.6)
+    (pred / "queries.bin").write_bytes((read_tensor(pred, entry) + 0.6).astype("<f4").tobytes())
     return ("eval", "track", pred, scene_dir, "--out", tmp_path / "r.json")
 
 
@@ -518,7 +518,8 @@ def _track_queries_scalar(tmp_path, scene_dir):
     assert run_cli("track", scene_dir, "--out", pred) == 0
     meta = load_json(pred / "meta.json")
     entry = next(e for e in meta["tensors"] if e["name"] == "queries")
-    entry.update(write_tensor(pred, "queries", np.float64(3.0)))
+    (pred / "queries.bin").write_bytes(np.float32(3.0).tobytes())
+    entry["dims"] = []
     dump_json(pred / "meta.json", meta)
     return ("eval", "track", pred, scene_dir, "--out", tmp_path / "r.json")
 

@@ -3,19 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from pointmatch.attention import TokenGrid, forward, init_params
+from pointmatch.cli import DEPTH_FORMAT, main
 from pointmatch.geometry import Pose
 from pointmatch.io import (
-    CHECKPOINT_FORMAT,
-    load_checkpoint,
     load_scene,
     read_meta,
     read_tensor,
     read_tensors,
     read_trajectory,
-    save_checkpoint,
     save_scene,
-    write_tensor,
+    write_bundle,
     write_trajectory,
 )
 from pointmatch.scenes import SceneConfig, generate_scene
@@ -29,10 +26,16 @@ def random_pose(rng):
     return Pose(q, rng.normal(size=3))
 
 
+def write_probe(dir_path, arr, name="probe") -> dict:
+    """Write arr as a bundle's one tensor, return its manifest entry."""
+    [entry] = read_meta(write_bundle(dir_path, "probe-v1", {name: arr}), "probe-v1")["tensors"]
+    return entry
+
+
 def test_tensor_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     arr = rng.normal(size=(3, 5, 2))
-    entry = write_tensor(tmp_path, "probe", arr)
+    entry = write_probe(tmp_path, arr)
     assert entry == {
         "name": "probe",
         "dims": [3, 5, 2],
@@ -46,7 +49,7 @@ def test_tensor_roundtrip(tmp_path):
 
 
 def test_tensor_reader_rejects_mismatches(tmp_path):
-    entry = write_tensor(tmp_path, "probe", np.zeros((4, 4)))
+    entry = write_probe(tmp_path, np.zeros((4, 4)))
     short = dict(entry, dims=[4, 3])
     with pytest.raises(ValueError, match="bytes"):
         read_tensor(tmp_path, short)
@@ -61,14 +64,14 @@ def test_tensor_reader_rejects_mismatches(tmp_path):
 
 @pytest.mark.parametrize("dims", [None, "4x4", [4, "4"], [4.0, 4], [4, -4], [True, 4]])
 def test_tensor_reader_rejects_malformed_dims(tmp_path, dims):
-    entry = write_tensor(tmp_path, "probe", np.zeros((4, 4)))
+    entry = write_probe(tmp_path, np.zeros((4, 4)))
     with pytest.raises(ValueError, match="dims"):
         read_tensor(tmp_path, dict(entry, dims=dims))
 
 
 def test_tensor_reader_requires_dims(tmp_path):
     # without dims a one-element tensor would read back as a scalar
-    entry = write_tensor(tmp_path, "probe", np.ones((1, 1)))
+    entry = write_probe(tmp_path, np.ones((1, 1)))
     del entry["dims"]
     with pytest.raises(ValueError, match="dims"):
         read_tensor(tmp_path, entry)
@@ -180,76 +183,43 @@ def test_scene_load_rejects_a_huge_integer_config_value(tmp_path):
         load_scene(root)
 
 
-def test_checkpoint_roundtrip(tmp_path):
-    rng = np.random.default_rng(11)
-    params = init_params(channels=8, heads=2, t_max=4, seed=3)
-    # roughen the zero-initialized tensors so the roundtrip is non-trivial
-    for name in params.names:
-        params.tensors[name] = params.tensors[name] + rng.normal(
-            scale=0.05, size=params.tensors[name].shape
-        )
-    path = tmp_path / "motion"
-    assert save_checkpoint(path, params) == path
-    back = load_checkpoint(path)
-    assert back.names == params.names
-    assert (back.channels, back.heads, back.t_max) == (8, 2, 4)
-
-    tokens = TokenGrid(rng.normal(size=(2, 4, 3, 8)))
-    out_a = forward(tokens, params).values
-    out_b = forward(tokens, back).values
-    assert np.abs(out_a - out_b).max() <= 1e-6
-
-
-def test_checkpoint_rejects_truncated_tensor_file(tmp_path):
-    params = init_params(channels=8, heads=2, t_max=4, seed=0)
-    path = save_checkpoint(tmp_path / "motion", params)
-    tensor_file = path / f"{params.names[1]}.bin"
-    tensor_file.write_bytes(tensor_file.read_bytes()[:-4])
-    with pytest.raises(ValueError, match="bytes"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_is_a_bundle(tmp_path):
-    params = init_params(channels=8, heads=2, t_max=4, seed=1)
-    path = save_checkpoint(tmp_path / "motion", params)
-    meta = read_meta(path, CHECKPOINT_FORMAT)
-    assert (meta["channels"], meta["heads"], meta["t_max"]) == (8, 2, 4)
-    assert [e["name"] for e in meta["tensors"]] == params.names
-    for name, arr in zip(params.names, read_tensors(path, meta)):
-        want = params.tensors[name]
-        assert arr.shape == want.shape
-        assert np.array_equal(arr, want.astype(np.float32))
-
-
 def test_tensor_reader_rejects_path_names(tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
-    entry = write_tensor(tmp_path / "b", "secret", np.ones(3))
+    entry = write_probe(tmp_path / "b", np.ones(3), name="secret")
     for name in ("../b/secret", str(tmp_path / "b" / "secret"), "..", "b\\secret"):
         with pytest.raises(ValueError, match="plain file name"):
             read_tensor(tmp_path / "a", dict(entry, name=name))
 
 
-def _checkpoint_manifest(tmp_path) -> dict:
-    path = save_checkpoint(tmp_path / "motion", init_params(channels=8, heads=2, t_max=4, seed=0))
-    return json.loads((path / "meta.json").read_text())
+@pytest.fixture
+def depth_result(tmp_path):
+    """The directory of a `depth` result on an 8x12x3 scene."""
+    scene = save_scene(tmp_path / "scene", small_scene())
+    assert main(["depth", str(scene), "--out", str(tmp_path / "depth")]) == 0
+    return tmp_path / "depth"
+
+
+def test_bundle_rejects_truncated_tensor_file(depth_result):
+    meta = read_meta(depth_result, DEPTH_FORMAT)
+    tensor_file = depth_result / f"{meta['tensors'][1]['name']}.bin"
+    tensor_file.write_bytes(tensor_file.read_bytes()[:-4])
+    with pytest.raises(ValueError, match="bytes"):
+        read_tensors(depth_result, meta)
 
 
 @pytest.mark.parametrize(
     "corrupt",
     [
         lambda m: {"format": m["format"]},
-        lambda m: dict(m, heads="2"),
         lambda m: dict(m, tensors=[{k: v for k, v in e.items() if k != "dims"}
                                    for e in m["tensors"]]),
         lambda m: dict(m, tensors=[[e["name"], e["dims"]] for e in m["tensors"]]),
-        lambda m: dict(m, tensors=m["tensors"] + m["tensors"][:1]),
     ],
-    ids=["format-only", "string-heads", "entry-without-dims", "entries-not-objects",
-         "duplicate-name"],
+    ids=["format-only", "entry-without-dims", "entries-not-objects"],
 )
-def test_checkpoint_rejects_malformed_manifest(tmp_path, corrupt):
-    manifest = corrupt(_checkpoint_manifest(tmp_path))
-    (tmp_path / "motion" / "meta.json").write_text(json.dumps(manifest))
+def test_bundle_rejects_malformed_manifest(depth_result, corrupt):
+    meta_file = depth_result / "meta.json"
+    meta_file.write_text(json.dumps(corrupt(json.loads(meta_file.read_text()))))
     with pytest.raises(ValueError):
-        load_checkpoint(tmp_path / "motion")
+        read_tensors(depth_result, read_meta(depth_result, DEPTH_FORMAT))

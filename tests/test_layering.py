@@ -26,3 +26,27 @@ def test_modules_import_no_private_names_from_siblings():
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) > 10
     assert [hit for path in modules for hit in _private_imports(path)] == []
+
+
+def _imports_attention(path: Path) -> list[str]:
+    """'file:line' for each import of the attention module in path."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            package = "pointmatch" if node.level else ""
+            module = ".".join(filter(None, (package, node.module)))
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if "pointmatch.attention" in names:
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_the_package_init_imports_attention():
+    # the temporal module is a leaf: its parameters live in memory only
+    # (fit_denoiser returns them), so no other module reads or writes them
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert [hit for path in modules for hit in _imports_attention(path)] == []

@@ -28,7 +28,6 @@ from pointmatch.scenes import (
     _visible_from,
     assemble_scene,
     build_tracks,
-    dynamic_pixel_fraction,
     generate_scene,
     gt_pointmap_matching,
     gt_rigid_pointmap,
@@ -155,7 +154,6 @@ def test_static_config_has_no_dynamic_pixels():
                       motion_magnitude=0.0, track_count=4)
     s = generate_scene(cfg)
     assert not s.dynamic_labels.any()
-    assert dynamic_pixel_fraction(s) == 0.0
 
 
 def test_known_velocity_track_advance(seq):
