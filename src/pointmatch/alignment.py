@@ -26,8 +26,8 @@ two tables, one row per (edge, term, pixel), grouped by the frame whose map a
 row pulls. AlignmentProblem builds them as it reads each edge, a pair
 prediction and its mask, whose maps it then drops, so a problem holds its rows
 and ego maps, one per frame, but no prediction. A 3D row holds its point; its
-confidence is held once for a segment whose confidence is uniform, as every
-CLI predictor's is. A segment's pixels are one bool mask over its frame's
+confidence is held once for a segment whose confidence is uniform, as the
+oracle predictor's is. A segment's pixels are one bool mask over its frame's
 grid, one byte a pixel, which each chunk turns into the row indices it reads.
 An edge's masked pixels get no 2D row, so a solve reads every row of both
 tables. Every pass over the rows takes a fixed number of numpy calls per chunk
@@ -59,7 +59,7 @@ from .errors import DivergenceError, EmptyDomainError, check_finite
 from .geometry import EPS_Z, Intrinsics, Pointmap, Pose, project_points
 from .matching import dynamic_mask
 from .metrics import umeyama
-from .pipelines import PairPrediction, Predictor
+from .pipelines import OraclePredictor, PairPrediction
 
 _SMALL_ANGLE = 1e-7
 # Levenberg-Marquardt damping: start, floor, and the ceiling past which a
@@ -167,7 +167,7 @@ def _spanning_tree(pairs: list[tuple[int, int]]) -> list[tuple[int, int, tuple[i
     return tree
 
 
-def build_pair_graph(seq, predictor: Predictor, stride: int = 5,
+def build_pair_graph(seq, predictor: OraclePredictor, stride: int = 5,
                      use_dynamic_mask: bool = True) -> AlignmentProblem:
     """Edges for all frame gaps 1..stride+1 (a symmetric sliding window).
 
@@ -311,7 +311,9 @@ def _iterate(problem: AlignmentProblem, v: AlignmentVariables, opts: AlignmentOp
     is 0, every 2D row; the tables are the problem's own, not copies."""
     n, ks = len(v.rotations), problem.intrinsics
     rows = problem.rows if opts.lambda_2d else (problem.rows[0], _table([], n))
-    return _At(rows, v.rotations, v.translations, np.exp(v.log_scales),
+    with np.errstate(over="ignore"):  # a trial step's inf scale gives a non-finite energy
+        scales = np.exp(v.log_scales)
+    return _At(rows, v.rotations, v.translations, scales,
                v.pointmaps.reshape(-1, 3),
                np.array([[k.fx, k.fy, k.cx, k.cy] for k in ks]).reshape(n, 4), opts.lambda_2d)
 
@@ -332,7 +334,8 @@ def _linearized(at: _At, frames: tuple[int, int], jac=True):
             pix, data, w = _chunk(rows, row0, row1, range(seg[0], seg[-1] + 1))
             t_i, j_chi = at.trans[rows.pose].take(seg, axis=0), None
             if t == 0:  # chi - (s_e R_i x + t_i)
-                m = (at.scales[rows.edge, None, None] * at.rot[rows.pose]).take(seg, axis=0)
+                with np.errstate(invalid="ignore"):  # an inf scale times a 0 entry
+                    m = (at.scales[rows.edge, None, None] * at.rot[rows.pose]).take(seg, axis=0)
                 a = np.einsum("nij,nj->ni", m, data)
                 r = at.chi.take(pix, axis=0) - a - t_i
             else:  # project_points(R_i^T (chi - t_i)) - F

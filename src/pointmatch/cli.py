@@ -179,7 +179,7 @@ def _eval_depth(pred_path, seq) -> dict:
 def _eval_track(pred_path, seq) -> dict:
     meta = io.read_meta(pred_path, TRACK_FORMAT)
     tracks, valid, queries = io.read_tensors(pred_path, meta, ("tracks", "valid", "queries"))
-    gt = build_tracks(seq, np.zeros(queries.shape[:1], np.int64), queries)
+    gt = build_tracks(seq, queries)
     rep = apd(tracks, gt.camera, gt.visible, valid.astype(bool))
     return {
         "apd": rep.apd,

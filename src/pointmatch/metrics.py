@@ -59,7 +59,7 @@ class DepthEvalReport:
 
 
 def depth_metrics(
-    preds: Sequence[DepthMap], gts: Sequence[DepthMap], alignment: str | None = "scale"
+    preds: Sequence[DepthMap], gts: Sequence[DepthMap], alignment: str = "scale"
 ) -> DepthEvalReport:
     """Pooled Abs Rel and delta<1.25 over a sequence after per-sequence alignment.
 
@@ -80,7 +80,7 @@ def depth_metrics(
     gt = np.concatenate(gs)
     if pred.size == 0:
         raise EmptyDomainError("no jointly-valid pixels")
-    if alignment is None or alignment == "none":
+    if alignment == "none":
         mode, s, b = "none", 1.0, 0.0
     elif alignment == "scale":
         mode, s, b = "scale", fit_scale(pred, gt), 0.0
@@ -117,9 +117,8 @@ def apd(
     gt_tracks: np.ndarray,
     gt_visible: np.ndarray,
     pred_valid: np.ndarray | None = None,
-    thresholds: Sequence[float] = APD_THRESHOLDS,
 ) -> TrackEvalReport:
-    """Average percent of 3D points within depth-relative thresholds.
+    """Average percent of 3D points within the depth-relative APD_THRESHOLDS.
 
     Tracks are (Q, T, 3) in per-frame camera coordinates; only gt-visible
     points are scored. Predictions are pre-aligned by the median gt/pred depth
@@ -145,7 +144,7 @@ def apd(
     gt_depth = gt[..., 2]
     scored = vis
     per = {}
-    for th in thresholds:
+    for th in APD_THRESHOLDS:
         good = pv & (err < th * gt_depth)
         per[float(th)] = 100.0 * float(good[scored].mean())
     return TrackEvalReport(

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,8 +55,8 @@ DEFAULT_WINDOW = 12
 DEFAULT_OVERLAP = 4
 
 _ROLE_EGO, _ROLE_RIGID, _ROLE_MATCHED, _ROLE_JITTER = 1, 2, 3, 9
-# bytes of rendered heads a predictor keeps: about 30 heads at 48x64, where
-# an ablation pass needs 2.25 MiB to keep every repeat
+# bytes of rendered heads a predictor keeps: about 40 heads at 48x64, where
+# an ablation pass needs 2.05 MiB to keep every repeat
 _HEAD_MEMO_BYTES = 3 << 20
 
 
@@ -72,10 +72,6 @@ class PairPrediction:
     conf_ji: ConfidenceMap
 
 
-class Predictor(Protocol):
-    def predict(self, view1: int, view2: int) -> PairPrediction: ...
-
-
 class OraclePredictor:
     """Scene-backed predictor with optional noise and per-pair scale jitter.
 
@@ -84,10 +80,8 @@ class OraclePredictor:
     three maps (they share the pair's unknown scale); reading a head raises
     ValueError when its pair's factor overflows or underflows. Outputs are
     deterministic per (seed, pair): repeated calls return identical maps, from
-    a memo of recently read heads when they are still in it.
-
-    confidence_mode "uniform" emits raw logit 1 everywhere; "noise" lowers the
-    logit monotonically with the actually-injected noise magnitude.
+    a memo of recently read heads when they are still in it. Every confidence
+    is one uniform map of raw logit 1, built once per predictor.
     """
 
     def __init__(
@@ -96,21 +90,18 @@ class OraclePredictor:
         sigma_point: float = 0.0,
         sigma_scale: float = 0.0,
         seed: int = 0,
-        confidence_mode: str = "uniform",
     ):
         check_finite(sigma_point=sigma_point, sigma_scale=sigma_scale)
         if sigma_point < 0 or sigma_scale < 0:
             raise ValueError("noise magnitudes must be >= 0")
-        if confidence_mode not in ("uniform", "noise"):
-            raise ValueError("confidence_mode must be uniform or noise")
         if seed < 0:
             raise ValueError("seed must be >= 0")
         self.seq = seq
         self.sigma_point = float(sigma_point)
         self.sigma_scale = float(sigma_scale)
         self.seed = int(seed)
-        self.confidence_mode = confidence_mode
-        # (view1, view2, role) -> ((map, conf), bytes), least recently read first
+        self._confidence = ConfidenceMap(np.ones(seq.resolution))
+        # (view1, view2, role) -> (map, bytes), least recently read first
         self._memo: OrderedDict = OrderedDict()
         self._memo_bytes = 0
 
@@ -118,41 +109,25 @@ class OraclePredictor:
         ss = np.random.SeedSequence((self.seed, i, j, role))
         return np.random.Generator(np.random.Philox(ss))
 
-    def _perturb(self, pm: Pointmap, i: int, j: int,
-                 role: int) -> tuple[Pointmap, ConfidenceMap | None]:
-        """The head's map with its noise, and its confidence; the matched
-        head has no confidence output, so its conf is None."""
-        raw = None if role == _ROLE_MATCHED else np.ones(pm.resolution)
-        if self.sigma_point > 0:
-            z = np.abs(pm.points[..., 2:3])
-            eps = self._rng(i, j, role).normal(size=pm.points.shape) * (self.sigma_point * z)
-            if raw is not None and self.confidence_mode == "noise":
-                mag = np.linalg.norm(eps, axis=-1)
-                raw = 1.0 / (1.0 + mag / (self.sigma_point * np.maximum(z[..., 0], 1e-9)))
-            pm = Pointmap(pm.points + eps, pm.valid)
-        return pm, None if raw is None else ConfidenceMap(raw)
-
-    def _head(self, view1: int, view2: int, role: int) -> tuple[Pointmap, ConfidenceMap | None]:
-        """A head's (map, conf), rendered unless the memo holds it; the
-        matched head has no confidence output, so its conf is None. A rendered
-        head enters the memo, which evicts the least recently read heads
-        beyond _HEAD_MEMO_BYTES."""
+    def _head(self, view1: int, view2: int, role: int) -> Pointmap:
+        """A head's map, rendered unless the memo holds it. A rendered head
+        enters the memo, which evicts the least recently read heads beyond
+        _HEAD_MEMO_BYTES."""
         key = (view1, view2, role)
         if key in self._memo:
             self._memo.move_to_end(key)
             return self._memo[key][0]
-        head = self._render(view1, view2, role)
-        size = head[0].points.nbytes + head[0].valid.nbytes
-        size += 0 if head[1] is None else head[1].raw.nbytes
-        self._memo[key] = head, size
+        pm = self._render(view1, view2, role)
+        size = pm.points.nbytes + pm.valid.nbytes
+        self._memo[key] = pm, size
         self._memo_bytes += size
         while self._memo_bytes > _HEAD_MEMO_BYTES:
             self._memo_bytes -= self._memo.popitem(last=False)[1][1]
-        return head
+        return pm
 
-    def _render(self, view1: int, view2: int, role: int) -> tuple[Pointmap, ConfidenceMap | None]:
-        """A head from its ground-truth map: noise, the pair's scale, and no
-        confidence for the matched head."""
+    def _render(self, view1: int, view2: int, role: int) -> Pointmap:
+        """A head from its ground-truth map, with its noise and the pair's
+        scale."""
         seq = self.seq
         if role == _ROLE_EGO:
             pm = unproject(seq.depths[view1], seq.intrinsics[view1])
@@ -160,7 +135,10 @@ class OraclePredictor:
             pm = gt_rigid_pointmap(seq, view1, view2)
         else:
             pm = gt_pointmap_matching(seq, view1, view2)
-        pm, conf = self._perturb(pm, view1, view2, role)
+        if self.sigma_point > 0:
+            z = np.abs(pm.points[..., 2:3])
+            eps = self._rng(view1, view2, role).normal(size=pm.points.shape) * (self.sigma_point * z)
+            pm = Pointmap(pm.points + eps, pm.valid)
         if self.sigma_scale > 0:
             draw = self._rng(view1, view2, _ROLE_JITTER).normal()
             with np.errstate(over="ignore"):
@@ -169,7 +147,7 @@ class OraclePredictor:
                 raise ValueError(f"jitter {self.sigma_scale} gives pair ({view1}, {view2}) the "
                                  f"scale factor {f}; it must be finite and positive")
             pm = pm.scaled(f)
-        return pm, conf
+        return pm
 
     def predict(self, view1: int, view2: int) -> PairPrediction:
         """The pair's prediction, each head rendered on its first read.
@@ -180,21 +158,21 @@ class OraclePredictor:
 
 
 class _OraclePair(PairPrediction):
-    """An oracle pair prediction whose heads are read through the predictor's
-    memo, so each renders on its first read."""
+    """An oracle pair prediction whose maps are read through the predictor's
+    memo, so each renders on its first read; both confidences are the
+    predictor's uniform map."""
 
     def __init__(self, oracle: OraclePredictor, view1: int, view2: int):
         self.frames = (view1, view2)
         self._oracle = oracle
 
-    def _read(self, role: int) -> tuple[Pointmap, ConfidenceMap | None]:
+    def _read(self, role: int) -> Pointmap:
         return self._oracle._head(*self.frames, role)
 
-    x_ii = property(lambda self: self._read(_ROLE_EGO)[0])
-    conf_ii = property(lambda self: self._read(_ROLE_EGO)[1])
-    x_ji = property(lambda self: self._read(_ROLE_RIGID)[0])
-    conf_ji = property(lambda self: self._read(_ROLE_RIGID)[1])
-    x_ji_matched = property(lambda self: self._read(_ROLE_MATCHED)[0])
+    x_ii = property(lambda self: self._read(_ROLE_EGO))
+    x_ji = property(lambda self: self._read(_ROLE_RIGID))
+    x_ji_matched = property(lambda self: self._read(_ROLE_MATCHED))
+    conf_ii = conf_ji = property(lambda self: self._oracle._confidence)
 
 
 @dataclass
@@ -260,7 +238,7 @@ class TrackingResult:
 
 def track_3d(
     seq: SceneSequence,
-    predictor: Predictor,
+    predictor: OraclePredictor,
     queries: np.ndarray,
     window: int = DEFAULT_WINDOW,
     overlap: int = DEFAULT_OVERLAP,
@@ -329,7 +307,7 @@ def track_3d(
     return TrackingResult(tracks=out, valid=out_valid, starts=starts, scales=scales, queries=q)
 
 
-def video_depth(seq: SceneSequence, predictor: Predictor) -> list[DepthMap]:
+def video_depth(seq: SceneSequence, predictor: OraclePredictor) -> list[DepthMap]:
     """Per-frame depth from the ego maps of identical pairs (t, t)."""
     plan = plan_pairs("video_depth", range(seq.frame_count))
     return [depth_channel(predictor.predict(*pair).x_ii) for pair in plan.pairs]
@@ -344,7 +322,7 @@ class ReconResult:
 
 
 def feedforward_recon(
-    seq: SceneSequence, predictor: Predictor, window: int = DEFAULT_WINDOW
+    seq: SceneSequence, predictor: OraclePredictor, window: int = DEFAULT_WINDOW
 ) -> ReconResult:
     """Reconstruct one window, anchored at its last frame (the keyframe).
 

@@ -367,7 +367,7 @@ class SceneObject:
 class TrackSet:
     """Ground-truth 3D tracks for a set of query pixels.
 
-    query_frames: (Q,) frame each query was issued at.
+    query_frames: (Q,) zeros, the frame every query is issued at.
     query_pixels: (Q, 2) integer (x, y).
     world/camera: (Q, T, 3); camera holds the point in frame t's camera frame.
     pixels: (Q, T, 2) projected pixel positions (zero where invisible).
@@ -669,7 +669,7 @@ def assemble_scene(
     flat = np.flatnonzero(depths[0].valid.ravel())
     chosen = rng.choice(flat, size=q, replace=False)
     qy, qx = np.unravel_index(np.sort(chosen), (h, w))
-    seq.tracks = build_tracks(seq, np.zeros(q, dtype=np.int64), np.stack([qx, qy], axis=1))
+    seq.tracks = build_tracks(seq, np.stack([qx, qy], axis=1))
     return seq
 
 
@@ -689,35 +689,25 @@ def world_points(seq: SceneSequence, j: int) -> np.ndarray:
     return np.where(seq.depths[j].valid[..., None], world, 0.0)
 
 
-def build_tracks(seq: SceneSequence, query_frames: np.ndarray, query_pixels: np.ndarray) -> TrackSet:
-    """Analytic 3D tracks for integer query pixels.
+def build_tracks(seq: SceneSequence, query_pixels: np.ndarray) -> TrackSet:
+    """Analytic 3D tracks for integer query pixels of frame 0.
 
     Raises ValueError if a query pixel is not a whole pixel of the image
-    (geometry.pixel_indices), a query frame is not a frame index, or a query
-    pixel hits no surface at its query frame.
+    (geometry.pixel_indices) or hits no surface at frame 0.
     """
     qp = pixel_indices(query_pixels, *seq.resolution)
-    qf = np.asarray(query_frames)
-    if qf.shape != (qp.shape[0],):
-        raise ValueError("queries must be (Q,) frames and (Q, 2) pixels")
-    for f0, (x, y) in zip(qf.tolist(), qp.tolist()):
-        check_frame(seq, f0)
-        if not seq.depths[f0].valid[y, x]:
-            raise ValueError(f"query pixel ({x}, {y}) hits no surface at frame {f0}")
-    qf = qf.astype(np.int64)
-
     qx, qy = qp[:, 0], qp[:, 1]
-    spans = np.arange(seq.frame_count, dtype=np.float64)[None, :] - qf[:, None]  # (Q, T)
-    vel = _velocities(seq, seq.hit_id[qf, qy, qx])
-    start = np.empty((len(qf), 3))  # each query's world point, one frame's map at a time
-    for f in np.unique(qf).tolist():
-        at = qf == f
-        start[at] = world_points(seq, f)[qy[at], qx[at]]
-    world = start[:, None, :] + spans[..., None] * vel[:, None, :]
+    missed = ~seq.depths[0].valid[qy, qx]
+    if missed.any():
+        x, y = qp[missed][0].tolist()
+        raise ValueError(f"query pixel ({x}, {y}) hits no surface at frame 0")
+    spans = np.arange(seq.frame_count, dtype=np.float64)  # (T,) frames since frame 0
+    vel = _velocities(seq, seq.hit_id[0, qy, qx])
+    world = world_points(seq, 0)[qy, qx][:, None, :] + spans[None, :, None] * vel[:, None, :]
     seen = _observe(seq, range(seq.frame_count), world.swapaxes(0, 1))
     camera, pixels, visible = (a.swapaxes(0, 1).copy() for a in seen)
     pixels = np.where(visible[..., None], pixels, 0.0)
-    return TrackSet(qf, qp, world, camera, pixels, visible)
+    return TrackSet(np.zeros(len(qp), np.int64), qp, world, camera, pixels, visible)
 
 
 def gt_pointmap_matching(seq: SceneSequence, i: int, j: int) -> Pointmap:

@@ -122,7 +122,7 @@ def matched_vs_rigid_apds(seed: int) -> tuple[float, float]:
     ys, xs = np.nonzero(dyn0)
     pick = np.linspace(0, len(xs) - 1, min(HEADS_CONFIG["max_queries"], len(xs))).astype(int)
     queries = np.stack([xs[pick], ys[pick]], axis=1)
-    gt = build_tracks(seq, np.zeros(len(queries), np.int64), queries)
+    gt = build_tracks(seq, queries)
     pred = OraclePredictor(seq)
     scores = []
     for mode in ("matched", "rigid"):

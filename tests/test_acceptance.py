@@ -387,7 +387,7 @@ def test_criterion_07_pipeline_templates_and_stitching():
         queries = np.stack([xs[pick], ys[pick]], axis=1)
         res = track_3d(seq, OraclePredictor(seq), queries, window=12, overlap=4)
         assert res.starts == [0, 8, 12]
-        gt = build_tracks(seq, np.zeros(len(queries), np.int64), queries)
+        gt = build_tracks(seq, queries)
         assert res.valid.all()
         npt.assert_allclose(res.tracks, gt.camera, atol=1e-6)
         assert apd(res.tracks, gt.camera, gt.visible, res.valid).apd == 100.0

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,19 @@ def test_energy_increases_under_pose_perturbation():
     base = alignment_energy(problem, v)
     v.translations[1] += np.array([1e-3, 0.0, 0.0])
     assert alignment_energy(problem, v) > base + 1e-4
+
+
+def test_energy_at_an_overflowing_log_scale_is_non_finite_without_a_warning():
+    # exp(1000) overflows to an infinite scale, and that scale times a zero
+    # rotation entry is NaN: the energy is not finite, so a solver step that
+    # reaches it is rejected, and numpy warns of neither
+    seq = small_scene(frames=4, h=12, w=16)
+    problem = build_pair_graph(seq, OraclePredictor(seq), stride=2)
+    v = gt_variables(seq, problem)
+    v.log_scales[1] = 1000.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.isfinite(alignment_energy(problem, v))
 
 
 def test_2d_term_is_nonnegative_addition():

@@ -302,6 +302,21 @@ def test_overflowing_predictor_noise_fails_with_value_error(tmp_path, small_scen
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("jitter", ["20", "50"])
+def test_huge_jitter_aligns_or_fails_with_value_error(tmp_path, small_scene_dir, jitter):
+    # a trial step whose log-scales overflow exp has a non-finite energy and
+    # is rejected, with no numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli_captured("align", small_scene_dir, "--jitter", jitter,
+                                     "--out", tmp_path / "al")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if code != 0:
+        lines = out.splitlines()
+        assert code == 1 and len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] in ("ValueError", "EmptyDomainError")
+
+
 @pytest.mark.parametrize("command,tensor", [("depth", "depth_0000"), ("track", "tracks"),
                                             ("recon", "points")])
 def test_outputs_float32_cannot_hold_fail_with_value_error(tmp_path, small_scene_dir, command,

@@ -43,10 +43,10 @@ def test_fit_scale_shift_degenerate():
 
 def test_depth_metrics_hand_values():
     gt = [DepthMap(np.array([[1.0]]))]
-    r = depth_metrics([DepthMap(np.array([[1.2]]))], gt, alignment=None)
+    r = depth_metrics([DepthMap(np.array([[1.2]]))], gt, alignment="none")
     npt.assert_allclose(r.abs_rel, 0.2, atol=1e-12)
     assert r.delta1 == 100.0
-    r2 = depth_metrics([DepthMap(np.array([[1.3]]))], gt, alignment=None)
+    r2 = depth_metrics([DepthMap(np.array([[1.3]]))], gt, alignment="none")
     assert r2.delta1 == 0.0  # ratio 1.3 fails the 1.25 bar
 
 
@@ -71,7 +71,7 @@ def test_depth_metrics_scale_shift_alignment():
 def test_depth_metrics_joint_validity():
     gt = [DepthMap(np.array([[1.0, 2.0]]), np.array([[True, False]]))]
     pred = [DepthMap(np.array([[1.0, 99.0]]))]
-    r = depth_metrics(pred, gt, alignment=None)
+    r = depth_metrics(pred, gt, alignment="none")
     assert r.pixel_count == 1 and r.abs_rel == 0.0
 
 

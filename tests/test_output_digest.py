@@ -61,6 +61,54 @@ def test_digest_listing_is_reproducible(trees):
     }
 
 
+# One-sided accuracy gates on the 16x20x5 tree's outputs: (file, keys into
+# its JSON, bound) with the value the bound came from. An error, an iteration
+# count or an energy may not rise above its bound; APD, delta1 and converged
+# may not fall below theirs. A change that improves a column may tighten its
+# bound; none loosens one. The noiseless `align` recovers the trajectory
+# exactly, so its columns keep roundoff bounds; arccos near 1 turns one ulp of
+# a relative rotation into 8.5e-7 degrees.
+_CEILINGS = [
+    ("eval/traj.json", ("report", "ate"), 1e-9),  # 1.64e-15
+    ("eval/traj.json", ("report", "rpe_trans"), 1e-9),  # 3.06e-15
+    ("eval/traj.json", ("report", "rpe_rot_deg"), 1e-5),  # 0.0
+    ("eval/depth.json", ("report", "scale", "abs_rel"), 0.0083),  # 0.008191
+    ("eval/depth.json", ("report", "scale_shift", "abs_rel"), 0.0083),  # 0.008176
+    ("align/report.json", ("iterations",), 0),  # 0
+    ("align/report.json", ("energy_trace", -1), 1e-18),  # 1.11e-21
+    ("align-jitter/report.json", ("iterations",), 200),  # 200, the cap
+    ("align-jitter/report.json", ("energy_trace", -1), 333.8),  # 333.43
+]
+_FLOORS = [
+    ("eval/track.json", ("report", "apd"), 77.9),  # 77.971; one point at one threshold is 0.29
+    ("eval/depth.json", ("report", "scale", "delta1"), 99.9),  # 100.0
+    ("eval/depth.json", ("report", "scale_shift", "delta1"), 99.9),  # 100.0
+    ("align/report.json", ("converged",), True),  # True
+    ("align-jitter/report.json", ("converged",), False),  # False
+]
+
+
+def _read(tree, path, keys):
+    value = json.loads((tree / "s16x20x5" / path).read_text())
+    for key in keys:
+        value = value[key]
+    return value
+
+
+def _ids(gates):
+    return [f"{path}:{'.'.join(map(str, keys))}" for path, keys, _ in gates]
+
+
+@pytest.mark.parametrize("path,keys,bound", _CEILINGS, ids=_ids(_CEILINGS))
+def test_error_columns_stay_below_their_bounds(trees, path, keys, bound):
+    assert _read(trees[0][0], path, keys) <= bound
+
+
+@pytest.mark.parametrize("path,keys,bound", _FLOORS, ids=_ids(_FLOORS))
+def test_score_columns_stay_above_their_bounds(trees, path, keys, bound):
+    assert _read(trees[0][0], path, keys) >= bound
+
+
 def test_digest_exits_nonzero_on_a_failing_command(tmp_path, monkeypatch, capsys):
     tool = _load_tool()
     monkeypatch.setattr(tool, "scene_commands",

@@ -138,23 +138,9 @@ def test_oracle_jitter_shared_within_pair(seq):
     npt.assert_allclose(f2[0], f[0], rtol=1e-12)  # same factor across heads
 
 
-def test_oracle_noise_scaled_confidence(seq):
-    a = OraclePredictor(seq, sigma_point=0.05, seed=9, confidence_mode="noise")
-    clean = OraclePredictor(seq)
-    p = a.predict(1, 0)
-    c = clean.predict(1, 0)
-    err = np.linalg.norm(p.x_ii.points - c.x_ii.points, axis=-1)[p.x_ii.valid]
-    conf = p.conf_ii.values[p.x_ii.valid]
-    # rank correlation: noisier pixels get lower confidence
-    order = np.argsort(err)
-    lo, hi = conf[order[: len(order) // 4]], conf[order[-len(order) // 4 :]]
-    assert lo.mean() > hi.mean()
-    assert (conf > 1.0).all()
-
-
 def test_matched_render_builds_no_confidence_map(seq, monkeypatch):
-    # the matched head has no confidence output, so its render builds none;
-    # each head that has one builds one
+    # the predictor builds its one uniform confidence map; no render builds
+    # another, and both heads that have a confidence output read that map
     built = []
 
     class Counted(ConfidenceMap):
@@ -163,17 +149,16 @@ def test_matched_render_builds_no_confidence_map(seq, monkeypatch):
             super().__post_init__()
 
     monkeypatch.setattr(pipelines, "ConfidenceMap", Counted)
-    for kw in ({}, dict(sigma_point=0.01, seed=2),
-               dict(sigma_point=0.01, seed=2, confidence_mode="noise")):
+    for kw in ({}, dict(sigma_point=0.01, seed=2)):
         built.clear()
         pred = OraclePredictor(seq, **kw).predict(1, 3)
-        pred.x_ji_matched
-        assert built == [], kw
-        assert isinstance(pred.conf_ii, Counted) and isinstance(pred.conf_ji, Counted)
-        assert built == [seq.resolution] * 2, kw
+        assert built == [seq.resolution], kw
+        pred.x_ji_matched, pred.x_ii, pred.x_ji
+        assert isinstance(pred.conf_ii, Counted) and pred.conf_ji is pred.conf_ii
+        assert built == [seq.resolution], kw
 
 
-def _eager_heads(seq, sigma_point, sigma_scale, seed, mode, i, j):
+def _eager_heads(seq, sigma_point, sigma_scale, seed, i, j):
     """Reference: every head of pair (i, j) rendered up front, in a fixed order."""
 
     def perturb(pm, role):
@@ -184,12 +169,7 @@ def _eager_heads(seq, sigma_point, sigma_scale, seed, mode, i, j):
         eps = rng.normal(size=pm.points.shape) * (sigma_point * z)
         pts = pm.points + eps
         pts[~pm.valid] = 0.0
-        if mode == "noise":
-            ref = sigma_point * np.maximum(z[..., 0], 1e-9)
-            raw = 1.0 / (1.0 + np.linalg.norm(eps, axis=-1) / ref)
-        else:
-            raw = np.ones(pm.resolution)
-        return Pointmap(pts, pm.valid), ConfidenceMap(raw)
+        return Pointmap(pts, pm.valid), ConfidenceMap(np.ones(pm.resolution))
 
     ego, c_e = perturb(unproject(seq.depths[i], seq.intrinsics[i]), 1)
     rigid, c_r = perturb(gt_rigid_pointmap(seq, i, j), 2)
@@ -212,14 +192,12 @@ _HEAD_ORDERS = [
 ]
 
 
-@pytest.mark.parametrize("mode", ["uniform", "noise"])
 @pytest.mark.parametrize("sigma_scale", [0.0, 0.05])
 @pytest.mark.parametrize("sigma_point", [0.0, 0.01])
-def test_lazy_heads_match_eager_render_in_any_order(seq, sigma_point, sigma_scale, mode):
-    oracle = OraclePredictor(seq, sigma_point=sigma_point, sigma_scale=sigma_scale,
-                             seed=5, confidence_mode=mode)
+def test_lazy_heads_match_eager_render_in_any_order(seq, sigma_point, sigma_scale):
+    oracle = OraclePredictor(seq, sigma_point=sigma_point, sigma_scale=sigma_scale, seed=5)
     for i, j in [(3, 1), (2, 2)]:
-        want = _eager_heads(seq, sigma_point, sigma_scale, 5, mode, i, j)
+        want = _eager_heads(seq, sigma_point, sigma_scale, 5, i, j)
         for order in _HEAD_ORDERS:
             pred = oracle.predict(i, j)
             assert pred.frames == (i, j)
@@ -322,8 +300,7 @@ def test_predictor_renders_each_head_once(seq, monkeypatch):
 
 
 def _held_bytes(oracle):
-    return sum(pm.points.nbytes + pm.valid.nbytes + (0 if conf is None else conf.values.nbytes)
-               for (pm, conf), _ in oracle._memo.values())
+    return sum(pm.points.nbytes + pm.valid.nbytes for pm, _ in oracle._memo.values())
 
 
 def _arrays(head):
@@ -331,9 +308,9 @@ def _arrays(head):
 
 
 def test_memo_evicts_to_its_budget_and_rerenders_identically(seq, monkeypatch):
-    budget = 25_000  # two or three 16x20 heads
+    budget = 25_000  # three 16x20 heads of 8,000 bytes
     monkeypatch.setattr(pipelines, "_HEAD_MEMO_BYTES", budget)
-    kw = dict(sigma_point=0.01, sigma_scale=0.05, seed=4, confidence_mode="noise")
+    kw = dict(sigma_point=0.01, sigma_scale=0.05, seed=4)
     rng = np.random.default_rng(0)
     names = ["x_ii", "conf_ii", "x_ji", "conf_ji", "x_ji_matched"]
     reads = []
@@ -439,7 +416,7 @@ def test_track_stitched_windows_static_camera():
     oracle = OraclePredictor(s)
     res = track_3d(s, oracle, queries, window=6, overlap=2)
     assert len(res.starts) > 1
-    gt = build_tracks(s, np.zeros(len(queries), np.int64), queries)
+    gt = build_tracks(s, queries)
     assert res.valid.all()
     npt.assert_allclose(res.tracks, gt.camera, atol=1e-6)
     npt.assert_allclose(np.array(res.scales), 1.0, atol=1e-12)
@@ -456,7 +433,7 @@ def test_track_stitched_windows_moving_camera_trend():
     queries = np.stack([xs[pick], ys[pick]], axis=1)
     oracle = OraclePredictor(s)
     res = track_3d(s, oracle, queries, window=6, overlap=2)
-    gt = build_tracks(s, np.zeros(len(queries), np.int64), queries)
+    gt = build_tracks(s, queries)
     both = res.valid & gt.visible
     err = np.linalg.norm(res.tracks - gt.camera, axis=-1)[both]
     # nearest-pixel re-seeding costs up to ~half a pixel of depth ray; stays small
@@ -475,7 +452,7 @@ def test_track_rigid_mode_misses_dynamic_objects():
     pick = np.linspace(0, len(xs) - 1, min(6, len(xs))).astype(int)
     queries = np.stack([xs[pick], ys[pick]], axis=1)
     oracle = OraclePredictor(s)
-    gt = build_tracks(s, np.zeros(len(queries), np.int64), queries)
+    gt = build_tracks(s, queries)
     res_m = track_3d(s, oracle, queries, window=8, overlap=4, mode="matched")
     res_r = track_3d(s, oracle, queries, window=8, overlap=4, mode="rigid")
     apd_m = apd(res_m.tracks, gt.camera, gt.visible, res_m.valid).apd
@@ -516,7 +493,7 @@ _NOT_PIXELS = {
 def test_pixel_readers_reject_queries_that_are_not_whole_pixels(tiny, reader, case):
     maps = [gt_pointmap_matching(tiny, t, 0) for t in range(tiny.frame_count)]
     read = {
-        "build_tracks": lambda q: build_tracks(tiny, np.zeros(len(q), np.int64), q).camera,
+        "build_tracks": lambda q: build_tracks(tiny, q).camera,
         "track_3d": lambda q: track_3d(tiny, OraclePredictor(tiny), q, window=2, overlap=1).tracks,
         "sparsify_tracks": lambda q: sparsify_tracks(maps, q)[0],
     }[reader]
@@ -525,14 +502,6 @@ def test_pixel_readers_reject_queries_that_are_not_whole_pixels(tiny, reader, ca
     npt.assert_array_equal(read(q.astype(np.float32)), read(q))
     with pytest.raises(ValueError, match="pixels must"):
         read(_NOT_PIXELS[case](q))
-
-
-def test_build_tracks_rejects_non_integer_query_frames(tiny):
-    q = tiny.tracks.query_pixels[:1]
-    for frames in ([0.7], np.array([0.0]), [True]):
-        with pytest.raises(ValueError, match="frame index must be an integer"):
-            build_tracks(tiny, frames, q)
-    npt.assert_array_equal(build_tracks(tiny, [0], q).camera, tiny.tracks.camera[:1])
 
 
 @pytest.mark.parametrize("frame", [-1, 3, True, 1.0], ids=["minus-1", "n", "bool", "float"])

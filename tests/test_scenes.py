@@ -165,7 +165,7 @@ def test_known_velocity_track_advance(seq):
     s = assemble_scene(cfg, seq.background, objects, [seq.poses[0]] * 4)
     ys, xs = np.nonzero(s.hit_id[0] == 0)
     q = np.array([[xs[0], ys[0]]])
-    tr = build_tracks(s, np.zeros(1, np.int64), q)
+    tr = build_tracks(s, q)
     w0 = tr.world[0, 0]
     for t in range(4):
         npt.assert_array_equal(tr.world[0, t], w0 + t * vel)  # position exactly w0 + t*v
@@ -295,9 +295,7 @@ def test_track_pixels_reproject(seq):
 
 def test_query_validation(seq):
     with pytest.raises(ValueError):
-        build_tracks(seq, np.array([0]), np.array([[-1, 0]]))
-    with pytest.raises(ValueError):
-        build_tracks(seq, np.array([99]), np.array([[0, 0]]))
+        build_tracks(seq, np.array([[-1, 0]]))
 
 
 def test_frame_index_validation(seq):
@@ -592,14 +590,14 @@ def test_chunked_tracks_and_matching_maps_match_serial(path, objects, seed, h, w
     s = generate_scene(SceneConfig(seed=seed, frame_count=frames, height=h, width=w,
                                    object_count=objects, camera_path=path,
                                    camera_magnitude=0.05, track_count=0))
-    # every pixel that hits a surface, queried at its own frame and tracked
-    # through every frame in one multi-group call
-    qf, qy, qx = np.nonzero(s.hit_id > -2)
+    # every pixel that hits a surface at frame 0, tracked through every frame
+    # in one multi-group call
+    qy, qx = np.nonzero(s.hit_id[0] > -2)
     qp = np.stack([qx, qy], axis=1)
     pairs = [(i, j) for i in range(frames) for j in range(frames)]
 
     def render():
-        return build_tracks(s, qf, qp), [gt_pointmap_matching(s, i, j) for i, j in pairs]
+        return build_tracks(s, qp), [gt_pointmap_matching(s, i, j) for i, j in pairs]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenes, "_CORES", 1)
@@ -626,7 +624,7 @@ def test_multi_group_observe_matches_one_group_calls(seq):
     # build_tracks' (T, Q, 3) stack for every pixel that hits a surface at
     # frame 0; Q >= 2, since a one-row BLAS call may differ in the last bit
     qy, qx = np.nonzero(seq.hit_id[0] > -2)
-    tracks = build_tracks(seq, np.zeros(len(qx), dtype=np.int64), np.stack([qx, qy], axis=1))
+    tracks = build_tracks(seq, np.stack([qx, qy], axis=1))
     stack = tracks.world.swapaxes(0, 1)
     frames = range(seq.frame_count)
     got = _observe(seq, frames, stack)
@@ -767,5 +765,5 @@ def test_matched_renders_need_no_bisection(monkeypatch):
     s = generate_scene(SceneConfig(seed=0, frame_count=5, height=16, width=20))
     rows = _fallback_rows(monkeypatch)
     maps = [gt_pointmap_matching(s, i, j) for i in range(5) for j in range(5)]
-    build_tracks(s, s.tracks.query_frames, s.tracks.query_pixels)
+    build_tracks(s, s.tracks.query_pixels)
     assert len(maps) == 25 and rows == []
