@@ -21,12 +21,7 @@ from .geometry import (
     transform_pointmap,
     unproject,
 )
-from .losses import (
-    confidence_loss,
-    confidence_optimum,
-    regression_loss,
-    temporal_window_loss,
-)
+from .losses import confidence_optimum, regression_loss, temporal_window_loss
 from .matching import DynamicMask, dynamic_mask, pointmap_residuals
 from .metrics import apd, depth_metrics, trajectory_metrics, umeyama
 from .pipelines import (
@@ -55,7 +50,6 @@ __all__ = [
     "apd",
     "build_pair_graph",
     "build_tracks",
-    "confidence_loss",
     "confidence_optimum",
     "depth_metrics",
     "dynamic_mask",

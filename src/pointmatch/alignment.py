@@ -50,7 +50,7 @@ freedom).
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -214,8 +214,11 @@ class AlignmentVariables:
     log_scales: np.ndarray  # (E,)
     pointmaps: np.ndarray  # (F, H, W, 3)
 
-    def copy(self) -> "AlignmentVariables":
-        return AlignmentVariables(*astuple(self))  # astuple copies each array
+
+# the largest 2D weight a solve accepts: 1e3 runs clean on noisy jittered
+# 16x20x5 and 96x128x6 scenes, where 1e12 makes a chi block singular and
+# 1e100 overflows in the chi blocks' determinants
+_MAX_LAMBDA_2D = 1e3
 
 
 @dataclass
@@ -230,8 +233,9 @@ class AlignmentOptions:
             raise ValueError("max_iters must be >= 1")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.lambda_2d < 0:
-            raise ValueError("lambda_2d must be >= 0")
+        if not 0 <= self.lambda_2d <= _MAX_LAMBDA_2D:
+            raise ValueError(f"lambda_2d must lie in [0, {_MAX_LAMBDA_2D:g}], "
+                             f"got {self.lambda_2d:g}")
 
 
 @dataclass
@@ -242,13 +246,6 @@ class AlignmentResult:
     converged: bool
     iterations: int
     variables: AlignmentVariables
-    valid: list[np.ndarray]  # the ego maps' validity grids
-
-    @property
-    def pointmaps(self) -> list[Pointmap]:
-        """The aligned global maps, built from the variables at each read,
-        with the ego maps' validity."""
-        return [Pointmap(chi, ok) for chi, ok in zip(self.variables.pointmaps, self.valid)]
 
 
 # rows per step of a pass that builds Jacobians, which bounds its temporaries;
@@ -723,5 +720,4 @@ def global_align(
             _, r_c2w, center = umeyama(ego.points[sel], v.pointmaps[f][sel])
         poses.append(Pose(r_c2w.T, -r_c2w.T @ center))
     return AlignmentResult(poses=poses, scales=np.exp(v.log_scales), energy_trace=trace,
-                           converged=converged, iterations=iters, variables=v,
-                           valid=[ego.valid for ego in problem.ego_maps])
+                           converged=converged, iterations=iters, variables=v)

@@ -314,7 +314,6 @@ def pool_tokens(depth: DepthMap, k: Intrinsics, cell: int = 8) -> np.ndarray:
 class FitResult:
     params: MotionParams
     losses: list[float]  # window consistency loss, step 0 = before training
-    mse: list[float]
 
 
 def fit_denoiser(
@@ -376,4 +375,4 @@ def fit_denoiser(
         if not np.isfinite(cons):
             raise DivergenceError("denoiser consistency went non-finite", trace=losses)
         losses.append(cons)
-    return FitResult(params=params, losses=losses, mse=mses)
+    return FitResult(params=params, losses=losses)

@@ -163,9 +163,10 @@ def cmd_align(args) -> int:
 
 
 def _eval_depth(pred_path, seq) -> dict:
-    preds = io.read_tensors(pred_path, io.read_meta(pred_path, DEPTH_FORMAT))
-    if len(preds) != seq.frame_count:
+    meta = io.read_meta(pred_path, DEPTH_FORMAT)
+    if len(meta["tensors"]) != seq.frame_count:
         raise ValueError("prediction frame count does not match the scene")
+    preds = io.read_tensors(pred_path, meta, [f"depth_{f:04d}" for f in range(seq.frame_count)])
     # evaluate in the serialized f32 domain so pred == gt bytes scores exactly 0
     gts = [DepthMap(d.depth.astype(np.float32).astype(np.float64)) for d in seq.depths]
     preds = [DepthMap(d, gt.valid & (d > 0)) for d, gt in zip(preds, gts)]

@@ -79,19 +79,17 @@ class Pose:
         return -self.rotation.T @ self.translation
 
 
-def compose_pose(a: Pose, b: Pose) -> Pose:
-    """Pose applying b first, then a: x -> a(b(x))."""
-    return Pose(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
-
-
 def invert_pose(p: Pose) -> Pose:
     rt = p.rotation.T
     return Pose(rt, -rt @ p.translation)
 
 
-def relative_pose(src: Pose, dst: Pose) -> Pose:
-    """Map src-camera coordinates into the dst camera: dst o src^-1."""
-    return compose_pose(dst, invert_pose(src))
+def relative_pose(src: Pose, dst: Pose) -> tuple[np.ndarray, np.ndarray]:
+    """The motion (R, t) mapping src-camera coordinates into the dst camera,
+    x -> R x + t, which is dst o src^-1. Arrays, not a Pose: a product of two
+    rotations each orthonormal within Pose's tolerance may fail its check."""
+    r = dst.rotation @ src.rotation.T
+    return r, dst.translation - r @ src.translation
 
 
 def rotation_to_quat(r: np.ndarray) -> np.ndarray:
@@ -184,10 +182,6 @@ class ConfidenceMap:
     @property
     def values(self) -> np.ndarray:
         return 1.0 + np.exp(self.raw)
-
-    @staticmethod
-    def uniform(shape: tuple[int, int], raw: float = 0.0) -> "ConfidenceMap":
-        return ConfidenceMap(np.full(shape, float(raw)))
 
 
 @dataclass
@@ -283,7 +277,8 @@ def transform_pointmap(pm: Pointmap, src: Pose, dst: Pose) -> Pointmap:
     Validity is preserved: this is the rigid-scene change of coordinates and
     says nothing about visibility from dst.
     """
-    return Pointmap(relative_pose(src, dst).apply(pm.points), pm.valid)
+    r, t = relative_pose(src, dst)
+    return Pointmap(pm.points @ r.T + t, pm.valid)
 
 
 def depth_channel(pm: Pointmap) -> DepthMap:

@@ -16,6 +16,7 @@ rerunning a writer reproduces its output byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
@@ -59,7 +60,7 @@ def read_tensor(dir_path, entry: dict) -> np.ndarray:
     # a bool is not an integer
     if not isinstance(dims, list) or not all(type(d) is int and d >= 0 for d in dims):
         raise ValueError(f"tensor {name}: dims must be a list of non-negative integers")
-    count = int(np.prod(dims)) if dims else 1
+    count = math.prod(dims)  # a Python int: no wraparound
     raw = (Path(dir_path) / (name + ".bin")).read_bytes()
     if len(raw) != 4 * count:
         raise ValueError(
@@ -105,11 +106,9 @@ def read_meta(dir_path, fmt: str) -> dict:
     return meta
 
 
-def read_tensors(dir_path, meta: dict, names: Sequence[str] | None = None) -> list[np.ndarray]:
-    """Tensors of the bundle `read_meta` gave `meta` for: the named ones in the
-    order asked, or without names every tensor in manifest order."""
-    if names is None:
-        return [read_tensor(dir_path, e) for e in meta["tensors"]]
+def read_tensors(dir_path, meta: dict, names: Sequence[str]) -> list[np.ndarray]:
+    """The named tensors of the bundle `read_meta` gave `meta` for, in the
+    order asked."""
     entries = {e.get("name"): e for e in meta["tensors"]}
     for name in names:
         if name not in entries:

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyDomainError
-from .geometry import ConfidenceMap, Pointmap
+from .geometry import Pointmap
 
 ALPHA_CONF = 0.2
 
@@ -66,24 +66,6 @@ def regression_loss(pred: Pointmap, gt: Pointmap) -> PixelLoss:
     if not valid.any():
         raise EmptyDomainError("no jointly-valid pixels")
     return PixelLoss(values=values, valid=valid, mean=float(values[valid].mean()))
-
-
-def confidence_loss(
-    conf: ConfidenceMap,
-    pixel_loss: PixelLoss,
-    alpha_conf: float = ALPHA_CONF,
-) -> float:
-    """Confidence-weighted loss: mean over valid pixels of C*l - alpha*log C.
-
-    C = 1 + exp(raw) > 1, so log C > 0 and the penalty term is bounded.
-    """
-    if conf.raw.shape != pixel_loss.values.shape:
-        raise ValueError("confidence and loss grids must share resolution")
-    if not pixel_loss.valid.any():
-        raise EmptyDomainError("no valid pixels")
-    c = conf.values[pixel_loss.valid]
-    l = pixel_loss.values[pixel_loss.valid]
-    return float((c * l - alpha_conf * np.log(c)).mean())
 
 
 def confidence_optimum(residual: float, alpha_conf: float = ALPHA_CONF) -> tuple[float, float]:

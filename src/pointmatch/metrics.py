@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyDomainError
-from .geometry import DepthMap, Pose
+from .geometry import DepthMap, Pose, relative_pose
 
 APD_THRESHOLDS = (0.01, 0.02, 0.04, 0.08, 0.16)
 
@@ -52,7 +52,6 @@ def fit_scale_shift(pred: np.ndarray, gt: np.ndarray) -> tuple[float, float]:
 class DepthEvalReport:
     abs_rel: float
     delta1: float  # percent of pixels with max(d/g, g/d) < 1.25
-    alignment: str  # "none" | "scale" | "scale_shift"
     scale: float
     shift: float
     pixel_count: int
@@ -81,11 +80,10 @@ def depth_metrics(
     if pred.size == 0:
         raise EmptyDomainError("no jointly-valid pixels")
     if alignment == "none":
-        mode, s, b = "none", 1.0, 0.0
+        s, b = 1.0, 0.0
     elif alignment == "scale":
-        mode, s, b = "scale", fit_scale(pred, gt), 0.0
+        s, b = fit_scale(pred, gt), 0.0
     elif alignment == "scale_shift":
-        mode = "scale_shift"
         s, b = fit_scale_shift(pred, gt)
     else:
         raise ValueError(f"unknown alignment {alignment!r}")
@@ -97,7 +95,6 @@ def depth_metrics(
     return DepthEvalReport(
         abs_rel=abs_rel,
         delta1=100.0 * float(inlier.mean()),
-        alignment=mode,
         scale=float(s),
         shift=float(b),
         pixel_count=int(pred.size),
@@ -109,7 +106,6 @@ class TrackEvalReport:
     apd: float  # percent, averaged over thresholds
     per_threshold: dict[float, float]
     scale: float
-    point_count: int
 
 
 def apd(
@@ -142,16 +138,14 @@ def apd(
     s = fit_scale(pred[..., 2][fit_dom], gt[..., 2][fit_dom]) if fit_dom.any() else 1.0
     err = np.linalg.norm(s * pred - gt, axis=-1)
     gt_depth = gt[..., 2]
-    scored = vis
     per = {}
     for th in APD_THRESHOLDS:
         good = pv & (err < th * gt_depth)
-        per[float(th)] = 100.0 * float(good[scored].mean())
+        per[float(th)] = 100.0 * float(good[vis].mean())
     return TrackEvalReport(
         apd=float(np.mean(list(per.values()))),
         per_threshold=per,
         scale=float(s),
-        point_count=int(scored.sum()),
     )
 
 
@@ -202,7 +196,6 @@ class TrajectoryEvalReport:
     rpe_trans: float
     rpe_rot_deg: float
     scale: float
-    frame_count: int
 
 
 def trajectory_metrics(pred: Sequence[Pose], gt: Sequence[Pose]) -> TrajectoryEvalReport:
@@ -224,10 +217,10 @@ def trajectory_metrics(pred: Sequence[Pose], gt: Sequence[Pose]) -> TrajectoryEv
 
     d_trans, d_rot = [], []
     for k in range(len(pred) - 1):
-        rel_p = _relative(pred[k], pred[k + 1])
-        rel_g = _relative(gt[k], gt[k + 1])
-        dr = rel_g[0].T @ rel_p[0]
-        dt = rel_g[0].T @ (s * rel_p[1] - rel_g[1])
+        r_p, t_p = relative_pose(pred[k], pred[k + 1])
+        r_g, t_g = relative_pose(gt[k], gt[k + 1])
+        dr = r_g.T @ r_p
+        dt = r_g.T @ (s * t_p - t_g)
         d_trans.append((dt**2).sum())
         ang = np.arccos(np.clip((np.trace(dr) - 1.0) / 2.0, -1.0, 1.0))
         d_rot.append(ang * ang)
@@ -236,12 +229,5 @@ def trajectory_metrics(pred: Sequence[Pose], gt: Sequence[Pose]) -> TrajectoryEv
         rpe_trans=float(np.sqrt(np.mean(d_trans))),
         rpe_rot_deg=float(np.sqrt(np.mean(d_rot)) * _DEG),
         scale=float(s),
-        frame_count=len(pred),
     )
 
-
-def _relative(a: Pose, b: Pose) -> tuple[np.ndarray, np.ndarray]:
-    """Relative motion cam_a -> cam_b as (R, t)."""
-    r = b.rotation @ a.rotation.T
-    t = b.translation - r @ a.translation
-    return r, t

@@ -13,9 +13,9 @@ log-normal scale factor per pair (monocular scale wobble). Its heads render
 on first read, so a task pays only for the maps it consumes; each head draws
 its noise from its own (seed, pair, role) stream, so the maps do not depend
 on which heads were read or in what order. The predictor memoizes its heads
-by (view1, view2, role), up to _HEAD_MEMO_BYTES of maps with the least
-recently used evicted first, so windows of different lengths that read the
-same pair render it once; a re-rendered head is bit-identical by the same
+by (view1, view2, role) in a least-recently-used cache of as many heads as
+_HEAD_MEMO_BYTES holds, so windows of different lengths that read the same
+pair render it once; a re-rendered head is bit-identical by the same
 per-stream argument. Long sequences are processed in overlapping windows
 and stitched: scales harmonized by a median norm ratio over overlap frames,
 later windows win on overlap, and queries re-seed at each new window's
@@ -26,8 +26,8 @@ one window of maps.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,8 +55,8 @@ DEFAULT_WINDOW = 12
 DEFAULT_OVERLAP = 4
 
 _ROLE_EGO, _ROLE_RIGID, _ROLE_MATCHED, _ROLE_JITTER = 1, 2, 3, 9
-# bytes of rendered heads a predictor keeps: about 40 heads at 48x64, where
-# an ablation pass needs 2.05 MiB to keep every repeat
+# bytes of rendered heads a predictor keeps: 40 heads at 48x64, where an
+# ablation pass needs 2.05 MiB to keep every repeat, and 10 at 96x128
 _HEAD_MEMO_BYTES = 3 << 20
 
 
@@ -101,53 +101,12 @@ class OraclePredictor:
         self.sigma_scale = float(sigma_scale)
         self.seed = int(seed)
         self._confidence = ConfidenceMap(np.ones(seq.resolution))
-        # (view1, view2, role) -> (map, bytes), least recently read first
-        self._memo: OrderedDict = OrderedDict()
-        self._memo_bytes = 0
-
-    def _rng(self, i: int, j: int, role: int) -> np.random.Generator:
-        ss = np.random.SeedSequence((self.seed, i, j, role))
-        return np.random.Generator(np.random.Philox(ss))
-
-    def _head(self, view1: int, view2: int, role: int) -> Pointmap:
-        """A head's map, rendered unless the memo holds it. A rendered head
-        enters the memo, which evicts the least recently read heads beyond
-        _HEAD_MEMO_BYTES."""
-        key = (view1, view2, role)
-        if key in self._memo:
-            self._memo.move_to_end(key)
-            return self._memo[key][0]
-        pm = self._render(view1, view2, role)
-        size = pm.points.nbytes + pm.valid.nbytes
-        self._memo[key] = pm, size
-        self._memo_bytes += size
-        while self._memo_bytes > _HEAD_MEMO_BYTES:
-            self._memo_bytes -= self._memo.popitem(last=False)[1][1]
-        return pm
-
-    def _render(self, view1: int, view2: int, role: int) -> Pointmap:
-        """A head from its ground-truth map, with its noise and the pair's
-        scale."""
-        seq = self.seq
-        if role == _ROLE_EGO:
-            pm = unproject(seq.depths[view1], seq.intrinsics[view1])
-        elif role == _ROLE_RIGID:
-            pm = gt_rigid_pointmap(seq, view1, view2)
-        else:
-            pm = gt_pointmap_matching(seq, view1, view2)
-        if self.sigma_point > 0:
-            z = np.abs(pm.points[..., 2:3])
-            eps = self._rng(view1, view2, role).normal(size=pm.points.shape) * (self.sigma_point * z)
-            pm = Pointmap(pm.points + eps, pm.valid)
-        if self.sigma_scale > 0:
-            draw = self._rng(view1, view2, _ROLE_JITTER).normal()
-            with np.errstate(over="ignore"):
-                f = float(np.exp(draw * self.sigma_scale))
-            if not 0.0 < f < math.inf:
-                raise ValueError(f"jitter {self.sigma_scale} gives pair ({view1}, {view2}) the "
-                                 f"scale factor {f}; it must be finite and positive")
-            pm = pm.scaled(f)
-        return pm
+        # a head is 25 bytes a pixel: float64 points and a bool validity. The
+        # cache wraps a partial, not a bound method, so it holds no reference
+        # back to the predictor
+        heads = _HEAD_MEMO_BYTES // (25 * math.prod(seq.resolution))
+        self._head = functools.lru_cache(maxsize=heads)(functools.partial(
+            _render, seq, self.sigma_point, self.sigma_scale, self.seed))
 
     def predict(self, view1: int, view2: int) -> PairPrediction:
         """The pair's prediction, each head rendered on its first read.
@@ -155,6 +114,36 @@ class OraclePredictor:
         check_frame(self.seq, view1)
         check_frame(self.seq, view2)
         return _OraclePair(self, view1, view2)
+
+
+def _render(seq: SceneSequence, sigma_point: float, sigma_scale: float, seed: int,
+            view1: int, view2: int, role: int) -> Pointmap:
+    """A head from its ground-truth map, with its noise and the pair's scale,
+    each drawn from its own (seed, pair, role) stream."""
+
+    def rng(stream):
+        ss = np.random.SeedSequence((seed, view1, view2, stream))
+        return np.random.Generator(np.random.Philox(ss))
+
+    if role == _ROLE_EGO:
+        pm = unproject(seq.depths[view1], seq.intrinsics[view1])
+    elif role == _ROLE_RIGID:
+        pm = gt_rigid_pointmap(seq, view1, view2)
+    else:
+        pm = gt_pointmap_matching(seq, view1, view2)
+    if sigma_point > 0:
+        z = np.abs(pm.points[..., 2:3])
+        eps = rng(role).normal(size=pm.points.shape) * (sigma_point * z)
+        pm = Pointmap(pm.points + eps, pm.valid)
+    if sigma_scale > 0:
+        draw = rng(_ROLE_JITTER).normal()
+        with np.errstate(over="ignore"):
+            f = float(np.exp(draw * sigma_scale))
+        if not 0.0 < f < math.inf:
+            raise ValueError(f"jitter {sigma_scale} gives pair ({view1}, {view2}) the "
+                             f"scale factor {f}; it must be finite and positive")
+        pm = pm.scaled(f)
+    return pm
 
 
 class _OraclePair(PairPrediction):
@@ -316,7 +305,6 @@ def video_depth(seq: SceneSequence, predictor: OraclePredictor) -> list[DepthMap
 @dataclass
 class ReconResult:
     points: np.ndarray  # (M, 3) merged cloud in keyframe camera coordinates
-    maps: list[Pointmap]
     keyframe: int
     frames: list[int]
 
@@ -332,9 +320,7 @@ def feedforward_recon(
     """
     length = seq.frame_count
     plan = plan_pairs("reconstruction", range(max(0, length - window), length))
-    maps = [predictor.predict(*pair).x_ji for pair in plan.pairs]
+    maps = (predictor.predict(*pair).x_ji for pair in plan.pairs)
     clouds = [m.points[m.valid] for m in maps]
     points = np.concatenate(clouds, axis=0) if clouds else np.zeros((0, 3))
-    return ReconResult(
-        points=points, maps=maps, keyframe=plan.keyframe, frames=list(plan.frames)
-    )
+    return ReconResult(points=points, keyframe=plan.keyframe, frames=list(plan.frames))

@@ -240,10 +240,24 @@ class HeightField:
         u (P + |base| + A). Together |g(t) - G(t)| <= 10u P S, and E is over
         800 times that.
         """
-        g, n = dirs.shape[:2]
-        beyond, ok = self._beyond_chunk(np.repeat(centers, n, axis=0), dirs.reshape(-1, 3),
-                                        thr.reshape(-1))
-        return beyond.reshape(g, n), ok.reshape(g, n)
+        shape = dirs.shape[:2]
+        origins = np.repeat(centers, shape[1], axis=0)
+        dirs, thr = dirs.reshape(-1, 3), thr.reshape(-1)
+        lo, hi, ok = self._bracket(origins, dirs)
+        beyond = thr <= lo
+        open_ = ok & (lo < thr) & (thr <= hi)
+        g = self._excess(origins, dirs, np.where(open_, thr, lo))
+        run = self.slope * np.hypot(dirs[:, 0], dirs[:, 1])
+        rising = (dirs[:, 2] - run > _SIGN_TOL * (dirs[:, 2] + run)) & (lo > 0)
+        sure = open_ & rising & (np.abs(g) > 3.0 * self._sign_error(origins, dirs, hi))
+        beyond[sure] = g[sure] < 0
+        rest = np.flatnonzero(open_ & ~sure)
+        if len(rest):
+            # a one-row matmul takes another BLAS path than intersect's chunks
+            pick = np.repeat(rest, 2) if len(rest) == 1 else rest
+            hi_rest, _ = self._bisect_chunk(origins[pick], dirs[pick])
+            beyond[pick] = hi_rest >= thr[pick]
+        return beyond.reshape(shape), ok.reshape(shape)
 
     def _bracket(self, origins, dirs):
         """Each ray's initial bracket and validity, (lo, hi, ok); hi is lo + 1
@@ -276,24 +290,6 @@ class HeightField:
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         return hi, ok
-
-    def _beyond_chunk(self, origins, dirs, thr):
-        """crossing_beyond's (beyond, ok) for rows of rays (origins, dirs, thr)."""
-        lo, hi, ok = self._bracket(origins, dirs)
-        beyond = thr <= lo
-        open_ = ok & (lo < thr) & (thr <= hi)
-        g = self._excess(origins, dirs, np.where(open_, thr, lo))
-        run = self.slope * np.hypot(dirs[:, 0], dirs[:, 1])
-        rising = (dirs[:, 2] - run > _SIGN_TOL * (dirs[:, 2] + run)) & (lo > 0)
-        sure = open_ & rising & (np.abs(g) > 3.0 * self._sign_error(origins, dirs, hi))
-        beyond[sure] = g[sure] < 0
-        rest = np.flatnonzero(open_ & ~sure)
-        if len(rest):
-            # a one-row matmul takes another BLAS path than the chunk's rows
-            pick = np.repeat(rest, 2) if len(rest) == 1 else rest
-            hi_rest, _ = self._bisect_chunk(origins[pick], dirs[pick])
-            beyond[pick] = hi_rest >= thr[pick]
-        return beyond, ok
 
     @property
     def slope(self) -> float:
@@ -333,15 +329,12 @@ class SceneObject:
     def dynamic(self) -> bool:
         return bool(np.linalg.norm(self.velocity) > 0)
 
-    def offset_at(self, frame: int) -> np.ndarray:
-        return frame * self.velocity
-
     def intersect(
         self, center: np.ndarray, dirs: np.ndarray, frame: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """First hit (t, hit) of each ray dirs (N, 3) from the camera center
         (3,) on the object at frame."""
-        c = self.center + self.offset_at(frame)
+        c = self.center + frame * self.velocity
         if self.kind == "sphere":
             r = float(self.size[0])
             oc = np.broadcast_to(center, dirs.shape) - c
@@ -380,9 +373,6 @@ class TrackSet:
     camera: np.ndarray
     pixels: np.ndarray
     visible: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.query_frames.shape[0])
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import warnings
 
@@ -136,8 +137,8 @@ def _grid_problem(ego_shapes, edge_shape, pair=(0, 1), mask_dtype=bool, **edge_s
         x_ii=pm(grid("x_ii")),
         x_ji=pm(grid("x_ji")),
         x_ji_matched=pm(grid("x_ji_matched")),
-        conf_ii=ConfidenceMap.uniform(grid("conf_ii")),
-        conf_ji=ConfidenceMap.uniform(grid("conf_ji")),
+        conf_ii=ConfidenceMap(np.zeros(grid("conf_ii"))),
+        conf_ji=ConfidenceMap(np.zeros(grid("conf_ji"))),
     )
     return AlignmentProblem([k, k], [pm(s) for s in ego_shapes],
                             [(pred, np.zeros(grid("mask"), dtype=mask_dtype))])
@@ -257,7 +258,7 @@ def test_energy_gradient_matches_finite_differences():
     }
 
     def moved(field, index, h):
-        out = v.copy()
+        out = copy.deepcopy(v)
         if field == "rotations":  # a left perturbation, R <- exp([h e_k]x) R
             f, k = index
             out.rotations[f] = rodrigues(h * np.eye(3)[k]) @ v.rotations[f]
@@ -430,7 +431,7 @@ def test_divergent_energy_raises():
     h, w = 4, 6
     k = Intrinsics(fx=10.0, fy=10.0, cx=2.5, cy=1.5)
     ones = Pointmap(np.ones((h, w, 3)), np.ones((h, w), dtype=bool))
-    conf = ConfidenceMap.uniform((h, w))
+    conf = ConfidenceMap(np.zeros((h, w)))
 
     def edge(x):
         far = Pointmap(np.full((h, w, 3), x), np.ones((h, w), dtype=bool))
@@ -445,8 +446,8 @@ def test_divergent_energy_raises():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"max_iters": 0}, {"tol": 0.0}, {"lambda_2d": -1.0}],
-    ids=["max-iters-0", "tol-0", "negative-lambda-2d"],
+    [{"max_iters": 0}, {"tol": 0.0}, {"lambda_2d": -1.0}, {"lambda_2d": 1000.5}],
+    ids=["max-iters-0", "tol-0", "negative-lambda-2d", "lambda-2d-above-bound"],
 )
 def test_alignment_options_reject_invalid_values(kwargs):
     with pytest.raises(ValueError):

@@ -504,9 +504,9 @@ def test_solve_descends_monotonically_to_finite_outputs(seed, camera_path, objec
     trace = np.array(result.energy_trace)
     assert np.all(np.isfinite(trace)) and np.all(np.diff(trace) <= 0)
     assert np.all(np.isfinite(result.scales))
-    for pose, pm in zip(result.poses, result.pointmaps):
+    for pose in result.poses:
         assert np.all(np.isfinite(pose.rotation)) and np.all(np.isfinite(pose.translation))
-        assert np.all(np.isfinite(pm.points))
+    assert np.all(np.isfinite(result.variables.pointmaps))
     rot = result.variables.rotations
     assert np.abs(rot @ rot.transpose(0, 2, 1) - np.eye(3)).max() <= 1e-12
 

@@ -1,12 +1,17 @@
+import builtins
 import contextlib
 import io
 import json
+import math
 import shutil
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pointmatch import errors
 from pointmatch.cli import main
 from pointmatch.io import dump_json, load_json, read_tensor
 
@@ -317,6 +322,51 @@ def test_huge_jitter_aligns_or_fails_with_value_error(tmp_path, small_scene_dir,
         assert json.loads(lines[0])["error"]["type"] in ("ValueError", "EmptyDomainError")
 
 
+def test_a_lambda_2d_above_its_bound_fails_with_a_value_error(tmp_path, small_scene_dir):
+    # unbounded, 1e12 makes a chi block singular deep in the solver (a LinAlgError)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda_2d": 1e12}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli_captured("align", small_scene_dir, "--config", cfg, "--noise", "0.01",
+                                     "--jitter", "0.05", "--out", tmp_path / "al")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err == {"type": "ValueError", "message": "lambda_2d must lie in [0, 1000], got 1e+12"}
+    assert not caught
+
+
+def _edit_manifest(root, edit):
+    meta = load_json(root / "meta.json")
+    meta["tensors"] = edit(meta["tensors"])
+    dump_json(root / "meta.json", meta)
+
+
+def test_eval_depth_reads_each_frame_by_name(tmp_path, small_scene_dir):
+    depth = tmp_path / "depth"
+    assert run_cli("depth", small_scene_dir, "--noise", "0.01", "--out", depth) == 0
+    assert run_cli("eval", "depth", depth, small_scene_dir, "--out", tmp_path / "a.json") == 0
+    # the manifest's order is not the frames' order
+    _edit_manifest(depth, lambda entries: [entries[1], entries[0], *entries[2:]])
+    assert run_cli("eval", "depth", depth, small_scene_dir, "--out", tmp_path / "b.json") == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_eval_depth_rejects_a_manifest_that_names_a_frame_twice(tmp_path, small_scene_dir):
+    depth = tmp_path / "depth"
+    assert run_cli("depth", small_scene_dir, "--noise", "0.01", "--out", depth) == 0
+    _edit_manifest(depth, lambda entries: [entries[0], entries[0], *entries[2:]])
+    code, out = run_cli_captured("eval", "depth", depth, small_scene_dir,
+                                 "--out", tmp_path / "r.json")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == {
+        "type": "ValueError", "message": f"{depth} is missing tensor depth_0001"}
+
+
 @pytest.mark.parametrize("command,tensor", [("depth", "depth_0000"), ("track", "tracks"),
                                             ("recon", "points")])
 def test_outputs_float32_cannot_hold_fail_with_value_error(tmp_path, small_scene_dir, command,
@@ -552,3 +602,108 @@ def test_malformed_manifest_fails_with_value_error(tmp_path, scene_dir, make):
     lines = out.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["type"] == "ValueError"
+
+
+
+def _numbers(node):
+    if isinstance(node, dict):
+        for v in node.values():
+            yield from _numbers(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _numbers(v)
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield node
+
+
+def _assert_finite_outputs(out):
+    """Every number of every JSON file and every .bin tensor under out (a
+    directory or one file) is finite."""
+    files = [out] if out.is_file() else sorted(out.iterdir())
+    assert files
+    for f in files:
+        if f.suffix == ".json":
+            assert all(math.isfinite(x) for x in _numbers(load_json(f))), f.name
+        elif f.suffix == ".bin":
+            assert np.isfinite(np.fromfile(f, dtype="<f4")).all(), f.name
+
+
+def _is_value_error(name):
+    cls = getattr(errors, name, None) or getattr(builtins, name, None)
+    return isinstance(cls, type) and issubclass(cls, ValueError)
+
+
+# wide finite ranges, each with its everyday values, and the magnitudes
+# where faults were found, drawn often enough to reach the solver and the
+# writers
+_INTS = st.integers(0, 40) | st.integers(0, 2**64) | st.integers(-2**64, 2**64)
+_SIGMA = (st.sampled_from([0.01, 0.05, 20.0, 50.0, 1e40]) | st.floats(0.0, 100.0)
+          | st.floats(-1e308, 1e308))
+_WEIGHT = (st.sampled_from([1e-6, 0.01, 1e3, 1e12, 1e100, 1e308]) | st.floats(0.0, 2e3)
+           | st.floats(-1e308, 1e308))
+_FLAGS = {
+    "seed": _INTS, "window": _INTS, "overlap": _INTS, "stride": _INTS,
+    "noise": _SIGMA, "jitter": _SIGMA, "use-dynamic-mask": st.booleans(),
+}
+_COMMANDS = {
+    "depth": ("seed", "noise", "jitter"),
+    "track": ("seed", "window", "overlap", "noise", "jitter"),
+    "recon": ("seed", "window", "noise", "jitter"),
+    "align": ("seed", "stride", "noise", "jitter", "use-dynamic-mask"),
+    "ablate": ("seed", "overlap", "noise", "jitter"),
+}
+# the result each command's eval scores
+_EVAL = {"depth": "depth", "track": "track", "align": "traj"}
+
+
+def _run_in_process(*argv):
+    """(exit code, stdout lines, warnings) of one in-process CLI run."""
+    buf = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("always")
+        code = run_cli(*argv)
+    return code, buf.getvalue().splitlines(), [str(w.message) for w in caught]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cli_runs_clean_or_fails_with_one_value_error(tmp_path_factory, small_scene_dir, data):
+    """Any command, with any finite flags and align config, either exits 0
+    with finite outputs or exits 1 with one ValueError-family JSON line, and
+    numpy warns of nothing either way. Each output is then scored by its
+    eval, under the same rule."""
+    # half the runs align: the solver has the widest input, its config keys too
+    command = data.draw(st.just("align") | st.sampled_from(["ablate", "depth", "recon", "track"]),
+                        label="command")
+    work = tmp_path_factory.mktemp("fuzz")
+    argv = [command, small_scene_dir]
+    for name in _COMMANDS[command]:
+        value = data.draw(st.none() | _FLAGS[name], label=name)
+        if isinstance(value, bool):
+            argv.append(f"--{'' if value else 'no-'}{name}")
+        elif value is not None:
+            argv.append(f"--{name}={value!r}")
+    if command == "align":
+        config = {"max_iters": data.draw(st.integers(-2, 30), label="max_iters"),
+                  "lambda_2d": data.draw(_WEIGHT, label="lambda_2d")}
+        tol = data.draw(st.none() | _WEIGHT, label="tol")
+        if tol is not None:
+            config["tol"] = tol
+        dump_json(work / "cfg.json", config)
+        argv += ["--config", work / "cfg.json"]
+
+    def check(argv, result):
+        code, lines, caught = _run_in_process(*argv, "--out", result)
+        assert not caught, caught
+        if code == 0:
+            assert not lines, lines
+            _assert_finite_outputs(result)
+        else:
+            assert code == 1 and len(lines) == 1, lines
+            assert _is_value_error(json.loads(lines[0])["error"]["type"]), lines[0]
+        return code
+
+    out = work / ("table.json" if command == "ablate" else "out")
+    if check(argv, out) == 0 and command in _EVAL:
+        check(["eval", _EVAL[command], out, small_scene_dir], work / "report.json")

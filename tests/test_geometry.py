@@ -10,7 +10,6 @@ from pointmatch.geometry import (
     Intrinsics,
     Pointmap,
     Pose,
-    compose_pose,
     depth_channel,
     invert_pose,
     pixel_grid,
@@ -67,11 +66,12 @@ def test_project_rejects_tiny_depth():
     npt.assert_array_equal(pix, 0.0)
 
 
-def test_compose_translations():
-    a = Pose(np.eye(3), [1.0, 2.0, 3.0])
-    b = Pose(np.eye(3), [10.0, 0.0, 0.0])
-    c = compose_pose(a, b)
-    npt.assert_allclose(c.apply(np.zeros(3)), [11.0, 2.0, 3.0])
+def test_relative_pose_translations():
+    src = Pose(np.eye(3), [1.0, 2.0, 3.0])
+    dst = Pose(np.eye(3), [11.0, 2.0, 3.0])
+    r, t = relative_pose(src, dst)
+    npt.assert_array_equal(r, np.eye(3))
+    npt.assert_allclose(t, [10.0, 0.0, 0.0])
 
 
 def test_pose_validation():
@@ -99,9 +99,9 @@ def test_pose_roundtrip(seed):
     pts = rng.normal(size=(17, 3))
     back = invert_pose(p).apply(p.apply(pts))
     npt.assert_allclose(back, pts, atol=1e-9)
-    ident = compose_pose(invert_pose(p), p)
-    npt.assert_allclose(ident.rotation, np.eye(3), atol=1e-9)
-    npt.assert_allclose(ident.translation, 0.0, atol=1e-9)
+    r, t = relative_pose(p, p)  # p^-1 then p
+    npt.assert_allclose(r, np.eye(3), atol=1e-9)
+    npt.assert_allclose(t, 0.0, atol=1e-9)
 
 
 @settings(max_examples=25, deadline=None)
@@ -143,9 +143,9 @@ def test_transform_matches_world_route():
 
 def test_relative_pose_identity():
     p = random_pose(np.random.default_rng(0))
-    rel = relative_pose(p, p)
-    npt.assert_allclose(rel.rotation, np.eye(3), atol=1e-12)
-    npt.assert_allclose(rel.translation, 0.0, atol=1e-12)
+    r, t = relative_pose(p, p)
+    npt.assert_allclose(r, np.eye(3), atol=1e-12)
+    npt.assert_allclose(t, 0.0, atol=1e-12)
 
 
 def test_confidence_floor():

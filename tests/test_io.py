@@ -77,6 +77,13 @@ def test_tensor_reader_requires_dims(tmp_path):
         read_tensor(tmp_path, entry)
 
 
+def test_tensor_reader_counts_huge_dims_without_wrapping(tmp_path):
+    # 2^62 x 4 elements wrap to 0 in int64 arithmetic, which an empty file matches
+    entry = write_probe(tmp_path, np.zeros((0, 4)))
+    with pytest.raises(ValueError, match=f"tensor probe: file holds 0 bytes, expected {2**66}$"):
+        read_tensor(tmp_path, dict(entry, dims=[2**62, 4]))
+
+
 def test_trajectory_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     poses = [random_pose(rng) for _ in range(5)]
@@ -139,7 +146,7 @@ def test_scene_roundtrip_without_tracks(tmp_path):
     # tracks.json holds [] for the (0, T, 3) arrays; loading must still accept it
     seq = small_scene(seed=1, track_count=0)
     back = load_scene(save_scene(tmp_path / "scene", seq))
-    assert len(back.tracks) == 0
+    assert back.tracks.query_pixels.shape == (0, 2)
     assert back.tracks.world.shape == (0, seq.frame_count, 3)
 
 
@@ -192,6 +199,9 @@ def test_tensor_reader_rejects_path_names(tmp_path):
             read_tensor(tmp_path / "a", dict(entry, name=name))
 
 
+DEPTH_NAMES = [f"depth_{f:04d}" for f in range(3)]
+
+
 @pytest.fixture
 def depth_result(tmp_path):
     """The directory of a `depth` result on an 8x12x3 scene."""
@@ -205,7 +215,7 @@ def test_bundle_rejects_truncated_tensor_file(depth_result):
     tensor_file = depth_result / f"{meta['tensors'][1]['name']}.bin"
     tensor_file.write_bytes(tensor_file.read_bytes()[:-4])
     with pytest.raises(ValueError, match="bytes"):
-        read_tensors(depth_result, meta)
+        read_tensors(depth_result, meta, DEPTH_NAMES)
 
 
 @pytest.mark.parametrize(
@@ -222,4 +232,4 @@ def test_bundle_rejects_malformed_manifest(depth_result, corrupt):
     meta_file = depth_result / "meta.json"
     meta_file.write_text(json.dumps(corrupt(json.loads(meta_file.read_text()))))
     with pytest.raises(ValueError):
-        read_tensors(depth_result, read_meta(depth_result, DEPTH_FORMAT))
+        read_tensors(depth_result, read_meta(depth_result, DEPTH_FORMAT), DEPTH_NAMES)

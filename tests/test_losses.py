@@ -3,10 +3,9 @@ import numpy.testing as npt
 import pytest
 
 from pointmatch.errors import EmptyDomainError
-from pointmatch.geometry import ConfidenceMap, Pointmap
+from pointmatch.geometry import Pointmap
 from pointmatch.losses import (
     WindowPredictions,
-    confidence_loss,
     confidence_optimum,
     norm_factor,
     regression_loss,
@@ -80,17 +79,6 @@ def test_regression_loss_joint_validity():
     assert out.values[0, 1] == 0.0
 
 
-def test_confidence_loss_uniform_matches_mean():
-    # C = 2 everywhere (raw 0): loss = 2*mean(l) - alpha*log 2
-    gt = _pm([[0, 0, 1.0], [0, 1.0, 1.0]])
-    pred = _pm([[0, 0, 1.2], [0, 0.9, 1.0]])
-    pl = regression_loss(pred, gt)
-    conf = ConfidenceMap(np.zeros((1, 2)))
-    got = confidence_loss(conf, pl, alpha_conf=0.2)
-    want = 2.0 * pl.mean - 0.2 * np.log(2.0)
-    npt.assert_allclose(got, want, atol=1e-12)
-
-
 def test_confidence_optimum_clamped():
     c, v = confidence_optimum(0.5, 0.2)
     assert c == 1.0 and v == 0.5
@@ -107,15 +95,6 @@ def test_confidence_optimum_matches_numeric_min():
         vals = cs * r - 0.2 * np.log(cs)
         assert vals.min() >= want - 1e-12
         npt.assert_allclose(vals.min(), want, atol=1e-6)
-
-
-def test_confidence_floor_keeps_loss_bounded():
-    # driving raw confidence very negative cannot push the loss below l_min*1 - 0
-    gt = _pm([[0, 0, 1.0]])
-    pred = _pm([[0, 0.5, 1.0]])
-    pl = regression_loss(pred, gt)
-    lo = confidence_loss(ConfidenceMap(np.full((1, 1), -200.0)), pl)
-    npt.assert_allclose(lo, pl.mean, atol=1e-12)
 
 
 def _window(rng, t, h=4, w=5, noise=0.0):

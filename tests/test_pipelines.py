@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 from contextlib import suppress
 
 import numpy as np
@@ -300,7 +302,8 @@ def test_predictor_renders_each_head_once(seq, monkeypatch):
 
 
 def _held_bytes(oracle):
-    return sum(pm.points.nbytes + pm.valid.nbytes for pm, _ in oracle._memo.values())
+    h, w = oracle.seq.resolution
+    return oracle._head.cache_info().currsize * 25 * h * w  # float64 points, bool validity
 
 
 def _arrays(head):
@@ -329,9 +332,27 @@ def test_memo_evicts_to_its_budget_and_rerenders_identically(seq, monkeypatch):
         for a, b in zip(got, ref):
             npt.assert_array_equal(a, b, err_msg=f"{name} of {(i, j)}")
         assert 0 < _held_bytes(oracle) <= budget
-        assert oracle._memo_bytes == _held_bytes(oracle)
     assert len(built) > len(set(built))  # evicted heads were rendered again
     assert len(built) < len(reads)  # and the repeats hit
+
+
+def test_predictor_is_freed_without_a_collection(seq):
+    # its memo holds no reference back to it, so dropping the last reference
+    # frees it and its heads at once, with the cycle collector off
+    oracle = OraclePredictor(seq, sigma_point=0.01, seed=1)
+    pred = oracle.predict(1, 2)
+    heads = [weakref.ref(pred.x_ii), weakref.ref(pred.x_ji), weakref.ref(pred.x_ji_matched)]
+    assert oracle._head.cache_info().currsize == 3
+    gone = weakref.ref(oracle)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del oracle, pred
+        assert gone() is None
+        assert all(head() is None for head in heads)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_track_holds_one_window_of_maps(monkeypatch):
@@ -376,8 +397,7 @@ def test_feedforward_recon_shapes(seq, oracle):
     r = feedforward_recon(seq, oracle, window=4)
     assert r.keyframe == seq.frame_count - 1
     assert r.frames == [2, 3, 4, 5]
-    assert len(r.maps) == 4
-    total = sum(int(m.valid.sum()) for m in r.maps)
+    total = sum(int(oracle.predict(5, t).x_ji.valid.sum()) for t in r.frames)
     assert r.points.shape == (total, 3)
 
 
@@ -548,8 +568,9 @@ def test_pipelines_return_clean_outputs_or_raise(cam, objects, h, w, frames, noi
     with suppress(ValueError):
         recon = feedforward_recon(seq, oracle, window=window)
         assert np.all(np.isfinite(recon.points))
-        assert len(recon.points) == sum(int(m.valid.sum()) for m in recon.maps)
-        for m in recon.maps:
+        maps = [oracle.predict(recon.keyframe, t).x_ji for t in recon.frames]
+        assert len(recon.points) == sum(int(m.valid.sum()) for m in maps)
+        for m in maps:
             _finite_and_zero_where_invalid(m.points, m.valid)
     with suppress(ValueError):
         res = track_3d(seq, oracle, seq.tracks.query_pixels, window=window, overlap=overlap,

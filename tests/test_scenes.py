@@ -137,7 +137,7 @@ def test_sphere_points_on_surface(seq):
             sel = seq.hit_id[t] == k
             if not sel.any():
                 continue
-            c = obj.center + obj.offset_at(t)
+            c = obj.center + t * obj.velocity
             r = np.linalg.norm(world_points(seq, t)[sel] - c, axis=1)
             npt.assert_allclose(r, obj.size[0], atol=1e-9)
 
@@ -275,7 +275,7 @@ def test_tracks_consistent_with_matching(seq):
     tr = seq.tracks
     for t in range(seq.frame_count):
         xm = gt_pointmap_matching(seq, t, 0)
-        for qi in range(len(tr)):
+        for qi in range(len(tr.query_pixels)):
             x, y = tr.query_pixels[qi]
             assert tr.visible[qi, t] == xm.valid[y, x]
             if tr.visible[qi, t]:
@@ -689,7 +689,7 @@ def _fallback_rows(monkeypatch):
     bisect = scenes.HeightField._bisect_chunk
 
     def counting(field, origins, dirs):
-        if sys._getframe(1).f_code is scenes.HeightField._beyond_chunk.__code__:
+        if sys._getframe(1).f_code is scenes.HeightField.crossing_beyond.__code__:
             rows.append(len(dirs))
         return bisect(field, origins, dirs)
 
