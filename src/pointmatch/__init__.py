@@ -12,7 +12,6 @@ down to the bit.
 from .alignment import AlignmentOptions, build_pair_graph, global_align
 from .attention import TokenGrid, fit_denoiser, forward, init_params
 from .geometry import (
-    ConfidenceMap,
     DepthMap,
     Intrinsics,
     Pointmap,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlignmentOptions",
-    "ConfidenceMap",
     "DepthMap",
     "DynamicMask",
     "Intrinsics",

@@ -4,10 +4,11 @@ Variables: per-frame camera-to-world pose (rotation matrix + translation),
 one log-scale per edge, and a free global pointmap per frame. The energy pulls
 each frame's global pointmap toward every edge's evidence,
 
-    E3d = sum_e sum_{v in {ii, ji}} sum_px conf * rho(chi_v - (R_i (s_e x) + t_i))
+    E3d = w3d * sum_e sum_{v in {ii, ji}} sum_px rho(chi_v - (R_i (s_e x) + t_i))
 
-with rho a pseudo-Huber penalty, plus a 2D term tying static pixels to the
-matched maps' projected correspondences,
+with rho a pseudo-Huber penalty and w3d = 1 + e (`_WEIGHT_3D`) the weight of
+every 3D row, plus a 2D term tying static pixels to the matched maps'
+projected correspondences,
 
     E2d = lambda_2d * sum_e sum_{static px} rho2(project_points(R_i^T (chi_j - t_i)) - F_e)
 
@@ -25,10 +26,10 @@ al., "Bundle Adjustment - A Modern Synthesis", 2000). The residuals live in
 two tables, one row per (edge, term, pixel), grouped by the frame whose map a
 row pulls. AlignmentProblem builds them as it reads each edge, a pair
 prediction and its mask, whose maps it then drops, so a problem holds its rows
-and ego maps, one per frame, but no prediction. A 3D row holds its point; its
-confidence is held once for a segment whose confidence is uniform, as the
-oracle predictor's is. A segment's pixels are one bool mask over its frame's
-grid, one byte a pixel, which each chunk turns into the row indices it reads.
+and ego maps, one per frame, but no prediction. A 3D row holds its point, a 2D
+row its matched pixel position, and each term has one weight for all its rows.
+A segment's pixels are one bool mask over its frame's grid, one byte a pixel,
+which each chunk turns into the row indices it reads.
 An edge's masked pixels get no 2D row, so a solve reads every row of both
 tables. Every pass over the rows takes a fixed number of numpy calls per chunk
 of `_CHUNK_ROWS` rows, whatever the number of edges, and the system pass one
@@ -66,6 +67,9 @@ _SMALL_ANGLE = 1e-7
 # step that still raises the energy ends the run
 _DAMPING_START, _DAMPING_MIN, _DAMPING_MAX = 1e-3, 1e-9, 1e8
 _HUBER_DELTA = 1e-6  # pseudo-Huber scale of both energy terms
+# every 3D row's weight: a DUSt3R confidence 1 + exp(u) at the uniform raw
+# logit u = 1, which no predictor here varies per pixel
+_WEIGHT_3D = 1.0 + np.exp(1.0)
 _ABS_TOL = 1e-14  # energy below this is a solved problem
 
 
@@ -132,23 +136,22 @@ class AlignmentProblem:
         (i, j), n, res = p.frames, len(self.ego_maps), self.ego_maps[0].valid.shape
         if not (0 <= i < n and 0 <= j < n and i != j):
             raise ValueError(f"edge {p.frames} must join two distinct frames of 0..{n - 1}")
-        x_ii, x_ji, m, conf_ii, conf_ji = p.x_ii, p.x_ji, p.x_ji_matched, p.conf_ii, p.conf_ji
+        x_ii, x_ji, m = p.x_ii, p.x_ji, p.x_ji_matched
         dyn = np.zeros(res, bool) if dyn is None else dyn
         if not (isinstance(dyn, np.ndarray) and dyn.dtype == bool and dyn.shape == res):
             raise ValueError(f"edge {p.frames}'s mask must be a bool grid of the ego maps' "
                              f"resolution {res}")
-        if {g.shape for g in (x_ii.valid, x_ji.valid, m.valid, conf_ii.raw, conf_ji.raw)} != {res}:
+        if {g.shape for g in (x_ii.valid, x_ji.valid, m.valid)} != {res}:
             raise ValueError("an edge's maps must share the ego maps' resolution")
         ei = len(self.edges)
         self.edges.append(EdgeIds(i, j))
 
-        def segment(f, sel, data, w=None):  # rows at the pixels sel of frame f
-            return (f, i, ei), sel.copy(), data, w  # a grid of its own, not a head's
+        def segment(f, sel, data):  # rows at the pixels sel of frame f
+            return (f, i, ei), sel.copy(), data  # a grid of its own, not a head's
 
         # 2D rows only where x_ji gives a 3D row too: chi blocks invert undamped
         sel = m.valid & x_ji.valid & (m.points[..., 2] > EPS_Z) & ~dyn
-        segs = [segment(f, pm.valid, pm.points[pm.valid], _weights(conf.values[pm.valid]))
-                for f, pm, conf in ((i, x_ii, conf_ii), (j, x_ji, conf_ji))]
+        segs = [segment(f, pm.valid, pm.points[pm.valid]) for f, pm in ((i, x_ii), (j, x_ji))]
         return segs + [segment(j, sel, project_points(m.points[sel], self.intrinsics[i])[0])]
 
 
@@ -188,8 +191,7 @@ def build_pair_graph(seq, predictor: OraclePredictor, stride: int = 5,
         lazy = predictor.predict(i, j)
         # each head read once, whatever a predictor keeps: the mask and the
         # problem read some of them twice
-        pred = PairPrediction(lazy.frames, lazy.x_ii, lazy.x_ji, lazy.x_ji_matched,
-                              lazy.conf_ii, lazy.conf_ji)
+        pred = PairPrediction(lazy.frames, lazy.x_ii, lazy.x_ji, lazy.x_ji_matched)
         mask = None
         if use_dynamic_mask:
             try:
@@ -257,50 +259,36 @@ _CHUNK_ROWS = 1 << 11
 # the frame whose global map they pull. Segment s holds rows start[s]:start[s
 # + 1] (at least one) as its own arrays: mask[s], the (H, W) bool grid of the
 # pixels they pull in frame[s]'s map, one row per True pixel in raster order,
-# data[s], a 3D row's point (x, y, z) or a 2D row's matched pixel position,
-# and, in the 3D table, w[s], the rows' confidences (w is None in the 2D
-# table, whose weight is lambda_2d). Segment s pulls frame[s], is posed by
-# frame pose[s] and scaled by edge[s]; cols[s] are its camera columns (pose,
-# then scale).
-_Rows = namedtuple("_Rows", "mask data w start frame pose edge cols")
-
-
-def _weights(conf: np.ndarray) -> np.ndarray:
-    """A segment's confidences; one value throughout is held once, as a
-    zero-stride view that reads as one weight per row."""
-    return np.broadcast_to(conf[:1].copy(), conf.shape) if (conf == conf[:1]).all() else conf
+# and data[s], a 3D row's point (x, y, z) or a 2D row's matched pixel
+# position. Segment s pulls frame[s], is posed by frame pose[s] and scaled by
+# edge[s]; cols[s] are its camera columns (pose, then scale).
+_Rows = namedtuple("_Rows", "mask data start frame pose edge cols")
 
 
 def _table(segs: list, n: int) -> _Rows:
-    """The rows of segments [(ids, mask, data, w)] of n frames' maps, stably
-    sorted by frame; segments without rows are dropped. w is None for 2D
-    segments."""
+    """The rows of segments [(ids, mask, data)] of n frames' maps, stably
+    sorted by frame; segments without rows are dropped."""
     segs = sorted((s for s in segs if len(s[2])), key=lambda s: s[0][0])
     start = np.cumsum([0] + [len(s[2]) for s in segs])
     ids = np.array([s[0] for s in segs], dtype=np.intp).reshape(-1, 3)
     cols = np.column_stack([6 * ids[:, 1:2] + np.arange(6), 6 * n + ids[:, 2]])
-    w = [s[3] for s in segs] if segs and segs[0][3] is not None else None
-    return _Rows([s[1] for s in segs], [s[2] for s in segs], w, start, *ids.T, cols)
+    return _Rows([s[1] for s in segs], [s[2] for s in segs], start, *ids.T, cols)
 
 
 def _chunk(rows: _Rows, lo: int, hi: int, segs: range):
-    """pix, data and w (None in the 2D table) of rows lo..hi - 1, which lie
-    in the segments segs; pix (intp) indexes the pixels they pull in the
-    frames' stacked maps, frame * pixels + pixel."""
+    """pix and data of rows lo..hi - 1, which lie in the segments segs; pix
+    (intp) indexes the pixels they pull in the frames' stacked maps, frame *
+    pixels + pixel."""
     cuts = [slice(max(lo - rows.start[s], 0), hi - rows.start[s]) for s in segs]
-
-    def cat(col):
-        return np.concatenate([col[s][c] for s, c in zip(segs, cuts)])
-
     pix = np.concatenate([rows.frame[s] * rows.mask[s].size + np.flatnonzero(rows.mask[s])[c]
                           for s, c in zip(segs, cuts)])
-    return pix, cat(rows.data), None if rows.w is None else cat(rows.w)
+    return pix, np.concatenate([rows.data[s][c] for s, c in zip(segs, cuts)])
 
 
 # an iterate as the row passes read it: the 3D and 2D tables it solves over,
 # (F, 3, 3) rotations, (F, 3) translations, (E,) scales, (F * pixels, 3) chi,
-# (F, 4) fx, fy, cx, cy and the 2D rows' weight
-_At = namedtuple("_At", "rows rot trans scales chi k lambda_2d")
+# (F, 4) fx, fy, cx, cy and each table's row weight, _WEIGHT_3D and lambda_2d
+_At = namedtuple("_At", "rows rot trans scales chi k weights")
 
 
 def _iterate(problem: AlignmentProblem, v: AlignmentVariables, opts: AlignmentOptions) -> _At:
@@ -312,23 +300,24 @@ def _iterate(problem: AlignmentProblem, v: AlignmentVariables, opts: AlignmentOp
         scales = np.exp(v.log_scales)
     return _At(rows, v.rotations, v.translations, scales,
                v.pointmaps.reshape(-1, 3),
-               np.array([[k.fx, k.fy, k.cx, k.cy] for k in ks]).reshape(n, 4), opts.lambda_2d)
+               np.array([[k.fx, k.fy, k.cx, k.cy] for k in ks]).reshape(n, 4),
+               (_WEIGHT_3D, opts.lambda_2d))
 
 
 def _linearized(at: _At, frames: tuple[int, int], jac=True):
     """Rows of frames lo..hi - 1, chunk by chunk: (table, segment, pixel,
-    weight, residual, kernel root, d r / d chi, lever). d r / d chi is None
-    for the 3D rows' identity and for every row without jac, else a 2D row's
-    two rows as a (2, 3, m) array, the rows' axis last; the lever is a 3D
-    row's mapped point s_e R_i x or a 2D row's chi - t_i. 2D rows behind
-    their camera drop out."""
+    the table's one row weight, residual, kernel root, d r / d chi, lever).
+    d r / d chi is None for the 3D rows' identity and for every row without
+    jac, else a 2D row's two rows as a (2, 3, m) array, the rows' axis last;
+    the lever is a 3D row's mapped point s_e R_i x or a 2D row's chi - t_i.
+    2D rows behind their camera drop out."""
     step = _CHUNK_ROWS if jac else 2 * _CHUNK_ROWS
     for t, rows in enumerate(at.rows):
         lo, hi = rows.start[np.searchsorted(rows.frame, frames)]
         for row0 in range(lo, hi, step):
             row1 = min(row0 + step, hi)
             seg = np.searchsorted(rows.start, np.arange(row0, row1), side="right") - 1
-            pix, data, w = _chunk(rows, row0, row1, range(seg[0], seg[-1] + 1))
+            pix, data = _chunk(rows, row0, row1, range(seg[0], seg[-1] + 1))
             t_i, j_chi = at.trans[rows.pose].take(seg, axis=0), None
             if t == 0:  # chi - (s_e R_i x + t_i)
                 with np.errstate(invalid="ignore"):  # an inf scale times a 0 entry
@@ -340,7 +329,7 @@ def _linearized(at: _At, frames: tuple[int, int], jac=True):
                 d = at.chi.take(pix, axis=0) - t_i
                 y = np.einsum("nji,nj->ni", rot, d)
                 ok = np.flatnonzero(y[:, 2] > EPS_Z)
-                seg, pix, d, y, w = seg[ok], pix[ok], d[ok], y[ok], at.lambda_2d
+                seg, pix, d, y = seg[ok], pix[ok], d[ok], y[ok]
                 k, z = at.k[rows.pose].take(seg, axis=0), y[:, 2:]
                 r = k[:, :2] * y[:, :2] / z + k[:, 2:] - data[ok]
             # overflow to inf is fine here: an infinite energy raises
@@ -351,7 +340,7 @@ def _linearized(at: _At, frames: tuple[int, int], jac=True):
                 col = at.rot[rows.pose].transpose(2, 1, 0).take(seg, axis=2)  # col[q]: R_i[:, q]
                 kz, yz = ((x[:, :2] / z).T.copy()[:, None] for x in (k, y))
                 j_chi = kz * (col[:2] - yz * col[2])
-            yield t, seg, pix, w, r, root, j_chi, a if t == 0 else d
+            yield t, seg, pix, at.weights[t], r, root, j_chi, a if t == 0 else d
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -650,8 +639,8 @@ def _init_pairwise(problem: AlignmentProblem) -> AlignmentVariables:
     for f in range(n):
         num, den = np.zeros((h * w, 3)), np.zeros((h * w, 1))
         for _, _, p, wgt, r, *_ in _linearized(at, (f, f + 1), jac=False):
-            _scatter(num, p - f * h * w, -wgt[:, None] * r)
-            _scatter(den, p - f * h * w, wgt[:, None])
+            _scatter(num, p - f * h * w, -wgt * r)
+            _scatter(den, p - f * h * w, np.full((len(p), 1), wgt))
         chi = kappa[f] * (problem.ego_maps[f].points.reshape(-1, 3) @ rot[f].T) + cen[f]
         filled = den[:, 0] > 0
         chi[filled] = num[filled] / den[filled]

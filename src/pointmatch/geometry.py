@@ -166,25 +166,6 @@ class Pointmap:
 
 
 @dataclass
-class ConfidenceMap:
-    """Per-pixel confidence stored as raw logits u; values are 1 + exp(u) > 1."""
-
-    raw: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.raw, dtype=np.float64)
-        if r.ndim != 2:
-            raise ValueError("raw confidence must be (H, W)")
-        if not np.all(np.isfinite(r)):
-            raise ValueError("raw confidence must be finite")
-        self.raw = r.copy()
-
-    @property
-    def values(self) -> np.ndarray:
-        return 1.0 + np.exp(self.raw)
-
-
-@dataclass
 class DepthMap:
     """Per-pixel camera-frame depth with validity; valid cells are positive finite."""
 

@@ -4,8 +4,8 @@ A bundle directory holds `meta.json` (a `format` tag, a `tensors` manifest and
 any other fields) and one `<name>.bin` per manifest entry: scenes and the
 CLI's task results, told apart by their format tag.
 `write_bundle` writes one, refusing a tensor that float32 cannot hold;
-`read_meta` and `read_tensors` read one back, rejecting a malformed manifest
-or a missing tensor with ValueError.
+`read_meta` and `read_tensors` read one back, rejecting a malformed manifest,
+a missing file or tensor, or a non-finite value with ValueError.
 
 Everything written here is deterministic for fixed inputs: JSON is dumped with
 sorted keys and a trailing newline, tensors are little-endian float32
@@ -43,8 +43,18 @@ def load_json(path):
     return json.loads(Path(path).read_text())
 
 
+def _file(path) -> Path:
+    """path; ValueError naming it when its directory exists but holds no
+    such file (a missing directory stays a FileNotFoundError on read)."""
+    path = Path(path)
+    if path.parent.is_dir() and not path.is_file():
+        raise ValueError(f"{path} is missing")
+    return path
+
+
 def read_tensor(dir_path, entry: dict) -> np.ndarray:
-    """Read the tensor a manifest entry describes; rejects any mismatch."""
+    """Read the tensor a manifest entry describes; rejects any mismatch and
+    a NaN or an infinity, which `write_bundle` never writes."""
     name = entry.get("name")
     if not isinstance(name, str) or not name:
         raise ValueError("tensor entry has no name")
@@ -61,12 +71,15 @@ def read_tensor(dir_path, entry: dict) -> np.ndarray:
     if not isinstance(dims, list) or not all(type(d) is int and d >= 0 for d in dims):
         raise ValueError(f"tensor {name}: dims must be a list of non-negative integers")
     count = math.prod(dims)  # a Python int: no wraparound
-    raw = (Path(dir_path) / (name + ".bin")).read_bytes()
+    raw = _file(Path(dir_path) / (name + ".bin")).read_bytes()
     if len(raw) != 4 * count:
         raise ValueError(
             f"tensor {name}: file holds {len(raw)} bytes, expected {4 * count}"
         )
-    return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(dims)
+    arr = np.frombuffer(raw, dtype="<f4")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"tensor {name} holds a non-finite value")
+    return arr.astype(np.float64).reshape(dims)
 
 
 def write_bundle(dir_path, fmt: str, tensors: dict, **fields) -> Path:
@@ -97,7 +110,7 @@ def read_meta(dir_path, fmt: str) -> dict:
     """A bundle's `meta.json`: an object tagged `fmt` with a list-of-objects
     `tensors` manifest."""
     root = Path(dir_path)
-    meta = load_json(root / "meta.json")
+    meta = load_json(_file(root / "meta.json"))
     if not isinstance(meta, dict) or meta.get("format") != fmt:
         raise ValueError(f"{root} is not a {fmt} directory")
     entries = meta.get("tensors")
@@ -128,9 +141,10 @@ def write_trajectory(path, poses: Sequence[Pose]) -> None:
 
 
 def read_trajectory(path) -> list[Pose]:
-    """Parse a trajectory file back into world-to-camera poses."""
+    """Parse a trajectory file back into world-to-camera poses; ValueError
+    on a missing or malformed file."""
     poses: list[Pose] = []
-    for ln, line in enumerate(Path(path).read_text().splitlines()):
+    for ln, line in enumerate(_file(path).read_text().splitlines()):
         parts = line.split()
         if len(parts) != 8:
             raise ValueError(f"trajectory line {ln}: expected 8 fields, got {len(parts)}")
@@ -219,9 +233,7 @@ def load_scene(dir_path) -> SceneSequence:
 def _check_tracks(path: Path, tracks: TrackSet) -> None:
     """tracks.json must hold the regenerated tracks: query frames, query pixels
     and visibility exactly, the float fields to 1e-9."""
-    if not path.is_file():
-        raise ValueError("scene directory is missing tracks.json")
-    stored = load_json(path)
+    stored = load_json(_file(path))
     if not isinstance(stored, dict):
         raise ValueError("tracks.json must hold a JSON object")
     for name in _TRACK_EXACT:

@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import check_finite
 from .geometry import (
-    ConfidenceMap,
     DepthMap,
     Pointmap,
     depth_channel,
@@ -68,8 +67,6 @@ class PairPrediction:
     x_ii: Pointmap
     x_ji: Pointmap
     x_ji_matched: Pointmap
-    conf_ii: ConfidenceMap
-    conf_ji: ConfidenceMap
 
 
 class OraclePredictor:
@@ -80,8 +77,7 @@ class OraclePredictor:
     three maps (they share the pair's unknown scale); reading a head raises
     ValueError when its pair's factor overflows or underflows. Outputs are
     deterministic per (seed, pair): repeated calls return identical maps, from
-    a memo of recently read heads when they are still in it. Every confidence
-    is one uniform map of raw logit 1, built once per predictor.
+    a memo of recently read heads when they are still in it.
     """
 
     def __init__(
@@ -100,7 +96,6 @@ class OraclePredictor:
         self.sigma_point = float(sigma_point)
         self.sigma_scale = float(sigma_scale)
         self.seed = int(seed)
-        self._confidence = ConfidenceMap(np.ones(seq.resolution))
         # a head is 25 bytes a pixel: float64 points and a bool validity. The
         # cache wraps a partial, not a bound method, so it holds no reference
         # back to the predictor
@@ -148,8 +143,7 @@ def _render(seq: SceneSequence, sigma_point: float, sigma_scale: float, seed: in
 
 class _OraclePair(PairPrediction):
     """An oracle pair prediction whose maps are read through the predictor's
-    memo, so each renders on its first read; both confidences are the
-    predictor's uniform map."""
+    memo, so each renders on its first read."""
 
     def __init__(self, oracle: OraclePredictor, view1: int, view2: int):
         self.frames = (view1, view2)
@@ -161,7 +155,6 @@ class _OraclePair(PairPrediction):
     x_ii = property(lambda self: self._read(_ROLE_EGO))
     x_ji = property(lambda self: self._read(_ROLE_RIGID))
     x_ji_matched = property(lambda self: self._read(_ROLE_MATCHED))
-    conf_ii = conf_ji = property(lambda self: self._oracle._confidence)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from pointmatch.alignment import (
 )
 from pointmatch.config import RunConfig
 from pointmatch.errors import DivergenceError
-from pointmatch.geometry import ConfidenceMap, Intrinsics, Pointmap
+from pointmatch.geometry import Intrinsics, Pointmap
 from pointmatch.matching import dynamic_mask
 from pointmatch.metrics import trajectory_metrics
 from pointmatch.pipelines import OraclePredictor, PairPrediction
@@ -137,8 +137,6 @@ def _grid_problem(ego_shapes, edge_shape, pair=(0, 1), mask_dtype=bool, **edge_s
         x_ii=pm(grid("x_ii")),
         x_ji=pm(grid("x_ji")),
         x_ji_matched=pm(grid("x_ji_matched")),
-        conf_ii=ConfidenceMap(np.zeros(grid("conf_ii"))),
-        conf_ji=ConfidenceMap(np.zeros(grid("conf_ji"))),
     )
     return AlignmentProblem([k, k], [pm(s) for s in ego_shapes],
                             [(pred, np.zeros(grid("mask"), dtype=mask_dtype))])
@@ -151,14 +149,13 @@ def _grid_problem(ego_shapes, edge_shape, pair=(0, 1), mask_dtype=bool, **edge_s
         (((4, 5), (4, 5)), (4, 4), {}, "resolution"),
         (((4, 5), (4, 5)), (4, 6), {}, "resolution"),
         (((4, 5), (4, 5)), (4, 5), {"x_ji_matched": (3, 5)}, "resolution"),
-        (((4, 5), (4, 5)), (4, 5), {"conf_ji": (4, 6)}, "resolution"),
         (((4, 5), (4, 5)), (4, 5), {"mask": (4, 4)}, "resolution"),
         (((4, 5), (4, 6)), (4, 5), {}, "resolution"),
         # an edge's frames are its prediction's, named by the message
         (((4, 5), (4, 5)), (4, 5), {"pair": (0, 0)}, r"edge \(0, 0\) must join two distinct"),
         (((4, 5), (4, 5)), (4, 5), {"pair": (0, 5)}, r"edge \(0, 5\) must join two distinct"),
     ],
-    ids=["edge-3x5", "edge-4x4", "edge-4x6", "matched-3x5", "conf-4x6", "mask-4x4",
+    ids=["edge-3x5", "edge-4x4", "edge-4x6", "matched-3x5", "mask-4x4",
          "ego-4x5-4x6", "pair-0-0", "pair-0-5"],
 )
 def test_problem_rejects_mismatched_resolutions(ego_shapes, edge_shape, overrides, match):
@@ -346,8 +343,8 @@ def test_pairwise_init_walks_fitted_edges_breadth_first_in_list_order():
     def edge(i, j, valid):
         s, r, t = np.exp(rng.normal(scale=0.2)), rodrigues(0.3 * rng.normal(size=3)), rng.normal(size=3)
         sims[(i, j)] = s, r, t
-        x_ji, conf = Pointmap(s * ego[j].points @ r.T + t, valid), ConfidenceMap(np.zeros((h, w)))
-        return PairPrediction((i, j), ego[i], x_ji, x_ji, conf, conf), None
+        x_ji = Pointmap(s * ego[j].points @ r.T + t, valid)
+        return PairPrediction((i, j), ego[i], x_ji, x_ji), None
 
     edges = [edge(0, 3, two), edge(3, 2, full), edge(0, 2, full), edge(0, 1, two), edge(2, 3, full)]
     problem = AlignmentProblem([Intrinsics(fx=6.0, fy=5.0, cx=2.0, cy=1.5)] * 4, ego, edges)
@@ -431,12 +428,10 @@ def test_divergent_energy_raises():
     h, w = 4, 6
     k = Intrinsics(fx=10.0, fy=10.0, cx=2.5, cy=1.5)
     ones = Pointmap(np.ones((h, w, 3)), np.ones((h, w), dtype=bool))
-    conf = ConfidenceMap(np.zeros((h, w)))
 
     def edge(x):
         far = Pointmap(np.full((h, w, 3), x), np.ones((h, w), dtype=bool))
-        pred = PairPrediction(frames=(0, 1), x_ii=far, x_ji=ones, x_ji_matched=ones,
-                              conf_ii=conf, conf_ji=conf)
+        pred = PairPrediction(frames=(0, 1), x_ii=far, x_ji=ones, x_ji_matched=ones)
         return pred, None
 
     problem = AlignmentProblem([k, k], [ones, ones], [edge(1e200), edge(-1e200)])

@@ -28,7 +28,7 @@ from pointmatch.alignment import (
     _normal_system,
 )
 from pointmatch.config import RunConfig
-from pointmatch.geometry import EPS_Z, ConfidenceMap, Intrinsics, Pointmap, project_points
+from pointmatch.geometry import EPS_Z, Intrinsics, Pointmap, project_points
 from pointmatch.errors import EmptyDomainError
 from pointmatch.matching import dynamic_mask
 from pointmatch.metrics import trajectory_metrics
@@ -36,6 +36,7 @@ from pointmatch.pipelines import OraclePredictor, PairPrediction
 from pointmatch.scenes import _CAMERA_PATHS, SceneConfig, generate_scene
 
 DELTA = 1e-6  # pseudo-Huber scale of both energy terms
+W3D = 1.0 + np.exp(1.0)  # the weight of every 3D row
 
 
 def rho(r):
@@ -49,9 +50,9 @@ def reference_energy(edges, intrinsics, v, opts):
     for ei, (p, mask) in enumerate(edges):
         i, j = p.frames
         r_i, t_i, k = v.rotations[i], v.translations[i], intrinsics[i]
-        for f, pm, conf in ((i, p.x_ii, p.conf_ii), (j, p.x_ji, p.conf_ji)):
+        for f, pm in ((i, p.x_ii), (j, p.x_ji)):
             mapped = (scales[ei] * pm.points[pm.valid]) @ r_i.T + t_i
-            total += float((conf.values[pm.valid] * rho(v.pointmaps[f][pm.valid] - mapped)).sum())
+            total += W3D * float(rho(v.pointmaps[f][pm.valid] - mapped).sum())
         m = p.x_ji_matched
         static = m.valid & p.x_ji.valid & (m.points[..., 2] > EPS_Z)
         if mask is not None:
@@ -92,8 +93,8 @@ def handmade(use_dynamic_mask=True):
         return Pointmap(pts, valid)
 
     def edge(i, j, valid):
-        conf = [ConfidenceMap(rng.normal(size=(h, w))) for _ in range(2)]
-        pred = PairPrediction((i, j), pm(valid), pm(valid), pm(valid), *conf)
+        rng.normal(size=(2, h, w))  # two grids drawn, so later draws keep their values
+        pred = PairPrediction((i, j), pm(valid), pm(valid), pm(valid))
         mask = rng.random((h, w)) < 0.3
         return pred, mask if use_dynamic_mask and valid.any() else None
 
@@ -193,7 +194,7 @@ def test_a_frame_without_rows_keeps_its_initial_map():
     assert [p.frames for p, _ in edges] == [(0, 1), (1, 2)]
     none = Pointmap(np.zeros((8, 10, 3)), np.zeros((8, 10), bool))
     p, mask = edges[1]
-    edges[1] = PairPrediction(p.frames, p.x_ii, none, none, p.conf_ii, p.conf_ji), mask
+    edges[1] = PairPrediction(p.frames, p.x_ii, none, none), mask
     problem = AlignmentProblem(list(seq.intrinsics), ego, edges)
     assert all(2 not in rows.frame for rows in problem.rows)
     start = alignment._init_pairwise(problem)
@@ -213,7 +214,7 @@ def test_segment_pixels_are_a_bool_mask_of_the_frame_grid():
             assert mask.dtype == bool and mask.shape == (8, 10)
             assert mask.sum() == rows.start[s + 1] - rows.start[s] == len(rows.data[s])
         end = rows.start[-1]
-        pix, _, _ = alignment._chunk(rows, 0, end, range(len(rows.mask)))
+        pix, _ = alignment._chunk(rows, 0, end, range(len(rows.mask)))
         np.testing.assert_array_equal(pix, table_pixels(rows))
         assert pix.dtype == np.intp
 
@@ -237,11 +238,8 @@ def test_streamed_and_listed_edges_build_one_problem():
     def raw(arrays):
         return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
-    def held(a):  # a zero-stride weight holds its one value
-        return a.itemsize if a.strides == (0,) else a.nbytes
-
     def table(rows):
-        return sum(held(a) for col in (rows.mask, rows.data, rows.w or []) for a in col)
+        return sum(a.nbytes for col in (rows.mask, rows.data) for a in col)
 
     for use_dynamic_mask in (True, False):
         edges, ego = pair_graph_edges(seq, oracle(), stride=2, use_dynamic_mask=use_dynamic_mask)
@@ -256,9 +254,8 @@ def test_streamed_and_listed_edges_build_one_problem():
 
         assert streamed.edges == listed.edges
         for a, b in zip(streamed.rows, listed.rows):
-            # each segment's mask, data and w (the 2D table has no w)
-            assert all(raw(x or []) == raw(y or []) for x, y in zip(a[:3], b[:3]))
-            assert raw(a[3:]) == raw(b[3:])  # start, frame, pose, edge, cols
+            assert all(raw(x) == raw(y) for x, y in zip(a[:2], b[:2]))  # masks, data
+            assert raw(a[2:]) == raw(b[2:])  # start, frame, pose, edge, cols
         opts = AlignmentOptions(max_iters=5)
         a, b = global_align(streamed, opts), global_align(listed, opts)
         assert a.iterations > 1 and (a.iterations, a.converged) == (b.iterations, b.converged)
@@ -271,18 +268,14 @@ def test_streamed_and_listed_edges_build_one_problem():
         # heads
         heads = sum(m.points.nbytes + m.valid.nbytes
                     for p, _ in edges for m in (p.x_ii, p.x_ji, p.x_ji_matched))
-        heads += sum(p.conf_ii.raw.nbytes + p.conf_ji.raw.nbytes for p, _ in edges)
         own = sum(map(table, streamed.rows))
         own += sum(m.points.nbytes + m.valid.nbytes for m in streamed.ego_maps)
         assert own <= retained < own + heads / 4, (own, retained, heads)
-        # uniform confidence is held once a segment, so the 3D table (28
-        # bytes a row) is smaller than the heads it came from (33 bytes a
-        # pixel)
-        heads3 = sum(m.points.nbytes + m.valid.nbytes + c.raw.nbytes for p, _ in edges
-                     for m, c in ((p.x_ii, p.conf_ii), (p.x_ji, p.conf_ji)))
+        # a 3D row holds its point, 24 bytes, and its segment a mask of one
+        # byte a pixel
         rows3 = streamed.rows[0]
-        assert all(w.strides == (0,) for w in rows3.w)
-        assert table(rows3) < heads3, (table(rows3), heads3)
+        pixels = sum(m.size for m in rows3.mask)
+        assert table(rows3) == 24 * rows3.start[-1] + pixels, (table(rows3), rows3.start[-1])
 
 
 def test_masked_rows_are_selected_without_a_copy():
@@ -298,9 +291,9 @@ def test_masked_rows_are_selected_without_a_copy():
     v = alignment._init_pairwise(problem)
     assert _iterate(problem, v, AlignmentOptions(lambda_2d=0.5)).rows is problem.rows
     (rows3, rows2), (all3, all2) = problem.rows, unmasked.rows
-    for a, b in zip(rows3[:3], all3[:3]):  # each segment's mask, data and w
+    for a, b in zip(rows3[:2], all3[:2]):  # each segment's mask and data
         assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
-    for a, b in zip(rows3[3:], all3[3:]):  # start, frame, pose, edge, cols
+    for a, b in zip(rows3[2:], all3[2:]):  # start, frame, pose, edge, cols
         np.testing.assert_array_equal(a, b)
 
     static = []  # per unmasked 2D segment: its rows outside its edge's mask
@@ -320,10 +313,9 @@ def test_masked_rows_are_selected_without_a_copy():
     for lo in range(0, rows2.start[-1], 37):  # cuts across segments
         hi = min(lo + 37, rows2.start[-1])
         segs = np.searchsorted(rows2.start, [lo, hi - 1], side="right") - 1
-        pix, data, w = alignment._chunk(rows2, lo, hi, range(segs[0], segs[1] + 1))
+        pix, data = alignment._chunk(rows2, lo, hi, range(segs[0], segs[1] + 1))
         np.testing.assert_array_equal(pix, want[0][lo:hi])
         np.testing.assert_array_equal(data, want[1][lo:hi])
-        assert w is None
 
 
 @pytest.mark.parametrize("lambda_2d", [0.0, 0.5])
@@ -365,11 +357,11 @@ def reference_system(edges, intrinsics, v, opts):
     for ei, (p, mask) in enumerate(edges):
         i, j = p.frames
         r_i, t_i, k = v.rotations[i], v.translations[i], intrinsics[i]
-        for f, pm, conf in ((i, p.x_ii, p.conf_ii), (j, p.x_ji, p.conf_ji)):
+        for f, pm in ((i, p.x_ii), (j, p.x_ji)):
             a = (scales[ei] * pm.points[pm.valid]) @ r_i.T
             r = v.pointmaps[f][pm.valid] - a - t_i
             jac = [np.hstack([skew(x), -np.eye(3), -x[:, None], np.eye(3)]) for x in a]
-            add(jac, r, conf.values[pm.valid], f, np.flatnonzero(pm.valid), i, ei)
+            add(jac, r, np.full(len(r), W3D), f, np.flatnonzero(pm.valid), i, ei)
         if opts.lambda_2d == 0:
             continue
         m = p.x_ji_matched

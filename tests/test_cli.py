@@ -220,8 +220,10 @@ def _set_config(key, value):
     return edit
 
 
-def _drop_tracks(root):
-    (root / "tracks.json").unlink()
+def _drop(name):
+    def edit(root):
+        (root / name).unlink()
+    return edit
 
 
 def _shift_track_point(root):
@@ -259,23 +261,30 @@ def seed1_scene_dir(tmp_path_factory):
         _set_config("seed", "1"),
         _set_config("frame_count", 6.0),
         _set_config("seed", True),
-        _drop_tracks,
+        _drop("tracks.json"),
         _shift_track_point,
         _truncate_depth,
         _nan_pose_field,
+        _drop("meta.json"),
+        _drop("poses.txt"),
+        _drop("depth_0002.bin"),
     ],
     ids=["float-height", "string-seed", "float-frame-count", "bool-seed",
-         "missing-tracks", "tampered-tracks", "truncated-tensor", "nan-pose"],
+         "missing-tracks", "tampered-tracks", "truncated-tensor", "nan-pose",
+         "missing-meta", "missing-poses", "missing-tensor-file"],
 )
 def test_malformed_scene_dir_fails_at_load(tmp_path, seed1_scene_dir, edit):
     root = tmp_path / "scene"
     shutil.copytree(seed1_scene_dir, root)
     edit(root)
-    code, out = run_cli_captured("depth", root, "--out", tmp_path / "d")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli_captured("depth", root, "--out", tmp_path / "d")
     assert code == 1
     lines = out.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["type"] == "ValueError"
+    assert not caught
 
 
 @pytest.fixture(scope="module")
@@ -589,19 +598,51 @@ def _track_queries_scalar(tmp_path, scene_dir):
     return ("eval", "track", pred, scene_dir, "--out", tmp_path / "r.json")
 
 
+def _track_without_its_file(tmp_path, scene_dir):
+    pred = tmp_path / "tr"
+    assert run_cli("track", scene_dir, "--out", pred) == 0
+    (pred / "tracks.bin").unlink()
+    return ("eval", "track", pred, scene_dir, "--out", tmp_path / "r.json")
+
+
+def _traj_without_its_file(tmp_path, scene_dir):
+    pred = tmp_path / "al"
+    pred.mkdir()
+    return ("eval", "traj", pred, scene_dir, "--out", tmp_path / "r.json")
+
+
+def _track_holding(value):
+    # a value write_bundle refuses to write
+    def make(tmp_path, scene_dir):
+        pred = tmp_path / "tr"
+        assert run_cli("track", scene_dir, "--out", pred) == 0
+        tracks = np.fromfile(pred / "tracks.bin", dtype="<f4")
+        tracks[0] = value
+        (pred / "tracks.bin").write_bytes(tracks.tobytes())
+        return ("eval", "track", pred, scene_dir, "--out", tmp_path / "r.json")
+    return make
+
+
 @pytest.mark.parametrize(
     "make",
     [_scene_meta_is_a_list, _scene_intrinsics_not_objects, _depth_meta_without_tensors,
-     _track_manifest_without_tracks, _track_queries_fractional, _track_queries_scalar],
+     _track_manifest_without_tracks, _track_queries_fractional, _track_queries_scalar,
+     _track_without_its_file, _traj_without_its_file, _track_holding(np.inf),
+     _track_holding(np.nan)],
     ids=["scene-meta-list", "scene-intrinsics-not-objects", "depth-meta-no-tensors",
-         "track-manifest-no-tracks", "track-queries-fractional", "track-queries-scalar"],
+         "track-manifest-no-tracks", "track-queries-fractional", "track-queries-scalar",
+         "track-file-missing", "trajectory-missing", "track-inf", "track-nan"],
 )
 def test_malformed_manifest_fails_with_value_error(tmp_path, scene_dir, make):
-    code, out = run_cli_captured(*make(tmp_path, scene_dir))
+    argv = make(tmp_path, scene_dir)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli_captured(*argv)
     assert code == 1
     lines = out.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["type"] == "ValueError"
+    assert not caught
 
 
 

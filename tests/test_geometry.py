@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointmatch.geometry import (
-    ConfidenceMap,
     DepthMap,
     Intrinsics,
     Pointmap,
@@ -146,13 +145,6 @@ def test_relative_pose_identity():
     r, t = relative_pose(p, p)
     npt.assert_allclose(r, np.eye(3), atol=1e-12)
     npt.assert_allclose(t, 0.0, atol=1e-12)
-
-
-def test_confidence_floor():
-    c = ConfidenceMap(np.array([[-30.0, 0.0, 30.0]]).reshape(1, 3))
-    v = c.values
-    assert (v > 1.0).all()
-    npt.assert_allclose(v[0, 1], 2.0)
 
 
 def test_depthmap_rejects_bad_valid_cells():

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import tracemalloc
 import weakref
 from contextlib import suppress
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from pointmatch import pipelines
 from pointmatch.alignment import build_pair_graph
-from pointmatch.geometry import ConfidenceMap, Pointmap, unproject
+from pointmatch.geometry import Pointmap, unproject
 from pointmatch.matching import sparsify_tracks
 from pointmatch.metrics import apd
 from pointmatch.pipelines import (
@@ -140,58 +141,31 @@ def test_oracle_jitter_shared_within_pair(seq):
     npt.assert_allclose(f2[0], f[0], rtol=1e-12)  # same factor across heads
 
 
-def test_matched_render_builds_no_confidence_map(seq, monkeypatch):
-    # the predictor builds its one uniform confidence map; no render builds
-    # another, and both heads that have a confidence output read that map
-    built = []
-
-    class Counted(ConfidenceMap):
-        def __post_init__(self):
-            built.append(np.shape(self.raw))
-            super().__post_init__()
-
-    monkeypatch.setattr(pipelines, "ConfidenceMap", Counted)
-    for kw in ({}, dict(sigma_point=0.01, seed=2)):
-        built.clear()
-        pred = OraclePredictor(seq, **kw).predict(1, 3)
-        assert built == [seq.resolution], kw
-        pred.x_ji_matched, pred.x_ii, pred.x_ji
-        assert isinstance(pred.conf_ii, Counted) and pred.conf_ji is pred.conf_ii
-        assert built == [seq.resolution], kw
-
-
 def _eager_heads(seq, sigma_point, sigma_scale, seed, i, j):
     """Reference: every head of pair (i, j) rendered up front, in a fixed order."""
 
     def perturb(pm, role):
         if sigma_point <= 0:
-            return pm, ConfidenceMap(np.ones(pm.resolution))
+            return pm
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, i, j, role))))
         z = np.abs(pm.points[..., 2:3])
         eps = rng.normal(size=pm.points.shape) * (sigma_point * z)
         pts = pm.points + eps
         pts[~pm.valid] = 0.0
-        return Pointmap(pts, pm.valid), ConfidenceMap(np.ones(pm.resolution))
+        return Pointmap(pts, pm.valid)
 
-    ego, c_e = perturb(unproject(seq.depths[i], seq.intrinsics[i]), 1)
-    rigid, c_r = perturb(gt_rigid_pointmap(seq, i, j), 2)
-    matched, _ = perturb(gt_pointmap_matching(seq, i, j), 3)
+    ego = perturb(unproject(seq.depths[i], seq.intrinsics[i]), 1)
+    rigid = perturb(gt_rigid_pointmap(seq, i, j), 2)
+    matched = perturb(gt_pointmap_matching(seq, i, j), 3)
     if sigma_scale > 0:
         jitter = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, i, j, 9))))
         f = float(np.exp(jitter.normal() * sigma_scale))
         ego, rigid, matched = ego.scaled(f), rigid.scaled(f), matched.scaled(f)
-    return {"x_ii": ego.points, "conf_ii": c_e.values, "x_ji": rigid.points,
-            "conf_ji": c_r.values, "x_ji_matched": matched.points}
+    return {"x_ii": ego.points, "x_ji": rigid.points, "x_ji_matched": matched.points}
 
 
-# each order reads the three renders (ego, rigid, matched) in another sequence
-_HEAD_ORDERS = [
-    ["x_ii", "conf_ii", "x_ji", "conf_ji", "x_ji_matched"],
-    ["x_ji_matched", "conf_ji", "x_ji", "conf_ii", "x_ii"],
-    ["conf_ji", "x_ji_matched", "conf_ii", "x_ii", "x_ji"],
-    ["x_ji", "x_ii", "x_ji_matched", "conf_ji", "conf_ii"],
-    ["conf_ii", "x_ji_matched", "x_ji", "x_ii", "conf_ji"],
-]
+# every order of the three renders (ego, rigid, matched)
+_HEAD_ORDERS = list(itertools.permutations(["x_ii", "x_ji", "x_ji_matched"]))
 
 
 @pytest.mark.parametrize("sigma_scale", [0.0, 0.05])
@@ -205,8 +179,7 @@ def test_lazy_heads_match_eager_render_in_any_order(seq, sigma_point, sigma_scal
             assert pred.frames == (i, j)
             for name in order:
                 head = getattr(pred, name)
-                got = head.values if name.startswith("conf") else head.points
-                npt.assert_array_equal(got, want[name], err_msg=f"{name} in {order}")
+                npt.assert_array_equal(head.points, want[name], err_msg=f"{name} in {order}")
                 assert getattr(pred, name) is head  # rendered once per pair
 
 
@@ -267,7 +240,7 @@ def test_predictor_renders_each_head_once(seq, monkeypatch):
     for _ in range(3):
         for pair in [(3, 1), (1, 3), (2, 2)]:
             pred = oracle.predict(*pair)
-            pred.x_ji_matched, pred.x_ji, pred.conf_ji, pred.x_ii
+            pred.x_ji_matched, pred.x_ji, pred.x_ii
             reads += 2
     # windows of every length start at frame 0 and so share its pairs
     for window, overlap in [(4, 1), (6, 2), (3, 1), (2, 0)]:
@@ -307,7 +280,7 @@ def _held_bytes(oracle):
 
 
 def _arrays(head):
-    return [head.values] if isinstance(head, ConfidenceMap) else [head.points, head.valid]
+    return [head.points, head.valid]
 
 
 def test_memo_evicts_to_its_budget_and_rerenders_identically(seq, monkeypatch):
@@ -315,11 +288,11 @@ def test_memo_evicts_to_its_budget_and_rerenders_identically(seq, monkeypatch):
     monkeypatch.setattr(pipelines, "_HEAD_MEMO_BYTES", budget)
     kw = dict(sigma_point=0.01, sigma_scale=0.05, seed=4)
     rng = np.random.default_rng(0)
-    names = ["x_ii", "conf_ii", "x_ji", "conf_ji", "x_ji_matched"]
+    names = ["x_ii", "x_ji", "x_ji_matched"]
     reads = []
     for _ in range(60):
         i, j = (int(v) for v in rng.integers(0, 3, size=2))
-        reads.append((i, j, names[int(rng.integers(0, 5))]))
+        reads.append((i, j, names[int(rng.integers(0, 3))]))
         reads.append(reads[-1])  # an immediate repeat always hits
     # each read's reference comes from a predictor that never read anything else
     want = [_arrays(getattr(OraclePredictor(seq, **kw).predict(i, j), name))
