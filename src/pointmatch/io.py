@@ -1,16 +1,22 @@
-"""On-disk formats: bundle directories of raw f32 tensors, and trajectory text.
+"""On-disk formats: bundle directories of raw float tensors, and trajectory text.
 
 A bundle directory holds `meta.json` (a `format` tag, a `tensors` manifest and
 any other fields) and one `<name>.bin` per manifest entry: scenes and the
-CLI's task results, told apart by their format tag.
-`write_bundle` writes one, refusing a tensor that float32 cannot hold;
+CLI's task results, told apart by their format tag. A tensor is float32
+unless its writer names it float64 (a scene's depths, which keep the
+generator's bits).
+`write_bundle` writes one, refusing a tensor that its float type cannot hold;
 `read_meta` and `read_tensors` read one back, rejecting a malformed manifest,
-a missing file or tensor, or a non-finite value with ValueError.
+a missing file or tensor, a tensor of another float type, or a non-finite
+value with ValueError.
+
+`load_scene` verifies a `pointmatch-scene-v2` directory against its config
+rather than regenerating it, and rejects a `pointmatch-scene-v1` one.
 
 Everything written here is deterministic for fixed inputs: JSON is dumped with
-sorted keys and a trailing newline, tensors are little-endian float32
-row-major, and text floats use repr (shortest round-trip). No timestamps, so
-rerunning a writer reproduces its output byte for byte.
+sorted keys and a trailing newline, tensors are little-endian row-major, and
+text floats use repr (shortest round-trip). No timestamps, so rerunning a
+writer reproduces its output byte for byte.
 """
 
 from __future__ import annotations
@@ -25,11 +31,13 @@ import numpy as np
 
 from .config import typed_fields
 from .geometry import Pose, invert_pose, quat_to_rotation, rotation_to_quat
-from .scenes import SceneConfig, SceneSequence, TrackSet, generate_scene
+from .scenes import SceneConfig, SceneSequence, TrackSet, scene_from_depths
 
 TENSOR_DTYPE = "f32"
 TENSOR_ORDER = "row-major"
-SCENE_FORMAT = "pointmatch-scene-v1"
+# each manifest dtype and its little-endian numpy type
+_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+SCENE_FORMAT = "pointmatch-scene-v2"
 # tracks.json fields: those compared exactly on load, and the float ones
 _TRACK_EXACT = ("query_frames", "query_pixels", "visible")
 _TRACK_FLOAT = ("world", "camera", "pixels")
@@ -52,9 +60,10 @@ def _file(path) -> Path:
     return path
 
 
-def read_tensor(dir_path, entry: dict) -> np.ndarray:
-    """Read the tensor a manifest entry describes; rejects any mismatch and
-    a NaN or an infinity, which `write_bundle` never writes."""
+def read_tensor(dir_path, entry: dict, dtype: str = TENSOR_DTYPE) -> np.ndarray:
+    """Read the tensor a manifest entry describes, as float64; rejects any
+    mismatch, a dtype other than `dtype`, and a NaN or an infinity, which
+    `write_bundle` never writes."""
     name = entry.get("name")
     if not isinstance(name, str) or not name:
         raise ValueError("tensor entry has no name")
@@ -62,8 +71,8 @@ def read_tensor(dir_path, entry: dict) -> np.ndarray:
     # path starts with one)
     if name in (".", "..") or "/" in name or "\\" in name:
         raise ValueError(f"tensor name {name!r} is not a plain file name")
-    if entry.get("dtype") != TENSOR_DTYPE:
-        raise ValueError(f"tensor {name}: dtype must be {TENSOR_DTYPE!r}")
+    if entry.get("dtype") != dtype:
+        raise ValueError(f"tensor {name}: dtype must be {dtype!r}")
     if entry.get("order") != TENSOR_ORDER:
         raise ValueError(f"tensor {name}: order must be {TENSOR_ORDER!r}")
     dims = entry.get("dims")
@@ -72,36 +81,38 @@ def read_tensor(dir_path, entry: dict) -> np.ndarray:
         raise ValueError(f"tensor {name}: dims must be a list of non-negative integers")
     count = math.prod(dims)  # a Python int: no wraparound
     raw = _file(Path(dir_path) / (name + ".bin")).read_bytes()
-    if len(raw) != 4 * count:
-        raise ValueError(
-            f"tensor {name}: file holds {len(raw)} bytes, expected {4 * count}"
-        )
-    arr = np.frombuffer(raw, dtype="<f4")
+    size = _DTYPES[dtype].itemsize * count
+    if len(raw) != size:
+        raise ValueError(f"tensor {name}: file holds {len(raw)} bytes, expected {size}")
+    arr = np.frombuffer(raw, dtype=_DTYPES[dtype])
     if not np.isfinite(arr).all():
         raise ValueError(f"tensor {name} holds a non-finite value")
     return arr.astype(np.float64).reshape(dims)
 
 
-def write_bundle(dir_path, fmt: str, tensors: dict, **fields) -> Path:
+def write_bundle(dir_path, fmt: str, tensors: dict, f64: Sequence[str] = (),
+                 **fields) -> Path:
     """Make dir_path and write one `<name>.bin` per tensor (in dict order) and `meta.json`.
 
-    Raises ValueError, before writing any file, naming the first tensor that
-    float32 cannot hold: one with a NaN, an infinity or a value beyond the
-    float32 range.
+    The tensors named in `f64` are stored in float64, bit for bit; the others
+    in float32. Raises ValueError, before writing any file, naming the first
+    tensor that its type cannot hold: one with a NaN, an infinity or a value
+    beyond its range.
     """
+    dtypes = {name: "f64" if name in f64 else TENSOR_DTYPE for name in tensors}
     with np.errstate(over="ignore"):
-        tensors = {name: np.asarray(arr, dtype=np.float64).astype("<f4")
+        tensors = {name: np.asarray(arr, dtype=np.float64).astype(_DTYPES[dtypes[name]])
                    for name, arr in tensors.items()}
     for name, arr in tensors.items():
         if not np.isfinite(arr).all():
-            raise ValueError(f"tensor {name} holds a value float32 cannot hold")
+            raise ValueError(f"tensor {name} holds a value {arr.dtype.name} cannot hold")
     out = Path(dir_path)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     for name, arr in tensors.items():
         (out / (name + ".bin")).write_bytes(arr.tobytes())  # row-major
         entries.append({"name": name, "dims": list(arr.shape),
-                        "dtype": TENSOR_DTYPE, "order": TENSOR_ORDER})
+                        "dtype": dtypes[name], "order": TENSOR_ORDER})
     dump_json(out / "meta.json", {"format": fmt, "tensors": entries, **fields})
     return out
 
@@ -111,22 +122,24 @@ def read_meta(dir_path, fmt: str) -> dict:
     `tensors` manifest."""
     root = Path(dir_path)
     meta = load_json(_file(root / "meta.json"))
-    if not isinstance(meta, dict) or meta.get("format") != fmt:
-        raise ValueError(f"{root} is not a {fmt} directory")
+    found = meta.get("format") if isinstance(meta, dict) else None
+    if found != fmt:
+        raise ValueError(f"{root} is not a {fmt} directory: its format is {found!r}")
     entries = meta.get("tensors")
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValueError(f"{root}/meta.json has no list of tensor entries")
     return meta
 
 
-def read_tensors(dir_path, meta: dict, names: Sequence[str]) -> list[np.ndarray]:
-    """The named tensors of the bundle `read_meta` gave `meta` for, in the
-    order asked."""
+def read_tensors(dir_path, meta: dict, names: Sequence[str],
+                 dtype: str = TENSOR_DTYPE) -> list[np.ndarray]:
+    """The named tensors, each stored as `dtype`, of the bundle `read_meta`
+    gave `meta` for, in the order asked."""
     entries = {e.get("name"): e for e in meta["tensors"]}
     for name in names:
         if name not in entries:
             raise ValueError(f"{dir_path} is missing tensor {name}")
-    return [read_tensor(dir_path, entries[name]) for name in names]
+    return [read_tensor(dir_path, entries[name], dtype) for name in names]
 
 
 def write_trajectory(path, poses: Sequence[Pose]) -> None:
@@ -168,21 +181,22 @@ def read_trajectory(path) -> list[Pose]:
     return poses
 
 
-def _scene_tensors(seq: SceneSequence) -> dict:
-    """Per frame, its depth map and then its dynamic labels, by tensor name."""
-    out = {}
-    for f in range(seq.frame_count):
-        out[f"depth_{f:04d}"] = seq.depths[f].depth
-        out[f"dynamic_{f:04d}"] = seq.dynamic_labels[f].astype(np.float64)
-    return out
+def _frame_names(kind: str, frame_count: int) -> list[str]:
+    return [f"{kind}_{f:04d}" for f in range(frame_count)]
 
 
 def save_scene(dir_path, seq: SceneSequence) -> Path:
-    """Write a scene directory: meta.json + per-frame tensors + poses + tracks."""
+    """Write a scene directory: meta.json + per-frame tensors (each frame's
+    depth map in float64, then its dynamic labels) + poses + tracks."""
+    tensors = {}
+    for f in range(seq.frame_count):
+        tensors[f"depth_{f:04d}"] = seq.depths[f].depth
+        tensors[f"dynamic_{f:04d}"] = seq.dynamic_labels[f].astype(np.float64)
     out = write_bundle(
         dir_path,
         SCENE_FORMAT,
-        _scene_tensors(seq),
+        tensors,
+        f64=_frame_names("depth", seq.frame_count),
         config=asdict(seq.config),
         intrinsics=[{"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy} for k in seq.intrinsics],
     )
@@ -195,20 +209,25 @@ def save_scene(dir_path, seq: SceneSequence) -> Path:
 
 
 def load_scene(dir_path) -> SceneSequence:
-    """Rebuild a scene from its directory.
+    """Load a scene directory by verifying it against its config.
 
-    The generator is deterministic, so the config alone regenerates the exact
-    sequence; the stored tensors (f32 truncation tolerance), poses and tracks
-    are cross-checked against that regeneration to catch tampered or
-    mislabeled directories. Returns the full-precision regenerated sequence.
+    The stored float64 depths are accepted when every pixel's depth d lies
+    within 1e-9 (1 + |d|) of the surface its config gives there, and is 0
+    exactly where that is a miss (`scenes.scene_from_depths`, which does not
+    bisect the backdrop); the scene then holds them, so a directory
+    `save_scene` wrote loads as the sequence it was given, bit for bit. The
+    dynamic labels, poses, intrinsics and tracks must match as well. Anything
+    else, a `pointmatch-scene-v1` directory included, raises ValueError.
     """
     root = Path(dir_path)
     meta = read_meta(root, SCENE_FORMAT)
-    seq = generate_scene(SceneConfig(**typed_fields(SceneConfig, meta.get("config"))))
-
-    wants = _scene_tensors(seq)
-    for (name, want), stored in zip(wants.items(), read_tensors(root, meta, list(wants))):
-        if stored.shape != want.shape or not np.allclose(stored, want, rtol=1e-6, atol=1e-6):
+    cfg = SceneConfig(**typed_fields(SceneConfig, meta.get("config")))
+    depth_names = _frame_names("depth", cfg.frame_count)
+    seq = scene_from_depths(cfg, read_tensors(root, meta, depth_names, dtype="f64"))
+    label_names = _frame_names("dynamic", cfg.frame_count)
+    for name, stored, want in zip(label_names, read_tensors(root, meta, label_names),
+                                  seq.dynamic_labels):
+        if not np.array_equal(stored, want):
             raise ValueError(f"tensor {name} does not match the scene config")
     poses = read_trajectory(root / "poses.txt")
     if len(poses) != seq.frame_count:
@@ -231,7 +250,7 @@ def load_scene(dir_path) -> SceneSequence:
 
 
 def _check_tracks(path: Path, tracks: TrackSet) -> None:
-    """tracks.json must hold the regenerated tracks: query frames, query pixels
+    """tracks.json must hold the rebuilt tracks: query frames, query pixels
     and visibility exactly, the float fields to 1e-9."""
     stored = load_json(_file(path))
     if not isinstance(stored, dict):

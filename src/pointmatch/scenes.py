@@ -35,7 +35,8 @@ Design notes that matter for exactness:
     undecided, to that fixed point. Visibility is the boolean a full
     refinement gives, for one evaluation per ray instead of about twenty;
   - assemble_scene bisects the backdrop once per scene, for every frame's
-    pixel rays together; only the analytic object hits run per frame;
+    pixel rays together; only the analytic object hits run per frame.
+    scene_from_depths verifies stored depths instead, by crossing_beyond;
   - a depth raycast is split into contiguous chunks: one per core the
     process may run on once each gets at least _MIN_CHUNK_RAYS rays, and more
     where a chunk would exceed _MAX_CHUNK_RAYS, so a whole scene's rays become
@@ -82,6 +83,11 @@ _SLOPE_BOUND = 0.3  # max |grad h|; keeps ray-surface crossings monotone in t
 # the relative margin of crossing_beyond's certificates: 2^13 unit roundoffs,
 # over 800 times the rounding error its docstring derives
 _SIGN_TOL = 2.0**-40
+# scene_from_depths accepts a depth d within _DEPTH_TOL (1 + |d|) of its
+# surface: far above 3E (1.5e-10 on a 96x128 scene), so crossing_beyond
+# certifies both ends with one evaluation each, and far below what a changed
+# low mantissa word of a float64 depth moves it (6e-7)
+_DEPTH_TOL = 1e-9
 # a bisection splits into chunks of at least this many rays, one per core;
 # smaller chunks lose more to the interpreter lock than the second core gains
 _MIN_CHUNK_RAYS = 4096
@@ -589,17 +595,22 @@ def check_frame(seq: SceneSequence, frame: int):
         raise ValueError(f"frame index {frame} out of range [0, {seq.frame_count})")
 
 
+def _sample_scene(config: SceneConfig):
+    """A config's backdrop, objects and camera path, and the RNG that then
+    draws its track queries."""
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    background = _sample_background(rng)
+    objects = _sample_objects(config, rng)
+    return background, objects, _camera_path(config, rng), rng
+
+
 def generate_scene(config: SceneConfig) -> SceneSequence:
     """Build a fully deterministic scene sequence from a config.
 
     The same config always produces the bitwise-identical sequence (the RNG is
     counter-based and every op is plain numpy).
     """
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    background = _sample_background(rng)
-    objects = _sample_objects(config, rng)
-    poses = _camera_path(config, rng)
-    return assemble_scene(config, background, objects, poses, rng)
+    return assemble_scene(config, *_sample_scene(config))
 
 
 def assemble_scene(
@@ -614,21 +625,10 @@ def assemble_scene(
 
     rng only drives track-query sampling; None derives one from config.seed.
     """
-    if len(poses) != config.frame_count:
-        raise ValueError("pose count must match frame_count")
     if rng is None:
         rng = np.random.Generator(np.random.Philox(config.seed))
-
-    zmin, _ = background.z_bounds
-    for p in poses:
-        if p.center[2] > zmin - 0.5:
-            raise ValueError("camera path runs into the scene volume; lower camera_magnitude")
-
+    k = _intrinsics(config, background, poses)
     h, w = config.height, config.width
-    f = 1.25 * max(h, w)
-    k = Intrinsics(fx=f, fy=f, cx=(w - 1) / 2.0, cy=(h - 1) / 2.0)
-    intrinsics = [k] * config.frame_count
-
     hit_id = np.full((config.frame_count, h, w), -2, dtype=np.int32)
     depths = []
     # one backdrop bisection for every frame's rays; objects hit per frame
@@ -638,26 +638,106 @@ def assemble_scene(
     for t in range(config.frame_count):
         tpar, sid, hit = _nearest_surface(objects, (t_bg[t], ok_bg[t]), centers[t],
                                           all_dirs[t], t)
-        hit = hit.reshape(h, w)
-        depths.append(DepthMap(np.where(hit, tpar.reshape(h, w), 0.0), hit))
+        depths.append(tpar.reshape(h, w))
         hit_id[t] = sid.reshape(h, w)
+    return _sequence(config, k, background, objects, poses, depths, hit_id, rng)
 
+
+def scene_from_depths(config: SceneConfig, depths) -> SceneSequence:
+    """generate_scene(config) with depths (T maps of (H, W)) as its depth
+    maps, once every pixel's depth d is verified, one frame at a time, to lie
+    within delta = _DEPTH_TOL (1 + |d|) of the surface generate_scene reports
+    there, and to be 0 exactly where that is a miss (_verified_ids). The
+    backdrop is not bisected. Surface ids, labels and tracks follow from the
+    verified depths, so generate_scene's own depths give its scene bit for
+    bit. Raises ValueError naming the first frame and pixel that fails.
+    """
+    background, objects, poses, rng = _sample_scene(config)
+    k = _intrinsics(config, background, poses)
+    h, w = config.height, config.width
+    if len(depths) != config.frame_count or any(np.shape(d) != (h, w) for d in depths):
+        raise ValueError(f"depths must be {config.frame_count} maps of {h}x{w}")
+    hit_id = np.empty((config.frame_count, h, w), dtype=np.int32)
+    for t, pose in enumerate(poses):
+        ids = _verified_ids(background, objects, pose.center, _frame_rays(k, pose, h, w),
+                            t, np.ravel(depths[t]))
+        bad = np.flatnonzero(ids == -3)
+        if len(bad):
+            y, x = divmod(int(bad[0]), w)
+            raise ValueError(f"depth of frame {t} at pixel ({x}, {y}) does not match "
+                             "the scene config")
+        hit_id[t] = ids.reshape(h, w)
+    return _sequence(config, k, background, objects, poses, depths, hit_id, rng)
+
+
+def _verified_ids(background, objects, center, dirs, frame, depth) -> np.ndarray:
+    """Each ray's surface id (N,) as the generator gives it, where depth (N,)
+    is within delta of that surface's t (0 on a miss); -3 elsewhere.
+
+    The object hits are the generator's. The backdrop's crossing t_bg enters
+    only through crossing_beyond's exact t_bg >= thr, at d - delta and d +
+    delta, and at the next float above the nearest object's t. The generator
+    takes the backdrop unless an object's t is below t_bg, so d names the
+    nearest object when its t is within delta of d and the backdrop is missed
+    or behind it; else, for d != 0, the backdrop, when t_bg is within delta
+    of d and no object's t is below d - delta; for d = 0, a miss of every
+    surface.
+    """
+    n = len(depth)
+    t_obj, id_obj, on_obj = _nearest_surface(objects, (depth, np.zeros(n, bool)),
+                                             center, dirs, frame)
+    t_obj = np.where(on_obj, t_obj, np.inf)
+    margin = _DEPTH_TOL * (1.0 + np.abs(depth))
+    lo, hi = depth - margin, depth + margin
+    hit, near = depth != 0, (lo <= t_obj) & (t_obj <= hi)
+    bg, ob = np.flatnonzero(hit), np.flatnonzero(near)
+    thr = np.concatenate([lo[bg], hi[bg], np.nextafter(t_obj[ob], np.inf)])
+    [beyond], _ = background.crossing_beyond(center[None], dirs[np.concatenate([bg, bg, ob])][None],
+                                             thr[None])
+    _, _, ok = background._bracket(np.broadcast_to(center, dirs.shape), dirs)
+    within = np.zeros(n, bool)
+    within[bg] = beyond[:len(bg)] & ~beyond[len(bg):2 * len(bg)]
+    behind = ~ok
+    behind[ob] |= beyond[2 * len(bg):]
+    is_obj = hit & near & behind
+    is_bg = hit & ~is_obj & ok & within & ~(t_obj < lo)
+    is_miss = ~hit & ~ok & ~on_obj
+    return np.select([is_obj, is_bg, is_miss], [id_obj, -1, -2], -3)
+
+
+def _intrinsics(config: SceneConfig, background: HeightField, poses: list[Pose]) -> Intrinsics:
+    """Every frame's intrinsics, once the poses are checked against config
+    and the backdrop."""
+    if len(poses) != config.frame_count:
+        raise ValueError("pose count must match frame_count")
+    zmin, _ = background.z_bounds
+    for p in poses:
+        if p.center[2] > zmin - 0.5:
+            raise ValueError("camera path runs into the scene volume; lower camera_magnitude")
+    h, w = config.height, config.width
+    f = 1.25 * max(h, w)
+    return Intrinsics(fx=f, fy=f, cx=(w - 1) / 2.0, cy=(h - 1) / 2.0)
+
+
+def _sequence(config, k, background, objects, poses, depths, hit_id, rng) -> SceneSequence:
+    """The sequence of per-frame depths (H, W) and surface ids (T, H, W),
+    with its dynamic labels and the tracks of rng's queries."""
+    h, w = config.height, config.width
     # the trailing False serves the backdrop and misses, whose ids clamp to -1
     dynamic = np.array([o.dynamic for o in objects] + [False])
     seq = SceneSequence(
         config=config,
-        intrinsics=intrinsics,
+        intrinsics=[k] * config.frame_count,
         poses=poses,
-        depths=depths,
+        depths=[DepthMap(d, ids > -2) for d, ids in zip(depths, hit_id)],
         dynamic_labels=dynamic[np.maximum(hit_id, -1)],
         objects=objects,
         background=background,
         hit_id=hit_id,
     )
-
-    q = min(config.track_count, int(depths[0].valid.sum()))
-    flat = np.flatnonzero(depths[0].valid.ravel())
-    chosen = rng.choice(flat, size=q, replace=False)
+    valid = seq.depths[0].valid
+    q = min(config.track_count, int(valid.sum()))
+    chosen = rng.choice(np.flatnonzero(valid.ravel()), size=q, replace=False)
     qy, qx = np.unravel_index(np.sort(chosen), (h, w))
     seq.tracks = build_tracks(seq, np.stack([qx, qy], axis=1))
     return seq

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pointmatch.cli import DEPTH_FORMAT, main
-from pointmatch.geometry import Pose
+from pointmatch.geometry import Pose, pixel_rays
 from pointmatch.io import (
     load_scene,
     read_meta,
@@ -129,17 +129,45 @@ def small_scene(seed=0, track_count=4):
     return generate_scene(cfg)
 
 
+# an 8x12 scene whose wide orbit turns some rays away from every surface: it
+# holds backdrop pixels, misses, and moving (dynamic) objects' pixels, some in
+# front of the backdrop and some where the backdrop is missed
+WIDE = SceneConfig(seed=2, frame_count=2, height=8, width=12, object_count=2,
+                   motion_magnitude=0.1, camera_path="orbit", camera_magnitude=2.6,
+                   track_count=4)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+ROUNDTRIP_CONFIGS = {
+    "orbit": small_scene().config,
+    "no-objects": SceneConfig(seed=3, frame_count=3, height=8, width=12, object_count=0),
+    "linear-no-tracks": SceneConfig(seed=4, frame_count=3, height=8, width=12,
+                                    camera_path="linear", track_count=0),
+    "random-smooth": SceneConfig(seed=5, frame_count=3, height=8, width=12, object_count=2,
+                                 camera_path="random-smooth"),
+    "wide-orbit-misses": WIDE,
+}
+
+
 def test_scene_roundtrip(tmp_path):
-    seq = small_scene()
-    save_scene(tmp_path / "scene", seq)
-    back = load_scene(tmp_path / "scene")
-    assert back.config == seq.config
-    assert back.frame_count == seq.frame_count
-    for f in range(seq.frame_count):
-        np.testing.assert_array_equal(back.depths[f].depth, seq.depths[f].depth)
-        np.testing.assert_array_equal(back.poses[f].rotation, seq.poses[f].rotation)
-    np.testing.assert_array_equal(back.dynamic_labels, seq.dynamic_labels)
-    np.testing.assert_array_equal(back.tracks.world, seq.tracks.world)
+    # a saved scene loads as generate_scene's sequence, bit for bit
+    for name, cfg in ROUNDTRIP_CONFIGS.items():
+        seq = generate_scene(cfg)
+        back = load_scene(save_scene(tmp_path / name, seq))
+        assert back.config == seq.config
+        assert back.frame_count == seq.frame_count
+        for f in range(seq.frame_count):
+            assert same_bits(back.depths[f].depth, seq.depths[f].depth)
+            assert same_bits(back.depths[f].valid, seq.depths[f].valid)
+            np.testing.assert_array_equal(back.poses[f].rotation, seq.poses[f].rotation)
+        assert same_bits(back.hit_id, seq.hit_id)
+        assert same_bits(back.dynamic_labels, seq.dynamic_labels)
+        for field in ("query_frames", "query_pixels", "world", "camera", "pixels", "visible"):
+            assert same_bits(getattr(back.tracks, field), getattr(seq.tracks, field)), field
 
 
 def test_scene_roundtrip_without_tracks(tmp_path):
@@ -168,6 +196,136 @@ def test_scene_load_rejects_tampering(tmp_path):
     blob[:4] = np.array([1e6], dtype="<f4").tobytes()
     (root / "depth_0001.bin").write_bytes(bytes(blob))
     with pytest.raises(ValueError, match="does not match"):
+        load_scene(root)
+
+
+@pytest.fixture(scope="module")
+def wide_scene():
+    return generate_scene(WIDE)
+
+
+def first_pixel(seq, surface) -> tuple[int, int, int]:
+    """(frame, y, x) of the first pixel whose surface id passes surface."""
+    return tuple(int(i) for i in np.argwhere(surface(seq.hit_id))[0])
+
+
+def margin(depth: float) -> float:
+    """The distance a stored depth may lie from its surface."""
+    return 1e-9 * (1.0 + abs(depth))
+
+
+def set_tensor(root, name, dtype, pixel, value) -> None:
+    """Overwrite one pixel (y, x) of a stored (H, W) tensor."""
+    meta = read_meta(root, "pointmatch-scene-v2")
+    [dims] = [e["dims"] for e in meta["tensors"] if e["name"] == name]
+    path = root / f"{name}.bin"
+    arr = np.frombuffer(path.read_bytes(), dtype=dtype).reshape(dims).copy()
+    arr[pixel] = value
+    path.write_bytes(arr.tobytes())
+
+
+def set_depth(root, frame, y, x, value) -> None:
+    set_tensor(root, f"depth_{frame:04d}", "<f8", (y, x), value)
+
+
+def backdrop_past_margin(seq):
+    f, y, x = first_pixel(seq, lambda ids: ids == -1)
+    d = seq.depths[f].depth[y, x]
+    return f, y, x, d + 2.0 * margin(d)
+
+
+def backdrop_crossing(seq, f, y, x) -> tuple[float, bool]:
+    """(t, ok) of the backdrop along pixel (x, y)'s ray at frame f."""
+    pose = seq.poses[f]
+    # two rows, as a one-row product may take another BLAS path
+    dirs = pixel_rays(seq.intrinsics[f], np.array([[x, y], [x, y]], dtype=float)) @ pose.rotation
+    t, ok = seq.background.intersect(pose.center[None], dirs[None])
+    return float(t[0, 0]), bool(ok[0, 0])
+
+
+def object_in_front(seq) -> tuple[int, int, int]:
+    """(frame, y, x) of the first object pixel whose ray crosses the backdrop too."""
+    return next((int(f), int(y), int(x)) for f, y, x in np.argwhere(seq.hit_id >= 0)
+                if backdrop_crossing(seq, f, y, x)[1])
+
+
+def object_past_margin(seq):
+    f, y, x = object_in_front(seq)
+    d = seq.depths[f].depth[y, x]
+    return f, y, x, d - 2.0 * margin(d)
+
+
+def object_on_the_sky_past_margin(seq):
+    f, y, x = next(p for p in np.argwhere(seq.hit_id >= 0)
+                   if not backdrop_crossing(seq, *p)[1])
+    d = seq.depths[f].depth[y, x]
+    return f, y, x, d + 2.0 * margin(d)
+
+
+def object_given_backdrop_depth(seq):
+    # the backdrop behind the object: a surface of the ray, but not its nearest
+    f, y, x = object_in_front(seq)
+    t, _ = backdrop_crossing(seq, f, y, x)
+    assert t > seq.depths[f].depth[y, x] + 1e-3
+    return f, y, x, t
+
+
+def miss_given_depth(seq):
+    f, y, x = first_pixel(seq, lambda ids: ids == -2)
+    return f, y, x, 1.0
+
+
+def hit_given_zero(seq):
+    f, y, x = first_pixel(seq, lambda ids: ids == -1)
+    return f, y, x, 0.0
+
+
+@pytest.mark.parametrize("edit", [backdrop_past_margin, object_past_margin,
+                                  object_on_the_sky_past_margin, object_given_backdrop_depth,
+                                  miss_given_depth, hit_given_zero])
+def test_scene_load_rejects_a_depth_off_its_surface(tmp_path, wide_scene, edit):
+    root = save_scene(tmp_path / "scene", wide_scene)
+    f, y, x, value = edit(wide_scene)
+    set_depth(root, f, y, x, value)
+    with pytest.raises(ValueError, match=rf"depth of frame {f} at pixel \({x}, {y}\) does not match"):
+        load_scene(root)
+
+
+def test_scene_load_rejects_a_flipped_dynamic_label(tmp_path, wide_scene):
+    root = save_scene(tmp_path / "scene", wide_scene)
+    f, y, x = first_pixel(wide_scene, lambda ids: ids >= 0)
+    assert wide_scene.dynamic_labels[f, y, x]
+    set_tensor(root, f"dynamic_{f:04d}", "<f4", (y, x), 0.0)
+    with pytest.raises(ValueError, match=f"tensor dynamic_{f:04d} does not match"):
+        load_scene(root)
+
+
+def test_scene_load_uses_a_stored_depth_within_its_margin(tmp_path, wide_scene):
+    # frame 1: a frame-0 query pixel's depth moves its track's world points
+    # by more than tracks.json's 1e-9
+    root = save_scene(tmp_path / "scene", wide_scene)
+    f = 1
+    for surface in (lambda ids: ids == -1, lambda ids: ids >= 0):
+        y, x = np.argwhere(surface(wide_scene.hit_id[f]))[0]
+        d = wide_scene.depths[f].depth[y, x]
+        moved = d + 0.5 * margin(d)
+        assert moved != d
+        set_depth(root, f, y, x, moved)
+        assert load_scene(root).depths[f].depth[y, x] == moved
+
+
+def test_scene_load_rejects_a_v1_directory(tmp_path, wide_scene):
+    # v1 stored float32 depths; its directories are not read
+    root = save_scene(tmp_path / "scene", wide_scene)
+    meta = json.loads((root / "meta.json").read_text())
+    for entry in meta["tensors"]:
+        path = root / f"{entry['name']}.bin"
+        if entry["dtype"] == "f64":
+            path.write_bytes(np.frombuffer(path.read_bytes(), "<f8").astype("<f4").tobytes())
+            entry["dtype"] = "f32"
+    meta["format"] = "pointmatch-scene-v1"
+    (root / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="its format is 'pointmatch-scene-v1'"):
         load_scene(root)
 
 

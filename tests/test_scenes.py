@@ -767,3 +767,16 @@ def test_matched_renders_need_no_bisection(monkeypatch):
     maps = [gt_pointmap_matching(s, i, j) for i in range(5) for j in range(5)]
     build_tracks(s, s.tracks.query_pixels)
     assert len(maps) == 25 and rows == []
+
+
+def test_verified_ids_reject_a_depth_on_an_object_behind_the_backdrop():
+    # a ball wholly behind a flat backdrop at z = 0: a ray hits the ball at
+    # t = 4.2, but the backdrop first at t = 4, so 4.2 names no surface it shows
+    flat = scenes.HeightField(base=0.0, amps=np.zeros(1), freqs=np.zeros((1, 2)),
+                              phases=np.zeros(1))
+    ball = SceneObject("sphere", [0.0, 0.0, 0.5], [0.3], np.zeros(3))
+    center, dirs = np.array([0.0, 0.0, -4.0]), np.array([[0.0, 0.0, 1.0]] * 2)
+    t_ball, on_ball = ball.intersect(center, dirs, 0)
+    assert on_ball.all() and t_ball[0] > 4.0 + 0.1
+    ids = scenes._verified_ids(flat, [ball], center, dirs, 0, np.array([t_ball[0], 4.0]))
+    assert ids.tolist() == [-3, -1]

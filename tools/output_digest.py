@@ -30,8 +30,9 @@ fails, the script prints it and its error to stderr and exits 1.
 `--compare A B` reads two output trees and prints one line per file whose
 bytes differ: the largest relative and absolute differences among its numbers,
 and whether all of its integers, booleans and strings (and its layout) are
-equal. It reads JSON files as JSON, `.bin` tensors as little-endian float32
-and any other file as whitespace-separated tokens. It then prints how many
+equal. It reads JSON files as JSON, `.bin` tensors as the little-endian float
+type their directory's `meta.json` records (float32 or float64) and any other
+file as whitespace-separated tokens. It then prints how many
 files are identical, differ, or exist in one tree only, and exits 0 if every
 file is byte-identical, else 1.
 """
@@ -64,6 +65,8 @@ JITTER = ("--jitter", "0.05")
 WINDOWS = ("--window", "4", "--overlap", "1")
 # the environment variables that set the BLAS thread count
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# each manifest dtype's numpy type
+BIN_TYPES = {"f32": "<f4", "f64": "<f8"}
 
 
 class CommandFailed(RuntimeError):
@@ -160,7 +163,9 @@ def values(path: Path) -> tuple[list[float], list]:
     """A file's numbers (floats) and its other values (ints, bools, strings,
     None, and the keys and lengths that give its layout), in file order."""
     if path.suffix == ".bin":
-        return np.frombuffer(path.read_bytes(), dtype="<f4").astype(float).tolist(), []
+        entries = json.loads((path.parent / "meta.json").read_text())["tensors"]
+        [dtype] = [e["dtype"] for e in entries if e["name"] == path.stem]
+        return np.frombuffer(path.read_bytes(), dtype=BIN_TYPES[dtype]).astype(float).tolist(), []
     leaves = []
 
     def walk(x):
