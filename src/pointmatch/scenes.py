@@ -36,7 +36,10 @@ Design notes that matter for exactness:
     refinement gives, for one evaluation per ray instead of about twenty;
   - assemble_scene bisects the backdrop once per scene, for every frame's
     pixel rays together; only the analytic object hits run per frame.
-    scene_from_depths verifies stored depths instead, by crossing_beyond;
+    scene_from_depths verifies stored depths instead: one height evaluation
+    at each backdrop pixel's depth proves it within its margin, by the
+    field's slope bound and the same error bound (_verified_ids), and
+    crossing_beyond decides the rest;
   - a depth raycast is split into contiguous chunks: one per core the
     process may run on once each gets at least _MIN_CHUNK_RAYS rays, and more
     where a chunk would exceed _MAX_CHUNK_RAYS, so a whole scene's rays become
@@ -84,8 +87,8 @@ _SLOPE_BOUND = 0.3  # max |grad h|; keeps ray-surface crossings monotone in t
 # over 800 times the rounding error its docstring derives
 _SIGN_TOL = 2.0**-40
 # scene_from_depths accepts a depth d within _DEPTH_TOL (1 + |d|) of its
-# surface: far above 3E (1.5e-10 on a 96x128 scene), so crossing_beyond
-# certifies both ends with one evaluation each, and far below what a changed
+# surface: far above 3E (1.5e-10 on a 96x128 scene), so one evaluation at d
+# certifies a backdrop depth (_verified_ids), and far below what a changed
 # low mantissa word of a float64 depth moves it (6e-7)
 _DEPTH_TOL = 1e-9
 # a bisection splits into chunks of at least this many rays, one per core;
@@ -246,30 +249,29 @@ class HeightField:
         u (P + |base| + A). Together |g(t) - G(t)| <= 10u P S, and E is over
         800 times that.
         """
-        shape = dirs.shape[:2]
-        origins = np.repeat(centers, shape[1], axis=0)
-        dirs, thr = dirs.reshape(-1, 3), thr.reshape(-1)
+        n = dirs.shape[1]
+        origins = centers[:, None]
         lo, hi, ok = self._bracket(origins, dirs)
         beyond = thr <= lo
         open_ = ok & (lo < thr) & (thr <= hi)
         g = self._excess(origins, dirs, np.where(open_, thr, lo))
-        run = self.slope * np.hypot(dirs[:, 0], dirs[:, 1])
-        rising = (dirs[:, 2] - run > _SIGN_TOL * (dirs[:, 2] + run)) & (lo > 0)
+        _, rising = self._rise(dirs, lo)
         sure = open_ & rising & (np.abs(g) > 3.0 * self._sign_error(origins, dirs, hi))
         beyond[sure] = g[sure] < 0
         rest = np.flatnonzero(open_ & ~sure)
         if len(rest):
             # a one-row matmul takes another BLAS path than intersect's chunks
             pick = np.repeat(rest, 2) if len(rest) == 1 else rest
-            hi_rest, _ = self._bisect_chunk(origins[pick], dirs[pick])
-            beyond[pick] = hi_rest >= thr[pick]
-        return beyond.reshape(shape), ok.reshape(shape)
+            hi_rest, _ = self._bisect_chunk(centers[pick // n], dirs.reshape(-1, 3)[pick])
+            beyond.flat[pick] = hi_rest >= thr.flat[pick]
+        return beyond, ok
 
     def _bracket(self, origins, dirs):
-        """Each ray's initial bracket and validity, (lo, hi, ok); hi is lo + 1
-        where not ok."""
+        """Each ray's initial bracket and validity, (lo, hi, ok), of dirs'
+        shape without its last axis; origins broadcast against dirs. hi is
+        lo + 1 where not ok."""
         zmin, zmax = self.z_bounds
-        oz, dz = origins[:, 2], dirs[:, 2]
+        oz, dz = origins[..., 2], dirs[..., 2]
         ok = dz > _MIN_DZ
         safe_dz = np.where(ok, dz, 1.0)
         lo = np.maximum((zmin - oz) / safe_dz, 0.0)
@@ -277,11 +279,20 @@ class HeightField:
         ok &= hi > 0
         return lo, np.where(ok, hi, lo + 1.0), ok
 
+    def _rise(self, dirs, lo):
+        """crossing_beyond's certificate (a) per ray, (m, rising): m = d_z -
+        s |d_xy| in float, the bound on dG/dt, and rising where m clears its
+        margin and the bracket's lo is above 0."""
+        run = self.slope * np.hypot(dirs[..., 0], dirs[..., 1])
+        m = dirs[..., 2] - run
+        return m, (m > _SIGN_TOL * (dirs[..., 2] + run)) & (lo > 0)
+
     def _excess(self, origins, dirs, t):
-        """g(t) = p_z - height(p_xy) at p = origins + t * dirs; negative below
-        the surface."""
-        p = origins + t[:, None] * dirs
-        return p[:, 2] - self.height(p[:, :2])
+        """g(t) = p_z - height(p_xy) at p = origins + t * dirs, of t's shape;
+        negative below the surface. height's matrix products take the points
+        as one block of rows, as a bisection chunk does."""
+        p = (origins + t[..., None] * dirs).reshape(-1, 3)
+        return (p[:, 2] - self.height(p[:, :2])).reshape(t.shape)
 
     def _bisect_chunk(self, origins, dirs):
         """(hi, ok) of the bisection, which stops once no valid ray's bracket
@@ -303,11 +314,14 @@ class HeightField:
         return float((np.abs(self.amps) * np.linalg.norm(self.freqs, axis=1)).sum())
 
     def _sign_error(self, origins, dirs, hi):
-        """crossing_beyond's E: a bound on |g(t) - G(t)| for t in [0, hi]."""
+        """crossing_beyond's E: a bound on |g(t) - G(t)| for t in [0, hi];
+        origins broadcast against dirs. Any order of P's sums is within E's
+        margin."""
         a = float(np.abs(self.amps).sum())
         shape = 1.0 + abs(self.base) + a * (
             1 + len(self.amps) + np.abs(self.freqs).sum() + np.abs(self.phases).sum())
-        reach = 1.0 + np.abs(origins).sum(axis=1) + hi * np.abs(dirs).sum(axis=1)
+        dirs_l1 = np.abs(dirs[..., 0]) + np.abs(dirs[..., 1]) + np.abs(dirs[..., 2])
+        reach = 1.0 + np.abs(origins).sum(axis=-1) + hi * dirs_l1
         return _SIGN_TOL * shape * reach
 
 
@@ -356,8 +370,11 @@ class SceneObject:
         with np.errstate(divide="ignore", invalid="ignore"):
             t1 = (lo - center) / dirs
             t2 = (hi - center) / dirs
-        tn = np.nanmax(np.minimum(t1, t2), axis=1)
-        tf = np.nanmin(np.maximum(t1, t2), axis=1)
+        # a NaN slab (0 / 0: the center on a slab plane, the ray parallel to
+        # it) bounds nothing; fmax / fmin skip it, as a nanmax would
+        near, far = np.minimum(t1, t2), np.maximum(t1, t2)
+        tn = np.fmax(np.fmax(near[:, 0], near[:, 1]), near[:, 2])
+        tf = np.fmin(np.fmin(far[:, 0], far[:, 1]), far[:, 2])
         hit = (tn <= tf) & (tn > _RAY_TMIN)
         return tn, hit
 
@@ -648,7 +665,10 @@ def scene_from_depths(config: SceneConfig, depths) -> SceneSequence:
     maps, once every pixel's depth d is verified, one frame at a time, to lie
     within delta = _DEPTH_TOL (1 + |d|) of the surface generate_scene reports
     there, and to be 0 exactly where that is a miss (_verified_ids). The
-    backdrop is not bisected. Surface ids, labels and tracks follow from the
+    backdrop is not bisected: a backdrop pixel costs one height evaluation
+    at d, and crossing_beyond runs only on the pixels that evaluation cannot
+    certify (objects' pixels, tampered depths) and on the objects' pixels'
+    backdrop-behind tests. Surface ids, labels and tracks follow from the
     verified depths, so generate_scene's own depths give its scene bit for
     bit. Raises ValueError naming the first frame and pixel that fails.
     """
@@ -675,13 +695,39 @@ def _verified_ids(background, objects, center, dirs, frame, depth) -> np.ndarray
     is within delta of that surface's t (0 on a miss); -3 elsewhere.
 
     The object hits are the generator's. The backdrop's crossing t_bg enters
-    only through crossing_beyond's exact t_bg >= thr, at d - delta and d +
-    delta, and at the next float above the nearest object's t. The generator
-    takes the backdrop unless an object's t is below t_bg, so d names the
-    nearest object when its t is within delta of d and the backdrop is missed
-    or behind it; else, for d != 0, the backdrop, when t_bg is within delta
-    of d and no object's t is below d - delta; for d = 0, a miss of every
-    surface.
+    only through whether d - delta <= t_bg < d + delta, and through
+    crossing_beyond's exact t_bg >= thr at the next float above the nearest
+    object's t. The generator takes the backdrop unless an object's t is
+    below t_bg, so d names the nearest object when its t is within delta of d
+    and the backdrop is missed or behind it; else, for d != 0, the backdrop,
+    when t_bg is within delta of d and no object's t is below d - delta; for
+    d = 0, a miss of every surface.
+
+    Whether t_bg is within delta of d takes one height evaluation, g(d), on
+    every ray where it can be certified, and crossing_beyond at lo = d -
+    delta and hi = d + delta elsewhere, in the same call as the object
+    tests. With [lo0, hi0] the ray's initial bracket, E crossing_beyond's
+    error bound and m = d_z - s |d_xy| the float of its certificate (a)'s
+    bound on dG/dt, the ray is certified within when (a) holds (rising: G is
+    nondecreasing with slope at least the exact m, and lo0 > 0), lo0 < lo
+    and hi <= hi0, and |g(d)| + 3E < m min(d - lo, hi - d) / 2. Then
+    crossing_beyond at lo and at hi gives what this proof reads:
+      - lo0 < lo < d < hi <= hi0, so both thresholds are inside the bracket,
+        each is decided by crossing_beyond's own proof, and d is in [0, hi0],
+        where |g(d) - G(d)| <= E;
+      - d - lo and hi - d are exact (Sterbenz: lo and hi are within a factor
+        of 2 of d > 0), and the 1/2 covers the rounding of m, of the sum and
+        of the product, so the exact m min(d - lo, hi - d) exceeds |g(d)| +
+        3E;
+      - G(lo) <= G(d) - m (d - lo) <= |g(d)| + E - m (d - lo) < -2E, and
+        G(hi) >= G(d) + m (hi - d) >= -|g(d)| - E + m (hi - d) > 2E;
+      - these are the premises of the two cases of crossing_beyond's proof:
+        G(lo) < -2E gives t_bg >= lo, and G(hi) > 2E gives t_bg < hi.
+    A depth the generator gave sits at the bisection's fixed point, so
+    |g(d)| is rounding noise, and 3E (under 2e-10 on the sampled scenes) is
+    far below m delta / 2 (over 4e-10 (1 + d) there): every such backdrop
+    pixel is certified. A depth 2 delta off is not within, so no pixel of it
+    is certified, and the two thresholds reject it.
     """
     n = len(depth)
     t_obj, id_obj, on_obj = _nearest_surface(objects, (depth, np.zeros(n, bool)),
@@ -690,12 +736,17 @@ def _verified_ids(background, objects, center, dirs, frame, depth) -> np.ndarray
     margin = _DEPTH_TOL * (1.0 + np.abs(depth))
     lo, hi = depth - margin, depth + margin
     hit, near = depth != 0, (lo <= t_obj) & (t_obj <= hi)
-    bg, ob = np.flatnonzero(hit), np.flatnonzero(near)
+    lo0, hi0, ok = background._bracket(center, dirs)
+    m, rising = background._rise(dirs, lo0)
+    inside = hit & ok & rising & (lo0 < lo) & (hi <= hi0)
+    # evaluate at d only where inside: elsewhere d may be far outside the band
+    g = background._excess(center, dirs, np.where(inside, depth, lo0))
+    bound = np.abs(g) + 3.0 * background._sign_error(center, dirs, hi0)
+    within = inside & (bound < 0.5 * m * np.minimum(depth - lo, hi - depth))
+    bg, ob = np.flatnonzero(hit & ~within), np.flatnonzero(near)
     thr = np.concatenate([lo[bg], hi[bg], np.nextafter(t_obj[ob], np.inf)])
     [beyond], _ = background.crossing_beyond(center[None], dirs[np.concatenate([bg, bg, ob])][None],
                                              thr[None])
-    _, _, ok = background._bracket(np.broadcast_to(center, dirs.shape), dirs)
-    within = np.zeros(n, bool)
     within[bg] = beyond[:len(bg)] & ~beyond[len(bg):2 * len(bg)]
     behind = ~ok
     behind[ob] |= beyond[2 * len(bg):]

@@ -1,6 +1,8 @@
+import itertools
 import multiprocessing
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,13 +20,16 @@ from pointmatch.geometry import (
     unproject,
 )
 from pointmatch.scenes import (
+    _DEPTH_TOL,
     _OCCLUSION_TOL,
     _RAY_TMIN,
     SceneConfig,
     SceneObject,
     _nearest_surface,
+    _frame_rays,
     _observe,
     _velocities,
+    _verified_ids,
     _visible_from,
     assemble_scene,
     build_tracks,
@@ -780,3 +785,122 @@ def test_verified_ids_reject_a_depth_on_an_object_behind_the_backdrop():
     assert on_ball.all() and t_ball[0] > 4.0 + 0.1
     ids = scenes._verified_ids(flat, [ball], center, dirs, 0, np.array([t_ball[0], 4.0]))
     assert ids.tolist() == [-3, -1]
+
+
+def _two_threshold_ids(bg, objects, center, dirs, frame, depth):
+    """_verified_ids' ids with the backdrop's margin test read only from
+    crossing_beyond at d - delta and d + delta, never from g(d)."""
+    t_obj, id_obj, on_obj = _nearest_surface(objects, (depth, np.zeros(len(depth), bool)),
+                                             center, dirs, frame)
+    t_obj = np.where(on_obj, t_obj, np.inf)
+    delta = _DEPTH_TOL * (1.0 + np.abs(depth))
+    lo, hi = depth - delta, depth + delta
+
+    def beyond(thr):
+        [past], [ok] = bg.crossing_beyond(center[None], dirs[None], thr[None])
+        return past, ok
+
+    (past_lo, ok), (past_hi, _) = beyond(lo), beyond(hi)
+    behind, _ = beyond(np.nextafter(t_obj, np.inf))
+    hit, near = depth != 0, (lo <= t_obj) & (t_obj <= hi)
+    is_obj = hit & near & (~ok | behind)
+    is_bg = hit & ~is_obj & ok & past_lo & ~past_hi & ~(t_obj < lo)
+    is_miss = ~hit & ~ok & ~on_obj
+    return np.select([is_obj, is_bg, is_miss], [id_obj, -1, -2], -3)
+
+
+@pytest.mark.parametrize("path", ["orbit", "linear", "random-smooth"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_evaluation_agrees_with_two_thresholds(path, seed):
+    s = generate_scene(SceneConfig(seed=seed, frame_count=2, height=16, width=20,
+                                   camera_path=path, track_count=0))
+    for frame, pose in enumerate(s.poses):
+        dirs = _frame_rays(s.intrinsics[frame], pose, 16, 20)
+        depth, ids = s.depths[frame].depth.ravel(), s.hit_id[frame].ravel()
+        delta = _DEPTH_TOL * (1.0 + np.abs(depth))
+        for k in (-2, -1.01, -0.99, -0.5, 0, 0.5, 0.99, 1.01, 2):
+            args = (s.background, s.objects, pose.center, dirs, frame, depth + k * delta)
+            want = _two_threshold_ids(*args)
+            npt.assert_array_equal(_verified_ids(*args), want, err_msg=f"k = {k}")
+            # the reference keeps a backdrop depth moved less than delta, and
+            # only those, and gives the generator's ids on its own depths
+            npt.assert_array_equal(want == -1, (ids == -1) & (abs(k) < 1))
+            if k == 0:
+                npt.assert_array_equal(want, ids)
+
+
+def test_far_camera_leaves_its_depths_to_the_two_thresholds():
+    # 1e9 from the origin, the rounding of g is about delta's size, so E
+    # outgrows m delta / 2 and no pixel is certified; without the 3E term a
+    # pixel whose noise lands near 0 would be, 2 delta off its crossing
+    bg = generate_scene(SceneConfig(seed=0, height=4, width=4, frame_count=1,
+                                    object_count=0, track_count=0)).background
+    rng = np.random.default_rng(0)
+    dirs = np.concatenate([rng.uniform(-0.3, 0.3, (400, 2)), np.ones((400, 1))], axis=1)
+    center = np.array([1e9, -3e8, -4.0])
+    [t], [ok] = bg.intersect(center[None], dirs[None])
+    assert ok.all()
+    delta = _DEPTH_TOL * (1.0 + t)
+    for k in (-2, -1.01, 0, 1.01, 2):
+        args = (bg, [], center, dirs, 0, t + k * delta)
+        npt.assert_array_equal(_verified_ids(*args), _two_threshold_ids(*args), err_msg=f"k = {k}")
+
+
+def test_a_scenes_own_depths_need_no_backdrop_fallback(monkeypatch):
+    s = generate_scene(SceneConfig(seed=0, frame_count=3, height=16, width=20))
+    sent = []
+    beyond = scenes.HeightField.crossing_beyond
+
+    def recording(field, centers, dirs, thr):
+        if sys._getframe(1).f_code is scenes._verified_ids.__code__:
+            sent.append(thr.size)
+        return beyond(field, centers, dirs, thr)
+
+    monkeypatch.setattr(scenes.HeightField, "crossing_beyond", recording)
+    loaded = scenes.scene_from_depths(s.config, [d.depth for d in s.depths])
+    npt.assert_array_equal(loaded.hit_id, s.hit_id)
+    # an object pixel sends d - delta, d + delta and its backdrop-behind test;
+    # a backdrop pixel sends nothing
+    objects = [int((ids >= 0).sum()) for ids in s.hit_id]
+    assert all(objects) and (s.hit_id > -2).all()
+    assert sent == [3 * n for n in objects]
+
+
+def test_an_origin_inside_the_band_is_left_to_the_bisection():
+    # outside the camera-path contract: the origin is inside the band, above
+    # the surface, so lo0 = 0 and the bisection halves toward 0 for all its
+    # steps; only certificate (a)'s lo0 > 0 keeps a sign from deciding there
+    bg = scenes.HeightField(base=0.0, amps=np.array([0.1]), freqs=np.array([[1.0, 0.0]]),
+                            phases=np.zeros(1))
+    o = np.array([-np.pi / 2, 0.0, 0.0])
+    dirs = np.array([[0.0, 0.0, 1.0], [0.1, 0.05, 1.0]])
+    [t], [ok] = bg.intersect(o[None], dirs[None])
+    assert ok.all() and (0 < t).all() and (t < 1e-20).all()
+    for thr in (0.5 * t, t, 2.0 * t, np.full(2, 0.05)):
+        [beyond], _ = bg.crossing_beyond(o[None], dirs[None], thr[None])
+        npt.assert_array_equal(beyond, t >= thr)
+
+
+def test_box_slabs_skip_nan_as_nanmax_does():
+    # centers on slab planes, edges and corners, and rays parallel to slabs:
+    # the slab quotients hold +-inf and 0 / 0 = NaN
+    box = SceneObject("box", [0.1, -0.2, 0.3], [0.5, 0.25, 1.0], np.zeros(3))
+    lo, hi = box.center - box.size, box.center + box.size
+    centers = itertools.product(*[(lo[a] - 1.0, lo[a], box.center[a], hi[a]) for a in range(3)])
+    dirs = np.array([d for d in itertools.product((-1.0, -0.0, 0.0, 0.5), repeat=3) if any(d)])
+    saw_nan = 0
+    for center in map(np.array, centers):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t, hit = box.intersect(center, dirs, 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1, t2 = (lo - center) / dirs, (hi - center) / dirs
+        saw_nan += np.isnan(t1).any()
+        tn = np.nanmax(np.minimum(t1, t2), axis=1)
+        tf = np.nanmin(np.maximum(t1, t2), axis=1)
+        npt.assert_array_equal(hit, (tn <= tf) & (tn > _RAY_TMIN))
+        # equal everywhere, and bit for bit wherever the ray hits: only a
+        # miss's t can be a zero, whose sign nanmax itself sets by length
+        npt.assert_array_equal(t, tn)
+        npt.assert_array_equal(t[hit].view(np.int64), tn[hit].view(np.int64))
+    assert saw_nan
