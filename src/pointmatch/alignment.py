@@ -306,11 +306,17 @@ def _iterate(problem: AlignmentProblem, v: AlignmentVariables, opts: AlignmentOp
 
 def _linearized(at: _At, frames: tuple[int, int], jac=True):
     """Rows of frames lo..hi - 1, chunk by chunk: (table, segment, pixel,
-    the table's one row weight, residual, kernel root, d r / d chi, lever).
-    d r / d chi is None for the 3D rows' identity and for every row without
-    jac, else a 2D row's two rows as a (2, 3, m) array, the rows' axis last;
-    the lever is a 3D row's mapped point s_e R_i x or a 2D row's chi - t_i.
-    2D rows behind their camera drop out."""
+    the table's one row weight w, kernel root, residual, lever, d r / d chi,
+    d r / d camera); u = w / root is a row's IRLS weight. The residual and
+    the lever, a 3D row's mapped point s_e R_i x or a 2D row's chi - t_i,
+    have the rows' axis last, so each product is one pass over whole
+    columns; they are contiguous copies only with jac. Both Jacobians are
+    None for every row without jac, and for a 3D row, whose Jacobian, I over
+    chi and [[a]x, -I, -a] over its segment's camera columns, is read off its
+    lever a (3, m). A 2D row's d r / d chi is (2, 3, m) and its d r / d
+    camera (2, 6, m): row q is [j_q x d, -j_q] over its pose columns, for
+    J_chi's row j_q and the lever d (its scale column is 0). 2D rows behind
+    their camera drop out."""
     step = _CHUNK_ROWS if jac else 2 * _CHUNK_ROWS
     for t, rows in enumerate(at.rows):
         lo, hi = rows.start[np.searchsorted(rows.frame, frames)]
@@ -318,7 +324,7 @@ def _linearized(at: _At, frames: tuple[int, int], jac=True):
             row1 = min(row0 + step, hi)
             seg = np.searchsorted(rows.start, np.arange(row0, row1), side="right") - 1
             pix, data = _chunk(rows, row0, row1, range(seg[0], seg[-1] + 1))
-            t_i, j_chi = at.trans[rows.pose].take(seg, axis=0), None
+            t_i = at.trans[rows.pose].take(seg, axis=0)
             if t == 0:  # chi - (s_e R_i x + t_i)
                 with np.errstate(invalid="ignore"):  # an inf scale times a 0 entry
                     m = (at.scales[rows.edge, None, None] * at.rot[rows.pose]).take(seg, axis=0)
@@ -336,11 +342,15 @@ def _linearized(at: _At, frames: tuple[int, int], jac=True):
             # DivergenceError at the start and rejects a step later
             with np.errstate(over="ignore"):
                 root = np.sqrt(np.einsum("ni,ni->n", r, r) + _HUBER_DELTA**2)
-            if jac and t == 1:  # row q: (k_q / z) (R_i[:, q] - (y_q / z) R_i[:, 2])
-                col = at.rot[rows.pose].transpose(2, 1, 0).take(seg, axis=2)  # col[q]: R_i[:, q]
-                kz, yz = ((x[:, :2] / z).T.copy()[:, None] for x in (k, y))
-                j_chi = kz * (col[:2] - yz * col[2])
-            yield t, seg, pix, at.weights[t], r, root, j_chi, a if t == 0 else d
+            r, lever, j_chi, j_cam = r.T, (a if t == 0 else d).T, None, None
+            if jac:
+                r, lever = r.copy(), lever.copy()
+                if t == 1:  # row q: (k_q / z) (R_i[:, q] - (y_q / z) R_i[:, 2])
+                    col = at.rot[rows.pose].transpose(2, 1, 0).take(seg, axis=2)  # R_i[:, q]
+                    kz, yz = ((x[:, :2] / z).T.copy()[:, None] for x in (k, y))
+                    j_chi = kz * (col[:2] - yz * col[2])
+                    j_cam = np.concatenate([_cross(j_chi, lever), -j_chi], axis=1)
+            yield t, seg, pix, at.weights[t], root, r, lever, j_chi, j_cam
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -348,23 +358,6 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out (np.cross is slower for them)."""
     (a0, a1, a2), (b0, b1, b2) = ([x[..., q, :] for q in range(3)] for x in (a, b))
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-2)
-
-
-def _jacobian_rows(at: _At, frames: tuple[int, int]):
-    """The rows of frames lo..hi - 1 with their Jacobians in closed form,
-    chunk by chunk: (table, segment, pixel, u, residual, lever, d r / d chi,
-    d r / d camera). The per-row arrays have the rows' axis last, so each
-    product is one pass over whole columns. u = w / root is a row's IRLS
-    weight. A 3D row's Jacobian, I over chi and [[a]x, -I, -a] over its
-    segment's camera columns, is read off its lever a (3, m); both
-    Jacobians are None. A 2D row's d r / d chi is (2, 3, m) and its d r / d
-    camera (2, 6, m): row q is [j_q x d, -j_q] over its pose columns, for
-    J_chi's row j_q and the lever d (its scale column is 0)."""
-    for t, seg, pix, w, r, root, j_chi, lever in _linearized(at, frames):
-        lever, j_cam = lever.T.copy(), None
-        if t == 1:
-            j_cam = np.concatenate([_cross(j_chi, lever), -j_chi], axis=1)
-        yield t, seg, pix, w / root, r.T.copy(), lever, j_chi, j_cam
 
 
 def _scatter(out: np.ndarray, idx: np.ndarray, vals: np.ndarray):
@@ -437,7 +430,7 @@ def _camera_terms(sums: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
 def _energy(problem: AlignmentProblem, v: AlignmentVariables, opts: AlignmentOptions) -> float:
     """The energy at v of the rows opts solve over (see _iterate)."""
     at, energy = _iterate(problem, v, opts), 0.0
-    for _, _, _, w, _, root, _, _ in _linearized(at, (0, len(v.rotations)), jac=False):
+    for _, _, _, w, root, *_ in _linearized(at, (0, len(v.rotations)), jac=False):
         energy += float((w * (root - _HUBER_DELTA)).sum())
     return energy
 
@@ -451,7 +444,7 @@ def _normal_system(problem: AlignmentProblem, v: AlignmentVariables,
     Every row adds u J^T r to the gradient and u J^T J to the system, so the
     gradient is exact and the system is the Gauss-Newton curvature of the
     current IRLS majorant. Each term is written out over the rows' columns
-    (_jacobian_rows), with no per-row matrix product: the 3D rows' camera
+    (_linearized), with no per-row matrix product: the 3D rows' camera
     terms come from per-segment moments (_camera_terms), a 2D segment's
     camera block is one product of its (2m, 6) Jacobian rows, and each
     coupling u J_chi^T J_cam is scattered by its nonzeros. Chi terms are
@@ -475,9 +468,10 @@ def _normal_system(problem: AlignmentProblem, v: AlignmentVariables,
         offs = [(own.size * _C3_ROW + slots[0][:, _C3_COL]).T, slots[1][:, :6].T]
         b = np.zeros(pix * 3 * own.size)  # the couplings, (pixel, 3, own)
         c = np.zeros((6, pix))  # the chi blocks, see _SYM
-        for t, seg, p, u, r, lever, j_chi, j_cam in _jacobian_rows(at, (f, f + 1)):
+        for t, seg, p, w, root, r, lever, j_chi, j_cam in _linearized(at, (f, f + 1)):
             if not seg.size:
                 continue
+            u = w / root
             p = p - f * pix
             first = np.flatnonzero(np.concatenate(([True], seg[1:] != seg[:-1])))
             idx = (3 * own.size) * p + offs[t].take(seg, axis=1)
@@ -546,7 +540,8 @@ def _lm_step(v: AlignmentVariables, system: _NormalSystem, damping: float) -> Al
     step[keep] = np.linalg.solve(h[keep][:, keep], -rhs[keep])
     moved = [step[rows.cols].T for rows in system.at.rows]
     d_chi = system.g_chi.reshape(-1, 3).copy()
-    for t, seg, p, u, _, lever, j_chi, j_cam in _jacobian_rows(system.at, (0, n)):
+    for t, seg, p, w, root, _, lever, j_chi, j_cam in _linearized(system.at, (0, n)):
+        u = w / root
         mv = moved[t].take(seg, axis=1)  # d r / d camera times mv, without building it
         if t == 0:
             jd = u * (_cross(lever, mv[:3]) - mv[3:6] - mv[6] * lever)
@@ -638,8 +633,8 @@ def _init_pairwise(problem: AlignmentProblem) -> AlignmentVariables:
     at = _iterate(problem, v, AlignmentOptions(lambda_2d=0.0))
     for f in range(n):
         num, den = np.zeros((h * w, 3)), np.zeros((h * w, 1))
-        for _, _, p, wgt, r, *_ in _linearized(at, (f, f + 1), jac=False):
-            _scatter(num, p - f * h * w, -wgt * r)
+        for _, _, p, wgt, _, r, *_ in _linearized(at, (f, f + 1), jac=False):
+            _scatter(num, p - f * h * w, (-wgt * r).T)
             _scatter(den, p - f * h * w, np.full((len(p), 1), wgt))
         chi = kappa[f] * (problem.ego_maps[f].points.reshape(-1, 3) @ rot[f].T) + cen[f]
         filled = den[:, 0] > 0

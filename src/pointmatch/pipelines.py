@@ -233,7 +233,11 @@ def track_3d(
     consumes the static-hypothesis maps instead (the no-motion baseline).
     Windows are stitched by median norm-ratio scale harmonization over overlap
     frames, later windows overwrite, and queries re-seed at the next keyframe
-    by nearest-pixel rounding of the projected track.
+    by nearest-pixel rounding of the projected track. When the camera moves,
+    that rounding to the keyframe's pixel grid starts a different surface
+    point, and a query whose point is out of view or occluded at that keyframe
+    is dropped for the rest of the sequence. Only a static point under a
+    still camera reprojects onto a whole pixel and stitches exactly.
     """
     if mode not in ("matched", "rigid"):
         raise ValueError("mode must be matched or rigid")

@@ -9,19 +9,19 @@ instead of from a mesh rasterizer.
 Design notes that matter for exactness:
   - ray directions are z-normalized in the camera frame, so the ray parameter
     equals camera depth;
-  - every raycast takes G camera centers (G, 3) and a (G, N, 3) block of
-    rays, N from each center, and returns (G, N) results; a chunk of rays
-    reads its origins from the centers, so only one chunk at a time holds a
-    row per ray for them;
+  - every raycast, of the backdrop or of an object (at each group's frame),
+    takes G camera centers (G, 3) and a (G, N, 3) block of rays, N from each
+    center, and returns (G, N) results; a chunk of rays reads its origins
+    from the centers, so only one chunk at a time holds a row per ray for
+    them;
   - every ground-truth observation runs through one kernel, _observe: a
     (G, ..., 3) stack of world points, group g seen from frame frames[g] ->
     camera points, pixels and visibility (in view and the first surface
     along the camera ray). The matching map feeds it W_j + span * v, the
     tracks feed it each query's W_q + span * v, so a track and the matching
     map agree wherever they see the same point. One call raycasts the
-    backdrop once for all its groups' rays (build_tracks renders every
-    frame, gt_pointmap_matching a group of one); only the analytic object
-    hits run per group;
+    backdrop and each object once for all its groups' rays (build_tracks
+    renders every frame, gt_pointmap_matching a group of one);
   - the rigid map is P_i(W_j). Static pixels have v = 0, so W_j + span * v
     is W_j bit for bit there and the two maps' residuals are exactly zero;
   - a depth raycast (HeightField.intersect) bisects the backdrop until no
@@ -35,7 +35,7 @@ Design notes that matter for exactness:
     undecided, to that fixed point. Visibility is the boolean a full
     refinement gives, for one evaluation per ray instead of about twenty;
   - assemble_scene bisects the backdrop once per scene, for every frame's
-    pixel rays together; only the analytic object hits run per frame.
+    pixel rays together; objects are hit one frame at a time.
     scene_from_depths verifies stored depths instead: one height evaluation
     at each backdrop pixel's depth proves it within its margin, by the
     field's slope bound and the same error bound (_verified_ids), and
@@ -350,31 +350,32 @@ class SceneObject:
         return bool(np.linalg.norm(self.velocity) > 0)
 
     def intersect(
-        self, center: np.ndarray, dirs: np.ndarray, frame: int
+        self, centers: np.ndarray, dirs: np.ndarray, frames
     ) -> tuple[np.ndarray, np.ndarray]:
-        """First hit (t, hit) of each ray dirs (N, 3) from the camera center
-        (3,) on the object at frame."""
-        c = self.center + frame * self.velocity
+        """First hit (t, hit), each (G, N), of each group's rays dirs (G, N,
+        3) from its camera center centers (G, 3) on the object at frames[g];
+        the terms of one origin are taken once and broadcast over its rays."""
+        c = self.center + np.asarray(frames)[:, None] * self.velocity
         if self.kind == "sphere":
             r = float(self.size[0])
-            oc = np.broadcast_to(center, dirs.shape) - c
-            a = np.einsum("ij,ij->i", dirs, dirs)
-            b = 2.0 * np.einsum("ij,ij->i", oc, dirs)
-            cc = np.einsum("ij,ij->i", oc, oc) - r * r
-            disc = b * b - 4.0 * a * cc
+            oc = centers - c
+            a = np.einsum("gni,gni->gn", dirs, dirs)
+            b = 2.0 * np.einsum("gi,gni->gn", oc, dirs)
+            cc = np.einsum("gi,gi->g", oc, oc) - r * r
+            disc = b * b - 4.0 * a * cc[:, None]
             hit = disc > 0
             sq = np.sqrt(np.where(hit, disc, 0.0))
             t = (-b - sq) / (2.0 * a)
             return t, hit & (t > _RAY_TMIN)
         lo, hi = c - self.size, c + self.size
         with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (lo - center) / dirs
-            t2 = (hi - center) / dirs
+            t1 = (lo - centers)[:, None] / dirs
+            t2 = (hi - centers)[:, None] / dirs
         # a NaN slab (0 / 0: the center on a slab plane, the ray parallel to
         # it) bounds nothing; fmax / fmin skip it, as a nanmax would
         near, far = np.minimum(t1, t2), np.maximum(t1, t2)
-        tn = np.fmax(np.fmax(near[:, 0], near[:, 1]), near[:, 2])
-        tf = np.fmin(np.fmin(far[:, 0], far[:, 1]), far[:, 2])
+        tn = np.fmax(np.fmax(near[..., 0], near[..., 1]), near[..., 2])
+        tf = np.fmin(np.fmin(far[..., 0], far[..., 1]), far[..., 2])
         hit = (tn <= tf) & (tn > _RAY_TMIN)
         return tn, hit
 
@@ -505,18 +506,19 @@ def _sample_objects(cfg: SceneConfig, rng: np.random.Generator) -> list[SceneObj
 def _nearest_surface(
     seq_objects: list[SceneObject],
     backdrop: tuple[np.ndarray, np.ndarray],
-    center: np.ndarray,
+    centers: np.ndarray,
     dirs: np.ndarray,
-    frame: int,
+    frames,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nearest surface along each ray dirs (N, 3) from the camera center (3,),
-    (t, surface_id, hit), given the rays' backdrop crossing (t, ok) from
+    """Nearest surface along each group's rays dirs (G, N, 3) from its camera
+    center centers (G, 3) at its frame frames[g], (t, surface_id, hit), each
+    (G, N), given the rays' backdrop crossing (t, ok) from
     HeightField.intersect."""
     t_best, hit_best = backdrop
     t_best = np.where(hit_best, t_best, np.inf)
     id_best = np.where(hit_best, -1, -2)
     for k, obj in enumerate(seq_objects):
-        t_k, hit_k = obj.intersect(center, dirs, frame)
+        t_k, hit_k = obj.intersect(centers, dirs, frames)
         closer = hit_k & (t_k < t_best)
         t_best = np.where(closer, t_k, t_best)
         id_best = np.where(closer, k, id_best)
@@ -541,18 +543,17 @@ def raycast_pixels(
         raise ValueError("pixels must be finite")
     d_cam = pixel_rays(seq.intrinsics[frame], pix)
     pose = seq.poses[frame]
-    dirs = d_cam @ pose.rotation
-    [t_bg], [ok_bg] = seq.background.intersect(pose.center[None], dirs[None])
-    t, sid, hit = _nearest_surface(seq.objects, (t_bg, ok_bg), pose.center, dirs, frame)
+    centers, dirs = pose.center[None], (d_cam @ pose.rotation)[None]
+    [t], [sid], [hit] = _nearest_surface(seq.objects, seq.background.intersect(centers, dirs),
+                                         centers, dirs, [frame])
     pts = np.where(hit[:, None], t[:, None] * d_cam, 0.0)
     return pts, sid, hit
 
 
 def _visible_from(seq: SceneSequence, frames, world: np.ndarray) -> np.ndarray:
     """(G, ...) bool: True where a point of world (G, ..., 3) is the first
-    surface hit from its group's frame's camera, frames[g]. The backdrop is
-    raycast once for every group's rays; the objects are hit per group, at
-    its frame."""
+    surface hit from its group's frame's camera, frames[g]. The backdrop and
+    each object are raycast once for every group's rays."""
     centers = np.array([seq.poses[f].center for f in frames])
     delta = world.reshape(len(centers), -1, 3) - centers[:, None]
     dist = np.linalg.norm(delta, axis=-1)
@@ -564,11 +565,10 @@ def _visible_from(seq: SceneSequence, frames, world: np.ndarray) -> np.ndarray:
     thr = dist - _OCCLUSION_TOL
     clear, hit = seq.background.crossing_beyond(centers, dirs, thr)
     clear |= ~hit
-    for g, frame in enumerate(frames):
-        for obj in seq.objects:
-            t_k, hit_k = obj.intersect(centers[g], dirs[g], frame)
-            hit[g] |= hit_k
-            clear[g] &= ~hit_k | (t_k >= thr[g])
+    for obj in seq.objects:
+        t_k, hit_k = obj.intersect(centers, dirs, frames)
+        hit |= hit_k
+        clear &= ~hit_k | (t_k >= thr)
     return (ok & hit & clear).reshape(world.shape[:-1])
 
 
@@ -635,26 +635,25 @@ def assemble_scene(
     background: HeightField,
     objects: list[SceneObject],
     poses: list[Pose],
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> SceneSequence:
     """Render a sequence from explicit components (for scenes with pinned
     objects or trajectories); generate_scene is the sampled front door.
 
-    rng only drives track-query sampling; None derives one from config.seed.
+    rng only drives track-query sampling.
     """
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(config.seed))
     k = _intrinsics(config, background, poses)
     h, w = config.height, config.width
     hit_id = np.full((config.frame_count, h, w), -2, dtype=np.int32)
     depths = []
-    # one backdrop bisection for every frame's rays; objects hit per frame
+    # one backdrop bisection for every frame's rays; objects are hit one
+    # frame at a time, so a box's (G, N, 3) temporaries hold one frame
     all_dirs = np.stack([_frame_rays(k, pose, h, w) for pose in poses])
     centers = np.array([pose.center for pose in poses])
     t_bg, ok_bg = background.intersect(centers, all_dirs)
     for t in range(config.frame_count):
-        tpar, sid, hit = _nearest_surface(objects, (t_bg[t], ok_bg[t]), centers[t],
-                                          all_dirs[t], t)
+        [tpar], [sid], _ = _nearest_surface(objects, (t_bg[t:t + 1], ok_bg[t:t + 1]),
+                                            centers[t:t + 1], all_dirs[t:t + 1], [t])
         depths.append(tpar.reshape(h, w))
         hit_id[t] = sid.reshape(h, w)
     return _sequence(config, k, background, objects, poses, depths, hit_id, rng)
@@ -729,9 +728,9 @@ def _verified_ids(background, objects, center, dirs, frame, depth) -> np.ndarray
     pixel is certified. A depth 2 delta off is not within, so no pixel of it
     is certified, and the two thresholds reject it.
     """
-    n = len(depth)
-    t_obj, id_obj, on_obj = _nearest_surface(objects, (depth, np.zeros(n, bool)),
-                                             center, dirs, frame)
+    [t_obj], [id_obj], [on_obj] = _nearest_surface(
+        objects, (depth[None], np.zeros((1, len(depth)), bool)), center[None], dirs[None],
+        [frame])
     t_obj = np.where(on_obj, t_obj, np.inf)
     margin = _DEPTH_TOL * (1.0 + np.abs(depth))
     lo, hi = depth - margin, depth + margin

@@ -448,14 +448,18 @@ def test_every_damping_try_reads_the_rows_once_from_one_elimination(monkeypatch)
     want = {d: _lm_step(v, _normal_system(problem, v, opts), d) for d in dampings}
     system = _normal_system(problem, v, opts)
     reads = []
-    jacobian_rows = alignment._jacobian_rows
-    monkeypatch.setattr(alignment, "_jacobian_rows",
-                        lambda *args, **kw: reads.append(args[1]) or jacobian_rows(*args, **kw))
+    linearized = alignment._linearized
+
+    def recording(at, frames, jac=True):
+        reads.append((frames, jac))
+        return linearized(at, frames, jac)
+
+    monkeypatch.setattr(alignment, "_linearized", recording)
     n = len(problem.ego_maps)
     for damping in dampings:
         reads.clear()
         step = _lm_step(v, system, damping)
-        assert reads == [(0, n)], damping  # the back-substitution alone
+        assert reads == [((0, n), True)], damping  # the back-substitution alone
         for field in ("rotations", "translations", "log_scales", "pointmaps"):
             np.testing.assert_array_equal(getattr(step, field), getattr(want[damping], field))
 

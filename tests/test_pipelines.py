@@ -435,6 +435,21 @@ def test_track_stitched_windows_moving_camera_trend():
     assert rep.apd > 80.0
 
 
+def test_stitched_tracking_against_one_window_under_a_moving_camera():
+    # the default windows (12, overlap 4) start at frames 0, 8 and 12: each
+    # reseed rounds the projected track to the keyframe's pixel grid, which
+    # starts another surface point, and drops a query out of view or occluded
+    # there; one 24-frame window reads every frame from frame 0's pixels
+    s = generate_scene(SceneConfig(seed=0, frame_count=24, height=16, width=20))
+    oracle, gt = OraclePredictor(s), s.tracks
+    assert len(gt.query_pixels) == 16
+    stitched = track_3d(s, oracle, gt.query_pixels)
+    single = track_3d(s, oracle, gt.query_pixels, window=24)
+    assert (stitched.starts, single.starts) == ([0, 8, 12], [0])
+    assert apd(stitched.tracks, gt.camera, gt.visible, stitched.valid).apd >= 86.2  # 86.25
+    assert apd(single.tracks, gt.camera, gt.visible, single.valid).apd == 100.0
+
+
 def test_track_rigid_mode_misses_dynamic_objects():
     s = _scene(seed=80, frame_count=8, camera_magnitude=0.0, motion_magnitude=0.12,
                object_count=2, track_count=0)

@@ -167,7 +167,8 @@ def test_known_velocity_track_advance(seq):
     cfg = SceneConfig(seed=CFG.seed, frame_count=4, height=16, width=20, object_count=1,
                       motion_magnitude=0.1, camera_path="orbit", camera_magnitude=0.0,
                       track_count=0)
-    s = assemble_scene(cfg, seq.background, objects, [seq.poses[0]] * 4)
+    s = assemble_scene(cfg, seq.background, objects, [seq.poses[0]] * 4,
+                       np.random.Generator(np.random.Philox(cfg.seed)))
     ys, xs = np.nonzero(s.hit_id[0] == 0)
     q = np.array([[xs[0], ys[0]]])
     tr = build_tracks(s, q)
@@ -404,8 +405,8 @@ def _visible_full(seq, frame, world_pts):
     ok = dist > _RAY_TMIN
     safe = np.where(ok[..., None], delta, np.array([0.0, 0.0, 1.0]))
     dirs = (safe / np.maximum(dist, _RAY_TMIN)[..., None]).reshape(-1, 3)
-    [t_bg], [ok_bg] = seq.background.intersect(o[None], dirs[None])
-    t, _, hit = _nearest_surface(seq.objects, (t_bg, ok_bg), o, dirs, frame)
+    backdrop = seq.background.intersect(o[None], dirs[None])
+    [t], _, [hit] = _nearest_surface(seq.objects, backdrop, o[None], dirs[None], [frame])
     return ok & (hit & (t >= dist.ravel() - _OCCLUSION_TOL)).reshape(dist.shape)
 
 
@@ -568,8 +569,9 @@ def test_batched_scene_raycast_matches_per_frame(path, objects, seed, h, w, fram
         mp.setattr(scenes, "ThreadPoolExecutor", _NoPool)
         for t, pose in enumerate(s.poses):
             dirs = d_cam @ pose.rotation
-            [t_bg], [ok_bg] = s.background.intersect(pose.center[None], dirs[None])
-            tpar, sid, hit = _nearest_surface(s.objects, (t_bg, ok_bg), pose.center, dirs, t)
+            backdrop = s.background.intersect(pose.center[None], dirs[None])
+            [tpar], [sid], [hit] = _nearest_surface(s.objects, backdrop, pose.center[None],
+                                                    dirs[None], [t])
             hit = hit.reshape(h, w)
             world = (pose.center + tpar[:, None] * dirs).reshape(h, w, 3)
             npt.assert_array_equal(s.depths[t].depth, np.where(hit, tpar.reshape(h, w), 0.0))
@@ -627,17 +629,23 @@ def test_chunked_tracks_and_matching_maps_match_serial(path, objects, seed, h, w
 
 def test_multi_group_observe_matches_one_group_calls(seq):
     # build_tracks' (T, Q, 3) stack for every pixel that hits a surface at
-    # frame 0; Q >= 2, since a one-row BLAS call may differ in the last bit
-    qy, qx = np.nonzero(seq.hit_id[0] > -2)
-    tracks = build_tracks(seq, np.stack([qx, qy], axis=1))
-    stack = tracks.world.swapaxes(0, 1)
-    frames = range(seq.frame_count)
-    got = _observe(seq, frames, stack)
-    assert got[2].any() and not got[2].all()
-    for t in frames:
-        for name, a, [b] in zip(("camera", "pixels", "visible"), got,
-                                _observe(seq, [t], stack[t:t + 1])):
-            npt.assert_array_equal(a[t], b, err_msg=f"{name} at frame {t}")
+    # frame 0; Q >= 2, since a one-row BLAS call may differ in the last bit.
+    # Each scene holds a moving sphere and a moving box
+    other = generate_scene(SceneConfig(seed=0, frame_count=5, height=16, width=20,
+                                       motion_magnitude=0.1))
+    for s in (seq, other):
+        assert sorted(o.kind for o in s.objects) == ["box", "sphere"]
+        assert all(o.dynamic for o in s.objects)
+        qy, qx = np.nonzero(s.hit_id[0] > -2)
+        tracks = build_tracks(s, np.stack([qx, qy], axis=1))
+        stack = tracks.world.swapaxes(0, 1)
+        frames = range(s.frame_count)
+        got = _observe(s, frames, stack)
+        assert got[2].any() and not got[2].all()
+        for t in frames:
+            for name, a, [b] in zip(("camera", "pixels", "visible"), got,
+                                    _observe(s, [t], stack[t:t + 1])):
+                npt.assert_array_equal(a[t], b, err_msg=f"{name} at frame {t}")
 
 
 def _intersect_matches(bg, centers, dirs, want):
@@ -781,7 +789,7 @@ def test_verified_ids_reject_a_depth_on_an_object_behind_the_backdrop():
                               phases=np.zeros(1))
     ball = SceneObject("sphere", [0.0, 0.0, 0.5], [0.3], np.zeros(3))
     center, dirs = np.array([0.0, 0.0, -4.0]), np.array([[0.0, 0.0, 1.0]] * 2)
-    t_ball, on_ball = ball.intersect(center, dirs, 0)
+    [t_ball], [on_ball] = ball.intersect(center[None], dirs[None], [0])
     assert on_ball.all() and t_ball[0] > 4.0 + 0.1
     ids = scenes._verified_ids(flat, [ball], center, dirs, 0, np.array([t_ball[0], 4.0]))
     assert ids.tolist() == [-3, -1]
@@ -790,8 +798,9 @@ def test_verified_ids_reject_a_depth_on_an_object_behind_the_backdrop():
 def _two_threshold_ids(bg, objects, center, dirs, frame, depth):
     """_verified_ids' ids with the backdrop's margin test read only from
     crossing_beyond at d - delta and d + delta, never from g(d)."""
-    t_obj, id_obj, on_obj = _nearest_surface(objects, (depth, np.zeros(len(depth), bool)),
-                                             center, dirs, frame)
+    [t_obj], [id_obj], [on_obj] = _nearest_surface(
+        objects, (depth[None], np.zeros((1, len(depth)), bool)), center[None], dirs[None],
+        [frame])
     t_obj = np.where(on_obj, t_obj, np.inf)
     delta = _DEPTH_TOL * (1.0 + np.abs(depth))
     lo, hi = depth - delta, depth + delta
@@ -892,7 +901,7 @@ def test_box_slabs_skip_nan_as_nanmax_does():
     for center in map(np.array, centers):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            t, hit = box.intersect(center, dirs, 0)
+            [t], [hit] = box.intersect(center[None], dirs[None], [0])
         with np.errstate(divide="ignore", invalid="ignore"):
             t1, t2 = (lo - center) / dirs, (hi - center) / dirs
         saw_nan += np.isnan(t1).any()
@@ -904,3 +913,30 @@ def test_box_slabs_skip_nan_as_nanmax_does():
         npt.assert_array_equal(t, tn)
         npt.assert_array_equal(t[hit].view(np.int64), tn[hit].view(np.int64))
     assert saw_nan
+
+
+@pytest.mark.parametrize("kind, size", [("sphere", [0.4]), ("box", [0.5, 0.25, 1.0])])
+def test_grouped_object_hits_match_one_group_calls(kind, size):
+    # three groups at frames 0, 2 and 5 on a moving object; group 1's center
+    # lies on the x slab plane of the box at frame 2, and the rays hold +-0
+    # and slab-parallel components
+    obj = SceneObject(kind, [0.1, -0.2, 0.3], size, [0.05, -0.02, 0.04])
+    frames = np.array([0, 2, 5])
+    slab_x = (obj.center + 2 * obj.velocity - obj.size)[0]
+    centers = np.array([[0.0, 0.0, -4.0], [slab_x, 0.1, -4.0], [0.3, 0.5, -3.0]])
+    axes = [(-0.5, -0.0, 0.0, 0.3), (-0.4, -0.0, 0.0, 0.2), (-1.0, -0.0, 0.0, 1.0)]
+    special = np.array([d for d in itertools.product(*axes) if any(d)])
+    rng = np.random.default_rng(0)
+    toward = (obj.center + frames[:, None] * obj.velocity - centers)[:, None]
+    dirs = np.concatenate([np.broadcast_to(special, (3,) + special.shape),
+                           toward + rng.uniform(-0.3, 0.3, (3, 40, 3))], axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t, hit = obj.intersect(centers, dirs, frames)
+        assert t.shape == hit.shape == dirs.shape[:2]
+        for g, frame in enumerate(frames):
+            [t_g], [hit_g] = obj.intersect(centers[g:g + 1], dirs[g:g + 1], [frame])
+            npt.assert_array_equal(hit[g], hit_g, err_msg=f"group {g}")
+            npt.assert_array_equal(t[g][hit_g].view(np.int64), t_g[hit_g].view(np.int64),
+                                   err_msg=f"group {g}")
+            assert hit_g.any() and not hit_g.all()
